@@ -151,6 +151,8 @@ def hecke_cmd(path, p, out_path):
         g = hecke_Tp(f, p)
     except TruncationError as exc:
         raise click.ClickException(f"refusing: {exc}") from None
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
     try:
         lam = eigenvalue_extract(f, g)
         click.echo(f"eigenvalue of T({p}): {ser.rational_to_str(lam)}")
@@ -186,11 +188,14 @@ def lfactor_cmd(kind, p, af, ag, k1, k2, n, level, s_value):
             click.echo(f"pole: {exc}")
             sys.exit(2)
         return
-    if kind == "standard":
-        fac = standard_L_local(SatakePair(p, k1, Fraction(af)),
-                               SatakePair(p, k2, Fraction(ag)), n, p)
-    else:
-        fac = rankin_selberg_local(Fraction(af), Fraction(ag), k1, k2, p)
+    try:
+        if kind == "standard":
+            fac = standard_L_local(SatakePair(p, k1, Fraction(af)),
+                                   SatakePair(p, k2, Fraction(ag)), n, p)
+        else:
+            fac = rankin_selberg_local(Fraction(af), Fraction(ag), k1, k2, p)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise click.ClickException(str(exc)) from None
     click.echo(f"inverse local factor at p={p}: {fac}")
     if s_value is not None:
         try:
@@ -208,14 +213,19 @@ def lfactor_cmd(kind, p, af, ag, k1, k2, n, level, s_value):
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def roundtrip_cmd(in_path, schema, algebra_path, out_path):
     """Parse, validate and canonically re-emit a JSON document."""
-    obj = ser.load_json(in_path)
-    algebra = None
-    if algebra_path:
-        algebra = ser.algebra_from_obj(ser.load_json(algebra_path))
     try:
+        obj = ser.load_json(in_path)
+        alg_obj = ser.load_json(algebra_path) if algebra_path else None
+    except ser.SchemaError as exc:  # already "path:line:column: message"
+        click.echo(str(exc), err=True)
+        sys.exit(1)
+    path = algebra_path
+    try:
+        algebra = None if alg_obj is None else ser.algebra_from_obj(alg_obj)
+        path = in_path
         normalized = ser.roundtrip_obj(obj, schema, algebra)
     except ser.SchemaError as exc:
-        click.echo(f"{in_path}: {exc}", err=True)
+        click.echo(f"{path}: {exc}", err=True)
         sys.exit(1)
     text = ser.dumps_canonical(normalized)
     if out_path:

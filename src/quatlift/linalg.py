@@ -43,10 +43,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v) -> Vector:
-    return [sum((c * x for c, x in zip(row, v)), Fraction(0)) for row in a]
-
-
 def vec_mat(v, a: Matrix) -> Vector:
     m = len(a[0])
     return [sum((v[i] * a[i][j] for i in range(len(v))), Fraction(0)) for j in range(m)]
@@ -54,10 +50,6 @@ def vec_mat(v, a: Matrix) -> Vector:
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(a: Matrix, c) -> Matrix:
@@ -236,10 +228,3 @@ def hnf_rational(rows: Matrix) -> Matrix:
     d = common_denominator(rows)
     ints = [[int(x * d) for x in row] for row in rows]
     return [[Fraction(x, d) for x in row] for row in hnf(ints)]
-
-
-def floor_sqrt_fraction(x: Fraction) -> int:
-    """floor(sqrt(x)) for x >= 0, exact."""
-    if x < 0:
-        raise ValueError("negative argument")
-    return math.isqrt(x.numerator * x.denominator) // x.denominator

@@ -46,10 +46,6 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.coeffs}
-        return len(degs) <= 1
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.coeffs == other.coeffs
 

@@ -4,6 +4,18 @@ Elements, lattices (orders and ideals), Gram matrices, short-vector
 enumeration, ideal classes and two-sided ideals.  Everything is immutable
 after construction and deterministic: vector lists are lexicographically
 sorted, class representatives are produced in BFS discovery order.
+
+Short vectors come from one numpy kernel, `short_vectors_upto`, which stays
+exact without any Fraction inside the loop.  The size-reduced Gram matrix is
+scaled to integers by its common denominator and factored fraction-free
+(leading minors Δ_i), so each coordinate's Fincke–Pohst range is an integer
+inequality x² ≤ Δ_i·rem that isqrt decides exactly; the ranges therefore hold
+every solution.  Membership is then decided by the integer norm test
+0 < vᵗGv ≤ bound alone.  Before enumerating, a bound on every intermediate
+integer picks the array dtype: int64 when it stays below 2⁶², otherwise object
+arrays of Python ints running the same code.  Buckets are int64 (or object)
+arrays; callers that feed coordinates into Fractions convert rows with
+`.tolist()`, because a Fraction built from np.int64 keeps an np.int64 numerator.
 """
 
 from __future__ import annotations
@@ -12,8 +24,10 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from . import linalg
-from .linalg import Matrix, floor_sqrt_fraction
+from .linalg import Matrix
 
 
 class UsageError(ValueError):
@@ -240,17 +254,6 @@ def _ldl(g: Matrix) -> tuple[list[Fraction], Matrix]:
     return d, low
 
 
-def _floor_plus_sqrt(a: Fraction, q: Fraction) -> int:
-    """floor(a + sqrt(q)) for q >= 0, exact."""
-    t = math.floor(a) + floor_sqrt_fraction(q)
-    while True:
-        u = t + 1 - a
-        if u <= 0 or u * u <= q:
-            t += 1
-        else:
-            return t
-
-
 def _gauss_reduce_gram(g: Matrix) -> tuple[Matrix, list[list[int]]]:
     """Exact pairwise size reduction of a Gram matrix (no floats, no LLL).
 
@@ -284,43 +287,101 @@ def _gauss_reduce_gram(g: Matrix) -> tuple[Matrix, list[list[int]]]:
     return g, u
 
 
-def short_vectors_upto(g: Matrix, max_norm) -> dict[Fraction, list[tuple[int, ...]]]:
+def _int_ldl(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free LDL of an integer Gram matrix.
+
+    Returns the leading principal minors Δ₀ = 1, Δ₁, …, Δₙ and the integer
+    matrix M[j][i] = Δ_{i+1}·L[j][i], where G = L·diag(Δ_{i+1}/Δ_i)·Lᵗ.
+    Raises ValueError unless G is positive definite.
+    """
+    d, low = _ldl(g)
+    minors = [Fraction(1)]
+    for di in d:
+        minors.append(minors[-1] * di)
+    n = len(g)
+    scaled = [[minors[i + 1] * low[j][i] for i in range(n)] for j in range(n)]
+    return [int(x) for x in minors], [[int(x) for x in row] for row in scaled]
+
+
+_INT64_SAFE = 2 ** 62
+
+
+def _magnitude(g: list[list[int]], u: list[list[int]], minors: list[int],
+               m: list[list[int]], bound: int) -> int:
+    """An upper bound on the absolute value of every integer the enumeration forms."""
+    n = len(g)
+    vmax = [0] * n  # bounds |v_i| and the range ends lo, hi
+    terms = []
+    for i in range(n - 1, -1, -1):
+        room = minors[i] * minors[i + 1] * bound  # ≥ Δ_i·rem ≥ x²
+        root = math.isqrt(room) + 1
+        center = sum(abs(m[j][i]) * vmax[j] for j in range(i + 1, n))
+        vmax[i] = (root + center) // minors[i + 1] + 1
+        terms += [room + 2 * root, minors[i + 1] * vmax[i] + center + root]
+    terms.append(sum(vmax[a] * abs(g[a][b]) * vmax[b] for a in range(n) for b in range(n)))
+    terms += [sum(vmax[i] * abs(u[i][t]) for i in range(n)) for t in range(n)]
+    return max(terms)
+
+
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(x)) for x ≥ 0, exact for int64 (< 2⁶²) and object arrays."""
+    if x.dtype == object:
+        return np.frompyfunc(math.isqrt, 1, 1)(x)
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
+
+
+def short_vectors_upto(g: Matrix, max_norm) -> dict[Fraction, np.ndarray]:
     """All integer vectors v != 0 with vᵗGv ≤ 2·max_norm, bucketed by vᵗGv/2.
 
-    Lists are sorted lexicographically.  G must be positive definite.
+    Each bucket is a k×n array whose rows are sorted lexicographically: int64,
+    or object (Python ints) when the entries could overflow int64.  G must be
+    positive definite.
     """
     n = len(g)
     gred, u = _gauss_reduce_gram(linalg.frac_mat(g))
-    d, low = _ldl(gred)
-    bound = 2 * Fraction(max_norm)
-    if bound < 0:
+    den = linalg.common_denominator(gred)
+    gint = [[int(x * den) for x in row] for row in gred]
+    minors, m = _int_ldl(gint)
+    bound = math.floor(2 * Fraction(max_norm) * den)
+    if bound <= 0:
         return {}
-    buckets: dict[Fraction, list[tuple[int, ...]]] = {}
-    v = [0] * n
-
-    def emit(val: Fraction) -> None:
-        w = tuple(sum(v[i] * u[i][t] for i in range(n)) for t in range(n))
-        buckets.setdefault(val / 2, []).append(w)
-
-    def rec(i: int, budget: Fraction) -> None:
-        if i < 0:
-            if any(v):
-                emit(bound - budget)
-            return
-        center = sum(low[j][i] * v[j] for j in range(i + 1, n))
-        q = budget / d[i]
-        hi = _floor_plus_sqrt(-center, q)
-        lo = -_floor_plus_sqrt(center, q)
-        for t in range(lo, hi + 1):
-            v[i] = t
-            step = d[i] * (t + center) ** 2
-            rec(i - 1, budget - step)
-        v[i] = 0
-
-    rec(n - 1, bound)
-    for lst in buckets.values():
-        lst.sort()
-    return buckets
+    big = _magnitude(gint, u, minors, m, bound) >= _INT64_SAFE
+    dtype = object if big else np.int64
+    # Breadth-first over the coordinates v_{n-1}, …, v_0.  With c_i = Σ_{j>i} L_ji·v_j,
+    # each prefix (v_{i+1}, …) carries the integers C_i = Δ_{i+1}·c_i and
+    # rem = Δ_{i+1}·(bound − Σ_{j>i} d_j·(v_j + c_j)²); the Fincke–Pohst range of
+    # v_i is exactly the integers with x² ≤ Δ_i·rem, x = Δ_{i+1}·v_i + C_i.
+    coords = np.zeros((1, 0), dtype=dtype)  # columns v_{i+1}, …, v_{n-1}
+    rem = np.array([minors[n] * bound], dtype=dtype)
+    for i in range(n - 1, -1, -1):
+        step = minors[i + 1]
+        center = coords @ np.array([m[j][i] for j in range(i + 1, n)], dtype=dtype)
+        room = minors[i] * rem
+        root = _isqrt(room)
+        lo = -((root + center) // step)
+        counts = ((root - center) // step - lo + 1).astype(np.int64)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        first = np.cumsum(counts) - counts
+        vi = lo[parent] + (np.arange(len(parent)) - first[parent])
+        if i:
+            x = step * vi + center[parent]
+            rem = (room[parent] - x * x) // step
+        coords = np.column_stack((vi, coords[parent]))
+    # the exact test: integer norms against the integer bound
+    norms = ((coords @ np.array(gint, dtype=dtype)) * coords).sum(axis=1)
+    keep = (norms > 0) & (norms <= bound)
+    vecs = coords[keep] @ np.array(u, dtype=dtype)
+    norms = norms[keep]
+    if not len(norms):
+        return {}
+    order = np.lexsort(tuple(vecs[:, t] for t in range(n - 1, -1, -1)) + (norms,))
+    vecs, norms = vecs[order], norms[order]
+    cuts = (np.flatnonzero(norms[1:] != norms[:-1]) + 1).tolist()
+    return {Fraction(int(norms[a]), 2 * den): vecs[a:b]
+            for a, b in zip([0] + cuts, cuts + [len(norms)])}
 
 
 def short_vectors(g: Matrix, m) -> list[tuple[int, ...]]:
@@ -333,7 +394,8 @@ def short_vectors(g: Matrix, m) -> list[tuple[int, ...]]:
         raise ValueError("norm must be nonnegative")
     if m == 0:
         return [(0,) * len(g)]
-    return short_vectors_upto(g, m).get(m, [])
+    vecs = short_vectors_upto(g, m).get(m)
+    return [] if vecs is None else list(map(tuple, vecs.tolist()))
 
 
 class Lattice:
@@ -389,7 +451,8 @@ class Lattice:
         return linalg.vec_mat(list(x.coords), self._basis_inv)
 
     def element_from(self, v) -> QuatElement:
-        return QuatElement(self.algebra, linalg.vec_mat([Fraction(t) for t in v], self.basis))
+        coords = [Fraction(t) for t in np.asarray(v).tolist()]  # no np.int64 in Fractions
+        return QuatElement(self.algebra, linalg.vec_mat(coords, self.basis))
 
     def contains(self, x: QuatElement) -> bool:
         return all(c.denominator == 1 for c in self.coords_of(x))
@@ -765,40 +828,3 @@ def superorders(order: Lattice, p: int) -> list[Lattice]:
         if cand.is_order()[0]:
             out.append(cand)
     return out
-
-
-def lattice_isometry(l1: Lattice, l2: Lattice):
-    """An isometry (L1, n) → (L2, n) as an integer matrix on coordinates, or None."""
-    return gram_isometry(l1.gram, l2.gram)
-
-
-def gram_isometry(g1: Matrix, g2: Matrix):
-    """Rows v_k with v_i·G2·v_jᵗ = (G1)_ij (a Z-isometry of quadratic lattices), or None."""
-    g1 = linalg.frac_mat(g1)
-    g2 = linalg.frac_mat(g2)
-    if linalg.det(g1) != linalg.det(g2):
-        return None
-    targets = [short_vectors(g2, Fraction(g1[i][i], 2)) for i in range(4)]
-    chosen: list[tuple[int, ...]] = []
-
-    def ok(k: int, v) -> bool:
-        for i in range(k):
-            w = chosen[i]
-            val = sum(w[a] * g2[a][b] * v[b] for a in range(4) for b in range(4))
-            if val != g1[i][k]:
-                return False
-        return True
-
-    def rec(k: int):
-        if k == 4:
-            return list(chosen)
-        for v in targets[k]:
-            if ok(k, v):
-                chosen.append(v)
-                got = rec(k + 1)
-                if got is not None:
-                    return got
-                chosen.pop()
-        return None
-
-    return rec(0)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .brandt import AutomorphicForm
 from .quatcore import Lattice, QuaternionAlgebra
-from .yoshida import FourierExpansionSiegel2, QExpansion
+from .yoshida import FourierExpansionSiegel2
 
 
 class SchemaError(ValueError):
@@ -130,15 +130,6 @@ def expansion_from_obj(obj: dict) -> FourierExpansionSiegel2:
             raise
         raise SchemaError(f"bad expansion document: {exc}") from None
     return f
-
-
-def qexpansion_to_obj(f: QExpansion) -> dict:
-    return {
-        "weight": f.weight,
-        "level": f.level,
-        "bound": f.bound,
-        "coefficients": [[m, rational_to_str(v)] for m, v in sorted(f.coeffs.items())],
-    }
 
 
 def form_to_obj(phi: AutomorphicForm) -> dict:

@@ -17,6 +17,7 @@ from fractions import Fraction
 import sympy
 
 from .binforms import reduced_forms_up_to
+from .quatcore import UsageError
 from .yoshida import FourierExpansionSiegel2, TruncationError
 
 
@@ -124,8 +125,14 @@ def _character_is_trivial(t: tuple[int, int, int], rep: HeckeCosetRep, p: int) -
     return True
 
 
+def _require_prime(p) -> None:
+    if not sympy.isprime(p):
+        raise UsageError(f"{p} is not a prime")
+
+
 def hecke_Tp(f: FourierExpansionSiegel2, p: int) -> FourierExpansionSiegel2:
     """T(p) on a degree-2 expansion, normalized so the a(pT) term has coefficient 1."""
+    _require_prime(p)
     if f.level % p == 0:
         raise ValueError(f"{p} divides the level {f.level}")
     out_bound = f.bound // (p * p)
@@ -269,6 +276,7 @@ def standard_L_local(b1: SatakePair, b2: SatakePair, n: int, p: int) -> LocalFac
     (1-X)·Π(1-β^{±1}β̃^{±1}X)·Π_{j=1}^{n-2}(1-p^jX)(1-p^{-j}X), expanded through
     the elementary symmetric functions e₁ = e₃ = s·s̃, e₂ = s²+s̃²-2, e₄ = 1.
     """
+    _require_prime(p)
     if n < 2:
         raise ValueError("the degree-n standard factor needs n ≥ 2")
     e1 = b1.cross_sum(b2)
@@ -283,6 +291,7 @@ def standard_L_local(b1: SatakePair, b2: SatakePair, n: int, p: int) -> LocalFac
 
 def rankin_selberg_local(af, ag, k1: int, k2: int, p: int) -> LocalFactor:
     """Degree-4 inverse factor of the tensor-product L-function, integer coefficients."""
+    _require_prime(p)
     af, ag = Fraction(af), Fraction(ag)
     w = k1 + k2 - 2
     e1 = af * ag

@@ -155,11 +155,10 @@ class ThetaEngine:
         self.lattice = lattice
         self.gram = np.array([[int(x) for x in row] for row in g], dtype=np.int64)
         self.max_norm = max_norm
-        buckets = short_vectors_upto(g, max_norm)
         self.vectors: dict[int, np.ndarray] = {}
-        for m, vs in buckets.items():
+        for m, vs in short_vectors_upto(g, max_norm).items():
             assert m.denominator == 1
-            self.vectors[int(m)] = np.array(vs, dtype=np.int64)
+            self.vectors[int(m)] = vs.astype(np.int64, copy=False)
 
     def vecs(self, m: int) -> np.ndarray:
         if m > self.max_norm:
@@ -207,8 +206,8 @@ def theta2_coefficient(lattice: Lattice, lift_poly: Poly, t) -> Fraction:
     engine = ThetaEngine(lattice, max(a, c))
     zero = (0,) * 4
     total = Fraction(0)
-    va = [zero] if a == 0 else [tuple(v) for v in engine.vecs(a)]
-    vc = [zero] if c == 0 else [tuple(v) for v in engine.vecs(c)]
+    va = [zero] if a == 0 else [tuple(v) for v in engine.vecs(a).tolist()]
+    vc = [zero] if c == 0 else [tuple(v) for v in engine.vecs(c).tolist()]
     gram = engine.gram
     for x1 in va:
         gx = gram @ np.array(x1, dtype=np.int64) if a else None
@@ -313,7 +312,7 @@ def _accumulate_psd(totals, engine: ThetaEngine, mat, den, p8: Poly, scale: Frac
             c0 = p8.eval([0] * 8)
             totals[(0, 0, m)] += scale * c0 * engine.count(m)
         else:
-            vecs = [(0,) * 4] if m == 0 else [tuple(v) for v in engine.vecs(m)]
+            vecs = [(0,) * 4] if m == 0 else [tuple(v) for v in engine.vecs(m).tolist()]
             s = sum((p8.eval([0] * 4 + list(v)) for v in vecs), Fraction(0))
             if s:
                 totals[(0, 0, m)] += scale * s
@@ -346,7 +345,7 @@ def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
             scale = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j]) / n0 ** nu
             buckets = short_vectors_upto(cross.normalized_gram(), bound)
             for m, vecs in buckets.items():
-                s = sum((lift.eval(v) for v in vecs), Fraction(0))
+                s = sum((lift.eval(v) for v in vecs.tolist()), Fraction(0))
                 if s:
                     coeffs[int(m)] += scale * s
             if nu == 0:

@@ -95,6 +95,12 @@ def test_criterion_4_hecke_golden(hecke_input):
                  "constant 1; T(2)T(3) = T(3)T(2) exactly")
 
 
+def test_theory_path_equals_golden_at_hecke_bound(hecke_input):
+    # the eigenform pipeline (yoshida2) against the published assembly, at the
+    # full bound the Hecke checks read
+    assert fx.fixture_lift(HECKE_INPUT_BOUND).agrees_with(hecke_input)
+
+
 def test_criterion_5_l_function_layer(class_set_17, space0, space1):
     eig = {(nu, p): brandt_eigenvalue(class_set_17, nu, p,
                                       fx.phi1() if nu else fx.phi2(),

@@ -122,3 +122,38 @@ def test_malformed_file_diagnostic(tmp_path):
     res = runner.invoke(main, ["classset", "--algebra", str(bad), "--order", str(bad)])
     assert res.exit_code != 0
     assert "bad.json:1" in res.output
+
+
+@pytest.fixture(scope="module")
+def lift400(tmp_path_factory):
+    path = tmp_path_factory.mktemp("lift") / "lift400.json"
+    res = CliRunner().invoke(main, ["lift", "--fixture", "n17", "--bound", "400",
+                                    "--out", str(path)])
+    assert res.exit_code == 0, res.output
+    return path
+
+
+@pytest.mark.parametrize("prime", ["4", "-3", "1"])
+def test_hecke_command_rejects_non_prime(lift400, prime):
+    res = CliRunner().invoke(main, ["hecke", "--expansion", str(lift400), "--prime", prime])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a clean exit, no traceback
+    assert f"Error: {prime} is not a prime" in res.output
+
+
+@pytest.mark.parametrize("kind", ["standard", "rankin"])
+def test_lfactor_command_rejects_non_prime(kind):
+    res = CliRunner().invoke(main, ["lfactor", "--kind", kind, "--prime", "6"])
+    assert res.exit_code == 1
+    assert "Error: 6 is not a prime" in res.output
+    assert "inverse local factor" not in res.output
+
+
+def test_roundtrip_malformed_json(tmp_path):
+    bad = tmp_path / "broken.json"
+    bad.write_text("{not json")
+    res = CliRunner().invoke(main, ["roundtrip", "--in", str(bad), "--schema", "algebra"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith(f"{bad}:1:2: ")
+    assert res.stdout == ""

@@ -1,13 +1,19 @@
+import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatlift import fixture as fx
 from quatlift import linalg
 from helpers import hamilton_algebra, hurwitz_order
 from quatlift.quatcore import (Lattice, QuaternionAlgebra, UsageError, class_set,
                                conj_trace_norm, gram_matrix, ideal_equivalent,
-                               left_right_order, short_vectors, two_sided_ideal)
+                               left_right_order, short_vectors, short_vectors_upto,
+                               two_sided_ideal)
 
 
 def det_by_cofactors(m):
@@ -69,6 +75,67 @@ def test_short_vectors_unit_counts():
     assert len(short_vectors(fx.order_r1().gram, 1)) == 2
     assert len(short_vectors(fx.order_r2().gram, 1)) == 6
     assert short_vectors(fx.order_r1().gram, 0) == [(0, 0, 0, 0)]
+
+
+def brute_force_short_vectors(g, max_norm):
+    """Independent oracle: every v in the box |v_j| ≤ √(2·max_norm·(G⁻¹)_jj), by norm."""
+    bound = 2 * Fraction(max_norm)
+    if bound <= 0:
+        return {}
+    n = len(g)
+    inv = linalg.inverse(linalg.frac_mat(g))
+    radius = [math.isqrt(math.floor(bound * inv[j][j])) for j in range(n)]
+    den = linalg.common_denominator(linalg.frac_mat(g))
+    gi = [[int(Fraction(x) * den) for x in row] for row in g]
+    out = {}
+    for v in itertools.product(*(range(-r, r + 1) for r in radius)):  # lexicographic
+        q = sum(v[a] * gi[a][b] * v[b] for a in range(n) for b in range(n))
+        if 0 < q <= bound * den:
+            out.setdefault(Fraction(q, 2 * den), []).append(v)
+    return out
+
+
+def as_lists(buckets):
+    return {m: list(map(tuple, vs.tolist())) for m, vs in buckets.items()}
+
+
+@given(st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+       st.lists(st.integers(1, 3), min_size=4, max_size=4),
+       st.lists(st.integers(-1, 1), min_size=6, max_size=6),
+       st.sampled_from([1, 2, 3]),
+       st.fractions(min_value=-1, max_value=4, max_denominator=4))
+@settings(max_examples=60, deadline=None)
+def test_short_vectors_upto_matches_brute_force(a, diag, off, den, max_norm):
+    # A·Aᵗ + diag has least eigenvalue ≥ 1; the off-diagonal fifths have norm < 1,
+    # so G stays positive definite, and den ≠ 1 or off ≠ 0 makes it non-integral
+    rows = [a[4 * i:4 * i + 4] for i in range(4)]
+    pert = dict(zip(itertools.combinations(range(4), 2), off))
+    g = [[(sum(rows[i][k] * rows[j][k] for k in range(4)) + (diag[i] if i == j else 0)
+           + Fraction(pert.get((min(i, j), max(i, j)), 0), 5)) / den
+          for j in range(4)] for i in range(4)]
+    got = short_vectors_upto(g, max_norm)
+    assert as_lists(got) == brute_force_short_vectors(g, max_norm)
+    assert list(got) == sorted(got)
+
+
+def test_short_vectors_upto_huge_entries_use_python_ints():
+    scale = 10 ** 20  # leading minors near 10⁸⁰: past int64
+    g = [[Fraction(x * scale) for x in row] for row in fx.R1_GRAM]
+    g[0][1] = g[1][0] = g[0][1] + Fraction(1, 3)
+    got = short_vectors_upto(g, 4 * scale)
+    assert got and all(vs.dtype == object for vs in got.values())
+    assert as_lists(got) == brute_force_short_vectors(g, 4 * scale)
+
+
+def test_enumeration_hands_out_python_ints():
+    r1 = fx.order_r1()
+    bucket = short_vectors_upto(r1.gram, 3)[Fraction(3)]
+    assert bucket.dtype == np.int64
+    vecs = short_vectors(r1.gram, 3)
+    assert vecs == list(map(tuple, bucket.tolist()))
+    assert all(type(t) is int for v in vecs for t in v)
+    x = r1.element_from(bucket[0])
+    assert all(type(c.numerator) is int and type(c.denominator) is int for c in x.coords)
 
 
 def test_short_vectors_rejects_indefinite():
@@ -146,7 +213,6 @@ def test_two_sided_ideal_at_17():
     p = two_sided_ideal(r1, 17)
     assert p.norm_scale == 17
     # it is exactly the norm-divisibility sublattice
-    from quatlift.quatcore import short_vectors_upto
     for m, vecs in short_vectors_upto(r1.gram, 40).items():
         for v in vecs:
             x = r1.element_from(v)
