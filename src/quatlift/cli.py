@@ -8,6 +8,7 @@ and byte-stable across runs and worker counts.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import click
@@ -27,12 +28,19 @@ def main():
     """Exact-arithmetic theta lifts for definite quaternion orders."""
 
 
-def _load_order(algebra_path: str, order_path: str):
+@contextmanager
+def _library_errors():
+    """Report a library ValueError (UsageError, SchemaError) as an error exit 1."""
     try:
+        yield
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
+
+
+def _load_order(algebra_path: str, order_path: str):
+    with _library_errors():
         alg = ser.algebra_from_obj(ser.load_json(algebra_path))
         lat = ser.lattice_from_obj(ser.load_json(order_path), alg)
-    except (ser.SchemaError, ValueError) as exc:
-        raise click.ClickException(str(exc)) from None
     return alg, lat
 
 
@@ -44,7 +52,8 @@ def _load_order(algebra_path: str, order_path: str):
 def classset_cmd(algebra_path, order_path, seed, out_path):
     """Right ideal classes of an order: representatives, unit counts, mass."""
     _, order = _load_order(algebra_path, order_path)
-    cs = class_set(order, seed)
+    with _library_errors():
+        cs = class_set(order, seed)
     click.echo(f"classes: {cs.h}")
     click.echo(f"unit counts: {list(cs.unit_counts)}")
     click.echo(f"mass: {ser.rational_to_str(cs.mass)}")
@@ -62,16 +71,16 @@ def classset_cmd(algebra_path, order_path, seed, out_path):
 @main.command("brandt")
 @click.option("--algebra", "algebra_path", required=True, type=click.Path(exists=True))
 @click.option("--order", "order_path", required=True, type=click.Path(exists=True))
-@click.option("--nu", default=0, show_default=True)
+@click.option("--nu", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--prime", "p", required=True, type=int)
 @click.option("--seed", default=2, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def brandt_cmd(algebra_path, order_path, nu, p, seed, out_path):
     """Brandt matrix with harmonic weights at a good prime."""
     _, order = _load_order(algebra_path, order_path)
-    cs = class_set(order, seed)
-    space = FormSpace(cs, nu)
-    bm = brandt_matrix(cs, nu, p, space)
+    with _library_errors():
+        cs = class_set(order, seed)
+        bm = brandt_matrix(cs, nu, p, FormSpace(cs, nu))
     obj = {
         "prime": p,
         "nu": nu,
@@ -90,17 +99,17 @@ def brandt_cmd(algebra_path, order_path, nu, p, seed, out_path):
 @main.command("eigenforms")
 @click.option("--algebra", "algebra_path", required=True, type=click.Path(exists=True))
 @click.option("--order", "order_path", required=True, type=click.Path(exists=True))
-@click.option("--nu", default=0, show_default=True)
+@click.option("--nu", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--primes", default="2,3,5", show_default=True)
 @click.option("--seed", default=2, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def eigenforms_cmd(algebra_path, order_path, nu, primes, seed, out_path):
     """Simultaneous eigenforms of the Brandt matrices and involutions."""
     _, order = _load_order(algebra_path, order_path)
-    cs = class_set(order, seed)
-    space = FormSpace(cs, nu)
-    plist = [int(x) for x in primes.split(",") if x.strip()]
-    comps = eigenforms(cs, nu, plist, space)
+    with _library_errors():
+        plist = [int(x) for x in primes.split(",") if x.strip()]
+        cs = class_set(order, seed)
+        comps = eigenforms(cs, nu, plist, FormSpace(cs, nu))
     payload = []
     for comp in comps:
         entry = {
@@ -124,9 +133,10 @@ def eigenforms_cmd(algebra_path, order_path, nu, primes, seed, out_path):
 
 @main.command("lift")
 @click.option("--fixture", "which", type=click.Choice(["n17"]), required=True)
-@click.option("--bound", default=130, show_default=True, help="discriminant bound")
-@click.option("--singular-bound", default=None, type=int)
-@click.option("--jobs", default=1, show_default=True)
+@click.option("--bound", default=130, show_default=True, type=click.IntRange(min=0),
+              help="discriminant bound")
+@click.option("--singular-bound", default=None, type=click.IntRange(min=0))
+@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def lift_cmd(which, bound, singular_bound, jobs, out_path):
     """Degree-2 theta lift of the bundled example as a Fourier expansion file."""
@@ -237,11 +247,11 @@ def roundtrip_cmd(in_path, schema, algebra_path, out_path):
 
 
 @main.command("verify-example")
-@click.option("--bound", default=130, show_default=True,
+@click.option("--bound", default=130, show_default=True, type=click.IntRange(min=0),
               help="discriminant bound for the published-coefficient checks")
-@click.option("--hecke-bound", default=2600, show_default=True,
+@click.option("--hecke-bound", default=2600, show_default=True, type=click.IntRange(min=0),
               help="input discriminant bound for the Hecke eigenvalue checks")
-@click.option("--jobs", default=1, show_default=True)
+@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
 def verify_example_cmd(bound, hecke_bound, jobs):
     """Run the full bundled-example pipeline and print a pass/fail table."""
     report = run_all(lift_bound=bound, hecke_bound=hecke_bound, jobs=jobs,

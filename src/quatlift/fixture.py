@@ -15,12 +15,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .binforms import reduced_forms_up_to
 from .brandt import AutomorphicForm, FormSpace
 from .polys import Poly
 from .quatcore import ClassSet, Lattice, QuaternionAlgebra, class_set
-from .yoshida import (FourierExpansionSiegel2, ThetaEngine, _int_matrix_and_den,
-                      yoshida2)
+from .yoshida import (FourierExpansionSiegel2, ThetaEngine, _form_groups,
+                      _int_matrix_and_den, _theta2_totals, yoshida2)
 
 LEVEL = 17
 
@@ -174,55 +173,37 @@ def phi1() -> AutomorphicForm:
 _LIFT_STATE: dict = {}
 
 
-def _lift_chunk(groups) -> list[tuple[tuple[int, int, int], int, int]]:
-    """Worker: per (a, c) group, the integer pair sums for both theta pieces."""
-    out = []
-    for (a, c), bs in groups:
-        for piece, (engine, mat, den) in enumerate(_LIFT_STATE["pieces"]):
-            sums = engine.pair_sums_bilinear(a, c, mat)
-            for b in bs:
-                s = sums.get(b, 0)
-                if s:
-                    out.append(((a, b, c), piece, s))
-    return out
+def _lift_chunk(groups) -> dict[tuple[int, int, int], Fraction]:
+    """Worker: the lift's totals on its share of the (a, c) groups."""
+    return _theta2_totals(_LIFT_STATE["pieces"], groups, 1)
 
 
 def golden_lift(bound: int, singular_bound: int | None = None,
                 jobs: int = 1) -> FourierExpansionSiegel2:
     """The published assembly: θ(R₁, P₁) + θ(connecting ideal, P₁₂), weight 3.
 
-    With jobs > 1 the (a, c) groups are distributed over worker processes; the
-    merge is a sum of integers, so the result is byte-identical for any jobs.
+    With jobs > 1 the (a, c) groups are distributed over worker processes; each
+    form lies in one group, so the result is byte-identical for any jobs.
     """
     if singular_bound is None:
         singular_bound = (bound + 1) // 3
     max_c = max((bound + 1) // 3, singular_bound, 1)
     pieces = []
-    dens = []
     for lattice, rows in ((order_r1(), P1_MATRIX), (ideal_i12(), P12_MATRIX)):
         mat, den = _int_matrix_and_den(rows)
-        pieces.append((ThetaEngine(lattice, max_c), mat, den))
-        dens.append(den)
-    by_ac: dict[tuple[int, int], list[int]] = {}
-    for (a, b, c) in reduced_forms_up_to(bound):
-        by_ac.setdefault((a, c), []).append(b)
-    groups = sorted(by_ac.items())
+        pieces.append((ThetaEngine(lattice, max_c), mat, den, 1))
+    groups = _form_groups(bound, singular_bound)
     _LIFT_STATE["pieces"] = pieces
     if jobs > 1 and len(groups) > 1:
         import multiprocessing as mp
         chunks = [groups[k::jobs] for k in range(jobs)]
         with mp.get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_lift_chunk, chunks)
-        triples = [t for chunk in results for t in chunk]
+            parts = pool.map(_lift_chunk, chunks)
     else:
-        triples = _lift_chunk(groups)
-    totals: dict[tuple[int, int, int], Fraction] = {}
-    for t, piece, s in sorted(triples):
-        totals[t] = totals.get(t, Fraction(0)) + Fraction(s, dens[piece])
+        parts = [_lift_chunk(groups)]
     out = FourierExpansionSiegel2(3, LEVEL, bound, singular_bound=singular_bound)
-    for t, v in sorted(totals.items()):
-        if v:
-            out.set(t, v)
+    for t, v in sorted(t_v for part in parts for t_v in part.items()):
+        out.set(t, v)
     return out
 
 

@@ -299,19 +299,22 @@ def lift_poly_deg2(v: HarmonicPoly, lattice: Lattice) -> Poly:
 
 
 def bilinear_matrix(p: Poly) -> list[list[Fraction]]:
-    """Extract M with P(x, y) = xᵗ·M·y from a bidegree-(1,1) polynomial in 8 variables."""
-    m = [[Fraction(0)] * 4 for _ in range(4)]
-    for e, c in p.coeffs.items():
-        idx = [i for i, k in enumerate(e) if k]
-        if sum(e) != 2 or len(idx) > 2:
-            raise ValueError("polynomial is not bilinear of bidegree (1,1)")
-        if len(idx) == 1:
-            raise ValueError("polynomial mixes variables within one argument")
-        i, j = idx
-        if i >= 4 or j < 4:
-            raise ValueError("polynomial is not bilinear of bidegree (1,1)")
-        m[i][j - 4] = c
-    return m
+    """C with P(x, y) = m_ν(x)ᵗ·C·m_ν(y) for a bidegree-(ν,ν) polynomial in 8 variables.
+
+    m_ν(x) is the vector of degree-ν monomials in x's 4 coordinates, in the
+    order of `monomials_of_degree(4, ν)`; ν = 1 gives the 4×4 matrix of
+    xᵗ·C·y and ν = 0 gives [[P]].  Any other shape raises ValueError.
+    """
+    nu, odd = divmod(p.degree(), 2)
+    if p.nvars != 8 or odd:
+        raise ValueError("polynomial is not of bidegree (ν, ν) in 2×4 variables")
+    index = {m: k for k, m in enumerate(monomials_of_degree(4, nu))}
+    c = [[Fraction(0)] * len(index) for _ in index]
+    for e, coeff in p.coeffs.items():
+        if sum(e[:4]) != nu or sum(e[4:]) != nu:
+            raise ValueError(f"polynomial is not of bidegree ({nu}, {nu})")
+        c[index[e[:4]]][index[e[4:]]] = coeff
+    return c
 
 
 def lift_poly_deg1(v1: HarmonicPoly, v2: HarmonicPoly, lattice: Lattice) -> Poly:

@@ -213,10 +213,6 @@ class QuatElement:
         return f"QuatElement{self.coords}"
 
 
-def multiply(x: QuatElement, y: QuatElement) -> QuatElement:
-    return x * y
-
-
 def conj_trace_norm(x: QuatElement) -> tuple[QuatElement, Fraction, Fraction]:
     """Return (x̄, tr x, n x), verifying x·x̄ = n(x)·1."""
     xb = x.conj()
@@ -665,27 +661,19 @@ def _int_mat_mod(m: Matrix, p: int) -> list[list[int]]:
     return out
 
 
-def _right_action_mats(lat: Lattice, order: Lattice, p: int) -> list[list[list[int]]]:
-    inv = lat._basis_inv
-    mats = []
-    for b in order.basis:
-        m = linalg.mat_mul(linalg.mat_mul(lat.basis, lat.algebra.right_mul_matrix_coords(b)), inv)
-        mats.append(_int_mat_mod(m, p))
-    return mats
+def _action_mats(lat: Lattice, order: Lattice, p: int, mul_matrix) -> list[list[list[int]]]:
+    """Mod-p matrices, in lat's basis, of multiplying by each basis element of order.
 
-
-def _left_action_mats(lat: Lattice, order: Lattice, p: int) -> list[list[list[int]]]:
+    `mul_matrix` is the algebra's `right_mul_matrix_coords` or `left_mul_matrix_coords`.
+    """
     inv = lat._basis_inv
-    mats = []
-    for b in order.basis:
-        m = linalg.mat_mul(linalg.mat_mul(lat.basis, lat.algebra.left_mul_matrix_coords(b)), inv)
-        mats.append(_int_mat_mod(m, p))
-    return mats
+    return [_int_mat_mod(linalg.mat_mul(linalg.mat_mul(lat.basis, mul_matrix(b)), inv), p)
+            for b in order.basis]
 
 
 def p_neighbors(ideal: Lattice, order: Lattice, p: int) -> list[Lattice]:
     """Right-order-stable index-p² sublattices of norm p·n₀ (the p+1 neighbours)."""
-    mats = _right_action_mats(ideal, order, p)
+    mats = _action_mats(ideal, order, p, ideal.algebra.right_mul_matrix_coords)
     subs = _invariant_planes(ideal, mats, p)
     out = [s for s in subs if s.norm_scale == p * ideal.norm_scale]
     return out
@@ -781,7 +769,9 @@ def two_sided_ideal(order: Lattice, p: int) -> Lattice:
     order.require_order()
     if not _is_prime(p) or order.level % p != 0:
         raise UsageError(f"{p} does not divide the level {order.level}")
-    mats = _right_action_mats(order, order, p) + _left_action_mats(order, order, p)
+    alg = order.algebra
+    mats = (_action_mats(order, order, p, alg.right_mul_matrix_coords)
+            + _action_mats(order, order, p, alg.left_mul_matrix_coords))
     candidates = []
     for sub in _invariant_planes(order, mats, p):
         if sub.norm_scale != p:

@@ -2,15 +2,23 @@
 
 Degree-2 expansions are dictionaries over canonical reduced binary forms with
 an explicit validity bound in the discriminant; every lookup goes through the
-sign-tracked reduction, which is what makes odd weight work.  The heavy pair
-enumeration runs on int64 numpy tables (exact: all values are small integers),
-with a pure-Python path for generic polynomial weights.
+sign-tracked reduction, which is what makes odd weight work.
+
+Every degree-2 lift is a sum of pieces θ(L, P)·scale whose weight P has
+bidegree (ν, ν), so P(x₁, x₂) = m_ν(x₁)ᵗ·C·m_ν(x₂) with m_ν the degree-ν
+monomials (`bilinear_matrix`).  One numpy kernel, `ThetaEngine.pair_sums_bilinear`,
+sums M(va)·C·M(vc)ᵗ over each (a, c) group of vector pairs and bins the sums by
+b; the singular entries (0, 0, m) are the groups with a = 0, whose only vector is
+zero.  The kernel stays exact: a bound on max|M|²·Σ|C|·#pairs picks int64 when it
+stays below 2⁶², otherwise object arrays of Python ints running the same code.
+`theta2_coefficient` is the pure-Python reference for one coefficient.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -19,8 +27,8 @@ from .binforms import (BinaryForm, disc, is_ambiguous, is_reduced, reduce_form,
                        reduced_forms_up_to)
 from .brandt import AutomorphicForm, FormSpace
 from .harmonic import HarmonicPoly, bilinear_matrix, lift_poly_deg1, lift_poly_deg2
-from .polys import Poly
-from .quatcore import ClassSet, Lattice, UsageError, short_vectors_upto
+from .polys import Poly, monomials_of_degree
+from .quatcore import _INT64_SAFE, ClassSet, Lattice, UsageError, short_vectors_upto
 
 
 class TruncationError(ValueError):
@@ -143,6 +151,18 @@ def _int_matrix_and_den(rows) -> tuple[np.ndarray, int]:
     return mat, den
 
 
+@lru_cache(maxsize=None)
+def _exponents(nu: int) -> np.ndarray:
+    return np.array(monomials_of_degree(4, nu), dtype=np.int64)
+
+
+def _monomial_rows(v: np.ndarray, nu: int, dtype) -> np.ndarray:
+    """M(v): the degree-ν monomials of each row, in `monomials_of_degree(4, ν)` order."""
+    if nu == 1 and v.dtype == dtype:
+        return v  # the bucket itself; M(v) = v
+    return (v.astype(dtype, copy=False)[:, None, :] ** _exponents(nu)).prod(axis=2)
+
+
 class ThetaEngine:
     """Pair enumeration over one lattice, with norms rescaled by the ideal norm."""
 
@@ -155,43 +175,40 @@ class ThetaEngine:
         self.lattice = lattice
         self.gram = np.array([[int(x) for x in row] for row in g], dtype=np.int64)
         self.max_norm = max_norm
-        self.vectors: dict[int, np.ndarray] = {}
+        self.vectors: dict[int, np.ndarray] = {0: np.zeros((1, 4), dtype=np.int64)}
         for m, vs in short_vectors_upto(g, max_norm).items():
             assert m.denominator == 1
             self.vectors[int(m)] = vs.astype(np.int64, copy=False)
+        self.coord_max = max(int(np.abs(vs).max()) for vs in self.vectors.values())
 
     def vecs(self, m: int) -> np.ndarray:
+        """The vectors of norm m; m = 0 gives the single zero row."""
         if m > self.max_norm:
             raise TruncationError("enumeration bound exceeded")
         return self.vectors.get(m, np.empty((0, 4), dtype=np.int64))
 
-    def count(self, m: int) -> int:
-        if m == 0:
-            return 1
-        return len(self.vecs(m))
+    def pair_sums_bilinear(self, a: int, c: int, mat: np.ndarray, nu: int) -> dict[int, int]:
+        """For all b: Σ over pairs (x₁, x₂) with q = (a, b, c) of M(x₁)ᵗ·mat·M(x₂).
 
-    def pair_sums_bilinear(self, a: int, c: int, mat: np.ndarray) -> dict[int, int]:
-        """For all b: Σ over pairs (x₁, x₂) with q = (a, b, c) of x₁ᵗ·mat·x₂."""
+        M(x) holds x's degree-ν monomials, so ν = 1 is the bilinear form xᵗ·mat·y.
+        """
         va, vc = self.vecs(a), self.vecs(c)
         if not len(va) or not len(vc):
             return {}
+        peak = (max(self.coord_max, 1) ** (2 * nu) * sum(map(abs, mat.ravel().tolist()))
+                * len(va) * len(vc))
+        dtype = np.int64 if peak < _INT64_SAFE else object
         cross = va @ self.gram @ vc.T
-        vals = va @ mat @ vc.T
+        vals = (_monomial_rows(va, nu, dtype) @ mat.astype(dtype, copy=False)
+                @ _monomial_rows(vc, nu, dtype).T)
         bmin = int(cross.min())
-        offs = (cross - bmin).ravel()
-        acc = np.zeros(int(cross.max()) - bmin + 1, dtype=np.int64)
-        np.add.at(acc, offs, vals.ravel())
+        acc = np.zeros(int(cross.max()) - bmin + 1, dtype=dtype)
+        np.add.at(acc, (cross - bmin).ravel(), vals.ravel())
         return {b + bmin: int(s) for b, s in enumerate(acc) if s}
 
     def pair_counts(self, a: int, c: int) -> dict[int, int]:
         """For all b: the number of pairs with q = (a, b, c)."""
-        va, vc = self.vecs(a), self.vecs(c)
-        if not len(va) or not len(vc):
-            return {}
-        cross = va @ self.gram @ vc.T
-        bmin = int(cross.min())
-        counts = np.bincount((cross - bmin).ravel())
-        return {b + bmin: int(s) for b, s in enumerate(counts) if s}
+        return self.pair_sums_bilinear(a, c, np.ones((1, 1), dtype=np.int64), 0)
 
 
 def theta2_coefficient(lattice: Lattice, lift_poly: Poly, t) -> Fraction:
@@ -219,14 +236,38 @@ def theta2_coefficient(lattice: Lattice, lift_poly: Poly, t) -> Fraction:
     return total
 
 
-def _lift_matrix(phi_poly: HarmonicPoly, cross: Lattice):
-    p8 = lift_poly_deg2(phi_poly, cross)
-    if p8.is_zero():
-        return None, 1, p8
-    if phi_poly.degree == 1:
-        mat, den = _int_matrix_and_den(bilinear_matrix(p8))
-        return mat, den, p8
-    return None, 1, p8
+def _form_groups(bound: int, singular_bound: int) -> list[tuple[tuple[int, int], list[int]]]:
+    """The forms (a, b, c) a lift computes, as sorted ((a, c), [b, …]) groups.
+
+    The reduced forms with disc ≤ bound, and the singular forms (0, 0, m) with
+    m ≤ singular_bound as the groups (0, m).
+    """
+    by_ac: dict[tuple[int, int], list[int]] = defaultdict(list)
+    for (a, b, c) in reduced_forms_up_to(bound):
+        by_ac[(a, c)].append(b)
+    for m in range(singular_bound + 1):
+        by_ac[(0, m)].append(0)
+    return sorted(by_ac.items())
+
+
+def _theta2_totals(pieces, groups, nu: int) -> dict[BinaryForm, Fraction]:
+    """Per form: Σ over pieces (engine, C, den, scale) of scale/den·Σ_pairs M(x₁)ᵗ·C·M(x₂).
+
+    C is the integer matrix of a bidegree-(ν, ν) weight; `groups` as from
+    `_form_groups`.  Forms whose total is zero may be missing.
+    """
+    totals: dict[BinaryForm, Fraction] = defaultdict(Fraction)
+    for engine, mat, den, scale in pieces:
+        factor = Fraction(scale) / den
+        for (a, c), bs in groups:
+            if nu and not a:
+                continue  # M(0) = 0, so the singular entries vanish for ν ≥ 1
+            sums = engine.pair_sums_bilinear(a, c, mat, nu)
+            for b in bs:
+                s = sums.get(b)
+                if s:
+                    totals[(a, b, c)] += factor * s
+    return totals
 
 
 def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: int,
@@ -245,8 +286,7 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     if singular_bound is None:
         singular_bound = _max_norm_for_bound(bound)
     max_c = max(_max_norm_for_bound(bound), singular_bound)
-    totals: dict[BinaryForm, Fraction] = defaultdict(Fraction)
-    forms = reduced_forms_up_to(bound)
+    pieces = []
     for i in range(cs.h):
         vpoly = space1.space.poly_from_coords(phi1.values[i])
         if vpoly.is_zero():
@@ -257,65 +297,24 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
             if not wj:
                 continue
             cross = cs.cross_lattice(i, j)
-            n0 = cross.norm_scale
-            scale = wj / (Fraction(cs.unit_counts[i] * cs.unit_counts[j]) * n0 ** nu1)
-            mat, den, p8 = _lift_matrix(hp, cross)
+            p8 = lift_poly_deg2(hp, cross)
             if p8.is_zero():
                 continue
-            engine = ThetaEngine(cross, max_c)
-            _accumulate_psd(totals, engine, mat, den, p8, scale, forms, nu1,
-                            singular_bound)
+            scale = wj / (Fraction(cs.unit_counts[i] * cs.unit_counts[j])
+                          * cross.norm_scale ** nu1)
+            mat, den = _int_matrix_and_den(bilinear_matrix(p8))
+            pieces.append((ThetaEngine(cross, max_c), mat, den, scale))
+    totals = _theta2_totals(pieces, _form_groups(bound, singular_bound), nu1)
     out = FourierExpansionSiegel2(weight, cs.order.level, bound,
                                   singular_bound=singular_bound)
-    for t, v in totals.items():
-        if v and not (weight % 2 and disc(t) > 0 and is_ambiguous(t)):
-            out.set(t, v)
-        elif v:
-            raise AssertionError(f"nonzero coefficient at ambiguous form {t} in odd weight")
+    for t, v in sorted(totals.items()):
+        out.set(t, v)
     return out
 
 
 def _max_norm_for_bound(bound: int) -> int:
     # reduced forms with disc ≤ bound have c ≤ (bound + b²)/(4a) ≤ (bound + 1)//3
     return max((bound + 1) // 3, 1)
-
-
-def _accumulate_psd(totals, engine: ThetaEngine, mat, den, p8: Poly, scale: Fraction,
-                    forms, nu1: int, singular_bound: int) -> None:
-    by_ac: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for (a, b, c) in forms:
-        by_ac[(a, c)].append(b)
-    for (a, c), bs in sorted(by_ac.items()):
-        if mat is not None:
-            sums = engine.pair_sums_bilinear(a, c, mat)
-            for b in bs:
-                s = sums.get(b, 0)
-                if s:
-                    totals[(a, b, c)] += scale * Fraction(s, den)
-        elif nu1 == 0:
-            counts = engine.pair_counts(a, c)
-            c0 = p8.eval([0] * 8)
-            for b in bs:
-                n = counts.get(b, 0)
-                if n:
-                    totals[(a, b, c)] += scale * c0 * n
-        else:
-            for b in bs:
-                val = theta2_coefficient(engine.lattice, p8, (a, b, c))
-                if val:
-                    totals[(a, b, c)] += scale * val
-    # singular entries [0, 0, m]: pairs (0, x₂) with q(x₂) = m
-    for m in range(singular_bound + 1):
-        if mat is not None:
-            continue  # bilinear polynomials vanish when one argument is zero
-        if nu1 == 0:
-            c0 = p8.eval([0] * 8)
-            totals[(0, 0, m)] += scale * c0 * engine.count(m)
-        else:
-            vecs = [(0,) * 4] if m == 0 else [tuple(v) for v in engine.vecs(m).tolist()]
-            s = sum((p8.eval([0] * 4 + list(v)) for v in vecs), Fraction(0))
-            if s:
-                totals[(0, 0, m)] += scale * s
 
 
 def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: int,

@@ -157,3 +157,46 @@ def test_roundtrip_malformed_json(tmp_path):
     assert isinstance(res.exception, SystemExit)
     assert res.stderr.startswith(f"{bad}:1:2: ")
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("classset", ["--seed", "4"], "p_seed must be prime"),
+    ("brandt", ["--nu", "0", "--prime", "17"], "17 divides the level"),
+    ("eigenforms", ["--primes", "2,17"], "17 divides the level"),
+])
+def test_order_commands_report_library_errors(fixture_files, command, args, message):
+    res = CliRunner().invoke(main, [command,
+                                    "--algebra", str(fixture_files / "ramified17.json"),
+                                    "--order", str(fixture_files / "maximal.json")] + args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a clean exit, no traceback
+    assert f"Error: {message}" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command, args", [("brandt", ["--prime", "2"]), ("eigenforms", [])])
+def test_order_commands_reject_negative_nu(fixture_files, command, args):
+    res = CliRunner().invoke(main, [command,
+                                    "--algebra", str(fixture_files / "ramified17.json"),
+                                    "--order", str(fixture_files / "maximal.json"),
+                                    "--nu", "-1"] + args)
+    assert res.exit_code == 2
+    assert "is not in the range" in res.stderr
+
+
+@pytest.mark.parametrize("args", [["--bound", "-5"], ["--singular-bound", "-1"],
+                                  ["--jobs", "0"]])
+def test_lift_command_rejects_out_of_range(tmp_path, args):
+    out = tmp_path / "lift.json"
+    res = CliRunner().invoke(main, ["lift", "--fixture", "n17", "--out", str(out)] + args)
+    assert res.exit_code == 2
+    assert "is not in the range" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--bound", "-1"], ["--jobs", "0"]])
+def test_verify_example_rejects_out_of_range(args):
+    res = CliRunner().invoke(main, ["verify-example"] + args)
+    assert res.exit_code == 2
+    assert "is not in the range" in res.stderr
+    assert "checks passed" not in res.output

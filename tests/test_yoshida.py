@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quatlift import fixture as fx
 from quatlift.binforms import apply_unimodular, is_ambiguous, reduced_forms_up_to
-from quatlift.brandt import constant_form
-from quatlift.polys import Poly
+from quatlift.brandt import FormSpace, constant_form
+from quatlift.harmonic import (HarmonicPoly, bilinear_matrix, default_frame, harm_basis,
+                               lift_poly_deg2)
+from quatlift.polys import Poly, monomials_of_degree
 from quatlift.quatcore import UsageError
-from quatlift.yoshida import (FourierExpansionSiegel2, TruncationError,
+from quatlift.yoshida import (FourierExpansionSiegel2, ThetaEngine, TruncationError,
                               is_cuspidal_up_to_bound, phi_operator,
                               theta1_counts, theta2_coefficient, yoshida1,
                               yoshida2)
@@ -93,6 +96,22 @@ def test_yoshida2_bilinear(class_set_17, space1):
     assert yoshida2(class_set_17, two, phi2, 40, space1).agrees_with(base.scale(2))
 
 
+def reference_lift(cs, phi1, phi2, space1, forms) -> dict:
+    """yoshida2's coefficients at `forms`, one theta2_coefficient per (i, j) piece."""
+    nu = phi1.nu
+    totals = dict.fromkeys(forms, Fraction(0))
+    for i in range(cs.h):
+        hp = HarmonicPoly(space1.frame, space1.space.poly_from_coords(phi1.values[i]))
+        for j in range(cs.h):
+            cross = cs.cross_lattice(i, j)
+            p8 = lift_poly_deg2(hp, cross)
+            scale = phi2.values[j][0] / (Fraction(cs.unit_counts[i] * cs.unit_counts[j])
+                                         * cross.norm_scale ** nu)
+            for t in forms:
+                totals[t] += scale * theta2_coefficient(cross, p8, t)
+    return totals
+
+
 def test_eisenstein_lift_not_cuspidal(class_set_17, space0):
     one = constant_form(class_set_17)
     ye = yoshida2(class_set_17, one, one, 40, space0)
@@ -100,6 +119,88 @@ def test_eisenstein_lift_not_cuspidal(class_set_17, space0):
     assert not img.is_zero()
     assert all(img.coefficient(m) > 0 for m in range(0, 5))
     assert ye.coefficient((0, 0, 1)) == Fraction(2, 3)
+    forms = reduced_forms_up_to(40) + [(0, 0, m) for m in range(ye.singular_bound + 1)]
+    ref = reference_lift(class_set_17, one, one, space0, forms)
+    assert {t: ye.coefficient(t) for t in forms} == ref
+
+
+def test_yoshida2_nu2_matches_reference(class_set_17):
+    # a random combination of the nu=2 basis forms, as in the benchmark
+    space2 = FormSpace(class_set_17, 2)
+    rng = random.Random(5)
+    phi = None
+    for form in space2.basis_forms():
+        term = form.scale(rng.choice((-3, -2, -1, 1, 2, 3)))
+        phi = term if phi is None else phi.add(term)
+    g = yoshida2(class_set_17, phi, fx.phi2(), 30, space1=space2)
+    assert not g.is_zero()
+    assert is_cuspidal_up_to_bound(g)
+    forms = reduced_forms_up_to(30) + [(0, 0, m) for m in range(g.singular_bound + 1)]
+    ref = reference_lift(class_set_17, phi, fx.phi2(), space2, forms)
+    assert {t: g.coefficient(t) for t in forms} == ref
+
+
+def monomial_values(x, nu):
+    """m_ν(x): the degree-ν monomials of the 4 coordinates x."""
+    out = []
+    for e in monomials_of_degree(4, nu):
+        v = 1
+        for xk, k in zip(x, e):
+            v *= xk ** k
+        out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_bilinear_matrix_reconstructs_lift_poly(algebra, nu):
+    frame = default_frame(algebra)
+    p8 = lift_poly_deg2(HarmonicPoly(frame, harm_basis(nu, frame).basis[-1]), fx.ideal_i12())
+    c = bilinear_matrix(p8)
+    size = len(monomials_of_degree(4, nu))
+    assert len(c) == size and all(len(row) == size for row in c)
+    rng = random.Random(nu)
+    for _ in range(10):
+        x = [rng.randint(-3, 3) for _ in range(4)]
+        y = [rng.randint(-3, 3) for _ in range(4)]
+        mx, my = monomial_values(x, nu), monomial_values(y, nu)
+        value = sum(mx[i] * c[i][j] * my[j] for i in range(size) for j in range(size))
+        assert value == p8.eval(x + y)
+
+
+@pytest.mark.parametrize("poly", [
+    Poly.variable(8, 0),                                              # odd degree
+    Poly.variable(8, 0) * Poly.variable(8, 1),                        # bidegree (2, 0)
+    Poly.variable(8, 0) * Poly.variable(8, 4) + Poly.constant(8, 1),  # mixed degrees
+    Poly.variable(4, 0) * Poly.variable(4, 1),                        # 4 variables
+])
+def test_bilinear_matrix_rejects_other_shapes(poly):
+    with pytest.raises(ValueError):
+        bilinear_matrix(poly)
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+def test_pair_sums_exact_beyond_int64(nu):
+    # int64 weights near 4·10^18 push the pair sums past int64: the kernel must
+    # switch to Python ints rather than wrap
+    engine = ThetaEngine(fx.order_r1(), 6)
+    monos = monomials_of_degree(4, nu)
+    mat = [[((i + 3 * j) % 9 - 4) * 10 ** 18 + 7 for j in range(len(monos))]
+           for i in range(len(monos))]
+    gram = engine.gram.tolist()
+    for a, c in ((5, 6), (6, 6)):
+        want: dict[int, int] = {}
+        for x in engine.vecs(a).tolist():
+            for y in engine.vecs(c).tolist():
+                b = sum(x[i] * gram[i][j] * y[j] for i in range(4) for j in range(4))
+                mx, my = monomial_values(x, nu), monomial_values(y, nu)
+                val = sum(mx[i] * mat[i][j] * my[j]
+                          for i in range(len(monos)) for j in range(len(monos)))
+                want[b] = want.get(b, 0) + val
+        want = {b: s for b, s in want.items() if s}
+        assert max(abs(s) for s in want.values()) >= 2 ** 63
+        got = engine.pair_sums_bilinear(a, c, np.array(mat, dtype=np.int64), nu)
+        assert got == want
+        assert all(type(s) is int for s in got.values())
 
 
 def test_yoshida1_eichler(class_set_17, space0):
