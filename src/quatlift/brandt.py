@@ -15,10 +15,11 @@ from fractions import Fraction
 import sympy
 
 from . import linalg
-from .harmonic import HarmSpace, default_frame, harm_basis, integral_tau_matrix
+from .harmonic import (HarmSpace, default_frame, harm_basis, integral_tau_matrix,
+                       tau_matrix_sum)
 from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, class_set,
                        ideal_equivalent, is_ramified, short_vectors,
-                       superorders, two_sided_ideal)
+                       short_vectors_upto, superorders, transporters, two_sided_ideal)
 
 
 @dataclass
@@ -158,24 +159,14 @@ def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None)
     if cs.order.level % p == 0:
         raise UsageError(f"{p} divides the level {cs.order.level}")
     space = space or FormSpace(cs, nu)
-    u = space.space
-    d = u.dim
     blocks = []
     for i in range(cs.h):
         row = []
         for j in range(cs.h):
             cross = cs.cross_lattice(j, i)
-            n0 = cross.norm_scale
-            scale = Fraction(1, cs.unit_counts[j]) / n0 ** nu
-            total = [[Fraction(0)] * d for _ in range(d)]
-            for v in short_vectors(cross.normalized_gram(), p):
-                x = cross.element_from(v)
-                m = integral_tau_matrix(x, u)
-                for r in range(d):
-                    for c in range(d):
-                        if m[r][c]:
-                            total[r][c] += m[r][c]
-            row.append(linalg.mat_scale(total, scale))
+            scale = Fraction(1, cs.unit_counts[j]) / cross.norm_scale ** nu
+            vecs = short_vectors_upto(cross.normalized_gram(), p).get(p, ())
+            row.append(linalg.mat_scale(tau_matrix_sum(cross, vecs, space.space), scale))
         blocks.append(row)
     return BrandtMatrix(p, nu, blocks)
 
@@ -190,13 +181,6 @@ def inner_product(phi: AutomorphicForm, psi: AutomorphicForm, cs: ClassSet,
     for i in range(cs.h):
         total += space.space.pair_coords(phi.values[i], psi.values[i]) / cs.unit_counts[i]
     return total
-
-
-def _transport_element(lat: Lattice, target: Lattice) -> QuatElement:
-    ok, gamma = ideal_equivalent(lat, target, want_element=True)
-    if not ok:
-        raise ValueError("lattices are not equivalent")
-    return gamma
 
 
 def _al_routing(cs: ClassSet, p: int):
@@ -240,17 +224,10 @@ def atkin_lehner(phi: AutomorphicForm, cs: ClassSet, p: int,
 def _transported_value(phi, j, gamma, space, moved, cs, verify=False):
     val = _tau_apply(phi.values[j], gamma, space)
     if verify:
-        # the result must not depend on which minimal vector realizes the equivalence
-        prod = moved.product(cs.ideals[j].conjugate())
-        target = moved.norm_scale * cs.ideals[j].norm_scale
-        for v in short_vectors(prod.gram, target):
-            g2 = prod.element_from(v) / cs.ideals[j].norm_scale
-            cand = Lattice.from_generators(
-                moved.algebra,
-                [list(moved.algebra.mul_coords(g2.coords, row)) for row in cs.ideals[j].basis])
-            if cand == Lattice(moved.algebra, moved.basis):
-                if _tau_apply(phi.values[j], g2, space) != val:
-                    raise ValueError("transport depends on the realizing element")
+        # the result must not depend on which element realizes the equivalence
+        for g2 in transporters(moved, cs.ideals[j]):
+            if _tau_apply(phi.values[j], g2, space) != val:
+                raise ValueError("transport depends on the realizing element")
     return val
 
 

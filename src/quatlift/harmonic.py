@@ -9,13 +9,16 @@ used by the theta series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+
+import numpy as np
 
 from . import linalg
 from .polys import Poly, monomials_of_degree
-from .quatcore import Lattice, QuatElement, QuaternionAlgebra, UsageError
+from .quatcore import _INT64_SAFE, Lattice, QuatElement, QuaternionAlgebra, UsageError
 
 
 class TraceZeroFrame:
@@ -53,6 +56,29 @@ class TraceZeroFrame:
         if not out[3].is_zero():
             raise ValueError("symbolic element is not trace-zero")
         return out[:3]
+
+    @cached_property
+    def conj_table(self) -> tuple[list[list[int]], int]:
+        """(T, den) with C(y) = m₂(y)·T/den, C flattened row-major to 9 columns.
+
+        C(y) is the conjugation matrix (row l = frame coordinates of ȳ·g_l·y);
+        its entries are quadratic forms in y's algebra coordinates, and m₂(y)
+        holds their degree-2 monomials in `monomials_of_degree(4, 2)` order.
+        """
+        basis = [self.algebra.basis_element(i) for i in range(4)]
+        rows = []
+        for e in monomials_of_degree(4, 2):
+            a, b = [i for i, k in enumerate(e) for _ in range(k)]
+            row = []
+            for g in self.elements:
+                # the coefficient of y_a·y_b in ȳ·g·y (the polarization when a ≠ b)
+                x = basis[a].conj() * g * basis[b]
+                if a != b:
+                    x = x + basis[b].conj() * g * basis[a]
+                row.extend(self.coords_of(x))
+            rows.append(row)
+        den = linalg.common_denominator(rows)
+        return [[int(x * den) for x in row] for row in rows], den
 
     def __eq__(self, other):
         return (isinstance(other, TraceZeroFrame) and self.algebra is other.algebra
@@ -153,6 +179,20 @@ class HarmSpace:
         return sol
 
     @cached_property
+    def tau_factors(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(B', R', d): B = B'/d_B and a right inverse R = R'/d_R of it, d = d_B·d_R.
+
+        B is `_basis_mat`; B', R' are object arrays of Python ints.  R = Bᵗ(BBᵗ)⁻¹.
+        """
+        b = self._basis_mat
+        bt = linalg.transpose(b)
+        r = linalg.mat_mul(bt, linalg.inverse(linalg.mat_mul(b, bt)))
+        db, dr = linalg.common_denominator(b), linalg.common_denominator(r)
+        bq = np.array([[int(x * db) for x in row] for row in b], dtype=object)
+        rq = np.array([[int(x * dr) for x in row] for row in r], dtype=object)
+        return bq, rq, db * dr
+
+    @cached_property
     def pairing_matrix(self) -> linalg.Matrix:
         return [[pairing_polys(p, q, self.frame.gram_inv) for q in self.basis]
                 for p in self.basis]
@@ -206,11 +246,10 @@ def pairing(v: HarmonicPoly, w: HarmonicPoly) -> Fraction:
 
 def conjugation_matrix(y: QuatElement, frame: TraceZeroFrame) -> linalg.Matrix:
     """3×3 matrix C with frame-coords(ȳ·g_l·y) in row l (so z ↦ ȳzy is t ↦ t·C)."""
-    yb = y.conj()
-    rows = []
-    for g in frame.elements:
-        rows.append(frame.coords_of(yb * g * y))
-    return rows
+    table, den = frame.conj_table
+    mono = [math.prod(x ** k for x, k in zip(y.coords, e)) for e in monomials_of_degree(4, 2)]
+    flat = [sum(m * t[c] for m, t in zip(mono, table)) / den for c in range(9)]
+    return [flat[3 * l:3 * l + 3] for l in range(3)]
 
 
 def integral_tau_poly(y: QuatElement, hp: HarmonicPoly) -> HarmonicPoly:
@@ -230,9 +269,90 @@ def tau_action(y: QuatElement, hp: HarmonicPoly) -> HarmonicPoly:
 
 def integral_tau_matrix(y: QuatElement, space: HarmSpace) -> linalg.Matrix:
     """Matrix of P ↦ P(ȳ·z·y) on the U_ν basis (row convention: coords' = coords·M)."""
-    c = conjugation_matrix(y, space.frame)
-    ct = linalg.transpose(c)
-    return [space.coords_of_poly(p.subs_linear(ct)) for p in space.basis]
+    den = linalg.common_denominator([y.coords])
+    row = np.array([[int(x * den) for x in y.coords]], dtype=object)
+    return _tau_sum(row, _IDENTITY, den, space)
+
+
+def tau_matrix_sum(lattice: Lattice, vecs, space: HarmSpace) -> linalg.Matrix:
+    """Σ of integral_tau_matrix(x, space) over x = the rows of `vecs` in lattice coordinates.
+
+    `vecs` is a k×4 enumeration bucket (int64 or object); exact for any k ≥ 0.
+    """
+    den = linalg.common_denominator(lattice.basis)
+    basis = [[int(x * den) for x in row] for row in lattice.basis]
+    return _tau_sum(vecs, basis, den, space)
+
+
+_IDENTITY = [[int(i == j) for j in range(4)] for i in range(4)]
+
+
+@cache
+def _exponents(nu: int) -> np.ndarray:
+    return np.array(monomials_of_degree(4, nu), dtype=np.int64)
+
+
+def _monomial_rows(v: np.ndarray, nu: int, dtype) -> np.ndarray:
+    """M(v): the degree-ν monomials of each row, in `monomials_of_degree(4, ν)` order."""
+    if nu == 1 and v.dtype == dtype:
+        return v  # the bucket itself; M(v) = v
+    return (v.astype(dtype, copy=False)[:, None, :] ** _exponents(nu)).prod(axis=2)
+
+
+@cache
+def _sym_steps(nu: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per degree e < ν: (parent, first, scatter) that build S_{e+1}(A) from S_e(A).
+
+    Row α of S_{e+1}(A) is the coefficient vector of (Ax)^α = (Ax)^(α − e_i)·(Ax)_i,
+    i = first[α] the first variable of α and α − e_i = monomial parent[α] of
+    degree e; `scatter` adds the product of monomial s and x_j, at row 3s + j,
+    into its degree-(e+1) column.
+    """
+    steps = []
+    for e in range(nu):
+        low, high = monomials_of_degree(3, e), monomials_of_degree(3, e + 1)
+        index = {m: k for k, m in enumerate(high)}
+        first = [next(i for i, k in enumerate(m) if k) for m in high]
+        parent = [low.index(tuple(k - (j == i) for j, k in enumerate(m)))
+                  for m, i in zip(high, first)]
+        scatter = np.zeros((3 * len(low), len(high)), dtype=np.int64)
+        for s, m in enumerate(low):
+            for j in range(3):
+                scatter[3 * s + j, index[tuple(k + (t == j) for t, k in enumerate(m))]] = 1
+        steps.append((np.array(parent), np.array(first), scatter))
+    return tuple(steps)
+
+
+def _tau_sum(vecs, basis: list[list[int]], den: int, space: HarmSpace) -> linalg.Matrix:
+    """Σ over rows v of B·S_ν(C(y)ᵗ)·R for y = v·basis/den (integer basis rows).
+
+    S_ν(A) is the matrix of z ↦ Az on degree-ν monomials in 3 variables, so
+    B·S_ν(C(y)ᵗ)·R is the τ-matrix of y; it is linear in S, so the rows are
+    summed before the exact rational product.  With a = v·basis the integer
+    C(a) = m₂(a)·T equals den_T·den²·C(y), and S_ν is homogeneous of degree ν.
+    int64 when a bound on every integer formed stays below 2⁶², object arrays
+    of Python ints otherwise.
+    """
+    nu = space.nu
+    bq, rq, den_br = space.tau_factors
+    if not len(vecs):
+        return linalg.zeros(space.dim, space.dim)
+    vecs = np.asarray(vecs)
+    table, den_t = space.frame.conj_table
+    amax = int(np.abs(vecs).max()) * max(sum(abs(row[c]) for row in basis) for c in range(4))
+    cmax = amax * amax * max(sum(abs(row[c]) for row in table) for c in range(9))
+    peak = max(amax, cmax, len(vecs) * (3 * cmax) ** nu)
+    dtype = np.int64 if peak < _INT64_SAFE else object
+    a = vecs.astype(dtype) @ np.array(basis, dtype=dtype)
+    c = (_monomial_rows(a, 2, dtype) @ np.array(table, dtype=dtype)).reshape(-1, 3, 3)
+    ct = c.transpose(0, 2, 1)
+    s = np.ones((len(vecs), 1, 1), dtype=dtype)
+    for parent, first, scatter in _sym_steps(nu):
+        prod = s[:, parent, :, None] * ct[:, first, None, :]
+        s = prod.reshape(len(vecs), len(parent), -1) @ scatter.astype(dtype)
+    total = bq @ s.sum(axis=0).astype(object) @ rq
+    scale = den_br * (den_t * den * den) ** nu
+    return [[Fraction(x, scale) for x in row] for row in total.tolist()]
 
 
 def _sym_from_basis(basis_rows, nvars: int, var_offset: int) -> list[Poly]:

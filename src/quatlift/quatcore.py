@@ -561,6 +561,23 @@ def left_right_order(lat: Lattice) -> tuple[Lattice, Lattice]:
     return ol, or_
 
 
+def transporters(i1: Lattice, i2: Lattice):
+    """Yield every γ ∈ D^× with i1 = γ·i2, in the order of the enumeration.
+
+    Each such γ times n₀(i2) lies in i1·ī2 with reduced norm n₀(i1)·n₀(i2), so
+    the candidates are exactly those vectors.
+    """
+    prod = i1.product(i2.conjugate())
+    target = i1.norm_scale * i2.norm_scale
+    for v in short_vectors(prod.gram, target):
+        gamma = prod.element_from(v) / i2.norm_scale
+        cand = Lattice.from_generators(
+            i1.algebra,
+            [list(i1.algebra.mul_coords(gamma.coords, row)) for row in i2.basis])
+        if cand == i1:
+            yield gamma
+
+
 def ideal_equivalent(i1: Lattice, i2: Lattice, want_element: bool = False):
     """Test I = γ·J for some γ ∈ D^×, for right ideals of the same order.
 
@@ -570,18 +587,10 @@ def ideal_equivalent(i1: Lattice, i2: Lattice, want_element: bool = False):
     _, r2 = left_right_order(i2)
     if r1 != r2:
         raise UsageError("ideals do not share a right order")
-    prod = i1.product(i2.conjugate())
-    target = i1.norm_scale * i2.norm_scale
-    hits = short_vectors(prod.gram, target)
-    for v in hits:
-        b = prod.element_from(v)
-        gamma = b / i2.norm_scale
-        cand = Lattice.from_generators(
-            i1.algebra,
-            [list(i1.algebra.mul_coords(gamma.coords, row)) for row in i2.basis])
-        if cand == Lattice(i1.algebra, i1.basis):
-            return (True, gamma) if want_element else True
-    return (False, None) if want_element else False
+    gamma = next(transporters(i1, i2), None)
+    if want_element:
+        return gamma is not None, gamma
+    return gamma is not None
 
 
 def _rref_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -752,7 +761,33 @@ def class_set(order: Lattice, p_seed: int) -> ClassSet:
                     reps.append(cand)
                     fresh.append(cand)
         frontier = fresh
-    return ClassSet(order, reps)
+    cs = ClassSet(order, reps)
+    check_mass(cs)
+    return cs
+
+
+def eichler_mass(order: Lattice) -> Fraction | None:
+    """Σ 1/e_i over the right ideal classes, by the Eichler mass formula.
+
+    For an order of square-free level N (an Eichler order) the mass is
+    (1/24)·Π_{p | N ramified}(p − 1)·Π_{p | N unramified}(p + 1) (Kirschmer &
+    Voight, SIAM J. Comput. 39, 2010).  None when N is not square-free.
+    """
+    primes = _prime_factors(order.level)
+    if len(set(primes)) != len(primes):
+        return None
+    mass = Fraction(1, 24)
+    for p in primes:
+        mass *= p - 1 if is_ramified(order, p) else p + 1
+    return mass
+
+
+def check_mass(cs: ClassSet) -> None:
+    """Certify a class set by the mass formula; a missed or repeated class raises ValueError."""
+    want = eichler_mass(cs.order)
+    if want is not None and cs.mass != want:
+        raise ValueError(f"class set of level {cs.order.level} has mass {cs.mass}, "
+                         f"but the Eichler mass formula gives {want}")
 
 
 def _is_prime(n: int) -> bool:
@@ -764,23 +799,58 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The prime factors of n ≥ 1 with multiplicity, ascending (trial division)."""
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _kernel_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {v ∈ F_p^n : M·v = 0} for an integer matrix M (free entries set to 1)."""
+    red = _rref_mod_p(rows, p)
+    pivots = [next(c for c, x in enumerate(row) if x) for row in red]
+    n = len(rows[0])
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[fc] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[fc] % p
+        basis.append(v)
+    return basis
+
+
 def two_sided_ideal(order: Lattice, p: int) -> Lattice:
-    """The unique integral two-sided ideal of reduced norm p (p must divide the level)."""
+    """The unique integral two-sided ideal J of reduced norm p (p must divide the level).
+
+    For p exactly dividing the level the reduced-trace form of the order has
+    elementary divisors (1, 1, p, p) at p, and its kernel mod p is J/pO
+    (O ∩ p·O^♯ is the Jacobson radical at p; Voight, Quaternion Algebras,
+    ch. 23).  J is that kernel plus p·O; anything else raises ValueError.
+    """
     order.require_order()
     if not _is_prime(p) or order.level % p != 0:
         raise UsageError(f"{p} does not divide the level {order.level}")
-    alg = order.algebra
-    mats = (_action_mats(order, order, p, alg.right_mul_matrix_coords)
-            + _action_mats(order, order, p, alg.left_mul_matrix_coords))
-    candidates = []
-    for sub in _invariant_planes(order, mats, p):
-        if sub.norm_scale != p:
-            continue
-        if sub.product(sub) == order.scale(p):
-            candidates.append(sub)
-    if len(candidates) != 1:
-        raise ValueError(f"expected a unique two-sided ideal of norm {p}, found {len(candidates)}")
-    return candidates[0]
+    # reduced echelon rows mod p: the generators, and so the basis that
+    # `from_generators` returns, depend on J alone
+    kernel = _rref_mod_p(_kernel_mod_p(_int_mat_mod(order.gram, p), p), p)
+    if len(kernel) != 2:
+        raise ValueError(f"the trace form mod {p} has a {len(kernel)}-dimensional kernel, "
+                         f"not the 2-dimensional one of a norm-{p} two-sided ideal")
+    rows = [linalg.vec_mat([Fraction(t) for t in v], order.basis) for v in kernel]
+    rows += [[p * x for x in row] for row in order.basis]
+    ideal = Lattice.from_generators(order.algebra, rows, "ideal")
+    if ideal.norm_scale != p or ideal.product(ideal) != order.scale(p):
+        raise ValueError(f"the trace-form kernel mod {p} is not a two-sided ideal of norm {p}")
+    return ideal
 
 
 def is_ramified(order: Lattice, p: int) -> bool:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +25,9 @@ from . import linalg
 from .binforms import (BinaryForm, disc, is_ambiguous, is_reduced, reduce_form,
                        reduced_forms_up_to)
 from .brandt import AutomorphicForm, FormSpace
-from .harmonic import HarmonicPoly, bilinear_matrix, lift_poly_deg1, lift_poly_deg2
-from .polys import Poly, monomials_of_degree
+from .harmonic import (HarmonicPoly, _monomial_rows, bilinear_matrix, lift_poly_deg1,
+                       lift_poly_deg2)
+from .polys import Poly
 from .quatcore import _INT64_SAFE, ClassSet, Lattice, UsageError, short_vectors_upto
 
 
@@ -77,7 +77,7 @@ class FourierExpansionSiegel2:
         return val
 
     def sorted_items(self):
-        return sorted(self.entries.items(), key=lambda kv: (disc(kv[0]), kv[0][0], kv[0][1]))
+        return sorted(self.entries.items(), key=lambda kv: (disc(kv[0]),) + kv[0])
 
     def positive_forms(self):
         return reduced_forms_up_to(self.bound)
@@ -149,18 +149,6 @@ def _int_matrix_and_den(rows) -> tuple[np.ndarray, int]:
     den = linalg.common_denominator([list(map(Fraction, r)) for r in rows])
     mat = np.array([[int(Fraction(x) * den) for x in row] for row in rows], dtype=np.int64)
     return mat, den
-
-
-@lru_cache(maxsize=None)
-def _exponents(nu: int) -> np.ndarray:
-    return np.array(monomials_of_degree(4, nu), dtype=np.int64)
-
-
-def _monomial_rows(v: np.ndarray, nu: int, dtype) -> np.ndarray:
-    """M(v): the degree-ν monomials of each row, in `monomials_of_degree(4, ν)` order."""
-    if nu == 1 and v.dtype == dtype:
-        return v  # the bucket itself; M(v) = v
-    return (v.astype(dtype, copy=False)[:, None, :] ** _exponents(nu)).prod(axis=2)
 
 
 class ThetaEngine:

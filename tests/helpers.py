@@ -1,8 +1,11 @@
 """Shared constructions for the test suite."""
 
+import itertools
 from fractions import Fraction
 
-from quatlift.quatcore import Lattice, QuaternionAlgebra
+from quatlift import fixture as fx
+from quatlift import linalg
+from quatlift.quatcore import Lattice, QuaternionAlgebra, _rref_mod_p
 
 
 def hamilton_algebra():
@@ -25,3 +28,20 @@ def hurwitz_order():
     return Lattice(hamilton_algebra(),
                    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                     [Fraction(1, 2)] * 4], kind="order")
+
+
+def level34_order():
+    vecs = [v for v in itertools.product((0, 1), repeat=4)][1:]
+    cands = set()
+    for pair in itertools.combinations(vecs, 2):
+        span = _rref_mod_p([[1, 0, 0, 0]] + [list(t) for t in pair], 2)
+        if len(span) == 3:
+            cands.add(tuple(tuple(r) for r in span))
+    for span in sorted(cands):
+        rows = [[Fraction(x) for x in r] for r in span] + \
+            [[2 * x for x in row] for row in linalg.identity(4)]
+        lat = Lattice.from_generators(fx.fixture_algebra(), rows, "order")
+        ok, _ = lat.is_order()
+        if ok and lat.level == 34:
+            return lat
+    raise AssertionError("no level-34 order found")

@@ -8,8 +8,10 @@ from quatlift import linalg
 from quatlift.brandt import (FormSpace, atkin_lehner, brandt_matrix,
                              constant_form, eigenforms, essential_part,
                              inner_product, orthogonal_complement)
-from quatlift.quatcore import (Lattice, UsageError, _rref_mod_p, class_set,
-                               is_ramified, superorders)
+from quatlift.harmonic import integral_tau_matrix, tau_matrix_sum
+from quatlift.quatcore import (UsageError, class_set, is_ramified, short_vectors,
+                               short_vectors_upto, superorders)
+from helpers import level34_order
 
 
 def test_row_sums(class_set_17, space0):
@@ -36,6 +38,40 @@ def test_phi2_eigenvalues(class_set_17, space0):
     for p, lam in expected.items():
         img = brandt_matrix(class_set_17, 0, p, space0).apply(phi2)
         assert img.values == phi2.scale(lam).values
+
+
+def _per_vector_sum(lattice, vecs, u):
+    total = linalg.zeros(u.dim, u.dim)
+    for v in vecs:
+        m = integral_tau_matrix(lattice.element_from(v), u)
+        total = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total, m)]
+    return total
+
+
+@pytest.mark.parametrize("nu,p", [(0, 3), (1, 2), (2, 5)])
+def test_brandt_blocks_are_sums_of_tau_matrices(class_set_17, nu, p):
+    cs = class_set_17
+    space = FormSpace(cs, nu)
+    bm = brandt_matrix(cs, nu, p, space)
+    for i in range(cs.h):
+        for j in range(cs.h):
+            cross = cs.cross_lattice(j, i)
+            total = _per_vector_sum(cross, short_vectors(cross.normalized_gram(), p), space.space)
+            scale = Fraction(1, cs.unit_counts[j]) / cross.norm_scale ** nu
+            assert bm.blocks[i][j] == linalg.mat_scale(total, scale)
+
+
+def test_tau_matrix_sum_large_entries_use_python_ints(class_set_17):
+    # scaling the lattice by 2^20 scales each τ-matrix by 2^(40ν): at ν = 2
+    # the sums pass 2^63, so only the object-dtype path can return them
+    nu, p, k = 2, 3, 2 ** 20
+    u = FormSpace(class_set_17, nu).space
+    cross = class_set_17.cross_lattice(0, 1)
+    vecs = short_vectors_upto(cross.normalized_gram(), p)[p]
+    big = tau_matrix_sum(cross.scale(k), vecs, u)
+    assert big == linalg.mat_scale(tau_matrix_sum(cross, vecs, u), k ** (2 * nu))
+    assert max(abs(x) for row in big for x in row) > 2 ** 63
+    assert big == _per_vector_sum(cross.scale(k), vecs, u)
 
 
 def test_inner_products(class_set_17, space0):
@@ -157,23 +193,6 @@ def test_essential_part_fixture_branches(class_set_17, space0):
     phi2 = fx.phi2()
     ratio = comp[0].values[0][0] / phi2.values[0][0]
     assert comp[0].values == phi2.scale(ratio).values
-
-
-def level34_order():
-    vecs = [v for v in itertools.product((0, 1), repeat=4)][1:]
-    cands = set()
-    for pair in itertools.combinations(vecs, 2):
-        span = _rref_mod_p([[1, 0, 0, 0]] + [list(t) for t in pair], 2)
-        if len(span) == 3:
-            cands.add(tuple(tuple(r) for r in span))
-    for span in sorted(cands):
-        rows = [[Fraction(x) for x in r] for r in span] + \
-            [[2 * x for x in row] for row in linalg.identity(4)]
-        lat = Lattice.from_generators(fx.fixture_algebra(), rows, "order")
-        ok, _ = lat.is_order()
-        if ok and lat.level == 34:
-            return lat
-    raise AssertionError("no level-34 order found")
 
 
 @pytest.fixture(scope="module")

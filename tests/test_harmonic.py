@@ -6,9 +6,10 @@ import pytest
 from quatlift import fixture as fx
 from quatlift import linalg
 from quatlift.harmonic import (HarmonicPoly, adapted_laplacian,
-                               bilinear_matrix, default_frame, harm_basis,
-                               integral_tau_poly, lift_poly_deg1, lift_poly_deg2,
-                               pairing, pairing_polys, tau_action)
+                               bilinear_matrix, conjugation_matrix, default_frame,
+                               harm_basis, integral_tau_matrix, integral_tau_poly,
+                               lift_poly_deg1, lift_poly_deg2, pairing, pairing_polys,
+                               tau_action)
 from quatlift.polys import Poly
 from quatlift.quatcore import QuatElement, UsageError, short_vectors
 from helpers import hamilton_algebra
@@ -86,6 +87,31 @@ def test_integral_tau_matches_pointwise(algebra):
             t = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
             z = frame.elements[0] * t[0] + frame.elements[1] * t[1] + frame.elements[2] * t[2]
             assert ip.poly.eval(t) == hp(y.conj() * z * y)
+
+
+def test_conjugation_matrix_matches_products(algebra):
+    # the per-frame table of quadratic forms against frame-coords(ȳ·g_l·y)
+    frame = default_frame(algebra)
+    rng = random.Random(13)
+    for _ in range(10):
+        y = _random_element(algebra, rng)
+        want = [frame.coords_of(y.conj() * g * y) for g in frame.elements]
+        assert conjugation_matrix(y, frame) == want
+
+
+def test_integral_tau_matrix_rows_match_substitution(algebra):
+    # row r of the kernel's matrix = coordinates of P_r(ȳ·z·y) by substitution
+    frame = default_frame(algebra)
+    rng = random.Random(17)
+    for nu in range(4):
+        sp = harm_basis(nu, frame)
+        ys = [algebra.basis_element(1)] + [_random_element(algebra, rng) for _ in range(4)]
+        assert any(c.denominator != 1 for y in ys for c in y.coords)
+        for y in ys:
+            m = integral_tau_matrix(y, sp)
+            for r, p in enumerate(sp.basis):
+                image = integral_tau_poly(y, HarmonicPoly(frame, p)).poly
+                assert m[r] == sp.coords_of_poly(image)
 
 
 def test_tau_preserves_harmonicity(algebra):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from quatlift import fixture as fx
 from quatlift import linalg
-from helpers import hamilton_algebra, hurwitz_order
-from quatlift.quatcore import (Lattice, QuaternionAlgebra, UsageError, class_set,
-                               conj_trace_norm, gram_matrix, ideal_equivalent,
-                               left_right_order, short_vectors, short_vectors_upto,
+from helpers import hamilton_algebra, hurwitz_order, level34_order
+from quatlift.quatcore import (ClassSet, Lattice, QuaternionAlgebra, UsageError,
+                               check_mass, class_set, conj_trace_norm, eichler_mass,
+                               gram_matrix, ideal_equivalent, left_right_order,
+                               short_vectors, short_vectors_upto, transporters,
                                two_sided_ideal)
 
 
@@ -220,6 +221,54 @@ def test_two_sided_ideal_at_17():
     assert p.product(p) == r1.scale(17)
     with pytest.raises(UsageError):
         two_sided_ideal(r1, 5)
+
+
+# HNF bases of the norm-p two-sided ideals as the projective-seed search found them
+PINNED_TWO_SIDED = {
+    ("r1", 17): [[1, 0, 15, 14], [0, 1, 16, 12], [0, 0, 17, 0], [0, 0, 0, 17]],
+    ("o34", 2): [[1, 0, 0, 1], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]],
+    ("o34", 17): [[1, 0, 32, 14], [0, 1, 16, 12], [0, 0, 34, 0], [0, 0, 0, 17]],
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(PINNED_TWO_SIDED))
+def test_two_sided_ideal_matches_seed_search(name, p):
+    order = fx.order_r1() if name == "r1" else level34_order()
+    ideal = two_sided_ideal(order, p)
+    assert ideal.basis == linalg.frac_mat(PINNED_TWO_SIDED[(name, p)])
+    assert ideal.kind == "ideal"
+
+
+def test_two_sided_ideal_rejects_non_eichler_order():
+    # Z + 2·R1 has level 136 = 8·17 and a Gram matrix ≡ 0 mod 2
+    r1 = fx.order_r1()
+    alg = r1.algebra
+    rows = [list(alg.one)] + [[2 * x for x in row] for row in r1.basis]
+    order = Lattice.from_generators(alg, rows, "order")
+    assert order.level == 136
+    assert all(x % 2 == 0 for row in order.gram for x in row)
+    with pytest.raises(ValueError):
+        two_sided_ideal(order, 2)
+    assert eichler_mass(order) is None
+
+
+def test_eichler_mass_formula(class_set_17):
+    assert eichler_mass(fx.order_r1()) == Fraction(2, 3)
+    assert eichler_mass(level34_order()) == 2
+    assert eichler_mass(hurwitz_order()) == Fraction(1, 24)
+    check_mass(class_set_17)
+    dropped = ClassSet(class_set_17.order, class_set_17.ideals[:-1])
+    with pytest.raises(ValueError, match="mass"):
+        check_mass(dropped)
+
+
+def test_transporters_of_an_order_are_its_units():
+    r1 = fx.order_r1()
+    as_ideal = Lattice(r1.algebra, r1.basis, "ideal")
+    units = list(transporters(as_ideal, as_ideal))
+    assert len(units) == r1.unit_count()
+    assert all(r1.contains(u) and u.norm() == 1 for u in units)
+    assert list(transporters(as_ideal, fx.ideal_i12())) == []
 
 
 def test_short_vector_counts_unimodular_invariance():

@@ -5,6 +5,7 @@ import pytest
 
 from quatlift import fixture as fx
 from quatlift import serialize as ser
+from quatlift.yoshida import FourierExpansionSiegel2
 
 
 def test_rational_strings():
@@ -44,6 +45,16 @@ def test_expansion_entries_sorted(golden_130):
     obj = ser.expansion_to_obj(golden_130)
     keys = [(4 * a * c - b * b, a, b) for a, b, c, _ in obj["entries"]]
     assert keys == sorted(keys)
+
+
+def test_singular_entries_canonical_order():
+    # the singular forms (0, 0, m) all have discriminant 0 and a = b = 0
+    entries = {(0, 0, 1): 3, (0, 0, 2): -1, (1, 1, 1): 5}
+    forward = FourierExpansionSiegel2(2, 17, 10, entries)
+    backward = FourierExpansionSiegel2(2, 17, 10, dict(reversed(list(entries.items()))))
+    assert forward.agrees_with(backward)
+    assert (ser.dumps_canonical(ser.expansion_to_obj(forward))
+            == ser.dumps_canonical(ser.expansion_to_obj(backward)))
 
 
 def test_lattice_roundtrip_and_rejection():
