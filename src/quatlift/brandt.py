@@ -17,9 +17,9 @@ import sympy
 from . import linalg
 from .harmonic import (HarmSpace, default_frame, harm_basis, integral_tau_matrix,
                        tau_matrix_sum)
-from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, class_set,
-                       ideal_equivalent, is_ramified, short_vectors,
-                       short_vectors_upto, superorders, transporters, two_sided_ideal)
+from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, _is_prime, class_set,
+                       ideal_equivalent, is_ramified, short_vectors, superorders,
+                       transporters, two_sided_ideal)
 
 
 @dataclass
@@ -149,6 +149,13 @@ class BrandtMatrix:
                 for i in range(len(self.blocks))]
 
 
+def _require_good_prime(cs: ClassSet, p: int) -> None:
+    if not _is_prime(p):
+        raise UsageError(f"{p} is not a prime")
+    if cs.order.level % p == 0:
+        raise UsageError(f"{p} divides the level {cs.order.level}")
+
+
 def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None) -> BrandtMatrix:
     """B^{(ν)}(p): block (i,j) = (1/e_j)·Σ_{x, q(x)=p} of P ↦ P(x̄·z·x)/n₀^ν.
 
@@ -156,8 +163,7 @@ def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None)
     (cross_lattice(j, i)); that is the unique index convention under which the
     operator preserves unit-group invariance, with (T̃φ)(y_i) = Σ_j B_ij·φ(y_j).
     """
-    if cs.order.level % p == 0:
-        raise UsageError(f"{p} divides the level {cs.order.level}")
+    _require_good_prime(cs, p)
     space = space or FormSpace(cs, nu)
     blocks = []
     for i in range(cs.h):
@@ -165,7 +171,7 @@ def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None)
         for j in range(cs.h):
             cross = cs.cross_lattice(j, i)
             scale = Fraction(1, cs.unit_counts[j]) / cross.norm_scale ** nu
-            vecs = short_vectors_upto(cross.normalized_gram(), p).get(p, ())
+            vecs = cs.cross_vectors(j, i, p)
             row.append(linalg.mat_scale(tau_matrix_sum(cross, vecs, space.space), scale))
         blocks.append(row)
     return BrandtMatrix(p, nu, blocks)
@@ -185,10 +191,7 @@ def inner_product(phi: AutomorphicForm, psi: AutomorphicForm, cs: ClassSet,
 
 def _al_routing(cs: ClassSet, p: int):
     """Per class: (target class j, transporter γ, translated lattice) for w̃_p."""
-    cache = getattr(cs, "_al_cache", None)
-    if cache is None:
-        cache = cs._al_cache = {}
-    if p not in cache:
+    if p not in cs.al_routes:
         tsp = two_sided_ideal(cs.order, p)
         routing = []
         for i in range(cs.h):
@@ -200,8 +203,8 @@ def _al_routing(cs: ClassSet, p: int):
                     break
             else:
                 raise ValueError("translated ideal matches no class")
-        cache[p] = routing
-    return cache[p]
+        cs.al_routes[p] = routing
+    return cs.al_routes[p]
 
 
 def atkin_lehner(phi: AutomorphicForm, cs: ClassSet, p: int,
@@ -392,8 +395,7 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     characteristic polynomials.  Exact throughout.
     """
     for p in primes:
-        if cs.order.level % p == 0:
-            raise UsageError(f"{p} divides the level")
+        _require_good_prime(cs, p)
     space = space or FormSpace(cs, nu)
     if space.dim == 0:
         return []

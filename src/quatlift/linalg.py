@@ -201,11 +201,12 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
             m[r] = [-x for x in m[r]]
         r += 1
     m = [row for row in m[:r]]
-    # reduce entries above pivots
+    # reduce entries above pivots, first pivot to last: row i is zero left of
+    # its pivot, so a later step leaves the columns reduced before it alone
     pivcols = []
     for row in m:
         pivcols.append(next(j for j, x in enumerate(row) if x != 0))
-    for i in range(len(m) - 1, -1, -1):
+    for i in range(len(m)):
         pc = pivcols[i]
         p = m[i][pc]
         for j in range(i):

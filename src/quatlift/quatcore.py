@@ -443,6 +443,22 @@ class Lattice:
     def _basis_inv(self) -> Matrix:
         return linalg.inverse(self.basis)
 
+    @cached_property
+    def orders(self) -> tuple["Lattice", "Lattice"]:
+        """(left order {x : xL ⊆ L}, right order {x : Lx ⊆ L}), each checked to be an order."""
+        a = self.algebra
+        inv = self._basis_inv
+        right_blocks = []
+        left_blocks = []
+        for b in self.basis:
+            right_blocks.append(linalg.mat_mul(a.right_mul_matrix_coords(b), inv))
+            left_blocks.append(linalg.mat_mul(a.left_mul_matrix_coords(b), inv))
+        ol = Lattice(a, _integral_preimage_lattice(right_blocks), "order")
+        or_ = Lattice(a, _integral_preimage_lattice(left_blocks), "order")
+        ol.require_order()
+        or_.require_order()
+        return ol, or_
+
     def coords_of(self, x: QuatElement) -> list[Fraction]:
         return linalg.vec_mat(list(x.coords), self._basis_inv)
 
@@ -546,19 +562,8 @@ def _integral_preimage_lattice(blocks: list[Matrix]) -> Matrix:
 
 
 def left_right_order(lat: Lattice) -> tuple[Lattice, Lattice]:
-    """Left and right orders {x : xL ⊆ L} and {x : Lx ⊆ L}."""
-    a = lat.algebra
-    inv = linalg.inverse(lat.basis)
-    right_blocks = []
-    left_blocks = []
-    for b in lat.basis:
-        right_blocks.append(linalg.mat_mul(a.right_mul_matrix_coords(b), inv))
-        left_blocks.append(linalg.mat_mul(a.left_mul_matrix_coords(b), inv))
-    ol = Lattice(a, _integral_preimage_lattice(right_blocks), "order")
-    or_ = Lattice(a, _integral_preimage_lattice(left_blocks), "order")
-    ol.require_order()
-    or_.require_order()
-    return ol, or_
+    """Left and right orders {x : xL ⊆ L} and {x : Lx ⊆ L}, computed once per lattice."""
+    return lat.orders
 
 
 def transporters(i1: Lattice, i2: Lattice):
@@ -709,7 +714,11 @@ def reduce_right_ideal(ideal: Lattice, order: Lattice) -> Lattice:
 
 
 class ClassSet:
-    """Right ideal classes of an order, with unit counts and cross lattices."""
+    """Right ideal classes of an order, with unit counts and cross lattices.
+
+    Cross lattices, their norm-p vectors and the Atkin–Lehner routing at each
+    p are computed once per class set and then read.
+    """
 
     def __init__(self, order: Lattice, ideals: list[Lattice]):
         self.order = order
@@ -717,6 +726,8 @@ class ClassSet:
         self.left_orders = [left_right_order(i)[0] for i in ideals]
         self.unit_counts = [o.unit_count() for o in self.left_orders]
         self._cross: dict[tuple[int, int], Lattice] = {}
+        self._cross_vectors: dict[tuple[int, int, int], np.ndarray] = {}
+        self.al_routes: dict[int, list] = {}  # filled by brandt's Atkin–Lehner routing
 
     @property
     def h(self) -> int:
@@ -737,6 +748,18 @@ class ClassSet:
 
     def cross_norm_scale(self, i: int, j: int) -> Fraction:
         return self.cross_lattice(i, j).norm_scale
+
+    def cross_vectors(self, i: int, j: int, p: int) -> np.ndarray:
+        """Read-only k×4 bucket of the cross_lattice(i, j) vectors of normalized norm p."""
+        key = (i, j, p)
+        if key not in self._cross_vectors:
+            gram = self.cross_lattice(i, j).normalized_gram()
+            vecs = short_vectors_upto(gram, p).get(p)
+            # a copy: the bucket is a view of every vector up to norm p
+            vecs = np.zeros((0, 4), dtype=np.int64) if vecs is None else vecs.copy()
+            vecs.flags.writeable = False
+            self._cross_vectors[key] = vecs
+        return self._cross_vectors[key]
 
 
 def class_set(order: Lattice, p_seed: int) -> ClassSet:

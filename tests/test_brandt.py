@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from quatlift import fixture as fx
-from quatlift import linalg
+from quatlift import linalg, quatcore
 from quatlift.brandt import (FormSpace, atkin_lehner, brandt_matrix,
                              constant_form, eigenforms, essential_part,
                              inner_product, orthogonal_complement)
 from quatlift.harmonic import integral_tau_matrix, tau_matrix_sum
-from quatlift.quatcore import (UsageError, class_set, is_ramified, short_vectors,
-                               short_vectors_upto, superorders)
+from quatlift.quatcore import (ClassSet, UsageError, class_set, is_ramified,
+                               short_vectors, short_vectors_upto, superorders)
 from helpers import level34_order
 
 
@@ -28,8 +28,13 @@ def test_constant_form_eigenvalue(class_set_17, space0):
 
 
 def test_bad_prime_rejected(class_set_17, space0):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="17 divides the level"):
         brandt_matrix(class_set_17, 0, 17, space0)
+    for p in (0, -3, 1, 4):
+        with pytest.raises(UsageError, match=f"{p} is not a prime"):
+            brandt_matrix(class_set_17, 0, p, space0)
+        with pytest.raises(UsageError, match=f"{p} is not a prime"):
+            eigenforms(class_set_17, 0, [2, p], space0)
 
 
 def test_phi2_eigenvalues(class_set_17, space0):
@@ -212,6 +217,23 @@ def test_level34_class_set_seed_independent(cs34):
     other = class_set(level34_order(), 5)
     assert other.h == cs34.h
     assert sorted(other.unit_counts) == sorted(cs34.unit_counts)
+
+
+def test_level34_brandt_enumerates_each_cross_lattice_once(cs34, monkeypatch):
+    p = 5
+    cs = ClassSet(cs34.order, cs34.ideals)
+    spaces = [FormSpace(cs, nu) for nu in range(3)]
+    calls = []
+    enumerate_upto = quatcore.short_vectors_upto
+    monkeypatch.setattr(quatcore, "short_vectors_upto",
+                        lambda g, m: calls.append(m) or enumerate_upto(g, m))
+    got = [brandt_matrix(cs, nu, p, spaces[nu]).blocks for nu in range(3)]
+    assert calls == [p] * cs.h ** 2  # one bucket per cross lattice, shared by every ν
+    bucket = cs.cross_vectors(0, 1, p)
+    assert not bucket.flags.writeable
+    for nu in range(3):
+        fresh = ClassSet(cs34.order, cs34.ideals)
+        assert got[nu] == brandt_matrix(fresh, nu, p, FormSpace(fresh, nu)).blocks
 
 
 def test_level34_essential_part(cs34):

@@ -163,6 +163,11 @@ def test_roundtrip_malformed_json(tmp_path):
     ("classset", ["--seed", "4"], "p_seed must be prime"),
     ("brandt", ["--nu", "0", "--prime", "17"], "17 divides the level"),
     ("eigenforms", ["--primes", "2,17"], "17 divides the level"),
+    ("brandt", ["--prime", "0"], "0 is not a prime"),
+    ("brandt", ["--prime", "-3"], "-3 is not a prime"),
+    ("brandt", ["--prime", "1"], "1 is not a prime"),
+    ("brandt", ["--prime", "4"], "4 is not a prime"),
+    ("eigenforms", ["--primes", "4,0"], "4 is not a prime"),
 ])
 def test_order_commands_report_library_errors(fixture_files, command, args, message):
     res = CliRunner().invoke(main, [command,

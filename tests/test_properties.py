@@ -130,3 +130,36 @@ def test_charpoly_matches_sympy(vals):
     sym = sympy.Matrix([[sympy.Rational(v) for v in row] for row in m]).charpoly(x)
     theirs = [Fraction(str(c)) for c in sym.all_coeffs()]
     assert ours == theirs
+
+
+def _random_unimodular(rng, n, steps=12):
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((-3, -2, -1, 1, 2, 3))
+        u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+def test_hnf_is_canonical():
+    # many generating sets of one lattice must give one basis, both from `hnf`
+    # and as `Lattice`s, whose equality and hash compare these bases
+    import random
+    rng = random.Random(20)
+    alg = fx.fixture_algebra()
+    checked = 0
+    while checked < 400:
+        rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+        if linalg.det(linalg.frac_mat(rows)) == 0:
+            continue
+        checked += 1
+        want = linalg.hnf(rows)
+        assert linalg.hnf(want) == want
+        lat = Lattice.from_generators(alg, rows)
+        for _ in range(3):
+            u = _random_unimodular(rng, 4)
+            other = [[sum(a * b for a, b in zip(ur, col)) for col in zip(*rows)] for ur in u]
+            assert linalg.hnf(other + rows) == want
+            assert linalg.hnf(other) == want
+            twin = Lattice.from_generators(alg, other)
+            assert twin == lat and hash(twin) == hash(lat)

@@ -179,6 +179,17 @@ def test_ideal_equivalent_requires_same_right_order():
         ideal_equivalent(fx.ideal_i12(), conj)
 
 
+def test_ideal_equivalent_checks_cached_right_orders():
+    i12 = fx.ideal_i12()
+    conj = i12.conjugate()
+    assert left_right_order(i12) is left_right_order(i12)  # computed once
+    assert left_right_order(conj)[1] == fx.order_r2()
+    with pytest.raises(UsageError):
+        ideal_equivalent(i12, conj)
+    with pytest.raises(UsageError):
+        ideal_equivalent(conj, i12)
+
+
 def test_class_set_fixture(class_set_17):
     assert class_set_17.h == 2
     assert tuple(class_set_17.unit_counts) == (2, 6)
