@@ -8,6 +8,8 @@ essential parts and exact simultaneous eigenform decomposition.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,8 +19,8 @@ import sympy
 from . import linalg
 from .harmonic import (HarmSpace, default_frame, harm_basis, integral_tau_matrix,
                        tau_matrix_sum)
-from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, _is_prime, class_set,
-                       ideal_equivalent, is_ramified, short_vectors, superorders,
+from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, _is_prime, _prime_factors,
+                       class_set, ideal_equivalent, is_ramified, short_vectors, superorders,
                        transporters, two_sided_ideal)
 
 
@@ -59,10 +61,13 @@ class FormSpace:
         self.nu = nu
         self.frame = default_frame(cs.order.algebra)
         self.space: HarmSpace = harm_basis(nu, self.frame)
-        self.class_bases: list[list[list[Fraction]]] = []
-        for order in cs.left_orders:
-            self.class_bases.append(self._invariant_basis(order))
+        self.class_bases = [self._invariant_basis(order) for order in cs.left_orders]
         self.dim = sum(len(b) for b in self.class_bases)
+        # R_i = CB_iᵗ·(CB_i·CB_iᵗ)⁻¹, so that CB_i·R_i = I
+        self._right_inverses = [
+            linalg.mat_mul(linalg.transpose(cb), linalg.inverse(
+                linalg.mat_mul(cb, linalg.transpose(cb)))) if cb else None
+            for cb in self.class_bases]
 
     def _invariant_basis(self, order: Lattice) -> list[list[Fraction]]:
         d = self.space.dim
@@ -74,10 +79,7 @@ class FormSpace:
             mt = linalg.transpose(m)
             for i in range(d):
                 rows.append([mt[i][j] - Fraction(int(i == j)) for j in range(d)])
-        if not rows:
-            return [list(e) for e in linalg.identity(d)]
-        kernel = linalg.nullspace(rows)
-        return [list(v) for v in kernel]
+        return linalg.nullspace(rows) if rows else linalg.identity(d)
 
     def basis_forms(self) -> list[AutomorphicForm]:
         out = []
@@ -87,17 +89,6 @@ class FormSpace:
                 values = [tuple([Fraction(0)] * d) for _ in range(self.cs.h)]
                 values[i] = tuple(vec)
                 out.append(AutomorphicForm(self.nu, values))
-        return out
-
-    def flat(self, form: AutomorphicForm) -> list[Fraction]:
-        out = []
-        for i, cb in enumerate(self.class_bases):
-            if not cb:
-                continue
-            sol = linalg.solve(linalg.transpose(cb), list(form.values[i]))
-            if sol is None:
-                raise ValueError("form is not invariant under the unit groups")
-            out.extend(sol)
         return out
 
     def unflat(self, vec) -> AutomorphicForm:
@@ -114,16 +105,36 @@ class FormSpace:
             values.append(tuple(v))
         return AutomorphicForm(self.nu, values)
 
-    def operator_matrix(self, op) -> linalg.Matrix:
-        """Matrix (row convention) of a form-to-form map on the flat coordinates."""
+    def matrix_of(self, op: "BrandtMatrix") -> linalg.Matrix:
+        """Matrix (row convention) of a block operator on the flat coordinates.
+
+        Row block j, column block i is CB_j·B_ij·R_i, with CB_i the invariant
+        basis of class i and R_i its right inverse.  Raises ValueError unless
+        every CB_j·B_ij lies in the row span of CB_i, that is, unless the
+        operator maps invariant forms to invariant forms.
+        """
         mat = []
-        for form in self.basis_forms():
-            mat.append(self.flat(op(form)))
+        for j, cb_j in enumerate(self.class_bases):
+            rows = [[] for _ in cb_j]
+            for i, (cb_i, r_i) in enumerate(zip(self.class_bases, self._right_inverses)):
+                if not (cb_i and cb_j):
+                    continue
+                image = linalg.mat_mul(cb_j, op.blocks[i][j])
+                coords = linalg.mat_mul(image, r_i)
+                if linalg.mat_mul(coords, cb_i) != image:
+                    raise ValueError("form is not invariant under the unit groups")
+                for row, c in zip(rows, coords):
+                    row.extend(c)
+            mat.extend(rows)
         return mat
 
 
 class BrandtMatrix:
-    """Brandt matrix with harmonic weights: h×h blocks of U_ν endomorphisms."""
+    """An operator on forms as blocks of U_ν endomorphisms, one per pair of classes.
+
+    A Brandt matrix T(p), an Atkin–Lehner involution w_q and a pullback from a
+    superorder all take this shape: (Tφ)(y_i) = Σ_j φ(y_j)·B_ij.
+    """
 
     def __init__(self, p: int, nu: int, blocks):
         self.p = p
@@ -131,13 +142,12 @@ class BrandtMatrix:
         self.blocks = blocks  # blocks[i][j]: row-convention matrix on U_ν coords
 
     def apply(self, form: AutomorphicForm) -> AutomorphicForm:
-        h = len(self.blocks)
         dim = len(form.values[0])
         values = []
-        for i in range(h):
+        for row in self.blocks:
             acc = [Fraction(0)] * dim
-            for j in range(h):
-                contrib = linalg.vec_mat(list(form.values[j]), self.blocks[i][j])
+            for value, block in zip(form.values, row):
+                contrib = linalg.vec_mat(list(value), block)
                 acc = [a + b for a, b in zip(acc, contrib)]
             values.append(tuple(acc))
         return AutomorphicForm(form.nu, values)
@@ -189,79 +199,70 @@ def inner_product(phi: AutomorphicForm, psi: AutomorphicForm, cs: ClassSet,
     return total
 
 
-def _al_routing(cs: ClassSet, p: int):
-    """Per class: (target class j, transporter γ, translated lattice) for w̃_p."""
-    if p not in cs.al_routes:
-        tsp = two_sided_ideal(cs.order, p)
-        routing = []
-        for i in range(cs.h):
-            moved = cs.ideals[i].product(tsp)
-            for j in range(cs.h):
-                ok, gamma = ideal_equivalent(moved, cs.ideals[j], want_element=True)
-                if ok:
-                    routing.append((j, gamma, moved))
-                    break
-            else:
-                raise ValueError("translated ideal matches no class")
-        cs.al_routes[p] = routing
-    return cs.al_routes[p]
+def _route(moved: list[Lattice], targets: list[Lattice]):
+    """Per lattice: (index j of the first equivalent target, every γ with lattice = γ·target_j)."""
+    routing = []
+    for lat in moved:
+        j = next((j for j, t in enumerate(targets) if ideal_equivalent(lat, t)), None)
+        if j is None:
+            raise ValueError("translated ideal matches no class")
+        routing.append((j, list(transporters(lat, targets[j]))))
+    return routing
 
 
-def atkin_lehner(phi: AutomorphicForm, cs: ClassSet, p: int,
-                 space: FormSpace | None = None, check_transport: bool = True) -> AutomorphicForm:
-    """w̃_p: right translation by the norm-p normalizer, via the two-sided ideal.
+def _transport_blocks(routing, source: FormSpace) -> list[list[linalg.Matrix]]:
+    """Blocks of ψ(y_i) = τ(γ_i)·φ(y_j)/n(γ_i)^ν over a routing, φ a form of `source`.
 
-    ψ(y_i) = τ(γ)·φ(y_j) where I_i·P_p = γ·I_j.  Applying twice is the identity.
+    γ_i is the first transporter of class i; each other one must give the same
+    block on class j's invariant basis, else ValueError.
     """
-    order = cs.order
-    if order.level % p != 0:
-        raise UsageError(f"{p} does not divide the level {order.level}")
-    space = space or FormSpace(cs, phi.nu)
-    values = []
-    for j, gamma, moved in _al_routing(cs, p):
-        values.append(_transported_value(phi, j, gamma, space, moved, cs,
-                                         verify=check_transport))
-    return AutomorphicForm(phi.nu, values)
+    nu, d = source.nu, source.space.dim
 
+    def tau(gamma: QuatElement) -> linalg.Matrix:
+        return linalg.mat_scale(integral_tau_matrix(gamma, source.space),
+                                1 / gamma.norm() ** nu)
 
-def _transported_value(phi, j, gamma, space, moved, cs, verify=False):
-    val = _tau_apply(phi.values[j], gamma, space)
-    if verify:
-        # the result must not depend on which element realizes the equivalence
-        for g2 in transporters(moved, cs.ideals[j]):
-            if _tau_apply(phi.values[j], g2, space) != val:
+    blocks = []
+    for j, gammas in routing:
+        block = tau(gammas[0])
+        cb = source.class_bases[j]
+        if cb:
+            want = linalg.mat_mul(cb, block)
+            if any(linalg.mat_mul(cb, tau(g)) != want for g in gammas[1:]):
                 raise ValueError("transport depends on the realizing element")
-    return val
+        row = [linalg.zeros(d, d) for _ in source.class_bases]
+        row[j] = block
+        blocks.append(row)
+    return blocks
 
 
-def _tau_apply(coords, gamma: QuatElement, space: FormSpace):
-    nu = space.nu
-    m = integral_tau_matrix(gamma, space.space)
-    out = linalg.vec_mat(list(coords), m)
-    n = gamma.norm() ** nu
-    return tuple(x / n for x in out)
+def atkin_lehner(cs: ClassSet, nu: int, q: int, space: FormSpace | None = None) -> BrandtMatrix:
+    """w̃_q: right translation by the norm-q normalizer, via the two-sided ideal.
+
+    (w̃_q φ)(y_i) = τ(γ)·φ(y_j)/n(γ)^ν where I_i·P_q = γ·I_j; applying it twice
+    is the identity.  The blocks, and the check that they do not depend on
+    the choice of γ, are computed once per (class set, q, ν).
+    """
+    if cs.order.level % q != 0:
+        raise UsageError(f"{q} does not divide the level {cs.order.level}")
+    if q not in cs.al_routes:
+        tsp = two_sided_ideal(cs.order, q)
+        cs.al_routes[q] = _route([ideal.product(tsp) for ideal in cs.ideals], cs.ideals)
+    if (q, nu) not in cs.al_blocks:
+        space = space or FormSpace(cs, nu)
+        cs.al_blocks[q, nu] = BrandtMatrix(q, nu, _transport_blocks(cs.al_routes[q], space))
+    return cs.al_blocks[q, nu]
 
 
 def orthogonal_complement(forms: list[AutomorphicForm], within: list[AutomorphicForm],
                           cs: ClassSet, space: FormSpace | None = None) -> list[AutomorphicForm]:
     """Basis of {ψ ∈ span(within) : ⟨ψ, φ⟩ = 0 for all φ in forms}."""
-    if not within:
-        return []
-    space = space or FormSpace(cs, within[0].nu)
-    rows = []
-    for psi in within:
-        rows.append([inner_product(psi, phi, cs, space) for phi in forms])
-    if not forms:
+    if not forms or not within:
         return list(within)
-    kernel = linalg.nullspace(linalg.transpose(rows))
-    out = []
-    for v in kernel:
-        acc = None
-        for c, psi in zip(v, within):
-            term = psi.scale(c)
-            acc = term if acc is None else acc.add(term)
-        out.append(acc)
-    return out
+    space = space or FormSpace(cs, within[0].nu)
+    rows = [[inner_product(psi, phi, cs, space) for phi in forms] for psi in within]
+    return [functools.reduce(AutomorphicForm.add, (psi.scale(c) for c, psi in zip(v, within)))
+            for v in linalg.nullspace(linalg.transpose(rows))]
 
 
 def essential_part(forms: list[AutomorphicForm], cs: ClassSet, p: int,
@@ -281,32 +282,18 @@ def essential_part(forms: list[AutomorphicForm], cs: ClassSet, p: int,
     space = space or FormSpace(cs, nu)
     pullbacks = []
     for sup in superorders(cs.order, p):
-        pullbacks.extend(_pullback_basis(cs, sup, nu, space))
+        pullbacks.extend(_pullback_basis(cs, sup, p, nu))
     return orthogonal_complement(pullbacks, forms, cs, space)
 
 
-def _pullback_basis(cs: ClassSet, sup: Lattice, nu: int, space: FormSpace) -> list[AutomorphicForm]:
-    seed = 2
-    while sup.level % seed == 0:
-        seed = sympy.nextprime(seed)
+def _pullback_basis(cs: ClassSet, sup: Lattice, p: int, nu: int) -> list[AutomorphicForm]:
+    seed = next(s for s in itertools.count(2) if _is_prime(s) and sup.level % s)
     sup_cs = class_set(sup, seed)
     sup_space = FormSpace(sup_cs, nu)
-    # map each class of cs to its class in sup_cs, with the transporting element
-    routing = []
-    for ideal in cs.ideals:
-        moved = ideal.product(sup)
-        for j in range(sup_cs.h):
-            ok, gamma = ideal_equivalent(moved, sup_cs.ideals[j], want_element=True)
-            if ok:
-                routing.append((j, gamma))
-                break
-        else:
-            raise ValueError("ideal matches no class of the superorder")
-    out = []
-    for phi in sup_space.basis_forms():
-        values = [_tau_apply(phi.values[j], gamma, sup_space) for j, gamma in routing]
-        out.append(AutomorphicForm(nu, values))
-    return out
+    # each class of cs goes to its class in sup_cs, with the transporting elements
+    routing = _route([ideal.product(sup) for ideal in cs.ideals], sup_cs.ideals)
+    pullback = BrandtMatrix(p, nu, _transport_blocks(routing, sup_space))
+    return [pullback.apply(phi) for phi in sup_space.basis_forms()]
 
 
 @dataclass
@@ -347,18 +334,16 @@ def _poly_of_matrix(coeffs, m: linalg.Matrix) -> linalg.Matrix:
     return acc
 
 
-def _restrict(op: linalg.Matrix, basis: linalg.Matrix) -> linalg.Matrix:
-    """Matrix of a row-convention operator on the row span of `basis`."""
-    image = linalg.mat_mul(basis, op)
-    bt = linalg.transpose(basis)
-    return [linalg.solve(bt, row) for row in image]
+def _restrict(op: linalg.Matrix, basis: linalg.Matrix) -> linalg.Matrix | None:
+    """Matrix of a row-convention operator on the row span of `basis` (None if not stable)."""
+    return linalg.solve_many(linalg.transpose(basis), linalg.mat_mul(basis, op))
 
 
 def _split_by_operator(subspaces, op):
     out = []
     for basis in subspaces:
         s = _restrict(op, basis)
-        if any(row is None for row in s):
+        if s is None:
             raise ValueError("operator does not preserve the subspace")
         cp = linalg.charpoly(s)
         for fac, _ in _factor_charpoly(cp):
@@ -371,19 +356,13 @@ def _split_by_operator(subspaces, op):
 
 
 def _primitive_row(v):
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
+    """The primitive integer multiple of a nonzero rational row with a positive lead."""
+    den = linalg.common_denominator([v])
     ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+    g = math.gcd(*ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [Fraction(x, g) for x in ints]
 
 
 def eigenforms(cs: ClassSet, nu: int, primes: list[int],
@@ -399,12 +378,9 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     space = space or FormSpace(cs, nu)
     if space.dim == 0:
         return []
-    level_primes = sorted(sympy.primefactors(cs.order.level))
-    inv_ops = {q: space.operator_matrix(lambda f, q=q: atkin_lehner(f, cs, q, space,
-                                                                   check_transport=False))
-               for q in level_primes}
-    brandt_ops = {p: space.operator_matrix(brandt_matrix(cs, nu, p, space).apply)
-                  for p in primes}
+    level_primes = sorted(set(_prime_factors(cs.order.level)))
+    inv_ops = {q: space.matrix_of(atkin_lehner(cs, nu, q, space)) for q in level_primes}
+    brandt_ops = {p: space.matrix_of(brandt_matrix(cs, nu, p, space)) for p in primes}
     subspaces = [list(linalg.identity(space.dim))]
     for q in level_primes:
         subspaces = _split_by_operator(subspaces, inv_ops[q])
@@ -415,17 +391,12 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
         basis = [_primitive_row(row) for row in basis]
         comp = EigenComponent(forms=[space.unflat(v) for v in basis])
         for q, op in inv_ops.items():
+            comp.involutions[q] = int(_restrict(op, basis)[0][0])
+        for p, op in brandt_ops.items():
             s = _restrict(op, basis)
-            comp.involutions[q] = int(s[0][0])
-        if len(basis) == 1:
-            v = basis[0]
-            for p, op in brandt_ops.items():
-                image = linalg.vec_mat(v, op)
-                lead = next(i for i, x in enumerate(v) if x)
-                comp.hecke[p] = image[lead] / v[lead]
-        else:
-            for p, op in brandt_ops.items():
-                s = _restrict(op, basis)
+            if len(basis) == 1:
+                comp.hecke[p] = s[0][0]
+            else:
                 comp.charpolys[p] = _factor_charpoly(linalg.charpoly(s))
         components.append(comp)
     components.sort(key=_component_key)

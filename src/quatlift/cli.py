@@ -197,6 +197,8 @@ def lfactor_cmd(kind, p, af, ag, k1, k2, n, level, s_value):
         except PoleError as exc:
             click.echo(f"pole: {exc}")
             sys.exit(2)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from None
         return
     try:
         if kind == "standard":

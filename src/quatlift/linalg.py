@@ -130,15 +130,22 @@ def nullspace(a: Matrix) -> list[Vector]:
 
 def solve(a: Matrix, b) -> Vector | None:
     """One solution of a·x = b, or None if inconsistent."""
+    sol = solve_many(a, [b])
+    return None if sol is None else sol[0]
+
+
+def solve_many(a: Matrix, rhs) -> list[Vector] | None:
+    """One solution of a·x = b for each b in rhs, from one rref; None if any is inconsistent."""
     n, m = len(a), len(a[0])
-    aug = [a[i][:] + [Fraction(b[i])] for i in range(n)]
+    aug = [a[i][:] + [Fraction(b[i]) for b in rhs] for i in range(n)]
     red, pivots = rref(aug)
-    if m in pivots:
+    if pivots and pivots[-1] >= m:
         return None
-    x = [Fraction(0)] * m
+    out = [[Fraction(0)] * m for _ in rhs]
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][m]
-    return x
+        for t, x in enumerate(out):
+            x[pc] = red[r][m + t]
+    return out
 
 
 def inverse(a: Matrix) -> Matrix:

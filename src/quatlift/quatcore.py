@@ -500,10 +500,6 @@ class Lattice:
         n0 = self.norm_scale
         return linalg.mat_scale(self.gram, Fraction(1) / n0)
 
-    def vectors_of_norm(self, m) -> list[tuple[int, ...]]:
-        """Coordinate vectors with n(x) = m (plain reduced norm, no rescaling)."""
-        return short_vectors(self.gram, m)
-
     def unit_count(self) -> int:
         return len(short_vectors(self.gram, 1))
 
@@ -583,19 +579,13 @@ def transporters(i1: Lattice, i2: Lattice):
             yield gamma
 
 
-def ideal_equivalent(i1: Lattice, i2: Lattice, want_element: bool = False):
-    """Test I = γ·J for some γ ∈ D^×, for right ideals of the same order.
-
-    With want_element=True returns (bool, γ or None); γ satisfies i1 = γ·i2.
-    """
+def ideal_equivalent(i1: Lattice, i2: Lattice) -> bool:
+    """Test I = γ·J for some γ ∈ D^×, for right ideals of the same order."""
     _, r1 = left_right_order(i1)
     _, r2 = left_right_order(i2)
     if r1 != r2:
         raise UsageError("ideals do not share a right order")
-    gamma = next(transporters(i1, i2), None)
-    if want_element:
-        return gamma is not None, gamma
-    return gamma is not None
+    return next(transporters(i1, i2), None) is not None
 
 
 def _rref_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -716,8 +706,9 @@ def reduce_right_ideal(ideal: Lattice, order: Lattice) -> Lattice:
 class ClassSet:
     """Right ideal classes of an order, with unit counts and cross lattices.
 
-    Cross lattices, their norm-p vectors and the Atkin–Lehner routing at each
-    p are computed once per class set and then read.
+    Cross lattices, their norm-p vectors, the Atkin–Lehner routing at each q
+    and the Atkin–Lehner blocks at each (q, ν) are computed once per class set
+    and then read.
     """
 
     def __init__(self, order: Lattice, ideals: list[Lattice]):
@@ -727,7 +718,9 @@ class ClassSet:
         self.unit_counts = [o.unit_count() for o in self.left_orders]
         self._cross: dict[tuple[int, int], Lattice] = {}
         self._cross_vectors: dict[tuple[int, int, int], np.ndarray] = {}
-        self.al_routes: dict[int, list] = {}  # filled by brandt's Atkin–Lehner routing
+        # filled by brandt.atkin_lehner: the routing at q, and the blocks at (q, ν)
+        self.al_routes: dict[int, list] = {}
+        self.al_blocks: dict[tuple[int, int], object] = {}
 
     @property
     def h(self) -> int:
@@ -745,9 +738,6 @@ class ClassSet:
             lat = lat.scale(Fraction(1) / self.ideals[i].norm_scale)
             self._cross[key] = lat
         return self._cross[key]
-
-    def cross_norm_scale(self, i: int, j: int) -> Fraction:
-        return self.cross_lattice(i, j).norm_scale
 
     def cross_vectors(self, i: int, j: int, p: int) -> np.ndarray:
         """Read-only k×4 bucket of the cross_lattice(i, j) vectors of normalized norm p."""
@@ -813,26 +803,54 @@ def check_mass(cs: ClassSet) -> None:
                          f"but the Eichler mass formula gives {want}")
 
 
+# Miller–Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86, 2017)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+TRIAL_DIVISION_BOUND = 10 ** 6
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, math.isqrt(n) + 1):
-        if n % d == 0:
+    """Deterministic Miller–Rabin; UsageError at or above _MILLER_RABIN_BOUND."""
+    if n >= _MILLER_RABIN_BOUND:
+        raise UsageError(f"{n} is too large to test for primality "
+                         f"(the bound is {_MILLER_RABIN_BOUND})")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The prime factors of n ≥ 1 with multiplicity, ascending (trial division)."""
+    """The prime factors of n ≥ 1 with multiplicity, ascending.
+
+    Trial division up to TRIAL_DIVISION_BOUND; a cofactor left over that is
+    not prime raises UsageError.
+    """
     out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
+    d, rest = 2, n
+    while d * d <= rest and d <= TRIAL_DIVISION_BOUND:
+        while rest % d == 0:
             out.append(d)
-            n //= d
+            rest //= d
         d += 1
-    if n > 1:
-        out.append(n)
+    if rest > 1 and not _is_prime(rest):
+        raise UsageError(f"cannot factor {n}: the cofactor {rest} has no prime factor "
+                         f"up to the trial-division bound {TRIAL_DIVISION_BOUND}")
+    if rest > 1:
+        out.append(rest)
     return out
 
 

@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .binforms import reduced_forms_up_to
-from .quatcore import UsageError
+from .quatcore import UsageError, _is_prime, _prime_factors
 from .yoshida import FourierExpansionSiegel2, TruncationError
 
 
@@ -124,7 +122,7 @@ def _character_is_trivial(t: tuple[int, int, int], rep: HeckeCosetRep, p: int) -
 
 
 def _require_prime(p) -> None:
-    if not sympy.isprime(p):
+    if not _is_prime(p):
         raise UsageError(f"{p} is not a prime")
 
 
@@ -328,15 +326,20 @@ def rankin_selberg_matches_dirichlet(af, ag, k1: int, k2: int, p: int,
 
 
 def lambda_N(level: int, n: int, s: float, nonessential: dict | None = None) -> float:
-    """Bad-prime factor Λ_N(s) = Π_{p|N} Π_{j=1}^n (1 − p^{−s−2+j})⁻¹.
+    """Bad-prime factor Λ_N(s) = Π_{p|N} Π_{j=1}^n (1 − p^{−s−2+j})⁻¹, N ≥ 1 square-free.
 
     For a prime where only one form is essential, pass
     nonessential[p] = (epsilon, alpha_sum) to use the replacement factor
     (1 + ε·α·p^{(−2s−1)/2})⁻¹ (1 + ε·α⁻¹·p^{(−2s−1)/2})⁻¹ Π_{j=3}^n (…)⁻¹.
     """
+    if level < 1:
+        raise UsageError(f"the level must be positive, not {level}")
+    primes = _prime_factors(level)
+    if len(set(primes)) != len(primes):
+        raise UsageError(f"the level {level} is not square-free")
     nonessential = nonessential or {}
     value = 1.0
-    for p in sorted(sympy.primefactors(level)):
+    for p in primes:
         if p in nonessential:
             eps, alpha_sum = nonessential[p]
             q = float(p) ** ((-2.0 * s - 1.0) / 2.0)

@@ -103,12 +103,12 @@ def check_eichler_side(report: Report) -> None:
         eig[nu] = vals
         report.check(crit, f"phi{2 - nu} simultaneous Brandt eigenform",
                      ok_eigen, f"eigenvalues={ {p: str(v) for p, v in vals.items()} }")
-    w2 = atkin_lehner(phi2, cs, 17, sp0)
-    w1 = atkin_lehner(phi1, cs, 17, sp1)
+    w17 = atkin_lehner(cs, 1, 17, sp1)
+    w2 = atkin_lehner(cs, 0, 17, sp0).apply(phi2)
+    w1 = w17.apply(phi1)
     report.check(crit, "equal involution eigenvalues under w17 (both +1)",
                  w2.values == phi2.values and w1.values == phi1.values)
-    report.check(crit, "w17 is an involution",
-                 atkin_lehner(w1, cs, 17, sp1).values == phi1.values)
+    report.check(crit, "w17 is an involution", w17.apply(w1).values == phi1.values)
     report.eichler_eigenvalues = eig
 
 

@@ -79,12 +79,6 @@ class FourierExpansionSiegel2:
     def sorted_items(self):
         return sorted(self.entries.items(), key=lambda kv: (disc(kv[0]),) + kv[0])
 
-    def positive_forms(self):
-        return reduced_forms_up_to(self.bound)
-
-    def singular_forms(self):
-        return [(0, 0, m) for m in range(self.singular_bound + 1)]
-
     def is_zero(self) -> bool:
         return not self.entries
 

@@ -67,8 +67,8 @@ def test_criterion_2_eichler_side(class_set_17, space0, space1):
     for p in (2, 3, 5):
         brandt_eigenvalue(class_set_17, 0, p, phi2, space0)
         brandt_eigenvalue(class_set_17, 1, p, phi1, space1)
-    w2 = atkin_lehner(phi2, class_set_17, 17, space0)
-    w1 = atkin_lehner(phi1, class_set_17, 17, space1)
+    w2 = atkin_lehner(class_set_17, 0, 17, space0).apply(phi2)
+    w1 = atkin_lehner(class_set_17, 1, 17, space1).apply(phi1)
     assert w2.values == phi2.values and w1.values == phi1.values
     _announce(2, "<phi2,1>=0, <phi2,phi2>=2, row sums p+1, simultaneous "
                  "eigenforms with equal w17 eigenvalue +1")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quatlift import brandt
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore
 from quatlift.brandt import (FormSpace, atkin_lehner, brandt_matrix,
@@ -104,35 +105,52 @@ def test_self_adjointness(class_set_17, space1):
 
 
 def test_brandt_matrices_commute(class_set_17, space1):
-    ops = {p: space1.operator_matrix(brandt_matrix(class_set_17, 1, p, space1).apply)
+    ops = {p: space1.matrix_of(brandt_matrix(class_set_17, 1, p, space1))
            for p in (2, 3, 5)}
     for p, q in itertools.combinations(ops, 2):
         assert linalg.mat_mul(ops[p], ops[q]) == linalg.mat_mul(ops[q], ops[p])
 
 
 def test_brandt_commutes_with_involution(class_set_17, space1):
-    al = space1.operator_matrix(
-        lambda f: atkin_lehner(f, class_set_17, 17, space1, check_transport=False))
+    al = space1.matrix_of(atkin_lehner(class_set_17, 1, 17, space1))
+    assert linalg.mat_mul(al, al) == linalg.identity(space1.dim)
     for p in (2, 3):
-        bp = space1.operator_matrix(brandt_matrix(class_set_17, 1, p, space1).apply)
+        bp = space1.matrix_of(brandt_matrix(class_set_17, 1, p, space1))
         assert linalg.mat_mul(al, bp) == linalg.mat_mul(bp, al)
 
 
 def test_atkin_lehner_involution(class_set_17, space0, space1):
+    w0 = atkin_lehner(class_set_17, 0, 17, space0)
     phi2 = fx.phi2()
-    w = atkin_lehner(phi2, class_set_17, 17, space0)
-    assert w.values == phi2.values  # eigenvalue +1
+    assert w0.apply(phi2).values == phi2.values  # eigenvalue +1
+    w1 = atkin_lehner(class_set_17, 1, 17, space1)
     phi1 = fx.phi1()
-    w1 = atkin_lehner(phi1, class_set_17, 17, space1)
-    assert w1.values == phi1.values
-    assert atkin_lehner(w1, class_set_17, 17, space1).values == phi1.values
+    assert w1.apply(phi1).values == phi1.values
+    assert w1.apply(w1.apply(phi1)).values == phi1.values
     one = constant_form(class_set_17)
-    assert atkin_lehner(one, class_set_17, 17, space0).values == one.values
+    assert w0.apply(one).values == one.values
+    assert atkin_lehner(class_set_17, 1, 17) is w1  # built once per (class set, q, ν)
 
 
 def test_atkin_lehner_bad_prime(class_set_17, space0):
     with pytest.raises(UsageError):
-        atkin_lehner(fx.phi2(), class_set_17, 5, space0)
+        atkin_lehner(class_set_17, 0, 5, space0)
+
+
+def test_transport_outside_the_unit_coset_is_rejected(class_set_17, monkeypatch):
+    # γ·(1 + i) lies outside the coset γ·(units of the left order), and
+    # conjugation by it moves the invariant vectors of weight ν = 1
+    cs = ClassSet(class_set_17.order, class_set_17.ideals)
+    found = brandt.transporters
+    stray = cs.order.algebra.unit() + cs.order.algebra.basis_element(1)
+
+    def with_stray(lat, target):
+        gammas = list(found(lat, target))
+        return gammas + [gammas[0] * stray]
+
+    monkeypatch.setattr(brandt, "transporters", with_stray)
+    with pytest.raises(ValueError, match="transport depends on the realizing element"):
+        atkin_lehner(cs, 1, 17, FormSpace(cs, 1))
 
 
 def test_ramanujan_bound(class_set_17, space0, space1):
@@ -242,8 +260,8 @@ def test_level34_essential_part(cs34):
     ess = essential_part(basis, cs34, 2, space)
     assert len(ess) == 1  # one weight-2 newform of level 34
     form = ess[0]
-    w2 = atkin_lehner(form, cs34, 2, space)
-    assert atkin_lehner(w2, cs34, 2, space).values == form.values
+    w2 = atkin_lehner(cs34, 0, 2, space)
+    assert w2.apply(w2.apply(form)).values == form.values
     b3 = brandt_matrix(cs34, 0, 3, space).apply(form)
     lead = next(i for i, (x,) in enumerate(form.values) if x)
     lam = b3.values[lead][0] / form.values[lead][0]
@@ -251,3 +269,38 @@ def test_level34_essential_part(cs34):
     assert lam == -2  # Hecke eigenvalue at 3 of the level-34 newform
     ess17 = essential_part(basis, cs34, 17, space)
     assert len(ess17) == len(basis)
+
+
+def _per_form_matrix(space, op):
+    """The flat matrix the slow way: apply the blocks to each basis form, solve per class."""
+    mat = []
+    for form in space.basis_forms():
+        row = []
+        for cb, value in zip(space.class_bases, op.apply(form).values):
+            if cb:
+                row.extend(linalg.solve(linalg.transpose(cb), list(value)))
+        mat.append(row)
+    return mat
+
+
+# the Brandt primes of the eichler benchmark workload at each level
+@pytest.mark.parametrize("level,nu", [(17, 0), (17, 1), (17, 2), (34, 0), (34, 1), (34, 2)])
+def test_block_matrix_equals_per_form_solve(level, nu, class_set_17, cs34):
+    cs, primes = {17: (class_set_17, (2, 3, 5, 7, 11)),
+                  34: (cs34, (3, 5, 7, 11, 13))}[level]
+    space = FormSpace(cs, nu)
+    ops = [brandt_matrix(cs, nu, p, space) for p in primes]
+    ops += [atkin_lehner(cs, nu, q, space) for q in quatcore._prime_factors(level)]
+    for op in ops:
+        assert space.matrix_of(op) == _per_form_matrix(space, op)
+
+
+def test_block_matrix_rejects_a_non_invariant_image(class_set_17, space1):
+    d = space1.space.dim
+    # class 0 has units ±1 only, so every vector is invariant there, but not
+    # at class 1: the identity block (1, 0) leaves the invariant forms
+    assert len(space1.class_bases[0]) == d > len(space1.class_bases[1])
+    op = brandt.BrandtMatrix(2, 1, [[linalg.zeros(d, d), linalg.zeros(d, d)],
+                                    [linalg.identity(d), linalg.zeros(d, d)]])
+    with pytest.raises(ValueError, match="not invariant"):
+        space1.matrix_of(op)

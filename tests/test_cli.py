@@ -149,6 +149,20 @@ def test_lfactor_command_rejects_non_prime(kind):
     assert "inverse local factor" not in res.output
 
 
+@pytest.mark.parametrize("level, message", [
+    ("0", "the level must be positive, not 0"),
+    ("-34", "the level must be positive, not -34"),
+    ("12", "the level 12 is not square-free"),
+    ("1000036000099", "up to the trial-division bound 1000000"),  # 1000003·1000033
+])
+def test_lfactor_bad_rejects_level(level, message):
+    res = CliRunner().invoke(main, ["lfactor", "--kind", "bad", "--level", level, "--s", "1"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("Error: ") and message in res.output
+    assert "Lambda" not in res.output
+
+
 def test_roundtrip_malformed_json(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -132,6 +132,33 @@ def test_charpoly_matches_sympy(vals):
     assert ours == theirs
 
 
+@st.composite
+def linear_systems(draw):
+    """A small n×m integer matrix (often singular) and k right-hand sides."""
+    n, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    entries = st.integers(-2, 2)
+    a = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    rhs = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=k, max_size=k))
+    return linalg.frac_mat(a), linalg.frac_mat(rhs)
+
+
+@given(linear_systems())
+@settings(max_examples=300, deadline=None)
+def test_solve_many_equals_column_by_column_solve(system):
+    a, rhs = system
+    cols = [linalg.solve(a, b) for b in rhs]
+    many = linalg.solve_many(a, rhs)
+    if any(x is None for x in cols):
+        assert many is None
+    else:
+        assert many == cols
+    for b, x in zip(rhs, cols):
+        # solve is None exactly when b is outside the column span of a
+        assert (x is None) == (linalg.rank(a) < linalg.rank([r + [c] for r, c in zip(a, b)]))
+        if x is not None:
+            assert [sum(r * y for r, y in zip(row, x)) for row in a] == b
+
+
 def _random_unimodular(rng, n, steps=12):
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):

@@ -306,3 +306,22 @@ def test_reduced_norm_determinant_relation(class_set_17):
     for ideal in pool:
         _, right = left_right_order(ideal)
         assert ideal.gram_det == ideal.norm_scale ** 4 * right.gram_det
+
+
+def test_prime_helpers_are_exact_and_bounded():
+    from quatlift.quatcore import TRIAL_DIVISION_BOUND, _is_prime, _prime_factors
+    n = 3000
+    composite = {k * d for d in range(2, n) for k in range(2, n // d + 1)}
+    assert [k for k in range(-5, n) if _is_prime(k)] == \
+        [k for k in range(2, n) if k not in composite]
+    # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases
+    for k in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(k)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(1000003)
+    with pytest.raises(UsageError, match="too large to test for primality"):
+        _is_prime(2 ** 89 - 1)
+    assert _prime_factors(1) == []
+    assert _prime_factors(2 * 3 * 17 ** 2) == [2, 3, 17, 17]
+    assert _prime_factors(4 * (2 ** 61 - 1)) == [2, 2, 2 ** 61 - 1]
+    with pytest.raises(UsageError, match=f"trial-division bound {TRIAL_DIVISION_BOUND}"):
+        _prime_factors(1000003 * 1000033)

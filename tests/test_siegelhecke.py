@@ -9,6 +9,7 @@ from quatlift.siegelhecke import (LocalFactor, PoleError, SatakePair,
                                   lambda_N, rankin_selberg_local,
                                   rankin_selberg_matches_dirichlet,
                                   standard_L_local, _symplectic_defect)
+from quatlift.quatcore import UsageError
 from quatlift.yoshida import FourierExpansionSiegel2, TruncationError
 
 
@@ -139,6 +140,9 @@ def test_lambda_values():
     assert abs(v - 1.0 / ((1 - 17.0 ** -2) * (1 - 17.0 ** -1))) < 1e-12
     with pytest.raises(PoleError):
         lambda_N(17, 3, 1.0)
+    for level in (0, -34, 12):
+        with pytest.raises(UsageError):
+            lambda_N(level, 3, 1.0)
 
 
 def test_lambda_nonessential_variant():
