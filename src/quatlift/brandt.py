@@ -14,13 +14,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import sympy
-
 from . import linalg
 from .harmonic import (HarmSpace, default_frame, harm_basis, integral_tau_matrix,
                        tau_matrix_sum)
+from .polyfactor import factor_rational
 from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, _is_prime, _prime_factors,
-                       class_set, ideal_equivalent, is_ramified, short_vectors, superorders,
+                       class_set, is_ramified, short_vectors, superorders,
                        transporters, two_sided_ideal)
 
 
@@ -203,10 +202,13 @@ def _route(moved: list[Lattice], targets: list[Lattice]):
     """Per lattice: (index j of the first equivalent target, every γ with lattice = γ·target_j)."""
     routing = []
     for lat in moved:
-        j = next((j for j, t in enumerate(targets) if ideal_equivalent(lat, t)), None)
-        if j is None:
+        for j, target in enumerate(targets):
+            gammas = list(transporters(lat, target))
+            if gammas:
+                routing.append((j, gammas))
+                break
+        else:
             raise ValueError("translated ideal matches no class")
-        routing.append((j, list(transporters(lat, targets[j]))))
     return routing
 
 
@@ -270,7 +272,8 @@ def essential_part(forms: list[AutomorphicForm], cs: ClassSet, p: int,
     """Forms orthogonal to every pullback from an order strictly larger at p.
 
     At a ramified p the local order is maximal, so the condition is vacuous and
-    the input space is returned unchanged.
+    the input space is returned unchanged.  The pullbacks from each superorder
+    (its class set, form space and routing) are computed once per (class set, p, ν).
     """
     if not forms:
         return []
@@ -282,7 +285,9 @@ def essential_part(forms: list[AutomorphicForm], cs: ClassSet, p: int,
     space = space or FormSpace(cs, nu)
     pullbacks = []
     for sup in superorders(cs.order, p):
-        pullbacks.extend(_pullback_basis(cs, sup, p, nu))
+        if (sup, p, nu) not in cs.pullbacks:
+            cs.pullbacks[sup, p, nu] = _pullback_basis(cs, sup, p, nu)
+        pullbacks.extend(cs.pullbacks[sup, p, nu])
     return orthogonal_complement(pullbacks, forms, cs, space)
 
 
@@ -308,22 +313,6 @@ class EigenComponent:
         return len(self.forms)
 
 
-def _factor_charpoly(coeffs: list[Fraction]):
-    """Factor a monic rational polynomial; returns [(coeff tuple, multiplicity)]."""
-    x = sympy.Symbol("x")
-    poly = sum(sympy.Rational(c) * x ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
-    _, factors = sympy.factor_list(poly)
-    out = []
-    for fac, mult in factors:
-        p = sympy.Poly(fac, x)
-        cs = [Fraction(str(c)) for c in p.all_coeffs()]
-        lead = cs[0]
-        cs = [c / lead for c in cs]
-        out.append((tuple(cs), int(mult)))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return out
-
-
 def _poly_of_matrix(coeffs, m: linalg.Matrix) -> linalg.Matrix:
     n = len(m)
     acc = linalg.zeros(n, n)
@@ -346,7 +335,7 @@ def _split_by_operator(subspaces, op):
         if s is None:
             raise ValueError("operator does not preserve the subspace")
         cp = linalg.charpoly(s)
-        for fac, _ in _factor_charpoly(cp):
+        for fac, _ in factor_rational(cp):
             m = _poly_of_matrix(fac, s)
             kernel = linalg.nullspace(linalg.transpose(m))
             if kernel:
@@ -397,7 +386,7 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
             if len(basis) == 1:
                 comp.hecke[p] = s[0][0]
             else:
-                comp.charpolys[p] = _factor_charpoly(linalg.charpoly(s))
+                comp.charpolys[p] = factor_rational(linalg.charpoly(s))
         components.append(comp)
     components.sort(key=_component_key)
     return components

@@ -145,8 +145,8 @@ def test_transport_outside_the_unit_coset_is_rejected(class_set_17, monkeypatch)
     stray = cs.order.algebra.unit() + cs.order.algebra.basis_element(1)
 
     def with_stray(lat, target):
-        gammas = list(found(lat, target))
-        return gammas + [gammas[0] * stray]
+        gammas = list(found(lat, target))  # empty when lat and target are not equivalent
+        return gammas + [gammas[0] * stray] if gammas else gammas
 
     monkeypatch.setattr(brandt, "transporters", with_stray)
     with pytest.raises(ValueError, match="transport depends on the realizing element"):
@@ -269,6 +269,24 @@ def test_level34_essential_part(cs34):
     assert lam == -2  # Hecke eigenvalue at 3 of the level-34 newform
     ess17 = essential_part(basis, cs34, 17, space)
     assert len(ess17) == len(basis)
+
+
+def test_essential_part_pullbacks_are_built_once(cs34, monkeypatch):
+    cs = ClassSet(cs34.order, cs34.ideals)
+    space = FormSpace(cs, 0)
+    basis = space.basis_forms()
+    calls = []
+
+    def counted(order, p_seed):
+        calls.append(p_seed)
+        return class_set(order, p_seed)
+
+    monkeypatch.setattr(brandt, "class_set", counted)
+    first = essential_part(basis, cs, 2, space)
+    assert len(calls) == len(superorders(cs.order, 2)) == 2
+    second = essential_part(basis, cs, 2, space)
+    assert len(calls) == 2  # the superorders' class sets are not searched again
+    assert [f.values for f in second] == [f.values for f in first]
 
 
 def _per_form_matrix(space, op):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -175,6 +178,8 @@ def test_roundtrip_malformed_json(tmp_path):
 
 @pytest.mark.parametrize("command, args, message", [
     ("classset", ["--seed", "4"], "p_seed must be prime"),
+    # a prime whose neighbour search would walk ~10¹⁸ points per class
+    ("classset", ["--seed", "1000003"], "p_seed 1000003 is above the neighbour-search bound 23"),
     ("brandt", ["--nu", "0", "--prime", "17"], "17 divides the level"),
     ("eigenforms", ["--primes", "2,17"], "17 divides the level"),
     ("brandt", ["--prime", "0"], "0 is not a prime"),
@@ -191,6 +196,23 @@ def test_order_commands_report_library_errors(fixture_files, command, args, mess
     assert isinstance(res.exception, SystemExit)  # a clean exit, no traceback
     assert f"Error: {message}" in res.stderr
     assert res.stdout == ""
+
+
+def test_import_and_help_do_not_load_sympy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys\n"
+            "import quatlift\n"
+            "from quatlift.cli import main\n"
+            "try:\n"
+            "    main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n"
+            "assert 'sympy' not in sys.modules, 'sympy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "Usage:" in res.stdout
 
 
 @pytest.mark.parametrize("command, args", [("brandt", ["--prime", "2"]), ("eigenforms", [])])
