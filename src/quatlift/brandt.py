@@ -19,7 +19,7 @@ from .harmonic import (HarmSpace, default_frame, harm_basis, integral_tau_matrix
                        tau_matrix_sum)
 from .polyfactor import factor_rational
 from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, _is_prime, _prime_factors,
-                       class_set, is_ramified, short_vectors, superorders,
+                       class_set, short_vectors, superorders,
                        transporters, two_sided_ideal)
 
 
@@ -271,34 +271,32 @@ def essential_part(forms: list[AutomorphicForm], cs: ClassSet, p: int,
                    space: FormSpace | None = None) -> list[AutomorphicForm]:
     """Forms orthogonal to every pullback from an order strictly larger at p.
 
-    At a ramified p the local order is maximal, so the condition is vacuous and
-    the input space is returned unchanged.  The pullbacks from each superorder
-    (its class set, form space and routing) are computed once per (class set, p, ν).
+    At a ramified p the local order is maximal: there is no superorder, and the
+    input space is returned unchanged.  Each superorder's class set and the
+    routing of the classes of cs into it are computed once per class set; the
+    pulled-back forms are computed per call.
     """
     if not forms:
         return []
     if cs.order.level % p != 0:
         raise UsageError(f"{p} does not divide the level {cs.order.level}")
-    if is_ramified(cs.order, p):
-        return list(forms)
     nu = forms[0].nu
-    space = space or FormSpace(cs, nu)
     pullbacks = []
     for sup in superorders(cs.order, p):
-        if (sup, p, nu) not in cs.pullbacks:
-            cs.pullbacks[sup, p, nu] = _pullback_basis(cs, sup, p, nu)
-        pullbacks.extend(cs.pullbacks[sup, p, nu])
+        if sup not in cs.superorder_routes:
+            cs.superorder_routes[sup] = _superorder_route(cs, sup)
+        sup_cs, routing = cs.superorder_routes[sup]
+        sup_space = FormSpace(sup_cs, nu)
+        pullback = BrandtMatrix(p, nu, _transport_blocks(routing, sup_space))
+        pullbacks += [pullback.apply(phi) for phi in sup_space.basis_forms()]
     return orthogonal_complement(pullbacks, forms, cs, space)
 
 
-def _pullback_basis(cs: ClassSet, sup: Lattice, p: int, nu: int) -> list[AutomorphicForm]:
+def _superorder_route(cs: ClassSet, sup: Lattice):
+    """sup's class set, and each class of cs sent to its class there with the transporters."""
     seed = next(s for s in itertools.count(2) if _is_prime(s) and sup.level % s)
     sup_cs = class_set(sup, seed)
-    sup_space = FormSpace(sup_cs, nu)
-    # each class of cs goes to its class in sup_cs, with the transporting elements
-    routing = _route([ideal.product(sup) for ideal in cs.ideals], sup_cs.ideals)
-    pullback = BrandtMatrix(p, nu, _transport_blocks(routing, sup_space))
-    return [pullback.apply(phi) for phi in sup_space.basis_forms()]
+    return sup_cs, _route([ideal.product(sup) for ideal in cs.ideals], sup_cs.ideals)
 
 
 @dataclass

@@ -20,6 +20,7 @@ arrays; callers that feed coordinates into Fractions convert rows with
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -484,9 +485,6 @@ class Lattice:
                 rows.append(list(self.algebra.mul_coords(r1, r2)))
         return Lattice.from_generators(self.algebra, rows, "lattice")
 
-    def add(self, other: "Lattice") -> "Lattice":
-        return Lattice.from_generators(self.algebra, self.basis + other.basis, "lattice")
-
     @cached_property
     def norm_scale(self) -> Fraction:
         """Reduced norm n₀: the positive generator of the ideal generated by n(x), x in L."""
@@ -606,62 +604,34 @@ def _rref_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
     return [row for row in m[:r] if any(row)]
 
 
-def _span_closure_mod_p(seed: list[list[int]], mats: list[list[list[int]]], p: int) -> list[list[int]]:
-    """Smallest subspace of F_p^4 containing seed rows, stable under v ↦ v·M."""
-    basis = _rref_mod_p(seed, p)
-    while True:
-        new_rows = list(basis)
-        for v in basis:
-            for m in mats:
-                w = [sum(v[i] * m[i][j] for i in range(4)) % p for j in range(4)]
-                new_rows.append(w)
-        nb = _rref_mod_p(new_rows, p)
-        if len(nb) == len(basis):
-            return nb
-        basis = nb
+def _projective_points(n: int, p: int):
+    """One point per line of F_p^n, its first nonzero coordinate 1, in `_point_rank` order."""
+    for lead in range(n):
+        for tail in itertools.product(range(p), repeat=n - lead - 1):
+            yield [0] * lead + [1] + list(tail[::-1])
 
 
-def _normalized_seeds(p: int):
-    """One representative per projective point of F_p^4 (first nonzero coord = 1)."""
-    for lead in range(4):
-        tail = 4 - lead - 1
-        for rest in range(p ** tail):
-            v = [0] * lead + [1]
-            r = rest
-            for _ in range(tail):
-                v.append(r % p)
-                r //= p
-            yield v
+def _point_rank(v: list[int]) -> tuple:
+    """Sort key of a normalized point: the leading 1's position, then the coordinates last first."""
+    return v.index(1), v[::-1]
 
 
-def _invariant_planes(lat: Lattice, mats: list[list[list[int]]], p: int) -> list[Lattice]:
-    """Sublattices of index p² containing p·lat, stable under the given actions."""
-    seen = set()
-    out = []
-    for seed in _normalized_seeds(p):
-        span = _span_closure_mod_p([seed], mats, p)
-        if len(span) != 2:
-            continue
-        key = tuple(tuple(row) for row in span)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows = [linalg.vec_mat([Fraction(t) for t in v], lat.basis) for v in span]
-        rows += [[p * x for x in row] for row in lat.basis]
-        out.append(Lattice.from_generators(lat.algebra, rows, "ideal"))
-    return out
+def _plane_points(rows: list[list[int]], p: int) -> list[list[int]]:
+    """The p+1 normalized points of the plane spanned by two reduced echelon rows mod p."""
+    u, w = rows
+    return [[(a * x + b * y) % p for x, y in zip(u, w)] for a, b in _projective_points(2, p)]
+
+
+def _lift_mod_p(lat: Lattice, rows: list[list[int]], p: int) -> Lattice:
+    """The ideal spanned by p·lat and the rows, given mod p in lat's coordinates."""
+    gens = [list(lat.element_from(v).coords) for v in rows] + linalg.mat_scale(lat.basis, p)
+    return Lattice.from_generators(lat.algebra, gens, "ideal")
 
 
 def _int_mat_mod(m: Matrix, p: int) -> list[list[int]]:
-    out = []
-    for row in m:
-        r = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("expected an integral action matrix")
-            r.append(x.numerator % p)
-        out.append(r)
-    return out
+    if any(x.denominator != 1 for row in m for x in row):
+        raise ValueError("expected an integral action matrix")
+    return [[x.numerator % p for x in row] for row in m]
 
 
 def _action_mats(lat: Lattice, order: Lattice, p: int, mul_matrix) -> list[list[list[int]]]:
@@ -674,11 +644,49 @@ def _action_mats(lat: Lattice, order: Lattice, p: int, mul_matrix) -> list[list[
             for b in order.basis]
 
 
-def p_neighbors(ideal: Lattice, order: Lattice, p: int) -> list[Lattice]:
-    """Right-order-stable index-p² sublattices of norm p·n₀ (the p+1 neighbours)."""
-    mats = _action_mats(ideal, order, p, ideal.algebra.right_mul_matrix_coords)
-    subs = _invariant_planes(ideal, mats, p)
-    out = [s for s in subs if s.norm_scale == p * ideal.norm_scale]
+def _isotropic_point(lat: Lattice, p: int) -> list[int]:
+    """A point x ≠ 0 of lat/p·lat with nrd(x)/n₀ ≡ 0 mod p, within p² + p + 1 tests.
+
+    The search is over the first three coordinates: by Chevalley–Warning a
+    ternary form over F_p has a nonzero zero.
+    """
+    g = [[int(x) for x in row] for row in lat.normalized_gram()]
+    for head in _projective_points(3, p):
+        x = head + [0]
+        if sum(x[i] * g[i][j] * x[j] for i in range(4) for j in range(4)) // 2 % p == 0:
+            return x
+    raise ValueError(f"the norm form has no nonzero zero mod {p}")
+
+
+def _span_mod_p(x: list[int], mats: list[list[list[int]]], p: int) -> list[list[int]]:
+    """Reduced echelon basis mod p of the span of x·M over the matrices M."""
+    return _rref_mod_p([[sum(x[i] * m[i][j] for i in range(4)) for j in range(4)] for m in mats], p)
+
+
+def p_neighbors(ideal: Lattice, p: int) -> list[Lattice]:
+    """The p+1 neighbours y·O + p·I of I (right order O), sorted by `_point_rank` of their planes.
+
+    UsageError unless p is a prime not dividing the level of O.  Then I/pI is
+    M₂(F_p) under O_L and O: an x ≠ 0 with nrd(x)/n(I) ≡ 0 mod p has rank 1,
+    and each point y of the left plane O_L·x spans one right plane y·O (Pizer,
+    J. Algebra 64, 1980).  ValueError unless the p+1 lattices are distinct of norm p·n(I).
+    """
+    left, right = ideal.orders
+    if not _is_prime(p) or right.level % p == 0:
+        raise UsageError(f"p must be a prime not dividing the level {right.level}, got {p}")
+    alg = ideal.algebra
+    plane = _span_mod_p(_isotropic_point(ideal, p),
+                        _action_mats(ideal, left, p, alg.left_mul_matrix_coords), p)
+    if len(plane) != 2:
+        raise ValueError(f"the left plane through an isotropic point mod {p} is not a plane")
+    right_mats = _action_mats(ideal, right, p, alg.right_mul_matrix_coords)
+    spans = [_span_mod_p(y, right_mats, p) for y in _plane_points(plane, p)]
+    if any(len(span) != 2 for span in spans) or len({repr(span) for span in spans}) != p + 1:
+        raise ValueError(f"the planes mod {p} are not p + 1 distinct right planes")
+    spans.sort(key=lambda span: min(map(_point_rank, _plane_points(span, p))))
+    out = [_lift_mod_p(ideal, span, p) for span in spans]
+    if any(nb.norm_scale != p * ideal.norm_scale for nb in out):
+        raise ValueError(f"a neighbour at {p} does not have norm {p}·n(I)")
     return out
 
 
@@ -706,8 +714,8 @@ class ClassSet:
     """Right ideal classes of an order, with unit counts and cross lattices.
 
     Cross lattices, their norm-p vectors, the Atkin–Lehner routing at each q,
-    the Atkin–Lehner blocks at each (q, ν) and the pullbacks from each
-    superorder at (p, ν) are computed once per class set and then read.
+    the Atkin–Lehner blocks at each (q, ν), and each superorder's class set
+    with the routing into it are computed once per class set and then read.
     """
 
     def __init__(self, order: Lattice, ideals: list[Lattice]):
@@ -720,8 +728,8 @@ class ClassSet:
         # filled by brandt.atkin_lehner: the routing at q, and the blocks at (q, ν)
         self.al_routes: dict[int, list] = {}
         self.al_blocks: dict[tuple[int, int], object] = {}
-        # filled by brandt.essential_part: the pulled-back forms at (superorder, p, ν)
-        self.pullbacks: dict[tuple[Lattice, int, int], list] = {}
+        # filled by brandt.essential_part: per superorder, its class set and the routing
+        self.superorder_routes: dict[Lattice, tuple["ClassSet", list]] = {}
 
     @property
     def h(self) -> int:
@@ -753,8 +761,9 @@ class ClassSet:
         return self._cross_vectors[key]
 
 
-# p_neighbors walks the (p⁴−1)/(p−1) points of P³(F_p) once per class: about
-# 2.6 s per class at p = 23 on a 2-core Xeon, growing like p³
+# each class has p+1 neighbours, each reduced and tested for equivalence with the
+# known classes: class_set takes about 2.2 s at level 34, p = 23 on a 2-core Xeon,
+# growing about linearly in p
 MAX_P_SEED = 23
 
 
@@ -769,7 +778,7 @@ def class_set(order: Lattice, p_seed: int) -> ClassSet:
     order.require_order()
     if p_seed > MAX_P_SEED:
         raise UsageError(f"p_seed {p_seed} is above the neighbour-search bound {MAX_P_SEED} "
-                         f"(the search walks about p_seed³ points per class)")
+                         f"(the search reduces and tests p_seed + 1 neighbours per class)")
     if not _is_prime(p_seed):
         raise UsageError("p_seed must be prime")
     if order.level % p_seed == 0:
@@ -779,7 +788,7 @@ def class_set(order: Lattice, p_seed: int) -> ClassSet:
     while frontier:
         fresh = []
         for ideal in frontier:
-            for nb in p_neighbors(ideal, order, p_seed):
+            for nb in p_neighbors(ideal, p_seed):
                 cand = reduce_right_ideal(nb, order)
                 if not any(ideal_equivalent(cand, known) for known in reps):
                     reps.append(cand)
@@ -897,46 +906,32 @@ def two_sided_ideal(order: Lattice, p: int) -> Lattice:
     if len(kernel) != 2:
         raise ValueError(f"the trace form mod {p} has a {len(kernel)}-dimensional kernel, "
                          f"not the 2-dimensional one of a norm-{p} two-sided ideal")
-    rows = [linalg.vec_mat([Fraction(t) for t in v], order.basis) for v in kernel]
-    rows += [[p * x for x in row] for row in order.basis]
-    ideal = Lattice.from_generators(order.algebra, rows, "ideal")
+    ideal = _lift_mod_p(order, kernel, p)
     if ideal.norm_scale != p or ideal.product(ideal) != order.scale(p):
         raise ValueError(f"the trace-form kernel mod {p} is not a two-sided ideal of norm {p}")
     return ideal
 
 
 def is_ramified(order: Lattice, p: int) -> bool:
-    """True when the algebra is ramified at p (order quotient by its norm-p ideal is a field)."""
-    ideal = two_sided_ideal(order, p)
-    one = order.algebra.unit()
-    for row in order.basis:
-        x = QuatElement(order.algebra, row)
-        if any(ideal.contains(x - one * c) for c in range(p)):
-            continue
-        # x generates order/ideal over F_p; minimal polynomial X² - tr·X + n,
-        # and the quotient is a field iff that polynomial is irreducible mod p
-        t = int(x.trace()) % p
-        n = int(x.norm()) % p
-        if p == 2:
-            return t == 1 and n == 1
-        disc = (t * t - 4 * n) % p
-        return pow(disc, (p - 1) // 2, p) == p - 1 if disc else False
-    raise ValueError("could not find a generator mod the two-sided ideal")
+    """True when the algebra is ramified at p: no order contains O with index p."""
+    return not superorders(order, p)
 
 
 def superorders(order: Lattice, p: int) -> list[Lattice]:
-    """Orders containing `order` with index p (local maximality one step up)."""
+    """The orders O + ℤ·v/p of index p over O, one per zero of v ↦ nrd(v)/p mod p on J/pO.
+
+    J is the two-sided ideal of norm p; UsageError unless p divides the level.
+    At a split p ∥ N, J/pO is spanned by e₁₂ and p·e₂₁ in O_p = [[ℤ_p, ℤ_p], [pℤ_p, ℤ_p]]
+    and nrd(a·e₁₂ + c·p·e₂₁)/p = −ac: two zeros.  At a ramified p there are none.
+    The orders come sorted by `_point_rank` of v in O's coordinates.
+    """
+    ideal = two_sided_ideal(order, p)
+    rows = _rref_mod_p([[int(c) for c in order.coords_of(x)] for x in ideal.basis_elements()], p)
     out = []
-    seen = set()
-    inv_p = Fraction(1, p)
-    for seed in _normalized_seeds(p):
-        rows = [linalg.vec_mat([Fraction(t) * inv_p for t in seed], order.basis)]
-        rows += order.basis
-        cand = Lattice.from_generators(order.algebra, rows, "order")
-        key = tuple(tuple(row) for row in cand.hnf_basis)
-        if key in seen:
-            continue
-        seen.add(key)
-        if cand.is_order()[0]:
-            out.append(cand)
+    for v in sorted(_plane_points(rows, p), key=_point_rank):
+        if order.element_from(v).norm() / p % p == 0:
+            gens = [list((order.element_from(v) / p).coords)] + order.basis
+            sup = Lattice.from_generators(order.algebra, gens, "order")
+            sup.require_order()
+            out.append(sup)
     return out

@@ -285,7 +285,9 @@ def test_essential_part_pullbacks_are_built_once(cs34, monkeypatch):
     first = essential_part(basis, cs, 2, space)
     assert len(calls) == len(superorders(cs.order, 2)) == 2
     second = essential_part(basis, cs, 2, space)
-    assert len(calls) == 2  # the superorders' class sets are not searched again
+    space1 = FormSpace(cs, 1)
+    assert len(essential_part(space1.basis_forms(), cs, 2, space1)) == 4
+    assert len(calls) == 2  # the superorders' class sets are searched once, for every ν
     assert [f.values for f in second] == [f.values for f in first]
 
 

@@ -92,7 +92,7 @@ def test_ideal_equivalence_is_equivalence_relation():
     for p in (2, 3, 5):
         fresh = []
         for ideal in pool[:2]:
-            for nb in p_neighbors(ideal, order, p):
+            for nb in p_neighbors(ideal, p):
                 fresh.append(reduce_right_ideal(nb, order))
         pool.extend(fresh)
         if len(pool) >= 10:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -8,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quatlift import fixture as fx
-from quatlift import linalg
+from quatlift import linalg, quatcore
 from helpers import hamilton_algebra, hurwitz_order, level34_order
 from quatlift.quatcore import (ClassSet, Lattice, QuaternionAlgebra, UsageError,
                                check_mass, class_set, conj_trace_norm, eichler_mass,
-                               gram_matrix, ideal_equivalent, left_right_order,
-                               short_vectors, short_vectors_upto, transporters,
+                               gram_matrix, ideal_equivalent, is_ramified,
+                               left_right_order, p_neighbors, short_vectors,
+                               short_vectors_upto, superorders, transporters,
                                two_sided_ideal)
 
 
@@ -211,9 +214,8 @@ def test_hurwitz_class_number_one():
     cs = class_set(hur, 3)
     assert cs.h == 1 and cs.mass == Fraction(1, 24)
     # independent oracle: every norm-3 neighbour ideal is principal
-    from quatlift.quatcore import p_neighbors
     as_ideal = Lattice(hur.algebra, hur.basis, "ideal")
-    nbs = p_neighbors(as_ideal, hur, 3)
+    nbs = p_neighbors(as_ideal, 3)
     assert len(nbs) == 4
     for nb in nbs:
         gens = short_vectors(nb.gram, nb.norm_scale)
@@ -298,14 +300,134 @@ def test_all_maximal_order_gram_dets(class_set_17):
 
 def test_reduced_norm_determinant_relation(class_set_17):
     # det(Gram(I)) = n(I)^4 · det(Gram(right order)) for locally principal ideals
-    from quatlift.quatcore import p_neighbors, reduce_right_ideal
+    from quatlift.quatcore import reduce_right_ideal
     order = fx.order_r1()
     pool = [Lattice(order.algebra, order.basis, "ideal")]
     for p in (2, 3):
-        pool += [reduce_right_ideal(nb, order) for nb in p_neighbors(pool[0], order, p)]
+        pool += [reduce_right_ideal(nb, order) for nb in p_neighbors(pool[0], p)]
     for ideal in pool:
         _, right = left_right_order(ideal)
         assert ideal.gram_det == ideal.norm_scale ** 4 * right.gram_det
+
+
+def _bases_digest(lattices):
+    bases = [[[str(x) for x in row] for row in lat.basis] for lat in lattices]
+    return hashlib.sha256(json.dumps(bases).encode()).hexdigest()[:16]
+
+
+# an ideal of the level-34 order that is not principal (a class representative)
+I34_BASIS = [[1, 0, 2, 1], [0, 1, 0, 1], [0, 0, 4, 0], [0, 0, 0, 2]]
+
+
+def _local_case(name):
+    """(ideal, order) of a pinned case; the ideal's right order is the order."""
+    order = {"r1": fx.order_r1, "i12": fx.order_r1, "o34": level34_order,
+             "i34": level34_order, "hur": hurwitz_order}[name]()
+    if name == "i12":
+        return fx.ideal_i12(), order
+    if name == "i34":
+        return Lattice(order.algebra, I34_BASIS, "ideal"), order
+    return Lattice(order.algebra, order.basis, "ideal"), order
+
+
+# digests of the ordered neighbour bases, as the walk over P³(F_p) produced them
+PINNED_NEIGHBORS = {
+    ("r1", 2): "03c18f52ee1df895", ("r1", 3): "70a6eddb0949e65e",
+    ("r1", 5): "e3120517e35f2b64", ("r1", 7): "b91e366fa19554fb",
+    ("r1", 11): "a01d3a0a340f2bc5", ("r1", 13): "842fe426f86fc9d4",
+    ("i12", 2): "6b116d65695426f4", ("i12", 3): "0cbbeaa4149e351c",
+    ("i12", 5): "689cb45bde33c858", ("i12", 7): "39c7ea85a498e528",
+    ("i12", 11): "78383f229c47f200", ("i12", 13): "e3c5a06addc88fb8",
+    ("o34", 3): "881ae84932d86a03", ("o34", 5): "ccb9c36fd6837f77",
+    ("o34", 7): "8eb10ee23f8cfd6e", ("o34", 11): "75a3f05244ff8e5f",
+    ("o34", 13): "cb8a397bb271c1e1",
+    ("i34", 3): "a7864b3d585aa1cd", ("i34", 5): "ff47170fe5ecb2ac",
+    ("i34", 7): "0487a1d7e95d3fd2", ("i34", 11): "f466f6cd0f712a1c",
+    ("i34", 13): "d1b18229fce2ce03",
+    ("hur", 3): "5a0353f096ec38fd",
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(PINNED_NEIGHBORS))
+def test_p_neighbors_match_projective_walk(name, p):
+    ideal, order = _local_case(name)
+    nbs = p_neighbors(ideal, p)
+    assert len(nbs) == p + 1
+    assert _bases_digest(nbs) == PINNED_NEIGHBORS[(name, p)]
+    for nb in nbs:
+        assert nb.kind == "ideal" and nb.norm_scale == p * ideal.norm_scale
+        assert left_right_order(nb)[1] == order
+
+
+def test_p_neighbors_hurwitz_bases():
+    ideal, _ = _local_case("hur")
+    half = Fraction(1, 2)
+    want = [[[half, half, half, 3 * half], [0, 1, 2, 1]],
+            [[half, half, 3 * half, 5 * half], [0, 1, 1, 1]],
+            [[half, half, 5 * half, 3 * half], [0, 1, 1, 2]],
+            [[half, half, 3 * half, half], [0, 1, 2, 2]]]
+    got = p_neighbors(ideal, 3)
+    assert [nb.basis for nb in got] == \
+        [linalg.frac_mat(rows + [[0, 0, 3, 0], [0, 0, 0, 3]]) for rows in want]
+
+
+def test_p_neighbors_is_linear_algebra_not_a_walk(monkeypatch):
+    p = 13
+    ideal, _ = _local_case("r1")
+    calls = []
+    rref = quatcore._rref_mod_p
+    monkeypatch.setattr(quatcore, "_rref_mod_p", lambda rows, q: calls.append(q) or rref(rows, q))
+    assert len(p_neighbors(ideal, p)) == p + 1
+    assert len(calls) <= 2 * (p + 1)  # the walk over P³(F_13) made 7,140
+
+
+@pytest.mark.parametrize("name,p", [("r1", 17), ("r1", 1), ("r1", 4), ("r1", 0),
+                                    ("r1", -3), ("o34", 2), ("i34", 17)])
+def test_p_neighbors_rejects_bad_primes(name, p):
+    ideal, _ = _local_case(name)
+    with pytest.raises(UsageError):
+        p_neighbors(ideal, p)
+
+
+# the superorders found by testing O + ℤ·s/p for every point s of P³(F_p)
+PINNED_SUPERORDERS = {
+    ("o34", 2): ([[[Fraction(1, 2), 0, 1, Fraction(1, 2)], [0, 1, 0, 0], [0, 0, 2, 0],
+                   [0, 0, 0, 1]], linalg.identity(4)], False),
+    ("o34", 17): ([], True),
+    ("r1", 17): ([], True),
+    ("hur", 2): ([], True),
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(PINNED_SUPERORDERS))
+def test_superorders_match_projective_walk(name, p):
+    _, order = _local_case(name)
+    bases, ramified = PINNED_SUPERORDERS[(name, p)]
+    sups = superorders(order, p)
+    assert [sup.basis for sup in sups] == [linalg.frac_mat(b) for b in bases]
+    assert all(sup.kind == "order" and sup.gram_det * p ** 2 == order.gram_det for sup in sups)
+    assert is_ramified(order, p) == ramified
+
+
+def test_superorders_rejects_primes_off_the_level():
+    for name, p in (("r1", 5), ("r1", 4), ("o34", 3)):
+        _, order = _local_case(name)
+        with pytest.raises(UsageError):
+            superorders(order, p)
+
+
+# digests of the class representatives as the walk over P³(F_p) found them
+PINNED_CLASS_SETS = {
+    ("r1", 13): "473c703e1f1c3ebd",
+    ("o34", 3): "ac58af02ae3c1b7c",
+    ("o34", 13): "1d43cde620b1e6e1",
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(PINNED_CLASS_SETS))
+def test_class_set_matches_projective_walk(name, p):
+    _, order = _local_case(name)
+    assert _bases_digest(class_set(order, p).ideals) == PINNED_CLASS_SETS[(name, p)]
 
 
 def test_prime_helpers_are_exact_and_bounded():
