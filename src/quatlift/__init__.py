@@ -1,9 +1,8 @@
 """Exact-arithmetic Yoshida lifts for definite quaternion orders."""
 
 from .quatcore import (ClassSet, Lattice, QuatElement, QuaternionAlgebra,
-                       UsageError, class_set, conj_trace_norm, gram_matrix,
-                       ideal_equivalent, left_right_order, short_vectors,
-                       two_sided_ideal)
+                       UsageError, class_set, conj_trace_norm, ideal_equivalent,
+                       short_vectors, two_sided_ideal)
 from .harmonic import (HarmonicPoly, HarmSpace, TraceZeroFrame, default_frame,
                        harm_basis, lift_poly_deg1, lift_poly_deg2, pairing,
                        tau_action)

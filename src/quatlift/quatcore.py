@@ -444,21 +444,26 @@ class Lattice:
     def _basis_inv(self) -> Matrix:
         return linalg.inverse(self.basis)
 
-    @cached_property
-    def orders(self) -> tuple["Lattice", "Lattice"]:
-        """(left order {x : xL ⊆ L}, right order {x : Lx ⊆ L}), each checked to be an order."""
-        a = self.algebra
+    def _multiplier_order(self, mul_matrix_coords) -> "Lattice":
+        """{x : m_b(x) ∈ L for every basis b}, m_b having the matrix mul_matrix_coords(b).
+
+        Checked by require_order.
+        """
         inv = self._basis_inv
-        right_blocks = []
-        left_blocks = []
-        for b in self.basis:
-            right_blocks.append(linalg.mat_mul(a.right_mul_matrix_coords(b), inv))
-            left_blocks.append(linalg.mat_mul(a.left_mul_matrix_coords(b), inv))
-        ol = Lattice(a, _integral_preimage_lattice(right_blocks), "order")
-        or_ = Lattice(a, _integral_preimage_lattice(left_blocks), "order")
-        ol.require_order()
-        or_.require_order()
-        return ol, or_
+        blocks = [linalg.mat_mul(mul_matrix_coords(b), inv) for b in self.basis]
+        order = Lattice(self.algebra, _integral_preimage_lattice(blocks), "order")
+        order.require_order()
+        return order
+
+    @cached_property
+    def left_order(self) -> "Lattice":
+        """{x : xL ⊆ L}."""
+        return self._multiplier_order(self.algebra.right_mul_matrix_coords)
+
+    @cached_property
+    def right_order(self) -> "Lattice":
+        """{x : Lx ⊆ L}."""
+        return self._multiplier_order(self.algebra.left_mul_matrix_coords)
 
     def coords_of(self, x: QuatElement) -> list[Fraction]:
         return linalg.vec_mat(list(x.coords), self._basis_inv)
@@ -539,10 +544,6 @@ class Lattice:
         return f"Lattice(kind={self.kind}, basis={self.basis})"
 
 
-def gram_matrix(lattice: Lattice) -> Matrix:
-    return lattice.gram
-
-
 def _integral_preimage_lattice(blocks: list[Matrix]) -> Matrix:
     """Basis of {v ∈ Q⁴ : v·A ∈ Z^4 for every A in blocks} (row convention)."""
     cols = []
@@ -555,11 +556,6 @@ def _integral_preimage_lattice(blocks: list[Matrix]) -> Matrix:
     return linalg.transpose(linalg.inverse(w))
 
 
-def left_right_order(lat: Lattice) -> tuple[Lattice, Lattice]:
-    """Left and right orders {x : xL ⊆ L} and {x : Lx ⊆ L}, computed once per lattice."""
-    return lat.orders
-
-
 def transporters(i1: Lattice, i2: Lattice):
     """Yield every γ ∈ D^× with i1 = γ·i2, in the order of the enumeration.
 
@@ -567,7 +563,7 @@ def transporters(i1: Lattice, i2: Lattice):
     times n₀(i2) lies in i1·ī2 with reduced norm n₀(i1)·n₀(i2), so the
     candidates are exactly those vectors.
     """
-    if left_right_order(i1)[1] != left_right_order(i2)[1]:
+    if i1.right_order != i2.right_order:
         raise UsageError("ideals do not share a right order")
     prod = i1.product(i2.conjugate())
     target = i1.norm_scale * i2.norm_scale
@@ -671,7 +667,7 @@ def p_neighbors(ideal: Lattice, p: int) -> list[Lattice]:
     and each point y of the left plane O_L·x spans one right plane y·O (Pizer,
     J. Algebra 64, 1980).  ValueError unless the p+1 lattices are distinct of norm p·n(I).
     """
-    left, right = ideal.orders
+    left, right = ideal.left_order, ideal.right_order
     if not _is_prime(p) or right.level % p == 0:
         raise UsageError(f"p must be a prime not dividing the level {right.level}, got {p}")
     alg = ideal.algebra
@@ -721,7 +717,7 @@ class ClassSet:
     def __init__(self, order: Lattice, ideals: list[Lattice]):
         self.order = order
         self.ideals = ideals
-        self.left_orders = [left_right_order(i)[0] for i in ideals]
+        self.left_orders = [i.left_order for i in ideals]
         self.unit_counts = [o.unit_count() for o in self.left_orders]
         self._cross: dict[tuple[int, int], Lattice] = {}
         self._cross_vectors: dict[tuple[int, int, int], np.ndarray] = {}

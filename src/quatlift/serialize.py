@@ -75,10 +75,8 @@ def lattice_to_obj(lat: Lattice, algebra_ref: str = "") -> dict:
         "basis": [[rational_to_str(x) for x in row] for row in lat.basis],
     }
     if lat.kind == "ideal":
-        from .quatcore import left_right_order
-        ol, orr = left_right_order(lat)
-        obj["left_order"] = [[rational_to_str(x) for x in row] for row in ol.basis]
-        obj["right_order"] = [[rational_to_str(x) for x in row] for row in orr.basis]
+        obj["left_order"] = [[rational_to_str(x) for x in row] for row in lat.left_order.basis]
+        obj["right_order"] = [[rational_to_str(x) for x in row] for row in lat.right_order.basis]
     return obj
 
 

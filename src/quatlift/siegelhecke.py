@@ -1,12 +1,15 @@
 """Hecke operators T(p) on degree-2 scalar Fourier expansions and local L-factors.
 
-T(p) is built from the explicit coset list [[A,B],[0,D]] of the similitude-p
-double coset: the output coefficient at S collects input coefficients at
-T = (1/p)·D·S·Dᵗ when that is half-integral, a character value which is always
-a trivial root of unity on the half-integral locus, and the weight factor
-det(D)^{-k}.  The global normalization makes the a(pS) term have coefficient 1;
-for the bundled example this reproduces the published eigenvalues with no
-further constant.  Odd-weight signs flow through the canonical reduction.
+T(p) comes from the explicit coset list [[A,B],[0,D]] of the similitude-p
+double coset.  A coset's term depends only on its block D: the input
+coefficient at T = (1/p)·D·S·Dᵗ when that is half-integral, times the weight
+det(D)^{-k} and a character that must be trivial for every half-integral S.
+Grouped by D the p³ + p² + p + 1 cosets become p + 3 transplants,
+a(pS) + p^{k-2}·Σ_U a(S[U]/p) + p^{2k-3}·a(S/p) (Andrianov, Russian Math.
+Surveys 29, 1974), with the global normalization p^{2k-3} that makes the a(pS)
+term have coefficient 1; for the bundled example this reproduces the published
+eigenvalues with no further constant.  Odd-weight signs flow through the
+canonical reduction.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binforms import reduced_forms_up_to
+from .binforms import apply_unimodular, reduced_forms_up_to
 from .quatcore import UsageError, _is_prime, _prime_factors
 from .yoshida import FourierExpansionSiegel2, TruncationError
 
@@ -91,43 +94,36 @@ def cosets_pairwise_inequivalent(p: int) -> bool:
     return True
 
 
-def _transplant(s: tuple[int, int, int], d, p: int):
-    """Input form T with p·D⁻¹·T·D⁻ᵗ = S, or None when T is not half-integral."""
-    a, b, c = s
-    (d11, d12), (d21, d22) = d
-    # 2T = D·(2S)·Dᵗ / p
-    s2 = ((2 * a, b), (b, 2 * c))
-    r11 = d11 * (d11 * s2[0][0] + d12 * s2[1][0]) + d12 * (d11 * s2[0][1] + d12 * s2[1][1])
-    r12 = d21 * (d11 * s2[0][0] + d12 * s2[1][0]) + d22 * (d11 * s2[0][1] + d12 * s2[1][1])
-    r22 = d21 * (d21 * s2[0][0] + d22 * s2[1][0]) + d22 * (d21 * s2[0][1] + d22 * s2[1][1])
-    if r11 % (2 * p) or r22 % (2 * p) or r12 % p:
-        return None
-    return (r11 // (2 * p), r12 // p, r22 // (2 * p))
-
-
-def _character_is_trivial(t: tuple[int, int, int], rep: HeckeCosetRep, p: int) -> bool:
-    """e(tr(T·B·D⁻¹)) for a half-integral transplant; must be a trivial character."""
-    a, b, c = t
-    (b11, b12), (b21, b22) = rep.b
-    (a11, a12), (a21, a22) = rep.a
-    # D⁻¹ = Aᵗ/p, so tr(T·B·D⁻¹) = tr(T·B·Aᵗ)/p with T = [[a, b/2], [b/2, c]]
-    m11 = b11 * a11 + b12 * a12
-    m21 = b21 * a11 + b22 * a12
-    m12 = b11 * a21 + b12 * a22
-    m22 = b21 * a21 + b22 * a22
-    tr2 = 2 * a * m11 + b * m21 + b * m12 + 2 * c * m22
-    if tr2 % (2 * p):
-        raise AssertionError("nontrivial character on a half-integral transplant")
-    return True
-
-
 def _require_prime(p) -> None:
     if not _is_prime(p):
         raise UsageError(f"{p} is not a prime")
 
 
+def _grouped_cosets(p: int, k: int) -> dict:
+    """Each distinct block D of hecke_cosets(p) with weight p^{2k-3}·det(D)^{-k}·#cosets.
+
+    A coset contributes e(tr(S·Dᵗ·B)/p)·a(D·S·Dᵗ/p); AssertionError unless that
+    character is trivial for every half-integral S, i.e. unless M = DᵗB has
+    M₁₁ ≡ M₂₂ ≡ 0 mod p and M₁₂ + M₂₁ ≡ 0 mod 2p.
+    """
+    weights: dict = {}
+    for rep in hecke_cosets(p):
+        (d11, d12), (d21, d22) = rep.d
+        (b11, b12), (b21, b22) = rep.b
+        m11, m12 = d11 * b11 + d21 * b21, d11 * b12 + d21 * b22
+        m21, m22 = d12 * b11 + d22 * b21, d12 * b12 + d22 * b22
+        if m11 % p or m22 % p or (m12 + m21) % (2 * p):
+            raise AssertionError(f"coset {rep} has a nontrivial character")
+        w = Fraction(p) ** (2 * k - 3) / (d11 * d22 - d12 * d21) ** k
+        weights[rep.d] = weights.get(rep.d, Fraction(0)) + w
+    return weights
+
+
 def hecke_Tp(f: FourierExpansionSiegel2, p: int) -> FourierExpansionSiegel2:
-    """T(p) on a degree-2 expansion, normalized so the a(pT) term has coefficient 1."""
+    """T(p) on a degree-2 expansion, normalized so the a(pS) term has coefficient 1.
+
+    The output keeps (0, 0, 0), where every transplant is 0, and no other singular form.
+    """
     _require_prime(p)
     if f.level % p == 0:
         raise ValueError(f"{p} divides the level {f.level}")
@@ -136,21 +132,18 @@ def hecke_Tp(f: FourierExpansionSiegel2, p: int) -> FourierExpansionSiegel2:
         raise TruncationError(
             f"input bound {f.bound} cannot support T({p}); need at least {p * p}")
     k = f.weight
-    norm = Fraction(p) ** (2 * k - 3)
-    reps = hecke_cosets(p)
+    # S[Dᵗ] = D·S·Dᵗ
+    terms = [(((d11, d21), (d12, d22)), w)
+             for ((d11, d12), (d21, d22)), w in _grouped_cosets(p, k).items()]
     out = FourierExpansionSiegel2(k, f.level, out_bound, singular_bound=0)
-    for s in reduced_forms_up_to(out_bound):
+    for s in [(0, 0, 0)] + reduced_forms_up_to(out_bound):
         total = Fraction(0)
-        for rep in reps:
-            t = _transplant(s, rep.d, p)
-            if t is None:
-                continue
-            _character_is_trivial(t, rep, p)
-            detd = rep.d[0][0] * rep.d[1][1] - rep.d[0][1] * rep.d[1][0]
-            total += Fraction(1, detd ** k) * f.coefficient(t)
-        val = norm * total
-        if val:
-            out.set(s, val)
+        for dt, w in terms:
+            t = apply_unimodular(s, dt)
+            if not (t[0] % p or t[1] % p or t[2] % p):
+                total += w * f.coefficient((t[0] // p, t[1] // p, t[2] // p))
+        if total:
+            out.set(s, total)
     return out
 
 

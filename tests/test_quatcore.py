@@ -14,8 +14,7 @@ from quatlift import linalg, quatcore
 from helpers import hamilton_algebra, hurwitz_order, level34_order
 from quatlift.quatcore import (ClassSet, Lattice, QuaternionAlgebra, UsageError,
                                check_mass, class_set, conj_trace_norm, eichler_mass,
-                               gram_matrix, ideal_equivalent, is_ramified,
-                               left_right_order, p_neighbors, short_vectors,
+                               ideal_equivalent, is_ramified, p_neighbors, short_vectors,
                                short_vectors_upto, superorders, transporters,
                                two_sided_ideal)
 
@@ -65,9 +64,9 @@ def test_conj_trace_norm(algebra):
 
 
 def test_gram_matrices_match_published():
-    assert [[int(x) for x in row] for row in gram_matrix(fx.order_r1())] == fx.R1_GRAM
-    assert [[int(x) for x in row] for row in gram_matrix(fx.order_r2())] == fx.R2_GRAM
-    assert [[int(x) for x in row] for row in gram_matrix(fx.ideal_i12())] == fx.I12_GRAM
+    assert [[int(x) for x in row] for row in fx.order_r1().gram] == fx.R1_GRAM
+    assert [[int(x) for x in row] for row in fx.order_r2().gram] == fx.R2_GRAM
+    assert [[int(x) for x in row] for row in fx.ideal_i12().gram] == fx.I12_GRAM
 
 
 def test_gram_determinants_against_cofactor_oracle():
@@ -153,18 +152,16 @@ def test_short_vectors_negative_norm():
 
 
 def test_left_right_order_of_connecting_ideal():
-    ol, orr = left_right_order(fx.ideal_i12())
-    assert ol == fx.order_r2()
-    assert orr == fx.order_r1()
+    i12 = fx.ideal_i12()
+    assert i12.left_order == fx.order_r2()
+    assert i12.right_order == fx.order_r1()
 
 
 def test_order_is_its_own_two_sided_ideal():
     r1 = fx.order_r1()
-    ol, orr = left_right_order(r1)
-    assert ol == r1 and orr == r1
+    assert r1.left_order == r1 and r1.right_order == r1
     scaled = r1.scale(3)
-    ol, orr = left_right_order(scaled)
-    assert ol == r1 and orr == r1
+    assert scaled.left_order == r1 and scaled.right_order == r1
 
 
 def test_ideal_equivalence():
@@ -185,8 +182,8 @@ def test_ideal_equivalent_requires_same_right_order():
 def test_ideal_equivalent_checks_cached_right_orders():
     i12 = fx.ideal_i12()
     conj = i12.conjugate()
-    assert left_right_order(i12) is left_right_order(i12)  # computed once
-    assert left_right_order(conj)[1] == fx.order_r2()
+    assert i12.left_order is i12.left_order and i12.right_order is i12.right_order
+    assert conj.right_order == fx.order_r2()
     with pytest.raises(UsageError):
         ideal_equivalent(i12, conj)
     with pytest.raises(UsageError):
@@ -306,8 +303,7 @@ def test_reduced_norm_determinant_relation(class_set_17):
     for p in (2, 3):
         pool += [reduce_right_ideal(nb, order) for nb in p_neighbors(pool[0], p)]
     for ideal in pool:
-        _, right = left_right_order(ideal)
-        assert ideal.gram_det == ideal.norm_scale ** 4 * right.gram_det
+        assert ideal.gram_det == ideal.norm_scale ** 4 * ideal.right_order.gram_det
 
 
 def _bases_digest(lattices):
@@ -356,7 +352,7 @@ def test_p_neighbors_match_projective_walk(name, p):
     assert _bases_digest(nbs) == PINNED_NEIGHBORS[(name, p)]
     for nb in nbs:
         assert nb.kind == "ideal" and nb.norm_scale == p * ideal.norm_scale
-        assert left_right_order(nb)[1] == order
+        assert nb.right_order == order
 
 
 def test_p_neighbors_hurwitz_bases():
@@ -428,6 +424,18 @@ PINNED_CLASS_SETS = {
 def test_class_set_matches_projective_walk(name, p):
     _, order = _local_case(name)
     assert _bases_digest(class_set(order, p).ideals) == PINNED_CLASS_SETS[(name, p)]
+
+
+def test_class_set_builds_each_order_when_asked(monkeypatch):
+    calls = []
+    preimage = quatcore._integral_preimage_lattice
+    monkeypatch.setattr(quatcore, "_integral_preimage_lattice",
+                        lambda blocks: calls.append(1) or preimage(blocks))
+    cs = class_set(level34_order(), 5)
+    # a right order per neighbour, a left order per class, the seed ideal's right
+    # order; computing both orders of every lattice made 50
+    assert cs.h == 4
+    assert len(calls) == 6 * cs.h + cs.h + 1 == 29
 
 
 def test_prime_helpers_are_exact_and_bounded():

@@ -1,21 +1,63 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from quatlift import fixture as fx
-from quatlift.siegelhecke import (LocalFactor, PoleError, SatakePair,
+from quatlift import siegelhecke
+from quatlift.binforms import disc, reduced_forms_up_to
+from quatlift.brandt import FormSpace, constant_form
+from quatlift.serialize import dumps_canonical, expansion_to_obj
+from quatlift.siegelhecke import (HeckeCosetRep, LocalFactor, PoleError, SatakePair,
                                   cosets_pairwise_inequivalent,
                                   eigenvalue_extract, hecke_Tp, hecke_cosets,
                                   lambda_N, rankin_selberg_local,
                                   rankin_selberg_matches_dirichlet,
-                                  standard_L_local, _symplectic_defect)
+                                  standard_L_local, _grouped_cosets, _symplectic_defect)
 from quatlift.quatcore import UsageError
-from quatlift.yoshida import FourierExpansionSiegel2, TruncationError
+from quatlift.yoshida import (FourierExpansionSiegel2, TruncationError,
+                              is_cuspidal_up_to_bound, yoshida2)
 
 
 @pytest.fixture(scope="module")
 def lift_950():
     return fx.golden_lift(950)
+
+
+@pytest.fixture(scope="module")
+def lift_nu2_200(class_set_17):
+    # a random combination of the ν = 2 basis forms, as in the benchmark: weight 4
+    space2 = FormSpace(class_set_17, 2)
+    rng = random.Random(5)
+    phi = None
+    for form in space2.basis_forms():
+        term = form.scale(rng.choice((-3, -2, -1, 1, 2, 3)))
+        phi = term if phi is None else phi.add(term)
+    return yoshida2(class_set_17, phi, fx.phi2(), 200, space1=space2)
+
+
+@pytest.fixture(scope="module")
+def eisenstein_600(class_set_17, space0):
+    # the weight-2 lift of the constant pair; a(0, 0, 0) = 4/9
+    one = constant_form(class_set_17)
+    return yoshida2(class_set_17, one, one, 600, space0)
+
+
+# SHA-256 of the canonical JSON of T(p)(f), computed by summing every one of the
+# p³ + p² + p + 1 cosets separately
+PINNED_IMAGES = {
+    ("w3", 2): "e185496e0ac190de", ("w3", 3): "330a8e15d8fa4955",
+    ("w3", 5): "c6a4163d052c61bc", ("w3", 7): "b5c2e7a5542ac7b8",
+    ("w3", 11): "e9962271f02364c6", ("w3", 13): "73c992a2c4471236",
+    ("w4", 2): "85c8423d7b78a598", ("w4", 3): "b3610a4e9127667f",
+    ("w4", 5): "f1ddf123a2f6d798", ("w4", 7): "581a47f6f9149080",
+}
+
+# the same sum on the weight-2 Eisenstein lift, over the entries with disc > 0
+PINNED_EISENSTEIN_IMAGES = {2: "60f0a8ea45c938a7", 3: "fe8b899d8ab90327",
+                            5: "e5d4461a6e516424", 7: "fca6c5dfef4fd42b"}
 
 
 def test_coset_counts():
@@ -159,12 +201,65 @@ def test_local_factor_printing():
     assert str(f) == "1 - 5*X + 4*X^2"
 
 
-def test_even_weight_eisenstein_eigenvalue(class_set_17, space0):
+def test_even_weight_eisenstein_eigenvalue(eisenstein_600):
     # independent calibration of T(p): the lift of the constant pair is an
     # eigenform with eigenvalue (1 + p^{k-2})(1 + p^{k-1}) at weight k = 2
-    from quatlift.brandt import constant_form
-    from quatlift.yoshida import yoshida2
-    one = constant_form(class_set_17)
-    ye = yoshida2(class_set_17, one, one, 600, space0)
     for p in (2, 3):
-        assert eigenvalue_extract(ye, hecke_Tp(ye, p)) == 2 * (1 + p)
+        assert eigenvalue_extract(eisenstein_600, hecke_Tp(eisenstein_600, p)) == 2 * (1 + p)
+
+
+@pytest.mark.parametrize("name,p", sorted(PINNED_IMAGES))
+def test_hecke_images_match_the_coset_sum(name, p, request):
+    f = request.getfixturevalue({"w3": "lift_950", "w4": "lift_nu2_200"}[name])
+    canonical = dumps_canonical(expansion_to_obj(hecke_Tp(f, p)))
+    assert hashlib.sha256(canonical.encode()).hexdigest()[:16] == PINNED_IMAGES[(name, p)]
+
+
+@pytest.mark.parametrize("p", sorted(PINNED_EISENSTEIN_IMAGES))
+def test_hecke_eisenstein_images_match_the_coset_sum(p, eisenstein_600):
+    image = hecke_Tp(eisenstein_600, p)
+    rows = [[a, b, c, str(v)] for (a, b, c), v in image.sorted_items() if disc((a, b, c)) > 0]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == \
+        PINNED_EISENSTEIN_IMAGES[p]
+
+
+def test_hecke_keeps_the_constant_term(eisenstein_600):
+    a0 = eisenstein_600.coefficient((0, 0, 0))
+    assert a0 == Fraction(4, 9)
+    images = {p: hecke_Tp(eisenstein_600, p) for p in (2, 3, 5, 7)}
+    assert images[2].coefficient((0, 0, 0)) == Fraction(8, 3)
+    assert images[3].coefficient((0, 0, 0)) == Fraction(32, 9)
+    for p, image in images.items():
+        # (1 + (p+1)·p^{k-2} + p^{2k-3})·a(0,0,0) at k = 2
+        assert image.coefficient((0, 0, 0)) == 2 * (1 + p) * a0
+        assert image.singular_bound == 0
+        assert not is_cuspidal_up_to_bound(image)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_grouped_coset_weights(p, k):
+    middle = [((p, 0), (-j, 1)) for j in range(p)] + [((1, 0), (0, p))]
+    expected = {((p, 0), (0, p)): 1, ((1, 0), (0, 1)): Fraction(p) ** (2 * k - 3)}
+    expected.update({d: Fraction(p) ** (k - 2) for d in middle})
+    assert _grouped_cosets(p, k) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hecke_looks_up_p_plus_3_transplants_per_form(p, lift_950, monkeypatch):
+    calls = []
+    lookup = FourierExpansionSiegel2.coefficient
+    monkeypatch.setattr(FourierExpansionSiegel2, "coefficient",
+                        lambda self, t: calls.append(t) or lookup(self, t))
+    hecke_Tp(lift_950, p)
+    # with (0, 0, 0); at p = 5 the per-coset sum made 4,150 lookups
+    forms = len(reduced_forms_up_to(lift_950.bound // (p * p))) + 1
+    assert len(calls) <= (p + 3) * forms
+
+
+def test_hecke_rejects_a_coset_with_a_nontrivial_character(lift_950, monkeypatch):
+    cosets = siegelhecke.hecke_cosets
+    bad = HeckeCosetRep(((2, 0), (0, 2)), ((1, 0), (0, 0)), ((1, 0), (0, 1)))
+    monkeypatch.setattr(siegelhecke, "hecke_cosets", lambda p: cosets(p) + [bad])
+    with pytest.raises(AssertionError, match="nontrivial character"):
+        hecke_Tp(lift_950, 2)
