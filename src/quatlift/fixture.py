@@ -18,8 +18,8 @@ from . import linalg
 from .brandt import AutomorphicForm, FormSpace
 from .polys import Poly
 from .quatcore import ClassSet, Lattice, QuaternionAlgebra, class_set
-from .yoshida import (FourierExpansionSiegel2, ThetaEngine, _form_groups,
-                      _int_matrix_and_den, _theta2_totals, yoshida2)
+from .yoshida import (FourierExpansionSiegel2, ThetaEngine, _enumeration_norm,
+                      _form_groups, _int_matrix_and_den, _theta2_totals, yoshida2)
 
 LEVEL = 17
 
@@ -187,20 +187,23 @@ def golden_lift(bound: int, singular_bound: int | None = None,
     """
     if singular_bound is None:
         singular_bound = (bound + 1) // 3
-    max_c = max((bound + 1) // 3, singular_bound, 1)
+    groups = _form_groups(bound, singular_bound)
+    max_norm = _enumeration_norm(groups, 1)
     pieces = []
     for lattice, rows in ((order_r1(), P1_MATRIX), (ideal_i12(), P12_MATRIX)):
         mat, den = _int_matrix_and_den(rows)
-        pieces.append((ThetaEngine(lattice, max_c), mat, den, 1))
-    groups = _form_groups(bound, singular_bound)
+        pieces.append((ThetaEngine(lattice, max_norm), mat, den, 1))
     _LIFT_STATE["pieces"] = pieces
-    if jobs > 1 and len(groups) > 1:
-        import multiprocessing as mp
-        chunks = [groups[k::jobs] for k in range(jobs)]
-        with mp.get_context("fork").Pool(jobs) as pool:
-            parts = pool.map(_lift_chunk, chunks)
-    else:
-        parts = [_lift_chunk(groups)]
+    try:
+        if jobs > 1 and len(groups) > 1:
+            import multiprocessing as mp
+            chunks = [groups[k::jobs] for k in range(jobs)]
+            with mp.get_context("fork").Pool(jobs) as pool:
+                parts = pool.map(_lift_chunk, chunks)
+        else:
+            parts = [_lift_chunk(groups)]
+    finally:
+        _LIFT_STATE.clear()
     out = FourierExpansionSiegel2(3, LEVEL, bound, singular_bound=singular_bound)
     for t, v in sorted(t_v for part in parts for t_v in part.items()):
         out.set(t, v)

@@ -13,9 +13,13 @@ inequality x² ≤ Δ_i·rem that isqrt decides exactly; the ranges therefore ho
 every solution.  Membership is then decided by the integer norm test
 0 < vᵗGv ≤ bound alone.  Before enumerating, a bound on every intermediate
 integer picks the array dtype: int64 when it stays below 2⁶², otherwise object
-arrays of Python ints running the same code.  Buckets are int64 (or object)
-arrays; callers that feed coordinates into Fractions convert rows with
-`.tolist()`, because a Fraction built from np.int64 keeps an np.int64 numerator.
+arrays of Python ints running the same code.  The vectors are ordered by one
+argsort of a single mixed-radix integer key (`_sort_key`),
+norm·spanⁿ + Σ (v_t − low_t)·span^(n−1−t), under the same kind of bound: int64
+below 2⁶², Python ints above.  The keys are distinct, so each norm's bucket comes
+out sorted lexicographically.  Buckets are int64 (or object) arrays; callers
+that feed coordinates into Fractions convert rows with `.tolist()`, because a
+Fraction built from np.int64 keeps an np.int64 numerator.
 """
 
 from __future__ import annotations
@@ -330,12 +334,31 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
     return s
 
 
+def _sort_key(norms: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """One integer per row, ordered as the rows' (norm, v₀, …, v_{n−1}) lexicographically.
+
+    The mixed-radix key norm·spanⁿ + Σ_t (v_t − low_t)·span^(n−1−t), with low_t the
+    least v_t and span the widest coordinate range, is distinct for distinct rows.  It
+    is int64 when the vectors are and (max norm + 1)·spanⁿ < 2⁶², otherwise Python ints.
+    """
+    n = vecs.shape[1]
+    low = [int(x) for x in vecs.min(axis=0)]
+    span = max(int(hi) - lo + 1 for hi, lo in zip(vecs.max(axis=0), low))
+    small = vecs.dtype != object and (int(norms.max()) + 1) * span ** n < _INT64_SAFE
+    key = norms.astype(np.int64 if small else object)
+    for t in range(n):
+        key *= span
+        key += vecs[:, t]
+        key -= low[t]
+    return key
+
+
 def short_vectors_upto(g: Matrix, max_norm) -> dict[Fraction, np.ndarray]:
     """All integer vectors v != 0 with vᵗGv ≤ 2·max_norm, bucketed by vᵗGv/2.
 
     Each bucket is a k×n array whose rows are sorted lexicographically: int64,
     or object (Python ints) when the entries could overflow int64.  G must be
-    positive definite.
+    positive definite.  The rows are ordered by one argsort of `_sort_key`.
     """
     n = len(g)
     gred, u = _gauss_reduce_gram(linalg.frac_mat(g))
@@ -372,9 +395,10 @@ def short_vectors_upto(g: Matrix, max_norm) -> dict[Fraction, np.ndarray]:
     keep = (norms > 0) & (norms <= bound)
     vecs = coords[keep] @ np.array(u, dtype=dtype)
     norms = norms[keep]
+    del coords, keep
     if not len(norms):
         return {}
-    order = np.lexsort(tuple(vecs[:, t] for t in range(n - 1, -1, -1)) + (norms,))
+    order = np.argsort(_sort_key(norms, vecs))
     vecs, norms = vecs[order], norms[order]
     cuts = (np.flatnonzero(norms[1:] != norms[:-1]) + 1).tolist()
     return {Fraction(int(norms[a]), 2 * den): vecs[a:b]

@@ -232,6 +232,15 @@ def _form_groups(bound: int, singular_bound: int) -> list[tuple[tuple[int, int],
     return sorted(by_ac.items())
 
 
+def _enumeration_norm(groups, nu: int) -> int:
+    """The largest norm `_theta2_totals` reads from `groups`.
+
+    That is the largest c of a group (a, c) with a > 0, or of a singular group
+    (0, m) at ν = 0; at ν ≥ 1 the singular groups are skipped.
+    """
+    return max((c for (a, c), _ in groups if a or not nu), default=0)
+
+
 def _theta2_totals(pieces, groups, nu: int) -> dict[BinaryForm, Fraction]:
     """Per form: Σ over pieces (engine, C, den, scale) of scale/den·Σ_pairs M(x₁)ᵗ·C·M(x₂).
 
@@ -266,8 +275,9 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     space1 = space1 or FormSpace(cs, nu1)
     frame = space1.frame
     if singular_bound is None:
-        singular_bound = _max_norm_for_bound(bound)
-    max_c = max(_max_norm_for_bound(bound), singular_bound)
+        singular_bound = _default_singular_bound(bound)
+    groups = _form_groups(bound, singular_bound)
+    max_norm = _enumeration_norm(groups, nu1)
     pieces = []
     for i in range(cs.h):
         vpoly = space1.space.poly_from_coords(phi1.values[i])
@@ -285,8 +295,8 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
             scale = wj / (Fraction(cs.unit_counts[i] * cs.unit_counts[j])
                           * cross.norm_scale ** nu1)
             mat, den = _int_matrix_and_den(bilinear_matrix(p8))
-            pieces.append((ThetaEngine(cross, max_c), mat, den, scale))
-    totals = _theta2_totals(pieces, _form_groups(bound, singular_bound), nu1)
+            pieces.append((ThetaEngine(cross, max_norm), mat, den, scale))
+    totals = _theta2_totals(pieces, groups, nu1)
     out = FourierExpansionSiegel2(weight, cs.order.level, bound,
                                   singular_bound=singular_bound)
     for t, v in sorted(totals.items()):
@@ -294,8 +304,10 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     return out
 
 
-def _max_norm_for_bound(bound: int) -> int:
-    # reduced forms with disc ≤ bound have c ≤ (bound + b²)/(4a) ≤ (bound + 1)//3
+def _default_singular_bound(bound: int) -> int:
+    # the singular range a lift stores unless told otherwise; serialized expansions
+    # record it.  It is not the largest c of a reduced form: those with
+    # disc ≤ bound have c ≤ (bound + 1)//4, reached at a = |b| = 1.
     return max((bound + 1) // 3, 1)
 
 

@@ -130,6 +130,39 @@ def test_short_vectors_upto_huge_entries_use_python_ints():
     assert as_lists(got) == brute_force_short_vectors(g, 4 * scale)
 
 
+def lexsort_rows(norms, vecs):
+    return np.lexsort(tuple(vecs[:, t] for t in range(vecs.shape[1] - 1, -1, -1)) + (norms,))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sort_key_orders_like_lexsort(seed):
+    rng = np.random.default_rng(seed)
+    vecs = np.unique(rng.integers(-30, 31, size=(2000, 4)), axis=0)
+    rng.shuffle(vecs)
+    norms = rng.integers(1, 50, size=len(vecs))
+    key = quatcore._sort_key(norms.copy(), vecs)
+    assert key.dtype == np.int64
+    assert np.array_equal(np.argsort(key), lexsort_rows(norms, vecs))
+
+
+def test_sort_key_takes_python_ints_past_int64():
+    # (max norm + 1)·span⁴ ≥ 2⁶² with int64 vectors
+    vecs = np.array([[2 ** 14, 0, -1, 3], [-2 ** 14, 5, 0, 0], [7, 0, 0, 0],
+                     [-2 ** 14, 5, 0, -1]], dtype=np.int64)
+    norms = np.array([3, 3, 2 ** 40, 3], dtype=np.int64)
+    assert (2 ** 40 + 1) * (2 ** 15 + 1) ** 4 >= quatcore._INT64_SAFE
+    key = quatcore._sort_key(norms, vecs)
+    assert key.dtype == object and all(type(k) is int for k in key)
+    assert np.array_equal(np.argsort(key), lexsort_rows(norms, vecs))
+    # object vectors give an object key even when the key is small
+    objs = vecs // 2 ** 10
+    objs[1, 1] = 1
+    small = np.array([2, 1, 2, 1], dtype=object)
+    key = quatcore._sort_key(small, objs.astype(object))
+    assert key.dtype == object
+    assert np.argsort(key).tolist() == lexsort_rows(small, objs).tolist() == [3, 1, 2, 0]
+
+
 def test_enumeration_hands_out_python_ints():
     r1 = fx.order_r1()
     bucket = short_vectors_upto(r1.gram, 3)[Fraction(3)]

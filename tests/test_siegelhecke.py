@@ -208,6 +208,16 @@ def test_even_weight_eisenstein_eigenvalue(eisenstein_600):
         assert eigenvalue_extract(eisenstein_600, hecke_Tp(eisenstein_600, p)) == 2 * (1 + p)
 
 
+# SHA-256 of the canonical JSON of the lifts themselves
+PINNED_LIFTS = {"lift_950": "309bcebce6072f32", "eisenstein_600": "fc3f3ea504768f15"}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LIFTS))
+def test_lifts_match_pinned_digests(name, request):
+    canonical = dumps_canonical(expansion_to_obj(request.getfixturevalue(name)))
+    assert hashlib.sha256(canonical.encode()).hexdigest()[:16] == PINNED_LIFTS[name]
+
+
 @pytest.mark.parametrize("name,p", sorted(PINNED_IMAGES))
 def test_hecke_images_match_the_coset_sum(name, p, request):
     f = request.getfixturevalue({"w3": "lift_950", "w4": "lift_nu2_200"}[name])

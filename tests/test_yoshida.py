@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quatlift import fixture as fx
+from quatlift import yoshida
 from quatlift.binforms import apply_unimodular, is_ambiguous, reduced_forms_up_to
 from quatlift.brandt import FormSpace, constant_form
 from quatlift.harmonic import (HarmonicPoly, bilinear_matrix, default_frame, harm_basis,
@@ -287,3 +288,45 @@ def test_yoshida1_nu1_eichler(class_set_17, space1):
     assert a[9] == a[3] ** 2 - 3 ** 3
     assert a[10] == a[2] * a[5]
     assert a[12] == a[4] * a[3]
+
+
+@pytest.fixture
+def enumeration_norms(monkeypatch):
+    """The max_norm of every enumeration a ThetaEngine asks for; the buckets come back empty."""
+    asked = []
+
+    def record(g, max_norm):
+        asked.append(max_norm)
+        return {}
+
+    monkeypatch.setattr(yoshida, "short_vectors_upto", record)
+    return asked
+
+
+def test_golden_lift_enumerates_the_largest_c_it_reads(enumeration_norms):
+    # reduced forms with disc ≤ 2600 have c ≤ 2601//4; the singular range stays 867
+    lift = fx.golden_lift(2600)
+    assert enumeration_norms == [650, 650]
+    assert (lift.bound, lift.singular_bound) == (2600, 867)
+
+
+@pytest.mark.parametrize("nu,singular_bound,want", [(1, None, 150), (0, None, 200),
+                                                    (0, 300, 300)])
+def test_yoshida2_enumerates_the_largest_norm_it_reads(class_set_17, space0, space1,
+                                                       enumeration_norms, nu,
+                                                       singular_bound, want):
+    # at ν = 1 the singular groups are skipped; at ν = 0 they are read
+    if nu:
+        phi, space = fx.phi1(), space1
+    else:
+        phi, space = constant_form(class_set_17), space0
+    lift = yoshida2(class_set_17, phi, fx.phi2(), 600, space1=space,
+                    singular_bound=singular_bound)
+    assert enumeration_norms and set(enumeration_norms) == {want}
+    assert lift.singular_bound == (singular_bound or 200)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_golden_lift_releases_its_engines(jobs):
+    fx.golden_lift(300, jobs=jobs)
+    assert fx._LIFT_STATE == {}
