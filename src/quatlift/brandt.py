@@ -62,11 +62,8 @@ class FormSpace:
         self.space: HarmSpace = harm_basis(nu, self.frame)
         self.class_bases = [self._invariant_basis(order) for order in cs.left_orders]
         self.dim = sum(len(b) for b in self.class_bases)
-        # R_i = CB_iᵗ·(CB_i·CB_iᵗ)⁻¹, so that CB_i·R_i = I
-        self._right_inverses = [
-            linalg.mat_mul(linalg.transpose(cb), linalg.inverse(
-                linalg.mat_mul(cb, linalg.transpose(cb)))) if cb else None
-            for cb in self.class_bases]
+        self._right_inverses = [linalg.right_inverse(cb) if cb else None
+                                for cb in self.class_bases]
 
     def _invariant_basis(self, order: Lattice) -> list[list[Fraction]]:
         d = self.space.dim
@@ -344,8 +341,7 @@ def _split_by_operator(subspaces, op):
 
 def _primitive_row(v):
     """The primitive integer multiple of a nonzero rational row with a positive lead."""
-    den = linalg.common_denominator([v])
-    ints = [int(x * den) for x in v]
+    (ints,), _ = linalg.integer_form([v])
     g = math.gcd(*ints)
     if next(x for x in ints if x) < 0:
         g = -g

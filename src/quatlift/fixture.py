@@ -18,8 +18,7 @@ from . import linalg
 from .brandt import AutomorphicForm, FormSpace
 from .polys import Poly
 from .quatcore import ClassSet, Lattice, QuaternionAlgebra, class_set
-from .yoshida import (FourierExpansionSiegel2, ThetaEngine, _enumeration_norm,
-                      _form_groups, _int_matrix_and_den, _theta2_totals, yoshida2)
+from .yoshida import FourierExpansionSiegel2, theta_lift, yoshida2
 
 LEVEL = 17
 
@@ -170,44 +169,15 @@ def phi1() -> AutomorphicForm:
     return AutomorphicForm(1, [tuple(coords), zero])
 
 
-_LIFT_STATE: dict = {}
-
-
-def _lift_chunk(groups) -> dict[tuple[int, int, int], Fraction]:
-    """Worker: the lift's totals on its share of the (a, c) groups."""
-    return _theta2_totals(_LIFT_STATE["pieces"], groups, 1)
-
-
 def golden_lift(bound: int, singular_bound: int | None = None,
                 jobs: int = 1) -> FourierExpansionSiegel2:
     """The published assembly: θ(R₁, P₁) + θ(connecting ideal, P₁₂), weight 3.
 
-    With jobs > 1 the (a, c) groups are distributed over worker processes; each
-    form lies in one group, so the result is byte-identical for any jobs.
+    With jobs > 1 the pair sums run in forked worker processes (`theta_lift`);
+    the result is byte-identical for any jobs.
     """
-    if singular_bound is None:
-        singular_bound = (bound + 1) // 3
-    groups = _form_groups(bound, singular_bound)
-    max_norm = _enumeration_norm(groups, 1)
-    pieces = []
-    for lattice, rows in ((order_r1(), P1_MATRIX), (ideal_i12(), P12_MATRIX)):
-        mat, den = _int_matrix_and_den(rows)
-        pieces.append((ThetaEngine(lattice, max_norm), mat, den, 1))
-    _LIFT_STATE["pieces"] = pieces
-    try:
-        if jobs > 1 and len(groups) > 1:
-            import multiprocessing as mp
-            chunks = [groups[k::jobs] for k in range(jobs)]
-            with mp.get_context("fork").Pool(jobs) as pool:
-                parts = pool.map(_lift_chunk, chunks)
-        else:
-            parts = [_lift_chunk(groups)]
-    finally:
-        _LIFT_STATE.clear()
-    out = FourierExpansionSiegel2(3, LEVEL, bound, singular_bound=singular_bound)
-    for t, v in sorted(t_v for part in parts for t_v in part.items()):
-        out.set(t, v)
-    return out
+    terms = [(order_r1(), P1_MATRIX, 1), (ideal_i12(), P12_MATRIX, 1)]
+    return theta_lift(terms, 1, LEVEL, bound, singular_bound, jobs)
 
 
 def fixture_lift(bound: int, singular_bound: int | None = None) -> FourierExpansionSiegel2:

@@ -77,8 +77,7 @@ class TraceZeroFrame:
                     x = x + basis[b].conj() * g * basis[a]
                 row.extend(self.coords_of(x))
             rows.append(row)
-        den = linalg.common_denominator(rows)
-        return [[int(x * den) for x in row] for row in rows], den
+        return linalg.integer_form(rows)
 
     def __eq__(self, other):
         return (isinstance(other, TraceZeroFrame) and self.algebra is other.algebra
@@ -184,13 +183,9 @@ class HarmSpace:
 
         B is `_basis_mat`; B', R' are object arrays of Python ints.  R = Bᵗ(BBᵗ)⁻¹.
         """
-        b = self._basis_mat
-        bt = linalg.transpose(b)
-        r = linalg.mat_mul(bt, linalg.inverse(linalg.mat_mul(b, bt)))
-        db, dr = linalg.common_denominator(b), linalg.common_denominator(r)
-        bq = np.array([[int(x * db) for x in row] for row in b], dtype=object)
-        rq = np.array([[int(x * dr) for x in row] for row in r], dtype=object)
-        return bq, rq, db * dr
+        bq, db = linalg.integer_form(self._basis_mat)
+        rq, dr = linalg.integer_form(linalg.right_inverse(self._basis_mat))
+        return np.array(bq, dtype=object), np.array(rq, dtype=object), db * dr
 
     @cached_property
     def pairing_matrix(self) -> linalg.Matrix:
@@ -269,9 +264,8 @@ def tau_action(y: QuatElement, hp: HarmonicPoly) -> HarmonicPoly:
 
 def integral_tau_matrix(y: QuatElement, space: HarmSpace) -> linalg.Matrix:
     """Matrix of P ↦ P(ȳ·z·y) on the U_ν basis (row convention: coords' = coords·M)."""
-    den = linalg.common_denominator([y.coords])
-    row = np.array([[int(x * den) for x in y.coords]], dtype=object)
-    return _tau_sum(row, _IDENTITY, den, space)
+    row, den = linalg.integer_form([y.coords])
+    return _tau_sum(np.array(row, dtype=object), _IDENTITY, den, space)
 
 
 def tau_matrix_sum(lattice: Lattice, vecs, space: HarmSpace) -> linalg.Matrix:
@@ -279,9 +273,7 @@ def tau_matrix_sum(lattice: Lattice, vecs, space: HarmSpace) -> linalg.Matrix:
 
     `vecs` is a k×4 enumeration bucket (int64 or object); exact for any k ≥ 0.
     """
-    den = linalg.common_denominator(lattice.basis)
-    basis = [[int(x * den) for x in row] for row in lattice.basis]
-    return _tau_sum(vecs, basis, den, space)
+    return _tau_sum(vecs, *linalg.integer_form(lattice.basis), space)
 
 
 _IDENTITY = [[int(i == j) for j in range(4)] for i in range(4)]

@@ -231,8 +231,19 @@ def common_denominator(rows: Matrix) -> int:
     return d
 
 
+def integer_form(rows) -> tuple[list[list[int]], int]:
+    """(N, d) with rows = N/d: d the least common denominator, N integer rows."""
+    d = common_denominator(rows)
+    return [[int(x * d) for x in row] for row in rows], d
+
+
+def right_inverse(b: Matrix) -> Matrix:
+    """R = Bᵗ(BBᵗ)⁻¹, so that B·R = I for B of full row rank."""
+    bt = transpose(b)
+    return mat_mul(bt, inverse(mat_mul(b, bt)))
+
+
 def hnf_rational(rows: Matrix) -> Matrix:
     """HNF basis of the lattice spanned by rational rows."""
-    d = common_denominator(rows)
-    ints = [[int(x * d) for x in row] for row in rows]
+    ints, d = integer_form(rows)
     return [[Fraction(x, d) for x in row] for row in hnf(ints)]

@@ -362,8 +362,7 @@ def short_vectors_upto(g: Matrix, max_norm) -> dict[Fraction, np.ndarray]:
     """
     n = len(g)
     gred, u = _gauss_reduce_gram(linalg.frac_mat(g))
-    den = linalg.common_denominator(gred)
-    gint = [[int(x * den) for x in row] for row in gred]
+    gint, den = linalg.integer_form(gred)
     minors, m = _int_ldl(gint)
     bound = math.floor(2 * Fraction(max_norm) * den)
     if bound <= 0:

@@ -29,15 +29,6 @@ class HeckeCosetRep:
     b: tuple[tuple[int, int], tuple[int, int]]
     d: tuple[tuple[int, int], tuple[int, int]]
 
-    def matrix(self) -> list[list[int]]:
-        (a11, a12), (a21, a22) = self.a
-        (b11, b12), (b21, b22) = self.b
-        (d11, d12), (d21, d22) = self.d
-        return [[a11, a12, b11, b12],
-                [a21, a22, b21, b22],
-                [0, 0, d11, d12],
-                [0, 0, d21, d22]]
-
 
 def hecke_cosets(p: int) -> list[HeckeCosetRep]:
     """The p³ + p² + p + 1 right coset representatives of the T(p) double coset."""
@@ -59,39 +50,6 @@ def hecke_cosets(p: int) -> list[HeckeCosetRep]:
     for r in range(p):
         reps.append(HeckeCosetRep(a_inf, ((0, 0), (0, r)), d_inf))
     return reps
-
-
-_J = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
-
-
-def _mm4(x, y):
-    """Product of two 4×4 integer matrices."""
-    return [[sum(x[i][t] * y[t][k] for t in range(4)) for k in range(4)] for i in range(4)]
-
-
-def _symplectic_defect(m: list[list[int]], p: int) -> bool:
-    """MᵗJM == p·J for the 4×4 similitude matrix."""
-    mt = [[m[k][i] for k in range(4)] for i in range(4)]
-    lhs = _mm4(_mm4(mt, _J), m)
-    rhs = [[p * _J[i][k] for k in range(4)] for i in range(4)]
-    return lhs == rhs
-
-
-def cosets_pairwise_inequivalent(p: int) -> bool:
-    """No two representatives lie in the same left Sp₄(Z) coset Γ·M."""
-    reps = [r.matrix() for r in hecke_cosets(p)]
-    jinv = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
-    for i, m1 in enumerate(reps):
-        m1t = [[m1[k][r] for k in range(4)] for r in range(4)]
-        # p·M1⁻¹ = J⁻¹·M1ᵗ·J; Γ·M1 = Γ·M2 iff M2·M1⁻¹ is integral (then symplectic)
-        m1inv_p = _mm4(_mm4(jinv, m1t), _J)
-        for k, m2 in enumerate(reps):
-            if k == i:
-                continue
-            prod = _mm4(m2, m1inv_p)
-            if all(x % p == 0 for row in prod for x in row):
-                return False
-    return True
 
 
 def _require_prime(p) -> None:

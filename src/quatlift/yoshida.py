@@ -6,12 +6,18 @@ sign-tracked reduction, which is what makes odd weight work.
 
 Every degree-2 lift is a sum of pieces θ(L, P)·scale whose weight P has
 bidegree (ν, ν), so P(x₁, x₂) = m_ν(x₁)ᵗ·C·m_ν(x₂) with m_ν the degree-ν
-monomials (`bilinear_matrix`).  One numpy kernel, `ThetaEngine.pair_sums_bilinear`,
+monomials (`bilinear_matrix`).  `theta_lift` assembles every degree-2 lift from
+its terms (L, C, scale): `yoshida2` from Brandt eigenforms, `fixture.golden_lift`
+from the published polynomials.  One numpy kernel, `ThetaEngine.pair_sums_bilinear`,
 sums M(va)·C·M(vc)ᵗ over each (a, c) group of vector pairs and bins the sums by
 b; the singular entries (0, 0, m) are the groups with a = 0, whose only vector is
 zero.  The kernel stays exact: a bound on max|M|²·Σ|C|·#pairs picks int64 when it
 stays below 2⁶², otherwise object arrays of Python ints running the same code.
 `theta2_coefficient` is the pure-Python reference for one coefficient.
+
+The degree-1 lift `yoshida1` sums on the Brandt τ-kernel: a(m) pairs φ₁(y_i)
+with φ₂(y_j)·Σ_{q(x)=m} τ̃(x), one `harmonic.tau_matrix_sum` per norm, so its
+coefficients are Brandt-matrix entries.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from . import linalg
 from .binforms import (BinaryForm, disc, is_ambiguous, is_reduced, reduce_form,
                        reduced_forms_up_to)
 from .brandt import AutomorphicForm, FormSpace
-from .harmonic import (HarmonicPoly, _monomial_rows, bilinear_matrix, lift_poly_deg1,
-                       lift_poly_deg2)
+from .harmonic import (HarmonicPoly, _monomial_rows, bilinear_matrix, lift_poly_deg2,
+                       tau_matrix_sum)
 from .polys import Poly
 from .quatcore import _INT64_SAFE, ClassSet, Lattice, UsageError, short_vectors_upto
 
@@ -137,12 +143,6 @@ class QExpansion:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-
-def _int_matrix_and_den(rows) -> tuple[np.ndarray, int]:
-    den = linalg.common_denominator([list(map(Fraction, r)) for r in rows])
-    mat = np.array([[int(Fraction(x) * den) for x in row] for row in rows], dtype=np.int64)
-    return mat, den
 
 
 class ThetaEngine:
@@ -261,45 +261,45 @@ def _theta2_totals(pieces, groups, nu: int) -> dict[BinaryForm, Fraction]:
     return totals
 
 
-def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: int,
-             space1: FormSpace | None = None,
-             singular_bound: int | None = None) -> FourierExpansionSiegel2:
-    """Degree-2 lift: coefficient(T) = Σ_ij φ₂(y_j)·(1/e_ie_j)·θ(cross(i,j), P_{φ₁(y_i)})(T).
+_LIFT_STATE: dict = {}
 
-    φ₂ must have ν = 0 (scalar second factor); the result has weight ν₁ + 2.
+
+def _lift_chunk(groups) -> dict[BinaryForm, Fraction]:
+    """Worker: the lift's totals on its share of the (a, c) groups."""
+    return _theta2_totals(_LIFT_STATE["pieces"], groups, _LIFT_STATE["nu"])
+
+
+def theta_lift(terms, nu: int, level: int, bound: int, singular_bound: int | None = None,
+               jobs: int = 1) -> FourierExpansionSiegel2:
+    """Σ over terms (L, C, scale) of scale·θ(L, m_ν(x₁)ᵗ·C·m_ν(x₂)), weight ν + 2.
+
+    C is a rational matrix as from `bilinear_matrix`.  Each engine enumerates L
+    to the largest norm the groups read.  With jobs > 1 the (a, c) groups are
+    distributed over forked worker processes; each form lies in one group, so
+    the result is byte-identical for any jobs.
     """
-    if phi2.nu != 0:
-        raise UsageError("only a scalar second factor is supported (ν₂ = 0)")
-    nu1 = phi1.nu
-    weight = nu1 + 2
-    space1 = space1 or FormSpace(cs, nu1)
-    frame = space1.frame
     if singular_bound is None:
         singular_bound = _default_singular_bound(bound)
     groups = _form_groups(bound, singular_bound)
-    max_norm = _enumeration_norm(groups, nu1)
+    max_norm = _enumeration_norm(groups, nu)
     pieces = []
-    for i in range(cs.h):
-        vpoly = space1.space.poly_from_coords(phi1.values[i])
-        if vpoly.is_zero():
-            continue
-        hp = HarmonicPoly(frame, vpoly)
-        for j in range(cs.h):
-            wj = phi2.values[j][0]
-            if not wj:
-                continue
-            cross = cs.cross_lattice(i, j)
-            p8 = lift_poly_deg2(hp, cross)
-            if p8.is_zero():
-                continue
-            scale = wj / (Fraction(cs.unit_counts[i] * cs.unit_counts[j])
-                          * cross.norm_scale ** nu1)
-            mat, den = _int_matrix_and_den(bilinear_matrix(p8))
-            pieces.append((ThetaEngine(cross, max_norm), mat, den, scale))
-    totals = _theta2_totals(pieces, groups, nu1)
-    out = FourierExpansionSiegel2(weight, cs.order.level, bound,
-                                  singular_bound=singular_bound)
-    for t, v in sorted(totals.items()):
+    for lattice, rows, scale in terms:
+        mat, den = linalg.integer_form(rows)
+        pieces.append((ThetaEngine(lattice, max_norm), np.array(mat, dtype=np.int64),
+                       den, scale))
+    _LIFT_STATE.update(pieces=pieces, nu=nu)
+    try:
+        if jobs > 1 and len(groups) > 1:
+            import multiprocessing as mp
+            chunks = [groups[k::jobs] for k in range(jobs)]
+            with mp.get_context("fork").Pool(jobs) as pool:
+                parts = pool.map(_lift_chunk, chunks)
+        else:
+            parts = [_lift_chunk(groups)]
+    finally:
+        _LIFT_STATE.clear()
+    out = FourierExpansionSiegel2(nu + 2, level, bound, singular_bound=singular_bound)
+    for t, v in sorted(t_v for part in parts for t_v in part.items()):
         out.set(t, v)
     return out
 
@@ -311,38 +311,65 @@ def _default_singular_bound(bound: int) -> int:
     return max((bound + 1) // 3, 1)
 
 
+def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: int,
+             space1: FormSpace | None = None,
+             singular_bound: int | None = None) -> FourierExpansionSiegel2:
+    """Degree-2 lift: coefficient(T) = Σ_ij φ₂(y_j)·(1/e_ie_j)·θ(cross(i,j), P_{φ₁(y_i)})(T).
+
+    φ₂ must have ν = 0 (scalar second factor); the result has weight ν₁ + 2.
+    """
+    if phi2.nu != 0:
+        raise UsageError("only a scalar second factor is supported (ν₂ = 0)")
+    nu1 = phi1.nu
+    space1 = space1 or FormSpace(cs, nu1)
+    terms = []
+    for i in range(cs.h):
+        vpoly = space1.space.poly_from_coords(phi1.values[i])
+        if vpoly.is_zero():
+            continue
+        hp = HarmonicPoly(space1.frame, vpoly)
+        for j in range(cs.h):
+            wj = phi2.values[j][0]
+            if not wj:
+                continue
+            cross = cs.cross_lattice(i, j)
+            p8 = lift_poly_deg2(hp, cross)
+            if p8.is_zero():
+                continue
+            scale = wj / (Fraction(cs.unit_counts[i] * cs.unit_counts[j])
+                          * cross.norm_scale ** nu1)
+            terms.append((cross, bilinear_matrix(p8), scale))
+    return theta_lift(terms, nu1, cs.order.level, bound, singular_bound)
+
+
 def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: int,
              space: FormSpace | None = None) -> QExpansion:
-    """Degree-1 lift a(m) = Σ_ij (1/e_ie_j)·Σ_{x ∈ cross(i,j), q(x)=m} P_ij(x)."""
+    """Degree-1 lift a(m) = Σ_ij (1/e_ie_j)·⟨⟨φ₁(y_i), Σ_{q(x)=m} τ̃(x)φ₂(y_j)⟩⟩.
+
+    x runs over cross(i, j) and τ̃(x) is its integral τ-matrix, so each norm m
+    is one Brandt-kernel call, `tau_matrix_sum`; x = 0 adds a(0) at ν = 0.
+    """
     if phi1.nu != phi2.nu:
         raise UsageError("degree-1 lift requires equal harmonic degrees")
     nu = phi1.nu
     space = space or FormSpace(cs, nu)
-    frame = space.frame
+    harm = space.space
     coeffs: dict[int, Fraction] = defaultdict(Fraction)
-    for i in range(cs.h):
-        p1 = space.space.poly_from_coords(phi1.values[i])
-        if p1.is_zero():
+    for i, u in enumerate(phi1.values):
+        if not any(u):
             continue
-        v1 = HarmonicPoly(frame, p1)
-        for j in range(cs.h):
-            p2 = space.space.poly_from_coords(phi2.values[j])
-            if p2.is_zero():
+        for j, v in enumerate(phi2.values):
+            if not any(v):
                 continue
-            v2 = HarmonicPoly(frame, p2)
             cross = cs.cross_lattice(i, j)
-            n0 = cross.norm_scale
-            lift = lift_poly_deg1(v1, v2, cross)
-            if lift.is_zero():
-                continue
-            scale = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j]) / n0 ** nu
+            scale = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j]) / cross.norm_scale ** nu
             buckets = short_vectors_upto(cross.normalized_gram(), bound)
             for m, vecs in buckets.items():
-                s = sum((lift.eval(v) for v in vecs.tolist()), Fraction(0))
+                s = harm.pair_coords(u, linalg.vec_mat(v, tau_matrix_sum(cross, vecs, harm)))
                 if s:
                     coeffs[int(m)] += scale * s
             if nu == 0:
-                coeffs[0] += scale * lift.eval((0,) * 4)
+                coeffs[0] += scale * harm.pair_coords(u, v)
     return QExpansion(2 + 2 * nu, cs.order.level, bound, coeffs)
 
 

@@ -11,11 +11,10 @@ from quatlift.binforms import disc, reduced_forms_up_to
 from quatlift.brandt import FormSpace, constant_form
 from quatlift.serialize import dumps_canonical, expansion_to_obj
 from quatlift.siegelhecke import (HeckeCosetRep, LocalFactor, PoleError, SatakePair,
-                                  cosets_pairwise_inequivalent,
                                   eigenvalue_extract, hecke_Tp, hecke_cosets,
                                   lambda_N, rankin_selberg_local,
                                   rankin_selberg_matches_dirichlet,
-                                  standard_L_local, _grouped_cosets, _symplectic_defect)
+                                  standard_L_local, _grouped_cosets)
 from quatlift.quatcore import UsageError
 from quatlift.yoshida import (FourierExpansionSiegel2, TruncationError,
                               is_cuspidal_up_to_bound, yoshida2)
@@ -60,6 +59,50 @@ PINNED_EISENSTEIN_IMAGES = {2: "60f0a8ea45c938a7", 3: "fe8b899d8ab90327",
                             5: "e5d4461a6e516424", 7: "fca6c5dfef4fd42b"}
 
 
+def coset_matrix(rep: HeckeCosetRep) -> list[list[int]]:
+    """The 4×4 matrix [[A, B], [0, D]] of a coset representative."""
+    (a11, a12), (a21, a22) = rep.a
+    (b11, b12), (b21, b22) = rep.b
+    (d11, d12), (d21, d22) = rep.d
+    return [[a11, a12, b11, b12],
+            [a21, a22, b21, b22],
+            [0, 0, d11, d12],
+            [0, 0, d21, d22]]
+
+
+_J = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+
+
+def _mm4(x, y):
+    """Product of two 4×4 integer matrices."""
+    return [[sum(x[i][t] * y[t][k] for t in range(4)) for k in range(4)] for i in range(4)]
+
+
+def _symplectic_defect(m: list[list[int]], p: int) -> bool:
+    """MᵗJM == p·J for the 4×4 similitude matrix."""
+    mt = [[m[k][i] for k in range(4)] for i in range(4)]
+    lhs = _mm4(_mm4(mt, _J), m)
+    rhs = [[p * _J[i][k] for k in range(4)] for i in range(4)]
+    return lhs == rhs
+
+
+def cosets_pairwise_inequivalent(p: int) -> bool:
+    """No two representatives lie in the same left Sp₄(Z) coset Γ·M."""
+    reps = [coset_matrix(r) for r in hecke_cosets(p)]
+    jinv = [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    for i, m1 in enumerate(reps):
+        m1t = [[m1[k][r] for k in range(4)] for r in range(4)]
+        # p·M1⁻¹ = J⁻¹·M1ᵗ·J; Γ·M1 = Γ·M2 iff M2·M1⁻¹ is integral (then symplectic)
+        m1inv_p = _mm4(_mm4(jinv, m1t), _J)
+        for k, m2 in enumerate(reps):
+            if k == i:
+                continue
+            prod = _mm4(m2, m1inv_p)
+            if all(x % p == 0 for row in prod for x in row):
+                return False
+    return True
+
+
 def test_coset_counts():
     assert len(hecke_cosets(2)) == 15
     assert len(hecke_cosets(3)) == 40
@@ -69,7 +112,7 @@ def test_coset_counts():
 def test_cosets_are_symplectic_similitudes():
     for p in (2, 3):
         for rep in hecke_cosets(p):
-            m = rep.matrix()
+            m = coset_matrix(rep)
             assert _symplectic_defect(m, p)
             a, d = rep.a, rep.d
             adt = [[sum(a[i][k] * d[j][k] for k in range(2)) for j in range(2)]

@@ -9,9 +9,10 @@ from quatlift import yoshida
 from quatlift.binforms import apply_unimodular, is_ambiguous, reduced_forms_up_to
 from quatlift.brandt import FormSpace, constant_form
 from quatlift.harmonic import (HarmonicPoly, bilinear_matrix, default_frame, harm_basis,
-                               lift_poly_deg2)
+                               lift_poly_deg1, lift_poly_deg2)
 from quatlift.polys import Poly, monomials_of_degree
-from quatlift.quatcore import UsageError
+from quatlift.quatcore import UsageError, short_vectors_upto
+from quatlift.serialize import dumps_canonical, expansion_to_obj
 from quatlift.yoshida import (FourierExpansionSiegel2, ThetaEngine, TruncationError,
                               is_cuspidal_up_to_bound, phi_operator,
                               theta1_counts, theta2_coefficient, yoshida1,
@@ -125,14 +126,19 @@ def test_eisenstein_lift_not_cuspidal(class_set_17, space0):
     assert {t: ye.coefficient(t) for t in forms} == ref
 
 
-def test_yoshida2_nu2_matches_reference(class_set_17):
-    # a random combination of the nu=2 basis forms, as in the benchmark
-    space2 = FormSpace(class_set_17, 2)
-    rng = random.Random(5)
+def random_form(space, seed):
+    """A random combination of the space's basis forms, as in the benchmark."""
+    rng = random.Random(seed)
     phi = None
-    for form in space2.basis_forms():
+    for form in space.basis_forms():
         term = form.scale(rng.choice((-3, -2, -1, 1, 2, 3)))
         phi = term if phi is None else phi.add(term)
+    return phi
+
+
+def test_yoshida2_nu2_matches_reference(class_set_17):
+    space2 = FormSpace(class_set_17, 2)
+    phi = random_form(space2, 5)
     g = yoshida2(class_set_17, phi, fx.phi2(), 30, space1=space2)
     assert not g.is_zero()
     assert is_cuspidal_up_to_bound(g)
@@ -290,6 +296,52 @@ def test_yoshida1_nu1_eichler(class_set_17, space1):
     assert a[12] == a[4] * a[3]
 
 
+def yoshida1_per_vector(cs, phi1, phi2, bound, space):
+    """The degree-1 lift summed vector by vector: Σ_ij scale·Σ_x P_ij(x), P_ij from
+    `lift_poly_deg1`, plus P_ij(0) in a(0) at ν = 0."""
+    nu = phi1.nu
+    coeffs = {}
+    for i in range(cs.h):
+        p1 = space.space.poly_from_coords(phi1.values[i])
+        for j in range(cs.h):
+            p2 = space.space.poly_from_coords(phi2.values[j])
+            if p1.is_zero() or p2.is_zero():
+                continue
+            v1, v2 = HarmonicPoly(space.frame, p1), HarmonicPoly(space.frame, p2)
+            cross = cs.cross_lattice(i, j)
+            lift = lift_poly_deg1(v1, v2, cross)
+            scale = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j]) / cross.norm_scale ** nu
+            for m, vecs in short_vectors_upto(cross.normalized_gram(), bound).items():
+                s = sum((lift.eval(v) for v in vecs.tolist()), Fraction(0))
+                coeffs[int(m)] = coeffs.get(int(m), 0) + scale * s
+            if nu == 0:
+                coeffs[0] = coeffs.get(0, 0) + scale * lift.eval((0,) * 4)
+    return {m: v for m, v in coeffs.items() if v}
+
+
+@pytest.mark.parametrize("first,second,bound", [("phi2", "phi2", 20), ("one", "phi2", 20),
+                                                ("one", "one", 20), ("phi1", "phi1", 12),
+                                                ("nu2", "nu2'", 8)])
+def test_yoshida1_matches_the_per_vector_sum(class_set_17, first, second, bound):
+    cs = class_set_17
+    space2 = FormSpace(cs, 2)
+    forms = {"phi2": fx.phi2(), "one": constant_form(cs), "phi1": fx.phi1(),
+             "nu2": random_form(space2, 5), "nu2'": random_form(space2, 6)}
+    phi1, phi2 = forms[first], forms[second]
+    space = [fx.fixture_space(0), fx.fixture_space(1), space2][phi1.nu]
+    want = yoshida1_per_vector(cs, phi1, phi2, bound, space)
+    assert yoshida1(cs, phi1, phi2, bound, space).coeffs == want
+    assert want or (first, second) == ("one", "phi2")  # distinct eigenforms lift to 0
+
+
+def test_golden_lift_serializes_like_fixture_lift():
+    # the published assembly and the eigenform pipeline, singular bound included
+    assert fx.golden_lift(1).singular_bound == 1
+    for bound in range(61):
+        golden = dumps_canonical(expansion_to_obj(fx.golden_lift(bound)))
+        assert golden == dumps_canonical(expansion_to_obj(fx.fixture_lift(bound))), bound
+
+
 @pytest.fixture
 def enumeration_norms(monkeypatch):
     """The max_norm of every enumeration a ThetaEngine asks for; the buckets come back empty."""
@@ -329,4 +381,4 @@ def test_yoshida2_enumerates_the_largest_norm_it_reads(class_set_17, space0, spa
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_golden_lift_releases_its_engines(jobs):
     fx.golden_lift(300, jobs=jobs)
-    assert fx._LIFT_STATE == {}
+    assert yoshida._LIFT_STATE == {}
