@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+
+import numpy as np
 
 from . import linalg
 from .harmonic import (HarmSpace, default_frame, harm_basis, integral_tau_matrix,
@@ -65,17 +66,12 @@ class FormSpace:
         self._right_inverses = [linalg.right_inverse(cb) if cb else None
                                 for cb in self.class_bases]
 
-    def _invariant_basis(self, order: Lattice) -> list[list[Fraction]]:
-        d = self.space.dim
+    def _invariant_basis(self, order: Lattice) -> linalg.Matrix:
+        eye = linalg.identity(self.space.dim)
         units = [order.element_from(v) for v in short_vectors(order.gram, 1)]
-        rows = []
-        for u in units:
-            m = integral_tau_matrix(u, self.space)
-            # invariance v·M_u = v as a right-kernel condition: (M_uᵗ - I)·vᵗ = 0
-            mt = linalg.transpose(m)
-            for i in range(d):
-                rows.append([mt[i][j] - Fraction(int(i == j)) for j in range(d)])
-        return linalg.nullspace(rows) if rows else linalg.identity(d)
+        # invariance v·M_u = v as a right-kernel condition: (M_uᵗ - I)·vᵗ = 0
+        return linalg.nullspace(linalg.vstack([integral_tau_matrix(u, self.space).T - eye
+                                               for u in units]))
 
     def basis_forms(self) -> list[AutomorphicForm]:
         out = []
@@ -90,15 +86,9 @@ class FormSpace:
     def unflat(self, vec) -> AutomorphicForm:
         values = []
         pos = 0
-        d = self.space.dim
         for cb in self.class_bases:
-            v = [Fraction(0)] * d
-            for row in cb:
-                c = Fraction(vec[pos])
-                pos += 1
-                for j in range(d):
-                    v[j] += c * row[j]
-            values.append(tuple(v))
+            values.append(tuple(linalg.vec_mat(vec[pos:pos + len(cb)], cb)))
+            pos += len(cb)
         return AutomorphicForm(self.nu, values)
 
     def matrix_of(self, op: "BrandtMatrix") -> linalg.Matrix:
@@ -109,20 +99,20 @@ class FormSpace:
         every CB_j·B_ij lies in the row span of CB_i, that is, unless the
         operator maps invariant forms to invariant forms.
         """
-        mat = []
+        grid = []
         for j, cb_j in enumerate(self.class_bases):
-            rows = [[] for _ in cb_j]
+            row = []
             for i, (cb_i, r_i) in enumerate(zip(self.class_bases, self._right_inverses)):
                 if not (cb_i and cb_j):
+                    row.append(linalg.zeros(len(cb_j), len(cb_i)))
                     continue
-                image = linalg.mat_mul(cb_j, op.blocks[i][j])
-                coords = linalg.mat_mul(image, r_i)
-                if linalg.mat_mul(coords, cb_i) != image:
+                image = cb_j @ op.blocks[i][j]
+                coords = image @ r_i
+                if coords @ cb_i != image:
                     raise ValueError("form is not invariant under the unit groups")
-                for row, c in zip(rows, coords):
-                    row.extend(c)
-            mat.extend(rows)
-        return mat
+                row.append(coords)
+            grid.append(linalg.hstack(row))
+        return linalg.vstack(grid)
 
 
 class BrandtMatrix:
@@ -138,14 +128,8 @@ class BrandtMatrix:
         self.blocks = blocks  # blocks[i][j]: row-convention matrix on U_ν coords
 
     def apply(self, form: AutomorphicForm) -> AutomorphicForm:
-        dim = len(form.values[0])
-        values = []
-        for row in self.blocks:
-            acc = [Fraction(0)] * dim
-            for value, block in zip(form.values, row):
-                contrib = linalg.vec_mat(list(value), block)
-                acc = [a + b for a, b in zip(acc, contrib)]
-            values.append(tuple(acc))
+        flat = linalg.frac_mat([[x for value in form.values for x in value]])
+        values = [tuple((flat @ linalg.vstack(row_blocks))[0]) for row_blocks in self.blocks]
         return AutomorphicForm(form.nu, values)
 
     def row_sums(self) -> list[Fraction]:
@@ -168,19 +152,22 @@ def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None)
     The sum runs over the lattice with left order R_i and right order R_j
     (cross_lattice(j, i)); that is the unique index convention under which the
     operator preserves unit-group invariance, with (T̃φ)(y_i) = Σ_j B_ij·φ(y_j).
+    The blocks are computed once per (class set, p, ν).
     """
     _require_good_prime(cs, p)
-    space = space or FormSpace(cs, nu)
-    blocks = []
-    for i in range(cs.h):
-        row = []
-        for j in range(cs.h):
-            cross = cs.cross_lattice(j, i)
-            scale = Fraction(1, cs.unit_counts[j]) / cross.norm_scale ** nu
-            vecs = cs.cross_vectors(j, i, p)
-            row.append(linalg.mat_scale(tau_matrix_sum(cross, vecs, space.space), scale))
-        blocks.append(row)
-    return BrandtMatrix(p, nu, blocks)
+    if (p, nu) not in cs.brandt_blocks:
+        space = space or FormSpace(cs, nu)
+        blocks = []
+        for i in range(cs.h):
+            row = []
+            for j in range(cs.h):
+                cross = cs.cross_lattice(j, i)
+                scale = Fraction(1, cs.unit_counts[j]) / cross.norm_scale ** nu
+                vecs = cs.cross_vectors(j, i, p)
+                row.append(tau_matrix_sum(cross, vecs, space.space) * scale)
+            blocks.append(row)
+        cs.brandt_blocks[p, nu] = BrandtMatrix(p, nu, blocks)
+    return cs.brandt_blocks[p, nu]
 
 
 def inner_product(phi: AutomorphicForm, psi: AutomorphicForm, cs: ClassSet,
@@ -218,16 +205,15 @@ def _transport_blocks(routing, source: FormSpace) -> list[list[linalg.Matrix]]:
     nu, d = source.nu, source.space.dim
 
     def tau(gamma: QuatElement) -> linalg.Matrix:
-        return linalg.mat_scale(integral_tau_matrix(gamma, source.space),
-                                1 / gamma.norm() ** nu)
+        return integral_tau_matrix(gamma, source.space) * (1 / gamma.norm() ** nu)
 
     blocks = []
     for j, gammas in routing:
         block = tau(gammas[0])
         cb = source.class_bases[j]
         if cb:
-            want = linalg.mat_mul(cb, block)
-            if any(linalg.mat_mul(cb, tau(g)) != want for g in gammas[1:]):
+            want = cb @ block
+            if any(cb @ tau(g) != want for g in gammas[1:]):
                 raise ValueError("transport depends on the realizing element")
         row = [linalg.zeros(d, d) for _ in source.class_bases]
         row[j] = block
@@ -309,43 +295,48 @@ class EigenComponent:
 
 
 def _poly_of_matrix(coeffs, m: linalg.Matrix) -> linalg.Matrix:
-    n = len(m)
-    acc = linalg.zeros(n, n)
+    """f(M) by Horner's rule, for the coefficients of f, highest degree first."""
+    eye = linalg.identity(len(m))
+    acc = linalg.zeros(*m.shape)
     for c in coeffs:
-        acc = linalg.mat_mul(acc, m)
-        for i in range(n):
-            acc[i][i] += Fraction(c)
+        acc = acc @ m + eye * c
     return acc
 
 
 def _restrict(op: linalg.Matrix, basis: linalg.Matrix) -> linalg.Matrix | None:
     """Matrix of a row-convention operator on the row span of `basis` (None if not stable)."""
-    return linalg.solve_many(linalg.transpose(basis), linalg.mat_mul(basis, op))
+    return linalg.solve_many(basis.T, basis @ op)
 
 
-def _split_by_operator(subspaces, op):
+def _split_by_operator(subspaces: list[linalg.Matrix], op: linalg.Matrix) -> list[linalg.Matrix]:
     out = []
     for basis in subspaces:
         s = _restrict(op, basis)
         if s is None:
             raise ValueError("operator does not preserve the subspace")
-        cp = linalg.charpoly(s)
-        for fac, _ in factor_rational(cp):
-            m = _poly_of_matrix(fac, s)
-            kernel = linalg.nullspace(linalg.transpose(m))
+        for fac, _ in factor_rational(linalg.charpoly(s)):
+            kernel = linalg.nullspace(_poly_of_matrix(fac, s).T)
             if kernel:
-                rows = [linalg.vec_mat(v, basis) for v in kernel]
-                out.append(rows)
+                out.append(kernel @ basis)
     return out
 
 
-def _primitive_row(v):
-    """The primitive integer multiple of a nonzero rational row with a positive lead."""
-    (ints,), _ = linalg.integer_form([v])
-    g = math.gcd(*ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return [Fraction(x, g) for x in ints]
+def _primitive_rows(basis: linalg.Matrix) -> linalg.Matrix:
+    """Each row scaled to its primitive integer multiple with a positive lead."""
+    num = basis.num
+    lead = num[np.arange(len(num)), (num != 0).argmax(axis=1)]
+    content = np.gcd.reduce(num, axis=1) * np.sign(lead)
+    return linalg.Matrix(num // content[:, None])
+
+
+def _involution_sign(op: linalg.Matrix, basis: linalg.Matrix) -> int:
+    """±1 when op restricts to ±I on the row span of `basis`; ValueError otherwise."""
+    s = _restrict(op, basis)
+    eye = linalg.identity(len(basis))
+    for sign in (1, -1):
+        if s == eye * sign:
+            return sign
+    raise ValueError("operator does not act as ±1 on an eigenspace of the involutions")
 
 
 def eigenforms(cs: ClassSet, nu: int, primes: list[int],
@@ -364,17 +355,17 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     level_primes = sorted(set(_prime_factors(cs.order.level)))
     inv_ops = {q: space.matrix_of(atkin_lehner(cs, nu, q, space)) for q in level_primes}
     brandt_ops = {p: space.matrix_of(brandt_matrix(cs, nu, p, space)) for p in primes}
-    subspaces = [list(linalg.identity(space.dim))]
+    subspaces = [linalg.identity(space.dim)]
     for q in level_primes:
         subspaces = _split_by_operator(subspaces, inv_ops[q])
     for p in sorted(primes):
         subspaces = _split_by_operator(subspaces, brandt_ops[p])
     components = []
     for basis in subspaces:
-        basis = [_primitive_row(row) for row in basis]
+        basis = _primitive_rows(basis)
         comp = EigenComponent(forms=[space.unflat(v) for v in basis])
         for q, op in inv_ops.items():
-            comp.involutions[q] = int(_restrict(op, basis)[0][0])
+            comp.involutions[q] = _involution_sign(op, basis)
         for p, op in brandt_ops.items():
             s = _restrict(op, basis)
             if len(basis) == 1:
@@ -387,7 +378,8 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
 
 
 def _component_key(comp: EigenComponent):
+    """Dimension, then the exact eigenvalues or characteristic-polynomial factors by prime."""
     if comp.hecke:
-        return (comp.dim, sorted((p, float(v)) for p, v in comp.hecke.items()))
-    return (comp.dim, sorted((p, [float(c) for fac, _ in cp for c in fac])
+        return (comp.dim, sorted(comp.hecke.items()))
+    return (comp.dim, sorted((p, [c for fac, _ in cp for c in fac])
                              for p, cp in comp.charpolys.items()))

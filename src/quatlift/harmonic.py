@@ -17,8 +17,9 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import linalg
+from .linalg import INT64_SAFE
 from .polys import Poly, monomials_of_degree
-from .quatcore import _INT64_SAFE, Lattice, QuatElement, QuaternionAlgebra, UsageError
+from .quatcore import Lattice, QuatElement, QuaternionAlgebra, UsageError
 
 
 class TraceZeroFrame:
@@ -29,13 +30,11 @@ class TraceZeroFrame:
             raise ValueError("frame must consist of 3 trace-zero elements")
         self.algebra = algebra
         self.elements = elements
-        rows = [list(e.coords) for e in elements]
-        b = algebra.bilinear
-        self.gram = linalg.mat_mul(linalg.mat_mul(rows, b), linalg.transpose(rows))
+        self._rows = linalg.frac_mat([e.coords for e in elements])
+        self.gram = self._rows @ algebra.bilinear @ self._rows.T
         self.gram_inv = linalg.inverse(self.gram)
         # coords(x) · _solve = (t₁, t₂, t₃, s) with x = Σ tᵢgᵢ + s·1
-        full = rows + [list(algebra.one)]
-        self._solve = linalg.inverse(full)
+        self._solve = linalg.inverse(linalg.vstack([self._rows, [algebra.one]]))
 
     def coords_of(self, x: QuatElement) -> list[Fraction]:
         t = linalg.vec_mat(list(x.coords), self._solve)
@@ -65,19 +64,20 @@ class TraceZeroFrame:
         its entries are quadratic forms in y's algebra coordinates, and m₂(y)
         holds their degree-2 monomials in `monomials_of_degree(4, 2)` order.
         """
-        basis = [self.algebra.basis_element(i) for i in range(4)]
+        alg = self.algebra
+        # entry [a, l, b] holds the frame coordinates (and trace part) of f̄_a·g_l·f_b
+        sandwich = alg.products(alg.products(alg.conj_matrix, self._rows), linalg.identity(4))
+        coords = sandwich @ self._solve
+        t = coords.num.reshape(4, 3, 4, 4)
         rows = []
         for e in monomials_of_degree(4, 2):
             a, b = [i for i, k in enumerate(e) for _ in range(k)]
-            row = []
-            for g in self.elements:
-                # the coefficient of y_a·y_b in ȳ·g·y (the polarization when a ≠ b)
-                x = basis[a].conj() * g * basis[b]
-                if a != b:
-                    x = x + basis[b].conj() * g * basis[a]
-                row.extend(self.coords_of(x))
-            rows.append(row)
-        return linalg.integer_form(rows)
+            # the coefficient of y_a·y_b in ȳ·g·y (the polarization when a ≠ b)
+            x = t[a, :, b] + t[b, :, a] if a != b else t[a, :, a]
+            if x[:, 3].any():
+                raise ValueError("element is not trace-zero")
+            rows.append(x[:, :3].ravel())
+        return linalg.integer_form(linalg.Matrix(np.array(rows), coords.den))
 
     def __eq__(self, other):
         return (isinstance(other, TraceZeroFrame) and self.algebra is other.algebra
@@ -334,7 +334,7 @@ def _tau_sum(vecs, basis: list[list[int]], den: int, space: HarmSpace) -> linalg
     amax = int(np.abs(vecs).max()) * max(sum(abs(row[c]) for row in basis) for c in range(4))
     cmax = amax * amax * max(sum(abs(row[c]) for row in table) for c in range(9))
     peak = max(amax, cmax, len(vecs) * (3 * cmax) ** nu)
-    dtype = np.int64 if peak < _INT64_SAFE else object
+    dtype = np.int64 if peak < INT64_SAFE else object
     a = vecs.astype(dtype) @ np.array(basis, dtype=dtype)
     c = (_monomial_rows(a, 2, dtype) @ np.array(table, dtype=dtype)).reshape(-1, 3, 3)
     ct = c.transpose(0, 2, 1)
@@ -343,8 +343,7 @@ def _tau_sum(vecs, basis: list[list[int]], den: int, space: HarmSpace) -> linalg
         prod = s[:, parent, :, None] * ct[:, first, None, :]
         s = prod.reshape(len(vecs), len(parent), -1) @ scatter.astype(dtype)
     total = bq @ s.sum(axis=0).astype(object) @ rq
-    scale = den_br * (den_t * den * den) ** nu
-    return [[Fraction(x, scale) for x in row] for row in total.tolist()]
+    return linalg.Matrix(total, den_br * (den_t * den * den) ** nu)
 
 
 def _sym_from_basis(basis_rows, nvars: int, var_offset: int) -> list[Poly]:

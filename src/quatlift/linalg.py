@@ -1,8 +1,23 @@
 """Exact rational linear algebra on small dense matrices.
 
-Matrices are lists of lists of Fraction (or int, coerced on the fly); nothing
-here is sized for more than a few dozen rows.  All routines are deterministic
-and never touch floating point.
+A rational matrix is one `Matrix`: an integer array N and one positive
+denominator d, standing for N/d.  It is kept in lowest terms (the gcd of d and
+every entry of N is 1), and N is int64 when every entry is below 2⁶² in absolute
+value, otherwise an object array of Python ints.  So two equal matrices have
+equal (N, d) and the same dtype, and equality is a comparison of arrays.
+
+Every kernel works on the integers alone and keeps int64 only while a bound on
+the integers it forms stays below 2⁶²; past that it runs the same code on
+object arrays.  A product is one numpy call with denominator d_A·d_B.  `rref`
+(and with it `solve_many`, `nullspace`, `inverse` and `rank`) is fraction-free
+Gauss–Jordan elimination that divides each changed row by its content, `det`
+is Bareiss elimination (Bareiss, Math. Comp. 22, 1968), and `charpoly` is
+division-free Faddeev–LeVerrier over ℤ on N, whose exact divisions are by k.
+
+Fractions appear only at the edge: `Matrix.tolist`, iteration and indexing
+give rows of Fractions, and `det`, `charpoly` and `vec_mat` return Fractions.
+Nothing here is sized for more than a few dozen rows, and nothing touches
+floating point.
 """
 
 from __future__ import annotations
@@ -10,170 +25,336 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Matrix = list[list[Fraction]]
-Vector = list[Fraction]
+import numpy as np
+
+# the int64 guard: every integer a kernel forms stays below this, or the
+# kernel runs on object arrays of Python ints
+INT64_SAFE = 2 ** 62
+
+
+def _absmax(x: np.ndarray) -> int:
+    return int(np.abs(x).max()) if x.size else 0
+
+
+def _array(rows: list[list[int]], ncols: int) -> np.ndarray:
+    """A 2-D integer array of Python int rows: int64 if every entry fits, else object."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), ncols)
+
+
+def _mul(x: np.ndarray, y: np.ndarray, xmax: int, ymax: int) -> np.ndarray:
+    """x @ y on integer arrays with max|x| = xmax, max|y| = ymax.
+
+    int64 when k·xmax·ymax stays below the guard, object arrays otherwise.
+    """
+    if x.dtype == object or y.dtype == object or x.shape[1] * xmax * ymax >= INT64_SAFE:
+        return x.astype(object) @ y.astype(object)
+    return x @ y
+
+
+def _scaled(x: np.ndarray, s: int, xmax: int) -> np.ndarray:
+    """x·s for a Python int s and max|x| = xmax, on object arrays past the guard."""
+    if s == 1:
+        return x
+    if x.dtype != object and xmax * abs(s) >= INT64_SAFE:
+        x = x.astype(object)
+    return x * s
+
+
+def _rational(x) -> Fraction:
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, np.integer):
+        return Fraction(int(x))  # a Fraction of an np.int64 keeps an np.int64 numerator
+    return Fraction(x)
+
+
+class Matrix:
+    """The rational matrix num/den, in lowest terms with a canonical dtype (see the module)."""
+
+    __slots__ = ("num", "den", "max", "_rows")
+
+    def __init__(self, num: np.ndarray, den: int = 1):
+        if num.dtype != object and num.dtype != np.int64:
+            num = num.astype(np.int64)
+        den = int(den)
+        if den <= 0:
+            if den == 0:
+                raise ZeroDivisionError("matrix denominator is 0")
+            num, den = -num, -den
+        g = math.gcd(int(np.gcd.reduce(num, axis=None)) if num.size else 0, den)
+        if g > 1:
+            num, den = num // g, den // g
+        self.max = _absmax(num)  # read by the int64 guard of every operation
+        big = self.max >= INT64_SAFE
+        if big != (num.dtype == object):
+            num = num.astype(object if big else np.int64)
+        self.num = num
+        self.den = den
+        self._rows = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.num.shape
+
+    @property
+    def T(self) -> "Matrix":
+        return Matrix(self.num.T, self.den)
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        return Matrix(_mul(self.num, other.num, self.max, other.max), self.den * other.den)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        den = math.lcm(self.den, other.den)
+        return Matrix(_scaled(self.num, den // self.den, self.max)
+                      + _scaled(other.num, den // other.den, other.max), den)
+
+    def __neg__(self) -> "Matrix":
+        return Matrix(-self.num, self.den)
+
+    def __sub__(self, other: "Matrix") -> "Matrix":
+        return self + -other
+
+    def __mul__(self, c) -> "Matrix":
+        c = _rational(c)
+        return Matrix(_scaled(self.num, c.numerator, self.max), self.den * c.denominator)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Matrix):
+            return (self.den == other.den and self.num.shape == other.num.shape
+                    and np.array_equal(self.num, other.num))
+        if isinstance(other, list):
+            return self.tolist() == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.den, self.num.shape, tuple(self.num.ravel().tolist())))
+
+    def tolist(self) -> list[list[Fraction]]:
+        """The entries as rows of Fractions: the one conversion out of the integer form."""
+        d = self.den
+        return [[Fraction(x, d) for x in row] for row in self.num.tolist()]
+
+    def _fraction_rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(map(tuple, self.tolist()))
+        return self._rows
+
+    def __len__(self) -> int:
+        return self.num.shape[0]
+
+    def __iter__(self):
+        return (list(row) for row in self._fraction_rows())
+
+    def __getitem__(self, i: int) -> list[Fraction]:
+        return list(self._fraction_rows()[i])
+
+    def __repr__(self):
+        return f"Matrix({self.num.tolist()}, den={self.den})"
 
 
 def frac_mat(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+    """A Matrix of rational rows (Fractions, ints or numpy ints), or the Matrix itself."""
+    if isinstance(rows, Matrix):
+        return rows
+    if isinstance(rows, np.ndarray):
+        return Matrix(rows)
+    rows = [[_rational(x) for x in row] for row in rows]
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    ints = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return Matrix(_array(ints, len(rows[0]) if rows else 0), den)
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return Matrix(np.eye(n, dtype=np.int64))
 
 
 def zeros(n: int, m: int) -> Matrix:
-    return [[Fraction(0)] * m for _ in range(n)]
+    return Matrix(np.zeros((n, m), dtype=np.int64))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
+def _common(mats) -> tuple[list[np.ndarray], int]:
+    """The integer arrays of matrices over their least common denominator, and it."""
+    mats = [frac_mat(m) for m in mats]
+    den = math.lcm(*(m.den for m in mats))
+    return [_scaled(m.num, den // m.den, m.max) for m in mats], den
 
 
-def vec_mat(v, a: Matrix) -> Vector:
-    m = len(a[0])
-    return [sum((v[i] * a[i][j] for i in range(len(v))), Fraction(0)) for j in range(m)]
+def hstack(mats) -> Matrix:
+    nums, den = _common(mats)
+    return Matrix(np.hstack(nums), den)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
+def vstack(mats) -> Matrix:
+    nums, den = _common(mats)
+    return Matrix(np.vstack(nums), den)
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    c = Fraction(c)
-    return [[c * x for x in row] for row in a]
+def outer_rows(a: Matrix, b: Matrix) -> Matrix:
+    """Row m·s + t is a_s ⊗ b_t, for the n rows a_s of a and the m rows b_t of b."""
+    x, y = a.num, b.num
+    if x.dtype == object or y.dtype == object or a.max * b.max >= INT64_SAFE:
+        x, y = x.astype(object), y.astype(object)
+    prod = x[:, None, :, None] * y[None, :, None, :]
+    return Matrix(prod.reshape(len(x) * len(y), -1), a.den * b.den)
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
+def mat_mul(a, b) -> Matrix:
+    return frac_mat(a) @ frac_mat(b)
 
 
-def det(a: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
+def vec_mat(v, a) -> list[Fraction]:
+    """The row vector v·A, as Fractions."""
+    return (frac_mat([list(v)]) @ frac_mat(a)).tolist()[0]
+
+
+def transpose(a) -> Matrix:
+    return frac_mat(a).T
+
+
+def mat_scale(a, c) -> Matrix:
+    return frac_mat(a) * c
+
+
+def det(a) -> Fraction:
+    """Determinant by Bareiss elimination on N; det(N/d) = det(N)/dⁿ.
+
+    Every integer Bareiss forms is a minor of N or a product of two, so the
+    Hadamard bound H of N picks the dtype: int64 when 2H² is below the guard.
+    """
+    a = frac_mat(a)
     n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    prod = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
+    m = a.num.copy()
+    hadamard = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in m.tolist())
+    if m.dtype != object and 2 * hadamard * hadamard >= INT64_SAFE:
+        m = m.astype(object)
+    sign, prev = 1, 1
+    for k in range(n):
+        nz = np.flatnonzero(m[k:, k])
+        if not nz.size:
             return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
+        if nz[0]:
+            m[[k, k + nz[0]]] = m[[k + nz[0], k]]
             sign = -sign
-        p = m[col][col]
-        prod *= p
-        for r in range(col + 1, n):
-            f = m[r][col] / p
-            if f:
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return sign * prod
+        p = m[k, k]
+        m[k + 1:, k + 1:] = (p * m[k + 1:, k + 1:] - np.outer(m[k + 1:, k], m[k, k + 1:])) // prev
+        prev = p
+    return Fraction(sign * int(prev), a.den ** n)
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot columns)."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
+def rref(a) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (matrix, pivot columns).
+
+    Fraction-free Gauss–Jordan on N (the RREF of N/d is that of N): each
+    elimination replaces row i by p·row_i − N_ic·row_r, with p the pivot, and
+    divides it by its content.  The entries formed are at most 2·max|N|², which
+    picks the dtype at each step.  At the end row k is its pivot times the k-th
+    reduced row, so one denominator, the lcm of the pivots, holds them all.
+    """
+    m = frac_mat(a).num.copy()
+    rows, cols = m.shape
+    pivots: list[int] = []
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        m[r] = [x / p for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
-    return m, pivots
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
+            continue
+        if nz[0]:
+            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
+        m[r] //= np.gcd.reduce(m[r])
+        others = np.flatnonzero(m[:, c])
+        others = others[others != r]
+        if others.size:
+            if m.dtype != object and 2 * _absmax(m) ** 2 >= INT64_SAFE:
+                m = m.astype(object)
+            block = m[r, c] * m[others] - np.outer(m[others, c], m[r])
+            content = np.gcd.reduce(block, axis=1)
+            content[content == 0] = 1
+            m[others] = block // content[:, None]
+        pivots.append(c)
+    r = len(pivots)
+    leads = [int(x) for x in m[np.arange(r), pivots]]
+    den = math.lcm(*leads)
+    scale = np.array([den // x for x in leads] + [0] * (rows - r), dtype=object)
+    if m.dtype != object and _absmax(m) * den < INT64_SAFE:
+        scale = scale.astype(np.int64)
+    return Matrix(m * scale[:, None], den), pivots
 
 
-def rank(a: Matrix) -> int:
+def rank(a) -> int:
     return len(rref(a)[1])
 
 
-def nullspace(a: Matrix) -> list[Vector]:
-    """Deterministic basis of the right kernel (free variables set to 1)."""
+def nullspace(a) -> Matrix:
+    """Deterministic basis of the right kernel, one row per free column (set to 1)."""
     red, pivots = rref(a)
-    cols = len(a[0]) if a else 0
+    cols = red.shape[1]
     free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(v)
-    return basis
+    num = np.zeros((len(free), cols), dtype=red.num.dtype)
+    num[np.arange(len(free)), free] = red.den
+    num[:, pivots] = -red.num[:len(pivots), free].T
+    return Matrix(num, red.den)
 
 
-def solve(a: Matrix, b) -> Vector | None:
+def solve(a, b) -> list[Fraction] | None:
     """One solution of a·x = b, or None if inconsistent."""
     sol = solve_many(a, [b])
     return None if sol is None else sol[0]
 
 
-def solve_many(a: Matrix, rhs) -> list[Vector] | None:
-    """One solution of a·x = b for each b in rhs, from one rref; None if any is inconsistent."""
-    n, m = len(a), len(a[0])
-    aug = [a[i][:] + [Fraction(b[i]) for b in rhs] for i in range(n)]
-    red, pivots = rref(aug)
+def solve_many(a, rhs) -> Matrix | None:
+    """One solution x of a·x = b per row b of rhs, as the rows of a matrix, from one rref.
+
+    None if any b is inconsistent.
+    """
+    a = frac_mat(a)
+    n, m = a.shape
+    rhs = frac_mat(rhs)
+    if not len(rhs):
+        return zeros(0, m)
+    red, pivots = rref(hstack([a, rhs.T]))
     if pivots and pivots[-1] >= m:
         return None
-    out = [[Fraction(0)] * m for _ in rhs]
-    for r, pc in enumerate(pivots):
-        for t, x in enumerate(out):
-            x[pc] = red[r][m + t]
-    return out
+    num = np.zeros((m, len(rhs)), dtype=red.num.dtype)
+    num[pivots] = red.num[:len(pivots), m:]
+    return Matrix(num.T, red.den)
 
 
-def inverse(a: Matrix) -> Matrix:
+def inverse(a) -> Matrix:
+    a = frac_mat(a)
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
+    red, pivots = rref(hstack([a, identity(n)]))
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [row[n:] for row in red]
+    return Matrix(red.num[:, n:], red.den)
 
 
-def charpoly(a: Matrix) -> list[Fraction]:
+def charpoly(a) -> list[Fraction]:
     """Characteristic polynomial det(xI - A), coefficients highest degree first.
 
-    Faddeev-LeVerrier; exact over the rationals.
+    Faddeev–LeVerrier over ℤ on N = d·A: M₁ = I, c_k = −tr(N·M_k)/k (exact, as
+    N has an integer characteristic polynomial), M_{k+1} = N·M_k + c_k·I.  The
+    coefficient of x^(n−k) of det(xI − N/d) is c_k/d^k.
     """
+    a = frac_mat(a)
     n = len(a)
-    coeffs = [Fraction(1)]
-    m = zeros(n, n)
-    c = Fraction(1)
+    coeffs = [1]
+    m = np.eye(n, dtype=np.int64)
     for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        for i in range(n):
-            m[i][i] += c
-        am = mat_mul(a, m)
-        c = -sum(am[i][i] for i in range(n)) / k
+        am = _mul(a.num, m, a.max, _absmax(m))
+        c = -(sum(am.diagonal().tolist()) // k)
         coeffs.append(c)
-    return coeffs
+        if am.dtype != object and _absmax(am) + abs(c) >= INT64_SAFE:
+            am = am.astype(object)
+        am[np.diag_indices(n)] += c
+        m = am
+    return [Fraction(c, a.den ** k) for k, c in enumerate(coeffs)]
 
 
 def hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -223,27 +404,19 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     return m
 
 
-def common_denominator(rows: Matrix) -> int:
-    d = 1
-    for row in rows:
-        for x in row:
-            d = d * x.denominator // math.gcd(d, x.denominator)
-    return d
-
-
 def integer_form(rows) -> tuple[list[list[int]], int]:
     """(N, d) with rows = N/d: d the least common denominator, N integer rows."""
-    d = common_denominator(rows)
-    return [[int(x * d) for x in row] for row in rows], d
+    m = frac_mat(rows)
+    return m.num.tolist(), m.den
 
 
-def right_inverse(b: Matrix) -> Matrix:
+def right_inverse(b) -> Matrix:
     """R = Bᵗ(BBᵗ)⁻¹, so that B·R = I for B of full row rank."""
-    bt = transpose(b)
-    return mat_mul(bt, inverse(mat_mul(b, bt)))
+    b = frac_mat(b)
+    return b.T @ inverse(b @ b.T)
 
 
-def hnf_rational(rows: Matrix) -> Matrix:
+def hnf_rational(rows) -> Matrix:
     """HNF basis of the lattice spanned by rational rows."""
-    ints, d = integer_form(rows)
-    return [[Fraction(x, d) for x in row] for row in hnf(ints)]
+    m = frac_mat(rows)
+    return Matrix(_array(hnf(m.num.tolist()), m.shape[1]), m.den)

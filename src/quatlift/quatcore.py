@@ -5,6 +5,11 @@ enumeration, ideal classes and two-sided ideals.  Everything is immutable
 after construction and deterministic: vector lists are lexicographically
 sorted, class representatives are produced in BFS discovery order.
 
+Lattice bases, Gram matrices and the multiplication table are `linalg.Matrix`
+(integers over one denominator): all products of elements go through the
+table, as (a ⊗ b)·table, so a lattice product or a multiplication matrix is one
+integer product.  Element coordinates are Fractions.
+
 Short vectors come from one numpy kernel, `short_vectors_upto`, which stays
 exact without any Fraction inside the loop.  The size-reduced Gram matrix is
 scaled to integers by its common denominator and factored fraction-free
@@ -32,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .linalg import Matrix
+from .linalg import INT64_SAFE, Matrix
 
 
 class UsageError(ValueError):
@@ -54,6 +59,8 @@ class QuaternionAlgebra:
     def __init__(self, structure_constants, unit_coords, name: str = "D"):
         self.c = tuple(tuple(tuple(Fraction(x) for x in vec) for vec in row)
                        for row in structure_constants)
+        # row 4i + j: the coordinates of f_i·f_j
+        self.table = linalg.frac_mat([vec for row in self.c for vec in row])
         self.one = tuple(Fraction(x) for x in unit_coords)
         self.name = name
         self.trace_vec = self._trace_vector()
@@ -68,34 +75,19 @@ class QuaternionAlgebra:
     def unit(self) -> "QuatElement":
         return QuatElement(self, self.one)
 
+    def products(self, a, b) -> Matrix:
+        """Row m·s + t (b with m rows) is the coordinate row of a_s·b_t, (a_s ⊗ b_t)·table."""
+        return linalg.outer_rows(linalg.frac_mat(a), linalg.frac_mat(b)) @ self.table
+
     def mul_coords(self, a, b) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * 4
-        c = self.c
-        for i in range(4):
-            ai = a[i]
-            if not ai:
-                continue
-            ci = c[i]
-            for j in range(4):
-                bj = b[j]
-                if not bj:
-                    continue
-                cij = ci[j]
-                f = ai * bj
-                for k in range(4):
-                    if cij[k]:
-                        out[k] += f * cij[k]
-        return tuple(out)
+        return tuple(self.products([a], [b])[0])
 
     def _trace_vector(self) -> tuple[Fraction, ...]:
         # tr is the unique linear form with x + x̄ = tr(x)·1 and tr(1) = 2;
         # for a quaternion algebra tr(x) equals the trace of left multiplication
-        # by x on the algebra, divided by 2.
-        tr = []
-        for i in range(4):
-            m = self.left_mul_matrix_coords([Fraction(int(j == i)) for j in range(4)])
-            tr.append(sum(m[k][k] for k in range(4)) / 2)
-        return tuple(tr)
+        # by x on the algebra, divided by 2: tr(f_i) = Σ_j c_ijj / 2
+        t = self.table.num.reshape(4, 4, 4).trace(axis1=1, axis2=2)
+        return tuple(Fraction(int(x), 2 * self.table.den) for x in t)
 
     def trace(self, coords) -> Fraction:
         return sum(t * x for t, x in zip(self.trace_vec, coords))
@@ -113,20 +105,24 @@ class QuaternionAlgebra:
         raise ValueError("unit coordinates are zero")
 
     def _bilinear_matrix(self) -> Matrix:
-        # B(x, y) = tr(x·ȳ), on the algebra basis
-        basis = [[Fraction(int(j == i)) for j in range(4)] for i in range(4)]
-        return [[self.trace(self.mul_coords(basis[i], self.conj_coords(basis[j])))
-                 for j in range(4)] for i in range(4)]
+        # B(x, y) = tr(x·ȳ), on the algebra basis: row 4i + j of the products is f_i·f̄_j
+        traces = self.products(linalg.identity(4), self.conj_matrix) @ linalg.frac_mat(
+            [[t] for t in self.trace_vec])
+        return Matrix(traces.num.reshape(4, 4), traces.den)
+
+    @cached_property
+    def conj_matrix(self) -> Matrix:
+        """coords(x̄) = coords(x)·K, K = trᵗ·1 − I."""
+        k = [[t * o for o in self.one] for t in self.trace_vec]
+        return linalg.frac_mat(k) - linalg.identity(4)
 
     def left_mul_matrix_coords(self, b) -> Matrix:
         """Row i = coords of b·f_i (so coords(b·x) = coords(x)·M)."""
-        return [list(self.mul_coords(b, [Fraction(int(j == i)) for j in range(4)]))
-                for i in range(4)]
+        return self.products([b], linalg.identity(4))
 
     def right_mul_matrix_coords(self, b) -> Matrix:
         """Row i = coords of f_i·b (so coords(x·b) = coords(x)·M)."""
-        return [list(self.mul_coords([Fraction(int(j == i)) for j in range(4)], b))
-                for i in range(4)]
+        return self.products(linalg.identity(4), [b])
 
     def validate(self) -> None:
         """Check the algebra axioms on the basis; raises on failure."""
@@ -135,11 +131,10 @@ class QuaternionAlgebra:
         for x in basis:
             if one * x != x or x * one != x:
                 raise ValueError("unit law fails")
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    if (x * y) * z != x * (y * z):
-                        raise ValueError("multiplication is not associative")
+        # row 16i + 4j + k: (f_i·f_j)·f_k on the left, f_i·(f_j·f_k) on the right
+        eye = linalg.identity(4)
+        if self.products(self.table, eye) != self.products(eye, self.table):
+            raise ValueError("multiplication is not associative")
         for x in basis:
             xb = x.conj()
             if x + xb != one * x.trace():
@@ -227,38 +222,19 @@ def conj_trace_norm(x: QuatElement) -> tuple[QuatElement, Fraction, Fraction]:
     return xb, t, n
 
 
-def is_positive_definite(g: Matrix) -> bool:
+def is_positive_definite(g) -> bool:
     try:
-        _ldl(g)
+        _int_ldl(linalg.frac_mat(g).num.tolist())
     except ValueError:
         return False
     return True
 
 
-def _ldl(g: Matrix) -> tuple[list[Fraction], Matrix]:
-    """G = L·diag(D)·Lᵗ with L unit lower triangular; raises if not positive definite."""
-    n = len(g)
-    d = [Fraction(0)] * n
-    low = linalg.identity(n)
-    for i in range(n):
-        s = Fraction(g[i][i])
-        for k in range(i):
-            s -= d[k] * low[i][k] * low[i][k]
-        if s <= 0:
-            raise ValueError("matrix is not positive definite")
-        d[i] = s
-        for j in range(i + 1, n):
-            t = Fraction(g[j][i])
-            for k in range(i):
-                t -= d[k] * low[i][k] * low[j][k]
-            low[j][i] = t / s
-    return d, low
-
-
-def _gauss_reduce_gram(g: Matrix) -> tuple[Matrix, list[list[int]]]:
-    """Exact pairwise size reduction of a Gram matrix (no floats, no LLL).
+def _gauss_reduce_gram(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """Exact pairwise size reduction of an integer Gram matrix (no floats, no LLL).
 
     Returns (G', U) with G' = U·G·Uᵗ small enough for enumeration; U unimodular.
+    A rational Gram matrix is reduced as d·G: the steps depend on ratios only.
     """
     n = len(g)
     g = [row[:] for row in g]
@@ -271,8 +247,8 @@ def _gauss_reduce_gram(g: Matrix) -> tuple[Matrix, list[list[int]]]:
             for i in range(n):
                 if i == j or g[j][j] == 0:
                     continue
-                # nearest integer to G_ij / G_jj
-                k = math.floor(Fraction(g[i][j]) / Fraction(g[j][j]) + Fraction(1, 2))
+                # nearest integer to G_ij / G_jj: ⌊(2G_ij + G_jj) / 2G_jj⌋
+                k = (2 * g[i][j] + g[j][j]) // (2 * g[j][j])
                 if k == 0:
                     continue
                 new_diag = g[i][i] - 2 * k * g[i][j] + k * k * g[j][j]
@@ -289,22 +265,27 @@ def _gauss_reduce_gram(g: Matrix) -> tuple[Matrix, list[list[int]]]:
 
 
 def _int_ldl(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Fraction-free LDL of an integer Gram matrix.
+    """Fraction-free LDL of an integer Gram matrix, by Bareiss elimination.
 
     Returns the leading principal minors Δ₀ = 1, Δ₁, …, Δₙ and the integer
-    matrix M[j][i] = Δ_{i+1}·L[j][i], where G = L·diag(Δ_{i+1}/Δ_i)·Lᵗ.
-    Raises ValueError unless G is positive definite.
+    matrix M[j][i] = Δ_{i+1}·L[j][i], where G = L·diag(Δ_{i+1}/Δ_i)·Lᵗ.  At
+    step i the Bareiss entry in row j ≥ i of column i is exactly M[j][i].
+    Raises ValueError unless G is positive definite (Δ_i > 0 for all i).
     """
-    d, low = _ldl(g)
-    minors = [Fraction(1)]
-    for di in d:
-        minors.append(minors[-1] * di)
     n = len(g)
-    scaled = [[minors[i + 1] * low[j][i] for i in range(n)] for j in range(n)]
-    return [int(x) for x in minors], [[int(x) for x in row] for row in scaled]
-
-
-_INT64_SAFE = 2 ** 62
+    a = [row[:] for row in g]
+    minors = [1]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if a[i][i] <= 0:
+            raise ValueError("matrix is not positive definite")
+        minors.append(a[i][i])
+        for j in range(i, n):
+            m[j][i] = a[j][i]
+        for j in range(i + 1, n):
+            for t in range(i + 1, n):
+                a[j][t] = (a[i][i] * a[j][t] - a[j][i] * a[i][t]) // minors[i]
+    return minors, m
 
 
 def _magnitude(g: list[list[int]], u: list[list[int]], minors: list[int],
@@ -344,7 +325,7 @@ def _sort_key(norms: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     n = vecs.shape[1]
     low = [int(x) for x in vecs.min(axis=0)]
     span = max(int(hi) - lo + 1 for hi, lo in zip(vecs.max(axis=0), low))
-    small = vecs.dtype != object and (int(norms.max()) + 1) * span ** n < _INT64_SAFE
+    small = vecs.dtype != object and (int(norms.max()) + 1) * span ** n < INT64_SAFE
     key = norms.astype(np.int64 if small else object)
     for t in range(n):
         key *= span
@@ -360,14 +341,15 @@ def short_vectors_upto(g: Matrix, max_norm) -> dict[Fraction, np.ndarray]:
     or object (Python ints) when the entries could overflow int64.  G must be
     positive definite.  The rows are ordered by one argsort of `_sort_key`.
     """
-    n = len(g)
-    gred, u = _gauss_reduce_gram(linalg.frac_mat(g))
-    gint, den = linalg.integer_form(gred)
+    g = linalg.frac_mat(g)
+    n, den = len(g), g.den
+    # U is unimodular, so the least common denominator of U·G·Uᵗ is that of G
+    gint, u = _gauss_reduce_gram(g.num.tolist())
     minors, m = _int_ldl(gint)
     bound = math.floor(2 * Fraction(max_norm) * den)
     if bound <= 0:
         return {}
-    big = _magnitude(gint, u, minors, m, bound) >= _INT64_SAFE
+    big = _magnitude(gint, u, minors, m, bound) >= INT64_SAFE
     dtype = object if big else np.int64
     # Breadth-first over the coordinates v_{n-1}, …, v_0.  With c_i = Σ_{j>i} L_ji·v_j,
     # each prefix (v_{i+1}, …) carries the integers C_i = Δ_{i+1}·c_i and
@@ -430,7 +412,7 @@ class Lattice:
 
     @classmethod
     def from_generators(cls, algebra, rows, kind: str = "lattice") -> "Lattice":
-        basis = linalg.hnf_rational(linalg.frac_mat(rows))
+        basis = linalg.hnf_rational(rows)
         if len(basis) != 4:
             raise ValueError("generators do not span a full lattice")
         return cls(algebra, basis, kind)
@@ -445,19 +427,15 @@ class Lattice:
 
     def __eq__(self, other):
         return (isinstance(other, Lattice) and self.algebra is other.algebra
-                and linalg.mat_eq(self.hnf_basis, other.hnf_basis))
+                and self.hnf_basis == other.hnf_basis)
 
     def __hash__(self):
-        return hash(tuple(tuple(row) for row in self.hnf_basis))
-
-    def basis_elements(self) -> list[QuatElement]:
-        return [QuatElement(self.algebra, row) for row in self.basis]
+        return hash(self.hnf_basis)
 
     @cached_property
     def gram(self) -> Matrix:
         """Gram matrix G_ij = tr(b_i·conj(b_j))."""
-        b = self.algebra.bilinear
-        return linalg.mat_mul(linalg.mat_mul(self.basis, b), linalg.transpose(self.basis))
+        return self.basis @ self.algebra.bilinear @ self.basis.T
 
     @cached_property
     def gram_det(self) -> Fraction:
@@ -473,7 +451,7 @@ class Lattice:
         Checked by require_order.
         """
         inv = self._basis_inv
-        blocks = [linalg.mat_mul(mul_matrix_coords(b), inv) for b in self.basis]
+        blocks = [mul_matrix_coords(b) @ inv for b in self.basis]
         order = Lattice(self.algebra, _integral_preimage_lattice(blocks), "order")
         order.require_order()
         return order
@@ -488,43 +466,37 @@ class Lattice:
         """{x : Lx ⊆ L}."""
         return self._multiplier_order(self.algebra.left_mul_matrix_coords)
 
-    def coords_of(self, x: QuatElement) -> list[Fraction]:
-        return linalg.vec_mat(list(x.coords), self._basis_inv)
-
     def element_from(self, v) -> QuatElement:
-        coords = [Fraction(t) for t in np.asarray(v).tolist()]  # no np.int64 in Fractions
-        return QuatElement(self.algebra, linalg.vec_mat(coords, self.basis))
+        return QuatElement(self.algebra, linalg.vec_mat(np.asarray(v).tolist(), self.basis))
 
     def contains(self, x: QuatElement) -> bool:
-        return all(c.denominator == 1 for c in self.coords_of(x))
+        return (linalg.frac_mat([x.coords]) @ self._basis_inv).den == 1
 
     def scale(self, c) -> "Lattice":
-        c = Fraction(c)
-        return Lattice(self.algebra, linalg.mat_scale(self.basis, c), self.kind)
+        return Lattice(self.algebra, self.basis * c, self.kind)
 
     def conjugate(self) -> "Lattice":
-        rows = [self.algebra.conj_coords(row) for row in self.basis]
-        return Lattice.from_generators(self.algebra, rows, self.kind)
+        return Lattice.from_generators(self.algebra, self.basis @ self.algebra.conj_matrix,
+                                       self.kind)
 
     def product(self, other: "Lattice") -> "Lattice":
-        rows = []
-        for r1 in self.basis:
-            for r2 in other.basis:
-                rows.append(list(self.algebra.mul_coords(r1, r2)))
-        return Lattice.from_generators(self.algebra, rows, "lattice")
+        return Lattice.from_generators(self.algebra, self.algebra.products(self.basis, other.basis),
+                                       "lattice")
 
     @cached_property
     def norm_scale(self) -> Fraction:
-        """Reduced norm n₀: the positive generator of the ideal generated by n(x), x in L."""
-        vals = [self.algebra.norm(row) for row in self.basis]
+        """Reduced norm n₀: the positive generator of the ideal generated by n(x), x in L.
+
+        Generated by the norms n(b_i) = G_ii/2 of the basis and the G_ij, i < j.
+        """
         g = self.gram
+        vals = [g[i][i] / 2 for i in range(4)]
         vals += [g[i][j] for i in range(4) for j in range(i + 1, 4)]
         return frac_gcd(vals)
 
     def normalized_gram(self) -> Matrix:
         """Gram of the rescaled quadratic module (L, n/n₀); integral for ideals."""
-        n0 = self.norm_scale
-        return linalg.mat_scale(self.gram, Fraction(1) / n0)
+        return self.gram * (1 / self.norm_scale)
 
     def unit_count(self) -> int:
         return len(short_vectors(self.gram, 1))
@@ -533,11 +505,11 @@ class Lattice:
         a = self.algebra
         if not self.contains(a.unit()):
             return False, "does not contain 1"
-        els = self.basis_elements()
-        for i, x in enumerate(els):
-            for j, y in enumerate(els):
-                if not self.contains(x * y):
-                    return False, f"not closed under multiplication (basis pair {i},{j})"
+        prods = a.products(self.basis, self.basis) @ self._basis_inv
+        outside = np.flatnonzero((prods.num % prods.den != 0).any(axis=1))
+        if outside.size:
+            i, j = divmod(int(outside[0]), 4)
+            return False, f"not closed under multiplication (basis pair {i},{j})"
         g = self.gram
         for i in range(4):
             if g[i][i].denominator != 1 or g[i][i].numerator % 2:
@@ -569,14 +541,11 @@ class Lattice:
 
 def _integral_preimage_lattice(blocks: list[Matrix]) -> Matrix:
     """Basis of {v ∈ Q⁴ : v·A ∈ Z^4 for every A in blocks} (row convention)."""
-    cols = []
-    for a in blocks:
-        at = linalg.transpose(a)
-        cols.extend(at)  # each row of Aᵗ is a column of A
-    w = linalg.hnf_rational(linalg.frac_mat(cols))
+    # each row of Aᵗ is a column of A
+    w = linalg.hnf_rational(linalg.vstack([a.T for a in blocks]))
     if len(w) != 4:
         raise ValueError("degenerate multiplication data")
-    return linalg.transpose(linalg.inverse(w))
+    return linalg.inverse(w).T
 
 
 def transporters(i1: Lattice, i2: Lattice):
@@ -584,18 +553,18 @@ def transporters(i1: Lattice, i2: Lattice):
 
     The ideals must share a right order (UsageError otherwise).  Each such γ
     times n₀(i2) lies in i1·ī2 with reduced norm n₀(i1)·n₀(i2), so the
-    candidates are exactly those vectors.
+    candidates are exactly those vectors.  γ·i2 = i1 exactly when γ·i2 has an
+    integral basis matrix in i1's coordinates with determinant ±1.
     """
     if i1.right_order != i2.right_order:
         raise UsageError("ideals do not share a right order")
     prod = i1.product(i2.conjugate())
     target = i1.norm_scale * i2.norm_scale
+    to_i1 = i1._basis_inv
     for v in short_vectors(prod.gram, target):
         gamma = prod.element_from(v) / i2.norm_scale
-        cand = Lattice.from_generators(
-            i1.algebra,
-            [list(i1.algebra.mul_coords(gamma.coords, row)) for row in i2.basis])
-        if cand == i1:
+        moved = i2.basis @ i1.algebra.left_mul_matrix_coords(gamma.coords) @ to_i1
+        if moved.den == 1 and abs(linalg.det(moved)) == 1:
             yield gamma
 
 
@@ -643,14 +612,18 @@ def _plane_points(rows: list[list[int]], p: int) -> list[list[int]]:
 
 def _lift_mod_p(lat: Lattice, rows: list[list[int]], p: int) -> Lattice:
     """The ideal spanned by p·lat and the rows, given mod p in lat's coordinates."""
-    gens = [list(lat.element_from(v).coords) for v in rows] + linalg.mat_scale(lat.basis, p)
+    gens = linalg.vstack([linalg.frac_mat(rows) @ lat.basis, lat.basis * p])
     return Lattice.from_generators(lat.algebra, gens, "ideal")
 
 
+def _integral(m: Matrix) -> list[list[int]]:
+    if m.den != 1:
+        raise ValueError("expected an integral matrix")
+    return m.num.tolist()
+
+
 def _int_mat_mod(m: Matrix, p: int) -> list[list[int]]:
-    if any(x.denominator != 1 for row in m for x in row):
-        raise ValueError("expected an integral action matrix")
-    return [[x.numerator % p for x in row] for row in m]
+    return [[x % p for x in row] for row in _integral(m)]
 
 
 def _action_mats(lat: Lattice, order: Lattice, p: int, mul_matrix) -> list[list[list[int]]]:
@@ -659,8 +632,7 @@ def _action_mats(lat: Lattice, order: Lattice, p: int, mul_matrix) -> list[list[
     `mul_matrix` is the algebra's `right_mul_matrix_coords` or `left_mul_matrix_coords`.
     """
     inv = lat._basis_inv
-    return [_int_mat_mod(linalg.mat_mul(linalg.mat_mul(lat.basis, mul_matrix(b)), inv), p)
-            for b in order.basis]
+    return [_int_mat_mod(lat.basis @ mul_matrix(b) @ inv, p) for b in order.basis]
 
 
 def _isotropic_point(lat: Lattice, p: int) -> list[int]:
@@ -669,7 +641,7 @@ def _isotropic_point(lat: Lattice, p: int) -> list[int]:
     The search is over the first three coordinates: by Chevalley–Warning a
     ternary form over F_p has a nonzero zero.
     """
-    g = [[int(x) for x in row] for row in lat.normalized_gram()]
+    g = _integral(lat.normalized_gram())
     for head in _projective_points(3, p):
         x = head + [0]
         if sum(x[i] * g[i][j] * x[j] for i in range(4) for j in range(4)) // 2 % p == 0:
@@ -719,22 +691,20 @@ def reduce_right_ideal(ideal: Lattice, order: Lattice) -> Lattice:
             b = ideal.element_from(vs[0])
             break
         k += 1
-    binv = b.inverse()
-    rows = [list(ideal.algebra.mul_coords(binv.coords, row)) for row in ideal.basis]
+    rows = ideal.basis @ ideal.algebra.left_mul_matrix_coords(b.inverse().coords)
     red = Lattice.from_generators(ideal.algebra, rows, "ideal")
     # rescale so coordinates relative to the order are integral and primitive
-    coords = [linalg.vec_mat(row, order._basis_inv) for row in red.basis]
-    den = linalg.common_denominator(coords)
-    num = frac_gcd([x * den for row in coords for x in row])
-    return red.scale(Fraction(den) / num)
+    coords = red.basis @ order._basis_inv
+    return red.scale(Fraction(coords.den, math.gcd(*coords.num.ravel().tolist())))
 
 
 class ClassSet:
     """Right ideal classes of an order, with unit counts and cross lattices.
 
-    Cross lattices, their norm-p vectors, the Atkin–Lehner routing at each q,
-    the Atkin–Lehner blocks at each (q, ν), and each superorder's class set
-    with the routing into it are computed once per class set and then read.
+    Cross lattices, their norm-p vectors, the Brandt blocks at each (p, ν),
+    the Atkin–Lehner routing at each q, the Atkin–Lehner blocks at each (q, ν),
+    and each superorder's class set with the routing into it are computed once
+    per class set and then read.
     """
 
     def __init__(self, order: Lattice, ideals: list[Lattice]):
@@ -747,6 +717,8 @@ class ClassSet:
         # filled by brandt.atkin_lehner: the routing at q, and the blocks at (q, ν)
         self.al_routes: dict[int, list] = {}
         self.al_blocks: dict[tuple[int, int], object] = {}
+        # filled by brandt.brandt_matrix: the blocks at (p, ν)
+        self.brandt_blocks: dict[tuple[int, int], object] = {}
         # filled by brandt.essential_part: per superorder, its class set and the routing
         self.superorder_routes: dict[Lattice, tuple["ClassSet", list]] = {}
 
@@ -945,11 +917,11 @@ def superorders(order: Lattice, p: int) -> list[Lattice]:
     The orders come sorted by `_point_rank` of v in O's coordinates.
     """
     ideal = two_sided_ideal(order, p)
-    rows = _rref_mod_p([[int(c) for c in order.coords_of(x)] for x in ideal.basis_elements()], p)
+    rows = _rref_mod_p(_integral(ideal.basis @ order._basis_inv), p)
     out = []
     for v in sorted(_plane_points(rows, p), key=_point_rank):
         if order.element_from(v).norm() / p % p == 0:
-            gens = [list((order.element_from(v) / p).coords)] + order.basis
+            gens = linalg.vstack([[(order.element_from(v) / p).coords], order.basis])
             sup = Lattice.from_generators(order.algebra, gens, "order")
             sup.require_order()
             out.append(sup)

@@ -33,8 +33,9 @@ from .binforms import (BinaryForm, disc, is_ambiguous, is_reduced, reduce_form,
 from .brandt import AutomorphicForm, FormSpace
 from .harmonic import (HarmonicPoly, _monomial_rows, bilinear_matrix, lift_poly_deg2,
                        tau_matrix_sum)
+from .linalg import INT64_SAFE
 from .polys import Poly
-from .quatcore import _INT64_SAFE, ClassSet, Lattice, UsageError, short_vectors_upto
+from .quatcore import ClassSet, Lattice, UsageError, short_vectors_upto
 
 
 class TruncationError(ValueError):
@@ -179,7 +180,7 @@ class ThetaEngine:
             return {}
         peak = (max(self.coord_max, 1) ** (2 * nu) * sum(map(abs, mat.ravel().tolist()))
                 * len(va) * len(vc))
-        dtype = np.int64 if peak < _INT64_SAFE else object
+        dtype = np.int64 if peak < INT64_SAFE else object
         cross = va @ self.gram @ vc.T
         vals = (_monomial_rows(va, nu, dtype) @ mat.astype(dtype, copy=False)
                 @ _monomial_rows(vc, nu, dtype).T)

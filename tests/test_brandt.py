@@ -324,3 +324,35 @@ def test_block_matrix_rejects_a_non_invariant_image(class_set_17, space1):
                                     [linalg.identity(d), linalg.zeros(d, d)]])
     with pytest.raises(ValueError, match="not invariant"):
         space1.matrix_of(op)
+
+
+def test_brandt_blocks_are_built_once_per_prime_and_degree(class_set_17, monkeypatch):
+    cs = ClassSet(class_set_17.order, class_set_17.ideals)
+    space = FormSpace(cs, 1)
+    calls = []
+    tau_sum = brandt.tau_matrix_sum
+    monkeypatch.setattr(brandt, "tau_matrix_sum",
+                        lambda *args: calls.append(args) or tau_sum(*args))
+    first = brandt_matrix(cs, 1, 2, space)
+    assert len(calls) == cs.h ** 2
+    second = brandt_matrix(cs, 1, 2, space)
+    eigenforms(cs, 1, [2], space)
+    assert len(calls) == cs.h ** 2  # neither the second call nor eigenforms rebuilds T(2)
+    assert second.blocks == first.blocks
+    fresh = ClassSet(class_set_17.order, class_set_17.ideals)
+    assert brandt_matrix(fresh, 1, 2, FormSpace(fresh, 1)).blocks == first.blocks
+
+
+def test_eigenforms_rejects_an_involution_that_is_not_one(class_set_17, monkeypatch):
+    # twice w_17 has the eigenspaces of w_17, on which it acts as ±2, not ±1
+    cs = ClassSet(class_set_17.order, class_set_17.ideals)
+    space = FormSpace(cs, 0)
+    al = brandt.atkin_lehner
+
+    def doubled(cs, nu, q, space=None):
+        w = al(cs, nu, q, space)
+        return brandt.BrandtMatrix(q, nu, [[b * 2 for b in row] for row in w.blocks])
+
+    monkeypatch.setattr(brandt, "atkin_lehner", doubled)
+    with pytest.raises(ValueError, match="as ±1"):
+        eigenforms(cs, 0, [2], space)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -68,6 +69,21 @@ def test_eigenforms_command(fixture_files, tmp_path):
     eigs = sorted(tuple(sorted(c.get("eigenvalues", {}).items())) for c in payload)
     assert (("2", "-1"), ("3", "0")) in eigs
     assert (("2", "3"), ("3", "4")) in eigs
+
+
+def test_eigenforms_stdout_is_pinned(fixture_files):
+    # the same three commands run in the runtime-only CI job, diffed against this file
+    pinned = Path(__file__).with_name("data") / "eigenforms_n17.txt"
+    runner = CliRunner()
+    out = ""
+    for nu in ("0", "1", "2"):
+        res = runner.invoke(main, ["eigenforms",
+                                   "--algebra", str(fixture_files / "ramified17.json"),
+                                   "--order", str(fixture_files / "maximal.json"),
+                                   "--nu", nu, "--primes", "2,3,5"])
+        assert res.exit_code == 0, res.output
+        out += res.output
+    assert out == pinned.read_text(encoding="utf-8")
 
 
 def test_brandt_command(fixture_files, tmp_path):

@@ -1,0 +1,150 @@
+"""The integer kernels of linalg against the Fraction references of linalg_reference."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import linalg_reference as ref
+from quatlift import linalg
+from quatlift.quatcore import _gauss_reduce_gram
+
+BIG = 10 ** 20  # entries this large force the object-array path
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, max_dim=5):
+    """A rational matrix as rows of Fractions, often singular, sometimes with entries ~10²⁰."""
+    n = draw(st.integers(0, max_dim)) if rows is None else rows
+    m = draw(st.integers(0, max_dim)) if cols is None else cols
+    scale = draw(st.sampled_from([1, 1, 1, BIG]))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.fractions(min_value=-6, max_value=6, max_denominator=5))
+    return [[draw(entry) * scale for _ in range(m)] for _ in range(n)]
+
+
+def canonical(m: linalg.Matrix) -> linalg.Matrix:
+    """m itself, after checking lowest terms and the dtype its magnitude calls for."""
+    entries = m.num.ravel().tolist()
+    assert math.gcd(m.den, *entries) == 1
+    big = max(map(abs, entries), default=0) >= linalg.INT64_SAFE
+    assert m.num.dtype == (object if big else np.int64)
+    return m
+
+
+def as_matrix(rows, cols):
+    return linalg.Matrix(np.zeros((0, cols), dtype=np.int64)) if not rows else linalg.frac_mat(rows)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda k: st.tuples(matrices(cols=k), matrices(rows=k, cols=None).filter(lambda b: b[0]))))
+@settings(max_examples=60, deadline=None)
+def test_product_equals_reference(pair):
+    a, b = pair
+    got = canonical(as_matrix(a, len(b)) @ linalg.frac_mat(b))
+    assert got == as_matrix(ref.mat_mul(a, b), len(b[0])) if a else got.shape == (0, len(b[0]))
+
+
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_rref_and_nullspace_equal_reference(a):
+    cols = len(a[0]) if a else 0
+    red, pivots = linalg.rref(a)
+    want, want_pivots = ref.rref(a)
+    assert pivots == want_pivots
+    assert canonical(red) == as_matrix(want, cols)
+    assert canonical(linalg.nullspace(a)) == as_matrix(ref.nullspace(a, cols), cols)
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(matrices(rows=n, cols=None).filter(lambda a: a[0]),
+                        matrices(rows=None, cols=n, max_dim=3))))
+@settings(max_examples=100, deadline=None)
+def test_solve_many_equals_reference(system):
+    a, rhs = system
+    got = linalg.solve_many(a, rhs)
+    want = ref.solve_many(a, rhs)
+    if want is None:
+        assert got is None
+    else:
+        assert canonical(got) == as_matrix(want, len(a[0]))
+
+
+@given(st.integers(0, 5).flatmap(lambda n: matrices(rows=n, cols=n)))
+@settings(max_examples=100, deadline=None)
+def test_det_inverse_and_charpoly_equal_reference(a):
+    assert linalg.det(a) == ref.det(a)
+    assert linalg.charpoly(a) == ref.charpoly(a)
+    if ref.det(a) == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.inverse(a)
+    else:
+        assert canonical(linalg.inverse(a)) == linalg.frac_mat(ref.inverse(a))
+
+
+def test_empty_matrices():
+    assert linalg.det([]) == 1
+    assert linalg.charpoly([]) == [1]
+    assert linalg.rref([]) == (linalg.zeros(0, 0), [])
+    assert linalg.nullspace([[], []]).shape == (0, 0)
+    assert linalg.nullspace([[0, 0, 0]]) == linalg.identity(3)
+    assert linalg.solve_many([[1, 2], [3, 4]], []) == linalg.zeros(0, 2)
+
+
+def test_results_past_int64_are_exact_object_arrays():
+    # each result entry, or a sum or product formed on the way, wraps past 2⁶³ in int64
+    x = 2 ** 40
+    cases = [
+        ([[x, 1], [3, x]], [[x, 0], [1, x]]),
+        ([[2 ** 61, 2 ** 61]], [[2], [2]]),
+    ]
+    for a, b in cases:
+        a, b = [[Fraction(v) for v in row] for row in a], [[Fraction(v) for v in row] for row in b]
+        got = canonical(linalg.mat_mul(a, b))
+        assert got.num.dtype == object
+        assert got == linalg.frac_mat(ref.mat_mul(a, b))
+    # over a common denominator, or times a scalar, an int64 numerator wraps too
+    big = linalg.frac_mat([[2 ** 61, 1]])
+    tiny = linalg.frac_mat([[Fraction(1, 5), Fraction(1, 7)]])
+    assert canonical(big + tiny).tolist() == [[2 ** 61 + Fraction(1, 5), Fraction(8, 7)]]
+    assert canonical(linalg.vstack([big, tiny])).tolist() == big.tolist() + tiny.tolist()
+    assert canonical(big * (2 ** 40)).tolist() == [[2 ** 101, 2 ** 40]]
+    m = [[Fraction(x + 3), Fraction(x), Fraction(5)], [Fraction(7), Fraction(x - 1), Fraction(2)],
+         [Fraction(1), Fraction(9), Fraction(x, 3)]]
+    assert linalg.det(m) == ref.det(m)
+    assert linalg.charpoly(m) == ref.charpoly(m)
+    assert canonical(linalg.inverse(m)) == linalg.frac_mat(ref.inverse(m))
+    assert canonical(linalg.rref(m + [[Fraction(1), Fraction(2), Fraction(3)]])[0]) == \
+        linalg.frac_mat(ref.rref(m + [[Fraction(1), Fraction(2), Fraction(3)]])[0])
+
+
+def test_entries_of_1e20_take_the_object_path_and_come_back():
+    a = linalg.frac_mat([[BIG, 1], [Fraction(1, 3), BIG]])
+    assert canonical(a).num.dtype == object
+    assert canonical(a @ linalg.inverse(a)) == linalg.identity(2)
+    assert linalg.identity(2).num.dtype == np.int64
+    assert a == linalg.frac_mat([[BIG, 1], [Fraction(1, 3), BIG]])
+
+
+@st.composite
+def positive_definite_grams(draw):
+    """G = B·Bᵗ/d for a random nonsingular integer B and a denominator d."""
+    n = draw(st.integers(1, 4))
+    b = draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                      min_size=n, max_size=n).filter(lambda b: ref.det(
+                          [[Fraction(x) for x in row] for row in b]) != 0))
+    d = draw(st.integers(1, 12))
+    return [[Fraction(sum(x * y for x, y in zip(r, s)), d) for s in b] for r in b]
+
+
+@given(positive_definite_grams())
+@settings(max_examples=80, deadline=None)
+def test_gauss_reduction_on_integers_equals_reference(g):
+    m = linalg.frac_mat(g)
+    got, u = _gauss_reduce_gram(m.num.tolist())
+    want, want_u = ref.gauss_reduce_gram(g)
+    assert u == want_u
+    assert got == [[x * m.den for x in row] for row in want]

@@ -88,7 +88,7 @@ def brute_force_short_vectors(g, max_norm):
     n = len(g)
     inv = linalg.inverse(linalg.frac_mat(g))
     radius = [math.isqrt(math.floor(bound * inv[j][j])) for j in range(n)]
-    den = linalg.common_denominator(linalg.frac_mat(g))
+    den = linalg.frac_mat(g).den
     gi = [[int(Fraction(x) * den) for x in row] for row in g]
     out = {}
     for v in itertools.product(*(range(-r, r + 1) for r in radius)):  # lexicographic
@@ -150,7 +150,7 @@ def test_sort_key_takes_python_ints_past_int64():
     vecs = np.array([[2 ** 14, 0, -1, 3], [-2 ** 14, 5, 0, 0], [7, 0, 0, 0],
                      [-2 ** 14, 5, 0, -1]], dtype=np.int64)
     norms = np.array([3, 3, 2 ** 40, 3], dtype=np.int64)
-    assert (2 ** 40 + 1) * (2 ** 15 + 1) ** 4 >= quatcore._INT64_SAFE
+    assert (2 ** 40 + 1) * (2 ** 15 + 1) ** 4 >= linalg.INT64_SAFE
     key = quatcore._sort_key(norms, vecs)
     assert key.dtype == object and all(type(k) is int for k in key)
     assert np.array_equal(np.argsort(key), lexsort_rows(norms, vecs))
