@@ -3,7 +3,8 @@
 Elements, lattices (orders and ideals), Gram matrices, short-vector
 enumeration, ideal classes and two-sided ideals.  Everything is immutable
 after construction and deterministic: vector lists are lexicographically
-sorted, class representatives are produced in BFS discovery order.
+sorted (engine half shells are ordered by norm only), class representatives are
+produced in BFS discovery order.
 
 Lattice bases, Gram matrices and the multiplication table are `linalg.Matrix`
 (integers over one denominator): all products of elements go through the
@@ -22,7 +23,9 @@ arrays of Python ints running the same code.  The vectors are ordered by one
 argsort of a single mixed-radix integer key (`_sort_key`),
 norm·spanⁿ + Σ (v_t − low_t)·span^(n−1−t), under the same kind of bound: int64
 below 2⁶², Python ints above.  The keys are distinct, so each norm's bucket comes
-out sorted lexicographically.  Buckets are int64 (or object) arrays; callers
+out sorted lexicographically.  The half shells that theta engines ask for
+(half=True: one of each ±v, the one whose last nonzero reduced coordinate is
+positive) are ordered by norm only.  Buckets are int64 (or object) arrays; callers
 that feed coordinates into Fractions convert rows with `.tolist()`, because a
 Fraction built from np.int64 keeps an np.int64 numerator.
 """
@@ -334,12 +337,16 @@ def _sort_key(norms: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return key
 
 
-def short_vectors_upto(g: Matrix, max_norm) -> dict[Fraction, np.ndarray]:
+def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> dict[Fraction, np.ndarray]:
     """All integer vectors v != 0 with vᵗGv ≤ 2·max_norm, bucketed by vᵗGv/2.
 
     Each bucket is a k×n array whose rows are sorted lexicographically: int64,
     or object (Python ints) when the entries could overflow int64.  G must be
     positive definite.  The rows are ordered by one argsort of `_sort_key`.
+
+    With half=True each bucket holds exactly one of every pair ±v, and the rows
+    are ordered by one argsort of the norms alone: for callers whose sums do not
+    depend on the order of a bucket.
     """
     g = linalg.frac_mat(g)
     n, den = len(g), g.den
@@ -355,14 +362,20 @@ def short_vectors_upto(g: Matrix, max_norm) -> dict[Fraction, np.ndarray]:
     # each prefix (v_{i+1}, …) carries the integers C_i = Δ_{i+1}·c_i and
     # rem = Δ_{i+1}·(bound − Σ_{j>i} d_j·(v_j + c_j)²); the Fincke–Pohst range of
     # v_i is exactly the integers with x² ≤ Δ_i·rem, x = Δ_{i+1}·v_i + C_i.
+    # With half=True, a prefix that is still all zero has centre 0 and a range
+    # symmetric about 0; starting it at 0 keeps, of each pair ±v, the one whose
+    # last nonzero coordinate is positive (U is linear, so this survives v ↦ vU).
     coords = np.zeros((1, 0), dtype=dtype)  # columns v_{i+1}, …, v_{n-1}
     rem = np.array([minors[n] * bound], dtype=dtype)
+    zero = np.ones(1, dtype=bool)  # the prefixes that are still all zero
     for i in range(n - 1, -1, -1):
         step = minors[i + 1]
         center = coords @ np.array([m[j][i] for j in range(i + 1, n)], dtype=dtype)
         room = minors[i] * rem
         root = _isqrt(room)
         lo = -((root + center) // step)
+        if half:
+            lo[zero] = 0
         counts = ((root - center) // step - lo + 1).astype(np.int64)
         parent = np.repeat(np.arange(len(counts)), counts)
         first = np.cumsum(counts) - counts
@@ -371,6 +384,8 @@ def short_vectors_upto(g: Matrix, max_norm) -> dict[Fraction, np.ndarray]:
             x = step * vi + center[parent]
             rem = (room[parent] - x * x) // step
         coords = np.column_stack((vi, coords[parent]))
+        if half:
+            zero = zero[parent] & (vi == 0)
     # the exact test: integer norms against the integer bound
     norms = ((coords @ np.array(gint, dtype=dtype)) * coords).sum(axis=1)
     keep = (norms > 0) & (norms <= bound)
@@ -379,7 +394,7 @@ def short_vectors_upto(g: Matrix, max_norm) -> dict[Fraction, np.ndarray]:
     del coords, keep
     if not len(norms):
         return {}
-    order = np.argsort(_sort_key(norms, vecs))
+    order = np.argsort(norms) if half else np.argsort(_sort_key(norms, vecs))
     vecs, norms = vecs[order], norms[order]
     cuts = (np.flatnonzero(norms[1:] != norms[:-1]) + 1).tolist()
     return {Fraction(int(norms[a]), 2 * den): vecs[a:b]
@@ -415,7 +430,11 @@ class Lattice:
         basis = linalg.hnf_rational(rows)
         if len(basis) != 4:
             raise ValueError("generators do not span a full lattice")
-        return cls(algebra, basis, kind)
+        # the nonzero rows of a Hermite normal form are independent, so these
+        # 4 rows need not go through __init__'s rank check
+        lattice = cls.__new__(cls)
+        lattice.algebra, lattice.basis, lattice.kind = algebra, basis, kind
+        return lattice
 
     @classmethod
     def standard(cls, algebra, kind: str = "order") -> "Lattice":

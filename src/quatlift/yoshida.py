@@ -8,12 +8,22 @@ Every degree-2 lift is a sum of pieces θ(L, P)·scale whose weight P has
 bidegree (ν, ν), so P(x₁, x₂) = m_ν(x₁)ᵗ·C·m_ν(x₂) with m_ν the degree-ν
 monomials (`bilinear_matrix`).  `theta_lift` assembles every degree-2 lift from
 its terms (L, C, scale): `yoshida2` from Brandt eigenforms, `fixture.golden_lift`
-from the published polynomials.  One numpy kernel, `ThetaEngine.pair_sums_bilinear`,
-sums M(va)·C·M(vc)ᵗ over each (a, c) group of vector pairs and bins the sums by
-b; the singular entries (0, 0, m) are the groups with a = 0, whose only vector is
-zero.  The kernel stays exact: a bound on max|M|²·Σ|C|·#pairs picks int64 when it
-stays below 2⁶², otherwise object arrays of Python ints running the same code.
-`theta2_coefficient` is the pure-Python reference for one coefficient.
+from the published polynomials.
+
+A `ThetaEngine` holds half shells H_m: one vector of each pair ±x of norm m.
+Since P(−x₁, x₂) = P(x₁, −x₂) = (−1)^ν·P(x₁, x₂) and B(−x₁, x₂) = −B(x₁, x₂),
+the sum over full-shell pairs is S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)), S⁺ the sum
+over H_a × H_c.  One numpy kernel, `ThetaEngine.row_sums`, does a whole row a
+of forms: M(H_a)·C·M(H_c)ᵗ against the concatenated half shells of every c of
+the row, chunked by rows of H_a and scattered once into a (c, b) accumulator,
+then folded as above; the singular entries (0, 0, m) are the row a = 0, whose
+only vector is zero.  The kernel stays exact: a bound on
+max|M|²·Σ|C|·|H_a|·max|H_c|, times the 4 of the fold, picks int64 when it stays
+below 2⁶², otherwise object arrays of Python ints running the same code.
+`theta_lift` writes every piece's factor over one common denominator, so a
+form's total is a sum of Python ints and one Fraction at the end.
+`theta2_coefficient` is the pure-Python reference for one coefficient, on the
+full shells of `quatcore.short_vectors`.
 
 The degree-1 lift `yoshida1` sums on the Brandt τ-kernel: a(m) pairs φ₁(y_i)
 with φ₂(y_j)·Σ_{q(x)=m} τ̃(x), one `harmonic.tau_matrix_sum` per norm, so its
@@ -22,6 +32,7 @@ coefficients are Brandt-matrix entries.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -35,7 +46,7 @@ from .harmonic import (HarmonicPoly, _monomial_rows, bilinear_matrix, lift_poly_
                        tau_matrix_sum)
 from .linalg import INT64_SAFE
 from .polys import Poly
-from .quatcore import ClassSet, Lattice, UsageError, short_vectors_upto
+from .quatcore import ClassSet, Lattice, UsageError, short_vectors, short_vectors_upto
 
 
 class TruncationError(ValueError):
@@ -146,8 +157,13 @@ class QExpansion:
         return not self.coeffs
 
 
+# entries of H_a × (concatenated H_c) per chunk of `ThetaEngine.row_sums`
+_CHUNK = 1 << 18
+
+
 class ThetaEngine:
-    """Pair enumeration over one lattice, with norms rescaled by the ideal norm."""
+    """Half shells of one lattice, with norms rescaled by the ideal norm, and the
+    pair-sum kernel on them."""
 
     def __init__(self, lattice: Lattice, max_norm: int):
         g = lattice.normalized_gram()
@@ -158,36 +174,93 @@ class ThetaEngine:
         self.lattice = lattice
         self.gram = np.array([[int(x) for x in row] for row in g], dtype=np.int64)
         self.max_norm = max_norm
-        self.vectors: dict[int, np.ndarray] = {0: np.zeros((1, 4), dtype=np.int64)}
-        for m, vs in short_vectors_upto(g, max_norm).items():
+        # one of each pair ±x per norm; the weights of bidegree (ν, ν) change by
+        # (−1)^ν under x ↦ −x, so the half shells carry every pair sum
+        self.half: dict[int, np.ndarray] = {}
+        for m, vs in short_vectors_upto(g, max_norm, half=True).items():
             assert m.denominator == 1
-            self.vectors[int(m)] = vs.astype(np.int64, copy=False)
-        self.coord_max = max(int(np.abs(vs).max()) for vs in self.vectors.values())
+            self.half[int(m)] = vs.astype(np.int64, copy=False)
+        self.coord_max = max((int(np.abs(vs).max()) for vs in self.half.values()), default=0)
+
+    def half_shell(self, m: int) -> np.ndarray:
+        """One vector of each pair ±x of norm m > 0."""
+        if m > self.max_norm:
+            raise TruncationError("enumeration bound exceeded")
+        return self.half.get(m, np.empty((0, 4), dtype=np.int64))
 
     def vecs(self, m: int) -> np.ndarray:
         """The vectors of norm m; m = 0 gives the single zero row."""
-        if m > self.max_norm:
-            raise TruncationError("enumeration bound exceeded")
-        return self.vectors.get(m, np.empty((0, 4), dtype=np.int64))
+        if m == 0:
+            return np.zeros((1, 4), dtype=np.int64)
+        h = self.half_shell(m)
+        return np.concatenate((h, -h))
+
+    def _count(self, m: int) -> int:
+        return 1 if m == 0 else 2 * len(self.half_shell(m))
+
+    def row_sums(self, a: int, cbs, mat: np.ndarray, nu: int) -> list[int]:
+        """The pair sums of one row a, one per (c, b) for (c, bs) in cbs and b in bs.
+
+        Each is Σ over x₁, x₂ with q(x₁) = a, q(x₂) = c, B(x₁, x₂) = b of
+        M(x₁)ᵗ·mat·M(x₂), M(x) the degree-ν monomials of x.  Pairs with a zero
+        vector have b = 0 and weight mat₀₀ at ν = 0, 0 otherwise.  The rest is one
+        numpy pass over H_a × (the half shells H_c, concatenated), chunked by rows
+        of H_a and scattered into one (c, b) accumulator S⁺; the full sums are
+        S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).  Exact: a bound on max|M|²·Σ|mat|·
+        |H_a|·max|H_c|, times the 4 of the fold, picks int64 when it stays below
+        2⁶², otherwise object arrays of Python ints.
+        """
+        starts = np.cumsum([0] + [len(bs) for _, bs in cbs]).tolist()
+        out = [0] * starts[-1]
+        live = []  # the groups with a, c > 0
+        for k, (c, bs) in enumerate(cbs):
+            if a and c:
+                live.append(k)
+            elif nu == 0:
+                n = int(mat[0, 0]) * self._count(a) * self._count(c)
+                for j, b in enumerate(bs):
+                    out[starts[k] + j] = n if b == 0 else 0
+        ha = self.half_shell(a)
+        shells = [self.half_shell(cbs[k][0]) for k in live]
+        if not len(ha) or not sum(map(len, shells)):
+            return out
+        vc = np.concatenate(shells)
+        # bins b = −bmax − 1, …, bmax + 1 per c; the two outer ones take every
+        # |b| > bmax, which no (c, b) asked for reads
+        bmax = max(abs(b) for k in live for b in cbs[k][1])
+        width = 2 * bmax + 3
+        base = np.repeat(np.arange(len(shells)) * width + bmax + 1, list(map(len, shells)))
+        peak = (max(self.coord_max, 1) ** (2 * nu) * sum(map(abs, mat.ravel().tolist()))
+                * len(ha) * max(map(len, shells)))
+        dtype = np.int64 if 4 * peak < INT64_SAFE else object
+        mat = mat.astype(dtype, copy=False)
+        mc = _monomial_rows(vc, nu, dtype).T
+        gc = self.gram @ vc.T
+        acc = np.zeros(len(shells) * width, dtype=dtype)
+        step = max(1, _CHUNK // len(vc))
+        for r in range(0, len(ha), step):
+            h = ha[r:r + step]
+            idx = np.clip(h @ gc, -bmax - 1, bmax + 1)
+            idx += base
+            vals = (_monomial_rows(h, nu, dtype) @ mat) @ mc
+            np.add.at(acc, idx.ravel(), vals.ravel())
+        # (x₁, x₂) ↦ (−x₁, −x₂) keeps b and the weight; negating one of them
+        # negates b and multiplies the weight by (−1)^ν
+        acc = acc.reshape(len(shells), width)
+        full = 2 * (acc + (-1) ** nu * acc[:, ::-1])
+        for row, k in zip(full.tolist(), live):
+            for j, b in enumerate(cbs[k][1]):
+                out[starts[k] + j] = row[b + bmax + 1]
+        return out
 
     def pair_sums_bilinear(self, a: int, c: int, mat: np.ndarray, nu: int) -> dict[int, int]:
         """For all b: Σ over pairs (x₁, x₂) with q = (a, b, c) of M(x₁)ᵗ·mat·M(x₂).
 
         M(x) holds x's degree-ν monomials, so ν = 1 is the bilinear form xᵗ·mat·y.
         """
-        va, vc = self.vecs(a), self.vecs(c)
-        if not len(va) or not len(vc):
-            return {}
-        peak = (max(self.coord_max, 1) ** (2 * nu) * sum(map(abs, mat.ravel().tolist()))
-                * len(va) * len(vc))
-        dtype = np.int64 if peak < INT64_SAFE else object
-        cross = va @ self.gram @ vc.T
-        vals = (_monomial_rows(va, nu, dtype) @ mat.astype(dtype, copy=False)
-                @ _monomial_rows(vc, nu, dtype).T)
-        bmin = int(cross.min())
-        acc = np.zeros(int(cross.max()) - bmin + 1, dtype=dtype)
-        np.add.at(acc, (cross - bmin).ravel(), vals.ravel())
-        return {b + bmin: int(s) for b, s in enumerate(acc) if s}
+        bmax = math.isqrt(4 * a * c)  # |B(x₁, x₂)|² ≤ 4·q(x₁)·q(x₂)
+        bs = range(-bmax, bmax + 1)
+        return {b: s for b, s in zip(bs, self.row_sums(a, [(c, bs)], mat, nu)) if s}
 
     def pair_counts(self, a: int, c: int) -> dict[int, int]:
         """For all b: the number of pairs with q = (a, b, c)."""
@@ -198,76 +271,75 @@ def theta2_coefficient(lattice: Lattice, lift_poly: Poly, t) -> Fraction:
     """Σ over pairs (x₁,x₂) in L² with q(x₁)=a, q(x₂)=c, B(x₁,x₂)/n₀=b of P(x₁,x₂).
 
     The lift polynomial takes the 8 lattice coordinates (already normalized by
-    the caller if the lattice has a norm scale).
+    the caller if the lattice has a norm scale).  The pure-Python reference: the
+    full shells from `short_vectors`, one polynomial evaluation per pair.
     """
     a, b, c = (int(x) for x in t)
     if a < 0 or c < 0:
         raise ValueError("negative norms")
-    engine = ThetaEngine(lattice, max(a, c))
-    zero = (0,) * 4
+    g = lattice.normalized_gram()
+    gram = g.num.tolist()
     total = Fraction(0)
-    va = [zero] if a == 0 else [tuple(v) for v in engine.vecs(a).tolist()]
-    vc = [zero] if c == 0 else [tuple(v) for v in engine.vecs(c).tolist()]
-    gram = engine.gram
-    for x1 in va:
-        gx = gram @ np.array(x1, dtype=np.int64) if a else None
+    vc = short_vectors(g, c)
+    for x1 in short_vectors(g, a):
+        gx = [sum(x1[i] * gram[i][j] for i in range(4)) for j in range(4)]
         for x2 in vc:
-            crossval = int(gx @ np.array(x2, dtype=np.int64)) if a and c else 0
-            if crossval != b:
-                continue
-            total += lift_poly.eval(list(x1) + list(x2))
+            if sum(gx[j] * x2[j] for j in range(4)) == b * g.den:
+                total += lift_poly.eval(list(x1) + list(x2))
     return total
 
 
-def _form_groups(bound: int, singular_bound: int) -> list[tuple[tuple[int, int], list[int]]]:
-    """The forms (a, b, c) a lift computes, as sorted ((a, c), [b, …]) groups.
+def _form_rows(bound: int, singular_bound: int) -> list[tuple[int, list[tuple[int, list[int]]]]]:
+    """The forms (a, b, c) a lift computes, as rows (a, [(c, [b, …]), …]) sorted by a, c.
 
     The reduced forms with disc ≤ bound, and the singular forms (0, 0, m) with
-    m ≤ singular_bound as the groups (0, m).
+    m ≤ singular_bound as the row a = 0.
     """
     by_ac: dict[tuple[int, int], list[int]] = defaultdict(list)
     for (a, b, c) in reduced_forms_up_to(bound):
         by_ac[(a, c)].append(b)
     for m in range(singular_bound + 1):
         by_ac[(0, m)].append(0)
-    return sorted(by_ac.items())
+    rows: dict[int, list[tuple[int, list[int]]]] = defaultdict(list)
+    for (a, c), bs in sorted(by_ac.items()):
+        rows[a].append((c, bs))
+    return list(rows.items())
 
 
-def _enumeration_norm(groups, nu: int) -> int:
-    """The largest norm `_theta2_totals` reads from `groups`.
+def _enumeration_norm(rows, nu: int) -> int:
+    """The largest norm `_theta2_totals` reads from `rows`.
 
-    That is the largest c of a group (a, c) with a > 0, or of a singular group
-    (0, m) at ν = 0; at ν ≥ 1 the singular groups are skipped.
+    That is the largest c of a row a > 0, or of the singular row a = 0 at ν = 0;
+    at ν ≥ 1 the singular row is skipped.
     """
-    return max((c for (a, c), _ in groups if a or not nu), default=0)
+    return max((c for a, cbs in rows if a or not nu for c, _ in cbs), default=0)
 
 
-def _theta2_totals(pieces, groups, nu: int) -> dict[BinaryForm, Fraction]:
-    """Per form: Σ over pieces (engine, C, den, scale) of scale/den·Σ_pairs M(x₁)ᵗ·C·M(x₂).
+def _theta2_totals(pieces, rows, nu: int) -> dict[BinaryForm, int]:
+    """Per form: Σ over pieces (engine, C, n) of n·Σ_pairs M(x₁)ᵗ·C·M(x₂).
 
-    C is the integer matrix of a bidegree-(ν, ν) weight; `groups` as from
-    `_form_groups`.  Forms whose total is zero may be missing.
+    C is the integer matrix of a bidegree-(ν, ν) weight and n an integer; `rows`
+    as from `_form_rows`.  Forms whose total is zero may be missing.
     """
-    totals: dict[BinaryForm, Fraction] = defaultdict(Fraction)
-    for engine, mat, den, scale in pieces:
-        factor = Fraction(scale) / den
-        for (a, c), bs in groups:
+    totals: dict[BinaryForm, int] = defaultdict(int)
+    for engine, mat, n in pieces:
+        for a, cbs in rows:
             if nu and not a:
                 continue  # M(0) = 0, so the singular entries vanish for ν ≥ 1
-            sums = engine.pair_sums_bilinear(a, c, mat, nu)
-            for b in bs:
-                s = sums.get(b)
+            sums = engine.row_sums(a, cbs, mat, nu)
+            forms = ((a, b, c) for c, bs in cbs for b in bs)
+            for t, s in zip(forms, sums):
                 if s:
-                    totals[(a, b, c)] += factor * s
+                    totals[t] += n * s
     return totals
 
 
 _LIFT_STATE: dict = {}
 
 
-def _lift_chunk(groups) -> dict[BinaryForm, Fraction]:
-    """Worker: the lift's totals on its share of the (a, c) groups."""
-    return _theta2_totals(_LIFT_STATE["pieces"], groups, _LIFT_STATE["nu"])
+def _lift_chunk(rows) -> dict[BinaryForm, int]:
+    """Worker: the lift's integer totals on its share of the rows."""
+    return _theta2_totals(_LIFT_STATE["pieces"], rows, _LIFT_STATE["nu"])
 
 
 def theta_lift(terms, nu: int, level: int, bound: int, singular_bound: int | None = None,
@@ -275,33 +347,37 @@ def theta_lift(terms, nu: int, level: int, bound: int, singular_bound: int | Non
     """Σ over terms (L, C, scale) of scale·θ(L, m_ν(x₁)ᵗ·C·m_ν(x₂)), weight ν + 2.
 
     C is a rational matrix as from `bilinear_matrix`.  Each engine enumerates L
-    to the largest norm the groups read.  With jobs > 1 the (a, c) groups are
-    distributed over forked worker processes; each form lies in one group, so
-    the result is byte-identical for any jobs.
+    to the largest norm the forms read.  Every piece's factor scale/den is written
+    n/D over one common denominator D, so each form's total is a sum of Python
+    ints and one Fraction at the end.  With jobs > 1 the rows a are distributed
+    over forked worker processes; each form lies in one row, so the result is
+    byte-identical for any jobs.
     """
     if singular_bound is None:
         singular_bound = _default_singular_bound(bound)
-    groups = _form_groups(bound, singular_bound)
-    max_norm = _enumeration_norm(groups, nu)
+    rows = _form_rows(bound, singular_bound)
+    max_norm = _enumeration_norm(rows, nu)
     pieces = []
-    for lattice, rows, scale in terms:
-        mat, den = linalg.integer_form(rows)
+    for lattice, weight, scale in terms:
+        mat, den = linalg.integer_form(weight)
         pieces.append((ThetaEngine(lattice, max_norm), np.array(mat, dtype=np.int64),
-                       den, scale))
+                       Fraction(scale) / den))
+    common = math.lcm(*(f.denominator for _, _, f in pieces))
+    pieces = [(engine, mat, int(f * common)) for engine, mat, f in pieces]
     _LIFT_STATE.update(pieces=pieces, nu=nu)
     try:
-        if jobs > 1 and len(groups) > 1:
+        if jobs > 1 and len(rows) > 1:
             import multiprocessing as mp
-            chunks = [groups[k::jobs] for k in range(jobs)]
+            chunks = [rows[k::jobs] for k in range(jobs)]
             with mp.get_context("fork").Pool(jobs) as pool:
                 parts = pool.map(_lift_chunk, chunks)
         else:
-            parts = [_lift_chunk(groups)]
+            parts = [_lift_chunk(rows)]
     finally:
         _LIFT_STATE.clear()
     out = FourierExpansionSiegel2(nu + 2, level, bound, singular_bound=singular_bound)
     for t, v in sorted(t_v for part in parts for t_v in part.items()):
-        out.set(t, v)
+        out.set(t, Fraction(v, common))
     return out
 
 

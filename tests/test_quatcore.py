@@ -102,6 +102,15 @@ def as_lists(buckets):
     return {m: list(map(tuple, vs.tolist())) for m, vs in buckets.items()}
 
 
+def assert_half_shells(half, full):
+    """Each half bucket holds one of every ±v of the full bucket, and nothing else."""
+    assert half.keys() == full.keys()
+    for m, rows in as_lists(half).items():
+        negated = {tuple(-x for x in v) for v in rows}
+        assert len(set(rows)) == len(rows) and not negated & set(rows)
+        assert set(rows) | negated == set(as_lists(full)[m])
+
+
 @given(st.lists(st.integers(-2, 2), min_size=16, max_size=16),
        st.lists(st.integers(1, 3), min_size=4, max_size=4),
        st.lists(st.integers(-1, 1), min_size=6, max_size=6),
@@ -119,6 +128,7 @@ def test_short_vectors_upto_matches_brute_force(a, diag, off, den, max_norm):
     got = short_vectors_upto(g, max_norm)
     assert as_lists(got) == brute_force_short_vectors(g, max_norm)
     assert list(got) == sorted(got)
+    assert_half_shells(short_vectors_upto(g, max_norm, half=True), got)
 
 
 def test_short_vectors_upto_huge_entries_use_python_ints():
@@ -128,6 +138,9 @@ def test_short_vectors_upto_huge_entries_use_python_ints():
     got = short_vectors_upto(g, 4 * scale)
     assert got and all(vs.dtype == object for vs in got.values())
     assert as_lists(got) == brute_force_short_vectors(g, 4 * scale)
+    half = short_vectors_upto(g, 4 * scale, half=True)
+    assert all(vs.dtype == object for vs in half.values())
+    assert_half_shells(half, got)
 
 
 def lexsort_rows(norms, vecs):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import hamilton_algebra
 from quatlift import fixture as fx
 from quatlift import yoshida
 from quatlift.binforms import apply_unimodular, is_ambiguous, reduced_forms_up_to
@@ -11,7 +12,7 @@ from quatlift.brandt import FormSpace, constant_form
 from quatlift.harmonic import (HarmonicPoly, bilinear_matrix, default_frame, harm_basis,
                                lift_poly_deg1, lift_poly_deg2)
 from quatlift.polys import Poly, monomials_of_degree
-from quatlift.quatcore import UsageError, short_vectors_upto
+from quatlift.quatcore import Lattice, UsageError, short_vectors, short_vectors_upto
 from quatlift.serialize import dumps_canonical, expansion_to_obj
 from quatlift.yoshida import (FourierExpansionSiegel2, ThetaEngine, TruncationError,
                               is_cuspidal_up_to_bound, phi_operator,
@@ -210,6 +211,46 @@ def test_pair_sums_exact_beyond_int64(nu):
         assert all(type(s) is int for s in got.values())
 
 
+def test_pair_sums_exact_through_the_fold():
+    # Z⁴ with q(x) = |x|²: 48 of the 64 pairs of norm-1 vectors have b = 0, so the
+    # fold 2·(S⁺(0) + S⁺(0)) passes 2⁶³ while each half-shell sum stays below 2⁶²
+    engine = ThetaEngine(Lattice.standard(hamilton_algebra()), 1)
+    weight = 25 * 10 ** 16
+    got = engine.pair_sums_bilinear(1, 1, np.array([[weight]], dtype=np.int64), 0)
+    assert got == {-2: 8 * weight, 0: 48 * weight, 2: 8 * weight}
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_row_sums_match_full_shell_pairs(nu):
+    # the half-shell kernel against every pair of the full, sorted shells
+    lattice = fx.ideal_i12()
+    g = lattice.normalized_gram()
+    gram = g.num.tolist()
+    engine = ThetaEngine(lattice, 7)
+    monos = monomials_of_degree(4, nu)
+    rng = random.Random(nu)
+    mat = [[rng.randint(-5, 5) for _ in monos] for _ in monos]
+
+    def brute(a, b, c):
+        total = 0
+        for x in short_vectors(g, a):
+            for y in short_vectors(g, c):
+                if sum(x[i] * gram[i][j] * y[j] for i in range(4) for j in range(4)) == b:
+                    mx, my = monomial_values(x, nu), monomial_values(y, nu)
+                    total += sum(mx[i] * mat[i][j] * my[j]
+                                 for i in range(len(monos)) for j in range(len(monos)))
+        return total
+
+    rows = [(0, [(0, [0]), (3, [0, 1]), (7, [0])]),                  # singular groups
+            (2, [(2, [-2, -1, 0, 1, 2]), (5, [-3, 0, 2]), (7, [1])]),  # a = c among them
+            (3, [(0, [0]), (3, list(range(-6, 7)))])]
+    for a, cbs in rows:
+        got = engine.row_sums(a, cbs, np.array(mat, dtype=np.int64), nu)
+        want = [brute(a, b, c) for c, bs in cbs for b in bs]
+        assert got == want
+        assert any(want) == bool(a or not nu)  # M(0) = 0 for ν ≥ 1
+
+
 def test_yoshida1_eichler(class_set_17, space0):
     phi2 = fx.phi2()
     y = yoshida1(class_set_17, phi2, phi2, 20, space0)
@@ -347,7 +388,8 @@ def enumeration_norms(monkeypatch):
     """The max_norm of every enumeration a ThetaEngine asks for; the buckets come back empty."""
     asked = []
 
-    def record(g, max_norm):
+    def record(g, max_norm, half=False):
+        assert half  # engines enumerate half shells
         asked.append(max_norm)
         return {}
 
