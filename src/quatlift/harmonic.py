@@ -3,13 +3,18 @@
 The degree-ν space U_ν is the kernel of the Laplacian adapted to the rational
 Gram matrix of a trace-zero frame (never an orthonormal real frame, so all
 arithmetic stays exact).  Also provides the conjugation action, the Fischer
-pairing with adapted gradient, and the two concrete lift-polynomial families
-used by the theta series.
+pairing with adapted gradient, and the lift weights of the theta series.
+
+Every quaternion product here is read off one of two per-frame tables built
+once from `QuaternionAlgebra.products`: `conj_table` (ȳ·g_l·y as quadratic
+forms in y) for the τ-matrices and the degree-1 weight `lift_poly_deg1`, and
+`pim_table` (pim(x̄₁·x₂) as bilinear forms) for the degree-2 weight, which
+`lift_matrix_deg2` returns as the matrix C of m_ν(x₁)ᵗ·C·m_ν(x₂) that the
+theta kernel reads.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -20,6 +25,11 @@ from . import linalg
 from .linalg import INT64_SAFE
 from .polys import Poly, monomials_of_degree
 from .quatcore import Lattice, QuatElement, QuaternionAlgebra, UsageError
+
+
+# the variables (a, b) of each degree-2 monomial y_a·y_b, in `monomials_of_degree(4, 2)` order
+_QUAD_PAIRS = [tuple(i for i, k in enumerate(e) for _ in range(k))
+               for e in monomials_of_degree(4, 2)]
 
 
 class TraceZeroFrame:
@@ -42,20 +52,6 @@ class TraceZeroFrame:
             raise ValueError("element is not trace-zero")
         return t[:3]
 
-    def sym_coords(self, coords: list[Poly]) -> list[Poly]:
-        """Frame coordinates of a trace-zero element with polynomial coordinates."""
-        out = []
-        for col in range(4):
-            acc = Poly.zero(coords[0].nvars)
-            for i in range(4):
-                cij = self._solve[i][col]
-                if cij:
-                    acc = acc + coords[i] * cij
-            out.append(acc)
-        if not out[3].is_zero():
-            raise ValueError("symbolic element is not trace-zero")
-        return out[:3]
-
     @cached_property
     def conj_table(self) -> tuple[list[list[int]], int]:
         """(T, den) with C(y) = m₂(y)·T/den, C flattened row-major to 9 columns.
@@ -70,14 +66,25 @@ class TraceZeroFrame:
         coords = sandwich @ self._solve
         t = coords.num.reshape(4, 3, 4, 4)
         rows = []
-        for e in monomials_of_degree(4, 2):
-            a, b = [i for i, k in enumerate(e) for _ in range(k)]
+        for a, b in _QUAD_PAIRS:
             # the coefficient of y_a·y_b in ȳ·g·y (the polarization when a ≠ b)
             x = t[a, :, b] + t[b, :, a] if a != b else t[a, :, a]
             if x[:, 3].any():
                 raise ValueError("element is not trace-zero")
             rows.append(x[:, :3].ravel())
         return linalg.integer_form(linalg.Matrix(np.array(rows), coords.den))
+
+    @cached_property
+    def pim_table(self) -> linalg.Matrix:
+        """T with pim(x̄·y) = x·T_l·yᵗ in frame coordinate l, T_l = column l as 4×4.
+
+        Row 4a + b holds the frame coordinates of pim(f̄_a·f_b), where
+        pim(u) = u − tr(u)/2 is the projection to the trace-zero part.
+        """
+        alg = self.algebra
+        coords = alg.products(alg.conj_matrix, linalg.identity(4)) @ self._solve
+        # the last column is the scalar part, which pim drops
+        return linalg.Matrix(coords.num[:, :3], coords.den)
 
     def __eq__(self, other):
         return (isinstance(other, TraceZeroFrame) and self.algebra is other.algebra
@@ -239,11 +246,17 @@ def pairing(v: HarmonicPoly, w: HarmonicPoly) -> Fraction:
     return pairing_polys(v.poly, w.poly, v.frame.gram_inv)
 
 
+def _conjugation_entries(frame: TraceZeroFrame, y: list) -> list:
+    """C(y) flattened row-major, for algebra coordinates y (Fractions or `Poly`s)."""
+    table, den = frame.conj_table
+    mono = [y[a] * y[b] for a, b in _QUAD_PAIRS]
+    return [sum((m * Fraction(t[c], den) for m, t in zip(mono, table) if t[c]), mono[0] * 0)
+            for c in range(9)]
+
+
 def conjugation_matrix(y: QuatElement, frame: TraceZeroFrame) -> linalg.Matrix:
     """3×3 matrix C with frame-coords(ȳ·g_l·y) in row l (so z ↦ ȳzy is t ↦ t·C)."""
-    table, den = frame.conj_table
-    mono = [math.prod(x ** k for x, k in zip(y.coords, e)) for e in monomials_of_degree(4, 2)]
-    flat = [sum(m * t[c] for m, t in zip(mono, table)) / den for c in range(9)]
+    flat = _conjugation_entries(frame, y.coords)
     return [flat[3 * l:3 * l + 3] for l in range(3)]
 
 
@@ -292,26 +305,33 @@ def _monomial_rows(v: np.ndarray, nu: int, dtype) -> np.ndarray:
 
 
 @cache
+def _scatter(nvars: int, e: int) -> np.ndarray:
+    """0/1 matrix adding the product of degree-e monomial s and x_j, at row nvars·s + j,
+    into its degree-(e+1) column (monomials in `monomials_of_degree(nvars, ·)` order)."""
+    low, high = monomials_of_degree(nvars, e), monomials_of_degree(nvars, e + 1)
+    index = {m: k for k, m in enumerate(high)}
+    scatter = np.zeros((nvars * len(low), len(high)), dtype=np.int64)
+    for s, m in enumerate(low):
+        for j in range(nvars):
+            scatter[nvars * s + j, index[tuple(k + (t == j) for t, k in enumerate(m))]] = 1
+    return scatter
+
+
+@cache
 def _sym_steps(nu: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Per degree e < ν: (parent, first, scatter) that build S_{e+1}(A) from S_e(A).
 
     Row α of S_{e+1}(A) is the coefficient vector of (Ax)^α = (Ax)^(α − e_i)·(Ax)_i,
     i = first[α] the first variable of α and α − e_i = monomial parent[α] of
-    degree e; `scatter` adds the product of monomial s and x_j, at row 3s + j,
-    into its degree-(e+1) column.
+    degree e, both in 3 variables; `scatter` is `_scatter(3, e)`.
     """
     steps = []
     for e in range(nu):
         low, high = monomials_of_degree(3, e), monomials_of_degree(3, e + 1)
-        index = {m: k for k, m in enumerate(high)}
         first = [next(i for i, k in enumerate(m) if k) for m in high]
         parent = [low.index(tuple(k - (j == i) for j, k in enumerate(m)))
                   for m, i in zip(high, first)]
-        scatter = np.zeros((3 * len(low), len(high)), dtype=np.int64)
-        for s, m in enumerate(low):
-            for j in range(3):
-                scatter[3 * s + j, index[tuple(k + (t == j) for t, k in enumerate(m))]] = 1
-        steps.append((np.array(parent), np.array(first), scatter))
+        steps.append((np.array(parent), np.array(first), _scatter(3, e)))
     return tuple(steps)
 
 
@@ -346,86 +366,49 @@ def _tau_sum(vecs, basis: list[list[int]], den: int, space: HarmSpace) -> linalg
     return linalg.Matrix(total, den_br * (den_t * den * den) ** nu)
 
 
-def _sym_from_basis(basis_rows, nvars: int, var_offset: int) -> list[Poly]:
-    """Coordinates of Σ_k X_{offset+k}·b_k for lattice basis rows b_k."""
-    coords = []
-    for col in range(4):
-        c = Poly.zero(nvars)
-        for k, row in enumerate(basis_rows):
-            if row[col]:
-                c = c + Poly.variable(nvars, var_offset + k) * row[col]
-        coords.append(c)
-    return coords
+def lift_matrix_deg2(v: HarmonicPoly, lattice: Lattice) -> linalg.Matrix:
+    """C with P_v(x₁, x₂) = v(pim(x̄₁·x₂)) = m_ν(x₁)ᵗ·C·m_ν(x₂), x in lattice coordinates.
 
-
-def _sym_mul(algebra: QuaternionAlgebra, u: list[Poly], v: list[Poly]) -> list[Poly]:
-    nvars = u[0].nvars
-    out = [Poly.zero(nvars) for _ in range(4)]
-    for i in range(4):
-        if u[i].is_zero():
-            continue
-        for j in range(4):
-            if v[j].is_zero():
-                continue
-            prod = u[i] * v[j]
-            for k in range(4):
-                cijk = algebra.c[i][j][k]
-                if cijk:
-                    out[k] = out[k] + prod * cijk
-    return out
-
-
-def _sym_conj(algebra: QuaternionAlgebra, u: list[Poly]) -> list[Poly]:
-    nvars = u[0].nvars
-    tr = Poly.zero(nvars)
-    for t, c in zip(algebra.trace_vec, u):
-        if t:
-            tr = tr + c * t
-    return [tr * algebra.one[k] - u[k] for k in range(4)]
-
-
-def _sym_pim(algebra: QuaternionAlgebra, u: list[Poly]) -> list[Poly]:
-    """u minus its trace part: the projection to the trace-zero subspace."""
-    nvars = u[0].nvars
-    tr = Poly.zero(nvars)
-    for t, c in zip(algebra.trace_vec, u):
-        if t:
-            tr = tr + c * t
-    return [u[k] - tr * (algebra.one[k] / Fraction(2)) for k in range(4)]
+    m_ν(x) holds the degree-ν monomials of x's 4 coordinates in
+    `monomials_of_degree(4, ν)` order; ν = 0 gives [[v]].  Frame coordinate l of
+    pim(x̄₁·x₂) is x₁·A_l·x₂ᵗ with A_l = B·T_l·Bᵗ (B the basis, T from
+    `pim_table`), so C = Σ_γ v_γ·A_{l₁} ⊗ … ⊗ A_{l_ν}, folded after each Kronecker
+    step onto monomials of the next degree (the `_sym_steps` recursion on γ), so
+    no 4^ν × 4^ν array is formed.  Integer arrays over one denominator: int64
+    while a bound on every integer formed stays below 2⁶², Python ints past it.
+    """
+    nu = v.degree
+    coeffs = v.poly.coefficient_vector(monomials_of_degree(3, nu))
+    if sum(map(bool, coeffs)) != len(v.poly.coeffs):
+        raise ValueError("the harmonic polynomial is not homogeneous")
+    vq, vden = linalg.integer_form([coeffs])
+    table, basis = v.frame.pim_table, lattice.basis
+    b = basis.num.astype(object)
+    a = b @ table.num.astype(object).reshape(4, 4, 3).transpose(2, 0, 1) @ b.T
+    # Σ|coefficients| of a product of polynomials is at most the product of theirs
+    peak = sum(map(abs, vq[0])) * (16 * int(np.abs(a).max())) ** nu
+    dtype = np.int64 if peak < INT64_SAFE else object
+    a = a.astype(dtype)
+    q = np.ones((1, 1, 1), dtype=dtype)
+    for e, (parent, first, _) in enumerate(_sym_steps(nu)):
+        # row 4α + i, column 4β + j: the coefficient of x₁^α·x₂^β times A_l[i, j]
+        size = 4 * q.shape[1]
+        kron = q[parent][:, :, None, :, None] * a[first][:, None, :, None, :]
+        fold = _scatter(4, e).astype(dtype)
+        q = fold.T @ kron.reshape(len(parent), size, size) @ fold
+    c = (np.array(vq[0], dtype=dtype)[:, None, None] * q).sum(axis=0)
+    return linalg.Matrix(c, vden * (basis.den ** 2 * table.den) ** nu)
 
 
 def lift_poly_deg2(v: HarmonicPoly, lattice: Lattice) -> Poly:
     """P_v(x₁, x₂) = v(pim(x̄₁·x₂)) in lattice coordinates (x₁ = vars 0-3, x₂ = vars 4-7).
 
-    Bilinear of bidegree (ν, ν), alternating for odd ν, and annihilated by both
-    adapted 4-variable Laplacians.
+    The `Poly` view of `lift_matrix_deg2`.  Bilinear of bidegree (ν, ν),
+    alternating for odd ν, and annihilated by both adapted 4-variable Laplacians.
     """
-    algebra = lattice.algebra
-    frame = v.frame
-    x1 = _sym_from_basis(lattice.basis, 8, 0)
-    x2 = _sym_from_basis(lattice.basis, 8, 4)
-    u = _sym_mul(algebra, _sym_conj(algebra, x1), x2)
-    t = frame.sym_coords(_sym_pim(algebra, u))
-    return v.poly.subs_polys(t)
-
-
-def bilinear_matrix(p: Poly) -> list[list[Fraction]]:
-    """C with P(x, y) = m_ν(x)ᵗ·C·m_ν(y) for a bidegree-(ν,ν) polynomial in 8 variables.
-
-    m_ν(x) is the vector of degree-ν monomials in x's 4 coordinates, in the
-    order of `monomials_of_degree(4, ν)`; ν = 1 gives the 4×4 matrix of
-    xᵗ·C·y and ν = 0 gives [[P]].  Any other shape raises ValueError.
-    """
-    nu, odd = divmod(p.degree(), 2)
-    if p.nvars != 8 or odd:
-        raise ValueError("polynomial is not of bidegree (ν, ν) in 2×4 variables")
-    index = {m: k for k, m in enumerate(monomials_of_degree(4, nu))}
-    c = [[Fraction(0)] * len(index) for _ in index]
-    for e, coeff in p.coeffs.items():
-        if sum(e[:4]) != nu or sum(e[4:]) != nu:
-            raise ValueError(f"polynomial is not of bidegree ({nu}, {nu})")
-        c[index[e[:4]]][index[e[4:]]] = coeff
-    return c
+    monos = monomials_of_degree(4, v.degree)
+    c = lift_matrix_deg2(v, lattice)
+    return Poly(8, {e1 + e2: x for e1, row in zip(monos, c) for e2, x in zip(monos, row)})
 
 
 def lift_poly_deg1(v1: HarmonicPoly, v2: HarmonicPoly, lattice: Lattice) -> Poly:
@@ -434,18 +417,15 @@ def lift_poly_deg1(v1: HarmonicPoly, v2: HarmonicPoly, lattice: Lattice) -> Poly
         raise UsageError("lift factors live on different frames")
     if v1.degree != v2.degree:
         raise UsageError("lift factors must have equal degree")
-    algebra = lattice.algebra
     frame = v1.frame
-    # variables 0-3: lattice coordinates of x; 4-6: frame coordinates of z
-    x = _sym_from_basis(lattice.basis, 7, 0)
-    z = [Poly.zero(7) for _ in range(4)]
-    for l, g in enumerate(frame.elements):
-        for col in range(4):
-            if g.coords[col]:
-                z[col] = z[col] + Poly.variable(7, 4 + l) * g.coords[col]
-    u = _sym_mul(algebra, _sym_mul(algebra, _sym_conj(algebra, x), z), x)
-    t = frame.sym_coords(_sym_pim(algebra, u))
-    w = v2.poly.subs_polys(t)
+    # variables 0-3: lattice coordinates of x; 4-6: frame coordinates t of z
+    x = [sum((Poly.variable(7, k) * row[col] for k, row in enumerate(lattice.basis) if row[col]),
+             Poly.zero(7)) for col in range(4)]
+    conj = _conjugation_entries(frame, x)
+    t = [Poly.variable(7, 4 + l) for l in range(3)]
+    # z ↦ x̄·z·x is t ↦ t·C(x)
+    w = v2.poly.subs_polys([t[0] * conj[k] + t[1] * conj[3 + k] + t[2] * conj[6 + k]
+                            for k in range(3)])
     # split into z-monomials with Poly(4) values, then pair against v1 over z
     values: dict[tuple[int, int, int], Poly] = {}
     for e, c in w.coeffs.items():

@@ -110,16 +110,23 @@ class Poly:
         return total
 
     def subs_polys(self, images: list["Poly"]) -> "Poly":
-        """Substitute variable i -> images[i] (all over the same target ring)."""
+        """Substitute variable i -> images[i] (all over the same target ring).
+
+        Horner's scheme: p = p(0) + Σ_i x_i·q_i with q_i the part of p whose
+        first variable is x_i, divided by x_i, so images[i] multiplies the
+        substituted q_i once rather than every monomial.
+        """
         assert len(images) == self.nvars
         nv = images[0].nvars if images else self.nvars
-        out = Poly.zero(nv)
+        zero = (0,) * self.nvars
+        out = Poly.constant(nv, self.coeffs.get(zero, 0))
+        quotients: dict[int, dict] = {}
         for e, c in self.coeffs.items():
-            term = Poly.constant(nv, c)
-            for img, k in zip(images, e):
-                for _ in range(k):
-                    term = term * img
-            out = out + term
+            if e != zero:
+                i = next(i for i, k in enumerate(e) if k)
+                quotients.setdefault(i, {})[e[:i] + (e[i] - 1,) + e[i + 1:]] = c
+        for i, q in quotients.items():
+            out = out + Poly(self.nvars, q).subs_polys(images) * images[i]
         return out
 
     def subs_linear(self, mat) -> "Poly":

@@ -426,15 +426,19 @@ class Lattice:
         self.kind = kind
 
     @classmethod
+    def _of_full_rank(cls, algebra, basis: Matrix, kind: str) -> "Lattice":
+        """A lattice on 4 rows known to be independent, without __init__'s rank check."""
+        lattice = cls.__new__(cls)
+        lattice.algebra, lattice.basis, lattice.kind = algebra, basis, kind
+        return lattice
+
+    @classmethod
     def from_generators(cls, algebra, rows, kind: str = "lattice") -> "Lattice":
         basis = linalg.hnf_rational(rows)
         if len(basis) != 4:
             raise ValueError("generators do not span a full lattice")
-        # the nonzero rows of a Hermite normal form are independent, so these
-        # 4 rows need not go through __init__'s rank check
-        lattice = cls.__new__(cls)
-        lattice.algebra, lattice.basis, lattice.kind = algebra, basis, kind
-        return lattice
+        # the nonzero rows of a Hermite normal form are independent
+        return cls._of_full_rank(algebra, basis, kind)
 
     @classmethod
     def standard(cls, algebra, kind: str = "order") -> "Lattice":
@@ -471,7 +475,8 @@ class Lattice:
         """
         inv = self._basis_inv
         blocks = [mul_matrix_coords(b) @ inv for b in self.basis]
-        order = Lattice(self.algebra, _integral_preimage_lattice(blocks), "order")
+        # the preimage basis is an inverse matrix, so it has rank 4
+        order = Lattice._of_full_rank(self.algebra, _integral_preimage_lattice(blocks), "order")
         order.require_order()
         return order
 
@@ -492,7 +497,9 @@ class Lattice:
         return (linalg.frac_mat([x.coords]) @ self._basis_inv).den == 1
 
     def scale(self, c) -> "Lattice":
-        return Lattice(self.algebra, self.basis * c, self.kind)
+        if not c:
+            raise ValueError("cannot scale a lattice by 0")
+        return Lattice._of_full_rank(self.algebra, self.basis * c, self.kind)
 
     def conjugate(self) -> "Lattice":
         return Lattice.from_generators(self.algebra, self.basis @ self.algebra.conj_matrix,
@@ -793,7 +800,8 @@ def class_set(order: Lattice, p_seed: int) -> ClassSet:
         raise UsageError("p_seed must be prime")
     if order.level % p_seed == 0:
         raise UsageError("order is not maximal at p_seed (p_seed divides the level)")
-    reps: list[Lattice] = [Lattice(order.algebra, order.basis, "ideal")]
+    # the order itself is the principal class: its basis is a checked lattice basis
+    reps: list[Lattice] = [Lattice._of_full_rank(order.algebra, order.basis, "ideal")]
     frontier = [reps[0]]
     while frontier:
         fresh = []

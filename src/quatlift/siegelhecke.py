@@ -277,7 +277,7 @@ def rankin_selberg_matches_dirichlet(af, ag, k1: int, k2: int, p: int,
 
 
 def lambda_N(level: int, n: int, s: float, nonessential: dict | None = None) -> float:
-    """Bad-prime factor Λ_N(s) = Π_{p|N} Π_{j=1}^n (1 − p^{−s−2+j})⁻¹, N ≥ 1 square-free.
+    """Bad-prime factor Λ_N(s) = Π_{p|N} Π_{j=1}^n (1 − p^{−s−2+j})⁻¹, N ≥ 1 square-free, n ≥ 1.
 
     For a prime where only one form is essential, pass
     nonessential[p] = (epsilon, alpha_sum) to use the replacement factor
@@ -285,6 +285,8 @@ def lambda_N(level: int, n: int, s: float, nonessential: dict | None = None) -> 
     """
     if level < 1:
         raise UsageError(f"the level must be positive, not {level}")
+    if n < 1:
+        raise UsageError(f"the degree n must be positive, not {n}")
     primes = _prime_factors(level)
     if len(set(primes)) != len(primes):
         raise UsageError(f"the level {level} is not square-free")

@@ -6,9 +6,10 @@ sign-tracked reduction, which is what makes odd weight work.
 
 Every degree-2 lift is a sum of pieces θ(L, P)·scale whose weight P has
 bidegree (ν, ν), so P(x₁, x₂) = m_ν(x₁)ᵗ·C·m_ν(x₂) with m_ν the degree-ν
-monomials (`bilinear_matrix`).  `theta_lift` assembles every degree-2 lift from
-its terms (L, C, scale): `yoshida2` from Brandt eigenforms, `fixture.golden_lift`
-from the published polynomials.
+monomials.  `theta_lift` assembles every degree-2 lift from its terms
+(L, C, scale): `yoshida2` from Brandt eigenforms, with C built by
+`harmonic.lift_matrix_deg2` from the frame's product table, and
+`fixture.golden_lift` from the published matrices.
 
 A `ThetaEngine` holds half shells H_m: one vector of each pair ±x of norm m.
 Since P(−x₁, x₂) = P(x₁, −x₂) = (−1)^ν·P(x₁, x₂) and B(−x₁, x₂) = −B(x₁, x₂),
@@ -42,8 +43,7 @@ from . import linalg
 from .binforms import (BinaryForm, disc, is_ambiguous, is_reduced, reduce_form,
                        reduced_forms_up_to)
 from .brandt import AutomorphicForm, FormSpace
-from .harmonic import (HarmonicPoly, _monomial_rows, bilinear_matrix, lift_poly_deg2,
-                       tau_matrix_sum)
+from .harmonic import HarmonicPoly, _monomial_rows, lift_matrix_deg2, tau_matrix_sum
 from .linalg import INT64_SAFE
 from .polys import Poly
 from .quatcore import ClassSet, Lattice, UsageError, short_vectors, short_vectors_upto
@@ -107,19 +107,6 @@ class FourierExpansionSiegel2:
         if c:
             for t, v in self.entries.items():
                 out.set(t, c * v)
-        return out
-
-    def add(self, other: "FourierExpansionSiegel2") -> "FourierExpansionSiegel2":
-        assert self.weight == other.weight and self.level == other.level
-        out = FourierExpansionSiegel2(self.weight, self.level,
-                                      min(self.bound, other.bound),
-                                      singular_bound=min(self.singular_bound,
-                                                         other.singular_bound))
-        keys = set(self.entries) | set(other.entries)
-        for t in keys:
-            v = self.entries.get(t, Fraction(0)) + other.entries.get(t, Fraction(0))
-            if disc(t) <= out.bound and (disc(t) > 0 or t[2] <= out.singular_bound):
-                out.set(t, v)
         return out
 
     def agrees_with(self, other: "FourierExpansionSiegel2") -> bool:
@@ -346,12 +333,14 @@ def theta_lift(terms, nu: int, level: int, bound: int, singular_bound: int | Non
                jobs: int = 1) -> FourierExpansionSiegel2:
     """Σ over terms (L, C, scale) of scale·θ(L, m_ν(x₁)ᵗ·C·m_ν(x₂)), weight ν + 2.
 
-    C is a rational matrix as from `bilinear_matrix`.  Each engine enumerates L
-    to the largest norm the forms read.  Every piece's factor scale/den is written
-    n/D over one common denominator D, so each form's total is a sum of Python
-    ints and one Fraction at the end.  With jobs > 1 the rows a are distributed
-    over forked worker processes; each form lies in one row, so the result is
-    byte-identical for any jobs.
+    C is a rational matrix on degree-ν monomials in `monomials_of_degree(4, ν)`
+    order, as `harmonic.lift_matrix_deg2` returns it; a list of rational rows
+    works too.  Each engine enumerates L to the largest norm the forms read.
+    Every piece's factor scale/den is written n/D over one common denominator
+    D, so each form's total is a sum of Python ints and one Fraction at the
+    end.  With jobs > 1 the rows a are distributed over forked worker
+    processes; each form lies in one row, so the result is byte-identical for
+    any jobs.
     """
     if singular_bound is None:
         singular_bound = _default_singular_bound(bound)
@@ -410,12 +399,12 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
             if not wj:
                 continue
             cross = cs.cross_lattice(i, j)
-            p8 = lift_poly_deg2(hp, cross)
-            if p8.is_zero():
+            weight = lift_matrix_deg2(hp, cross)
+            if not weight.num.any():
                 continue
             scale = wj / (Fraction(cs.unit_counts[i] * cs.unit_counts[j])
                           * cross.norm_scale ** nu1)
-            terms.append((cross, bilinear_matrix(p8), scale))
+            terms.append((cross, weight, scale))
     return theta_lift(terms, nu1, cs.order.level, bound, singular_bound)
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from quatlift import fixture as fx
 from quatlift import linalg
+from quatlift.polys import monomials_of_degree
 from quatlift.quatcore import Lattice, QuaternionAlgebra, _rref_mod_p
 
 
@@ -45,3 +46,14 @@ def level34_order():
         if ok and lat.level == 34:
             return lat
     raise AssertionError("no level-34 order found")
+
+
+def monomial_values(x, nu):
+    """m_ν(x): the degree-ν monomials of the 4 coordinates x."""
+    out = []
+    for e in monomials_of_degree(4, nu):
+        v = 1
+        for xk, k in zip(x, e):
+            v *= xk ** k
+        out.append(v)
+    return out

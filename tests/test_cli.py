@@ -173,9 +173,13 @@ def test_lfactor_command_rejects_non_prime(kind):
     ("-34", "the level must be positive, not -34"),
     ("12", "the level 12 is not square-free"),
     ("1000036000099", "up to the trial-division bound 1000000"),  # 1000003·1000033
+    # a level may carry further options: the degree of the empty product
+    ("17 --degree 0", "the degree n must be positive, not 0"),
+    ("34 --degree -3", "the degree n must be positive, not -3"),
 ])
 def test_lfactor_bad_rejects_level(level, message):
-    res = CliRunner().invoke(main, ["lfactor", "--kind", "bad", "--level", level, "--s", "1"])
+    res = CliRunner().invoke(main, ["lfactor", "--kind", "bad", "--level", *level.split(),
+                                    "--s", "1"])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("Error: ") and message in res.output

@@ -5,14 +5,13 @@ import pytest
 
 from quatlift import fixture as fx
 from quatlift import linalg
-from quatlift.harmonic import (HarmonicPoly, adapted_laplacian,
-                               bilinear_matrix, conjugation_matrix, default_frame,
-                               harm_basis, integral_tau_matrix, integral_tau_poly,
-                               lift_poly_deg1, lift_poly_deg2, pairing, pairing_polys,
-                               tau_action)
+from quatlift.harmonic import (HarmonicPoly, adapted_laplacian, conjugation_matrix,
+                               default_frame, harm_basis, integral_tau_matrix,
+                               integral_tau_poly, lift_matrix_deg2, lift_poly_deg1,
+                               lift_poly_deg2, pairing, pairing_polys, tau_action)
 from quatlift.polys import Poly
 from quatlift.quatcore import QuatElement, UsageError, short_vectors
-from helpers import hamilton_algebra
+from helpers import hamilton_algebra, monomial_values
 
 
 def test_dimensions(algebra):
@@ -216,12 +215,58 @@ def test_lift_poly_deg2_det_equivariance(algebra):
 
 
 def test_lift_poly_deg2_matches_published(algebra):
-    m_r1 = bilinear_matrix(lift_poly_deg2(_alpha3(algebra), fx.order_r1()))
+    m_r1 = lift_matrix_deg2(_alpha3(algebra), fx.order_r1())
     assert [[fx.P1_SCALE * x for x in row] for row in m_r1] == \
         [[Fraction(x) for x in row] for row in fx.P1_MATRIX]
-    m_i12 = bilinear_matrix(lift_poly_deg2(_alpha3(algebra), fx.ideal_i12()))
+    m_i12 = lift_matrix_deg2(_alpha3(algebra), fx.ideal_i12())
     assert [[fx.P12_SCALE * x for x in row] for row in m_i12] == \
         [[Fraction(x) for x in row] for row in fx.P12_MATRIX]
+
+
+def _lift_lattices(class_set):
+    cross = class_set.cross_lattice(1, 0)
+    assert cross.basis.den > 1
+    return [fx.order_r1(), fx.ideal_i12(), cross]
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+def test_lift_matrix_deg2_matches_quaternion_products(algebra, class_set_17, nu):
+    # m_ν(x₁)ᵗ·C·m_ν(x₂) against v(pim(x̄₁·x₂)) in QuatElement arithmetic
+    frame = default_frame(algebra)
+    one = algebra.unit()
+    rng = random.Random(nu)
+    for lattice in _lift_lattices(class_set_17):
+        for v in harm_basis(nu, frame).basis:
+            hp = HarmonicPoly(frame, v)
+            c = lift_matrix_deg2(hp, lattice)
+            for _ in range(4):
+                x1, x2 = ([rng.randint(-3, 3) for _ in range(4)] for _ in range(2))
+                u = lattice.element_from(x1).conj() * lattice.element_from(x2)
+                m1, m2 = monomial_values(x1, nu), monomial_values(x2, nu)
+                value = sum(a * cab * b for a, row in zip(m1, c) for cab, b in zip(row, m2))
+                assert value == hp(u - one * (u.trace() / 2))
+
+
+def test_lift_matrix_deg2_rejects_mixed_degrees(algebra):
+    # a weight of bidegree (ν, ν) needs a homogeneous v; no term may be dropped
+    mixed = Poly.variable(3, 2) * Poly.variable(3, 0) + Poly.variable(3, 1)
+    with pytest.raises(ValueError):
+        lift_matrix_deg2(HarmonicPoly(default_frame(algebra), mixed), fx.order_r1())
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_lift_poly_deg1_matches_tau_pairing(algebra, class_set_17, nu):
+    # P(x) = ⟨⟨v₁, n(x)^ν·τ(x)v₂⟩⟩ with the τ-action by substitution
+    frame = default_frame(algebra)
+    rng = random.Random(10 + nu)
+    basis = harm_basis(nu, frame).basis
+    for lattice in _lift_lattices(class_set_17):
+        for v1, v2 in zip(basis, reversed(basis)):
+            p = lift_poly_deg1(HarmonicPoly(frame, v1), HarmonicPoly(frame, v2), lattice)
+            for _ in range(3):
+                x = [rng.randint(-3, 3) for _ in range(4)]
+                image = integral_tau_poly(lattice.element_from(x), HarmonicPoly(frame, v2))
+                assert p.eval(x) == pairing_polys(v1, image.poly, frame.gram_inv)
 
 
 def test_lift_poly_deg2_pluriharmonic(algebra):

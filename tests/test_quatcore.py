@@ -210,6 +210,16 @@ def test_order_is_its_own_two_sided_ideal():
     assert scaled.left_order == r1 and scaled.right_order == r1
 
 
+def test_scale_keeps_the_basis_and_rejects_zero():
+    i12 = fx.ideal_i12()
+    scaled = i12.scale(Fraction(-5, 2))
+    assert scaled.basis == i12.basis * Fraction(-5, 2) and scaled.kind == i12.kind
+    assert scaled.gram_det == Fraction(5, 2) ** 8 * i12.gram_det
+    for c in (0, Fraction(0)):
+        with pytest.raises(ValueError):
+            i12.scale(c)
+
+
 def test_ideal_equivalence():
     r1 = fx.order_r1()
     as_ideal = Lattice(r1.algebra, r1.basis, "ideal")

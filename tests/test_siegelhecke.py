@@ -228,6 +228,9 @@ def test_lambda_values():
     for level in (0, -34, 12):
         with pytest.raises(UsageError):
             lambda_N(level, 3, 1.0)
+    for level, n in ((17, 0), (34, -3), (1, 0)):
+        with pytest.raises(UsageError, match="degree n must be positive"):
+            lambda_N(level, n, 1.0)
 
 
 def test_lambda_nonessential_variant():

@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import hamilton_algebra
+from helpers import hamilton_algebra, monomial_values
 from quatlift import fixture as fx
 from quatlift import yoshida
 from quatlift.binforms import apply_unimodular, is_ambiguous, reduced_forms_up_to
 from quatlift.brandt import FormSpace, constant_form
-from quatlift.harmonic import (HarmonicPoly, bilinear_matrix, default_frame, harm_basis,
+from quatlift.harmonic import (HarmonicPoly, default_frame, harm_basis, lift_matrix_deg2,
                                lift_poly_deg1, lift_poly_deg2)
 from quatlift.polys import Poly, monomials_of_degree
 from quatlift.quatcore import Lattice, UsageError, short_vectors, short_vectors_upto
@@ -148,24 +148,15 @@ def test_yoshida2_nu2_matches_reference(class_set_17):
     assert {t: g.coefficient(t) for t in forms} == ref
 
 
-def monomial_values(x, nu):
-    """m_ν(x): the degree-ν monomials of the 4 coordinates x."""
-    out = []
-    for e in monomials_of_degree(4, nu):
-        v = 1
-        for xk, k in zip(x, e):
-            v *= xk ** k
-        out.append(v)
-    return out
-
-
 @pytest.mark.parametrize("nu", [0, 1, 2])
 def test_bilinear_matrix_reconstructs_lift_poly(algebra, nu):
+    # the bilinear matrix C of P_v, as theta_lift reads it, against the Poly(8) view
     frame = default_frame(algebra)
-    p8 = lift_poly_deg2(HarmonicPoly(frame, harm_basis(nu, frame).basis[-1]), fx.ideal_i12())
-    c = bilinear_matrix(p8)
+    hp = HarmonicPoly(frame, harm_basis(nu, frame).basis[-1])
+    p8 = lift_poly_deg2(hp, fx.ideal_i12())
+    c = lift_matrix_deg2(hp, fx.ideal_i12())
     size = len(monomials_of_degree(4, nu))
-    assert len(c) == size and all(len(row) == size for row in c)
+    assert c.shape == (size, size)
     rng = random.Random(nu)
     for _ in range(10):
         x = [rng.randint(-3, 3) for _ in range(4)]
@@ -173,17 +164,6 @@ def test_bilinear_matrix_reconstructs_lift_poly(algebra, nu):
         mx, my = monomial_values(x, nu), monomial_values(y, nu)
         value = sum(mx[i] * c[i][j] * my[j] for i in range(size) for j in range(size))
         assert value == p8.eval(x + y)
-
-
-@pytest.mark.parametrize("poly", [
-    Poly.variable(8, 0),                                              # odd degree
-    Poly.variable(8, 0) * Poly.variable(8, 1),                        # bidegree (2, 0)
-    Poly.variable(8, 0) * Poly.variable(8, 4) + Poly.constant(8, 1),  # mixed degrees
-    Poly.variable(4, 0) * Poly.variable(4, 1),                        # 4 variables
-])
-def test_bilinear_matrix_rejects_other_shapes(poly):
-    with pytest.raises(ValueError):
-        bilinear_matrix(poly)
 
 
 @pytest.mark.parametrize("nu", [1, 2])
