@@ -2,7 +2,7 @@
 Hecke action, local L-factors and the end-to-end example verification.
 
 All input and output is through JSON files and stdout; outputs are canonical
-and byte-stable across runs and worker counts.
+and byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -136,11 +136,10 @@ def eigenforms_cmd(algebra_path, order_path, nu, primes, seed, out_path):
 @click.option("--bound", default=130, show_default=True, type=click.IntRange(min=0),
               help="discriminant bound")
 @click.option("--singular-bound", default=None, type=click.IntRange(min=0))
-@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", "out_path", type=click.Path(), required=True)
-def lift_cmd(which, bound, singular_bound, jobs, out_path):
+def lift_cmd(which, bound, singular_bound, out_path):
     """Degree-2 theta lift of the bundled example as a Fourier expansion file."""
-    lift = fx.golden_lift(bound, singular_bound=singular_bound, jobs=jobs)
+    lift = fx.golden_lift(bound, singular_bound=singular_bound)
     ser.save_json(out_path, ser.expansion_to_obj(lift))
     click.echo(f"wrote {out_path} ({len(lift.entries)} entries, "
                f"weight {lift.weight}, level {lift.level}, bound {lift.bound})")
@@ -253,10 +252,9 @@ def roundtrip_cmd(in_path, schema, algebra_path, out_path):
               help="discriminant bound for the published-coefficient checks")
 @click.option("--hecke-bound", default=2600, show_default=True, type=click.IntRange(min=0),
               help="input discriminant bound for the Hecke eigenvalue checks")
-@click.option("--jobs", default=1, show_default=True, type=click.IntRange(min=1))
-def verify_example_cmd(bound, hecke_bound, jobs):
+def verify_example_cmd(bound, hecke_bound):
     """Run the full bundled-example pipeline and print a pass/fail table."""
-    report = run_all(lift_bound=bound, hecke_bound=hecke_bound, jobs=jobs,
+    report = run_all(lift_bound=bound, hecke_bound=hecke_bound,
                      progress=lambda msg: click.echo(f"... {msg}", err=True))
     for line in report.lines():
         click.echo(line)

@@ -17,7 +17,7 @@ from functools import lru_cache
 from . import linalg
 from .brandt import AutomorphicForm, FormSpace
 from .polys import Poly
-from .quatcore import ClassSet, Lattice, QuaternionAlgebra, class_set
+from .quatcore import ClassSet, Lattice, QuaternionAlgebra, UsageError, class_set
 from .yoshida import FourierExpansionSiegel2, theta_lift, yoshida2
 
 LEVEL = 17
@@ -119,8 +119,6 @@ PRINTED_COEFFS = {
 # published Hecke eigenvalues of the weight-3 lift
 HECKE_EIGENVALUES = {2: -5, 3: -8, 5: -4}
 
-# Brandt eigenvalues of the two factors (computed by the pipeline, asserted in
-# tests via the eigenvalue relation λ_p = a_p(φ₁) + p·a_p(φ₂))
 CLASS_SEED = 2
 
 
@@ -173,11 +171,13 @@ def golden_lift(bound: int, singular_bound: int | None = None,
                 jobs: int = 1) -> FourierExpansionSiegel2:
     """The published assembly: θ(R₁, P₁) + θ(connecting ideal, P₁₂), weight 3.
 
-    With jobs > 1 the pair sums run in forked worker processes (`theta_lift`);
-    the result is byte-identical for any jobs.
+    The lift runs in one process.  `jobs` accepts only 1 and raises UsageError
+    otherwise; it stays because the benchmark workloads pass jobs=1.
     """
+    if jobs != 1:
+        raise UsageError("golden_lift runs in one process")
     terms = [(order_r1(), P1_MATRIX, 1), (ideal_i12(), P12_MATRIX, 1)]
-    return theta_lift(terms, 1, LEVEL, bound, singular_bound, jobs)
+    return theta_lift(terms, 1, LEVEL, bound, singular_bound)
 
 
 def fixture_lift(bound: int, singular_bound: int | None = None) -> FourierExpansionSiegel2:

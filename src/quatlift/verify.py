@@ -130,14 +130,23 @@ def check_lift_golden(report: Report, lift) -> None:
 def check_hecke_golden(report: Report, lift) -> None:
     crit = "hecke golden test"
     for p, expect in sorted(fx.HECKE_EIGENVALUES.items()):
-        image = hecke_Tp(lift, p)
-        lam = eigenvalue_extract(lift, image)
-        report.check(crit, f"T({p}) eigenvalue = {expect}", lam == expect,
-                     f"got {lam}, normalization constant p^0")
-    t23 = hecke_Tp(hecke_Tp(lift, 2), 3)
-    t32 = hecke_Tp(hecke_Tp(lift, 3), 2)
-    report.check(crit, "T(2)T(3) = T(3)T(2) on the comparable range",
-                 t23.agrees_with(t32))
+        name = f"T({p}) eigenvalue = {expect}"
+        try:
+            # below an input bound of p², T(p) raises TruncationError, and below
+            # 23·p² the eigenvalue is indeterminate; both are ValueErrors
+            lam = eigenvalue_extract(lift, hecke_Tp(lift, p))
+        except ValueError as exc:
+            report.check(crit, name, False, str(exc))
+            continue
+        report.check(crit, name, lam == expect, f"got {lam}, normalization constant p^0")
+    name = "T(2)T(3) = T(3)T(2) on the comparable range"
+    try:
+        t23 = hecke_Tp(hecke_Tp(lift, 2), 3)
+        t32 = hecke_Tp(hecke_Tp(lift, 3), 2)
+    except ValueError as exc:
+        report.check(crit, name, False, str(exc))
+    else:
+        report.check(crit, name, t23.agrees_with(t32))
     eig = getattr(report, "eichler_eigenvalues", None)
     if eig:
         rel = all(fx.HECKE_EIGENVALUES[p] == eig[1][p] + p * eig[0][p]
@@ -261,23 +270,20 @@ def _laplacian8(poly: Poly, gram_inv, offset: int) -> Poly:
 def check_determinism(report: Report, bound: int = 60) -> None:
     crit = "determinism"
     from .serialize import dumps_canonical, expansion_to_obj
-    one = dumps_canonical(expansion_to_obj(fx.golden_lift(bound, jobs=1)))
-    two = dumps_canonical(expansion_to_obj(fx.golden_lift(bound, jobs=2)))
-    report.check(crit, "lift output byte-identical across thread counts", one == two)
-    again = dumps_canonical(expansion_to_obj(fx.golden_lift(bound, jobs=1)))
+    one = dumps_canonical(expansion_to_obj(fx.golden_lift(bound)))
+    again = dumps_canonical(expansion_to_obj(fx.golden_lift(bound)))
     report.check(crit, "lift output byte-identical across runs", one == again)
 
 
-def run_all(lift_bound: int = 130, hecke_bound: int = 2600,
-            jobs: int = 1, progress=None) -> Report:
+def run_all(lift_bound: int = 130, hecke_bound: int = 2600, progress=None) -> Report:
     report = Report()
     steps = [
         ("fixture arithmetic", lambda: check_fixture_arithmetic(report)),
         ("eichler side", lambda: check_eichler_side(report)),
         ("lift golden test", lambda: check_lift_golden(
-            report, fx.golden_lift(max(lift_bound, 130), jobs=jobs))),
+            report, fx.golden_lift(max(lift_bound, 130)))),
         ("hecke golden test", lambda: check_hecke_golden(
-            report, fx.golden_lift(hecke_bound, jobs=jobs))),
+            report, fx.golden_lift(hecke_bound))),
         ("L-function layer", lambda: check_l_function_layer(report)),
         ("property suites", lambda: check_property_suites(report)),
         ("determinism", lambda: check_determinism(report)),

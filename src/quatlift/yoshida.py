@@ -321,16 +321,8 @@ def _theta2_totals(pieces, rows, nu: int) -> dict[BinaryForm, int]:
     return totals
 
 
-_LIFT_STATE: dict = {}
-
-
-def _lift_chunk(rows) -> dict[BinaryForm, int]:
-    """Worker: the lift's integer totals on its share of the rows."""
-    return _theta2_totals(_LIFT_STATE["pieces"], rows, _LIFT_STATE["nu"])
-
-
-def theta_lift(terms, nu: int, level: int, bound: int, singular_bound: int | None = None,
-               jobs: int = 1) -> FourierExpansionSiegel2:
+def theta_lift(terms, nu: int, level: int, bound: int,
+               singular_bound: int | None = None) -> FourierExpansionSiegel2:
     """Σ over terms (L, C, scale) of scale·θ(L, m_ν(x₁)ᵗ·C·m_ν(x₂)), weight ν + 2.
 
     C is a rational matrix on degree-ν monomials in `monomials_of_degree(4, ν)`
@@ -338,9 +330,7 @@ def theta_lift(terms, nu: int, level: int, bound: int, singular_bound: int | Non
     works too.  Each engine enumerates L to the largest norm the forms read.
     Every piece's factor scale/den is written n/D over one common denominator
     D, so each form's total is a sum of Python ints and one Fraction at the
-    end.  With jobs > 1 the rows a are distributed over forked worker
-    processes; each form lies in one row, so the result is byte-identical for
-    any jobs.
+    end.
     """
     if singular_bound is None:
         singular_bound = _default_singular_bound(bound)
@@ -353,19 +343,8 @@ def theta_lift(terms, nu: int, level: int, bound: int, singular_bound: int | Non
                        Fraction(scale) / den))
     common = math.lcm(*(f.denominator for _, _, f in pieces))
     pieces = [(engine, mat, int(f * common)) for engine, mat, f in pieces]
-    _LIFT_STATE.update(pieces=pieces, nu=nu)
-    try:
-        if jobs > 1 and len(rows) > 1:
-            import multiprocessing as mp
-            chunks = [rows[k::jobs] for k in range(jobs)]
-            with mp.get_context("fork").Pool(jobs) as pool:
-                parts = pool.map(_lift_chunk, chunks)
-        else:
-            parts = [_lift_chunk(rows)]
-    finally:
-        _LIFT_STATE.clear()
     out = FourierExpansionSiegel2(nu + 2, level, bound, singular_bound=singular_bound)
-    for t, v in sorted(t_v for part in parts for t_v in part.items()):
+    for t, v in _theta2_totals(pieces, rows, nu).items():
         out.set(t, Fraction(v, common))
     return out
 

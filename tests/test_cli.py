@@ -35,12 +35,12 @@ def test_lift_command_value_and_determinism(fixture_files, tmp_path):
     out1 = tmp_path / "lift1.json"
     out2 = tmp_path / "lift2.json"
     r1 = runner.invoke(main, ["lift", "--fixture", "n17", "--bound", "100",
-                              "--out", str(out1), "--jobs", "1"])
+                              "--out", str(out1)])
     r2 = runner.invoke(main, ["lift", "--fixture", "n17", "--bound", "100",
-                              "--out", str(out2), "--jobs", "2"])
+                              "--out", str(out2)])
     assert r1.exit_code == 0 and r2.exit_code == 0
     b1, b2 = out1.read_bytes(), out2.read_bytes()
-    assert b1 == b2  # byte-identical across worker counts
+    assert b1 == b2  # byte-identical across runs
     obj = json.loads(b1)
     entry = next(e for e in obj["entries"] if e[:3] == [2, 1, 3])
     assert entry[3] == "32"
@@ -245,8 +245,7 @@ def test_order_commands_reject_negative_nu(fixture_files, command, args):
     assert "is not in the range" in res.stderr
 
 
-@pytest.mark.parametrize("args", [["--bound", "-5"], ["--singular-bound", "-1"],
-                                  ["--jobs", "0"]])
+@pytest.mark.parametrize("args", [["--bound", "-5"], ["--singular-bound", "-1"]])
 def test_lift_command_rejects_out_of_range(tmp_path, args):
     out = tmp_path / "lift.json"
     res = CliRunner().invoke(main, ["lift", "--fixture", "n17", "--out", str(out)] + args)
@@ -255,9 +254,37 @@ def test_lift_command_rejects_out_of_range(tmp_path, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [["--bound", "-1"], ["--jobs", "0"]])
+@pytest.mark.parametrize("args", [["--bound", "-1"]])
 def test_verify_example_rejects_out_of_range(args):
     res = CliRunner().invoke(main, ["verify-example"] + args)
     assert res.exit_code == 2
     assert "is not in the range" in res.stderr
     assert "checks passed" not in res.output
+
+
+@pytest.mark.parametrize("command", [["lift", "--fixture", "n17", "--out", "lift.json"],
+                                     ["verify-example"]])
+def test_jobs_option_is_gone(command):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        res = runner.invoke(main, command + ["--jobs", "2"])
+        assert not os.path.exists("lift.json")
+    assert res.exit_code == 2
+    assert "no such option" in res.stderr.lower() and "--jobs" in res.stderr
+
+
+@pytest.mark.parametrize("hecke_bound, failing", [
+    ("300", ["T(5) eigenvalue = -4  [eigenvalue indeterminate"]),
+    ("10", ["T(2) eigenvalue = -5  [eigenvalue indeterminate",
+            "T(3) eigenvalue = -8  [eigenvalue indeterminate",
+            "T(5) eigenvalue = -4  [input bound 10 cannot support T(5)",
+            "T(2)T(3) = T(3)T(2) on the comparable range  [input bound 2 cannot"]),
+])
+def test_verify_example_reports_unreadable_eigenvalues_as_failures(hecke_bound, failing):
+    # T(p) reads the first nonzero coefficient, at discriminant 23, from a bound of 23·p² on
+    res = CliRunner().invoke(main, ["verify-example", "--hecke-bound", hecke_bound])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    for line in failing:
+        assert f"[FAIL] hecke golden test: {line}" in res.output
+    assert f"{44 - len(failing)}/44 checks passed" in res.output

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -400,7 +402,20 @@ def test_yoshida2_enumerates_the_largest_norm_it_reads(class_set_17, space0, spa
     assert lift.singular_bound == (singular_bound or 200)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_golden_lift_releases_its_engines(jobs):
-    fx.golden_lift(300, jobs=jobs)
-    assert yoshida._LIFT_STATE == {}
+def test_golden_lift_releases_its_engines(monkeypatch):
+    built = []
+    init = ThetaEngine.__init__
+
+    def recording_init(self, *args):
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(ThetaEngine, "__init__", recording_init)
+    fx.golden_lift(300)
+    gc.collect()
+    assert len(built) == 2 and all(ref() is None for ref in built)
+
+
+def test_golden_lift_runs_in_one_process():
+    with pytest.raises(UsageError, match="golden_lift runs in one process"):
+        fx.golden_lift(60, jobs=2)
