@@ -4,9 +4,18 @@ Canonical reduction under GL₂(Z) with the determinant of the reducing word
 tracked, because odd-weight Fourier coefficients pick up det(U)^k.  The
 canonical representative of a positive definite class satisfies
 0 ≤ b ≤ a ≤ c; rank-one (singular) forms reduce to [0, 0, m].
+
+`reduce_form` reduces one form; `reduce_forms` runs the same reduction on
+numpy columns.  `form_table` lists the reduced forms up to a discriminant
+bound as columns in the canonical order (disc, a, b), and `form_keys` maps
+forms to integers in that order.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 BinaryForm = tuple[int, int, int]
 
@@ -64,20 +73,75 @@ def reduce_form(t) -> tuple[BinaryForm, int]:
     return (a, b, c), sign
 
 
+def reduce_forms(a, b, c):
+    """`reduce_form` on columns: the canonical forms and the signs det(U), row by row.
+
+    Both det +1 steps of the scalar reduction (swap, translate) run on every
+    row that still needs one until no row does; the rows with b < 0 left then
+    flip with diag(1, −1).  A det +1 reduction of a form ends in the same form
+    whatever the order of its steps, so each row agrees with `reduce_form`.
+    int64 while every |entry| < 2³⁰, which keeps a·k² + b·k + c below 2⁶²;
+    otherwise object arrays of Python ints run the same code.
+    """
+    cols = [np.asarray(x) for x in (a, b, c)]
+    big = max((int(np.abs(x).max()) for x in cols if x.size), default=0) >= 1 << 30
+    a, b, c = (x.astype(object if big else np.int64) for x in cols)
+    bad = (4 * a * c - b * b < 0) | (a < 0) | (c < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"form {(int(a[i]), int(b[i]), int(c[i]))} is not positive semidefinite")
+    while True:
+        swap = (c < a) | ((c == a) & (b < 0))  # x ↦ (−y, x)
+        a[swap], b[swap], c[swap] = c[swap], -b[swap], a[swap]
+        i = np.flatnonzero((a != 0) & ((b > a) | (b <= -a)))  # x ↦ x + ky
+        if len(i):
+            ai, bi = a[i], b[i]
+            k = (ai - bi) // (2 * ai)
+            b[i], c[i] = bi + 2 * ai * k, ai * k * k + bi * k + c[i]
+        elif not swap.any():
+            break
+    sign = np.ones(len(a), dtype=np.int64)
+    neg = b < 0
+    b[neg] = -b[neg]
+    sign[neg] = -1
+    return a, b, c, sign
+
+
+def form_table(bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical positive definite forms with disc ≤ bound: int64 columns
+    (a, b, c) sorted by (disc, a, b).
+
+    A reduced form has 4ac − b² ≥ 3a², so a ≤ √(bound/3), and each pair
+    (a, b ≤ a) gives the run c = a, …, (bound + b²)//4a.  Sorting by disc
+    first makes the table for a smaller bound a prefix of the table for a
+    larger one.
+    """
+    amax = math.isqrt(max(bound, 0) // 3)
+    sizes = np.arange(2, amax + 2)  # b = 0, …, a for a = 1, …, amax
+    a = np.repeat(np.arange(1, amax + 1), sizes)
+    b = np.arange(len(a)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    runs = np.maximum((bound + b * b) // (4 * a) - a + 1, 0)
+    a, b = np.repeat(a, runs), np.repeat(b, runs)
+    c = a + np.arange(len(a)) - np.repeat(np.cumsum(runs) - runs, runs)
+    order = np.lexsort((b, a, 4 * a * c - b * b))
+    return a[order], b[order], c[order]
+
+
+def form_keys(a, b, c, bound: int):
+    """Integer keys in the order (disc, a, b) of reduced forms with disc ≤ bound.
+
+    The key is (disc·r + a)·r + b with r = ⌊√(bound/3)⌋ + 1 > a ≥ b; int64
+    while (bound + 1)·r² < 2⁶³, otherwise Python ints.
+    """
+    r = math.isqrt(max(bound, 0) // 3) + 1
+    if (bound + 1) * r * r >= 1 << 63:
+        a, b, c = (np.asarray(x, dtype=object) for x in (a, b, c))
+    return ((4 * a * c - b * b) * r + a) * r + b
+
+
 def reduced_forms_up_to(bound: int) -> list[BinaryForm]:
     """All canonical positive definite reduced forms with disc ≤ bound, sorted by (disc, a, b)."""
-    out = []
-    a = 1
-    while 3 * a * a <= bound:
-        for b in range(a + 1):
-            c = a
-            while 4 * a * c - b * b <= bound:
-                if c >= a:
-                    out.append((a, b, c))
-                c += 1
-        a += 1
-    out.sort(key=lambda t: (disc(t), t[0], t[1]))
-    return out
+    return list(zip(*(x.tolist() for x in form_table(bound))))
 
 
 def apply_unimodular(t: BinaryForm, u) -> BinaryForm:

@@ -8,7 +8,10 @@ newline) so that parse-then-print is idempotent and byte-stable across runs.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from .brandt import AutomorphicForm
 from .quatcore import Lattice, QuaternionAlgebra
@@ -102,32 +105,61 @@ def lattice_from_obj(obj: dict, algebra: QuaternionAlgebra) -> Lattice:
 
 
 def expansion_to_obj(f: FourierExpansionSiegel2) -> dict:
-    entries = [[a, b, c, rational_to_str(v)] for (a, b, c), v in f.sorted_items()]
+    a, b, c, num, den = f.columns()
+    if den == 1:
+        values = [str(n) for n in num.tolist()]
+    else:
+        g = np.gcd(num, den)
+        values = [str(n) if d == 1 else f"{n}/{d}"
+                  for n, d in zip((num // g).tolist(), (den // g).tolist())]
     return {
         "weight": f.weight,
         "level": f.level,
         "bound": f.bound,
         "singular_bound": f.singular_bound,
-        "entries": entries,
+        "entries": [list(e) for e in zip(a.tolist(), b.tolist(), c.tolist(), values)],
     }
 
 
+def _integer(x, what: str) -> int:
+    if type(x) is not int:  # JSON integers only: no floats, strings or booleans
+        raise SchemaError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def expansion_from_obj(obj: dict) -> FourierExpansionSiegel2:
+    """Parse an expansion document; every entry must be a canonical reduced form
+    within the bounds, given once, with an integer form and a rational value."""
     try:
-        f = FourierExpansionSiegel2(int(obj["weight"]), int(obj["level"]),
-                                    int(obj["bound"]),
-                                    singular_bound=int(obj.get("singular_bound",
-                                                               obj["bound"])))
+        bound = _integer(obj["bound"], "bound")
+        header = (_integer(obj["weight"], "weight"), _integer(obj["level"], "level"), bound)
+        singular_bound = _integer(obj.get("singular_bound", bound), "singular_bound")
+        forms, values = [], []
         for item in obj["entries"]:
-            if len(item) != 4:
+            if not isinstance(item, list) or len(item) != 4:
                 raise SchemaError(f"entry {item!r} must be [a, b, c, value]")
             a, b, c, v = item
-            f.set((int(a), int(b), int(c)), parse_rational(v))
-    except (KeyError, TypeError, ValueError) as exc:
+            if not (type(a) is int and type(b) is int and type(c) is int):
+                raise SchemaError(f"entry {item!r}: the form must be three integers")
+            forms.append((a, b, c))
+            if type(v) is str:
+                try:
+                    v = int(v)
+                except ValueError:
+                    v = parse_rational(v)
+            elif type(v) is not int:
+                v = parse_rational(v)
+            values.append(v)
+        den = math.lcm(*(v.denominator for v in values if type(v) is not int))
+        nums = [v * den if type(v) is int else v.numerator * (den // v.denominator)
+                for v in values]
+        cols = np.array(forms, dtype=np.int64).reshape(-1, 3).T
+        return FourierExpansionSiegel2.from_columns(*header, *cols, nums, den,
+                                                    singular_bound=singular_bound)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"bad expansion document: {exc}") from None
-    return f
 
 
 def form_to_obj(phi: AutomorphicForm) -> dict:

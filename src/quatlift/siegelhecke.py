@@ -8,16 +8,26 @@ Grouped by D the p³ + p² + p + 1 cosets become p + 3 transplants,
 a(pS) + p^{k-2}·Σ_U a(S[U]/p) + p^{2k-3}·a(S/p) (Andrianov, Russian Math.
 Surveys 29, 1974), with the global normalization p^{2k-3} that makes the a(pS)
 term have coefficient 1; for the bundled example this reproduces the published
-eigenvalues with no further constant.  Odd-weight signs flow through the
-canonical reduction.
+eigenvalues with no further constant.
+
+`hecke_Tp` runs each block D as one pass over the output forms
+(`binforms.form_table` and (0, 0, 0)): S[Dᵗ] for every S at once, the rows
+divisible by p, one bulk sign-tracked reduction (`binforms.reduce_forms`),
+and the input numerators gathered by binary search on the expansion's keys.
+The sign det(U) counts only in odd weight, where it is 0 on forms a det −1
+substitution fixes.  `eigenvalue_extract` compares the two expansions'
+definite entries up to the smaller bound as columns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binforms import apply_unimodular, reduced_forms_up_to
+import numpy as np
+
+from .binforms import form_table, reduce_forms
 from .quatcore import UsageError, _is_prime, _prime_factors
 from .yoshida import FourierExpansionSiegel2, TruncationError
 
@@ -90,42 +100,49 @@ def hecke_Tp(f: FourierExpansionSiegel2, p: int) -> FourierExpansionSiegel2:
         raise TruncationError(
             f"input bound {f.bound} cannot support T({p}); need at least {p * p}")
     k = f.weight
-    # S[Dᵗ] = D·S·Dᵗ
-    terms = [(((d11, d21), (d12, d22)), w)
-             for ((d11, d12), (d21, d22)), w in _grouped_cosets(p, k).items()]
-    out = FourierExpansionSiegel2(k, f.level, out_bound, singular_bound=0)
-    for s in [(0, 0, 0)] + reduced_forms_up_to(out_bound):
-        total = Fraction(0)
-        for dt, w in terms:
-            t = apply_unimodular(s, dt)
-            if not (t[0] % p or t[1] % p or t[2] % p):
-                total += w * f.coefficient((t[0] // p, t[1] // p, t[2] // p))
-        if total:
-            out.set(s, total)
-    return out
+    weights = _grouped_cosets(p, k)
+    common = math.lcm(*(w.denominator for w in weights.values()))
+    # the output forms, and (0, 0, 0), its own transplant under every D
+    sa, sb, sc = (np.append(x, 0) for x in form_table(out_bound))
+    total = np.zeros(len(sa), dtype=object)
+    for ((d11, d12), (d21, d22)), w in weights.items():
+        # S[Dᵗ] = D·S·Dᵗ, then 1/p of it where that stays half-integral
+        ta = sa * (d11 * d11) + sb * (d11 * d12) + sc * (d12 * d12)
+        tb = sa * (2 * d11 * d21) + sb * (d11 * d22 + d12 * d21) + sc * (2 * d12 * d22)
+        tc = sa * (d21 * d21) + sb * (d21 * d22) + sc * (d22 * d22)
+        hit = np.flatnonzero((ta % p == 0) & (tb % p == 0) & (tc % p == 0))
+        ra, rb, rc, sign = reduce_forms(ta[hit] // p, tb[hit] // p, tc[hit] // p)
+        if int((4 * ra * rc - rb * rb).max()) > f.bound:
+            raise TruncationError(f"a T({p}) transplant exceeds the input bound {f.bound}")
+        vals = int(w * common) * f.lookup(ra, rb, rc)
+        if k % 2:
+            # a(S[U]) = det(U)^k·a(S), so the coefficient is 0 at a form that a
+            # det −1 substitution fixes
+            sign[(rb == 0) | (rb == ra) | (ra == rc)] = 0
+            vals *= sign
+        total[hit] += vals
+    return FourierExpansionSiegel2.from_columns(k, f.level, out_bound, sa, sb, sc, total,
+                                                f.denominator * common, singular_bound=0)
 
 
 def eigenvalue_extract(f: FourierExpansionSiegel2, g: FourierExpansionSiegel2) -> Fraction:
-    """The unique λ with g = λ·f on all comparable coefficients."""
+    """The unique λ with g = λ·f on all comparable coefficients.
+
+    Both expansions store their positive definite entries in the order
+    (disc, a, b), so the comparable ones are two prefixes, compared as columns.
+    """
     bound = min(f.bound, g.bound)
-    lam = None
-    seen_nonzero = False
-    for t in reduced_forms_up_to(bound):
-        fv = f.coefficient(t)
-        gv = g.coefficient(t)
-        if fv == 0:
-            if gv != 0:
-                raise ValueError("not an eigenform (at this bound)")
-            continue
-        seen_nonzero = True
-        ratio = gv / fv
-        if lam is None:
-            lam = ratio
-        elif lam != ratio:
+    *fs, fn = f.definite_upto(bound)
+    *gs, gn = g.definite_upto(bound)
+    if len(fn) == len(gn) and all((x == y).all() for x, y in zip(fs, gs)):
+        if not len(fn):
+            raise ValueError("eigenvalue indeterminate: no nonzero comparable coefficients")
+        if (gn * fn[0] != fn * gn[0]).any():
             raise ValueError("not an eigenform (at this bound)")
-    if not seen_nonzero:
-        raise ValueError("eigenvalue indeterminate: no nonzero comparable coefficients")
-    return lam
+        return Fraction(gn[0] * f.denominator, fn[0] * g.denominator)
+    if len(gn) or not len(fn):
+        raise ValueError("not an eigenform (at this bound)")
+    return Fraction(0)
 
 
 class LocalFactor:

@@ -1,8 +1,13 @@
 """Degree-1 and degree-2 theta lifts as exact Fourier expansions.
 
-Degree-2 expansions are dictionaries over canonical reduced binary forms with
-an explicit validity bound in the discriminant; every lookup goes through the
-sign-tracked reduction, which is what makes odd weight work.
+A degree-2 expansion stores its nonzero coefficients on canonical reduced
+binary forms, with an explicit validity bound in the discriminant: the
+positive definite forms as int64 columns sorted by `binforms.form_keys`, their
+Python-int numerators over one denominator, and the singular forms (0, 0, m)
+as a small map.  Storage grows with the entries, not with the bound.  Whole
+columns go in through `from_columns`, checked in bulk, and come out through
+`columns`, `definite_upto` and `lookup`; a single `coefficient` goes through
+the sign-tracked reduction, which is what makes odd weight work.
 
 Every degree-2 lift is a sum of pieces θ(L, P)·scale whose weight P has
 bidegree (ν, ν), so P(x₁, x₂) = m_ν(x₁)ᵗ·C·m_ν(x₂) with m_ν the degree-ν
@@ -21,8 +26,9 @@ then folded as above; the singular entries (0, 0, m) are the row a = 0, whose
 only vector is zero.  The kernel stays exact: a bound on
 max|M|²·Σ|C|·|H_a|·max|H_c|, times the 4 of the fold, picks int64 when it stays
 below 2⁶², otherwise object arrays of Python ints running the same code.
-`theta_lift` writes every piece's factor over one common denominator, so a
-form's total is a sum of Python ints and one Fraction at the end.
+`theta_lift` takes its forms from `binforms.form_table` and writes every
+piece's factor over one common denominator: each row's sums are one array in
+table positions, added into one object array of Python-int totals.
 `theta2_coefficient` is the pure-Python reference for one coefficient, on the
 full shells of `quatcore.short_vectors`.
 
@@ -36,12 +42,12 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
 from . import linalg
-from .binforms import (BinaryForm, disc, is_ambiguous, is_reduced, reduce_form,
-                       reduced_forms_up_to)
+from .binforms import BinaryForm, disc, form_keys, form_table, is_ambiguous, reduce_form
 from .brandt import AutomorphicForm, FormSpace
 from .harmonic import HarmonicPoly, _monomial_rows, lift_matrix_deg2, tau_matrix_sum
 from .linalg import INT64_SAFE
@@ -54,29 +60,127 @@ class TruncationError(ValueError):
 
 
 class FourierExpansionSiegel2:
-    """Finite map from canonical reduced forms to rationals, with weight and bound."""
+    """Finite map from canonical reduced forms to rationals, with weight and bound.
+
+    The positive definite entries are int64 columns a, b, c sorted by their
+    `form_keys` (the order (disc, a, b)), with Python-int numerators over one
+    positive denominator; the singular entries (0, 0, m) are a map m ↦
+    numerator over the same denominator.  Only nonzero entries are stored.
+    """
 
     def __init__(self, weight: int, level: int, bound: int, entries=None,
                  singular_bound: int | None = None):
+        singular_bound = bound if singular_bound is None else singular_bound
+        if bound < 0 or singular_bound < 0:
+            raise ValueError(f"negative bound: bound {bound}, singular bound {singular_bound}")
         self.weight = weight
         self.level = level
         self.bound = bound
-        self.singular_bound = bound if singular_bound is None else singular_bound
-        self.entries: dict[BinaryForm, Fraction] = {}
-        for t, v in (entries or {}).items():
-            self.set(t, v)
+        self.singular_bound = singular_bound
+        self._store_items(entries or {})
+
+    @classmethod
+    def from_columns(cls, weight: int, level: int, bound: int, a, b, c, num, den: int = 1,
+                     singular_bound: int | None = None) -> "FourierExpansionSiegel2":
+        """The expansion with entry num[i]/den at each form (a[i], b[i], c[i]), any order."""
+        out = cls(weight, level, bound, singular_bound=singular_bound)
+        out._store(a, b, c, num, den)
+        return out
+
+    def _store_items(self, items) -> None:
+        values = [Fraction(v) for v in items.values()]
+        den = math.lcm(*(v.denominator for v in values))
+        forms = np.array([tuple(int(x) for x in t) for t in items], dtype=np.int64).reshape(-1, 3)
+        self._store(*forms.T, [v.numerator * (den // v.denominator) for v in values], den)
+
+    def _store(self, a, b, c, num, den: int) -> None:
+        """Replace the entries by (a, b, c) ↦ num/den, checked in bulk: every form
+        canonical-reduced, within its bound and given once, and in odd weight
+        nonzero only where no det −1 substitution fixes it."""
+        a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
+        num = np.array(num, dtype=object).reshape(-1)
+
+        def fail(mask, why):
+            i = int(np.argmax(mask))
+            raise ValueError(f"{(int(a[i]), int(b[i]), int(c[i]))} {why}")
+
+        reduced = (0 <= b) & (b <= a) & (a <= c)
+        if not reduced.all():
+            fail(~reduced, "is not canonical-reduced")
+        singular = a == 0
+        # a reduced definite form has disc ≥ 3ac ≥ 3c
+        beyond = np.where(singular, c > self.singular_bound, c > self.bound)
+        if beyond.any():
+            fail(beyond, "is beyond the bound")
+        if len(c) and c.max() >= 1 << 30:
+            fail(c >= 1 << 30, "has a coordinate beyond 2^30")
+        beyond = ~singular & (4 * a * c - b * b > self.bound)
+        if beyond.any():
+            fail(beyond, "is beyond the bound")
+        if self.weight % 2:
+            bad = ((b == 0) | (b == a) | (a == c)) & (num != 0)
+            if bad.any():
+                fail(bad, "must have a zero coefficient in odd weight")
+        order = np.lexsort((c, b, a, 4 * a * c - b * b))  # canonical: singular first, by m
+        twice = np.zeros(len(a), dtype=bool)
+        twice[order[1:]] = ((a[order[1:]] == a[order[:-1]]) & (b[order[1:]] == b[order[:-1]])
+                            & (c[order[1:]] == c[order[:-1]]))
+        if twice.any():
+            fail(twice, "appears twice")
+        order = order[num[order] != 0]
+        g = math.gcd(den, *num[order].tolist())
+        n = int(np.count_nonzero(singular[order]))
+        self._singular = dict(zip(c[order[:n]].tolist(), (num[order[:n]] // g).tolist()))
+        order = order[n:]
+        self._a, self._b, self._c = a[order], b[order], c[order]
+        self._key = form_keys(self._a, self._b, self._c, self.bound)
+        self._num = num[order] // g
+        self._den = den // g
+
+    def columns(self):
+        """(a, b, c, numerators, denominator) of the nonzero entries in canonical
+        order: the singular entries by m, then the rest by (disc, a, b)."""
+        ms = list(self._singular)
+        zero = np.zeros(len(ms), dtype=np.int64)
+        return (np.concatenate((zero, self._a)), np.concatenate((zero, self._b)),
+                np.concatenate((np.array(ms, dtype=np.int64), self._c)),
+                np.concatenate((np.array(list(self._singular.values()), dtype=object),
+                                self._num)), self._den)
+
+    @property
+    def denominator(self) -> int:
+        """The positive common denominator of the stored numerators."""
+        return self._den
+
+    def definite_upto(self, bound: int):
+        """The columns a, b, c and numerators of the positive definite entries with disc ≤ bound."""
+        a, b, c = self._a, self._b, self._c
+        n = int(np.searchsorted(4 * a * c - b * b, bound, side="right"))
+        return a[:n], b[:n], c[:n], self._num[:n]
+
+    def lookup(self, a, b, c) -> np.ndarray:
+        """The stored numerators at canonical forms within the bounds, 0 where none is."""
+        a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
+        out = np.zeros(len(a), dtype=object)
+        singular = a == 0
+        out[singular] = [self._singular.get(m, 0) for m in c[singular].tolist()]
+        if len(self._key):
+            keys = form_keys(a, b, c, self.bound)
+            i = np.minimum(np.searchsorted(self._key, keys), len(self._key) - 1)
+            hit = ~singular & (self._key[i] == keys)
+            out[hit] = self._num[i[hit]]
+        return out
+
+    @property
+    def entries(self):
+        """The nonzero entries, read-only, in canonical order."""
+        return MappingProxyType(dict(self.sorted_items()))
 
     def set(self, t: BinaryForm, value) -> None:
-        t = tuple(int(x) for x in t)
-        value = Fraction(value)
-        if not is_reduced(t):
-            raise ValueError(f"{t} is not canonical-reduced")
-        if self.weight % 2 and is_ambiguous(t):
-            if value != 0:
-                raise ValueError(f"odd weight forces a zero coefficient at {t}")
-            return
-        if value != 0:
-            self.entries[t] = value
+        """Set the coefficient at a canonical reduced form within the bounds; 0 removes it."""
+        items = dict(self.sorted_items())
+        items[tuple(int(x) for x in t)] = Fraction(value)
+        self._store_items(items)
 
     def coefficient(self, t) -> Fraction:
         red, sign = reduce_form(t)
@@ -87,39 +191,40 @@ class FourierExpansionSiegel2:
         else:
             if red[2] > self.singular_bound:
                 raise TruncationError(f"singular form {t} exceeds bound {self.singular_bound}")
-        val = self.entries.get(red, Fraction(0))
+        val = self.lookup(*([x] for x in red))[0]
         if self.weight % 2:
             if is_ambiguous(red):
                 return Fraction(0)
-            return val if sign == 1 else -val
-        return val
+            val *= sign
+        return Fraction(val, self._den)
 
     def sorted_items(self):
-        return sorted(self.entries.items(), key=lambda kv: (disc(kv[0]),) + kv[0])
+        a, b, c, num, den = self.columns()
+        return [(t, Fraction(n, den))
+                for t, n in zip(zip(a.tolist(), b.tolist(), c.tolist()), num.tolist())]
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not (len(self._num) or self._singular)
 
     def scale(self, c) -> "FourierExpansionSiegel2":
         c = Fraction(c)
-        out = FourierExpansionSiegel2(self.weight, self.level, self.bound,
-                                      singular_bound=self.singular_bound)
-        if c:
-            for t, v in self.entries.items():
-                out.set(t, c * v)
-        return out
+        a, b, cc, num, den = self.columns()
+        return FourierExpansionSiegel2.from_columns(
+            self.weight, self.level, self.bound, a, b, cc, num * c.numerator,
+            den * c.denominator, singular_bound=self.singular_bound)
 
     def agrees_with(self, other: "FourierExpansionSiegel2") -> bool:
         """Equality on the common validity range."""
         bound = min(self.bound, other.bound)
         sb = min(self.singular_bound, other.singular_bound)
-        for t in reduced_forms_up_to(bound):
-            if self.coefficient(t) != other.coefficient(t):
-                return False
-        for m in range(sb + 1):
-            if self.coefficient((0, 0, m)) != other.coefficient((0, 0, m)):
-                return False
-        return True
+        *mine, x = self.definite_upto(bound)
+        *theirs, y = other.definite_upto(bound)
+        if len(x) != len(y) or any((u != v).any() for u, v in zip(mine, theirs)):
+            return False
+        if (x * other._den != y * self._den).any():
+            return False
+        return all(self._singular.get(m, 0) * other._den == other._singular.get(m, 0) * self._den
+                   for m in set(self._singular) | set(other._singular) if m <= sb)
 
 
 class QExpansion:
@@ -185,36 +290,41 @@ class ThetaEngine:
     def _count(self, m: int) -> int:
         return 1 if m == 0 else 2 * len(self.half_shell(m))
 
-    def row_sums(self, a: int, cbs, mat: np.ndarray, nu: int) -> list[int]:
-        """The pair sums of one row a, one per (c, b) for (c, bs) in cbs and b in bs.
+    def row_sums(self, a: int, cs, bs, mat: np.ndarray, nu: int) -> np.ndarray:
+        """The pair sums of the forms (a, bs[i], cs[i]) of one row a, as an object
+        array of Python ints in the order given.
 
         Each is Σ over x₁, x₂ with q(x₁) = a, q(x₂) = c, B(x₁, x₂) = b of
         M(x₁)ᵗ·mat·M(x₂), M(x) the degree-ν monomials of x.  Pairs with a zero
         vector have b = 0 and weight mat₀₀ at ν = 0, 0 otherwise.  The rest is one
-        numpy pass over H_a × (the half shells H_c, concatenated), chunked by rows
-        of H_a and scattered into one (c, b) accumulator S⁺; the full sums are
-        S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).  Exact: a bound on max|M|²·Σ|mat|·
-        |H_a|·max|H_c|, times the 4 of the fold, picks int64 when it stays below
-        2⁶², otherwise object arrays of Python ints.
+        numpy pass over H_a × (the half shells H_c of the distinct c,
+        concatenated), chunked by rows of H_a and scattered into one (c, b)
+        accumulator S⁺; the full sums are S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).
+        Exact: a bound on max|M|²·Σ|mat|·|H_a|·max|H_c|, times the 4 of the
+        fold, picks int64 when it stays below 2⁶², otherwise object arrays of
+        Python ints.
         """
-        starts = np.cumsum([0] + [len(bs) for _, bs in cbs]).tolist()
-        out = [0] * starts[-1]
-        live = []  # the groups with a, c > 0
-        for k, (c, bs) in enumerate(cbs):
-            if a and c:
-                live.append(k)
-            elif nu == 0:
-                n = int(mat[0, 0]) * self._count(a) * self._count(c)
-                for j, b in enumerate(bs):
-                    out[starts[k] + j] = n if b == 0 else 0
+        cs = np.asarray(cs, dtype=np.int64)
+        bs = np.asarray(bs, dtype=np.int64)
+        out = np.zeros(len(cs), dtype=object)
+        live = cs > 0 if a else np.zeros(len(cs), dtype=bool)  # the forms with a, c > 0
+        if nu == 0 and not live.all():
+            cu, at = np.unique(cs[~live], return_inverse=True)
+            counts = np.array([int(mat[0, 0]) * self._count(a) * self._count(c)
+                               for c in cu.tolist()], dtype=object)
+            out[~live] = np.where(bs[~live] == 0, counts[at], 0)
+        if not live.any():
+            return out
+        cu, at = np.unique(cs[live], return_inverse=True)
         ha = self.half_shell(a)
-        shells = [self.half_shell(cbs[k][0]) for k in live]
+        shells = [self.half_shell(c) for c in cu.tolist()]
         if not len(ha) or not sum(map(len, shells)):
             return out
         vc = np.concatenate(shells)
         # bins b = −bmax − 1, …, bmax + 1 per c; the two outer ones take every
-        # |b| > bmax, which no (c, b) asked for reads
-        bmax = max(abs(b) for k in live for b in cbs[k][1])
+        # |b| > bmax, which no form asked for reads
+        bl = bs[live]
+        bmax = int(np.abs(bl).max())
         width = 2 * bmax + 3
         base = np.repeat(np.arange(len(shells)) * width + bmax + 1, list(map(len, shells)))
         peak = (max(self.coord_max, 1) ** (2 * nu) * sum(map(abs, mat.ravel().tolist()))
@@ -235,9 +345,7 @@ class ThetaEngine:
         # negates b and multiplies the weight by (−1)^ν
         acc = acc.reshape(len(shells), width)
         full = 2 * (acc + (-1) ** nu * acc[:, ::-1])
-        for row, k in zip(full.tolist(), live):
-            for j, b in enumerate(cbs[k][1]):
-                out[starts[k] + j] = row[b + bmax + 1]
+        out[live] = full[at, bl + bmax + 1]
         return out
 
     def pair_sums_bilinear(self, a: int, c: int, mat: np.ndarray, nu: int) -> dict[int, int]:
@@ -246,8 +354,9 @@ class ThetaEngine:
         M(x) holds x's degree-ν monomials, so ν = 1 is the bilinear form xᵗ·mat·y.
         """
         bmax = math.isqrt(4 * a * c)  # |B(x₁, x₂)|² ≤ 4·q(x₁)·q(x₂)
-        bs = range(-bmax, bmax + 1)
-        return {b: s for b, s in zip(bs, self.row_sums(a, [(c, bs)], mat, nu)) if s}
+        bs = np.arange(-bmax, bmax + 1)
+        sums = self.row_sums(a, np.full(len(bs), c), bs, mat, nu)
+        return {b: s for b, s in zip(bs.tolist(), sums.tolist()) if s}
 
     def pair_counts(self, a: int, c: int) -> dict[int, int]:
         """For all b: the number of pairs with q = (a, b, c)."""
@@ -276,77 +385,46 @@ def theta2_coefficient(lattice: Lattice, lift_poly: Poly, t) -> Fraction:
     return total
 
 
-def _form_rows(bound: int, singular_bound: int) -> list[tuple[int, list[tuple[int, list[int]]]]]:
-    """The forms (a, b, c) a lift computes, as rows (a, [(c, [b, …]), …]) sorted by a, c.
-
-    The reduced forms with disc ≤ bound, and the singular forms (0, 0, m) with
-    m ≤ singular_bound as the row a = 0.
-    """
-    by_ac: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for (a, b, c) in reduced_forms_up_to(bound):
-        by_ac[(a, c)].append(b)
-    for m in range(singular_bound + 1):
-        by_ac[(0, m)].append(0)
-    rows: dict[int, list[tuple[int, list[int]]]] = defaultdict(list)
-    for (a, c), bs in sorted(by_ac.items()):
-        rows[a].append((c, bs))
-    return list(rows.items())
-
-
-def _enumeration_norm(rows, nu: int) -> int:
-    """The largest norm `_theta2_totals` reads from `rows`.
-
-    That is the largest c of a row a > 0, or of the singular row a = 0 at ν = 0;
-    at ν ≥ 1 the singular row is skipped.
-    """
-    return max((c for a, cbs in rows if a or not nu for c, _ in cbs), default=0)
-
-
-def _theta2_totals(pieces, rows, nu: int) -> dict[BinaryForm, int]:
-    """Per form: Σ over pieces (engine, C, n) of n·Σ_pairs M(x₁)ᵗ·C·M(x₂).
-
-    C is the integer matrix of a bidegree-(ν, ν) weight and n an integer; `rows`
-    as from `_form_rows`.  Forms whose total is zero may be missing.
-    """
-    totals: dict[BinaryForm, int] = defaultdict(int)
-    for engine, mat, n in pieces:
-        for a, cbs in rows:
-            if nu and not a:
-                continue  # M(0) = 0, so the singular entries vanish for ν ≥ 1
-            sums = engine.row_sums(a, cbs, mat, nu)
-            forms = ((a, b, c) for c, bs in cbs for b in bs)
-            for t, s in zip(forms, sums):
-                if s:
-                    totals[t] += n * s
-    return totals
-
-
 def theta_lift(terms, nu: int, level: int, bound: int,
                singular_bound: int | None = None) -> FourierExpansionSiegel2:
     """Σ over terms (L, C, scale) of scale·θ(L, m_ν(x₁)ᵗ·C·m_ν(x₂)), weight ν + 2.
 
     C is a rational matrix on degree-ν monomials in `monomials_of_degree(4, ν)`
     order, as `harmonic.lift_matrix_deg2` returns it; a list of rational rows
-    works too.  Each engine enumerates L to the largest norm the forms read.
+    works too.  The forms are `form_table(bound)` and the singular forms
+    (0, 0, m) with m ≤ singular_bound; each engine enumerates L to the largest
+    c among them (the singular ones only at ν = 0, since M(0) = 0 otherwise).
     Every piece's factor scale/den is written n/D over one common denominator
-    D, so each form's total is a sum of Python ints and one Fraction at the
-    end.
+    D, and each row a of the table adds n times its `row_sums` array into one
+    object array of Python-int totals.
     """
     if singular_bound is None:
         singular_bound = _default_singular_bound(bound)
-    rows = _form_rows(bound, singular_bound)
-    max_norm = _enumeration_norm(rows, nu)
+    ta, tb, tc = form_table(bound)
+    ms = np.arange(singular_bound + 1)
+    max_norm = max(int(tc.max(initial=0)), 0 if nu else singular_bound)
     pieces = []
     for lattice, weight, scale in terms:
         mat, den = linalg.integer_form(weight)
         pieces.append((ThetaEngine(lattice, max_norm), np.array(mat, dtype=np.int64),
                        Fraction(scale) / den))
     common = math.lcm(*(f.denominator for _, _, f in pieces))
-    pieces = [(engine, mat, int(f * common)) for engine, mat, f in pieces]
-    out = FourierExpansionSiegel2(nu + 2, level, bound, singular_bound=singular_bound)
-    for t, v in _theta2_totals(pieces, rows, nu).items():
-        out.set(t, Fraction(v, common))
-    return out
+    by_a = np.argsort(ta, kind="stable")
+    rows, starts = np.unique(ta[by_a], return_index=True)
+    rows = list(zip(rows.tolist(), np.split(by_a, starts[1:])))
+    totals = np.zeros(len(ta), dtype=object)
+    singular = np.zeros(len(ms), dtype=object)
+    for engine, mat, f in pieces:
+        n = int(f * common)
+        if not nu:
+            singular += n * engine.row_sums(0, ms, np.zeros_like(ms), mat, nu)
+        for a, pos in rows:
+            totals[pos] += n * engine.row_sums(a, tc[pos], tb[pos], mat, nu)
+    zero = np.zeros(len(ms), dtype=np.int64)
+    return FourierExpansionSiegel2.from_columns(
+        nu + 2, level, bound, np.concatenate((zero, ta)), np.concatenate((zero, tb)),
+        np.concatenate((ms, tc)), np.concatenate((singular, totals)), common,
+        singular_bound=singular_bound)
 
 
 def _default_singular_bound(bound: int) -> int:

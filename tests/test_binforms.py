@@ -1,8 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
-from quatlift.binforms import (apply_unimodular, disc, is_ambiguous, is_reduced,
+from quatlift.binforms import (apply_unimodular, disc, form_table, is_ambiguous, is_reduced,
                                reduce_form, reduced_forms_up_to)
 
 
@@ -75,3 +76,28 @@ def test_reduced_enumeration_is_canonical():
     for t in forms:
         assert is_reduced(t) and 0 < disc(t) <= 150
         assert reduce_form(t) == (t, 1)
+
+
+def brute_force_forms(bound):
+    """Every (a, b, c) with 0 ≤ b ≤ a ≤ c and 0 < 4ac − b² ≤ bound, sorted by (disc, a, b).
+
+    4ac − b² ≥ 3ac ≥ 3c bounds c by bound/3, and a ≤ c.
+    """
+    out = [(a, b, c) for c in range(bound // 3 + 1) for a in range(1, c + 1)
+           for b in range(a + 1) if 0 < 4 * a * c - b * b <= bound]
+    return sorted(out, key=lambda t: (disc(t), t[0], t[1]))
+
+
+def test_form_table_is_every_reduced_form_in_order():
+    everything = brute_force_forms(400)
+    for bound in range(401):
+        table = list(zip(*(col.tolist() for col in form_table(bound))))
+        assert table == [t for t in everything if disc(t) <= bound]
+    big = form_table(2600)
+    assert all(col.dtype == np.int64 for col in big)
+    rows = list(zip(*(col.tolist() for col in big)))
+    # 3a² ≤ 4ac − b² ≤ 2600 gives a ≤ 29; each (a, b) is one run of c
+    want = sorted(((a, b, c) for a in range(1, 30) for b in range(a + 1)
+                   for c in range(a, (2600 + b * b) // (4 * a) + 1)),
+                  key=lambda t: (disc(t), t[0], t[1]))
+    assert rows == want == reduced_forms_up_to(2600)

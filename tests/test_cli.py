@@ -117,6 +117,20 @@ def test_roundtrip_rejects_bad_order(fixture_files, tmp_path):
     assert "not closed under multiplication" in res.output
 
 
+@pytest.mark.parametrize("command", ["hecke", "roundtrip"])
+def test_invalid_expansion_exits_1_with_a_message(command, tmp_path):
+    doc = {"weight": 3, "level": 17, "bound": 100, "singular_bound": 10,
+           "entries": [[2, 1, 3, "32"], [2, 1, 3, "-32"]]}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(doc))
+    args = (["hecke", "--expansion", str(path), "--prime", "2"] if command == "hecke"
+            else ["roundtrip", "--in", str(path), "--schema", "expansion"])
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert "(2, 1, 3) appears twice" in res.output
+
+
 def test_lfactor_bad_prime_pole(fixture_files):
     runner = CliRunner()
     res = runner.invoke(main, ["lfactor", "--kind", "bad", "--degree", "3",

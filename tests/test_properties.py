@@ -1,6 +1,7 @@
 """Invariant suites: algebra axioms, enumeration invariance, reduction orbits,
 equivalence-relation structure on a pool of ideals."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from quatlift import fixture as fx
 from quatlift import linalg
-from quatlift.binforms import apply_unimodular, disc, is_ambiguous, reduce_form
+from quatlift.binforms import apply_unimodular, disc, is_ambiguous, reduce_form, reduce_forms
 from quatlift.quatcore import (Lattice, QuatElement, ideal_equivalent,
                                p_neighbors, reduce_right_ideal, short_vectors)
 
@@ -70,6 +71,36 @@ def test_reduce_form_orbit(a, b, c, word):
     assert disc(t) == disc((a, b, c))
     if not is_ambiguous(base):
         assert sign == base_sign * det
+
+
+@st.composite
+def semidefinite_forms(draw):
+    """A positive semidefinite [a, b, c]: a random one, a singular one m·(ux + vy)²,
+    or one with b = ±a or a = c, moved by a random unimodular word."""
+    kind = draw(st.sampled_from(["any", "singular", "b = a", "a = c"]))
+    if kind == "singular":
+        m, u, v = draw(st.integers(0, 5)), draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+        t = (m * u * u, 2 * m * u * v, m * v * v)
+    elif kind == "any":
+        a, c = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+        r = math.isqrt(4 * a * c)
+        t = (a, draw(st.integers(-r, r)), c)
+    else:
+        a = draw(st.integers(1, 20))
+        c = a if kind == "a = c" else draw(st.integers(a, 40))
+        b = draw(st.integers(-a, a)) if kind == "a = c" else draw(st.sampled_from([a, -a]))
+        t = (a, b, c)
+    for u in draw(st.lists(unimods, max_size=3)):
+        t = apply_unimodular(t, u)
+    return t
+
+
+@given(st.lists(semidefinite_forms(), min_size=1, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_reduce_forms_matches_reduce_form(forms):
+    a, b, c, sign = reduce_forms(*zip(*forms))
+    got = list(zip(zip(a.tolist(), b.tolist(), c.tolist()), sign.tolist()))
+    assert got == [reduce_form(t) for t in forms]
 
 
 @given(st.lists(st.integers(-2, 2), min_size=16, max_size=16), st.integers(1, 6))

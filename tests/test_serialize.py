@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -55,6 +56,41 @@ def test_singular_entries_canonical_order():
     assert forward.agrees_with(backward)
     assert (ser.dumps_canonical(ser.expansion_to_obj(forward))
             == ser.dumps_canonical(ser.expansion_to_obj(backward)))
+
+
+def _expansion_doc(**fields):
+    doc = {"weight": 2, "level": 17, "bound": 10, "singular_bound": 3, "entries": []}
+    doc.update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc, match", [
+    (_expansion_doc(entries=[[2, 1, 3, "1"]]), "beyond the bound"),  # disc 23 > 10
+    (_expansion_doc(entries=[[0, 0, 5, "1"]]), "beyond the bound"),  # m = 5 > 3
+    (_expansion_doc(entries=[[1, 1, 2.7, "1"]]), "three integers"),
+    (_expansion_doc(weight=3.9), "weight must be an integer"),
+    (_expansion_doc(entries=[[1, 1, 1, "5"], [1, 1, 1, "6"]]), "appears twice"),
+    (_expansion_doc(entries=[[0, 0, 2, "5"], [0, 0, 2, "5"]]), "appears twice"),
+    (_expansion_doc(bound=-1, singular_bound=0), "negative bound"),
+    (_expansion_doc(singular_bound=-1), "negative bound"),
+], ids=["disc-beyond-bound", "singular-beyond-bound", "float-coordinate", "float-weight",
+        "duplicate", "duplicate-singular", "negative-bound", "negative-singular-bound"])
+def test_expansion_loader_rejects_invalid_documents(doc, match):
+    with pytest.raises(ser.SchemaError, match=match):
+        ser.expansion_from_obj(doc)
+
+
+def test_expansion_storage_is_linear_in_the_entries():
+    # a bound of 10⁹ has ~10¹³ reduced forms; only the one entry may cost anything
+    doc = _expansion_doc(bound=10 ** 9, singular_bound=10 ** 9,
+                         entries=[[0, 0, 10 ** 9, "1/2"], [1000, 999, 250000, "-7"]])
+    start = time.perf_counter()
+    f = ser.expansion_from_obj(doc)
+    again = ser.roundtrip_obj(doc, "expansion")
+    assert time.perf_counter() - start < 1
+    assert again == doc
+    assert f.coefficient((1000, -999, 250000)) == -7
+    assert f.coefficient((10 ** 9, 0, 0)) == Fraction(1, 2)
 
 
 def test_lattice_roundtrip_and_rejection():

@@ -131,6 +131,13 @@ def test_hecke_eigenvalues(lift_950):
         assert eigenvalue_extract(lift_950, image) == fx.HECKE_EIGENVALUES[p]
 
 
+def test_hecke_eigenvalues_at_larger_primes():
+    # bound 5200 leaves T(7), T(11), T(13) the output bounds 106, 42 and 30
+    f = fx.golden_lift(5200)
+    for p, want in ((7, 0), (11, -24), (13, -84)):
+        assert eigenvalue_extract(f, hecke_Tp(f, p)) == want
+
+
 def test_hecke_commutation(lift_950):
     t23 = hecke_Tp(hecke_Tp(lift_950, 2), 3)
     t32 = hecke_Tp(hecke_Tp(lift_950, 3), 2)
@@ -155,10 +162,10 @@ def test_hecke_bad_prime_and_bound():
 
 
 def test_odd_weight_ambiguous_support_maps_to_zero():
-    # force raw entries onto ambiguous forms: lookups and T(p) must treat them as 0
-    f = FourierExpansionSiegel2(3, 17, 400)
-    f.entries[(1, 1, 6)] = Fraction(32)
-    f.entries[(2, 0, 5)] = Fraction(-7)
+    # force stored entries onto ambiguous forms (weight 2 allows them, then the
+    # weight turns odd): lookups and T(p) must treat them as 0
+    f = FourierExpansionSiegel2(2, 17, 400, {(1, 1, 6): Fraction(32), (2, 0, 5): Fraction(-7)})
+    f.weight = 3
     assert f.coefficient((1, 1, 6)) == 0
     assert hecke_Tp(f, 2).is_zero()
 
@@ -168,9 +175,11 @@ def test_eigenvalue_extract_edge_cases(lift_950):
     assert eigenvalue_extract(lift_950, zero) == 0
     with pytest.raises(ValueError):
         eigenvalue_extract(zero, zero)
-    broken = lift_950.scale(1)
-    t = next(iter(broken.entries))
-    broken.entries[t] *= 2
+    entries = dict(lift_950.entries)
+    t = next(iter(entries))
+    entries[t] *= 2
+    broken = FourierExpansionSiegel2(lift_950.weight, lift_950.level, lift_950.bound, entries,
+                                     singular_bound=lift_950.singular_bound)
     with pytest.raises(ValueError):
         eigenvalue_extract(lift_950, broken)
 
@@ -303,10 +312,13 @@ def test_grouped_coset_weights(p, k):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_hecke_looks_up_p_plus_3_transplants_per_form(p, lift_950, monkeypatch):
-    calls = []
-    lookup = FourierExpansionSiegel2.coefficient
+    calls = []  # one entry per form looked up, single or in a column
+    coefficient = FourierExpansionSiegel2.coefficient
+    lookup = FourierExpansionSiegel2.lookup
     monkeypatch.setattr(FourierExpansionSiegel2, "coefficient",
-                        lambda self, t: calls.append(t) or lookup(self, t))
+                        lambda self, t: calls.append(t) or coefficient(self, t))
+    monkeypatch.setattr(FourierExpansionSiegel2, "lookup",
+                        lambda self, a, b, c: calls.extend(a) or lookup(self, a, b, c))
     hecke_Tp(lift_950, p)
     # with (0, 0, 0); at p = 5 the per-coset sum made 4,150 lookups
     forms = len(reduced_forms_up_to(lift_950.bound // (p * p))) + 1

@@ -227,7 +227,8 @@ def test_row_sums_match_full_shell_pairs(nu):
             (2, [(2, [-2, -1, 0, 1, 2]), (5, [-3, 0, 2]), (7, [1])]),  # a = c among them
             (3, [(0, [0]), (3, list(range(-6, 7)))])]
     for a, cbs in rows:
-        got = engine.row_sums(a, cbs, np.array(mat, dtype=np.int64), nu)
+        cs, bs = zip(*((c, b) for c, bs in cbs for b in bs))
+        got = engine.row_sums(a, cs, bs, np.array(mat, dtype=np.int64), nu).tolist()
         want = [brute(a, b, c) for c, bs in cbs for b in bs]
         assert got == want
         assert any(want) == bool(a or not nu)  # M(0) = 0 for ν ≥ 1
@@ -276,6 +277,20 @@ def test_expansion_container_rules():
         f.set((3, 1, 2), 1)  # not reduced
     with pytest.raises(TruncationError):
         f.coefficient((7, 1, 9))
+
+
+def test_set_rejects_forms_beyond_the_bounds():
+    f = FourierExpansionSiegel2(2, 17, 50, singular_bound=4)
+    f.set((3, 1, 4), 2)  # disc 47
+    f.set((0, 0, 4), 1)
+    with pytest.raises(ValueError, match="beyond the bound"):
+        f.set((3, 1, 5), 2)  # disc 59
+    with pytest.raises(ValueError, match="beyond the bound"):
+        f.set((0, 0, 5), 1)
+    f.set((3, 1, 4), 0)
+    assert f.entries == {(0, 0, 4): 1}
+    with pytest.raises(ValueError, match="negative bound"):
+        FourierExpansionSiegel2(2, 17, -1)
 
 
 def test_phi_operator_zero_expansion():
