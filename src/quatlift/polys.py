@@ -18,7 +18,8 @@ class Poly:
         self.coeffs: dict[tuple[int, ...], Fraction] = {}
         if coeffs:
             for mono, c in coeffs.items():
-                c = Fraction(c)
+                if not isinstance(c, Fraction):
+                    c = Fraction(c)
                 if c:
                     self.coeffs[tuple(mono)] = c
 

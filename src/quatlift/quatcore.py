@@ -16,22 +16,29 @@ exact without any Fraction inside the loop.  The size-reduced Gram matrix is
 scaled to integers by its common denominator and factored fraction-free
 (leading minors Δ_i), so each coordinate's Fincke–Pohst range is an integer
 inequality x² ≤ Δ_i·rem that isqrt decides exactly; the ranges therefore hold
-every solution.  Membership is then decided by the integer norm test
-0 < vᵗGv ≤ bound alone.  Before enumerating, a bound on every intermediate
-integer picks the array dtype: int64 when it stays below 2⁶², otherwise object
-arrays of Python ints running the same code.  The vectors are ordered by one
-argsort of a single mixed-radix integer key (`_sort_key`),
+every solution.  The prefixes (v_{i+1}, …, v_{n−1}) are carried as one
+contiguous array per coordinate.  The leaf coordinate v₀, where nearly all the
+vectors are, is expanded in cache-sized chunks of prefixes (`_LEAF_BUDGET`
+leaves): per prefix, vᵗGv = g₀₀·v₀² + l·v₀ + q and v·U = w + v₀·U₀, so a leaf
+costs a few elementwise operations and is recorded as its norm, its prefix and
+v₀.  Membership is then decided by the integer norm test 0 < vᵗGv ≤ bound
+alone.  Before enumerating, a bound on every intermediate integer picks the
+array dtype: int64 when it stays below 2⁶², otherwise object arrays of Python
+ints running the same code.  The vectors are ordered by one argsort of a single
+mixed-radix integer key (`_sort_key`),
 norm·spanⁿ + Σ (v_t − low_t)·span^(n−1−t), under the same kind of bound: int64
-below 2⁶², Python ints above.  The keys are distinct, so each norm's bucket comes
-out sorted lexicographically.  The half shells that theta engines ask for
+below 2⁶², Python ints above.  The keys are distinct, so each norm's bucket
+comes out sorted lexicographically.  The half shells that theta engines ask for
 (half=True: one of each ±v, the one whose last nonzero reduced coordinate is
-positive) are ordered by norm only.  Buckets are int64 (or object) arrays; callers
+positive) are ordered by norm only, by a stable sort of the leaf records that
+runs before the rows are built.  Buckets are int64 (or object) arrays; callers
 that feed coordinates into Fractions convert rows with `.tolist()`, because a
 Fraction built from np.int64 keeps an np.int64 numerator.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -303,18 +310,24 @@ def _magnitude(g: list[list[int]], u: list[list[int]], minors: list[int],
         center = sum(abs(m[j][i]) * vmax[j] for j in range(i + 1, n))
         vmax[i] = (root + center) // minors[i + 1] + 1
         terms += [room + 2 * root, minors[i + 1] * vmax[i] + center + root]
+    # every partial sum of vᵗGv, and so the leaf level's l·v₀, q and g₀₀·v₀²
     terms.append(sum(vmax[a] * abs(g[a][b]) * vmax[b] for a in range(n) for b in range(n)))
     terms += [sum(vmax[i] * abs(u[i][t]) for i in range(n)) for t in range(n)]
     return max(terms)
 
 
-def _isqrt(x: np.ndarray) -> np.ndarray:
-    """Elementwise floor(sqrt(x)) for x ≥ 0, exact for int64 (< 2⁶²) and object arrays."""
+def _isqrt(x: np.ndarray, below_2_52: bool = False) -> np.ndarray:
+    """Elementwise floor(sqrt(x)) for x ≥ 0, exact for int64 (< 2⁶²) and object arrays.
+
+    Below 2⁵² (`below_2_52`) x converts to float exactly and the floor of its
+    correctly rounded square root is already exact: the corrections are skipped.
+    """
     if x.dtype == object:
         return np.frompyfunc(math.isqrt, 1, 1)(x)
-    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    s -= s * s > x
-    s += (s + 1) * (s + 1) <= x
+    s = np.sqrt(x).astype(np.int64)
+    if not below_2_52:
+        s -= s * s > x
+        s += (s + 1) * (s + 1) <= x
     return s
 
 
@@ -326,15 +339,19 @@ def _sort_key(norms: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     is int64 when the vectors are and (max norm + 1)·spanⁿ < 2⁶², otherwise Python ints.
     """
     n = vecs.shape[1]
-    low = [int(x) for x in vecs.min(axis=0)]
-    span = max(int(hi) - lo + 1 for hi, lo in zip(vecs.max(axis=0), low))
+    low = vecs.min(axis=0).tolist()
+    span = max(hi - lo for hi, lo in zip(vecs.max(axis=0).tolist(), low)) + 1
     small = vecs.dtype != object and (int(norms.max()) + 1) * span ** n < INT64_SAFE
-    key = norms.astype(np.int64 if small else object)
-    for t in range(n):
-        key *= span
-        key += vecs[:, t]
-        key -= low[t]
-    return key
+    dtype = np.int64 if small else object
+    digits = vecs.astype(dtype, copy=False) - np.array(low, dtype=dtype)
+    radix = np.array([span ** (n - 1 - t) for t in range(n)], dtype=dtype)
+    return norms.astype(dtype) * span ** n + digits @ radix
+
+
+# The leaf coordinate v₀ is expanded a chunk of prefixes at a time, each chunk
+# holding at most this many leaves (or one prefix's range): a chunk's working
+# arrays, about 60 bytes a leaf (1 MB in all), stay in the CPU's L2 cache.
+_LEAF_BUDGET = 1 << 14
 
 
 def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> dict[Fraction, np.ndarray]:
@@ -345,19 +362,28 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> dict[Fraction
     positive definite.  The rows are ordered by one argsort of `_sort_key`.
 
     With half=True each bucket holds exactly one of every pair ±v, and the rows
-    are ordered by one argsort of the norms alone: for callers whose sums do not
-    depend on the order of a bucket.
+    are ordered by one stable argsort of the norms alone (within a bucket, in
+    the order the enumeration meets them): for callers whose sums do not depend
+    on the order of a bucket.
+
+    The leaf coordinate v₀ is expanded in chunks of at most `_LEAF_BUDGET`
+    leaves.  Each kept leaf is recorded as its norm, its prefix and its v₀, and
+    one `take` of the per-prefix rows of v·U builds the result, the only array
+    of whole vectors.  With half=True it is built in its final order, and the
+    memory peak is the result plus about 18 bytes a vector; half=False sorts
+    the built rows into a second copy.
     """
     g = linalg.frac_mat(g)
     n, den = len(g), g.den
     # U is unimodular, so the least common denominator of U·G·Uᵗ is that of G
     gint, u = _gauss_reduce_gram(g.num.tolist())
     minors, m = _int_ldl(gint)
-    bound = math.floor(2 * Fraction(max_norm) * den)
+    max_norm = Fraction(max_norm)
+    bound = 2 * max_norm.numerator * den // max_norm.denominator
     if bound <= 0:
         return {}
-    big = _magnitude(gint, u, minors, m, bound) >= INT64_SAFE
-    dtype = object if big else np.int64
+    magnitude = _magnitude(gint, u, minors, m, bound)
+    dtype = object if magnitude >= INT64_SAFE else np.int64
     # Breadth-first over the coordinates v_{n-1}, …, v_0.  With c_i = Σ_{j>i} L_ji·v_j,
     # each prefix (v_{i+1}, …) carries the integers C_i = Δ_{i+1}·c_i and
     # rem = Δ_{i+1}·(bound − Σ_{j>i} d_j·(v_j + c_j)²); the Fincke–Pohst range of
@@ -365,40 +391,78 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> dict[Fraction
     # With half=True, a prefix that is still all zero has centre 0 and a range
     # symmetric about 0; starting it at 0 keeps, of each pair ±v, the one whose
     # last nonzero coordinate is positive (U is linear, so this survives v ↦ vU).
-    coords = np.zeros((1, 0), dtype=dtype)  # columns v_{i+1}, …, v_{n-1}
+    gmat, mmat, umat = (np.array(x, dtype=dtype) for x in (gint, m, u))
+    cols = np.zeros((0, 1), dtype=dtype)  # row j − i − 1 is v_j of every prefix
     rem = np.array([minors[n] * bound], dtype=dtype)
     zero = np.ones(1, dtype=bool)  # the prefixes that are still all zero
     for i in range(n - 1, -1, -1):
         step = minors[i + 1]
-        center = coords @ np.array([m[j][i] for j in range(i + 1, n)], dtype=dtype)
+        center = mmat[i + 1:, i] @ cols
         room = minors[i] * rem
-        root = _isqrt(room)
+        root = _isqrt(room, magnitude < 2 ** 52)
         lo = -((root + center) // step)
         if half:
             lo[zero] = 0
-        counts = ((root - center) // step - lo + 1).astype(np.int64)
-        parent = np.repeat(np.arange(len(counts)), counts)
-        first = np.cumsum(counts) - counts
-        vi = lo[parent] + (np.arange(len(parent)) - first[parent])
-        if i:
-            x = step * vi + center[parent]
-            rem = (room[parent] - x * x) // step
-        coords = np.column_stack((vi, coords[parent]))
+        counts = ((root - center) // step - lo + 1).astype(np.int64, copy=False)
+        ends = counts.cumsum()
+        # v_i = lo + (its index among all v_i) − (the index of its prefix's first)
+        off = lo - (ends - counts)
+        if not i:
+            break
+        vi = off.repeat(counts)
+        vi += np.arange(ends[-1])
+        x = step * vi + center.repeat(counts)
+        rem = (room.repeat(counts) - x * x) // step
+        cols = np.concatenate((vi[None], cols.repeat(counts, axis=1)))
         if half:
-            zero = zero[parent] & (vi == 0)
-    # the exact test: integer norms against the integer bound
-    norms = ((coords @ np.array(gint, dtype=dtype)) * coords).sum(axis=1)
-    keep = (norms > 0) & (norms <= bound)
-    vecs = coords[keep] @ np.array(u, dtype=dtype)
-    norms = norms[keep]
-    del coords, keep
-    if not len(norms):
+            zero = zero.repeat(counts) & (vi == 0)
+    # the leaf level: per prefix, vᵗGv = g₀₀·v₀² + l·v₀ + q and v·U = w + v₀·U₀;
+    # each kept leaf is recorded as its norm, its prefix and its v₀
+    l = (2 * gmat[0, 1:]) @ cols
+    q = ((gmat[1:, 1:] @ cols) * cols).sum(axis=0)
+    w = cols.T @ umat[1:]
+    total = int(ends[-1])
+    norms = np.empty(total, dtype=np.min_scalar_type(bound) if dtype is np.int64 else dtype)
+    prefix = np.empty(total, dtype=np.intp)
+    v0s = np.empty(total, dtype=dtype)
+    pos = p0 = 0
+    while p0 < len(counts):
+        start = int(ends[p0] - counts[p0])
+        p1 = max(bisect.bisect_right(ends, start + _LEAF_BUDGET, p0), p0 + 1)
+        cnt = counts[p0:p1]
+        v0 = off[p0:p1].repeat(cnt)
+        v0 += np.arange(start, int(ends[p1 - 1]))
+        norm = gint[0][0] * v0
+        norm += l[p0:p1].repeat(cnt)
+        norm *= v0
+        norm += q[p0:p1].repeat(cnt)
+        par = np.arange(p0, p1).repeat(cnt)
+        # the exact test: integer norms against the integer bound
+        keep = (norm > 0) & (norm <= bound)
+        k = int(np.count_nonzero(keep))
+        if k < len(keep):
+            norm, par, v0 = norm[keep], par[keep], v0[keep]
+        norms[pos:pos + k], prefix[pos:pos + k], v0s[pos:pos + k] = norm, par, v0
+        pos += k
+        p0 = p1
+    if not pos:
         return {}
-    order = np.argsort(norms) if half else np.argsort(_sort_key(norms, vecs))
-    vecs, norms = vecs[order], norms[order]
+    norms, prefix, v0s = norms[:pos], prefix[:pos], v0s[:pos]
+    if half:
+        order = norms.argsort(kind="stable")
+        norms, prefix, v0s = norms.take(order), prefix.take(order), v0s.take(order)
+        del order
+    vecs = w.take(prefix, axis=0)
+    for t, c in enumerate(u[0]):
+        if c:
+            vecs[:, t] += v0s if c == 1 else c * v0s
+    if not half:
+        order = _sort_key(norms, vecs).argsort()
+        norms, vecs = norms.take(order), vecs.take(order, axis=0)
     cuts = (np.flatnonzero(norms[1:] != norms[:-1]) + 1).tolist()
-    return {Fraction(int(norms[a]), 2 * den): vecs[a:b]
-            for a, b in zip([0] + cuts, cuts + [len(norms)])}
+    starts, d2 = [0] + cuts, 2 * den
+    return {Fraction(x, d2): vecs[a:b]
+            for x, a, b in zip(norms[starts].tolist(), starts, cuts + [len(norms)])}
 
 
 def short_vectors(g: Matrix, m) -> list[tuple[int, ...]]:

@@ -14,6 +14,17 @@ from quatlift.quatcore import QuatElement, UsageError, short_vectors
 from helpers import hamilton_algebra, monomial_values
 
 
+def test_poly_keeps_fraction_coefficients():
+    # a Fraction coefficient is stored as it is; anything else is wrapped as before
+    half = Fraction(1, 2)
+    p = Poly(2, {(1, 0): half, (0, 1): 3, (0, 0): Fraction(0)})
+    assert p.coeffs[(1, 0)] is half and p.coeffs == {(1, 0): half, (0, 1): 3}
+    assert all(type(c) is Fraction for c in p.coeffs.values())
+    q = Poly(2, {(0, 1): Fraction(6, 2), (1, 0): 0.5, (2, 2): 0})
+    assert p == q and hash(p) == hash(q)
+    assert (p + q).coeffs == {(1, 0): 1, (0, 1): 6} and (p - q).is_zero()
+
+
 def test_dimensions(algebra):
     frame = default_frame(algebra)
     for nu in range(5):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -111,13 +112,15 @@ def assert_half_shells(half, full):
         assert set(rows) | negated == set(as_lists(full)[m])
 
 
-@given(st.lists(st.integers(-2, 2), min_size=16, max_size=16),
-       st.lists(st.integers(1, 3), min_size=4, max_size=4),
-       st.lists(st.integers(-1, 1), min_size=6, max_size=6),
-       st.sampled_from([1, 2, 3]),
-       st.fractions(min_value=-1, max_value=4, max_denominator=4))
-@settings(max_examples=60, deadline=None)
-def test_short_vectors_upto_matches_brute_force(a, diag, off, den, max_norm):
+GRAM_STRATEGIES = dict(a=st.lists(st.integers(-2, 2), min_size=16, max_size=16),
+                       diag=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+                       off=st.lists(st.integers(-1, 1), min_size=6, max_size=6),
+                       den=st.sampled_from([1, 2, 3]),
+                       max_norm=st.fractions(min_value=-1, max_value=4, max_denominator=4))
+
+
+def check_against_brute_force(a, diag, off, den, max_norm):
+    """Both enumerations of a random Gram matrix, checked; returns (full, half)."""
     # A·Aᵗ + diag has least eigenvalue ≥ 1; the off-diagonal fifths have norm < 1,
     # so G stays positive definite, and den ≠ 1 or off ≠ 0 makes it non-integral
     rows = [a[4 * i:4 * i + 4] for i in range(4)]
@@ -128,19 +131,118 @@ def test_short_vectors_upto_matches_brute_force(a, diag, off, den, max_norm):
     got = short_vectors_upto(g, max_norm)
     assert as_lists(got) == brute_force_short_vectors(g, max_norm)
     assert list(got) == sorted(got)
-    assert_half_shells(short_vectors_upto(g, max_norm, half=True), got)
+    half = short_vectors_upto(g, max_norm, half=True)
+    assert_half_shells(half, got)
+    return got, half
 
 
-def test_short_vectors_upto_huge_entries_use_python_ints():
-    scale = 10 ** 20  # leading minors near 10⁸⁰: past int64
+def assert_same_buckets(want, got):
+    """The same norms, and per norm the same array: entries, order and dtype."""
+    assert list(want) == list(got)
+    for m, vs in want.items():
+        assert vs.dtype == got[m].dtype and np.array_equal(vs, got[m])
+
+
+@given(**GRAM_STRATEGIES)
+@settings(max_examples=60, deadline=None)
+def test_short_vectors_upto_matches_brute_force(a, diag, off, den, max_norm):
+    check_against_brute_force(a, diag, off, den, max_norm)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7])
+@given(**GRAM_STRATEGIES)
+@settings(max_examples=25, deadline=None)
+def test_short_vectors_upto_chunk_boundaries(budget, a, diag, off, den, max_norm):
+    # leaf chunks of 1, 3 and 7 leaves (a prefix whose range is longer is a chunk
+    # of its own) split the work only: the same rows come out in the same order
+    whole = check_against_brute_force(a, diag, off, den, max_norm)
+    with mock.patch.object(quatcore, "_LEAF_BUDGET", budget):
+        chunked = check_against_brute_force(a, diag, off, den, max_norm)
+    for want, got in zip(whole, chunked):
+        assert_same_buckets(want, got)
+
+
+def huge_gram(scale):
+    """R₁'s Gram matrix times `scale`, with one entry off by 1/3."""
     g = [[Fraction(x * scale) for x in row] for row in fx.R1_GRAM]
     g[0][1] = g[1][0] = g[0][1] + Fraction(1, 3)
+    return g
+
+
+def check_huge_entries():
+    scale = 10 ** 20  # leading minors near 10⁸⁰: past int64
+    g = huge_gram(scale)
     got = short_vectors_upto(g, 4 * scale)
     assert got and all(vs.dtype == object for vs in got.values())
     assert as_lists(got) == brute_force_short_vectors(g, 4 * scale)
     half = short_vectors_upto(g, 4 * scale, half=True)
     assert all(vs.dtype == object for vs in half.values())
     assert_half_shells(half, got)
+    return got, half
+
+
+def test_short_vectors_upto_huge_entries_use_python_ints():
+    check_huge_entries()
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7])
+def test_short_vectors_upto_huge_entries_chunked(monkeypatch, budget):
+    whole = check_huge_entries()
+    monkeypatch.setattr(quatcore, "_LEAF_BUDGET", budget)
+    for want, got in zip(whole, check_huge_entries()):
+        assert_same_buckets(want, got)
+
+
+@pytest.mark.parametrize("budget", [1, 3, 7, quatcore._LEAF_BUDGET])
+@pytest.mark.parametrize("half", [False, True])
+def test_short_vectors_upto_below_the_minimum_is_empty(monkeypatch, budget, half):
+    # the bound is positive but no nonzero vector reaches it, on both dtypes
+    monkeypatch.setattr(quatcore, "_LEAF_BUDGET", budget)
+    r1 = fx.order_r1().gram
+    assert short_vectors_upto(r1, Fraction(1, 2), half=half) == {}
+    assert short_vectors_upto(r1, Fraction(99, 100), half=half) == {}
+    scale = 10 ** 20
+    assert short_vectors_upto(huge_gram(scale), scale // 2, half=half) == {}
+    assert short_vectors_upto(huge_gram(scale), scale, half=half)
+
+
+@pytest.mark.parametrize("g", [[[2]], [[Fraction(1, 3)]], [[2, 1], [1, 2]],
+                               [[Fraction(3, 2), Fraction(1, 3)], [Fraction(1, 3), 1]],
+                               [[4, 1, 0], [1, 2, 1], [0, 1, 6]],
+                               [[6, 5, 1], [5, 6, 2], [1, 2, 3]]])
+@pytest.mark.parametrize("budget", [1, 4, quatcore._LEAF_BUDGET])
+def test_short_vectors_upto_small_dimensions(monkeypatch, g, budget):
+    # n = 1, 2, 3: no prefix level, one, and two; with and without size reduction
+    monkeypatch.setattr(quatcore, "_LEAF_BUDGET", budget)
+    for max_norm in (Fraction(1, 2), 3, Fraction(17, 3)):
+        got = short_vectors_upto(g, max_norm)
+        assert as_lists(got) == brute_force_short_vectors(g, max_norm)
+        assert_half_shells(short_vectors_upto(g, max_norm, half=True), got)
+
+
+def test_isqrt_is_exact_around_squares():
+    # next to k² the float root can round up to k; below 2⁵² its floor is exact as is
+    ks = [1, 2, 3, 2 ** 20 + 7, 2 ** 26 - 1, 2 ** 26, 3 * 2 ** 28 + 1, 2 ** 31 - 1]
+    xs = np.array(sorted({k * k + d for k in ks for d in (-1, 0, 1)}), dtype=np.int64)
+    want = [math.isqrt(x) for x in xs.tolist()]
+    assert quatcore._isqrt(xs).tolist() == want
+    assert quatcore._isqrt(xs.astype(object)).tolist() == want
+    low = xs < 2 ** 52
+    assert quatcore._isqrt(xs[low], True).tolist() == np.array(want)[low].tolist()
+    assert np.sqrt(xs[~low]).astype(np.int64).tolist() != np.array(want)[~low].tolist()
+
+
+def test_short_vectors_upto_int64_past_2_52():
+    # R₁'s Gram matrix times 30: the magnitude bound is between 2⁵² and 2⁶², so the
+    # kernel stays on int64 and takes the corrected square roots
+    g = [[30 * x for x in row] for row in fx.R1_GRAM]
+    gint, u = quatcore._gauss_reduce_gram(g)
+    minors, m = quatcore._int_ldl(gint)
+    assert 2 ** 52 <= quatcore._magnitude(gint, u, minors, m, 2 * 120) < linalg.INT64_SAFE
+    got = short_vectors_upto(g, 120)
+    assert got and all(vs.dtype == np.int64 for vs in got.values())
+    assert as_lists(got) == brute_force_short_vectors(g, 120)
+    assert_half_shells(short_vectors_upto(g, 120, half=True), got)
 
 
 def lexsort_rows(norms, vecs):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import enum_reference
 from helpers import hamilton_algebra, monomial_values
 from quatlift import fixture as fx
 from quatlift import yoshida
@@ -200,6 +201,26 @@ def test_pair_sums_exact_through_the_fold():
     weight = 25 * 10 ** 16
     got = engine.pair_sums_bilinear(1, 1, np.array([[weight]], dtype=np.int64), 0)
     assert got == {-2: 8 * weight, 0: 48 * weight, 2: 8 * weight}
+
+
+def lex_rows(rows: np.ndarray) -> np.ndarray:
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("name", ["r1", "i12"])
+def test_engine_half_shells_match_the_one_shot_kernel(name):
+    # every half shell of the bench's engines (norm 650) against the kernel the
+    # chunked enumeration replaced: the same rows per norm, and never v with −v
+    lattice = {"r1": fx.order_r1, "i12": fx.ideal_i12}[name]()
+    engine = ThetaEngine(lattice, 650)
+    want = enum_reference.half_shells(lattice.normalized_gram(), 650)
+    assert set(engine.half) == {int(m) for m in want}
+    for m in range(1, 651):
+        got = engine.half_shell(m)
+        ref = want.get(Fraction(m), np.empty((0, 4), dtype=np.int64))
+        assert got.dtype == np.int64 and np.array_equal(lex_rows(got), lex_rows(ref)), m
+        pm = lex_rows(np.concatenate((got, -got)))
+        assert not (pm[1:] == pm[:-1]).all(axis=1).any(), m
 
 
 @pytest.mark.parametrize("nu", [0, 1, 2])
