@@ -303,18 +303,57 @@ def _poly_of_matrix(coeffs, m: linalg.Matrix) -> linalg.Matrix:
     return acc
 
 
-def _restrict(op: linalg.Matrix, basis: linalg.Matrix) -> linalg.Matrix | None:
-    """Matrix of a row-convention operator on the row span of `basis` (None if not stable)."""
-    return linalg.solve_many(basis.T, basis @ op)
+def _restrict(op: linalg.Matrix, basis: linalg.Matrix) -> linalg.Matrix:
+    """Matrix of a row-convention operator on the row span of `basis`.
+
+    Raises ValueError unless the operator maps the span into itself.
+    """
+    s = linalg.solve_many(basis.T, basis @ op)
+    if s is None:
+        raise ValueError("operator does not preserve the subspace")
+    return s
 
 
-def _split_by_operator(subspaces: list[linalg.Matrix], op: linalg.Matrix) -> list[linalg.Matrix]:
+def _eigenvalue(op: linalg.Matrix, vec: linalg.Matrix) -> Fraction:
+    """λ with vec·op = λ·vec, for a nonzero 1-row vec, read off one image.
+
+    Raises ValueError unless vec·op equals λ·vec exactly: the operator does
+    not preserve the line.
+    """
+    img = vec @ op
+    j = int(np.flatnonzero(vec.num[0])[0])
+    lam = Fraction(int(img.num[0, j]) * vec.den, int(vec.num[0, j]) * img.den)
+    if img != vec * lam:
+        raise ValueError("operator does not preserve the subspace")
+    return lam
+
+
+def _charpoly_factorer():
+    """s ↦ factor_rational(charpoly(s)), each distinct charpoly factored once per factorer."""
+    factored = functools.cache(factor_rational)
+    return lambda s: list(factored(tuple(linalg.charpoly(s))))
+
+
+def _split_by_operator(subspaces: list[linalg.Matrix], op: linalg.Matrix,
+                       factor) -> list[linalg.Matrix]:
+    """Each subspace split into the kernels of f(op), f over its charpoly's factors.
+
+    A line is kept whole once one image shows it is an eigenline, and a
+    subspace whose charpoly is one irreducible factor to the first power is
+    kept whole too (f(op) is 0 on it by Cayley–Hamilton).
+    """
     out = []
     for basis in subspaces:
+        if len(basis) == 1:
+            _eigenvalue(op, basis)
+            out.append(basis)
+            continue
         s = _restrict(op, basis)
-        if s is None:
-            raise ValueError("operator does not preserve the subspace")
-        for fac, _ in factor_rational(linalg.charpoly(s)):
+        factors = factor(s)
+        if len(factors) == 1 and factors[0][1] == 1:
+            out.append(basis)
+            continue
+        for fac, _ in factors:
             kernel = linalg.nullspace(_poly_of_matrix(fac, s).T)
             if kernel:
                 out.append(kernel @ basis)
@@ -330,11 +369,10 @@ def _primitive_rows(basis: linalg.Matrix) -> linalg.Matrix:
 
 
 def _involution_sign(op: linalg.Matrix, basis: linalg.Matrix) -> int:
-    """±1 when op restricts to ±I on the row span of `basis`; ValueError otherwise."""
-    s = _restrict(op, basis)
-    eye = linalg.identity(len(basis))
+    """±1 when basis·op = ±basis, that is, op is ±1 on the row span; ValueError otherwise."""
+    img = basis @ op
     for sign in (1, -1):
-        if s == eye * sign:
+        if img == basis * sign:
             return sign
     raise ValueError("operator does not act as ±1 on an eigenspace of the involutions")
 
@@ -345,7 +383,9 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
 
     Rational 1-dimensional common eigenspaces come back as eigenforms with
     eigenvalue maps; irrational ones as irreducible blocks with factored
-    characteristic polynomials.  Exact throughout.
+    characteristic polynomials.  Exact throughout: an eigenvalue is read off
+    one image and checked against it, and each distinct characteristic
+    polynomial is factored once per call.
     """
     for p in primes:
         _require_good_prime(cs, p)
@@ -355,11 +395,12 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     level_primes = sorted(set(_prime_factors(cs.order.level)))
     inv_ops = {q: space.matrix_of(atkin_lehner(cs, nu, q, space)) for q in level_primes}
     brandt_ops = {p: space.matrix_of(brandt_matrix(cs, nu, p, space)) for p in primes}
+    factor = _charpoly_factorer()
     subspaces = [linalg.identity(space.dim)]
     for q in level_primes:
-        subspaces = _split_by_operator(subspaces, inv_ops[q])
+        subspaces = _split_by_operator(subspaces, inv_ops[q], factor)
     for p in sorted(primes):
-        subspaces = _split_by_operator(subspaces, brandt_ops[p])
+        subspaces = _split_by_operator(subspaces, brandt_ops[p], factor)
     components = []
     for basis in subspaces:
         basis = _primitive_rows(basis)
@@ -367,11 +408,10 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
         for q, op in inv_ops.items():
             comp.involutions[q] = _involution_sign(op, basis)
         for p, op in brandt_ops.items():
-            s = _restrict(op, basis)
             if len(basis) == 1:
-                comp.hecke[p] = s[0][0]
+                comp.hecke[p] = _eigenvalue(op, basis)
             else:
-                comp.charpolys[p] = factor_rational(linalg.charpoly(s))
+                comp.charpolys[p] = factor(_restrict(op, basis))
         components.append(comp)
     components.sort(key=_component_key)
     return components

@@ -96,20 +96,32 @@ def brandt_cmd(algebra_path, order_path, nu, p, seed, out_path):
         click.echo(f"wrote {out_path}")
 
 
+def _integer_list(ctx, param, value: str) -> list[int]:
+    """The comma-separated integers of an option; an entry that is not one is a usage error."""
+    out = []
+    for entry in value.split(","):
+        try:
+            out.append(int(entry))
+        except ValueError:
+            raise click.BadParameter(f"entry {entry.strip()!r} of {value!r} is not an integer",
+                                     ctx, param) from None
+    return out
+
+
 @main.command("eigenforms")
 @click.option("--algebra", "algebra_path", required=True, type=click.Path(exists=True))
 @click.option("--order", "order_path", required=True, type=click.Path(exists=True))
 @click.option("--nu", default=0, show_default=True, type=click.IntRange(min=0))
-@click.option("--primes", default="2,3,5", show_default=True)
+@click.option("--primes", default="2,3,5", show_default=True, callback=_integer_list,
+              help="comma-separated primes of the Hecke operators")
 @click.option("--seed", default=2, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def eigenforms_cmd(algebra_path, order_path, nu, primes, seed, out_path):
     """Simultaneous eigenforms of the Brandt matrices and involutions."""
     _, order = _load_order(algebra_path, order_path)
     with _library_errors():
-        plist = [int(x) for x in primes.split(",") if x.strip()]
         cs = class_set(order, seed)
-        comps = eigenforms(cs, nu, plist, FormSpace(cs, nu))
+        comps = eigenforms(cs, nu, primes, FormSpace(cs, nu))
     payload = []
     for comp in comps:
         entry = {

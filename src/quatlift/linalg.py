@@ -84,9 +84,10 @@ class Matrix:
             if den == 0:
                 raise ZeroDivisionError("matrix denominator is 0")
             num, den = -num, -den
-        g = math.gcd(int(np.gcd.reduce(num, axis=None)) if num.size else 0, den)
-        if g > 1:
-            num, den = num // g, den // g
+        if den > 1:
+            g = math.gcd(int(np.gcd.reduce(num, axis=None)) if num.size else 0, den)
+            if g > 1:
+                num, den = num // g, den // g
         self.max = _absmax(num)  # read by the int64 guard of every operation
         big = self.max >= INT64_SAFE
         if big != (num.dtype == object):

@@ -1,17 +1,20 @@
 """Exact factoring of univariate polynomials over ℚ.
 
 The steps (von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 14–16):
-1. make the input monic and split it into square-free parts (Yun's gcds with f′);
-2. clear denominators of each part and peel off its rational roots, lifted from
-   the roots mod a small prime by Newton's iteration;
+1. scale the input once to its primitive integer multiple and split that into
+   square-free parts by Yun's gcds with f′, all in ℤ[x]: each gcd is the
+   primitive one of a pseudo-remainder sequence, so every division is exact;
+2. peel off each part's rational roots, lifted from the roots mod a small prime
+   by Newton's iteration;
 3. factor what is left by Zassenhaus: mod a good prime p by distinct- and
    equal-degree splitting (seeded, so deterministic), Hensel-lift every factor
    past the coefficient bound of Alg. 15.19, and recombine them by subsets.
 
 Everything is exact, and `factor_rational` checks the product of its factors
-against the input before returning.  Internally a polynomial is a list of
-coefficients, lowest degree first, with no trailing zeros; `m` is a modulus,
-or None for arithmetic in ℤ or ℚ.
+against the input, in integers, before returning; Fractions appear only in its
+input and output.  Internally a polynomial is a list of integer coefficients,
+lowest degree first, with no trailing zeros; `m` is a modulus, or None for
+arithmetic in ℤ.
 """
 
 from __future__ import annotations
@@ -52,15 +55,15 @@ def _mul(a, b, m=None):
 
 
 def _inverse(c, m):
-    return pow(c, -1, m) if m else 1 / Fraction(c)
+    return pow(c, -1, m)
 
 
-def _divmod(a, b, m=None):
-    """Quotient and remainder by b, whose leading coefficient is a unit (mod m, or in ℚ)."""
+def _divmod(a, b, m):
+    """Quotient and remainder mod m by b, whose leading coefficient is a unit mod m."""
     inv, n = _inverse(b[-1], m), len(b) - 1
     r, q = list(a), [0] * max(len(a) - n, 0)
     for k in range(len(q) - 1, -1, -1):
-        c = r[k + n] * inv % m if m else r[k + n] * inv
+        c = r[k + n] * inv % m
         q[k] = c
         if c:
             for j, y in enumerate(b):
@@ -68,16 +71,16 @@ def _divmod(a, b, m=None):
     return _trim(q, m), _trim(r[:n], m)
 
 
-def _scale(a, c, m=None):
+def _scale(a, c, m):
     return _trim([x * c for x in a], m)
 
 
-def _monic(a, m=None):
+def _monic(a, m):
     return _scale(a, _inverse(a[-1], m), m)
 
 
-def _gcd(a, b, m=None):
-    """The monic gcd (mod a prime m, or in ℚ)."""
+def _gcd(a, b, m):
+    """The monic gcd mod a prime m."""
     while b:
         a, b = b, _divmod(a, b, m)[1]
         b = _monic(b, m) if b else b
@@ -107,8 +110,8 @@ def _powmod(a, e, f, m):
 
 def _primitive(a):
     """The primitive integer multiple of a rational polynomial, with a positive lead."""
-    den = math.lcm(*(Fraction(x).denominator for x in a))
-    ints = [int(x * den) for x in a]
+    den = math.lcm(*(x.denominator for x in a))
+    ints = [x.numerator * (den // x.denominator) for x in a]
     g = math.gcd(*ints) * (1 if ints[-1] > 0 else -1)
     return [x // g for x in ints]
 
@@ -132,15 +135,55 @@ def _symmetric(a, m):
     return [x % m - m if x % m > m // 2 else x % m for x in a]
 
 
+def _prem(a, b):
+    """A nonzero integer multiple of a mod b in ℤ[x]: b's lead scales instead of dividing."""
+    n, lead = len(b) - 1, b[-1]
+    r = list(a)
+    while len(r) > n:
+        c = r[-1]
+        r = [lead * x for x in r]
+        for j, y in enumerate(b, len(r) - 1 - n):
+            r[j] -= c * y
+        r = _trim(r)
+    return r
+
+
+def _zgcd(a, b):
+    """The primitive gcd, with a positive lead, of a and b in ℤ[x], a nonzero.
+
+    Euclid on pseudo-remainders, each made primitive (the primitive PRS).
+    """
+    a = _primitive(a)
+    while b:
+        b = _primitive(b)
+        a, b = b, _prem(a, b)
+    return a
+
+
+def _zquo(a, b):
+    """a / b in ℤ[x], for b primitive and dividing a over ℚ (so over ℤ, by Gauss)."""
+    if not a:
+        return []
+    q = _exact_quotient(a, b)
+    if q is None:
+        raise ArithmeticError("inexact polynomial division in ℤ[x]")
+    return q
+
+
 def _squarefree(f):
-    """Yun: [(g, i)] with monic f = ∏ g^i, each g monic, square-free and nonconstant."""
+    """Yun, in ℤ[x]: [(g, i)] with primitive f = ∏ g^i, each g primitive with a positive
+    lead, square-free and nonconstant.
+
+    Every gcd is primitive, so each division by it stays in ℤ[x]; dividing both
+    b and c by the same gcd keeps them scaled alike, which is all Yun's steps need.
+    """
     out, df = [], _deriv(f)
-    a = _gcd(f, df)
-    b, c = _divmod(f, a)[0], _divmod(df, a)[0]
+    a = _zgcd(f, df)
+    b, c = _zquo(f, a), _zquo(df, a)
     d, i = _sub(c, _deriv(b)), 1
     while len(b) > 1:
-        a = _gcd(b, d)
-        b, c = _divmod(b, a)[0], _divmod(d, a)[0]
+        a = _zgcd(b, d)
+        b, c = _zquo(b, a), _zquo(d, a)
         d = _sub(c, _deriv(b))
         if len(a) > 1:
             out.append((a, i))
@@ -287,20 +330,21 @@ def factor_rational(coeffs) -> list[tuple[tuple[Fraction, ...], int]]:
     [(coefficient tuple, multiplicity)], each tuple monic and leading first,
     sorted by (length, coefficients).  Raises ValueError for the zero
     polynomial, and if the product of the factors is not the input made monic.
+    The work is done in ℤ[x] on the input's primitive integer multiple; the
+    factors become monic Fractions only at the end.
     """
     f = _trim([Fraction(c) for c in reversed(coeffs)])
     if not f:
         raise ValueError("cannot factor the zero polynomial")
-    f = _monic(f)
-    out = []
+    f = _primitive(f)
+    out, product = [], [1]
     for part, mult in _squarefree(f):
-        for g in _irreducible_factors(_primitive(part)):
-            out.append((tuple(Fraction(x, g[-1]) for x in reversed(g)), mult))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    product = [Fraction(1)]
-    for fac, mult in out:
-        for _ in range(mult):
-            product = _mul(product, fac[::-1])
+        for g in _irreducible_factors(part):
+            out.append((g, mult))
+            for _ in range(mult):
+                product = _mul(product, g)
     if product != f:
         raise ValueError("the factors do not multiply back to the polynomial")
+    out = [(tuple(Fraction(x, g[-1]) for x in reversed(g)), mult) for g, mult in out]
+    out.sort(key=lambda t: (len(t[0]), t[0]))
     return out

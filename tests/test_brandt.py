@@ -356,3 +356,74 @@ def test_eigenforms_rejects_an_involution_that_is_not_one(class_set_17, monkeypa
     monkeypatch.setattr(brandt, "atkin_lehner", doubled)
     with pytest.raises(ValueError, match="as ±1"):
         eigenforms(cs, 0, [2], space)
+
+
+def _lines(basis):
+    return [linalg.Matrix(basis.num[i:i + 1], basis.den) for i in range(len(basis))]
+
+
+def test_split_checks_a_line_by_its_image():
+    op = linalg.frac_mat([[1, 1], [0, 1]])  # row convention: (x, y) ↦ (x, x + y)
+    line = linalg.frac_mat([[0, Fraction(-2, 3)]])
+    assert brandt._eigenvalue(op, line) == 1
+    assert brandt._split_by_operator([line], op, brandt._charpoly_factorer()) == [line]
+    with pytest.raises(ValueError, match="does not preserve"):
+        brandt._split_by_operator([linalg.frac_mat([[1, 0]])], op, brandt._charpoly_factorer())
+
+
+def test_split_is_the_kernel_of_each_factor():
+    factor = brandt._charpoly_factorer()
+    # x² − 2 is irreducible, so the plane is one block, kept as it is
+    plane = linalg.frac_mat([[1, 0, 0], [0, 1, 0]])
+    op = linalg.frac_mat([[0, 1, 0], [2, 0, 0], [0, 0, 5]])
+    assert brandt._split_by_operator([plane], op, factor) == [plane]
+    # a Jordan block: charpoly (x − 1)², and the kernel of op − 1 is only a line
+    jordan = linalg.frac_mat([[1, 1], [0, 1]])
+    assert brandt._split_by_operator([linalg.identity(2)], jordan, factor) == [
+        linalg.frac_mat([[0, 1]])]
+
+
+def test_eigenvalue_with_denominators_and_signs():
+    op = linalg.frac_mat([[Fraction(-3, 4), 0, 0], [0, 2, 0], [0, 0, Fraction(-3, 4)]])
+    assert brandt._eigenvalue(op, linalg.frac_mat([[0, Fraction(5, 7), 0]])) == 2
+    assert brandt._eigenvalue(op, linalg.frac_mat([[-1, 0, Fraction(1, 3)]])) == Fraction(-3, 4)
+    with pytest.raises(ValueError, match="does not preserve"):
+        brandt._eigenvalue(op, linalg.frac_mat([[1, 1, 0]]))
+
+
+def test_component_line_that_is_not_an_eigenvector_is_rejected(class_set_17, monkeypatch):
+    # w₁₇ is the identity at ν = 0, so splitting into the coordinate lines passes
+    # the involution check; T(2) is not diagonal, so its check must fail
+    cs = ClassSet(class_set_17.order, class_set_17.ideals)
+    space = FormSpace(cs, 0)
+    assert space.matrix_of(atkin_lehner(cs, 0, 17, space)) == linalg.identity(space.dim)
+    monkeypatch.setattr(brandt, "_split_by_operator",
+                        lambda subspaces, op, factor: [v for b in subspaces for v in _lines(b)])
+    with pytest.raises(ValueError, match="does not preserve"):
+        eigenforms(cs, 0, [2], space)
+
+
+def test_involution_sign_is_read_off_the_image():
+    op = linalg.frac_mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
+    assert brandt._involution_sign(op, linalg.frac_mat([[1, 0, 3], [0, 0, 2]])) == 1
+    assert brandt._involution_sign(op, linalg.frac_mat([[0, Fraction(1, 2), 0]])) == -1
+    # on a component where it is +1 on one line and −1 on another it must raise
+    with pytest.raises(ValueError, match="as ±1"):
+        brandt._involution_sign(op, linalg.frac_mat([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(ValueError, match="as ±1"):
+        brandt._involution_sign(op, linalg.frac_mat([[1, 1, 0]]))
+
+
+def test_each_distinct_charpoly_is_factored_once(class_set_17, monkeypatch):
+    cs = ClassSet(class_set_17.order, class_set_17.ideals)
+    space = FormSpace(cs, 2)
+    calls = []
+    factor = brandt.factor_rational
+    monkeypatch.setattr(brandt, "factor_rational",
+                        lambda cp: calls.append(tuple(cp)) or factor(cp))
+    comps = eigenforms(cs, 2, [2, 3, 5], space)
+    assert calls and len(set(calls)) == len(calls)
+    # a second call factors them again: the memo lives for one call only
+    assert [c.charpolys for c in eigenforms(cs, 2, [2, 3, 5], space)] == [
+        c.charpolys for c in comps]
+    assert len(calls) == 2 * len(set(calls))

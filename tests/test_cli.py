@@ -71,19 +71,29 @@ def test_eigenforms_command(fixture_files, tmp_path):
     assert (("2", "3"), ("3", "4")) in eigs
 
 
-def test_eigenforms_stdout_is_pinned(fixture_files):
-    # the same three commands run in the runtime-only CI job, diffed against this file
-    pinned = Path(__file__).with_name("data") / "eigenforms_n17.txt"
+def eigenforms_stdout(fixture_files, nus):
     runner = CliRunner()
     out = ""
-    for nu in ("0", "1", "2"):
+    for nu in nus:
         res = runner.invoke(main, ["eigenforms",
                                    "--algebra", str(fixture_files / "ramified17.json"),
                                    "--order", str(fixture_files / "maximal.json"),
                                    "--nu", nu, "--primes", "2,3,5"])
         assert res.exit_code == 0, res.output
         out += res.output
-    assert out == pinned.read_text(encoding="utf-8")
+    return out
+
+
+def test_eigenforms_stdout_is_pinned(fixture_files):
+    # the same three commands run in the runtime-only CI job, diffed against this file
+    pinned = Path(__file__).with_name("data") / "eigenforms_n17.txt"
+    assert eigenforms_stdout(fixture_files, ("0", "1", "2")) == pinned.read_text(encoding="utf-8")
+
+
+def test_eigenforms_stdout_is_pinned_at_nu_3_to_5(fixture_files):
+    # irreducible blocks of degree 3 to 8; diffed in the runtime-only CI job too
+    pinned = Path(__file__).with_name("data") / "eigenforms_n17_nu345.txt"
+    assert eigenforms_stdout(fixture_files, ("3", "4", "5")) == pinned.read_text(encoding="utf-8")
 
 
 def test_brandt_command(fixture_files, tmp_path):
@@ -247,6 +257,20 @@ def test_import_and_help_do_not_load_sympy():
                          env=env, timeout=60)
     assert res.returncode == 0, res.stderr
     assert "Usage:" in res.stdout
+
+
+@pytest.mark.parametrize("primes, entry", [(",", "''"), ("2,x", "'x'"), ("", "''"),
+                                           ("2,,3", "''"), ("2, 3.5", "'3.5'")])
+def test_eigenforms_rejects_a_prime_list_entry_that_is_not_an_integer(fixture_files, primes,
+                                                                      entry):
+    res = CliRunner().invoke(main, ["eigenforms",
+                                    "--algebra", str(fixture_files / "ramified17.json"),
+                                    "--order", str(fixture_files / "maximal.json"),
+                                    "--primes", primes])
+    assert res.exit_code == 2
+    assert f"Invalid value for '--primes': entry {entry} of {primes!r} is not an integer" \
+        in res.stderr
+    assert res.stdout == ""
 
 
 @pytest.mark.parametrize("command, args", [("brandt", ["--prime", "2"]), ("eigenforms", [])])

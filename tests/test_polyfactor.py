@@ -1,9 +1,10 @@
 """Exact factoring over ℚ: agreement with sympy, the recombination cases and the product check."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatlift import polyfactor
@@ -67,6 +68,73 @@ def test_factor_matches_sympy(coeffs):
 
 def ints(*cs):
     return [Fraction(c) for c in cs]
+
+
+nonzero = st.fractions(min_value=-7, max_value=7, max_denominator=6).filter(bool)
+
+
+@given(st.integers(1, 10), nonzero)
+@settings(max_examples=25, deadline=None)
+def test_powers_of_x2_minus_1_match_sympy(k, lead):
+    # (x² − 1)¹⁰ is the characteristic polynomial of w₂ on a 20-dimensional
+    # level-34 form space: one square-free part, of multiplicity 10
+    f = [lead * c for c in multiply(*[ints(1, 0, -1)] * k)]
+    assert factor_rational(f) == sympy_factors(f)
+
+
+@st.composite
+def repeated(draw):
+    """Random factors, each with multiplicity 2–4, of degree at most 20, times a rational lead."""
+    out, deg = [], 0
+    for fac in draw(st.lists(factors(), min_size=1, max_size=3)):
+        mult = draw(st.integers(2, 4))
+        if deg + mult * (len(fac) - 1) <= 20:
+            out += [fac] * mult
+            deg += mult * (len(fac) - 1)
+    return [draw(nonzero) * c for c in multiply(*out)]
+
+
+@given(repeated())
+@settings(max_examples=30, deadline=None)
+def test_repeated_factors_match_sympy(coeffs):
+    assert factor_rational(coeffs) == sympy_factors(coeffs)
+
+
+@given(factors(), nonzero)
+@settings(max_examples=30, deadline=None)
+def test_non_monic_input_with_denominators_matches_sympy(coeffs, lead):
+    coeffs = [lead * c / 7 for c in coeffs]
+    assert factor_rational(coeffs) == sympy_factors(coeffs)
+
+
+@st.composite
+def irreducible_quadratic(draw):
+    """x² + bx + c with a non-square discriminant, so irreducible over ℚ."""
+    b, c = draw(st.integers(-9, 9)), draw(st.integers(-20, 20))
+    disc = b * b - 4 * c
+    assume(disc < 0 or math.isqrt(disc) ** 2 != disc)
+    return ints(1, b, c)
+
+
+@given(irreducible_quadratic(), irreducible_quadratic(), nonzero)
+@settings(max_examples=30, deadline=None)
+def test_two_irreducible_quadratics_match_sympy(q1, q2, lead):
+    # their product may split into several factors mod every prime, so the
+    # true factors come only from recombination
+    f = [lead * c for c in multiply(q1, q2)]
+    assert factor_rational(f) == sympy_factors(f)
+
+
+@given(products())
+@settings(max_examples=30, deadline=None)
+def test_squarefree_parts_are_primitive_and_multiply_back(coeffs):
+    f = polyfactor._primitive(coeffs[::-1])
+    product = [1]
+    for part, mult in polyfactor._squarefree(f):
+        assert polyfactor._primitive(part) == part  # primitive, positive lead
+        for _ in range(mult):
+            product = polyfactor._mul(product, part)
+    assert product == f
 
 
 def test_irreducible_quartic_that_splits_mod_every_prime():

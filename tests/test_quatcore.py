@@ -143,6 +143,35 @@ def assert_same_buckets(want, got):
         assert vs.dtype == got[m].dtype and np.array_equal(vs, got[m])
 
 
+@pytest.mark.parametrize("half", [False, True])
+def test_short_vectors_upto_same_buckets_on_a_cache_hit(half):
+    g = level34_order().gram
+    quatcore._reduced_gram.cache_clear()
+    miss = short_vectors_upto(g, 12, half)
+    assert quatcore._reduced_gram.cache_info()[:2] == (0, 1)  # (hits, misses)
+    hit = short_vectors_upto(g, 12, half)
+    assert quatcore._reduced_gram.cache_info()[:2] == (1, 1)
+    assert_same_buckets(miss, hit)
+    # G/2 has the same integer numerator, so it reads the same entry
+    halved = short_vectors_upto(g * Fraction(1, 2), 6, half)
+    assert quatcore._reduced_gram.cache_info()[:2] == (2, 1)
+    assert_same_buckets({m / 2: vs for m, vs in miss.items()}, halved)
+
+
+def test_reduced_gram_cache_entries_are_immutable():
+    g = fx.order_r1().gram
+    short_vectors_upto(g, 2)
+    key = tuple(g.num.ravel().tolist()), 4
+    entry = quatcore._reduced_gram(*key)
+    gint, u, minors, m = entry
+    assert all(type(x) is tuple for x in (entry, gint, u, minors, m, *gint, *u, *m))
+    with pytest.raises(TypeError):
+        gint[0] = (0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        u[0][0] = 0
+    assert quatcore._reduced_gram(*key) is entry
+
+
 @given(**GRAM_STRATEGIES)
 @settings(max_examples=60, deadline=None)
 def test_short_vectors_upto_matches_brute_force(a, diag, off, den, max_norm):
