@@ -3,9 +3,8 @@
 from .quatcore import (ClassSet, Lattice, QuatElement, QuaternionAlgebra,
                        UsageError, class_set, conj_trace_norm, ideal_equivalent,
                        short_vectors, two_sided_ideal)
-from .harmonic import (HarmonicPoly, HarmSpace, TraceZeroFrame, default_frame,
-                       harm_basis, lift_poly_deg1, lift_poly_deg2, pairing,
-                       tau_action)
+from .harmonic import (HarmSpace, TraceZeroFrame, default_frame, lift_matrix_deg2,
+                       lift_poly_deg1, lift_poly_deg2)
 from .brandt import (AutomorphicForm, BrandtMatrix, FormSpace, atkin_lehner,
                      brandt_matrix, eigenforms, essential_part, inner_product)
 from .binforms import reduce_form

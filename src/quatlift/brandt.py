@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .harmonic import (HarmSpace, default_frame, harm_basis, integral_tau_matrix,
-                       tau_matrix_sum)
+from .harmonic import HarmSpace, default_frame, integral_tau_matrix, tau_matrix_sum
 from .polyfactor import factor_rational
 from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, _is_prime, _prime_factors,
                        class_set, short_vectors, superorders,
@@ -44,7 +43,8 @@ class AutomorphicForm:
         return AutomorphicForm(self.nu, [tuple(c * x for x in v) for v in self.values])
 
     def add(self, other: "AutomorphicForm") -> "AutomorphicForm":
-        assert self.nu == other.nu and self.h == other.h
+        if self.nu != other.nu or self.h != other.h:
+            raise UsageError("forms have mismatched shape")
         return AutomorphicForm(self.nu, [tuple(a + b for a, b in zip(u, v))
                                          for u, v in zip(self.values, other.values)])
 
@@ -60,7 +60,7 @@ class FormSpace:
         self.cs = cs
         self.nu = nu
         self.frame = default_frame(cs.order.algebra)
-        self.space: HarmSpace = harm_basis(nu, self.frame)
+        self.space = HarmSpace(nu, self.frame)
         self.class_bases = [self._invariant_basis(order) for order in cs.left_orders]
         self.dim = sum(len(b) for b in self.class_bases)
         self._right_inverses = [linalg.right_inverse(cb) if cb else None
@@ -133,8 +133,9 @@ class BrandtMatrix:
         return AutomorphicForm(form.nu, values)
 
     def row_sums(self) -> list[Fraction]:
-        """Only meaningful for ν = 0: the classical row sums Σ_j B_ij."""
-        assert self.nu == 0
+        """The classical row sums Σ_j B_ij; defined for ν = 0 only."""
+        if self.nu:
+            raise UsageError("row sums are defined for ν = 0 only")
         return [sum(self.blocks[i][j][0][0] for j in range(len(self.blocks)))
                 for i in range(len(self.blocks))]
 
@@ -340,7 +341,9 @@ def _split_by_operator(subspaces: list[linalg.Matrix], op: linalg.Matrix,
 
     A line is kept whole once one image shows it is an eigenline, and a
     subspace whose charpoly is one irreducible factor to the first power is
-    kept whole too (f(op) is 0 on it by Cayley–Hamilton).
+    kept whole too (f(op) is 0 on it by Cayley–Hamilton).  Raises ValueError
+    when the kernels do not add up to the subspace: op is not semisimple on it,
+    and ker f(op) misses part of the generalized eigenspace ker f(op)^k.
     """
     out = []
     for basis in subspaces:
@@ -353,19 +356,11 @@ def _split_by_operator(subspaces: list[linalg.Matrix], op: linalg.Matrix,
         if len(factors) == 1 and factors[0][1] == 1:
             out.append(basis)
             continue
-        for fac, _ in factors:
-            kernel = linalg.nullspace(_poly_of_matrix(fac, s).T)
-            if kernel:
-                out.append(kernel @ basis)
+        kernels = [linalg.nullspace(_poly_of_matrix(fac, s).T) for fac, _ in factors]
+        if sum(map(len, kernels)) != len(basis):
+            raise ValueError("operator is not semisimple on the subspace")
+        out += [kernel @ basis for kernel in kernels if kernel]
     return out
-
-
-def _primitive_rows(basis: linalg.Matrix) -> linalg.Matrix:
-    """Each row scaled to its primitive integer multiple with a positive lead."""
-    num = basis.num
-    lead = num[np.arange(len(num)), (num != 0).argmax(axis=1)]
-    content = np.gcd.reduce(num, axis=1) * np.sign(lead)
-    return linalg.Matrix(num // content[:, None])
 
 
 def _involution_sign(op: linalg.Matrix, basis: linalg.Matrix) -> int:
@@ -403,7 +398,7 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
         subspaces = _split_by_operator(subspaces, brandt_ops[p], factor)
     components = []
     for basis in subspaces:
-        basis = _primitive_rows(basis)
+        basis = linalg.primitive_rows(basis)
         comp = EigenComponent(forms=[space.unflat(v) for v in basis])
         for q, op in inv_ops.items():
             comp.involutions[q] = _involution_sign(op, basis)

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from . import linalg
 from .brandt import AutomorphicForm, FormSpace
-from .polys import Poly
 from .quatcore import ClassSet, Lattice, QuaternionAlgebra, UsageError, class_set
 from .yoshida import FourierExpansionSiegel2, theta_lift, yoshida2
 
@@ -161,8 +160,9 @@ def phi2() -> AutomorphicForm:
 
 def phi1() -> AutomorphicForm:
     """Harmonic degree 1: the f₃-coordinate functional at the first class, 0 at the second."""
-    space = fixture_space(1)
-    coords = space.space.coords_of_poly(Poly.variable(3, 2))
+    basis = fixture_space(1).space.basis
+    # the polynomial z₃, the last degree-1 monomial, in the basis: coords·B = z₃
+    coords = linalg.solve(basis.T, [0, 0, 1])
     zero = tuple(Fraction(0) for _ in coords)
     return AutomorphicForm(1, [tuple(coords), zero])
 

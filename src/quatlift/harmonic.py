@@ -1,9 +1,12 @@
 """Harmonic polynomials on the trace-zero part of a definite quaternion algebra.
 
+A degree-ν polynomial is a row of coefficients over `monomials_of_degree(3, ν)`.
 The degree-ν space U_ν is the kernel of the Laplacian adapted to the rational
 Gram matrix of a trace-zero frame (never an orthonormal real frame, so all
-arithmetic stays exact).  Also provides the conjugation action, the Fischer
-pairing with adapted gradient, and the lift weights of the theta series.
+arithmetic stays exact), as an integer basis matrix.  Also provides the
+conjugation action as τ-matrices, the Fischer pairing with adapted gradient as
+a Gram matrix, and the lift weights of the theta series.  `Poly` appears only in
+the references `lift_poly_deg1` and `lift_poly_deg2`.
 
 Every quaternion product here is read off one of two per-frame tables built
 once from `QuaternionAlgebra.products`: `conj_table` (ȳ·g_l·y as quadratic
@@ -15,7 +18,9 @@ theta kernel reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from collections import defaultdict
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -23,8 +28,19 @@ import numpy as np
 
 from . import linalg
 from .linalg import INT64_SAFE
-from .polys import Poly, monomials_of_degree
+from .polys import Poly
 from .quatcore import Lattice, QuatElement, QuaternionAlgebra, UsageError
+
+
+def monomials_of_degree(nvars: int, deg: int) -> list[tuple[int, ...]]:
+    """All exponent tuples of total degree deg, in deterministic (descending lex) order."""
+    if nvars == 1:
+        return [(deg,)]
+    out = []
+    for k in range(deg, -1, -1):
+        for rest in monomials_of_degree(nvars - 1, deg - k):
+            out.append((k,) + rest)
+    return out
 
 
 # the variables (a, b) of each degree-2 monomial y_a·y_b, in `monomials_of_degree(4, 2)` order
@@ -86,13 +102,6 @@ class TraceZeroFrame:
         # the last column is the scalar part, which pim drops
         return linalg.Matrix(coords.num[:, :3], coords.den)
 
-    def __eq__(self, other):
-        return (isinstance(other, TraceZeroFrame) and self.algebra is other.algebra
-                and all(a == b for a, b in zip(self.elements, other.elements)))
-
-    def __hash__(self):
-        return hash(tuple(e.coords for e in self.elements))
-
 
 def default_frame(algebra: QuaternionAlgebra) -> TraceZeroFrame:
     """Frame spanned by the trace-zero parts of the algebra basis (first 3 independent)."""
@@ -111,139 +120,82 @@ def default_frame(algebra: QuaternionAlgebra) -> TraceZeroFrame:
     raise ValueError("could not build a trace-zero frame")
 
 
-@dataclass(frozen=True)
-class HarmonicPoly:
-    frame: TraceZeroFrame
-    poly: Poly
+def laplacian_matrix(gram_inv, nu: int, nvars: int) -> linalg.Matrix:
+    """The adapted Laplacian Σ_ij ginv_ij·∂_i∂_j from degree ν to degree ν − 2.
 
-    @property
-    def degree(self) -> int:
-        return self.poly.degree()
-
-    def __call__(self, x: QuatElement) -> Fraction:
-        return self.poly.eval(self.frame.coords_of(x))
-
-
-def adapted_laplacian(poly: Poly, gram_inv) -> Poly:
-    out = Poly.zero(poly.nvars)
-    n = len(gram_inv)
-    for i in range(n):
-        for j in range(n):
-            if gram_inv[i][j]:
-                out = out + poly.diff(i).diff(j) * gram_inv[i][j]
-    return out
+    Column α and row α − e_i − e_j, monomials in `monomials_of_degree(nvars, ·)`
+    order, get ginv_ij·α_i(α_j − δ_ij); there are no rows below ν = 2.  A
+    coefficient row v is harmonic when L·vᵗ = 0.
+    """
+    g = linalg.frac_mat(gram_inv)
+    high = monomials_of_degree(nvars, nu)
+    low = monomials_of_degree(nvars, nu - 2) if nu >= 2 else []
+    index = {m: k for k, m in enumerate(low)}
+    num = np.zeros((len(low), len(high)), dtype=object)
+    for col, alpha in enumerate(high):
+        for i, j in itertools.product(range(nvars), repeat=2):
+            k = alpha[i] * (alpha[j] - (i == j))
+            if k and g.num[i, j]:
+                target = list(alpha)
+                target[i] -= 1
+                target[j] -= 1
+                num[index[tuple(target)], col] += int(g.num[i, j]) * k
+    return linalg.Matrix(num, g.den)
 
 
 class HarmSpace:
-    """Basis of the 2ν+1 dimensional space of degree-ν adapted-harmonic polynomials."""
+    """The (2ν+1)-dimensional space U_ν of degree-ν adapted-harmonic polynomials.
+
+    A polynomial is a row of coefficients over `monomials`, the degree-ν
+    monomials in the 3 frame coordinates.  `basis` is the integer matrix B of
+    the basis polynomials: the kernel of `laplacian_matrix`, each row primitive
+    with its last nonzero entry (the lex-smallest monomial) positive.  A form
+    value is a coordinate row u, the polynomial u·B.
+    """
 
     def __init__(self, nu: int, frame: TraceZeroFrame):
+        if nu < 0:
+            raise UsageError(f"harmonic degree must be at least 0, not {nu}")
         self.nu = nu
         self.frame = frame
         self.monomials = monomials_of_degree(3, nu)
-        self.basis = self._harmonic_basis()
-        self._basis_mat = [p.coefficient_vector(self.monomials) for p in self.basis]
-
-    def _harmonic_basis(self) -> list[Poly]:
-        nu = self.nu
-        if nu == 0:
-            return [Poly.constant(3, 1)]
-        lower = monomials_of_degree(3, nu - 2) if nu >= 2 else []
-        rows = []
-        for tgt in lower:
-            row = []
-            for mono in self.monomials:
-                p = adapted_laplacian(Poly.monomial(mono), self.frame.gram_inv)
-                row.append(p.coeffs.get(tgt, Fraction(0)))
-            rows.append(row)
-        if not rows:
-            rows = [[Fraction(0)] * len(self.monomials)]
-        kernel = linalg.nullspace(rows)
-        basis = []
-        for v in kernel:
-            p = Poly(3, {m: c for m, c in zip(self.monomials, v) if c})
-            basis.append(p.primitive())
-        assert len(basis) == 2 * nu + 1
-        return basis
+        kernel = linalg.nullspace(laplacian_matrix(frame.gram_inv, nu, 3))
+        flipped = linalg.primitive_rows(linalg.Matrix(kernel.num[:, ::-1]))
+        self.basis = linalg.Matrix(flipped.num[:, ::-1])
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def poly_from_coords(self, coords) -> Poly:
-        acc = Poly.zero(3)
-        for c, p in zip(coords, self.basis):
-            if c:
-                acc = acc + p * Fraction(c)
-        return acc
-
-    def coords_of_poly(self, poly: Poly) -> list[Fraction]:
-        target = poly.coefficient_vector(self.monomials)
-        sol = linalg.solve(linalg.transpose(self._basis_mat), target)
-        if sol is None:
-            raise ValueError("polynomial is not in the harmonic space")
-        return sol
-
     @cached_property
     def tau_factors(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(B', R', d): B = B'/d_B and a right inverse R = R'/d_R of it, d = d_B·d_R.
+        """(B, R', d): the basis B and a right inverse R = R'/d of it, R = Bᵗ(BBᵗ)⁻¹.
 
-        B is `_basis_mat`; B', R' are object arrays of Python ints.  R = Bᵗ(BBᵗ)⁻¹.
+        B and R' are object arrays of Python ints.
         """
-        bq, db = linalg.integer_form(self._basis_mat)
-        rq, dr = linalg.integer_form(linalg.right_inverse(self._basis_mat))
-        return np.array(bq, dtype=object), np.array(rq, dtype=object), db * dr
+        r = linalg.right_inverse(self.basis)
+        return self.basis.num.astype(object), r.num.astype(object), r.den
+
+    @cached_property
+    def monomial_pairing(self) -> linalg.Matrix:
+        """F = S_ν(G⁻¹)·diag(γ!): ⟨⟨v, w⟩⟩ = v·F·wᵗ on coefficient rows.
+
+        The Fischer pairing with adapted gradient, (v(D)·w)(0) for
+        D_i = Σ_j ginv_ij·∂_j, normalized so that ⟨⟨1, 1⟩⟩ = 1: D^α expands
+        into ∂^γ by row α of S_ν(G⁻¹), and ∂^γ·x^β at 0 is γ!·δ_γβ.
+        """
+        g = self.frame.gram_inv
+        s = _sym_power(g.num.astype(object)[None], self.nu)[0]
+        factorials = [math.prod(map(math.factorial, gamma)) for gamma in self.monomials]
+        return linalg.Matrix(s * np.array(factorials, dtype=object), g.den ** self.nu)
 
     @cached_property
     def pairing_matrix(self) -> linalg.Matrix:
-        return [[pairing_polys(p, q, self.frame.gram_inv) for q in self.basis]
-                for p in self.basis]
+        return self.basis @ self.monomial_pairing @ self.basis.T
 
     def pair_coords(self, u, v) -> Fraction:
-        m = self.pairing_matrix
-        return sum(Fraction(u[i]) * m[i][j] * Fraction(v[j])
-                   for i in range(self.dim) for j in range(self.dim))
-
-
-def harm_basis(nu: int, frame: TraceZeroFrame) -> HarmSpace:
-    return HarmSpace(nu, frame)
-
-
-def _apply_adapted_gradient(values: dict, i: int, gram_inv, nvars: int) -> dict:
-    """Apply D_i = Σ_j ginv[i][j]·∂_j to a dict {exponent tuple: coefficient}."""
-    out: dict = {}
-    for e, val in values.items():
-        for j in range(nvars):
-            if e[j] and gram_inv[i][j]:
-                e2 = list(e)
-                e2[j] -= 1
-                contrib = val * (gram_inv[i][j] * e[j])
-                key = tuple(e2)
-                out[key] = out[key] + contrib if key in out else contrib
-    return out
-
-
-def pairing_polys(v: Poly, w: Poly, gram_inv) -> Fraction:
-    """Fischer pairing with adapted gradient: (v(D)·w)(0), normalized so ⟨⟨1,1⟩⟩ = 1."""
-    nvars = v.nvars
-    total = Fraction(0)
-    zero = tuple([0] * nvars)
-    for e, c in v.coeffs.items():
-        values: dict = dict(w.coeffs)
-        for i in range(nvars):
-            for _ in range(e[i]):
-                values = _apply_adapted_gradient(values, i, gram_inv, nvars)
-        if zero in values:
-            total += c * values[zero]
-    return total
-
-
-def pairing(v: HarmonicPoly, w: HarmonicPoly) -> Fraction:
-    if v.frame != w.frame:
-        raise UsageError("polynomials live on different frames")
-    if v.poly.degree() != w.poly.degree() and not (v.poly.is_zero() or w.poly.is_zero()):
-        raise UsageError("pairing requires equal degrees")
-    return pairing_polys(v.poly, w.poly, v.frame.gram_inv)
+        """⟨⟨u·B, v·B⟩⟩ for coordinate rows u and v."""
+        return (linalg.frac_mat([u]) @ self.pairing_matrix @ linalg.frac_mat([v]).T)[0][0]
 
 
 def _conjugation_entries(frame: TraceZeroFrame, y: list) -> list:
@@ -258,21 +210,6 @@ def conjugation_matrix(y: QuatElement, frame: TraceZeroFrame) -> linalg.Matrix:
     """3×3 matrix C with frame-coords(ȳ·g_l·y) in row l (so z ↦ ȳzy is t ↦ t·C)."""
     flat = _conjugation_entries(frame, y.coords)
     return [flat[3 * l:3 * l + 3] for l in range(3)]
-
-
-def integral_tau_poly(y: QuatElement, hp: HarmonicPoly) -> HarmonicPoly:
-    """P ↦ P(ȳ·z·y), the integral form n(y)^ν·τ(y) of the conjugation action."""
-    c = conjugation_matrix(y, hp.frame)
-    return HarmonicPoly(hp.frame, hp.poly.subs_linear(linalg.transpose(c)))
-
-
-def tau_action(y: QuatElement, hp: HarmonicPoly) -> HarmonicPoly:
-    """(τ(y)P)(z) = P(y⁻¹·z·y); exact, defined for any invertible y."""
-    n = y.norm()
-    if not n:
-        raise UsageError("cannot act by an element of norm 0")
-    nu = hp.degree
-    return HarmonicPoly(hp.frame, integral_tau_poly(y, hp).poly.scale(Fraction(1) / n ** nu))
 
 
 def integral_tau_matrix(y: QuatElement, space: HarmSpace) -> linalg.Matrix:
@@ -335,54 +272,66 @@ def _sym_steps(nu: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
     return tuple(steps)
 
 
+def _sym_power(a: np.ndarray, nu: int) -> np.ndarray:
+    """S_ν(A) for every 3×3 matrix A of the stack a (k×3×3), in a's dtype.
+
+    Row α of S_ν(A) is the coefficient vector of (Ax)^α, (Ax)_i = Σ_j A_ij·x_j,
+    over the degree-ν monomials: the matrix of z ↦ Az on them, built by the
+    `_sym_steps` recursion.
+    """
+    s = np.ones((len(a), 1, 1), dtype=a.dtype)
+    for parent, first, scatter in _sym_steps(nu):
+        prod = s[:, parent, :, None] * a[:, first, None, :]
+        s = prod.reshape(len(a), len(parent), -1) @ scatter.astype(a.dtype)
+    return s
+
+
+def _abs_column_sum(rows) -> int:
+    """max over the columns of Σ|entry|, for integer rows."""
+    return int(np.abs(np.array(rows, dtype=object)).sum(axis=0).max())
+
+
 def _tau_sum(vecs, basis: list[list[int]], den: int, space: HarmSpace) -> linalg.Matrix:
     """Σ over rows v of B·S_ν(C(y)ᵗ)·R for y = v·basis/den (integer basis rows).
 
-    S_ν(A) is the matrix of z ↦ Az on degree-ν monomials in 3 variables, so
-    B·S_ν(C(y)ᵗ)·R is the τ-matrix of y; it is linear in S, so the rows are
-    summed before the exact rational product.  With a = v·basis the integer
-    C(a) = m₂(a)·T equals den_T·den²·C(y), and S_ν is homogeneous of degree ν.
-    int64 when a bound on every integer formed stays below 2⁶², object arrays
-    of Python ints otherwise.
+    S_ν(A) is `_sym_power`, so B·S_ν(C(y)ᵗ)·R is the τ-matrix of y; it is
+    linear in S, so the rows are summed before the exact rational product.
+    With a = v·basis the integer C(a) = m₂(a)·T equals den_T·den²·C(y), and
+    S_ν is homogeneous of degree ν.  int64 when a bound on every integer formed
+    stays below 2⁶², object arrays of Python ints otherwise.
     """
     nu = space.nu
-    bq, rq, den_br = space.tau_factors
+    bq, rq, den_r = space.tau_factors
     if not len(vecs):
         return linalg.zeros(space.dim, space.dim)
     vecs = np.asarray(vecs)
     table, den_t = space.frame.conj_table
-    amax = int(np.abs(vecs).max()) * max(sum(abs(row[c]) for row in basis) for c in range(4))
-    cmax = amax * amax * max(sum(abs(row[c]) for row in table) for c in range(9))
+    amax = int(np.abs(vecs).max()) * _abs_column_sum(basis)
+    cmax = amax * amax * _abs_column_sum(table)
     peak = max(amax, cmax, len(vecs) * (3 * cmax) ** nu)
     dtype = np.int64 if peak < INT64_SAFE else object
     a = vecs.astype(dtype) @ np.array(basis, dtype=dtype)
     c = (_monomial_rows(a, 2, dtype) @ np.array(table, dtype=dtype)).reshape(-1, 3, 3)
-    ct = c.transpose(0, 2, 1)
-    s = np.ones((len(vecs), 1, 1), dtype=dtype)
-    for parent, first, scatter in _sym_steps(nu):
-        prod = s[:, parent, :, None] * ct[:, first, None, :]
-        s = prod.reshape(len(vecs), len(parent), -1) @ scatter.astype(dtype)
+    s = _sym_power(c.transpose(0, 2, 1), nu)
     total = bq @ s.sum(axis=0).astype(object) @ rq
-    return linalg.Matrix(total, den_br * (den_t * den * den) ** nu)
+    return linalg.Matrix(total, den_r * (den_t * den * den) ** nu)
 
 
-def lift_matrix_deg2(v: HarmonicPoly, lattice: Lattice) -> linalg.Matrix:
+def lift_matrix_deg2(space: HarmSpace, coords, lattice: Lattice) -> linalg.Matrix:
     """C with P_v(x₁, x₂) = v(pim(x̄₁·x₂)) = m_ν(x₁)ᵗ·C·m_ν(x₂), x in lattice coordinates.
 
-    m_ν(x) holds the degree-ν monomials of x's 4 coordinates in
+    v = coords·B is the harmonic polynomial with coordinate row `coords` in
+    `space`.  m_ν(x) holds the degree-ν monomials of x's 4 coordinates in
     `monomials_of_degree(4, ν)` order; ν = 0 gives [[v]].  Frame coordinate l of
-    pim(x̄₁·x₂) is x₁·A_l·x₂ᵗ with A_l = B·T_l·Bᵗ (B the basis, T from
+    pim(x̄₁·x₂) is x₁·A_l·x₂ᵗ with A_l = L·T_l·Lᵗ (L the lattice basis, T from
     `pim_table`), so C = Σ_γ v_γ·A_{l₁} ⊗ … ⊗ A_{l_ν}, folded after each Kronecker
     step onto monomials of the next degree (the `_sym_steps` recursion on γ), so
     no 4^ν × 4^ν array is formed.  Integer arrays over one denominator: int64
     while a bound on every integer formed stays below 2⁶², Python ints past it.
     """
-    nu = v.degree
-    coeffs = v.poly.coefficient_vector(monomials_of_degree(3, nu))
-    if sum(map(bool, coeffs)) != len(v.poly.coeffs):
-        raise ValueError("the harmonic polynomial is not homogeneous")
-    vq, vden = linalg.integer_form([coeffs])
-    table, basis = v.frame.pim_table, lattice.basis
+    nu = space.nu
+    vq, vden = linalg.integer_form(linalg.frac_mat([coords]) @ space.basis)
+    table, basis = space.frame.pim_table, lattice.basis
     b = basis.num.astype(object)
     a = b @ table.num.astype(object).reshape(4, 4, 3).transpose(2, 0, 1) @ b.T
     # Σ|coefficients| of a product of polynomials is at most the product of theirs
@@ -400,46 +349,38 @@ def lift_matrix_deg2(v: HarmonicPoly, lattice: Lattice) -> linalg.Matrix:
     return linalg.Matrix(c, vden * (basis.den ** 2 * table.den) ** nu)
 
 
-def lift_poly_deg2(v: HarmonicPoly, lattice: Lattice) -> Poly:
+def lift_poly_deg2(space: HarmSpace, coords, lattice: Lattice) -> Poly:
     """P_v(x₁, x₂) = v(pim(x̄₁·x₂)) in lattice coordinates (x₁ = vars 0-3, x₂ = vars 4-7).
 
-    The `Poly` view of `lift_matrix_deg2`.  Bilinear of bidegree (ν, ν),
-    alternating for odd ν, and annihilated by both adapted 4-variable Laplacians.
+    The `Poly` view of `lift_matrix_deg2`, a reference for tests.  Bilinear of
+    bidegree (ν, ν), alternating for odd ν, and annihilated by both adapted
+    4-variable Laplacians.
     """
-    monos = monomials_of_degree(4, v.degree)
-    c = lift_matrix_deg2(v, lattice)
+    monos = monomials_of_degree(4, space.nu)
+    c = lift_matrix_deg2(space, coords, lattice)
     return Poly(8, {e1 + e2: x for e1, row in zip(monos, c) for e2, x in zip(monos, row)})
 
 
-def lift_poly_deg1(v1: HarmonicPoly, v2: HarmonicPoly, lattice: Lattice) -> Poly:
-    """P(x) = ⟨⟨v₁, z ↦ v₂(x̄·z·x)⟩⟩ in lattice coordinates; degree 2ν, adapted-harmonic."""
-    if v1.frame != v2.frame:
-        raise UsageError("lift factors live on different frames")
-    if v1.degree != v2.degree:
-        raise UsageError("lift factors must have equal degree")
-    frame = v1.frame
+def lift_poly_deg1(space: HarmSpace, u, v, lattice: Lattice) -> Poly:
+    """P(x) = ⟨⟨u·B, z ↦ (v·B)(x̄·z·x)⟩⟩ in lattice coordinates; degree 2ν, adapted-harmonic.
+
+    u and v are coordinate rows of `space`; a `Poly` reference for tests, which
+    `yoshida1` computes as Brandt-kernel sums instead.
+    """
+    frame = space.frame
     # variables 0-3: lattice coordinates of x; 4-6: frame coordinates t of z
     x = [sum((Poly.variable(7, k) * row[col] for k, row in enumerate(lattice.basis) if row[col]),
              Poly.zero(7)) for col in range(4)]
     conj = _conjugation_entries(frame, x)
     t = [Poly.variable(7, 4 + l) for l in range(3)]
+    w = (linalg.frac_mat([v]) @ space.basis)[0]
     # z ↦ x̄·z·x is t ↦ t·C(x)
-    w = v2.poly.subs_polys([t[0] * conj[k] + t[1] * conj[3 + k] + t[2] * conj[6 + k]
-                            for k in range(3)])
-    # split into z-monomials with Poly(4) values, then pair against v1 over z
-    values: dict[tuple[int, int, int], Poly] = {}
-    for e, c in w.coeffs.items():
-        zpart = e[4:7]
-        xpart = e[:4]
-        poly = Poly(4, {xpart: c})
-        values[zpart] = values[zpart] + poly if zpart in values else poly
-    zero = (0, 0, 0)
-    total = Poly.zero(4)
-    for e, c in v1.poly.coeffs.items():
-        vals = values
-        for i in range(3):
-            for _ in range(e[i]):
-                vals = _apply_adapted_gradient(vals, i, frame.gram_inv, 3)
-        if zero in vals:
-            total = total + vals[zero] * c
-    return total
+    image = Poly(3, dict(zip(space.monomials, w))).subs_polys(
+        [t[0] * conj[k] + t[1] * conj[3 + k] + t[2] * conj[6 + k] for k in range(3)])
+    # pair over z: the coefficient of z^β weighs in with (u·B·F)_β
+    weights = dict(zip(space.monomials, (linalg.frac_mat([u]) @ space.basis
+                                         @ space.monomial_pairing)[0]))
+    total: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
+    for e, c in image.coeffs.items():
+        total[e[:4]] += c * weights[e[4:]]
+    return Poly(4, total)

@@ -411,6 +411,14 @@ def integer_form(rows) -> tuple[list[list[int]], int]:
     return m.num.tolist(), m.den
 
 
+def primitive_rows(m: Matrix) -> Matrix:
+    """Each row, none of them zero, scaled to its primitive integer multiple with a positive lead."""
+    num = m.num
+    lead = num[np.arange(len(num)), (num != 0).argmax(axis=1)]
+    content = np.gcd.reduce(num, axis=1) * np.sign(lead)
+    return Matrix(num // content[:, None])
+
+
 def right_inverse(b) -> Matrix:
     """R = Bᵗ(BBᵗ)⁻¹, so that B·R = I for B of full row rank."""
     b = frac_mat(b)

@@ -1,7 +1,8 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 Keys are exponent tuples; values are Fractions.  Just enough arithmetic for
-harmonic-polynomial work: add/mul/diff/linear substitution/evaluation.  The
+the reference lift polynomials `harmonic.lift_poly_deg1`, `lift_poly_deg2` and
+`yoshida.theta2_coefficient`: add/mul/diff/substitution/evaluation.  The
 number of variables is fixed per polynomial.
 """
 
@@ -171,13 +172,3 @@ class Poly:
                 parts.append(str(c))
         return " + ".join(parts)
 
-
-def monomials_of_degree(nvars: int, deg: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree deg, in deterministic (lex) order."""
-    if nvars == 1:
-        return [(deg,)]
-    out = []
-    for k in range(deg, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, deg - k):
-            out.append((k,) + rest)
-    return out

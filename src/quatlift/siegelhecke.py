@@ -221,7 +221,8 @@ class SatakePair:
 
     def cross_sum(self, other: "SatakePair") -> Fraction:
         """(β+β⁻¹)(β̃+β̃⁻¹); rational when the weights have equal parity."""
-        assert self.p == other.p
+        if self.p != other.p:
+            raise UsageError(f"Satake data at different primes {self.p} and {other.p}")
         e = self.weight + other.weight - 2
         if e % 2:
             raise ValueError("cross sum is irrational for mixed weight parity")

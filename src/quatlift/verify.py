@@ -16,10 +16,8 @@ from . import fixture as fx
 from . import linalg
 from .binforms import is_ambiguous, reduced_forms_up_to
 from .brandt import atkin_lehner, brandt_matrix, constant_form, inner_product
-from .harmonic import (HarmonicPoly, adapted_laplacian, default_frame,
-                       harm_basis, lift_poly_deg1, lift_poly_deg2,
-                       pairing_polys, tau_action)
-from .polys import Poly
+from .harmonic import (HarmSpace, default_frame, integral_tau_matrix, laplacian_matrix,
+                       lift_matrix_deg2, lift_poly_deg1, monomials_of_degree)
 from .quatcore import QuatElement, short_vectors
 from .siegelhecke import (LocalFactor, PoleError, SatakePair, eigenvalue_extract,
                           hecke_Tp, lambda_N, rankin_selberg_local,
@@ -210,39 +208,35 @@ def check_property_suites(report: Report) -> None:
     frame = default_frame(alg)
     ok_harm = True
     for nu in range(5):
-        space = harm_basis(nu, frame)
+        space = HarmSpace(nu, frame)
         ok_harm = ok_harm and space.dim == 2 * nu + 1
-        ok_harm = ok_harm and all(
-            adapted_laplacian(p, frame.gram_inv).is_zero() for p in space.basis)
+        ok_harm = ok_harm and _is_zero(laplacian_matrix(frame.gram_inv, nu, 3) @ space.basis.T)
     report.check(crit, "harmonic spaces have dimension 2ν+1 with zero Laplacian (ν ≤ 4)",
                  ok_harm)
     r2 = fx.order_r2()
     units = [r2.element_from(v) for v in short_vectors(r2.gram, 1)]
-    space1 = harm_basis(1, frame)
-    ok_inv = True
-    for u in units:
-        for v in space1.basis:
-            for w in space1.basis:
-                tv = tau_action(u, HarmonicPoly(frame, v)).poly
-                tw = tau_action(u, HarmonicPoly(frame, w)).poly
-                ok_inv = ok_inv and (pairing_polys(tv, tw, frame.gram_inv)
-                                     == pairing_polys(v, w, frame.gram_inv))
+    space1 = HarmSpace(1, frame)
+    pairing = space1.pairing_matrix
+    ok_inv = all(m @ pairing @ m.T == pairing
+                 for m in (integral_tau_matrix(u, space1) for u in units))
     report.check(crit, "pairing invariant under the 6 units of R2", ok_inv)
 
     cs = fx.fixture_class_set()
-    v3 = HarmonicPoly(frame, Poly.variable(3, 2))
-    lift8 = lift_poly_deg2(v3, fx.order_r1())
-    g4inv = linalg.inverse(fx.order_r1().gram)
-    ok_pluri = _laplacian8(lift8, g4inv, 0).is_zero() and \
-        _laplacian8(lift8, g4inv, 4).is_zero()
+    r1 = fx.order_r1()
+    g4inv = linalg.inverse(r1.gram)
+    ok_pluri = True
+    for nu in (2, 3):
+        space, lap4 = HarmSpace(nu, frame), laplacian_matrix(g4inv, nu, 4)
+        for coords in linalg.identity(space.dim):
+            c = lift_matrix_deg2(space, coords, r1)
+            ok_pluri = (ok_pluri and not _is_zero(c) and _is_zero(lap4 @ c)
+                        and _is_zero(lap4 @ c.T))
     report.check(crit, "degree-2 lift polynomial is pluriharmonic", ok_pluri)
-    d1 = lift_poly_deg1(v3, v3, fx.order_r1())
-    lap = Poly.zero(4)
-    for i in range(4):
-        for j in range(4):
-            if g4inv[i][j]:
-                lap = lap + d1.diff(i).diff(j) * g4inv[i][j]
-    report.check(crit, "degree-1 lift polynomial is adapted-harmonic", lap.is_zero())
+    v3 = fx.phi1().values[0]  # the polynomial z₃
+    d1 = lift_poly_deg1(space1, v3, v3, r1)
+    d1_row = linalg.frac_mat([d1.coefficient_vector(monomials_of_degree(4, 2))])
+    report.check(crit, "degree-1 lift polynomial is adapted-harmonic",
+                 _is_zero(laplacian_matrix(g4inv, 2, 4) @ d1_row.T))
 
     th1 = theta1_counts(fx.order_r1(), 20)
     th2 = theta1_counts(fx.order_r2(), 20)
@@ -258,13 +252,8 @@ def check_property_suites(report: Report) -> None:
                  y1.coefficient(2) / y1.coefficient(1) == Fraction(-1))
 
 
-def _laplacian8(poly: Poly, gram_inv, offset: int) -> Poly:
-    out = Poly.zero(8)
-    for i in range(4):
-        for j in range(4):
-            if gram_inv[i][j]:
-                out = out + poly.diff(offset + i).diff(offset + j) * gram_inv[i][j]
-    return out
+def _is_zero(m: linalg.Matrix) -> bool:
+    return not m.num.any()
 
 
 def check_determinism(report: Report, bound: int = 60) -> None:

@@ -49,7 +49,7 @@ import numpy as np
 from . import linalg
 from .binforms import BinaryForm, disc, form_keys, form_table, is_ambiguous, reduce_form
 from .brandt import AutomorphicForm, FormSpace
-from .harmonic import HarmonicPoly, _monomial_rows, lift_matrix_deg2, tau_matrix_sum
+from .harmonic import _monomial_rows, lift_matrix_deg2, tau_matrix_sum
 from .linalg import INT64_SAFE
 from .polys import Poly
 from .quatcore import ClassSet, Lattice, UsageError, short_vectors, short_vectors_upto
@@ -447,16 +447,14 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     space1 = space1 or FormSpace(cs, nu1)
     terms = []
     for i in range(cs.h):
-        vpoly = space1.space.poly_from_coords(phi1.values[i])
-        if vpoly.is_zero():
+        if not any(phi1.values[i]):
             continue
-        hp = HarmonicPoly(space1.frame, vpoly)
         for j in range(cs.h):
             wj = phi2.values[j][0]
             if not wj:
                 continue
             cross = cs.cross_lattice(i, j)
-            weight = lift_matrix_deg2(hp, cross)
+            weight = lift_matrix_deg2(space1.space, phi1.values[i], cross)
             if not weight.num.any():
                 continue
             scale = wj / (Fraction(cs.unit_counts[i] * cs.unit_counts[j])

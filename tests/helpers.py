@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from quatlift import fixture as fx
 from quatlift import linalg
-from quatlift.polys import monomials_of_degree
+from quatlift.harmonic import monomials_of_degree
 from quatlift.quatcore import Lattice, QuaternionAlgebra, _rref_mod_p
 
 
@@ -49,9 +49,9 @@ def level34_order():
 
 
 def monomial_values(x, nu):
-    """m_ν(x): the degree-ν monomials of the 4 coordinates x."""
+    """m_ν(x): the degree-ν monomials of the coordinates x."""
     out = []
-    for e in monomials_of_degree(4, nu):
+    for e in monomials_of_degree(len(x), nu):
         v = 1
         for xk, k in zip(x, e):
             v *= xk ** k

@@ -21,6 +21,20 @@ def test_row_sums(class_set_17, space0):
         assert all(s == p + 1 for s in sums)
 
 
+def test_row_sums_are_refused_above_degree_zero(class_set_17, space1):
+    with pytest.raises(UsageError):
+        brandt_matrix(class_set_17, 1, 2, space1).row_sums()
+
+
+def test_adding_forms_of_different_shape_is_refused():
+    # ν = 0 on two classes and ν = 1 on one: zip would pair them up silently
+    scalar = brandt.AutomorphicForm(0, [(1,), (1,)])
+    with pytest.raises(UsageError):
+        scalar.add(brandt.AutomorphicForm(1, [(1, 0, 0)]))
+    with pytest.raises(UsageError):
+        scalar.add(brandt.AutomorphicForm(0, [(1,)]))
+
+
 def test_constant_form_eigenvalue(class_set_17, space0):
     one = constant_form(class_set_17)
     for p in (2, 3, 5, 7):
@@ -377,10 +391,11 @@ def test_split_is_the_kernel_of_each_factor():
     plane = linalg.frac_mat([[1, 0, 0], [0, 1, 0]])
     op = linalg.frac_mat([[0, 1, 0], [2, 0, 0], [0, 0, 5]])
     assert brandt._split_by_operator([plane], op, factor) == [plane]
-    # a Jordan block: charpoly (x − 1)², and the kernel of op − 1 is only a line
+    # a Jordan block: charpoly (x − 1)², and the kernel of op − 1 is only a line,
+    # so the split would lose a dimension
     jordan = linalg.frac_mat([[1, 1], [0, 1]])
-    assert brandt._split_by_operator([linalg.identity(2)], jordan, factor) == [
-        linalg.frac_mat([[0, 1]])]
+    with pytest.raises(ValueError, match="not semisimple"):
+        brandt._split_by_operator([linalg.identity(2)], jordan, factor)
 
 
 def test_eigenvalue_with_denominators_and_signs():

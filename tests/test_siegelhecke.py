@@ -189,6 +189,12 @@ def test_standard_factor_trivial_pair():
     assert f.coeffs == [1, -5, 10, -10, 5, -1]  # (1 - X)^5
 
 
+def test_cross_sum_across_primes_is_refused():
+    # the two Satake data must sit at one prime; at 2 and 3 the sum means nothing
+    with pytest.raises(UsageError):
+        SatakePair(2, 4, Fraction(-3)).cross_sum(SatakePair(3, 2, Fraction(-1)))
+
+
 def test_standard_factor_degree_n3():
     b1 = SatakePair(2, 4, Fraction(-3))
     b2 = SatakePair(2, 2, Fraction(-1))

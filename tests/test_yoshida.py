@@ -9,12 +9,12 @@ import pytest
 import enum_reference
 from helpers import hamilton_algebra, monomial_values
 from quatlift import fixture as fx
-from quatlift import yoshida
+from quatlift import linalg, yoshida
 from quatlift.binforms import apply_unimodular, is_ambiguous, reduced_forms_up_to
 from quatlift.brandt import FormSpace, constant_form
-from quatlift.harmonic import (HarmonicPoly, default_frame, harm_basis, lift_matrix_deg2,
-                               lift_poly_deg1, lift_poly_deg2)
-from quatlift.polys import Poly, monomials_of_degree
+from quatlift.harmonic import (HarmSpace, default_frame, lift_matrix_deg2, lift_poly_deg1,
+                               lift_poly_deg2, monomials_of_degree)
+from quatlift.polys import Poly
 from quatlift.quatcore import Lattice, UsageError, short_vectors, short_vectors_upto
 from quatlift.serialize import dumps_canonical, expansion_to_obj
 from quatlift.yoshida import (FourierExpansionSiegel2, ThetaEngine, TruncationError,
@@ -107,10 +107,9 @@ def reference_lift(cs, phi1, phi2, space1, forms) -> dict:
     nu = phi1.nu
     totals = dict.fromkeys(forms, Fraction(0))
     for i in range(cs.h):
-        hp = HarmonicPoly(space1.frame, space1.space.poly_from_coords(phi1.values[i]))
         for j in range(cs.h):
             cross = cs.cross_lattice(i, j)
-            p8 = lift_poly_deg2(hp, cross)
+            p8 = lift_poly_deg2(space1.space, phi1.values[i], cross)
             scale = phi2.values[j][0] / (Fraction(cs.unit_counts[i] * cs.unit_counts[j])
                                          * cross.norm_scale ** nu)
             for t in forms:
@@ -154,10 +153,10 @@ def test_yoshida2_nu2_matches_reference(class_set_17):
 @pytest.mark.parametrize("nu", [0, 1, 2])
 def test_bilinear_matrix_reconstructs_lift_poly(algebra, nu):
     # the bilinear matrix C of P_v, as theta_lift reads it, against the Poly(8) view
-    frame = default_frame(algebra)
-    hp = HarmonicPoly(frame, harm_basis(nu, frame).basis[-1])
-    p8 = lift_poly_deg2(hp, fx.ideal_i12())
-    c = lift_matrix_deg2(hp, fx.ideal_i12())
+    space = HarmSpace(nu, default_frame(algebra))
+    coords = linalg.identity(space.dim)[-1]
+    p8 = lift_poly_deg2(space, coords, fx.ideal_i12())
+    c = lift_matrix_deg2(space, coords, fx.ideal_i12())
     size = len(monomials_of_degree(4, nu))
     assert c.shape == (size, size)
     rng = random.Random(nu)
@@ -361,14 +360,11 @@ def yoshida1_per_vector(cs, phi1, phi2, bound, space):
     nu = phi1.nu
     coeffs = {}
     for i in range(cs.h):
-        p1 = space.space.poly_from_coords(phi1.values[i])
         for j in range(cs.h):
-            p2 = space.space.poly_from_coords(phi2.values[j])
-            if p1.is_zero() or p2.is_zero():
+            if not (any(phi1.values[i]) and any(phi2.values[j])):
                 continue
-            v1, v2 = HarmonicPoly(space.frame, p1), HarmonicPoly(space.frame, p2)
             cross = cs.cross_lattice(i, j)
-            lift = lift_poly_deg1(v1, v2, cross)
+            lift = lift_poly_deg1(space.space, phi1.values[i], phi2.values[j], cross)
             scale = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j]) / cross.norm_scale ** nu
             for m, vecs in short_vectors_upto(cross.normalized_gram(), bound).items():
                 s = sum((lift.eval(v) for v in vecs.tolist()), Fraction(0))
