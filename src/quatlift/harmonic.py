@@ -206,12 +206,6 @@ def _conjugation_entries(frame: TraceZeroFrame, y: list) -> list:
             for c in range(9)]
 
 
-def conjugation_matrix(y: QuatElement, frame: TraceZeroFrame) -> linalg.Matrix:
-    """3×3 matrix C with frame-coords(ȳ·g_l·y) in row l (so z ↦ ȳzy is t ↦ t·C)."""
-    flat = _conjugation_entries(frame, y.coords)
-    return [flat[3 * l:3 * l + 3] for l in range(3)]
-
-
 def integral_tau_matrix(y: QuatElement, space: HarmSpace) -> linalg.Matrix:
     """Matrix of P ↦ P(ȳ·z·y) on the U_ν basis (row convention: coords' = coords·M)."""
     row, den = linalg.integer_form([y.coords])

@@ -383,7 +383,9 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> dict[Fraction
     With half=True each bucket holds exactly one of every pair ±v, and the rows
     are ordered by one stable argsort of the norms alone (within a bucket, in
     the order the enumeration meets them): for callers whose sums do not depend
-    on the order of a bucket.
+    on the order of a bucket.  The buckets are then consecutive row slices, in
+    increasing norm, of one array, every bucket's `.base`, which a caller may
+    keep whole instead of the buckets.
 
     The leaf coordinate v₀ is expanded in chunks of at most `_LEAF_BUDGET`
     leaves.  Each kept leaf is recorded as its norm, its prefix and its v₀, and

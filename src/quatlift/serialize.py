@@ -3,6 +3,13 @@
 Rationals are exact strings "num/den" (denominator omitted when 1, sign on the
 numerator).  Emission is canonical (sorted keys, fixed separators, trailing
 newline) so that parse-then-print is idempotent and byte-stable across runs.
+
+The canonical text is exactly that of json.dumps(obj, sort_keys=True,
+separators=(",", ": "), indent=1) plus a newline, but `dumps_canonical` writes
+it itself: indent would select json's pure-Python encoder.  It recurses over
+dicts (keys sorted) and lists, joins a flat row of scalars once, and spells
+strings with json's C string encoder, ints with int.__repr__ and every other
+scalar with json.dumps.
 """
 
 from __future__ import annotations
@@ -41,7 +48,44 @@ def parse_rational(s) -> Fraction:
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """The text of json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+    plus a newline, written without the pure-Python encoder that indent selects."""
+    return _text(obj, "\n") + "\n"
+
+
+# the spelling of each plain scalar type: strings by the C encoder json.dumps
+# uses, ints by int.__repr__; json.dumps spells the others and any subclass
+_SCALARS = {str: json.encoder.encode_basestring_ascii, int: int.__repr__,
+            float: json.dumps, bool: json.dumps, type(None): json.dumps}
+_PLAIN = frozenset(_SCALARS)
+
+
+def _key(k) -> str:
+    if isinstance(k, str):
+        return json.encoder.encode_basestring_ascii(k)
+    if k is None or isinstance(k, (int, float)):
+        return json.encoder.encode_basestring_ascii(json.dumps(k))  # null, true, 7, 1.5
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _text(obj, newline: str) -> str:
+    """obj's canonical text; `newline` is a line break and the indent of obj's
+    level, one space a level."""
+    inner = newline + " "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_key(k) + ": " + _text(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if _PLAIN.issuperset(map(type, obj)):  # a flat row of scalars: one join
+            items = [_SCALARS[type(x)](x) for x in obj]
+        else:
+            items = [_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _SCALARS.get(type(obj), json.dumps)(obj)
 
 
 def algebra_to_obj(alg: QuaternionAlgebra, basis_names=None) -> dict:

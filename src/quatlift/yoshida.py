@@ -16,16 +16,19 @@ monomials.  `theta_lift` assembles every degree-2 lift from its terms
 `harmonic.lift_matrix_deg2` from the frame's product table, and
 `fixture.golden_lift` from the published matrices.
 
-A `ThetaEngine` holds half shells H_m: one vector of each pair ±x of norm m.
+A `ThetaEngine` holds half shells H_m: one vector of each pair ±x of norm m,
+kept as the enumeration kernel's own norm-sorted array with an offset per
+norm, so that H_m and any run of consecutive norms are slices of it.
 Since P(−x₁, x₂) = P(x₁, −x₂) = (−1)^ν·P(x₁, x₂) and B(−x₁, x₂) = −B(x₁, x₂),
 the sum over full-shell pairs is S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)), S⁺ the sum
 over H_a × H_c.  One numpy kernel, `ThetaEngine.row_sums`, does a whole row a
-of forms: M(H_a)·C·M(H_c)ᵗ against the concatenated half shells of every c of
-the row, chunked by rows of H_a and scattered once into a (c, b) accumulator,
-then folded as above; the singular entries (0, 0, m) are the row a = 0, whose
-only vector is zero.  The kernel stays exact: a bound on
-max|M|²·Σ|C|·|H_a|·max|H_c|, times the 4 of the fold, picks int64 when it stays
-below 2⁶², otherwise object arrays of Python ints running the same code.
+of forms: M(H_a)·C·M(H_c)ᵗ against one slice, the half shells of every norm
+from the row's least c to its largest, chunked by rows of H_a and scattered
+once into an accumulator of one bin block per norm, then folded as above; the
+singular entries (0, 0, m) are the row a = 0, whose only vector is zero.  The
+kernel stays exact: a bound on max|M|²·Σ|C|·|H_a|·max|H_c|, times the 4 of the
+fold, picks int64 when it stays below 2⁶², otherwise object arrays of Python
+ints running the same code.
 `theta_lift` takes its forms from `binforms.form_table` and writes every
 piece's factor over one common denominator: each row's sums are one array in
 table positions, added into one object array of Python-int totals.
@@ -249,13 +252,17 @@ class QExpansion:
         return not self.coeffs
 
 
-# entries of H_a × (concatenated H_c) per chunk of `ThetaEngine.row_sums`
+# entries of H_a × (the slice of H_c) per chunk of `ThetaEngine.row_sums`
 _CHUNK = 1 << 18
 
 
 class ThetaEngine:
     """Half shells of one lattice, with norms rescaled by the ideal norm, and the
-    pair-sum kernel on them."""
+    pair-sum kernel on them.
+
+    `shells` is the enumeration's array of half shells in increasing norm, and
+    H_m is its rows start[m]:start[m + 1] for 0 ≤ m ≤ max_norm.
+    """
 
     def __init__(self, lattice: Lattice, max_norm: int):
         g = lattice.normalized_gram()
@@ -267,18 +274,26 @@ class ThetaEngine:
         self.gram = np.array([[int(x) for x in row] for row in g], dtype=np.int64)
         self.max_norm = max_norm
         # one of each pair ±x per norm; the weights of bidegree (ν, ν) change by
-        # (−1)^ν under x ↦ −x, so the half shells carry every pair sum
-        self.half: dict[int, np.ndarray] = {}
-        for m, vs in short_vectors_upto(g, max_norm, half=True).items():
+        # (−1)^ν under x ↦ −x, so the half shells carry every pair sum.  The
+        # kernel's half buckets are consecutive row slices of one array in
+        # increasing norm: that array is kept, and H_m is rows start[m]:start[m + 1]
+        buckets = short_vectors_upto(g, max_norm, half=True)
+        sizes = np.zeros(max_norm + 2, dtype=np.intp)
+        for m, vs in buckets.items():
             assert m.denominator == 1
-            self.half[int(m)] = vs.astype(np.int64, copy=False)
-        self.coord_max = max((int(np.abs(vs).max()) for vs in self.half.values()), default=0)
+            sizes[int(m) + 1] = len(vs)
+        self.start = sizes.cumsum()
+        first = next(iter(buckets.values()), None)
+        self.shells = (np.empty((0, 4), dtype=np.int64) if first is None
+                       else first.base.astype(np.int64, copy=False))
+        assert len(self.shells) == self.start[-1]
+        self.coord_max = int(max(self.shells.max(initial=0), -self.shells.min(initial=0)))
 
     def half_shell(self, m: int) -> np.ndarray:
-        """One vector of each pair ±x of norm m > 0."""
+        """One vector of each pair ±x of norm m > 0, a slice of `shells`."""
         if m > self.max_norm:
             raise TruncationError("enumeration bound exceeded")
-        return self.half.get(m, np.empty((0, 4), dtype=np.int64))
+        return self.shells[self.start[m]:self.start[m + 1]] if m > 0 else self.shells[:0]
 
     def vecs(self, m: int) -> np.ndarray:
         """The vectors of norm m; m = 0 gives the single zero row."""
@@ -297,12 +312,13 @@ class ThetaEngine:
         Each is Σ over x₁, x₂ with q(x₁) = a, q(x₂) = c, B(x₁, x₂) = b of
         M(x₁)ᵗ·mat·M(x₂), M(x) the degree-ν monomials of x.  Pairs with a zero
         vector have b = 0 and weight mat₀₀ at ν = 0, 0 otherwise.  The rest is one
-        numpy pass over H_a × (the half shells H_c of the distinct c,
-        concatenated), chunked by rows of H_a and scattered into one (c, b)
-        accumulator S⁺; the full sums are S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).
-        Exact: a bound on max|M|²·Σ|mat|·|H_a|·max|H_c|, times the 4 of the
-        fold, picks int64 when it stays below 2⁶², otherwise object arrays of
-        Python ints.
+        numpy pass over H_a × `shells[start[c_min]:start[c_max + 1]]`, the half
+        shells of every norm from the row's least c to its largest, chunked by
+        rows of H_a and scattered into one (c, b) accumulator S⁺ with a bin block
+        per norm of the range; the full sums are S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).
+        Exact: a bound on max|M|²·Σ|mat|·|H_a|·max|H_c| (c over the range), times
+        the 4 of the fold, picks int64 when it stays below 2⁶², otherwise object
+        arrays of Python ints.
         """
         cs = np.asarray(cs, dtype=np.int64)
         bs = np.asarray(bs, dtype=np.int64)
@@ -315,37 +331,41 @@ class ThetaEngine:
             out[~live] = np.where(bs[~live] == 0, counts[at], 0)
         if not live.any():
             return out
-        cu, at = np.unique(cs[live], return_inverse=True)
+        cl, bl = cs[live], bs[live]
+        c0, c1 = int(cl.min()), int(cl.max())
         ha = self.half_shell(a)
-        shells = [self.half_shell(c) for c in cu.tolist()]
-        if not len(ha) or not sum(map(len, shells)):
+        if c1 > self.max_norm:
+            raise TruncationError("enumeration bound exceeded")
+        lo, hi = self.start[c0], self.start[c1 + 1]
+        if not len(ha) or lo == hi:
             return out
-        vc = np.concatenate(shells)
+        # H_c for every c of the row: one slice, one bin block per norm c0…c1
+        vc = self.shells[lo:hi]
+        sizes = np.diff(self.start[c0:c1 + 2])
         # bins b = −bmax − 1, …, bmax + 1 per c; the two outer ones take every
         # |b| > bmax, which no form asked for reads
-        bl = bs[live]
         bmax = int(np.abs(bl).max())
         width = 2 * bmax + 3
-        base = np.repeat(np.arange(len(shells)) * width + bmax + 1, list(map(len, shells)))
+        base = np.repeat(np.arange(len(sizes)) * width + bmax + 1, sizes)
         peak = (max(self.coord_max, 1) ** (2 * nu) * sum(map(abs, mat.ravel().tolist()))
-                * len(ha) * max(map(len, shells)))
+                * len(ha) * int(sizes.max()))
         dtype = np.int64 if 4 * peak < INT64_SAFE else object
         mat = mat.astype(dtype, copy=False)
         mc = _monomial_rows(vc, nu, dtype).T
-        gc = self.gram @ vc.T
-        acc = np.zeros(len(shells) * width, dtype=dtype)
+        acc = np.zeros(len(sizes) * width, dtype=dtype)
         step = max(1, _CHUNK // len(vc))
         for r in range(0, len(ha), step):
             h = ha[r:r + step]
-            idx = np.clip(h @ gc, -bmax - 1, bmax + 1)
+            # B(x₁, x₂) = x₁·G·x₂ᵗ, with x₁·G formed once per chunk
+            idx = np.clip((h @ self.gram) @ vc.T, -bmax - 1, bmax + 1)
             idx += base
             vals = (_monomial_rows(h, nu, dtype) @ mat) @ mc
             np.add.at(acc, idx.ravel(), vals.ravel())
         # (x₁, x₂) ↦ (−x₁, −x₂) keeps b and the weight; negating one of them
         # negates b and multiplies the weight by (−1)^ν
-        acc = acc.reshape(len(shells), width)
+        acc = acc.reshape(len(sizes), width)
         full = 2 * (acc + (-1) ** nu * acc[:, ::-1])
-        out[live] = full[at, bl + bmax + 1]
+        out[live] = full[cl - c0, bl + bmax + 1]
         return out
 
     def pair_sums_bilinear(self, a: int, c: int, mat: np.ndarray, nu: int) -> dict[int, int]:

@@ -10,7 +10,7 @@ from quatlift import fixture as fx
 from quatlift import linalg, polys
 from quatlift.brandt import (FormSpace, atkin_lehner, brandt_matrix, constant_form,
                              eigenforms, inner_product)
-from quatlift.harmonic import (HarmSpace, _abs_column_sum, _sym_power, conjugation_matrix,
+from quatlift.harmonic import (HarmSpace, _abs_column_sum, _conjugation_entries, _sym_power,
                                default_frame, integral_tau_matrix, laplacian_matrix,
                                lift_matrix_deg2, lift_poly_deg1, lift_poly_deg2,
                                monomials_of_degree)
@@ -20,6 +20,12 @@ from quatlift.yoshida import yoshida1, yoshida2
 from helpers import hamilton_algebra, level34_order, monomial_values
 
 PINNED = Path(__file__).parent / "data" / "harmonic_fixture_frame.json"
+
+
+def conjugation_matrix(y, frame):
+    """3×3 rows of Fractions, frame-coords(ȳ·g_l·y) in row l (so z ↦ ȳzy is t ↦ t·C)."""
+    flat = _conjugation_entries(frame, y.coords)
+    return [flat[3 * l:3 * l + 3] for l in range(3)]
 
 
 def poly_value(row, t, nu):

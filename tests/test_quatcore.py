@@ -112,6 +112,20 @@ def assert_half_shells(half, full):
         assert set(rows) | negated == set(as_lists(full)[m])
 
 
+def assert_slices_of_one_array(half):
+    """The half buckets are consecutive row slices, in increasing norm, of their one base."""
+    if not half:
+        return
+    base = next(iter(half.values())).base
+    assert list(half) == sorted(half)
+    end = 0
+    for vs in half.values():
+        assert vs.base is base and np.shares_memory(vs, base)
+        assert vs.__array_interface__["data"] == base[end:].__array_interface__["data"]
+        end += len(vs)
+    assert end == len(base)
+
+
 GRAM_STRATEGIES = dict(a=st.lists(st.integers(-2, 2), min_size=16, max_size=16),
                        diag=st.lists(st.integers(1, 3), min_size=4, max_size=4),
                        off=st.lists(st.integers(-1, 1), min_size=6, max_size=6),
@@ -133,6 +147,7 @@ def check_against_brute_force(a, diag, off, den, max_norm):
     assert list(got) == sorted(got)
     half = short_vectors_upto(g, max_norm, half=True)
     assert_half_shells(half, got)
+    assert_slices_of_one_array(half)
     return got, half
 
 
@@ -207,6 +222,7 @@ def check_huge_entries():
     half = short_vectors_upto(g, 4 * scale, half=True)
     assert all(vs.dtype == object for vs in half.values())
     assert_half_shells(half, got)
+    assert_slices_of_one_array(half)
     return got, half
 
 
@@ -246,7 +262,9 @@ def test_short_vectors_upto_small_dimensions(monkeypatch, g, budget):
     for max_norm in (Fraction(1, 2), 3, Fraction(17, 3)):
         got = short_vectors_upto(g, max_norm)
         assert as_lists(got) == brute_force_short_vectors(g, max_norm)
-        assert_half_shells(short_vectors_upto(g, max_norm, half=True), got)
+        half = short_vectors_upto(g, max_norm, half=True)
+        assert_half_shells(half, got)
+        assert_slices_of_one_array(half)
 
 
 def test_isqrt_is_exact_around_squares():
@@ -271,7 +289,9 @@ def test_short_vectors_upto_int64_past_2_52():
     got = short_vectors_upto(g, 120)
     assert got and all(vs.dtype == np.int64 for vs in got.values())
     assert as_lists(got) == brute_force_short_vectors(g, 120)
-    assert_half_shells(short_vectors_upto(g, 120, half=True), got)
+    half = short_vectors_upto(g, 120, half=True)
+    assert_half_shells(half, got)
+    assert_slices_of_one_array(half)
 
 
 def lexsort_rows(norms, vecs):

@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatlift import fixture as fx
 from quatlift import serialize as ser
@@ -148,3 +150,66 @@ def test_ideal_serialization_includes_orders():
     import json as _json
     again = ser.dumps_canonical(ser.roundtrip_obj(_json.loads(text), "lattice", alg))
     assert text == again
+
+
+def json_oracle(obj) -> str:
+    """The canonical text by the standard library: the pure-Python indent encoder."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+TEXT = (st.text(max_size=6)
+        | st.sampled_from(['"', "\\", "\"\\/", "\x00\x1f\x7f", "é, ∑, 😀", "\ud800", ""]))
+SCALARS = (st.none() | st.booleans() | TEXT | st.integers()
+           | st.integers(min_value=2 ** 63 - 2, max_value=2 ** 80)
+           | st.integers(min_value=-2 ** 80, max_value=-2 ** 63 + 2)
+           | st.floats(allow_nan=True, allow_infinity=True))
+# one key type per dict: json.dumps cannot sort mixed keys either
+KEY_TYPES = st.sampled_from([TEXT, st.integers(), st.floats(allow_nan=False), st.booleans(),
+                             st.none()])
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda kids: (st.lists(kids, max_size=5) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(TEXT, kids, max_size=5)
+                  | KEY_TYPES.flatmap(lambda keys: st.dictionaries(keys, kids, max_size=4))),
+    max_leaves=40)
+
+
+@given(DOCUMENTS)
+@settings(max_examples=400, deadline=None)
+def test_dumps_canonical_matches_json_dumps(doc):
+    assert ser.dumps_canonical(doc) == json_oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {}, [], (), {"a": [], "b": {}, "c": [[], {}]}, [[1, 2], [3, [4]], 5], [[[]]],
+    {True: 1, False: 2}, {None: [None]}, {1.5: 3, -2: "x"}, {2 ** 70: 1, -1: 2},
+    "\\\"\x01é", 7, -2 ** 64, 0.1, -0.0, float("nan"), float("-inf"), True, None])
+def test_dumps_canonical_edge_documents(doc):
+    assert ser.dumps_canonical(doc) == json_oracle(doc)
+
+
+@pytest.mark.parametrize("doc", [{(1, 2): 3}, [object()], {"a": {1, 2}}, Fraction(1, 2)])
+def test_dumps_canonical_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError):
+        json_oracle(doc)
+    with pytest.raises(TypeError):
+        ser.dumps_canonical(doc)
+
+
+def test_dumps_canonical_on_every_document_kind(golden_130):
+    rational = FourierExpansionSiegel2(2, 17, 10, {(0, 0, 1): Fraction(-1, 2), (1, 1, 1): 3,
+                                                   (1, 0, 2): Fraction(5, 6)})
+    docs = {
+        "algebra": ser.algebra_to_obj(fx.fixture_algebra()),
+        "order": ser.lattice_to_obj(fx.order_r1()),
+        "ideal with orders": ser.lattice_to_obj(fx.ideal_i12()),
+        "form": ser.form_to_obj(fx.phi1()),
+        "eigenvalues": ser.eigenvalue_map_to_obj({2: Fraction(-5), 3: Fraction(1, 3)}),
+        "integer expansion": ser.expansion_to_obj(golden_130),
+        "rational expansion": ser.expansion_to_obj(rational),
+        "empty expansion": ser.expansion_to_obj(FourierExpansionSiegel2(3, 17, 10)),
+    }
+    assert any("/" in e[3] for e in docs["rational expansion"]["entries"])
+    assert not docs["empty expansion"]["entries"]
+    for name, doc in docs.items():
+        assert ser.dumps_canonical(doc) == json_oracle(doc), name

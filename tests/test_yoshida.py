@@ -213,7 +213,7 @@ def test_engine_half_shells_match_the_one_shot_kernel(name):
     lattice = {"r1": fx.order_r1, "i12": fx.ideal_i12}[name]()
     engine = ThetaEngine(lattice, 650)
     want = enum_reference.half_shells(lattice.normalized_gram(), 650)
-    assert set(engine.half) == {int(m) for m in want}
+    assert {m for m in range(1, 651) if len(engine.half_shell(m))} == {int(m) for m in want}
     for m in range(1, 651):
         got = engine.half_shell(m)
         ref = want.get(Fraction(m), np.empty((0, 4), dtype=np.int64))
@@ -222,36 +222,80 @@ def test_engine_half_shells_match_the_one_shot_kernel(name):
         assert not (pm[1:] == pm[:-1]).all(axis=1).any(), m
 
 
-@pytest.mark.parametrize("nu", [0, 1, 2])
-def test_row_sums_match_full_shell_pairs(nu):
-    # the half-shell kernel against every pair of the full, sorted shells
-    lattice = fx.ideal_i12()
+def brute_pair_sum(lattice, a, b, c, mat, nu):
+    """Σ of m_ν(x)ᵗ·mat·m_ν(y) over every pair of the full, sorted shells with q = (a, b, c)."""
     g = lattice.normalized_gram()
     gram = g.num.tolist()
+    total = 0
+    for x in short_vectors(g, a):
+        for y in short_vectors(g, c):
+            if sum(x[i] * gram[i][j] * y[j] for i in range(4) for j in range(4)) == b:
+                mx, my = monomial_values(x, nu), monomial_values(y, nu)
+                total += sum(mx[i] * mat[i][j] * my[j]
+                             for i in range(len(mat)) for j in range(len(mat)))
+    return total
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2])
+def test_row_sums_match_full_shell_pairs(nu):
+    # the half-shell kernel against every pair of the full, sorted shells; I₁₂ has
+    # no vector of norm 1, so the c-ranges 1…3 and 1…7 cross an empty shell
+    lattice = fx.ideal_i12()
     engine = ThetaEngine(lattice, 7)
     monos = monomials_of_degree(4, nu)
     rng = random.Random(nu)
     mat = [[rng.randint(-5, 5) for _ in monos] for _ in monos]
-
-    def brute(a, b, c):
-        total = 0
-        for x in short_vectors(g, a):
-            for y in short_vectors(g, c):
-                if sum(x[i] * gram[i][j] * y[j] for i in range(4) for j in range(4)) == b:
-                    mx, my = monomial_values(x, nu), monomial_values(y, nu)
-                    total += sum(mx[i] * mat[i][j] * my[j]
-                                 for i in range(len(monos)) for j in range(len(monos)))
-        return total
-
     rows = [(0, [(0, [0]), (3, [0, 1]), (7, [0])]),                  # singular groups
             (2, [(2, [-2, -1, 0, 1, 2]), (5, [-3, 0, 2]), (7, [1])]),  # a = c among them
-            (3, [(0, [0]), (3, list(range(-6, 7)))])]
+            (3, [(0, [0]), (3, list(range(-6, 7)))]),
+            (2, [(1, [0, 1]), (3, [-1, 0, 2])]),                      # empty shell H₁ first
+            (3, [(7, [-2, 3]), (1, [0]), (4, [1, -1])]),               # and inside the range
+            (1, [(2, [0]), (5, [1])])]                                 # H_a itself empty
     for a, cbs in rows:
         cs, bs = zip(*((c, b) for c, bs in cbs for b in bs))
         got = engine.row_sums(a, cs, bs, np.array(mat, dtype=np.int64), nu).tolist()
-        want = [brute(a, b, c) for c, bs in cbs for b in bs]
+        want = [brute_pair_sum(lattice, a, b, c, mat, nu) for c, bs in cbs for b in bs]
         assert got == want
-        assert any(want) == bool(a or not nu)  # M(0) = 0 for ν ≥ 1
+        assert any(want) == (a != 1 and bool(a or not nu))  # M(0) = 0 for ν ≥ 1; H₁ = ∅
+
+
+@pytest.mark.parametrize("max_norm", [0, 3])
+def test_row_sums_beyond_the_engine_bound(max_norm):
+    engine = ThetaEngine(fx.order_r1(), max_norm)
+    one = np.ones((1, 1), dtype=np.int64)
+    for a, c in ((max_norm + 1, 1), (1, max_norm + 1), (max_norm + 1, max_norm + 1)):
+        with pytest.raises(TruncationError):
+            engine.row_sums(a, [c], [0], one, 0)
+        with pytest.raises(TruncationError):
+            engine.row_sums(a, [c], [0], one, 1)
+    with pytest.raises(TruncationError):
+        engine.half_shell(max_norm + 1)
+    # the row a = 0 reads H_c only at ν = 0, where the singular entries need it
+    with pytest.raises(TruncationError):
+        engine.row_sums(0, [max_norm + 1], [0], one, 0)
+
+
+def test_engine_half_shells_are_slices_of_the_kernel_array(monkeypatch):
+    # the engine keeps the kernel's own array: no copy, and each H_m a slice of it
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(short_vectors_upto(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(yoshida, "short_vectors_upto", record)
+    engine = ThetaEngine(fx.ideal_i12(), 40)
+    (buckets,) = calls
+    assert np.shares_memory(engine.shells, next(iter(buckets.values())))
+    assert len(engine.shells) == sum(map(len, buckets.values()))
+    end = 0
+    for m in range(41):
+        h = engine.half_shell(m)
+        assert np.array_equal(h, buckets.get(Fraction(m), engine.shells[:0])), m
+        assert np.array_equal(h, engine.shells[end:end + len(h)]), m
+        assert not len(h) or np.shares_memory(h, engine.shells), m
+        end += len(h)
+    assert end == len(engine.shells)
 
 
 def test_yoshida1_eichler(class_set_17, space0):
