@@ -265,6 +265,8 @@ class ThetaEngine:
     """
 
     def __init__(self, lattice: Lattice, max_norm: int):
+        if max_norm < 0:
+            raise ValueError(f"negative enumeration bound {max_norm}")
         g = lattice.normalized_gram()
         for row in g:
             for x in row:

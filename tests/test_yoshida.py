@@ -273,6 +273,8 @@ def test_row_sums_beyond_the_engine_bound(max_norm):
     # the row a = 0 reads H_c only at ν = 0, where the singular entries need it
     with pytest.raises(TruncationError):
         engine.row_sums(0, [max_norm + 1], [0], one, 0)
+    with pytest.raises(ValueError, match="negative"):
+        ThetaEngine(fx.order_r1(), -1 - max_norm)
 
 
 def test_engine_half_shells_are_slices_of_the_kernel_array(monkeypatch):
