@@ -277,8 +277,7 @@ class ThetaEngine:
         self.max_norm = max_norm
         # one of each pair ±x per norm; the weights of bidegree (ν, ν) change by
         # (−1)^ν under x ↦ −x, so the half shells carry every pair sum.  The
-        # kernel's half buckets are consecutive row slices of one array in
-        # increasing norm: that array is kept, and H_m is rows start[m]:start[m + 1]
+        # kernel's half buckets are consecutive slices of one array: it is kept whole
         buckets = short_vectors_upto(g, max_norm, half=True)
         sizes = np.zeros(max_norm + 2, dtype=np.intp)
         for m, vs in buckets.items():
