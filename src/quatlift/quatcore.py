@@ -31,7 +31,9 @@ below 2⁶², Python ints above.  The keys are distinct, so each norm's bucket
 comes out sorted lexicographically.  The half shells that theta engines ask for
 (half=True: one of each ±v, the one whose last nonzero reduced coordinate is
 positive) are ordered by norm only, by a stable sort of the leaf records that
-runs before the rows are built.  Buckets are int64 (or object) arrays; callers
+runs before the rows are built, and come as a `HalfShells`: one array of rows
+in the narrowest signed dtype that holds the kernel's coordinate bound, with
+integer norms and offsets.  Full buckets are int64 (or object) arrays; callers
 that feed coordinates into Fractions convert rows with `.tolist()`, because a
 Fraction built from np.int64 keeps an np.int64 numerator.
 """
@@ -42,6 +44,7 @@ import bisect
 import itertools
 import math
 from fractions import Fraction
+from collections.abc import Mapping
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -315,11 +318,11 @@ def _reduced_gram(g: tuple[int, ...], n: int):
     return tuple(map(tuple, gint)), tuple(map(tuple, u)), tuple(minors), tuple(map(tuple, m))
 
 
-def _magnitude(g: list[list[int]], u: list[list[int]], minors: list[int],
-               m: list[list[int]], bound: int) -> int:
-    """An upper bound on the absolute value of every integer the enumeration forms."""
-    n = len(g)
-    vmax = [0] * n  # bounds |v_i| and the range ends lo, hi
+def _vmax(minors: list[int], m: list[list[int]], bound: int) -> tuple[list[int], list[int]]:
+    """Bounds vmax[i] on |v_i| and on the range ends lo, hi of every reduced
+    coordinate, and bounds on the integers each level of the enumeration forms."""
+    n = len(m)
+    vmax = [0] * n
     terms = []
     for i in range(n - 1, -1, -1):
         room = minors[i] * minors[i + 1] * bound  # ≥ Δ_i·rem ≥ x²
@@ -327,10 +330,23 @@ def _magnitude(g: list[list[int]], u: list[list[int]], minors: list[int],
         center = sum(abs(m[j][i]) * vmax[j] for j in range(i + 1, n))
         vmax[i] = (root + center) // minors[i + 1] + 1
         terms += [room + 2 * root, minors[i + 1] * vmax[i] + center + root]
+    return vmax, terms
+
+
+def _coordinate_bound(u: list[list[int]], vmax: list[int]) -> int:
+    """A bound on every coordinate of v·U when |v_i| ≤ vmax[i]."""
+    n = len(u)
+    return max(sum(vmax[i] * abs(u[i][t]) for i in range(n)) for t in range(n))
+
+
+def _magnitude(g: list[list[int]], u: list[list[int]], minors: list[int],
+               m: list[list[int]], bound: int) -> int:
+    """An upper bound on the absolute value of every integer the enumeration forms."""
+    n = len(g)
+    vmax, terms = _vmax(minors, m, bound)
     # every partial sum of vᵗGv, and so the leaf level's l·v₀, q and g₀₀·v₀²
     terms.append(sum(vmax[a] * abs(g[a][b]) * vmax[b] for a in range(n) for b in range(n)))
-    terms += [sum(vmax[i] * abs(u[i][t]) for i in range(n)) for t in range(n)]
-    return max(terms)
+    return max(terms + [_coordinate_bound(u, vmax)])
 
 
 def _isqrt(x: np.ndarray, below_2_52: bool = False) -> np.ndarray:
@@ -371,7 +387,38 @@ def _sort_key(norms: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 _LEAF_BUDGET = 1 << 14
 
 
-def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> dict[Fraction, np.ndarray]:
+def _narrow_dtype(bound: int):
+    """The narrowest signed integer dtype that holds −bound…bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
+class HalfShells(Mapping):
+    """The half shells of `short_vectors_upto(..., half=True)` as integer columns.
+
+    `vecs` holds every vector, in increasing norm; the k-th distinct norm is
+    norms[k]/(2·den) and its vectors are the rows starts[k]:starts[k + 1]
+    (`starts` ends with len(vecs)).  As a mapping it is the buckets, each norm
+    (a Fraction) ↦ its row slice of `vecs`, made when asked for.
+    """
+
+    def __init__(self, vecs: np.ndarray, norms: np.ndarray, starts: np.ndarray, den: int):
+        self.vecs, self.norms, self.starts, self.den = vecs, norms, starts, den
+
+    def __len__(self) -> int:
+        return len(self.norms)
+
+    def __iter__(self):
+        return (Fraction(x, 2 * self.den) for x in self.norms.tolist())
+
+    def __getitem__(self, m) -> np.ndarray:
+        x = 2 * self.den * Fraction(m)
+        k = int(np.searchsorted(self.norms, x.numerator)) if x.denominator == 1 else len(self)
+        if k == len(self) or int(self.norms[k]) != x:
+            raise KeyError(m)
+        return self.vecs[self.starts[k]:self.starts[k + 1]]
+
+
+def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> Mapping[Fraction, np.ndarray]:
     """All integer vectors v != 0 with vᵗGv ≤ 2·max_norm, bucketed by vᵗGv/2.
 
     Each bucket is a k×n array whose rows are sorted lexicographically: int64,
@@ -380,19 +427,26 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> dict[Fraction
     The size reduction and LDL of G's integer numerator come from the
     `_reduced_gram` cache.
 
-    With half=True each bucket holds exactly one of every pair ±v, and the rows
-    are ordered by one stable argsort of the norms alone (within a bucket, in
-    the order the enumeration meets them): for callers whose sums do not depend
-    on the order of a bucket.  The buckets are then consecutive row slices, in
-    increasing norm, of one array, every bucket's `.base`, which a caller may
-    keep whole instead of the buckets.
+    With half=True each bucket holds exactly one of every pair ±v, and the
+    result is a `HalfShells`: one array of rows ordered by one stable argsort of
+    the norms alone (within a bucket, in the order the enumeration meets them),
+    for callers whose sums do not depend on the order of a bucket, with each
+    norm's integer numerator and first row.  Its buckets are consecutive row
+    slices, in increasing norm, of that array.  Its entries are the narrowest
+    signed integer dtype that holds the kernel's own bound on every coordinate
+    (from the bounds on the reduced coordinates and U, never from the rows),
+    or object when the enumeration runs on Python ints.
 
     The leaf coordinate v₀ is expanded in chunks of at most `_LEAF_BUDGET`
-    leaves.  Each kept leaf is recorded as its norm, its prefix and its v₀, and
-    one `take` of the per-prefix rows of v·U builds the result, the only array
-    of whole vectors.  With half=True it is built in its final order, and the
-    memory peak is the result plus about 18 bytes a vector; half=False sorts
-    the built rows into a second copy.
+    leaves.  Each kept leaf is recorded as its norm (the narrowest unsigned
+    dtype that holds the bound), its prefix (int32) and its v₀ (the narrowest
+    dtype that holds the kernel's bound on it), and the rows are built from the
+    records a chunk at a time, by a `take` of the per-prefix rows of v·U.  With
+    half=True the records are put in their final order first, each released
+    before the next copy is made, so the memory peak is that sort: the records,
+    one more record and the 8-byte argsort index (and numpy's 8-byte radix
+    buffer), about 24 bytes a vector, of which tracemalloc sees 21 on R₁ to norm
+    650; half=False sorts the built rows into a second copy.
     """
     g = linalg.frac_mat(g)
     n, den = len(g), g.den
@@ -401,9 +455,13 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> dict[Fraction
     max_norm = Fraction(max_norm)
     bound = 2 * max_norm.numerator * den // max_norm.denominator
     if bound <= 0:
-        return {}
+        return HalfShells(np.empty((0, n), dtype=np.int8), np.empty(0, dtype=np.int64),
+                          np.zeros(1, dtype=np.intp), den) if half else {}
     magnitude = _magnitude(gint, u, minors, m, bound)
     dtype = object if magnitude >= INT64_SAFE else np.int64
+    # half shells in the narrowest dtype that holds every coordinate of v·U
+    vmax = _vmax(minors, m, bound)[0]
+    out_dtype = _narrow_dtype(_coordinate_bound(u, vmax)) if half and dtype is np.int64 else dtype
     # Breadth-first over the coordinates v_{n-1}, …, v_0.  With c_i = Σ_{j>i} L_ji·v_j,
     # each prefix (v_{i+1}, …) carries the integers C_i = Δ_{i+1}·c_i and
     # rem = Δ_{i+1}·(bound − Σ_{j>i} d_j·(v_j + c_j)²); the Fincke–Pohst range of
@@ -440,11 +498,13 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> dict[Fraction
     # each kept leaf is recorded as its norm, its prefix and its v₀
     l = (2 * gmat[0, 1:]) @ cols
     q = ((gmat[1:, 1:] @ cols) * cols).sum(axis=0)
-    w = cols.T @ umat[1:]
+    w = (cols.T @ umat[1:]).astype(out_dtype, copy=False)  # |w| ≤ coord
+    del cols
     total = int(ends[-1])
-    norms = np.empty(total, dtype=np.min_scalar_type(bound) if dtype is np.int64 else dtype)
-    prefix = np.empty(total, dtype=np.intp)
-    v0s = np.empty(total, dtype=dtype)
+    small = dtype is np.int64
+    norms = np.empty(total, dtype=np.min_scalar_type(bound) if small else dtype)
+    prefix = np.empty(total, dtype=np.int32 if len(counts) <= 2 ** 31 else np.intp)
+    v0s = np.empty(total, dtype=_narrow_dtype(vmax[0]) if small else dtype)
     pos = p0 = 0
     while p0 < len(counts):
         start = int(ends[p0] - counts[p0])
@@ -465,24 +525,39 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> dict[Fraction
         norms[pos:pos + k], prefix[pos:pos + k], v0s[pos:pos + k] = norm, par, v0
         pos += k
         p0 = p1
-    if not pos:
-        return {}
+    del l, q, off, counts, ends
     norms, prefix, v0s = norms[:pos], prefix[:pos], v0s[:pos]
     if half:
+        # one stable argsort of the norms; each record is released before the
+        # next copy is made
         order = norms.argsort(kind="stable")
-        norms, prefix, v0s = norms.take(order), prefix.take(order), v0s.take(order)
+        norms = norms.take(order)
+        prefix = prefix.take(order)
+        v0s = v0s.take(order)
         del order
-    vecs = w.take(prefix, axis=0)
-    for t, c in enumerate(u[0]):
-        if c:
-            vecs[:, t] += v0s if c == 1 else c * v0s
-    if not half:
+    # the rows, a chunk at a time: row = w[prefix] + v₀·U₀, exact in out_dtype
+    # since every partial sum of a coordinate stays within coord
+    vecs = np.empty((pos, n), dtype=out_dtype)
+    for r in range(0, pos, _LEAF_BUDGET):
+        rows = vecs[r:r + _LEAF_BUDGET]
+        rows[:] = w.take(prefix[r:r + _LEAF_BUDGET], axis=0)
+        v0 = v0s[r:r + _LEAF_BUDGET].astype(dtype)
+        for t, c in enumerate(u[0]):
+            if c:
+                rows[:, t] += v0 if c == 1 else c * v0
+    del w, prefix, v0s
+    if not half and pos:
         order = _sort_key(norms, vecs).argsort()
         norms, vecs = norms.take(order), vecs.take(order, axis=0)
-    cuts = (np.flatnonzero(norms[1:] != norms[:-1]) + 1).tolist()
-    starts, d2 = [0] + cuts, 2 * den
-    return {Fraction(x, d2): vecs[a:b]
-            for x, a, b in zip(norms[starts].tolist(), starts, cuts + [len(norms)])}
+        del order
+    starts = np.flatnonzero(norms[1:] != norms[:-1]) + 1
+    starts = np.concatenate(([0], starts, [pos])) if pos else np.zeros(1, dtype=np.intp)
+    keys = norms.take(starts[:-1])
+    del norms
+    if half:
+        return HalfShells(vecs, keys, starts, den)
+    bounds, d2 = starts.tolist(), 2 * den
+    return {Fraction(x, d2): vecs[a:b] for x, a, b in zip(keys.tolist(), bounds, bounds[1:])}
 
 
 def short_vectors(g: Matrix, m) -> list[tuple[int, ...]]:

@@ -171,35 +171,41 @@ def _integer(x, what: str) -> int:
     return x
 
 
+def _numerators(values) -> tuple[list[int], int]:
+    """The values of a column of entries, JSON ints or rational strings, as
+    numerators over one positive denominator.  A column of integers converts in
+    one pass of int(); a column with any other value is parsed one by one."""
+    if set(map(type, values)) <= {int, str}:
+        try:
+            return list(map(int, values)), 1
+        except ValueError:
+            pass
+    fracs = [v if type(v) is int else parse_rational(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
 def expansion_from_obj(obj: dict) -> FourierExpansionSiegel2:
     """Parse an expansion document; every entry must be a canonical reduced form
-    within the bounds, given once, with an integer form and a rational value."""
+    within the bounds, given once, with an integer form and a rational value.
+
+    The entries are checked and converted a column at a time: their shape, the
+    three form columns' types, then one int64 array and one column of values."""
     try:
         bound = _integer(obj["bound"], "bound")
         header = (_integer(obj["weight"], "weight"), _integer(obj["level"], "level"), bound)
         singular_bound = _integer(obj.get("singular_bound", bound), "singular_bound")
-        forms, values = [], []
-        for item in obj["entries"]:
-            if not isinstance(item, list) or len(item) != 4:
-                raise SchemaError(f"entry {item!r} must be [a, b, c, value]")
-            a, b, c, v = item
-            if not (type(a) is int and type(b) is int and type(c) is int):
-                raise SchemaError(f"entry {item!r}: the form must be three integers")
-            forms.append((a, b, c))
-            if type(v) is str:
-                try:
-                    v = int(v)
-                except ValueError:
-                    v = parse_rational(v)
-            elif type(v) is not int:
-                v = parse_rational(v)
-            values.append(v)
-        den = math.lcm(*(v.denominator for v in values if type(v) is not int))
-        nums = [v * den if type(v) is int else v.numerator * (den // v.denominator)
-                for v in values]
-        cols = np.array(forms, dtype=np.int64).reshape(-1, 3).T
-        return FourierExpansionSiegel2.from_columns(*header, *cols, nums, den,
-                                                    singular_bound=singular_bound)
+        entries = obj["entries"]
+        if set(map(type, entries)) - {list} or set(map(len, entries)) - {4}:
+            item = next(e for e in entries if not isinstance(e, list) or len(e) != 4)
+            raise SchemaError(f"entry {item!r} must be [a, b, c, value]")
+        a, b, c, values = zip(*entries) if entries else ((),) * 4
+        if set(map(type, a + b + c)) - {int}:
+            item = next(e for e in entries if {type(x) for x in e[:3]} != {int})
+            raise SchemaError(f"entry {item!r}: the form must be three integers")
+        nums, den = _numerators(values)
+        return FourierExpansionSiegel2.from_columns(*header, *np.array((a, b, c), dtype=np.int64),
+                                                    nums, den, singular_bound=singular_bound)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, SchemaError):
             raise

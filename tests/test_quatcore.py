@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import enum_reference
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore
 from helpers import hamilton_algebra, hurwitz_order, level34_order
@@ -113,10 +114,15 @@ def assert_half_shells(half, full):
 
 
 def assert_slices_of_one_array(half):
-    """The half buckets are consecutive row slices, in increasing norm, of their one base."""
+    """The half buckets are consecutive row slices, in increasing norm, of their one
+    base, `half.vecs`; the k-th is norms[k]/(2·den), rows starts[k]:starts[k + 1]."""
+    assert half.starts.tolist() == [0] + list(itertools.accumulate(map(len, half.values())))
+    assert [Fraction(int(x), 2 * half.den) for x in half.norms] == list(half)
     if not half:
+        assert half.vecs.shape[0] == 0
         return
     base = next(iter(half.values())).base
+    assert base is half.vecs
     assert list(half) == sorted(half)
     end = 0
     for vs in half.values():
@@ -277,6 +283,51 @@ def test_isqrt_is_exact_around_squares():
     low = xs < 2 ** 52
     assert quatcore._isqrt(xs[low], True).tolist() == np.array(want)[low].tolist()
     assert np.sqrt(xs[~low]).astype(np.int64).tolist() != np.array(want)[~low].tolist()
+
+
+def narrowest_signed(bound):
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
+@pytest.mark.parametrize("diag,largest,want", [
+    ((2, 500, 500, 500), 126, np.int8), ((2, 500, 500, 500), 127, np.int16),
+    ((2, 500, 500, 500), 128, np.int16), ((2, 10 ** 8), 32766, np.int16),
+    ((2, 10 ** 8), 32767, np.int32), ((2, 10 ** 8), 32768, np.int32)])
+def test_half_shells_take_the_narrowest_dtype_of_the_kernel_bound(diag, largest, want):
+    # vᵗGv ≤ 2·largest² puts the largest coordinate at v₀ = ±largest.  The dtype
+    # comes from the kernel's own bound (vmax and U, here largest + 1), never from
+    # the rows; both Gram matrices keep the kernel on int64, and coordinates near
+    # 32768 need n < 4 for that.  The rows must be the reference's, unwrapped.
+    n = len(diag)
+    g = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    half = short_vectors_upto(g, largest ** 2, half=True)
+    _, u, minors, m = quatcore._reduced_gram(tuple(x for row in g for x in row), n)
+    bound = quatcore._coordinate_bound(u, quatcore._vmax(minors, m, 2 * largest ** 2)[0])
+    assert bound == largest + 1
+    assert half.vecs.dtype == narrowest_signed(bound) == want
+    rows = half.vecs.astype(np.int64)
+    assert np.abs(rows).max() == rows[:, 0].max() == largest
+    # per row (norm index, coordinates), sorted: the same on both sides
+    ref = enum_reference.half_shells(g, largest ** 2)
+    assert half.norms.tolist() == [int(2 * x) for x in ref]
+    assert half.starts.tolist() == [0] + list(itertools.accumulate(map(len, ref.values())))
+    labels = np.repeat(np.arange(len(half)), np.diff(half.starts))[:, None]
+    got, want_rows = (np.hstack((labels, r)) for r in (rows, np.concatenate(list(ref.values()))))
+    assert np.array_equal(got[np.lexsort(got.T)], want_rows[np.lexsort(want_rows.T)])
+
+
+def test_half_shells_read_as_buckets():
+    # the mapping view of the integer columns: Fraction keys, KeyError off the norms
+    g = fx.order_r1().gram
+    full = short_vectors_upto(g, 6)
+    half = short_vectors_upto(g, 6, half=True)
+    assert_half_shells(half, full)
+    assert half.den == g.den and len(half) == len(full)
+    for m in (0, Fraction(1, 3), -2, 7, 10 ** 30):
+        assert m not in half and half.get(m) is None
+        with pytest.raises(KeyError):
+            half[m]
+    assert np.array_equal(half[6], half[Fraction(12, 2)])
 
 
 def test_short_vectors_upto_int64_past_2_52():

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 import enum_reference
 from helpers import hamilton_algebra, monomial_values
 from quatlift import fixture as fx
-from quatlift import linalg, yoshida
+from quatlift import linalg, quatcore, yoshida
 from quatlift.binforms import apply_unimodular, is_ambiguous, reduced_forms_up_to
 from quatlift.brandt import FormSpace, constant_form
 from quatlift.harmonic import (HarmSpace, default_frame, lift_matrix_deg2, lift_poly_deg1,
@@ -210,14 +211,21 @@ def lex_rows(rows: np.ndarray) -> np.ndarray:
 def test_engine_half_shells_match_the_one_shot_kernel(name):
     # every half shell of the bench's engines (norm 650) against the kernel the
     # chunked enumeration replaced: the same rows per norm, and never v with −v
+    # in the narrowest dtype that holds the kernel's coordinate bound (int8 here)
     lattice = {"r1": fx.order_r1, "i12": fx.ideal_i12}[name]()
     engine = ThetaEngine(lattice, 650)
-    want = enum_reference.half_shells(lattice.normalized_gram(), 650)
+    g = lattice.normalized_gram()
+    _, u, minors, m = quatcore._reduced_gram(tuple(g.num.ravel().tolist()), 4)
+    coord = quatcore._coordinate_bound(u, quatcore._vmax(minors, m, 2 * 650)[0])
+    narrowest = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                     if coord <= np.iinfo(t).max)
+    assert engine.shells.dtype == narrowest == np.int8
+    want = enum_reference.half_shells(g, 650)
     assert {m for m in range(1, 651) if len(engine.half_shell(m))} == {int(m) for m in want}
     for m in range(1, 651):
         got = engine.half_shell(m)
         ref = want.get(Fraction(m), np.empty((0, 4), dtype=np.int64))
-        assert got.dtype == np.int64 and np.array_equal(lex_rows(got), lex_rows(ref)), m
+        assert np.array_equal(lex_rows(got), lex_rows(ref)), m
         pm = lex_rows(np.concatenate((got, -got)))
         assert not (pm[1:] == pm[:-1]).all(axis=1).any(), m
 
@@ -445,13 +453,13 @@ def test_golden_lift_serializes_like_fixture_lift():
 
 @pytest.fixture
 def enumeration_norms(monkeypatch):
-    """The max_norm of every enumeration a ThetaEngine asks for; the buckets come back empty."""
+    """The max_norm of every enumeration a ThetaEngine asks for; the shells come back empty."""
     asked = []
 
     def record(g, max_norm, half=False):
         assert half  # engines enumerate half shells
         asked.append(max_norm)
-        return {}
+        return short_vectors_upto(g, 0, half=True)
 
     monkeypatch.setattr(yoshida, "short_vectors_upto", record)
     return asked
@@ -492,6 +500,47 @@ def test_golden_lift_releases_its_engines(monkeypatch):
     fx.golden_lift(300)
     gc.collect()
     assert len(built) == 2 and all(ref() is None for ref in built)
+
+
+def test_theta_lift_drops_each_engine_before_building_the_next(monkeypatch):
+    # no gc.collect: the engine is freed by its last reference going away
+    built, alive = [], []
+    init = ThetaEngine.__init__
+
+    def recording_init(self, *args):
+        alive.append([ref() is not None for ref in built])
+        init(self, *args)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(ThetaEngine, "__init__", recording_init)
+    fx.golden_lift(300)
+    assert alive == [[], [False]]
+
+
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory that tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_engine_memory_peak_per_vector():
+    # R₁ to norm 650 in int8 rows: the leaf records, their one stable sort and the
+    # rows stay within 28 bytes a vector (the int64 rows alone were 32)
+    lattice = fx.order_r1()
+    lattice.normalized_gram()
+    engine, peak = traced_peak(lambda: ThetaEngine(lattice, 650))
+    assert len(engine.shells) == 245697 and engine.shells.dtype == np.int8
+    assert peak <= 28 * len(engine.shells)
+
+
+def test_golden_lift_memory_peak():
+    # one engine at a time, narrow rows and row sums on blocks of the H_c slice
+    lift, peak = traced_peak(lambda: fx.golden_lift(2600))
+    assert len(lift.columns()[0]) == 4159
+    assert peak <= 10 * 2 ** 20
 
 
 def test_golden_lift_runs_in_one_process():
