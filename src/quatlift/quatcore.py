@@ -43,8 +43,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from fractions import Fraction
 from collections.abc import Mapping
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -387,9 +387,12 @@ def _sort_key(norms: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 _LEAF_BUDGET = 1 << 14
 
 
+_SIGNED = tuple((np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.int64))
+
+
 def _narrow_dtype(bound: int):
     """The narrowest signed integer dtype that holds −bound…bound."""
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    return next(t for top, t in _SIGNED if bound <= top)
 
 
 class HalfShells(Mapping):
@@ -525,6 +528,7 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> Mapping[Fract
         norms[pos:pos + k], prefix[pos:pos + k], v0s[pos:pos + k] = norm, par, v0
         pos += k
         p0 = p1
+    # the per-prefix arrays go before the records are copied
     del l, q, off, counts, ends
     norms, prefix, v0s = norms[:pos], prefix[:pos], v0s[:pos]
     if half:
@@ -549,11 +553,9 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> Mapping[Fract
     if not half and pos:
         order = _sort_key(norms, vecs).argsort()
         norms, vecs = norms.take(order), vecs.take(order, axis=0)
-        del order
     starts = np.flatnonzero(norms[1:] != norms[:-1]) + 1
     starts = np.concatenate(([0], starts, [pos])) if pos else np.zeros(1, dtype=np.intp)
     keys = norms.take(starts[:-1])
-    del norms
     if half:
         return HalfShells(vecs, keys, starts, den)
     bounds, d2 = starts.tolist(), 2 * den
