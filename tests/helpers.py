@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
+
 from quatlift import fixture as fx
 from quatlift import linalg
 from quatlift.harmonic import monomials_of_degree
@@ -57,3 +59,8 @@ def monomial_values(x, nu):
             v *= xk ** k
         out.append(v)
     return out
+
+
+def narrowest_signed(bound):
+    """The narrowest signed numpy integer type that holds −bound…bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)

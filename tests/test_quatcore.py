@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import enum_reference
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore
-from helpers import hamilton_algebra, hurwitz_order, level34_order
+from helpers import hamilton_algebra, hurwitz_order, level34_order, narrowest_signed
 from quatlift.quatcore import (ClassSet, Lattice, QuaternionAlgebra, UsageError,
                                check_mass, class_set, conj_trace_norm, eichler_mass,
                                ideal_equivalent, is_ramified, p_neighbors, short_vectors,
@@ -283,10 +283,6 @@ def test_isqrt_is_exact_around_squares():
     low = xs < 2 ** 52
     assert quatcore._isqrt(xs[low], True).tolist() == np.array(want)[low].tolist()
     assert np.sqrt(xs[~low]).astype(np.int64).tolist() != np.array(want)[~low].tolist()
-
-
-def narrowest_signed(bound):
-    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
 
 @pytest.mark.parametrize("diag,largest,want", [

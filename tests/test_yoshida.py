@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import enum_reference
-from helpers import hamilton_algebra, monomial_values
+from helpers import hamilton_algebra, monomial_values, narrowest_signed
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore, yoshida
 from quatlift.binforms import apply_unimodular, is_ambiguous, reduced_forms_up_to
@@ -210,16 +210,14 @@ def lex_rows(rows: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("name", ["r1", "i12"])
 def test_engine_half_shells_match_the_one_shot_kernel(name):
     # every half shell of the bench's engines (norm 650) against the kernel the
-    # chunked enumeration replaced: the same rows per norm, and never v with −v
-    # in the narrowest dtype that holds the kernel's coordinate bound (int8 here)
+    # chunked enumeration replaced: the same rows per norm, and never v with −v;
+    # the rows in the narrowest dtype that holds the kernel's coordinate bound
     lattice = {"r1": fx.order_r1, "i12": fx.ideal_i12}[name]()
     engine = ThetaEngine(lattice, 650)
     g = lattice.normalized_gram()
     _, u, minors, m = quatcore._reduced_gram(tuple(g.num.ravel().tolist()), 4)
     coord = quatcore._coordinate_bound(u, quatcore._vmax(minors, m, 2 * 650)[0])
-    narrowest = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                     if coord <= np.iinfo(t).max)
-    assert engine.shells.dtype == narrowest == np.int8
+    assert engine.shells.dtype == narrowest_signed(coord) == np.int8
     want = enum_reference.half_shells(g, 650)
     assert {m for m in range(1, 651) if len(engine.half_shell(m))} == {int(m) for m in want}
     for m in range(1, 651):
@@ -265,6 +263,25 @@ def test_row_sums_match_full_shell_pairs(nu):
         want = [brute_pair_sum(lattice, a, b, c, mat, nu) for c, bs in cbs for b in bs]
         assert got == want
         assert any(want) == (a != 1 and bool(a or not nu))  # M(0) = 0 for ν ≥ 1; H₁ = ∅
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_row_sums_do_not_depend_on_the_block_size(monkeypatch, block):
+    # blocks of 1, 3 and 7 rows of the H_c slice split the work only: a block may
+    # start or end inside a shell, and I₁₂ has no vector of norm 1
+    engine = ThetaEngine(fx.ideal_i12(), 12)
+    rng = random.Random(block)
+    rows = [(a, [c for c in range(1, 13) for _ in range(2 * a + 1)],
+             [b for _ in range(1, 13) for b in range(-a, a + 1)]) for a in (2, 3, 5)]
+    for nu in (0, 1, 2):
+        monos = monomials_of_degree(4, nu)
+        mat = np.array([[rng.choice([-3, -1, 2, 5]) for _ in monos] for _ in monos],
+                       dtype=np.int64)
+        monkeypatch.setattr(yoshida, "_BLOCK", 1 << 14)
+        want = [engine.row_sums(a, cs, bs, mat, nu).tolist() for a, cs, bs in rows]
+        monkeypatch.setattr(yoshida, "_BLOCK", block)
+        got = [engine.row_sums(a, cs, bs, mat, nu).tolist() for a, cs, bs in rows]
+        assert got == want and any(map(any, want)), nu
 
 
 @pytest.mark.parametrize("max_norm", [0, 3])
@@ -530,7 +547,7 @@ def test_engine_memory_peak_per_vector():
     # R₁ to norm 650 in int8 rows: the leaf records, their one stable sort and the
     # rows stay within 28 bytes a vector (the int64 rows alone were 32)
     lattice = fx.order_r1()
-    lattice.normalized_gram()
+    lattice.normalized_gram()  # cached before the trace starts
     engine, peak = traced_peak(lambda: ThetaEngine(lattice, 650))
     assert len(engine.shells) == 245697 and engine.shells.dtype == np.int8
     assert peak <= 28 * len(engine.shells)
