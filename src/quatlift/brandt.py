@@ -163,7 +163,8 @@ def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None)
             row = []
             for j in range(cs.h):
                 cross = cs.cross_lattice(j, i)
-                scale = Fraction(1, cs.unit_counts[j]) / cross.norm_scale ** nu
+                # the half bucket, doubled: τ(−x) = τ(x)
+                scale = Fraction(2, cs.unit_counts[j]) / cross.norm_scale ** nu
                 vecs = cs.cross_vectors(j, i, p)
                 row.append(tau_matrix_sum(cross, vecs, space.space) * scale)
             blocks.append(row)

@@ -215,7 +215,8 @@ def integral_tau_matrix(y: QuatElement, space: HarmSpace) -> linalg.Matrix:
 def tau_matrix_sum(lattice: Lattice, vecs, space: HarmSpace) -> linalg.Matrix:
     """Σ of integral_tau_matrix(x, space) over x = the rows of `vecs` in lattice coordinates.
 
-    `vecs` is a k×4 enumeration bucket (int64 or object); exact for any k ≥ 0.
+    `vecs` is a k×4 enumeration bucket (any signed integer dtype, or object);
+    exact for any k ≥ 0.
     """
     return _tau_sum(vecs, *linalg.integer_form(lattice.basis), space)
 

@@ -45,9 +45,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.coeffs), default=0)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.nvars == other.nvars and self.coeffs == other.coeffs
 
@@ -131,32 +128,8 @@ class Poly:
             out = out + Poly(self.nvars, q).subs_polys(images) * images[i]
         return out
 
-    def subs_linear(self, mat) -> "Poly":
-        """Substitute x_i -> sum_j mat[i][j]·x_j (same number of variables)."""
-        images = []
-        for i in range(self.nvars):
-            images.append(Poly(self.nvars, {tuple(int(j == k) for k in range(self.nvars)): mat[i][j]
-                                            for j in range(self.nvars) if mat[i][j]}))
-        return self.subs_polys(images)
-
     def coefficient_vector(self, monomials) -> list[Fraction]:
         return [self.coeffs.get(tuple(m), Fraction(0)) for m in monomials]
-
-    def primitive(self) -> "Poly":
-        """Scale so coefficients are coprime integers, first (sorted) one positive."""
-        if not self.coeffs:
-            return self
-        import math
-        num = 0
-        den = 1
-        for c in self.coeffs.values():
-            num = math.gcd(num, c.numerator)
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        g = Fraction(num, den)
-        lead = self.coeffs[min(self.coeffs)]
-        if lead < 0:
-            g = -g
-        return self.scale(1 / g)
 
     def __repr__(self):
         if not self.coeffs:

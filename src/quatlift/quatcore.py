@@ -3,7 +3,7 @@
 Elements, lattices (orders and ideals), Gram matrices, short-vector
 enumeration, ideal classes and two-sided ideals.  Everything is immutable
 after construction and deterministic: vector lists are lexicographically
-sorted (engine half shells are ordered by norm only), class representatives are
+sorted (half shells are ordered by norm only), class representatives are
 produced in BFS discovery order.
 
 Lattice bases, Gram matrices and the multiplication table are `linalg.Matrix`
@@ -24,18 +24,19 @@ costs a few elementwise operations and is recorded as its norm, its prefix and
 v₀.  Membership is then decided by the integer norm test 0 < vᵗGv ≤ bound
 alone.  Before enumerating, a bound on every intermediate integer picks the
 array dtype: int64 when it stays below 2⁶², otherwise object arrays of Python
-ints running the same code.  The vectors are ordered by one argsort of a single
-mixed-radix integer key (`_sort_key`),
-norm·spanⁿ + Σ (v_t − low_t)·span^(n−1−t), under the same kind of bound: int64
-below 2⁶², Python ints above.  The keys are distinct, so each norm's bucket
-comes out sorted lexicographically.  The half shells that theta engines ask for
-(half=True: one of each ±v, the one whose last nonzero reduced coordinate is
-positive) are ordered by norm only, by a stable sort of the leaf records that
-runs before the rows are built, and come as a `HalfShells`: one array of rows
-in the narrowest signed dtype that holds the kernel's coordinate bound, with
-integer norms and offsets.  Full buckets are int64 (or object) arrays; callers
-that feed coordinates into Fractions convert rows with `.tolist()`, because a
-Fraction built from np.int64 keeps an np.int64 numerator.
+ints running the same code.
+
+The kernel has one output, half shells: one of each ±v, the one whose last
+nonzero reduced coordinate is positive, ordered by norm only, by a stable sort
+of the leaf records that runs before the rows are built.  They come as a
+`HalfShells`: one array of rows in the narrowest signed dtype that holds the
+kernel's coordinate bound, with integer norms and offsets.  Every weight summed
+over a shell is even in v (a τ-matrix is quadratic in v, a theta weight of
+bidegree (ν, ν) is even over the pair), so theta engines, Brandt blocks and the
+degree-1 lifts sum over half shells and double.  `short_vectors` is the one
+full-shell list: H_m ∪ −H_m sorted lexicographically.  Callers that feed
+coordinates into Fractions convert rows with `.tolist()`, because a Fraction
+built from a numpy integer keeps a numpy numerator.
 """
 
 from __future__ import annotations
@@ -339,14 +340,13 @@ def _coordinate_bound(u: list[list[int]], vmax: list[int]) -> int:
     return max(sum(vmax[i] * abs(u[i][t]) for i in range(n)) for t in range(n))
 
 
-def _magnitude(g: list[list[int]], u: list[list[int]], minors: list[int],
-               m: list[list[int]], bound: int) -> int:
-    """An upper bound on the absolute value of every integer the enumeration forms."""
+def _magnitude(g: list[list[int]], vmax: list[int], terms: list[int], coord: int) -> int:
+    """An upper bound on the absolute value of every integer the enumeration forms,
+    from `_vmax`'s bounds and `_coordinate_bound`'s bound coord."""
     n = len(g)
-    vmax, terms = _vmax(minors, m, bound)
     # every partial sum of vᵗGv, and so the leaf level's l·v₀, q and g₀₀·v₀²
-    terms.append(sum(vmax[a] * abs(g[a][b]) * vmax[b] for a in range(n) for b in range(n)))
-    return max(terms + [_coordinate_bound(u, vmax)])
+    quad = sum(vmax[a] * abs(g[a][b]) * vmax[b] for a in range(n) for b in range(n))
+    return max(*terms, quad, coord)
 
 
 def _isqrt(x: np.ndarray, below_2_52: bool = False) -> np.ndarray:
@@ -364,23 +364,6 @@ def _isqrt(x: np.ndarray, below_2_52: bool = False) -> np.ndarray:
     return s
 
 
-def _sort_key(norms: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """One integer per row, ordered as the rows' (norm, v₀, …, v_{n−1}) lexicographically.
-
-    The mixed-radix key norm·spanⁿ + Σ_t (v_t − low_t)·span^(n−1−t), with low_t the
-    least v_t and span the widest coordinate range, is distinct for distinct rows.  It
-    is int64 when the vectors are and (max norm + 1)·spanⁿ < 2⁶², otherwise Python ints.
-    """
-    n = vecs.shape[1]
-    low = vecs.min(axis=0).tolist()
-    span = max(hi - lo for hi, lo in zip(vecs.max(axis=0).tolist(), low)) + 1
-    small = vecs.dtype != object and (int(norms.max()) + 1) * span ** n < INT64_SAFE
-    dtype = np.int64 if small else object
-    digits = vecs.astype(dtype, copy=False) - np.array(low, dtype=dtype)
-    radix = np.array([span ** (n - 1 - t) for t in range(n)], dtype=dtype)
-    return norms.astype(dtype) * span ** n + digits @ radix
-
-
 # The leaf coordinate v₀ is expanded a chunk of prefixes at a time, each chunk
 # holding at most this many leaves (or one prefix's range): a chunk's working
 # arrays, about 60 bytes a leaf (1 MB in all), stay in the CPU's L2 cache.
@@ -396,7 +379,7 @@ def _narrow_dtype(bound: int):
 
 
 class HalfShells(Mapping):
-    """The half shells of `short_vectors_upto(..., half=True)` as integer columns.
+    """The half shells of `short_vectors_upto` as integer columns.
 
     `vecs` holds every vector, in increasing norm; the k-th distinct norm is
     norms[k]/(2·den) and its vectors are the rows starts[k]:starts[k + 1]
@@ -421,35 +404,33 @@ class HalfShells(Mapping):
         return self.vecs[self.starts[k]:self.starts[k + 1]]
 
 
-def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> Mapping[Fraction, np.ndarray]:
-    """All integer vectors v != 0 with vᵗGv ≤ 2·max_norm, bucketed by vᵗGv/2.
+def short_vectors_upto(g: Matrix, max_norm) -> HalfShells:
+    """Half of the integer vectors v != 0 with vᵗGv ≤ 2·max_norm, bucketed by vᵗGv/2.
 
-    Each bucket is a k×n array whose rows are sorted lexicographically: int64,
-    or object (Python ints) when the entries could overflow int64.  G must be
-    positive definite.  The rows are ordered by one argsort of `_sort_key`.
+    Each bucket H_m holds exactly one of every pair ±v of norm m, the one whose
+    last nonzero reduced coordinate is positive; every caller's sum is even in
+    v, or it takes H_m ∪ −H_m (`short_vectors`).  G must be positive definite.
     The size reduction and LDL of G's integer numerator come from the
     `_reduced_gram` cache.
 
-    With half=True each bucket holds exactly one of every pair ±v, and the
-    result is a `HalfShells`: one array of rows ordered by one stable argsort of
-    the norms alone (within a bucket, in the order the enumeration meets them),
-    for callers whose sums do not depend on the order of a bucket, with each
-    norm's integer numerator and first row.  Its buckets are consecutive row
-    slices, in increasing norm, of that array.  Its entries are the narrowest
-    signed integer dtype that holds the kernel's own bound on every coordinate
-    (from the bounds on the reduced coordinates and U, never from the rows),
-    or object when the enumeration runs on Python ints.
+    The result is a `HalfShells`: one array of rows ordered by one stable
+    argsort of the norms alone (within a bucket, in the order the enumeration
+    meets them), with each norm's integer numerator and first row, so the
+    buckets are consecutive row slices, in increasing norm, of that array.  Its
+    entries are the narrowest signed integer dtype that holds the kernel's own
+    bound on every coordinate (from the bounds on the reduced coordinates and U,
+    never from the rows), or object (Python ints) when the enumeration runs on
+    Python ints.
 
     The leaf coordinate v₀ is expanded in chunks of at most `_LEAF_BUDGET`
     leaves.  Each kept leaf is recorded as its norm (the narrowest unsigned
     dtype that holds the bound), its prefix (int32) and its v₀ (the narrowest
-    dtype that holds the kernel's bound on it), and the rows are built from the
-    records a chunk at a time, by a `take` of the per-prefix rows of v·U.  With
-    half=True the records are put in their final order first, each released
-    before the next copy is made, so the memory peak is that sort: the records,
-    one more record and the 8-byte argsort index (and numpy's 8-byte radix
-    buffer), about 24 bytes a vector, of which tracemalloc sees 21 on R₁ to norm
-    650; half=False sorts the built rows into a second copy.
+    dtype that holds the kernel's bound on it).  The records are put in their
+    final order, each released before the next copy is made, and the rows are
+    then built from them a chunk at a time, by a `take` of the per-prefix rows
+    of v·U.  The memory peak is that sort: the records, one more record and the
+    8-byte argsort index (and numpy's 8-byte radix buffer), about 24 bytes a
+    vector, of which tracemalloc sees 21 on R₁ to norm 650.
     """
     g = linalg.frac_mat(g)
     n, den = len(g), g.den
@@ -459,19 +440,20 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> Mapping[Fract
     bound = 2 * max_norm.numerator * den // max_norm.denominator
     if bound <= 0:
         return HalfShells(np.empty((0, n), dtype=np.int8), np.empty(0, dtype=np.int64),
-                          np.zeros(1, dtype=np.intp), den) if half else {}
-    magnitude = _magnitude(gint, u, minors, m, bound)
+                          np.zeros(1, dtype=np.intp), den)
+    vmax, terms = _vmax(minors, m, bound)
+    coord = _coordinate_bound(u, vmax)
+    magnitude = _magnitude(gint, vmax, terms, coord)
     dtype = object if magnitude >= INT64_SAFE else np.int64
-    # half shells in the narrowest dtype that holds every coordinate of v·U
-    vmax = _vmax(minors, m, bound)[0]
-    out_dtype = _narrow_dtype(_coordinate_bound(u, vmax)) if half and dtype is np.int64 else dtype
+    # the rows in the narrowest dtype that holds every coordinate of v·U
+    out_dtype = _narrow_dtype(coord) if dtype is np.int64 else dtype
     # Breadth-first over the coordinates v_{n-1}, …, v_0.  With c_i = Σ_{j>i} L_ji·v_j,
     # each prefix (v_{i+1}, …) carries the integers C_i = Δ_{i+1}·c_i and
     # rem = Δ_{i+1}·(bound − Σ_{j>i} d_j·(v_j + c_j)²); the Fincke–Pohst range of
     # v_i is exactly the integers with x² ≤ Δ_i·rem, x = Δ_{i+1}·v_i + C_i.
-    # With half=True, a prefix that is still all zero has centre 0 and a range
-    # symmetric about 0; starting it at 0 keeps, of each pair ±v, the one whose
-    # last nonzero coordinate is positive (U is linear, so this survives v ↦ vU).
+    # A prefix that is still all zero has centre 0 and a range symmetric about
+    # 0; starting it at 0 keeps, of each pair ±v, the one whose last nonzero
+    # coordinate is positive (U is linear, so this survives v ↦ vU).
     gmat, mmat, umat = (np.array(x, dtype=dtype) for x in (gint, m, u))
     cols = np.zeros((0, 1), dtype=dtype)  # row j − i − 1 is v_j of every prefix
     rem = np.array([minors[n] * bound], dtype=dtype)
@@ -482,8 +464,7 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> Mapping[Fract
         room = minors[i] * rem
         root = _isqrt(room, magnitude < 2 ** 52)
         lo = -((root + center) // step)
-        if half:
-            lo[zero] = 0
+        lo[zero] = 0
         counts = ((root - center) // step - lo + 1).astype(np.int64, copy=False)
         ends = counts.cumsum()
         # v_i = lo + (its index among all v_i) − (the index of its prefix's first)
@@ -495,8 +476,7 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> Mapping[Fract
         x = step * vi + center.repeat(counts)
         rem = (room.repeat(counts) - x * x) // step
         cols = np.concatenate((vi[None], cols.repeat(counts, axis=1)))
-        if half:
-            zero = zero.repeat(counts) & (vi == 0)
+        zero = zero.repeat(counts) & (vi == 0)
     # the leaf level: per prefix, vᵗGv = g₀₀·v₀² + l·v₀ + q and v·U = w + v₀·U₀;
     # each kept leaf is recorded as its norm, its prefix and its v₀
     l = (2 * gmat[0, 1:]) @ cols
@@ -530,15 +510,13 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> Mapping[Fract
         p0 = p1
     # the per-prefix arrays go before the records are copied
     del l, q, off, counts, ends
-    norms, prefix, v0s = norms[:pos], prefix[:pos], v0s[:pos]
-    if half:
-        # one stable argsort of the norms; each record is released before the
-        # next copy is made
-        order = norms.argsort(kind="stable")
-        norms = norms.take(order)
-        prefix = prefix.take(order)
-        v0s = v0s.take(order)
-        del order
+    # one stable argsort of the norms; each record is released before the next
+    # copy is made
+    order = norms[:pos].argsort(kind="stable")
+    norms = norms.take(order)
+    prefix = prefix.take(order)
+    v0s = v0s.take(order)
+    del order
     # the rows, a chunk at a time: row = w[prefix] + v₀·U₀, exact in out_dtype
     # since every partial sum of a coordinate stays within coord
     vecs = np.empty((pos, n), dtype=out_dtype)
@@ -550,30 +528,27 @@ def short_vectors_upto(g: Matrix, max_norm, half: bool = False) -> Mapping[Fract
             if c:
                 rows[:, t] += v0 if c == 1 else c * v0
     del w, prefix, v0s
-    if not half and pos:
-        order = _sort_key(norms, vecs).argsort()
-        norms, vecs = norms.take(order), vecs.take(order, axis=0)
     starts = np.flatnonzero(norms[1:] != norms[:-1]) + 1
     starts = np.concatenate(([0], starts, [pos])) if pos else np.zeros(1, dtype=np.intp)
-    keys = norms.take(starts[:-1])
-    if half:
-        return HalfShells(vecs, keys, starts, den)
-    bounds, d2 = starts.tolist(), 2 * den
-    return {Fraction(x, d2): vecs[a:b] for x, a, b in zip(keys.tolist(), bounds, bounds[1:])}
+    return HalfShells(vecs, norms.take(starts[:-1]), starts, den)
 
 
 def short_vectors(g: Matrix, m) -> list[tuple[int, ...]]:
     """Exactly the integer vectors v with vᵗGv = 2m, sorted lexicographically.
 
-    m = 0 returns only the zero vector.
+    The half shell H_m and its negatives, sorted by Python, which stays exact
+    on rows of Python ints.  m = 0 returns only the zero vector.
     """
     m = Fraction(m)
     if m < 0:
         raise ValueError("norm must be nonnegative")
     if m == 0:
         return [(0,) * len(g)]
-    vecs = short_vectors_upto(g, m).get(m)
-    return [] if vecs is None else list(map(tuple, vecs.tolist()))
+    half = short_vectors_upto(g, m).get(m)
+    if half is None:
+        return []
+    half = half.tolist()
+    return sorted(map(tuple, half + [[-x for x in v] for v in half]))
 
 
 class Lattice:
@@ -927,7 +902,8 @@ class ClassSet:
         return self._cross[key]
 
     def cross_vectors(self, i: int, j: int, p: int) -> np.ndarray:
-        """Read-only k×4 bucket of the cross_lattice(i, j) vectors of normalized norm p."""
+        """Read-only k×4 half bucket of the cross_lattice(i, j) vectors of normalized
+        norm p: one of each ±x."""
         key = (i, j, p)
         if key not in self._cross_vectors:
             gram = self.cross_lattice(i, j).normalized_gram()

@@ -287,7 +287,7 @@ class ThetaEngine:
         # one of each pair ±x per norm; the weights of bidegree (ν, ν) change by
         # (−1)^ν under x ↦ −x, so the half shells carry every pair sum.  The
         # kernel's integer norms vᵗGv = 2m and their first rows give the offsets
-        shells = short_vectors_upto(g, max_norm, half=True)
+        shells = short_vectors_upto(g, max_norm)
         assert shells.den == 1 and not (shells.norms % 2).any()
         norms = shells.norms // 2
         self.start = shells.starts[np.searchsorted(norms, np.arange(max_norm + 2))]
@@ -504,7 +504,8 @@ def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     """Degree-1 lift a(m) = Σ_ij (1/e_ie_j)·⟨⟨φ₁(y_i), Σ_{q(x)=m} τ̃(x)φ₂(y_j)⟩⟩.
 
     x runs over cross(i, j) and τ̃(x) is its integral τ-matrix, so each norm m
-    is one Brandt-kernel call, `tau_matrix_sum`; x = 0 adds a(0) at ν = 0.
+    is one Brandt-kernel call, `tau_matrix_sum`, on the half shell H_m, doubled
+    since τ̃(−x) = τ̃(x); x = 0 adds a(0) at ν = 0.
     """
     if phi1.nu != phi2.nu:
         raise UsageError("degree-1 lift requires equal harmonic degrees")
@@ -520,11 +521,11 @@ def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
                 continue
             cross = cs.cross_lattice(i, j)
             scale = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j]) / cross.norm_scale ** nu
-            buckets = short_vectors_upto(cross.normalized_gram(), bound)
-            for m, vecs in buckets.items():
+            shells = short_vectors_upto(cross.normalized_gram(), bound)
+            for m, vecs in shells.items():
                 s = harm.pair_coords(u, linalg.vec_mat(v, tau_matrix_sum(cross, vecs, harm)))
                 if s:
-                    coeffs[int(m)] += scale * s
+                    coeffs[int(m)] += 2 * scale * s
             if nu == 0:
                 coeffs[0] += scale * harm.pair_coords(u, v)
     return QExpansion(2 + 2 * nu, cs.order.level, bound, coeffs)
@@ -532,10 +533,10 @@ def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
 
 def theta1_counts(lattice: Lattice, bound: int) -> QExpansion:
     """Degree-1 theta series of a lattice with trivial weight: a(m) = #{x : q(x) = m}."""
-    buckets = short_vectors_upto(lattice.normalized_gram(), bound)
+    shells = short_vectors_upto(lattice.normalized_gram(), bound)
     coeffs = {0: Fraction(1)}
-    for m, vecs in buckets.items():
-        coeffs[int(m)] = Fraction(len(vecs))
+    for m, vecs in shells.items():
+        coeffs[int(m)] = Fraction(2 * len(vecs))
     return QExpansion(2, 0, bound, coeffs)
 
 

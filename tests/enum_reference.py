@@ -2,8 +2,8 @@
 
 The whole Fincke–Pohst tree as one 2-D array of coordinate rows, norms from one
 int64 matmul, rows ordered by an argsort of the norms.  Kept as an oracle for
-`quatcore.short_vectors_upto(..., half=True)`: the same lattice must give the
-same rows in every norm bucket, in any order.
+`quatcore.short_vectors_upto`: the same lattice must give the same rows in every
+norm bucket, in any order.
 """
 
 import math

@@ -105,12 +105,13 @@ def as_lists(buckets):
 
 
 def assert_half_shells(half, full):
-    """Each half bucket holds one of every ±v of the full bucket, and nothing else."""
-    assert half.keys() == full.keys()
+    """Each half bucket holds one of every ±v of the full bucket, and nothing else;
+    `full` maps each norm to its list of vectors; the half buckets come in increasing norm."""
+    assert list(half) == sorted(full)
     for m, rows in as_lists(half).items():
         negated = {tuple(-x for x in v) for v in rows}
         assert len(set(rows)) == len(rows) and not negated & set(rows)
-        assert set(rows) | negated == set(as_lists(full)[m])
+        assert set(rows) | negated == set(full[m])
 
 
 def assert_slices_of_one_array(half):
@@ -132,6 +133,20 @@ def assert_slices_of_one_array(half):
     assert end == len(base)
 
 
+def check_enumeration(g, max_norm):
+    """The half shells of g against the brute-force oracle, and `short_vectors` of
+    every norm against its full, lexicographic list; returns the half shells."""
+    half = short_vectors_upto(g, max_norm)
+    full = brute_force_short_vectors(g, max_norm)
+    assert_half_shells(half, full)
+    assert_slices_of_one_array(half)
+    for m, vs in full.items():
+        assert short_vectors(g, m) == vs
+    if max_norm > 0 and max_norm not in full:
+        assert short_vectors(g, max_norm) == []
+    return half
+
+
 GRAM_STRATEGIES = dict(a=st.lists(st.integers(-2, 2), min_size=16, max_size=16),
                        diag=st.lists(st.integers(1, 3), min_size=4, max_size=4),
                        off=st.lists(st.integers(-1, 1), min_size=6, max_size=6),
@@ -140,7 +155,7 @@ GRAM_STRATEGIES = dict(a=st.lists(st.integers(-2, 2), min_size=16, max_size=16),
 
 
 def check_against_brute_force(a, diag, off, den, max_norm):
-    """Both enumerations of a random Gram matrix, checked; returns (full, half)."""
+    """The enumeration of a random Gram matrix, checked; returns the half shells."""
     # A·Aᵗ + diag has least eigenvalue ≥ 1; the off-diagonal fifths have norm < 1,
     # so G stays positive definite, and den ≠ 1 or off ≠ 0 makes it non-integral
     rows = [a[4 * i:4 * i + 4] for i in range(4)]
@@ -148,13 +163,7 @@ def check_against_brute_force(a, diag, off, den, max_norm):
     g = [[(sum(rows[i][k] * rows[j][k] for k in range(4)) + (diag[i] if i == j else 0)
            + Fraction(pert.get((min(i, j), max(i, j)), 0), 5)) / den
           for j in range(4)] for i in range(4)]
-    got = short_vectors_upto(g, max_norm)
-    assert as_lists(got) == brute_force_short_vectors(g, max_norm)
-    assert list(got) == sorted(got)
-    half = short_vectors_upto(g, max_norm, half=True)
-    assert_half_shells(half, got)
-    assert_slices_of_one_array(half)
-    return got, half
+    return check_enumeration(g, max_norm)
 
 
 def assert_same_buckets(want, got):
@@ -164,17 +173,25 @@ def assert_same_buckets(want, got):
         assert vs.dtype == got[m].dtype and np.array_equal(vs, got[m])
 
 
-@pytest.mark.parametrize("half", [False, True])
-def test_short_vectors_upto_same_buckets_on_a_cache_hit(half):
-    g = level34_order().gram
+@pytest.mark.parametrize("huge", [False, True])
+def test_short_vectors_upto_same_buckets_on_a_cache_hit(huge):
+    # the level-34 order on int64, and the huge Gram matrix on Python ints
+    if huge:
+        scale = 10 ** 20
+        g, bound = huge_gram(scale), 4 * scale
+        halved_g = [[x / 2 for x in row] for row in g]
+    else:
+        g, bound = level34_order().gram, 12
+        halved_g = g * Fraction(1, 2)
     quatcore._reduced_gram.cache_clear()
-    miss = short_vectors_upto(g, 12, half)
+    miss = short_vectors_upto(g, bound)
+    assert miss and (miss.vecs.dtype == object) == huge
     assert quatcore._reduced_gram.cache_info()[:2] == (0, 1)  # (hits, misses)
-    hit = short_vectors_upto(g, 12, half)
+    hit = short_vectors_upto(g, bound)
     assert quatcore._reduced_gram.cache_info()[:2] == (1, 1)
     assert_same_buckets(miss, hit)
     # G/2 has the same integer numerator, so it reads the same entry
-    halved = short_vectors_upto(g * Fraction(1, 2), 6, half)
+    halved = short_vectors_upto(halved_g, Fraction(bound, 2))
     assert quatcore._reduced_gram.cache_info()[:2] == (2, 1)
     assert_same_buckets({m / 2: vs for m, vs in miss.items()}, halved)
 
@@ -208,8 +225,7 @@ def test_short_vectors_upto_chunk_boundaries(budget, a, diag, off, den, max_norm
     whole = check_against_brute_force(a, diag, off, den, max_norm)
     with mock.patch.object(quatcore, "_LEAF_BUDGET", budget):
         chunked = check_against_brute_force(a, diag, off, den, max_norm)
-    for want, got in zip(whole, chunked):
-        assert_same_buckets(want, got)
+    assert_same_buckets(whole, chunked)
 
 
 def huge_gram(scale):
@@ -221,15 +237,9 @@ def huge_gram(scale):
 
 def check_huge_entries():
     scale = 10 ** 20  # leading minors near 10⁸⁰: past int64
-    g = huge_gram(scale)
-    got = short_vectors_upto(g, 4 * scale)
-    assert got and all(vs.dtype == object for vs in got.values())
-    assert as_lists(got) == brute_force_short_vectors(g, 4 * scale)
-    half = short_vectors_upto(g, 4 * scale, half=True)
-    assert all(vs.dtype == object for vs in half.values())
-    assert_half_shells(half, got)
-    assert_slices_of_one_array(half)
-    return got, half
+    half = check_enumeration(huge_gram(scale), 4 * scale)
+    assert half and half.vecs.dtype == object
+    return half
 
 
 def test_short_vectors_upto_huge_entries_use_python_ints():
@@ -240,21 +250,23 @@ def test_short_vectors_upto_huge_entries_use_python_ints():
 def test_short_vectors_upto_huge_entries_chunked(monkeypatch, budget):
     whole = check_huge_entries()
     monkeypatch.setattr(quatcore, "_LEAF_BUDGET", budget)
-    for want, got in zip(whole, check_huge_entries()):
-        assert_same_buckets(want, got)
+    assert_same_buckets(whole, check_huge_entries())
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7, quatcore._LEAF_BUDGET])
-@pytest.mark.parametrize("half", [False, True])
-def test_short_vectors_upto_below_the_minimum_is_empty(monkeypatch, budget, half):
-    # the bound is positive but no nonzero vector reaches it, on both dtypes
+@pytest.mark.parametrize("huge", [False, True])
+def test_short_vectors_upto_below_the_minimum_is_empty(monkeypatch, budget, huge):
+    # the bound is positive but no nonzero vector reaches it: R₁ on int64, and
+    # the huge Gram matrix on Python ints
     monkeypatch.setattr(quatcore, "_LEAF_BUDGET", budget)
-    r1 = fx.order_r1().gram
-    assert short_vectors_upto(r1, Fraction(1, 2), half=half) == {}
-    assert short_vectors_upto(r1, Fraction(99, 100), half=half) == {}
-    scale = 10 ** 20
-    assert short_vectors_upto(huge_gram(scale), scale // 2, half=half) == {}
-    assert short_vectors_upto(huge_gram(scale), scale, half=half)
+    if huge:
+        scale = 10 ** 20
+        assert short_vectors_upto(huge_gram(scale), scale // 2) == {}
+        assert short_vectors_upto(huge_gram(scale), scale)
+    else:
+        r1 = fx.order_r1().gram
+        assert short_vectors_upto(r1, Fraction(1, 2)) == {}
+        assert short_vectors_upto(r1, Fraction(99, 100)) == {}
 
 
 @pytest.mark.parametrize("g", [[[2]], [[Fraction(1, 3)]], [[2, 1], [1, 2]],
@@ -266,11 +278,7 @@ def test_short_vectors_upto_small_dimensions(monkeypatch, g, budget):
     # n = 1, 2, 3: no prefix level, one, and two; with and without size reduction
     monkeypatch.setattr(quatcore, "_LEAF_BUDGET", budget)
     for max_norm in (Fraction(1, 2), 3, Fraction(17, 3)):
-        got = short_vectors_upto(g, max_norm)
-        assert as_lists(got) == brute_force_short_vectors(g, max_norm)
-        half = short_vectors_upto(g, max_norm, half=True)
-        assert_half_shells(half, got)
-        assert_slices_of_one_array(half)
+        check_enumeration(g, max_norm)
 
 
 def test_isqrt_is_exact_around_squares():
@@ -296,7 +304,7 @@ def test_half_shells_take_the_narrowest_dtype_of_the_kernel_bound(diag, largest,
     # 32768 need n < 4 for that.  The rows must be the reference's, unwrapped.
     n = len(diag)
     g = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    half = short_vectors_upto(g, largest ** 2, half=True)
+    half = short_vectors_upto(g, largest ** 2)
     _, u, minors, m = quatcore._reduced_gram(tuple(x for row in g for x in row), n)
     bound = quatcore._coordinate_bound(u, quatcore._vmax(minors, m, 2 * largest ** 2)[0])
     assert bound == largest + 1
@@ -315,10 +323,9 @@ def test_half_shells_take_the_narrowest_dtype_of_the_kernel_bound(diag, largest,
 def test_half_shells_read_as_buckets():
     # the mapping view of the integer columns: Fraction keys, KeyError off the norms
     g = fx.order_r1().gram
-    full = short_vectors_upto(g, 6)
-    half = short_vectors_upto(g, 6, half=True)
-    assert_half_shells(half, full)
-    assert half.den == g.den and len(half) == len(full)
+    half = short_vectors_upto(g, 6)
+    assert_half_shells(half, brute_force_short_vectors(g, 6))
+    assert half.den == g.den
     for m in (0, Fraction(1, 3), -2, 7, 10 ** 30):
         assert m not in half and half.get(m) is None
         with pytest.raises(KeyError):
@@ -332,54 +339,20 @@ def test_short_vectors_upto_int64_past_2_52():
     g = [[30 * x for x in row] for row in fx.R1_GRAM]
     gint, u = quatcore._gauss_reduce_gram(g)
     minors, m = quatcore._int_ldl(gint)
-    assert 2 ** 52 <= quatcore._magnitude(gint, u, minors, m, 2 * 120) < linalg.INT64_SAFE
-    got = short_vectors_upto(g, 120)
-    assert got and all(vs.dtype == np.int64 for vs in got.values())
-    assert as_lists(got) == brute_force_short_vectors(g, 120)
-    half = short_vectors_upto(g, 120, half=True)
-    assert_half_shells(half, got)
-    assert_slices_of_one_array(half)
-
-
-def lexsort_rows(norms, vecs):
-    return np.lexsort(tuple(vecs[:, t] for t in range(vecs.shape[1] - 1, -1, -1)) + (norms,))
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_sort_key_orders_like_lexsort(seed):
-    rng = np.random.default_rng(seed)
-    vecs = np.unique(rng.integers(-30, 31, size=(2000, 4)), axis=0)
-    rng.shuffle(vecs)
-    norms = rng.integers(1, 50, size=len(vecs))
-    key = quatcore._sort_key(norms.copy(), vecs)
-    assert key.dtype == np.int64
-    assert np.array_equal(np.argsort(key), lexsort_rows(norms, vecs))
-
-
-def test_sort_key_takes_python_ints_past_int64():
-    # (max norm + 1)·span⁴ ≥ 2⁶² with int64 vectors
-    vecs = np.array([[2 ** 14, 0, -1, 3], [-2 ** 14, 5, 0, 0], [7, 0, 0, 0],
-                     [-2 ** 14, 5, 0, -1]], dtype=np.int64)
-    norms = np.array([3, 3, 2 ** 40, 3], dtype=np.int64)
-    assert (2 ** 40 + 1) * (2 ** 15 + 1) ** 4 >= linalg.INT64_SAFE
-    key = quatcore._sort_key(norms, vecs)
-    assert key.dtype == object and all(type(k) is int for k in key)
-    assert np.array_equal(np.argsort(key), lexsort_rows(norms, vecs))
-    # object vectors give an object key even when the key is small
-    objs = vecs // 2 ** 10
-    objs[1, 1] = 1
-    small = np.array([2, 1, 2, 1], dtype=object)
-    key = quatcore._sort_key(small, objs.astype(object))
-    assert key.dtype == object
-    assert np.argsort(key).tolist() == lexsort_rows(small, objs).tolist() == [3, 1, 2, 0]
+    vmax, terms = quatcore._vmax(minors, m, 2 * 120)
+    magnitude = quatcore._magnitude(gint, vmax, terms, quatcore._coordinate_bound(u, vmax))
+    assert 2 ** 52 <= magnitude < linalg.INT64_SAFE
+    half = check_enumeration(g, 120)
+    assert half and half.vecs.dtype != object
 
 
 def test_enumeration_hands_out_python_ints():
     r1 = fx.order_r1()
     bucket = short_vectors_upto(r1.gram, 3)[Fraction(3)]
-    assert bucket.dtype == np.int64
+    assert bucket.dtype == np.int8
     vecs = short_vectors(r1.gram, 3)
-    assert vecs == list(map(tuple, bucket.tolist()))
+    rows = bucket.tolist()
+    assert vecs == sorted(map(tuple, rows + [[-x for x in v] for v in rows]))
     assert all(type(t) is int for v in vecs for t in v)
     x = r1.element_from(bucket[0])
     assert all(type(c.numerator) is int and type(c.denominator) is int for c in x.coords)
@@ -450,6 +423,33 @@ def test_class_set_fixture(class_set_17):
     assert class_set_17.mass == Fraction(2, 3)
     assert class_set_17.ideals[0] == Lattice(class_set_17.order.algebra,
                                              class_set_17.order.basis, "ideal")
+
+
+# HNF bases of the class-set representatives, in discovery order, as the search
+# found them.  Each is a neighbour left-divided by the first vector that
+# `short_vectors` lists; at these levels any minimal vector gives the same
+# lattice, so the order of that list is pinned by the brute-force checks above.
+_UNIT_17 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+_SECOND_17 = [[1, 0, 1, 1], [0, 1, 1, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+_UNIT_34 = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]
+_A_34 = [[1, 0, 2, 1], [0, 1, 0, 1], [0, 0, 4, 0], [0, 0, 0, 2]]
+_B_34 = [[1, 0, 0, 1], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+_C_34 = [[1, 1, 0, 1], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]]
+PINNED_REPRESENTATIVES = {
+    (17, 2): [_UNIT_17, _SECOND_17],
+    (17, 3): [_UNIT_17, _SECOND_17],
+    (17, 5): [_UNIT_17, _SECOND_17],
+    (34, 3): [_UNIT_34, _A_34, _B_34, _C_34],
+    (34, 5): [_UNIT_34, _B_34, _C_34, _A_34],
+}
+
+
+@pytest.mark.parametrize("level,seed", sorted(PINNED_REPRESENTATIVES))
+def test_class_set_representatives_are_pinned(level, seed):
+    order = fx.order_r1() if level == 17 else level34_order()
+    cs = class_set(order, seed)
+    got = [[list(row) for row in ideal.hnf_basis] for ideal in cs.ideals]
+    assert got == PINNED_REPRESENTATIVES[level, seed]
 
 
 def test_class_set_rejects_bad_seed():

@@ -355,6 +355,16 @@ def test_theta1_linear_independence_witness():
     assert any(t1.coefficient(m) != t2.coefficient(m) for m in range(1, 21))
 
 
+def test_theta1_counts_every_vector():
+    # a(m) = #{x : q(x) = m} from the half shells, against the full lists
+    for lattice, units in ((fx.order_r1(), 2), (fx.order_r2(), 6)):
+        g = lattice.normalized_gram()
+        t = theta1_counts(lattice, 20)
+        assert [t.coefficient(m) for m in range(21)] == [len(short_vectors(g, m))
+                                                         for m in range(21)]
+        assert t.coefficient(1) == units
+
+
 def test_expansion_container_rules():
     f = FourierExpansionSiegel2(3, 17, 50)
     f.set((2, 1, 3), 32)
@@ -437,9 +447,10 @@ def yoshida1_per_vector(cs, phi1, phi2, bound, space):
             cross = cs.cross_lattice(i, j)
             lift = lift_poly_deg1(space.space, phi1.values[i], phi2.values[j], cross)
             scale = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j]) / cross.norm_scale ** nu
-            for m, vecs in short_vectors_upto(cross.normalized_gram(), bound).items():
-                s = sum((lift.eval(v) for v in vecs.tolist()), Fraction(0))
-                coeffs[int(m)] = coeffs.get(int(m), 0) + scale * s
+            gram = cross.normalized_gram()
+            for m in range(1, bound + 1):
+                s = sum((lift.eval(v) for v in short_vectors(gram, m)), Fraction(0))
+                coeffs[m] = coeffs.get(m, 0) + scale * s
             if nu == 0:
                 coeffs[0] = coeffs.get(0, 0) + scale * lift.eval((0,) * 4)
     return {m: v for m, v in coeffs.items() if v}
@@ -473,10 +484,9 @@ def enumeration_norms(monkeypatch):
     """The max_norm of every enumeration a ThetaEngine asks for; the shells come back empty."""
     asked = []
 
-    def record(g, max_norm, half=False):
-        assert half  # engines enumerate half shells
+    def record(g, max_norm):
         asked.append(max_norm)
-        return short_vectors_upto(g, 0, half=True)
+        return short_vectors_upto(g, 0)
 
     monkeypatch.setattr(yoshida, "short_vectors_upto", record)
     return asked
