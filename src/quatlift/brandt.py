@@ -147,6 +147,14 @@ def _require_good_prime(cs: ClassSet, p: int) -> None:
         raise UsageError(f"{p} divides the level {cs.order.level}")
 
 
+def _require_space(cs: ClassSet, nu: int, space: FormSpace | None,
+                   *forms: AutomorphicForm) -> None:
+    """Refuse a space or form of another class set or degree ν, before anything is cached."""
+    if (space is not None and (space.cs is not cs or space.nu != nu)
+            or any(phi.h != cs.h or phi.nu != nu for phi in forms)):
+        raise UsageError(f"the space and forms must be of degree {nu} on this class set")
+
+
 def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None) -> BrandtMatrix:
     """B^{(ν)}(p): block (i,j) = (1/e_j)·Σ_{x, q(x)=p} of P ↦ P(x̄·z·x)/n₀^ν.
 
@@ -156,6 +164,7 @@ def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None)
     The blocks are computed once per (class set, p, ν).
     """
     _require_good_prime(cs, p)
+    _require_space(cs, nu, space)
     if (p, nu) not in cs.brandt_blocks:
         space = space or FormSpace(cs, nu)
         blocks = []
@@ -175,8 +184,7 @@ def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None)
 def inner_product(phi: AutomorphicForm, psi: AutomorphicForm, cs: ClassSet,
                   space: FormSpace | None = None) -> Fraction:
     """⟨φ, ψ⟩ = Σ_i ⟨⟨φ(y_i), ψ(y_i)⟩⟩ / e_i."""
-    if phi.nu != psi.nu or phi.h != psi.h or phi.h != cs.h:
-        raise UsageError("forms have mismatched shape")
+    _require_space(cs, phi.nu, space, phi, psi)
     space = space or FormSpace(cs, phi.nu)
     total = Fraction(0)
     for i in range(cs.h):
@@ -232,6 +240,7 @@ def atkin_lehner(cs: ClassSet, nu: int, q: int, space: FormSpace | None = None) 
     """
     if cs.order.level % q != 0:
         raise UsageError(f"{q} does not divide the level {cs.order.level}")
+    _require_space(cs, nu, space)
     if q not in cs.al_routes:
         tsp = two_sided_ideal(cs.order, q)
         cs.al_routes[q] = _route([ideal.product(tsp) for ideal in cs.ideals], cs.ideals)
@@ -385,6 +394,7 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     """
     for p in primes:
         _require_good_prime(cs, p)
+    _require_space(cs, nu, space)
     space = space or FormSpace(cs, nu)
     if space.dim == 0:
         return []

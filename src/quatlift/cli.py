@@ -153,7 +153,7 @@ def lift_cmd(which, bound, singular_bound, out_path):
     """Degree-2 theta lift of the bundled example as a Fourier expansion file."""
     lift = fx.golden_lift(bound, singular_bound=singular_bound)
     ser.save_json(out_path, ser.expansion_to_obj(lift))
-    click.echo(f"wrote {out_path} ({len(lift.entries)} entries, "
+    click.echo(f"wrote {out_path} ({len(lift.columns()[0])} entries, "
                f"weight {lift.weight}, level {lift.level}, bound {lift.bound})")
 
 

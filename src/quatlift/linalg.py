@@ -204,10 +204,6 @@ def outer_rows(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(prod.reshape(len(x) * len(y), -1), a.den * b.den)
 
 
-def mat_mul(a, b) -> Matrix:
-    return frac_mat(a) @ frac_mat(b)
-
-
 def vec_mat(v, a) -> list[Fraction]:
     """The row vector v·A, as Fractions."""
     return (frac_mat([list(v)]) @ frac_mat(a)).tolist()[0]
@@ -215,10 +211,6 @@ def vec_mat(v, a) -> list[Fraction]:
 
 def transpose(a) -> Matrix:
     return frac_mat(a).T
-
-
-def mat_scale(a, c) -> Matrix:
-    return frac_mat(a) * c
 
 
 def det(a) -> Fraction:

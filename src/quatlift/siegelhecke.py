@@ -242,6 +242,8 @@ def standard_L_local(b1: SatakePair, b2: SatakePair, n: int, p: int) -> LocalFac
     the elementary symmetric functions e₁ = e₃ = s·s̃, e₂ = s²+s̃²-2, e₄ = 1.
     """
     _require_prime(p)
+    if b1.p != p or b2.p != p:
+        raise UsageError(f"Satake data at {b1.p} and {b2.p} for a factor at {p}")
     if n < 2:
         raise ValueError("the degree-n standard factor needs n ≥ 2")
     e1 = b1.cross_sum(b2)

@@ -1,13 +1,14 @@
 """Degree-1 and degree-2 theta lifts as exact Fourier expansions.
 
 A degree-2 expansion stores its nonzero coefficients on canonical reduced
-binary forms, with an explicit validity bound in the discriminant: the
-positive definite forms as int64 columns sorted by `binforms.form_keys`, their
-Python-int numerators over one denominator, and the singular forms (0, 0, m)
-as a small map.  Storage grows with the entries, not with the bound.  Whole
-columns go in through `from_columns`, checked in bulk, and come out through
-`columns`, `definite_upto` and `lookup`; a single `coefficient` goes through
-the sign-tracked reduction, which is what makes odd weight work.
+binary forms, with an explicit validity bound in the discriminant and one for
+the singular forms (0, 0, m): one store of int64 columns a, b, c and Python-int
+numerators over one denominator, in canonical order (the singular forms by m,
+then the positive definite ones by (disc, a, b)), sorted by one integer key per
+form.  Storage grows with the entries, not with the bound.  Whole columns go in
+through `from_columns`, checked in bulk, and come out through `columns`,
+`definite_upto` and `lookup`; a single `coefficient` goes through the
+sign-tracked reduction, which is what makes odd weight work.
 
 Every degree-2 lift is a sum of pieces θ(L, P)·scale whose weight P has
 bidegree (ν, ν), so P(x₁, x₂) = m_ν(x₁)ᵗ·C·m_ν(x₂) with m_ν the degree-ν
@@ -52,8 +53,8 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .binforms import BinaryForm, disc, form_keys, form_table, is_ambiguous, reduce_form
-from .brandt import AutomorphicForm, FormSpace
+from .binforms import disc, form_keys, form_table, is_ambiguous, reduce_form
+from .brandt import AutomorphicForm, FormSpace, _require_space
 from .harmonic import _monomial_rows, lift_matrix_deg2, tau_matrix_sum
 from .linalg import INT64_SAFE
 from .polys import Poly
@@ -67,14 +68,13 @@ class TruncationError(ValueError):
 class FourierExpansionSiegel2:
     """Finite map from canonical reduced forms to rationals, with weight and bound.
 
-    The positive definite entries are int64 columns a, b, c sorted by their
-    `form_keys` (the order (disc, a, b)), with Python-int numerators over one
-    positive denominator; the singular entries (0, 0, m) are a map m ↦
-    numerator over the same denominator.  Only nonzero entries are stored.
+    Every nonzero entry is one row of int64 columns a, b, c and Python-int
+    numerators over one positive denominator, sorted by `_keys`: the singular
+    forms (0, 0, m) by m, then the rest by (disc, a, b).  The constructor gives
+    the zero expansion, `from_columns` every other one; nothing changes after.
     """
 
-    def __init__(self, weight: int, level: int, bound: int, entries=None,
-                 singular_bound: int | None = None):
+    def __init__(self, weight: int, level: int, bound: int, singular_bound: int | None = None):
         singular_bound = bound if singular_bound is None else singular_bound
         if bound < 0 or singular_bound < 0:
             raise ValueError(f"negative bound: bound {bound}, singular bound {singular_bound}")
@@ -82,26 +82,16 @@ class FourierExpansionSiegel2:
         self.level = level
         self.bound = bound
         self.singular_bound = singular_bound
-        self._store_items(entries or {})
+        self._a = self._b = self._c = self._key = np.zeros(0, dtype=np.int64)
+        self._num, self._den = np.zeros(0, dtype=object), 1
 
     @classmethod
     def from_columns(cls, weight: int, level: int, bound: int, a, b, c, num, den: int = 1,
                      singular_bound: int | None = None) -> "FourierExpansionSiegel2":
-        """The expansion with entry num[i]/den at each form (a[i], b[i], c[i]), any order."""
-        out = cls(weight, level, bound, singular_bound=singular_bound)
-        out._store(a, b, c, num, den)
-        return out
-
-    def _store_items(self, items) -> None:
-        values = [Fraction(v) for v in items.values()]
-        den = math.lcm(*(v.denominator for v in values))
-        forms = np.array([tuple(int(x) for x in t) for t in items], dtype=np.int64).reshape(-1, 3)
-        self._store(*forms.T, [v.numerator * (den // v.denominator) for v in values], den)
-
-    def _store(self, a, b, c, num, den: int) -> None:
-        """Replace the entries by (a, b, c) ↦ num/den, checked in bulk: every form
-        canonical-reduced, within its bound and given once, and in odd weight
-        nonzero only where no det −1 substitution fixes it."""
+        """The expansion with entry num[i]/den at each form (a[i], b[i], c[i]), any order,
+        zeros dropped.  Checked in bulk: every form canonical-reduced, within its bound
+        and given once, and in odd weight nonzero only where no det −1 substitution fixes it."""
+        out = cls(weight, level, bound, singular_bound)
         a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
         num = np.array(num, dtype=object).reshape(-1)
 
@@ -114,43 +104,42 @@ class FourierExpansionSiegel2:
             fail(~reduced, "is not canonical-reduced")
         singular = a == 0
         # a reduced definite form has disc ≥ 3ac ≥ 3c
-        beyond = np.where(singular, c > self.singular_bound, c > self.bound)
+        beyond = np.where(singular, c > out.singular_bound, c > bound)
         if beyond.any():
             fail(beyond, "is beyond the bound")
         if len(c) and c.max() >= 1 << 30:
             fail(c >= 1 << 30, "has a coordinate beyond 2^30")
-        beyond = ~singular & (4 * a * c - b * b > self.bound)
+        beyond = ~singular & (4 * a * c - b * b > bound)
         if beyond.any():
             fail(beyond, "is beyond the bound")
-        if self.weight % 2:
+        if weight % 2:
             bad = ((b == 0) | (b == a) | (a == c)) & (num != 0)
             if bad.any():
                 fail(bad, "must have a zero coefficient in odd weight")
-        order = np.lexsort((c, b, a, 4 * a * c - b * b))  # canonical: singular first, by m
+        keys = out._keys(a, b, c)
+        order = np.argsort(keys, kind="stable")
         twice = np.zeros(len(a), dtype=bool)
-        twice[order[1:]] = ((a[order[1:]] == a[order[:-1]]) & (b[order[1:]] == b[order[:-1]])
-                            & (c[order[1:]] == c[order[:-1]]))
+        twice[order[1:]] = keys[order[1:]] == keys[order[:-1]]
         if twice.any():
             fail(twice, "appears twice")
         order = order[num[order] != 0]
         g = math.gcd(den, *num[order].tolist())
-        n = int(np.count_nonzero(singular[order]))
-        self._singular = dict(zip(c[order[:n]].tolist(), (num[order[:n]] // g).tolist()))
-        order = order[n:]
-        self._a, self._b, self._c = a[order], b[order], c[order]
-        self._key = form_keys(self._a, self._b, self._c, self.bound)
-        self._num = num[order] // g
-        self._den = den // g
+        out._a, out._b, out._c, out._key = a[order], b[order], c[order], keys[order]
+        out._num = num[order] // g
+        out._den = den // g
+        for x in (out._a, out._b, out._c, out._key, out._num):
+            x.flags.writeable = False
+        return out
+
+    def _keys(self, a, b, c) -> np.ndarray:
+        """One integer key per form within the bounds, increasing in canonical order:
+        m − 2⁶² for (0, 0, m), below the positive `form_keys` of every definite form."""
+        return np.where(a == 0, c - (1 << 62), form_keys(a, b, c, self.bound))
 
     def columns(self):
         """(a, b, c, numerators, denominator) of the nonzero entries in canonical
-        order: the singular entries by m, then the rest by (disc, a, b)."""
-        ms = list(self._singular)
-        zero = np.zeros(len(ms), dtype=np.int64)
-        return (np.concatenate((zero, self._a)), np.concatenate((zero, self._b)),
-                np.concatenate((np.array(ms, dtype=np.int64), self._c)),
-                np.concatenate((np.array(list(self._singular.values()), dtype=object),
-                                self._num)), self._den)
+        order, as the stored read-only arrays."""
+        return self._a, self._b, self._c, self._num, self._den
 
     @property
     def denominator(self) -> int:
@@ -160,32 +149,26 @@ class FourierExpansionSiegel2:
     def definite_upto(self, bound: int):
         """The columns a, b, c and numerators of the positive definite entries with disc ≤ bound."""
         a, b, c = self._a, self._b, self._c
-        n = int(np.searchsorted(4 * a * c - b * b, bound, side="right"))
-        return a[:n], b[:n], c[:n], self._num[:n]
+        lo, hi = np.searchsorted(4 * a * c - b * b, [0, bound], side="right")
+        return a[lo:hi], b[lo:hi], c[lo:hi], self._num[lo:hi]
 
     def lookup(self, a, b, c) -> np.ndarray:
         """The stored numerators at canonical forms within the bounds, 0 where none is."""
         a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
         out = np.zeros(len(a), dtype=object)
-        singular = a == 0
-        out[singular] = [self._singular.get(m, 0) for m in c[singular].tolist()]
         if len(self._key):
-            keys = form_keys(a, b, c, self.bound)
+            keys = self._keys(a, b, c)
             i = np.minimum(np.searchsorted(self._key, keys), len(self._key) - 1)
-            hit = ~singular & (self._key[i] == keys)
+            hit = self._key[i] == keys
             out[hit] = self._num[i[hit]]
         return out
 
     @property
     def entries(self):
         """The nonzero entries, read-only, in canonical order."""
-        return MappingProxyType(dict(self.sorted_items()))
-
-    def set(self, t: BinaryForm, value) -> None:
-        """Set the coefficient at a canonical reduced form within the bounds; 0 removes it."""
-        items = dict(self.sorted_items())
-        items[tuple(int(x) for x in t)] = Fraction(value)
-        self._store_items(items)
+        forms = zip(self._a.tolist(), self._b.tolist(), self._c.tolist())
+        return MappingProxyType({t: Fraction(n, self._den)
+                                 for t, n in zip(forms, self._num.tolist())})
 
     def coefficient(self, t) -> Fraction:
         red, sign = reduce_form(t)
@@ -203,13 +186,8 @@ class FourierExpansionSiegel2:
             val *= sign
         return Fraction(val, self._den)
 
-    def sorted_items(self):
-        a, b, c, num, den = self.columns()
-        return [(t, Fraction(n, den))
-                for t, n in zip(zip(a.tolist(), b.tolist(), c.tolist()), num.tolist())]
-
     def is_zero(self) -> bool:
-        return not (len(self._num) or self._singular)
+        return not len(self._num)
 
     def scale(self, c) -> "FourierExpansionSiegel2":
         c = Fraction(c)
@@ -219,17 +197,18 @@ class FourierExpansionSiegel2:
             den * c.denominator, singular_bound=self.singular_bound)
 
     def agrees_with(self, other: "FourierExpansionSiegel2") -> bool:
-        """Equality on the common validity range."""
+        """Equality on the common validity range: the rows of both stores in it,
+        compared in order (the keys of two expansions need not match)."""
         bound = min(self.bound, other.bound)
         sb = min(self.singular_bound, other.singular_bound)
-        *mine, x = self.definite_upto(bound)
-        *theirs, y = other.definite_upto(bound)
-        if len(x) != len(y) or any((u != v).any() for u, v in zip(mine, theirs)):
-            return False
-        if (x * other._den != y * self._den).any():
-            return False
-        return all(self._singular.get(m, 0) * other._den == other._singular.get(m, 0) * self._den
-                   for m in set(self._singular) | set(other._singular) if m <= sb)
+        rows = []
+        for f in (self, other):
+            a, b, c = f._a, f._b, f._c
+            keep = np.where(a == 0, c <= sb, 4 * a * c - b * b <= bound)
+            rows.append([x[keep] for x in (a, b, c, f._num)])
+        (*mine, x), (*theirs, y) = rows
+        return (len(x) == len(y) and all((u == v).all() for u, v in zip(mine, theirs))
+                and bool((x * other._den == y * self._den).all()))
 
 
 class QExpansion:
@@ -480,6 +459,8 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     if phi2.nu != 0:
         raise UsageError("only a scalar second factor is supported (ν₂ = 0)")
     nu1 = phi1.nu
+    _require_space(cs, nu1, space1, phi1)
+    _require_space(cs, 0, None, phi2)
     space1 = space1 or FormSpace(cs, nu1)
     terms = []
     for i in range(cs.h):
@@ -510,6 +491,7 @@ def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     if phi1.nu != phi2.nu:
         raise UsageError("degree-1 lift requires equal harmonic degrees")
     nu = phi1.nu
+    _require_space(cs, nu, space, phi1, phi2)
     space = space or FormSpace(cs, nu)
     harm = space.space
     coeffs: dict[int, Fraction] = defaultdict(Fraction)
@@ -541,11 +523,12 @@ def theta1_counts(lattice: Lattice, bound: int) -> QExpansion:
 
 
 def phi_operator(f: FourierExpansionSiegel2) -> QExpansion:
-    """Siegel Φ-operator on the expansion: m ↦ a([m, 0, 0])."""
-    coeffs = {}
-    for m in range(f.singular_bound + 1):
-        coeffs[m] = f.coefficient((m, 0, 0))
-    return QExpansion(f.weight, f.level, f.singular_bound, coeffs)
+    """Siegel Φ-operator on the expansion: m ↦ a([m, 0, 0]), the store's singular rows."""
+    a, _, c, num, den = f.columns()
+    singular = a == 0
+    return QExpansion(f.weight, f.level, f.singular_bound,
+                      {m: Fraction(n, den) for m, n in zip(c[singular].tolist(),
+                                                            num[singular].tolist())})
 
 
 def is_cuspidal_up_to_bound(f: FourierExpansionSiegel2) -> bool:

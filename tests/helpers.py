@@ -1,6 +1,7 @@
 """Shared constructions for the test suite."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from quatlift import fixture as fx
 from quatlift import linalg
 from quatlift.harmonic import monomials_of_degree
 from quatlift.quatcore import Lattice, QuaternionAlgebra, _rref_mod_p
+from quatlift.yoshida import FourierExpansionSiegel2
 
 
 def hamilton_algebra():
@@ -64,3 +66,14 @@ def monomial_values(x, nu):
 def narrowest_signed(bound):
     """The narrowest signed numpy integer type that holds −bound…bound."""
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
+def expansion(weight, level, bound, entries, singular_bound=None):
+    """The degree-2 expansion with the given {form: value} entries, built by
+    `FourierExpansionSiegel2.from_columns` over the values' common denominator."""
+    values = [Fraction(v) for v in entries.values()]
+    den = math.lcm(*(v.denominator for v in values))
+    a, b, c = np.array(list(entries), dtype=np.int64).reshape(-1, 3).T
+    return FourierExpansionSiegel2.from_columns(
+        weight, level, bound, a, b, c, [v.numerator * (den // v.denominator) for v in values],
+        den, singular_bound=singular_bound)

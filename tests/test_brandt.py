@@ -6,7 +6,7 @@ import pytest
 from quatlift import brandt
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore
-from quatlift.brandt import (FormSpace, atkin_lehner, brandt_matrix,
+from quatlift.brandt import (AutomorphicForm, FormSpace, atkin_lehner, brandt_matrix,
                              constant_form, eigenforms, essential_part,
                              inner_product, orthogonal_complement)
 from quatlift.harmonic import integral_tau_matrix, tau_matrix_sum
@@ -78,7 +78,7 @@ def test_brandt_blocks_are_sums_of_tau_matrices(class_set_17, nu, p):
             cross = cs.cross_lattice(j, i)
             total = _per_vector_sum(cross, short_vectors(cross.normalized_gram(), p), space.space)
             scale = Fraction(1, cs.unit_counts[j]) / cross.norm_scale ** nu
-            assert bm.blocks[i][j] == linalg.mat_scale(total, scale)
+            assert bm.blocks[i][j] == linalg.frac_mat(total) * scale
 
 
 def test_tau_matrix_sum_large_entries_use_python_ints(class_set_17):
@@ -89,7 +89,7 @@ def test_tau_matrix_sum_large_entries_use_python_ints(class_set_17):
     cross = class_set_17.cross_lattice(0, 1)
     vecs = short_vectors_upto(cross.normalized_gram(), p)[p]
     big = tau_matrix_sum(cross.scale(k), vecs, u)
-    assert big == linalg.mat_scale(tau_matrix_sum(cross, vecs, u), k ** (2 * nu))
+    assert big == tau_matrix_sum(cross, vecs, u) * k ** (2 * nu)
     assert max(abs(x) for row in big for x in row) > 2 ** 63
     assert big == _per_vector_sum(cross.scale(k), vecs, u)
 
@@ -122,15 +122,15 @@ def test_brandt_matrices_commute(class_set_17, space1):
     ops = {p: space1.matrix_of(brandt_matrix(class_set_17, 1, p, space1))
            for p in (2, 3, 5)}
     for p, q in itertools.combinations(ops, 2):
-        assert linalg.mat_mul(ops[p], ops[q]) == linalg.mat_mul(ops[q], ops[p])
+        assert ops[p] @ ops[q] == ops[q] @ ops[p]
 
 
 def test_brandt_commutes_with_involution(class_set_17, space1):
     al = space1.matrix_of(atkin_lehner(class_set_17, 1, 17, space1))
-    assert linalg.mat_mul(al, al) == linalg.identity(space1.dim)
+    assert al @ al == linalg.identity(space1.dim)
     for p in (2, 3):
         bp = space1.matrix_of(brandt_matrix(class_set_17, 1, p, space1))
-        assert linalg.mat_mul(al, bp) == linalg.mat_mul(bp, al)
+        assert al @ bp == bp @ al
 
 
 def test_atkin_lehner_involution(class_set_17, space0, space1):
@@ -338,6 +338,26 @@ def test_block_matrix_rejects_a_non_invariant_image(class_set_17, space1):
                                     [linalg.identity(d), linalg.zeros(d, d)]])
     with pytest.raises(ValueError, match="not invariant"):
         space1.matrix_of(op)
+
+
+def test_a_space_or_form_of_another_class_set_or_degree_is_refused(class_set_17):
+    # a ν = 0 space for ν = 1 would build and cache 1×1 blocks under (p, 1)
+    cs = ClassSet(class_set_17.order, class_set_17.ideals)
+    other = ClassSet(class_set_17.order, class_set_17.ideals)
+    three = AutomorphicForm(0, [(Fraction(1),)] * 3)  # the fixture has 2 classes
+    for space in (FormSpace(cs, 0), FormSpace(other, 1)):
+        with pytest.raises(UsageError):
+            brandt_matrix(cs, 1, 2, space)
+        with pytest.raises(UsageError):
+            atkin_lehner(cs, 1, 17, space)
+        with pytest.raises(UsageError):
+            eigenforms(cs, 1, [2], space)
+    with pytest.raises(UsageError):
+        inner_product(fx.phi1(), fx.phi1(), cs, FormSpace(cs, 0))
+    with pytest.raises(UsageError):
+        inner_product(three, three, cs)
+    assert not (cs.brandt_blocks or cs.al_blocks or cs.al_routes)
+    assert brandt_matrix(cs, 1, 2).blocks == brandt_matrix(other, 1, 2, FormSpace(other, 1)).blocks
 
 
 def test_brandt_blocks_are_built_once_per_prime_and_degree(class_set_17, monkeypatch):

@@ -117,7 +117,7 @@ def test_identity_frame_degree_two_membership():
     # trace-zero frame of the Hamilton quaternions has Gram 2·identity
     alg = hamilton_algebra()
     frame = default_frame(alg)
-    assert frame.gram == linalg.mat_scale(linalg.identity(3), 2)
+    assert frame.gram == linalg.identity(3) * 2
     sp2 = HarmSpace(2, frame)
     # coefficient rows over x², xy, xz, y², yz, z²
     x2_minus_y2 = [1, 0, 0, -1, 0, 0]

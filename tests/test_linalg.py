@@ -103,7 +103,7 @@ def test_results_past_int64_are_exact_object_arrays():
     ]
     for a, b in cases:
         a, b = [[Fraction(v) for v in row] for row in a], [[Fraction(v) for v in row] for row in b]
-        got = canonical(linalg.mat_mul(a, b))
+        got = canonical(linalg.frac_mat(a) @ linalg.frac_mat(b))
         assert got.num.dtype == object
         assert got == linalg.frac_mat(ref.mat_mul(a, b))
     # over a common denominator, or times a scalar, an int64 numerator wraps too

@@ -113,7 +113,7 @@ def test_short_vector_counts_unimodular_invariant(entries, m):
             u[i][j] = int(i == j)  # lower triangular unipotent: always unimodular
     g = fx.order_r1().gram
     ufr = linalg.frac_mat(u)
-    g2 = linalg.mat_mul(linalg.mat_mul(ufr, g), linalg.transpose(ufr))
+    g2 = ufr @ g @ ufr.T
     assert len(short_vectors(g, m)) == len(short_vectors(g2, m))
 
 

@@ -539,7 +539,7 @@ def test_short_vector_counts_unimodular_invariance():
     g = fx.order_r1().gram
     u = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, -2], [0, 0, 0, 1]]
     ufr = linalg.frac_mat(u)
-    g2 = linalg.mat_mul(linalg.mat_mul(ufr, g), linalg.transpose(ufr))
+    g2 = ufr @ g @ ufr.T
     for m in (1, 2, 3, 5, 10):
         assert len(short_vectors(g, m)) == len(short_vectors(g2, m))
 

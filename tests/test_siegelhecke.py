@@ -9,7 +9,7 @@ from quatlift import fixture as fx
 from quatlift import siegelhecke
 from quatlift.binforms import disc, reduced_forms_up_to
 from quatlift.brandt import FormSpace, constant_form
-from quatlift.serialize import dumps_canonical, expansion_to_obj
+from quatlift.serialize import dumps_canonical, expansion_from_obj, expansion_to_obj
 from quatlift.siegelhecke import (HeckeCosetRep, LocalFactor, PoleError, SatakePair,
                                   eigenvalue_extract, hecke_Tp, hecke_cosets,
                                   lambda_N, rankin_selberg_local,
@@ -18,6 +18,7 @@ from quatlift.siegelhecke import (HeckeCosetRep, LocalFactor, PoleError, SatakeP
 from quatlift.quatcore import UsageError
 from quatlift.yoshida import (FourierExpansionSiegel2, TruncationError,
                               is_cuspidal_up_to_bound, yoshida2)
+from helpers import expansion
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +165,7 @@ def test_hecke_bad_prime_and_bound():
 def test_odd_weight_ambiguous_support_maps_to_zero():
     # force stored entries onto ambiguous forms (weight 2 allows them, then the
     # weight turns odd): lookups and T(p) must treat them as 0
-    f = FourierExpansionSiegel2(2, 17, 400, {(1, 1, 6): Fraction(32), (2, 0, 5): Fraction(-7)})
+    f = expansion(2, 17, 400, {(1, 1, 6): Fraction(32), (2, 0, 5): Fraction(-7)})
     f.weight = 3
     assert f.coefficient((1, 1, 6)) == 0
     assert hecke_Tp(f, 2).is_zero()
@@ -178,8 +179,8 @@ def test_eigenvalue_extract_edge_cases(lift_950):
     entries = dict(lift_950.entries)
     t = next(iter(entries))
     entries[t] *= 2
-    broken = FourierExpansionSiegel2(lift_950.weight, lift_950.level, lift_950.bound, entries,
-                                     singular_bound=lift_950.singular_bound)
+    broken = expansion(lift_950.weight, lift_950.level, lift_950.bound, entries,
+                       singular_bound=lift_950.singular_bound)
     with pytest.raises(ValueError):
         eigenvalue_extract(lift_950, broken)
 
@@ -187,6 +188,12 @@ def test_eigenvalue_extract_edge_cases(lift_950):
 def test_standard_factor_trivial_pair():
     f = standard_L_local(SatakePair.trivial(7), SatakePair.trivial(7), 2, 7)
     assert f.coeffs == [1, -5, 10, -10, 5, -1]  # (1 - X)^5
+
+
+def test_standard_factor_refuses_satake_data_at_another_prime():
+    # both pairs at 3: a factor labelled p = 2 would be built from p = 3 data
+    with pytest.raises(UsageError):
+        standard_L_local(SatakePair(3, 4, Fraction(-8)), SatakePair(3, 2, Fraction(0)), 2, 2)
 
 
 def test_cross_sum_across_primes_is_refused():
@@ -289,7 +296,7 @@ def test_hecke_images_match_the_coset_sum(name, p, request):
 @pytest.mark.parametrize("p", sorted(PINNED_EISENSTEIN_IMAGES))
 def test_hecke_eisenstein_images_match_the_coset_sum(p, eisenstein_600):
     image = hecke_Tp(eisenstein_600, p)
-    rows = [[a, b, c, str(v)] for (a, b, c), v in image.sorted_items() if disc((a, b, c)) > 0]
+    rows = [[a, b, c, str(v)] for (a, b, c), v in image.entries.items() if disc((a, b, c)) > 0]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16] == \
         PINNED_EISENSTEIN_IMAGES[p]
 
@@ -305,6 +312,15 @@ def test_hecke_keeps_the_constant_term(eisenstein_600):
         assert image.coefficient((0, 0, 0)) == 2 * (1 + p) * a0
         assert image.singular_bound == 0
         assert not is_cuspidal_up_to_bound(image)
+
+
+def test_hecke_image_agrees_with_its_json_round_trip(eisenstein_600):
+    # singular bound 0, with the one singular entry (0, 0, 0)
+    image = hecke_Tp(eisenstein_600, 2)
+    again = expansion_from_obj(json.loads(dumps_canonical(expansion_to_obj(image))))
+    assert image.singular_bound == again.singular_bound == 0
+    assert again.agrees_with(image) and image.agrees_with(again)
+    assert again.entries == image.entries and again.coefficient((0, 0, 0)) != 0
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

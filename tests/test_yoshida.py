@@ -1,4 +1,5 @@
 import gc
+import math
 import random
 import tracemalloc
 import weakref
@@ -8,11 +9,11 @@ import numpy as np
 import pytest
 
 import enum_reference
-from helpers import hamilton_algebra, monomial_values, narrowest_signed
+from helpers import expansion, hamilton_algebra, monomial_values, narrowest_signed
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore, yoshida
-from quatlift.binforms import apply_unimodular, is_ambiguous, reduced_forms_up_to
-from quatlift.brandt import FormSpace, constant_form
+from quatlift.binforms import apply_unimodular, form_table, is_ambiguous, reduced_forms_up_to
+from quatlift.brandt import AutomorphicForm, FormSpace, constant_form
 from quatlift.harmonic import (HarmSpace, default_frame, lift_matrix_deg2, lift_poly_deg1,
                                lift_poly_deg2, monomials_of_degree)
 from quatlift.polys import Poly
@@ -366,32 +367,116 @@ def test_theta1_counts_every_vector():
 
 
 def test_expansion_container_rules():
-    f = FourierExpansionSiegel2(3, 17, 50)
-    f.set((2, 1, 3), 32)
+    f = expansion(3, 17, 50, {(2, 1, 3): 32})
     assert f.coefficient((2, 1, 3)) == 32
     assert f.coefficient((2, -1, 3)) == -32
     assert f.coefficient((3, -1, 2)) == 32
     assert f.coefficient((1, 1, 6)) == 0  # ambiguous in odd weight
-    with pytest.raises(ValueError):
-        f.set((1, 1, 6), 5)
-    with pytest.raises(ValueError):
-        f.set((3, 1, 2), 1)  # not reduced
+    with pytest.raises(ValueError, match="zero coefficient in odd weight"):
+        expansion(3, 17, 50, {(2, 1, 3): 32, (1, 1, 6): 5})
+    with pytest.raises(ValueError, match="not canonical-reduced"):
+        expansion(3, 17, 50, {(3, 1, 2): 1})
     with pytest.raises(TruncationError):
         f.coefficient((7, 1, 9))
 
 
-def test_set_rejects_forms_beyond_the_bounds():
-    f = FourierExpansionSiegel2(2, 17, 50, singular_bound=4)
-    f.set((3, 1, 4), 2)  # disc 47
-    f.set((0, 0, 4), 1)
+def test_from_columns_rejects_forms_beyond_the_bounds():
+    f = expansion(2, 17, 50, {(3, 1, 4): 2, (0, 0, 4): 1}, singular_bound=4)  # disc 47
+    assert f.entries == {(0, 0, 4): 1, (3, 1, 4): 2}
     with pytest.raises(ValueError, match="beyond the bound"):
-        f.set((3, 1, 5), 2)  # disc 59
+        expansion(2, 17, 50, {(3, 1, 5): 2}, singular_bound=4)  # disc 59
     with pytest.raises(ValueError, match="beyond the bound"):
-        f.set((0, 0, 5), 1)
-    f.set((3, 1, 4), 0)
-    assert f.entries == {(0, 0, 4): 1}
+        expansion(2, 17, 50, {(0, 0, 5): 1}, singular_bound=4)
+    assert expansion(2, 17, 50, {(3, 1, 4): 0, (0, 0, 4): 1},
+                     singular_bound=4).entries == {(0, 0, 4): 1}
     with pytest.raises(ValueError, match="negative bound"):
         FourierExpansionSiegel2(2, 17, -1)
+
+
+def shuffled_store(weight, bound, seed=0):
+    """Every form with disc ≤ 60 and (0, 0, m) with m ≤ 100, canonical order, with
+    values in sixths, zeros among them (every ambiguous form in odd weight), and
+    the expansion `from_columns` builds from the columns in a shuffled order.
+    The singular range reaches past the least definite `form_keys` (81 at bound 60)."""
+    rng = random.Random(seed)
+    forms = [(0, 0, m) for m in range(101)] + list(zip(*(x.tolist() for x in form_table(60))))
+    values = [Fraction(0) if weight % 2 and is_ambiguous(t) else Fraction(rng.randint(-3, 3), 6)
+              for t in forms]
+    perm = rng.sample(range(len(forms)), len(forms))
+    a, b, c = np.array([forms[i] for i in perm], dtype=np.int64).T
+    f = FourierExpansionSiegel2.from_columns(weight, 17, bound, a, b, c,
+                                             [int(6 * values[i]) for i in perm], 6,
+                                             singular_bound=100)
+    return f, forms, values
+
+
+@pytest.mark.parametrize("bound", [60, 10 ** 10], ids=["int64-keys", "object-keys"])
+@pytest.mark.parametrize("weight", [2, 3])
+def test_from_columns_sorts_shuffled_columns_and_drops_zeros(weight, bound):
+    f, forms, values = shuffled_store(weight, bound)
+    want = [(t, v) for t, v in zip(forms, values) if v]
+    assert any(t[0] == 0 for t, _ in want) == (weight == 2)
+    assert list(f.entries.items()) == want  # canonical order: singular by m, then (disc, a, b)
+    a, b, c, num, den = f.columns()
+    assert a.dtype == b.dtype == c.dtype == np.int64 and num.dtype == object
+    assert [Fraction(n, den) for n in num.tolist()] == [v for _, v in want]
+    assert math.gcd(den, *num.tolist()) == 1
+    assert not a.flags.writeable and not num.flags.writeable
+
+
+@pytest.mark.parametrize("bound", [60, 10 ** 10], ids=["int64-keys", "object-keys"])
+@pytest.mark.parametrize("weight", [2, 3])
+def test_lookup_reads_every_form_within_the_bounds(weight, bound):
+    # stored numerators where an entry is, 0 at every absent form, singular or definite
+    f, forms, values = shuffled_store(weight, bound)
+    a, b, c = np.array(forms, dtype=np.int64).T
+    assert f.lookup(a, b, c).tolist() == [int(v * f.denominator) for v in values]
+    assert 0 in values
+
+
+@pytest.fixture(scope="module")
+def eisenstein_60(class_set_17, space0):
+    one = constant_form(class_set_17)
+    return yoshida2(class_set_17, one, one, 60, space0)
+
+
+def test_phi_operator_reads_the_singular_entries(eisenstein_60):
+    f = eisenstein_60
+    phi = phi_operator(f)
+    assert phi.bound == f.singular_bound == 20 and not phi.is_zero()
+    assert [phi.coefficient(m) for m in range(21)] == [f.coefficient((m, 0, 0))
+                                                       for m in range(21)]
+
+
+def test_agrees_with_the_same_lift_at_a_smaller_singular_bound(class_set_17, space0,
+                                                               eisenstein_60):
+    full = eisenstein_60
+    small = yoshida2(class_set_17, constant_form(class_set_17), constant_form(class_set_17), 60,
+                     space0, singular_bound=4)
+    assert full.singular_bound > 5 and full.coefficient((5, 0, 0)) != 0
+    assert small.agrees_with(full) and full.agrees_with(small)
+    a, b, c, num, den = full.columns()
+
+    def changed_at(m):
+        new = num.copy()
+        new[(a == 0) & (c == m)] += 1
+        return FourierExpansionSiegel2.from_columns(full.weight, full.level, full.bound, a, b, c,
+                                                    new, den, singular_bound=full.singular_bound)
+    assert small.agrees_with(changed_at(5))  # beyond the common singular range
+    assert not small.agrees_with(changed_at(4))
+
+
+def test_lifts_refuse_a_space_or_form_of_another_shape(class_set_17, space0, space1):
+    cs = class_set_17
+    three = AutomorphicForm(0, [(Fraction(1),)] * 3)  # the fixture has 2 classes
+    one = constant_form(cs)
+    for args in ((fx.phi1(), three, 30, space1), (three, one, 30),
+                 (fx.phi1(), fx.phi2(), 30, space0)):
+        with pytest.raises(UsageError):
+            yoshida2(cs, *args)
+    for args in ((three, three, 10), (one, fx.phi2(), 10, space1)):
+        with pytest.raises(UsageError):
+            yoshida1(cs, *args)
 
 
 def test_phi_operator_zero_expansion():
