@@ -19,8 +19,7 @@ from . import linalg
 from .harmonic import HarmSpace, default_frame, integral_tau_matrix, tau_matrix_sum
 from .polyfactor import factor_rational
 from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, _is_prime, _prime_factors,
-                       class_set, short_vectors, superorders,
-                       transporters, two_sided_ideal)
+                       class_set, superorders, transporters, two_sided_ideal)
 
 
 @dataclass
@@ -68,10 +67,9 @@ class FormSpace:
 
     def _invariant_basis(self, order: Lattice) -> linalg.Matrix:
         eye = linalg.identity(self.space.dim)
-        units = [order.element_from(v) for v in short_vectors(order.gram, 1)]
         # invariance v·M_u = v as a right-kernel condition: (M_uᵗ - I)·vᵗ = 0
         return linalg.nullspace(linalg.vstack([integral_tau_matrix(u, self.space).T - eye
-                                               for u in units]))
+                                               for u in order.units]))
 
     def basis_forms(self) -> list[AutomorphicForm]:
         out = []
@@ -161,22 +159,28 @@ def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None)
     The sum runs over the lattice with left order R_i and right order R_j
     (cross_lattice(j, i)); that is the unique index convention under which the
     operator preserves unit-group invariance, with (T̃φ)(y_i) = Σ_j B_ij·φ(y_j).
-    The blocks are computed once per (class set, p, ν).
+    Only the blocks with i ≤ j are summed: T̃ is self-adjoint for the inner
+    product weighted by 1/e_i, so B_ji = (e_j/e_i)·P·B_ijᵗ·P⁻¹ with P the
+    pairing on U_ν (Pizer, J. Algebra 64, 1980).  The blocks are computed once
+    per (class set, p, ν).
     """
     _require_good_prime(cs, p)
     _require_space(cs, nu, space)
     if (p, nu) not in cs.brandt_blocks:
         space = space or FormSpace(cs, nu)
-        blocks = []
+        pairing = space.space.pairing_matrix
+        unpairing = linalg.inverse(pairing)
+        e = cs.unit_counts
+        blocks = [[None] * cs.h for _ in range(cs.h)]
         for i in range(cs.h):
-            row = []
-            for j in range(cs.h):
+            for j in range(i, cs.h):
                 cross = cs.cross_lattice(j, i)
                 # the half bucket, doubled: τ(−x) = τ(x)
-                scale = Fraction(2, cs.unit_counts[j]) / cross.norm_scale ** nu
+                scale = Fraction(2, e[j]) / cross.norm_scale ** nu
                 vecs = cs.cross_vectors(j, i, p)
-                row.append(tau_matrix_sum(cross, vecs, space.space) * scale)
-            blocks.append(row)
+                blocks[i][j] = tau_matrix_sum(cross, vecs, space.space) * scale
+                if j > i:
+                    blocks[j][i] = pairing @ blocks[i][j].T @ unpairing * Fraction(e[j], e[i])
         cs.brandt_blocks[p, nu] = BrandtMatrix(p, nu, blocks)
     return cs.brandt_blocks[p, nu]
 

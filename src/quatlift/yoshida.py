@@ -78,12 +78,30 @@ class FourierExpansionSiegel2:
         singular_bound = bound if singular_bound is None else singular_bound
         if bound < 0 or singular_bound < 0:
             raise ValueError(f"negative bound: bound {bound}, singular bound {singular_bound}")
-        self.weight = weight
-        self.level = level
-        self.bound = bound
-        self.singular_bound = singular_bound
+        self._weight, self._level = weight, level
+        self._bound, self._singular_bound = bound, singular_bound
         self._a = self._b = self._c = self._key = np.zeros(0, dtype=np.int64)
         self._num, self._den = np.zeros(0, dtype=object), 1
+
+    # read-only: the stored keys and the odd-weight and bound checks of
+    # from_columns hold only for the values they were made with
+    @property
+    def weight(self) -> int:
+        return self._weight
+
+    @property
+    def level(self) -> int:
+        return self._level
+
+    @property
+    def bound(self) -> int:
+        """The largest discriminant of a stored definite form."""
+        return self._bound
+
+    @property
+    def singular_bound(self) -> int:
+        """The largest m of a stored singular form (0, 0, m)."""
+        return self._singular_bound
 
     @classmethod
     def from_columns(cls, weight: int, level: int, bound: int, a, b, c, num, den: int = 1,

@@ -260,12 +260,49 @@ def test_level34_brandt_enumerates_each_cross_lattice_once(cs34, monkeypatch):
     monkeypatch.setattr(quatcore, "short_vectors_upto",
                         lambda g, m: calls.append(m) or enumerate_upto(g, m))
     got = [brandt_matrix(cs, nu, p, spaces[nu]).blocks for nu in range(3)]
-    assert calls == [p] * cs.h ** 2  # one bucket per cross lattice, shared by every ν
+    # one bucket per cross lattice (j, i) with i ≤ j, shared by every ν: the blocks
+    # below the diagonal come from those above by adjointness, so h² became h(h+1)/2
+    assert calls == [p] * (cs.h * (cs.h + 1) // 2)
     bucket = cs.cross_vectors(0, 1, p)
     assert not bucket.flags.writeable
     for nu in range(3):
         fresh = ClassSet(cs34.order, cs34.ideals)
         assert got[nu] == brandt_matrix(fresh, nu, p, FormSpace(fresh, nu)).blocks
+
+
+def _brandt_blocks_summed(cs, nu, p, space):
+    """Every block of B^{(ν)}(p) by its own τ-sum: the reference for the blocks
+    below the diagonal, which brandt_matrix derives from those above it."""
+    blocks = []
+    for i in range(cs.h):
+        row = []
+        for j in range(cs.h):
+            cross = cs.cross_lattice(j, i)
+            scale = Fraction(2, cs.unit_counts[j]) / cross.norm_scale ** nu
+            row.append(tau_matrix_sum(cross, cs.cross_vectors(j, i, p), space.space) * scale)
+        blocks.append(row)
+    return blocks
+
+
+# (class set, the largest ν, the primes); only level 17 has classes with unequal
+# unit counts (2 and 6), so only it sees the ratio e_j/e_i of the derived blocks
+BRANDT_CASES = {
+    "level 17": (fx.fixture_class_set, 4, (2, 3, 5, 7, 11)),
+    "level 34": (lambda: class_set(level34_order(), 3), 3, (3, 5, 7, 11, 13)),
+    "level-17 superorder of level 34": (
+        lambda: class_set(superorders(level34_order(), 2)[1], 3), 2, (3, 5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRANDT_CASES))
+def test_brandt_blocks_equal_their_tau_sums(case):
+    build, top, primes = BRANDT_CASES[case]
+    cs = build()
+    for nu in range(top + 1):
+        space = FormSpace(cs, nu)
+        for p in primes:
+            assert brandt_matrix(cs, nu, p, space).blocks == \
+                _brandt_blocks_summed(cs, nu, p, space), (nu, p)
 
 
 def test_level34_essential_part(cs34):
@@ -360,6 +397,23 @@ def test_a_space_or_form_of_another_class_set_or_degree_is_refused(class_set_17)
     assert brandt_matrix(cs, 1, 2).blocks == brandt_matrix(other, 1, 2, FormSpace(other, 1)).blocks
 
 
+def test_form_spaces_enumerate_each_left_orders_units_once(class_set_17, monkeypatch):
+    # fresh ideals, so that no left order has its units yet
+    ideals = [quatcore.Lattice(i.algebra, i.basis, "ideal") for i in class_set_17.ideals]
+    calls = []
+    enumerate_shell = quatcore.short_vectors
+    monkeypatch.setattr(quatcore, "short_vectors",
+                        lambda g, m: calls.append(m) or enumerate_shell(g, m))
+    cs = ClassSet(class_set_17.order, ideals)
+    spaces = [FormSpace(cs, nu) for nu in range(3)]
+    assert calls == [1] * cs.h  # the unit counts enumerate; the spaces read the same tuples
+    for order, e in zip(cs.left_orders, cs.unit_counts):
+        assert isinstance(order.units, tuple) and len(order.units) == e
+        assert all(u.norm() == 1 and order.contains(u) for u in order.units)
+    assert [s.class_bases for s in spaces] == \
+        [FormSpace(class_set_17, nu).class_bases for nu in range(3)]
+
+
 def test_brandt_blocks_are_built_once_per_prime_and_degree(class_set_17, monkeypatch):
     cs = ClassSet(class_set_17.order, class_set_17.ideals)
     space = FormSpace(cs, 1)
@@ -368,10 +422,13 @@ def test_brandt_blocks_are_built_once_per_prime_and_degree(class_set_17, monkeyp
     monkeypatch.setattr(brandt, "tau_matrix_sum",
                         lambda *args: calls.append(args) or tau_sum(*args))
     first = brandt_matrix(cs, 1, 2, space)
-    assert len(calls) == cs.h ** 2
+    # a τ-sum per block on or above the diagonal; the others are derived by
+    # adjointness, so h² sums became h(h+1)/2
+    sums = cs.h * (cs.h + 1) // 2
+    assert len(calls) == sums == 3
     second = brandt_matrix(cs, 1, 2, space)
     eigenforms(cs, 1, [2], space)
-    assert len(calls) == cs.h ** 2  # neither the second call nor eigenforms rebuilds T(2)
+    assert len(calls) == sums  # neither the second call nor eigenforms rebuilds T(2)
     assert second.blocks == first.blocks
     fresh = ClassSet(class_set_17.order, class_set_17.ideals)
     assert brandt_matrix(fresh, 1, 2, FormSpace(fresh, 1)).blocks == first.blocks

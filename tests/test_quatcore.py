@@ -686,10 +686,38 @@ def test_class_set_builds_each_order_when_asked(monkeypatch):
     monkeypatch.setattr(quatcore, "_integral_preimage_lattice",
                         lambda blocks: calls.append(1) or preimage(blocks))
     cs = class_set(level34_order(), 5)
-    # a right order per neighbour, a left order per class, the seed ideal's right
-    # order; computing both orders of every lattice made 50
+    # the seed ideal's right order, a right order per reduced neighbour not met
+    # before (here the 3 that became classes), a left order per class; a right
+    # order per neighbour made 29, and both orders of every lattice made 50
     assert cs.h == 4
-    assert len(calls) == 6 * cs.h + cs.h + 1 == 29
+    assert len(calls) == 1 + (cs.h - 1) + cs.h == 8
+
+
+def _class_reps_testing_every_neighbour(order, p_seed):
+    """The breadth-first search of class_set that tests every reduced neighbour
+    against the known classes: the reference for skipping lattices already met."""
+    reps = [Lattice(order.algebra, order.basis, "ideal")]
+    frontier = [reps[0]]
+    while frontier:
+        fresh = []
+        for ideal in frontier:
+            for nb in p_neighbors(ideal, p_seed):
+                cand = quatcore.reduce_right_ideal(nb, order)
+                if not any(ideal_equivalent(cand, known) for known in reps):
+                    reps.append(cand)
+                    fresh.append(cand)
+        frontier = fresh
+    return reps
+
+
+@pytest.mark.parametrize("level,seed", [(17, 2), (17, 3), (17, 23),
+                                        (34, 3), (34, 5), (34, 13), (34, 23)])
+def test_class_set_matches_the_search_that_tests_every_neighbour(level, seed):
+    order = fx.order_r1() if level == 17 else level34_order()
+    cs = class_set(order, seed)
+    want = _class_reps_testing_every_neighbour(order, seed)
+    assert [ideal.hnf_basis for ideal in cs.ideals] == [ideal.hnf_basis for ideal in want]
+    assert cs.unit_counts == [len(short_vectors(ideal.left_order.gram, 1)) for ideal in want]
 
 
 def test_prime_helpers_are_exact_and_bounded():

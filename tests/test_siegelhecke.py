@@ -163,12 +163,29 @@ def test_hecke_bad_prime_and_bound():
 
 
 def test_odd_weight_ambiguous_support_maps_to_zero():
-    # force stored entries onto ambiguous forms (weight 2 allows them, then the
-    # weight turns odd): lookups and T(p) must treat them as 0
-    f = expansion(2, 17, 400, {(1, 1, 6): Fraction(32), (2, 0, 5): Fraction(-7)})
-    f.weight = 3
+    # force stored entries onto ambiguous forms: from_columns refuses them in odd
+    # weight, so a weight-2 store goes under a weight-3 expansion of the same
+    # bounds; lookups and T(p) must treat them as 0
+    even = expansion(2, 17, 400, {(1, 1, 6): Fraction(32), (2, 0, 5): Fraction(-7)})
+    f = FourierExpansionSiegel2(3, 17, 400)
+    for name in ("_a", "_b", "_c", "_key", "_num", "_den"):
+        setattr(f, name, getattr(even, name))
+    assert f.lookup([1, 2], [1, 0], [6, 5]).tolist() == [32, -7]
     assert f.coefficient((1, 1, 6)) == 0
+    assert f.coefficient((2, 0, 5)) == 0
     assert hecke_Tp(f, 2).is_zero()
+
+
+@pytest.mark.parametrize("name", ["weight", "level", "bound", "singular_bound"])
+def test_expansion_parameters_are_read_only(name):
+    # the stored keys and the bound and odd-weight checks hold for the values
+    # from_columns was given; a new bound would make lookup miss stored entries
+    f = expansion(2, 17, 400, {(1, 1, 6): Fraction(32), (0, 0, 3): Fraction(1)},
+                  singular_bound=5)
+    with pytest.raises(AttributeError):
+        setattr(f, name, 3)
+    assert (f.weight, f.level, f.bound, f.singular_bound) == (2, 17, 400, 5)
+    assert f.coefficient((1, 1, 6)) == 32
 
 
 def test_eigenvalue_extract_edge_cases(lift_950):
