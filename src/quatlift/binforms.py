@@ -5,10 +5,12 @@ tracked, because odd-weight Fourier coefficients pick up det(U)^k.  The
 canonical representative of a positive definite class satisfies
 0 ≤ b ≤ a ≤ c; rank-one (singular) forms reduce to [0, 0, m].
 
-`reduce_form` reduces one form; `reduce_forms` runs the same reduction on
-numpy columns.  `form_table` lists the reduced forms up to a discriminant
-bound as columns in the canonical order (disc, a, b), and `form_keys` maps
-forms to integers in that order.
+One copy of each rule, on numpy columns: `reduce_forms` reduces forms and
+tracks det(U), `is_reduced` tests the canonical set and `is_ambiguous` the
+forms that odd weight zeroes; `reduce_form` is one row of `reduce_forms`.
+`form_table` lists the reduced forms up to a discriminant bound as columns in
+the canonical order (disc, a, b), and `form_keys` maps forms to integers in
+that order.
 """
 
 from __future__ import annotations
@@ -25,61 +27,38 @@ def disc(t: BinaryForm) -> int:
     return 4 * a * c - b * b
 
 
-def is_reduced(t: BinaryForm) -> bool:
-    a, b, c = t
-    if disc(t) == 0:
-        return a == 0 and b == 0 and c >= 0
-    return 0 <= b <= a <= c
+def is_reduced(a, b, c):
+    """0 ≤ b ≤ a ≤ c, row by row on columns (or on one form's entries): the
+    canonical representatives, singular ones (0, 0, m) among them."""
+    return (0 <= b) & (b <= a) & (a <= c)
 
 
-def is_ambiguous(t: BinaryForm) -> bool:
-    """Reduced forms fixed by a determinant −1 substitution (zero in odd weight)."""
-    a, b, c = t
-    return b == 0 or b == a or a == c
+def is_ambiguous(a, b, c):
+    """Reduced forms fixed by a determinant −1 substitution (zero in odd weight),
+    row by row on columns (or on one form's entries)."""
+    return (b == 0) | (b == a) | (a == c)
 
 
 def reduce_form(t) -> tuple[BinaryForm, int]:
-    """Canonical reduced representative and the sign det(U) of the reducing word.
+    """Canonical reduced representative and the sign det(U) of the reducing word:
+    one row of `reduce_forms`.
 
     Accepts any positive semidefinite [a, b, c]; raises on indefinite input.
     """
-    a, b, c = (int(x) for x in t)
-    if disc((a, b, c)) < 0 or a < 0 or c < 0:
-        raise ValueError(f"form {t!r} is not positive semidefinite")
-    sign = 1
-    while True:
-        if c < a or (c == a and b < 0):
-            a, b, c = c, -b, a  # x ↦ (-y, x), det +1
-            continue
-        if a and (b > a or b <= -a):
-            # translate: x ↦ x + ky keeps a, shifts b into (-a, a]; det +1
-            k = (a - b) // (2 * a)
-            b2 = b + 2 * a * k
-            c2 = a * k * k + b * k + c
-            b, c = b2, c2
-            continue
-        break
-    if a == 0:
-        # singular: only rank ≤ 1 survives; b must be 0 once a is 0
-        if b != 0:
-            raise ValueError(f"form {t!r} is degenerate but not half-integrally reducible")
-        return (0, 0, c), sign
-    if b < 0:
-        # interior form with negative b: flip with diag(1, -1), det −1
-        b = -b
-        sign = -sign
-    # boundary normalizations (b = a or a = c) are reachable with det +1 words,
-    # so the canonical set is 0 ≤ b ≤ a ≤ c with no extra sign
-    return (a, b, c), sign
+    a, b, c, sign = reduce_forms(*([int(x)] for x in t))
+    return (int(a[0]), int(b[0]), int(c[0])), int(sign[0])
 
 
 def reduce_forms(a, b, c):
-    """`reduce_form` on columns: the canonical forms and the signs det(U), row by row.
+    """The canonical forms of positive semidefinite columns and the signs det(U)
+    of the reducing words, row by row.
 
-    Both det +1 steps of the scalar reduction (swap, translate) run on every
-    row that still needs one until no row does; the rows with b < 0 left then
-    flip with diag(1, −1).  A det +1 reduction of a form ends in the same form
-    whatever the order of its steps, so each row agrees with `reduce_form`.
+    Both det +1 steps, the swap x ↦ (−y, x) and the translation x ↦ x + ky that
+    moves b into (−a, a], run on every row that still needs one until no row
+    does; the rows with b < 0 left then flip with diag(1, −1).  A det +1
+    reduction of a form ends in the same form whatever the order of its steps,
+    so running the steps of all rows at once changes no row's result.  The
+    canonical forms satisfy `is_reduced`; a rank-one form ends as (0, 0, m).
     int64 while every |entry| < 2³⁰, which keeps a·k² + b·k + c below 2⁶²;
     otherwise object arrays of Python ints run the same code.
     """

@@ -67,9 +67,12 @@ class FormSpace:
 
     def _invariant_basis(self, order: Lattice) -> linalg.Matrix:
         eye = linalg.identity(self.space.dim)
-        # invariance v·M_u = v as a right-kernel condition: (M_uᵗ - I)·vᵗ = 0
+        # invariance v·M_u = v as a right-kernel condition: (M_uᵗ - I)·vᵗ = 0.
+        # M_u is quadratic in u, so one unit of each pair ±u will do: `units` is
+        # sorted and closed under negation, so its second half is its first negated
+        units = order.units
         return linalg.nullspace(linalg.vstack([integral_tau_matrix(u, self.space).T - eye
-                                               for u in order.units]))
+                                               for u in units[:len(units) // 2]]))
 
     def basis_forms(self) -> list[AutomorphicForm]:
         out = []

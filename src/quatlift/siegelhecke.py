@@ -12,11 +12,10 @@ eigenvalues with no further constant.
 
 `hecke_Tp` runs each block D as one pass over the output forms
 (`binforms.form_table` and (0, 0, 0)): S[Dᵗ] for every S at once, the rows
-divisible by p, one bulk sign-tracked reduction (`binforms.reduce_forms`),
-and the input numerators gathered by binary search on the expansion's keys.
-The sign det(U) counts only in odd weight, where it is 0 on forms a det −1
-substitution fixes.  `eigenvalue_extract` compares the two expansions'
-definite entries up to the smaller bound as columns.
+divisible by p, and their input coefficients read as one column through
+`FourierExpansionSiegel2.coefficients`, which reduces them, checks the bounds
+and applies the odd-weight sign.  `eigenvalue_extract` compares the two
+expansions' definite entries up to the smaller bound as columns.
 """
 
 from __future__ import annotations
@@ -27,9 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .binforms import form_table, reduce_forms
+from .binforms import form_table
 from .quatcore import UsageError, _is_prime, _prime_factors
-from .yoshida import FourierExpansionSiegel2, TruncationError
+from .yoshida import FourierExpansionSiegel2, TruncationError, _require_comparable
 
 
 @dataclass(frozen=True)
@@ -111,16 +110,7 @@ def hecke_Tp(f: FourierExpansionSiegel2, p: int) -> FourierExpansionSiegel2:
         tb = sa * (2 * d11 * d21) + sb * (d11 * d22 + d12 * d21) + sc * (2 * d12 * d22)
         tc = sa * (d21 * d21) + sb * (d21 * d22) + sc * (d22 * d22)
         hit = np.flatnonzero((ta % p == 0) & (tb % p == 0) & (tc % p == 0))
-        ra, rb, rc, sign = reduce_forms(ta[hit] // p, tb[hit] // p, tc[hit] // p)
-        if int((4 * ra * rc - rb * rb).max()) > f.bound:
-            raise TruncationError(f"a T({p}) transplant exceeds the input bound {f.bound}")
-        vals = int(w * common) * f.lookup(ra, rb, rc)
-        if k % 2:
-            # a(S[U]) = det(U)^k·a(S), so the coefficient is 0 at a form that a
-            # det −1 substitution fixes
-            sign[(rb == 0) | (rb == ra) | (ra == rc)] = 0
-            vals *= sign
-        total[hit] += vals
+        total[hit] += int(w * common) * f.coefficients(ta[hit] // p, tb[hit] // p, tc[hit] // p)
     return FourierExpansionSiegel2.from_columns(k, f.level, out_bound, sa, sb, sc, total,
                                                 f.denominator * common, singular_bound=0)
 
@@ -130,7 +120,9 @@ def eigenvalue_extract(f: FourierExpansionSiegel2, g: FourierExpansionSiegel2) -
 
     Both expansions store their positive definite entries in the order
     (disc, a, b), so the comparable ones are two prefixes, compared as columns.
+    UsageError unless both have the same weight and level.
     """
+    _require_comparable(f, g)
     bound = min(f.bound, g.bound)
     *fs, fn = f.definite_upto(bound)
     *gs, gn = g.definite_upto(bound)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import fixture as fx
 from . import linalg
-from .binforms import is_ambiguous, reduced_forms_up_to
+from .binforms import form_table, is_ambiguous
 from .brandt import atkin_lehner, brandt_matrix, constant_form, inner_product
 from .harmonic import (HarmSpace, default_frame, integral_tau_matrix, laplacian_matrix,
                        lift_matrix_deg2, lift_poly_deg1, monomials_of_degree)
@@ -116,9 +116,9 @@ def check_lift_golden(report: Report, lift) -> None:
     report.check(crit, f"{matched}/13 printed coefficients match", matched == 13)
     report.check(crit, "singular coefficients vanish (cuspidal)",
                  is_cuspidal_up_to_bound(lift))
-    ambiguous_zero = all(lift.coefficient(t) == 0
-                         for t in reduced_forms_up_to(min(lift.bound, 100))
-                         if is_ambiguous(t))
+    a, b, c = form_table(min(lift.bound, 100))
+    amb = is_ambiguous(a, b, c)
+    ambiguous_zero = not lift.coefficients(a[amb], b[amb], c[amb]).any()
     report.check(crit, "ambiguous-form coefficients vanish (odd weight)", ambiguous_zero)
     theory = fx.fixture_lift(min(lift.bound, 130))
     report.check(crit, f"eigenform assembly matches the published one (x{fx.LIFT_SCALE})",

@@ -6,9 +6,12 @@ the singular forms (0, 0, m): one store of int64 columns a, b, c and Python-int
 numerators over one denominator, in canonical order (the singular forms by m,
 then the positive definite ones by (disc, a, b)), sorted by one integer key per
 form.  Storage grows with the entries, not with the bound.  Whole columns go in
-through `from_columns`, checked in bulk, and come out through `columns`,
-`definite_upto` and `lookup`; a single `coefficient` goes through the
-sign-tracked reduction, which is what makes odd weight work.
+through `from_columns`, checked in bulk, and come out through `columns` and
+`definite_upto`.  Every coefficient read, of one form or of columns of any
+positive semidefinite forms, is `coefficients`: it reduces the forms with the
+sign det(U) tracked, raises past the bounds, looks up the keys and, in odd
+weight, where a(T[U]) = det(U)^k·a(T), applies the sign and reads 0 on the
+ambiguous forms.
 
 Every degree-2 lift is a sum of pieces θ(L, P)·scale whose weight P has
 bidegree (ν, ν), so P(x₁, x₂) = m_ν(x₁)ᵗ·C·m_ν(x₂) with m_ν the degree-ν
@@ -53,7 +56,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .binforms import disc, form_keys, form_table, is_ambiguous, reduce_form
+from .binforms import form_keys, form_table, is_ambiguous, is_reduced, reduce_forms
 from .brandt import AutomorphicForm, FormSpace, _require_space
 from .harmonic import _monomial_rows, lift_matrix_deg2, tau_matrix_sum
 from .linalg import INT64_SAFE
@@ -117,7 +120,7 @@ class FourierExpansionSiegel2:
             i = int(np.argmax(mask))
             raise ValueError(f"{(int(a[i]), int(b[i]), int(c[i]))} {why}")
 
-        reduced = (0 <= b) & (b <= a) & (a <= c)
+        reduced = is_reduced(a, b, c)
         if not reduced.all():
             fail(~reduced, "is not canonical-reduced")
         singular = a == 0
@@ -131,7 +134,7 @@ class FourierExpansionSiegel2:
         if beyond.any():
             fail(beyond, "is beyond the bound")
         if weight % 2:
-            bad = ((b == 0) | (b == a) | (a == c)) & (num != 0)
+            bad = is_ambiguous(a, b, c) & (num != 0)
             if bad.any():
                 fail(bad, "must have a zero coefficient in odd weight")
         keys = out._keys(a, b, c)
@@ -170,17 +173,6 @@ class FourierExpansionSiegel2:
         lo, hi = np.searchsorted(4 * a * c - b * b, [0, bound], side="right")
         return a[lo:hi], b[lo:hi], c[lo:hi], self._num[lo:hi]
 
-    def lookup(self, a, b, c) -> np.ndarray:
-        """The stored numerators at canonical forms within the bounds, 0 where none is."""
-        a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
-        out = np.zeros(len(a), dtype=object)
-        if len(self._key):
-            keys = self._keys(a, b, c)
-            i = np.minimum(np.searchsorted(self._key, keys), len(self._key) - 1)
-            hit = self._key[i] == keys
-            out[hit] = self._num[i[hit]]
-        return out
-
     @property
     def entries(self):
         """The nonzero entries, read-only, in canonical order."""
@@ -188,21 +180,37 @@ class FourierExpansionSiegel2:
         return MappingProxyType({t: Fraction(n, self._den)
                                  for t, n in zip(forms, self._num.tolist())})
 
-    def coefficient(self, t) -> Fraction:
-        red, sign = reduce_form(t)
-        d = disc(red)
-        if d > 0:
-            if d > self.bound:
-                raise TruncationError(f"form {t} has discriminant {d} > bound {self.bound}")
-        else:
-            if red[2] > self.singular_bound:
-                raise TruncationError(f"singular form {t} exceeds bound {self.singular_bound}")
-        val = self.lookup(*([x] for x in red))[0]
+    def coefficients(self, a, b, c) -> np.ndarray:
+        """The numerators over `denominator` of the coefficients at the positive
+        semidefinite forms (a[i], b[i], c[i]), any of them, as Python ints.
+
+        The forms are reduced (`binforms.reduce_forms`), TruncationError is raised
+        if any lies past `bound` or `singular_bound`, and the stored numerators are
+        looked up by key, 0 where none is.  In odd weight a(T[U]) = det(U)^k·a(T),
+        so each value is multiplied by det(U), and is 0 at an ambiguous form.
+        """
+        a, b, c, sign = reduce_forms(a, b, c)
+        past = np.where(a == 0, c > self.singular_bound, 4 * a * c - b * b > self.bound)
+        if past.any():
+            i = int(np.argmax(past))
+            raise TruncationError(f"form {(int(a[i]), int(b[i]), int(c[i]))} is beyond the "
+                                  f"bound {self.bound}, singular bound {self.singular_bound}")
+        out = np.zeros(len(a), dtype=object)
+        # from_columns stores no coordinate of 2^30 or more; the rows below it are
+        # cast to int64 and keyed as it keyed them
+        i = np.flatnonzero(c < 1 << 30)
+        if len(self._key) and len(i):
+            keys = self._keys(*(x[i].astype(np.int64, copy=False) for x in (a, b, c)))
+            j = np.minimum(np.searchsorted(self._key, keys), len(self._key) - 1)
+            hit = self._key[j] == keys
+            out[i[hit]] = self._num[j[hit]]
         if self.weight % 2:
-            if is_ambiguous(red):
-                return Fraction(0)
-            val *= sign
-        return Fraction(val, self._den)
+            out *= np.where(is_ambiguous(a, b, c), 0, sign)
+        return out
+
+    def coefficient(self, t) -> Fraction:
+        """The coefficient at one positive semidefinite form: a one-row `coefficients`."""
+        return Fraction(self.coefficients(*([x] for x in t))[0], self._den)
 
     def is_zero(self) -> bool:
         return not len(self._num)
@@ -216,7 +224,9 @@ class FourierExpansionSiegel2:
 
     def agrees_with(self, other: "FourierExpansionSiegel2") -> bool:
         """Equality on the common validity range: the rows of both stores in it,
-        compared in order (the keys of two expansions need not match)."""
+        compared in order (the keys of two expansions need not match).  UsageError
+        unless both have the same weight and level."""
+        _require_comparable(self, other)
         bound = min(self.bound, other.bound)
         sb = min(self.singular_bound, other.singular_bound)
         rows = []
@@ -227,6 +237,13 @@ class FourierExpansionSiegel2:
         (*mine, x), (*theirs, y) = rows
         return (len(x) == len(y) and all((u == v).all() for u, v in zip(mine, theirs))
                 and bool((x * other._den == y * self._den).all()))
+
+
+def _require_comparable(f: FourierExpansionSiegel2, g: FourierExpansionSiegel2) -> None:
+    """Refuse to compare two expansions of different weight or level."""
+    if (f.weight, f.level) != (g.weight, g.level):
+        raise UsageError(f"expansions of weight {f.weight}, level {f.level} and of weight "
+                         f"{g.weight}, level {g.level} are not comparable")
 
 
 class QExpansion:

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from quatlift import fixture as fx
 from quatlift import linalg
+from quatlift.binforms import form_table, is_ambiguous
 from quatlift.harmonic import monomials_of_degree
 from quatlift.quatcore import Lattice, QuaternionAlgebra, _rref_mod_p
 from quatlift.yoshida import FourierExpansionSiegel2
@@ -77,3 +79,20 @@ def expansion(weight, level, bound, entries, singular_bound=None):
     return FourierExpansionSiegel2.from_columns(
         weight, level, bound, a, b, c, [v.numerator * (den // v.denominator) for v in values],
         den, singular_bound=singular_bound)
+
+
+def shuffled_store(weight, bound, seed=0):
+    """Every form with disc ≤ 60 and (0, 0, m) with m ≤ 100, canonical order, with
+    values in sixths, zeros among them (every ambiguous form in odd weight), and
+    the expansion `from_columns` builds from the columns in a shuffled order.
+    The singular range reaches past the least definite `form_keys` (81 at bound 60)."""
+    rng = random.Random(seed)
+    forms = [(0, 0, m) for m in range(101)] + list(zip(*(x.tolist() for x in form_table(60))))
+    values = [Fraction(0) if weight % 2 and is_ambiguous(*t) else Fraction(rng.randint(-3, 3), 6)
+              for t in forms]
+    perm = rng.sample(range(len(forms)), len(forms))
+    a, b, c = np.array([forms[i] for i in perm], dtype=np.int64).T
+    f = FourierExpansionSiegel2.from_columns(weight, 17, bound, a, b, c,
+                                             [int(6 * values[i]) for i in perm], 6,
+                                             singular_bound=100)
+    return f, forms, values

@@ -78,7 +78,7 @@ def test_criterion_3_lift_golden(golden_130):
         assert golden_130.coefficient(t) == v
     assert is_cuspidal_up_to_bound(golden_130)
     for t in reduced_forms_up_to(100):
-        if is_ambiguous(t):
+        if is_ambiguous(*t):
             assert golden_130.coefficient(t) == 0
     _announce(3, "13/13 published coefficients match; singular and ambiguous "
                  "coefficients vanish to discriminant 100")

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import binforms_reference
 from quatlift.binforms import (apply_unimodular, disc, form_table, is_ambiguous, is_reduced,
                                reduce_form, reduced_forms_up_to)
 
@@ -43,10 +44,20 @@ def test_boundary_forms_reduce_without_sign():
 
 
 def test_ambiguity():
-    assert is_ambiguous((1, 0, 5))
-    assert is_ambiguous((2, 2, 3))
-    assert is_ambiguous((3, 1, 3))
-    assert not is_ambiguous((2, 1, 3))
+    assert is_ambiguous(1, 0, 5)
+    assert is_ambiguous(2, 2, 3)
+    assert is_ambiguous(3, 1, 3)
+    assert not is_ambiguous(2, 1, 3)
+    # the same rule row by row on columns
+    a, b, c = np.array([(1, 0, 5), (2, 2, 3), (3, 1, 3), (2, 1, 3), (0, 0, 4)]).T
+    assert is_ambiguous(a, b, c).tolist() == [True, True, True, False, True]
+
+
+def test_reduced_on_columns():
+    forms = [(2, 1, 3), (0, 0, 4), (0, 0, 0), (3, 1, 2), (2, -1, 3), (2, 3, 5), (1, 1, 1)]
+    a, b, c = np.array(forms).T
+    assert is_reduced(a, b, c).tolist() == [True, True, True, False, False, False, True]
+    assert [bool(is_reduced(*t)) for t in forms] == is_reduced(a, b, c).tolist()
 
 
 UNIMODULARS = [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((0, -1), (1, 0)),
@@ -64,9 +75,10 @@ def test_reduction_is_orbit_invariant():
             s = apply_unimodular(s, u)
             det *= u[0][0] * u[1][1] - u[0][1] * u[1][0]
         red, sign = reduce_form(s)
+        assert (red, sign) == binforms_reference.reduce_form(s)
         assert red == t
         assert disc(s) == disc(t)
-        if not is_ambiguous(t):
+        if not is_ambiguous(*t):
             assert sign == det
 
 
@@ -74,7 +86,7 @@ def test_reduced_enumeration_is_canonical():
     forms = reduced_forms_up_to(150)
     assert len(set(forms)) == len(forms)
     for t in forms:
-        assert is_reduced(t) and 0 < disc(t) <= 150
+        assert is_reduced(*t) and 0 < disc(t) <= 150
         assert reduce_form(t) == (t, 1)
 
 

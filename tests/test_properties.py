@@ -4,14 +4,19 @@ equivalence-relation structure on a pool of ideals."""
 import math
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import binforms_reference
+from helpers import shuffled_store
 from quatlift import fixture as fx
 from quatlift import linalg
 from quatlift.binforms import apply_unimodular, disc, is_ambiguous, reduce_form, reduce_forms
 from quatlift.quatcore import (Lattice, QuatElement, ideal_equivalent,
                                p_neighbors, reduce_right_ideal, short_vectors)
+from quatlift.yoshida import TruncationError
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -67,9 +72,10 @@ def test_reduce_form_orbit(a, b, c, word):
         t = apply_unimodular(t, u)
         det *= u[0][0] * u[1][1] - u[0][1] * u[1][0]
     red, sign = reduce_form(t)
+    assert (red, sign) == binforms_reference.reduce_form(t)
     assert red == base
     assert disc(t) == disc((a, b, c))
-    if not is_ambiguous(base):
+    if not is_ambiguous(*base):
         assert sign == base_sign * det
 
 
@@ -100,7 +106,35 @@ def semidefinite_forms(draw):
 def test_reduce_forms_matches_reduce_form(forms):
     a, b, c, sign = reduce_forms(*zip(*forms))
     got = list(zip(zip(a.tolist(), b.tolist(), c.tolist()), sign.tolist()))
-    assert got == [reduce_form(t) for t in forms]
+    assert got == [binforms_reference.reduce_form(t) for t in forms]
+
+
+# one store of each key type and weight, built once: every form with disc ≤ 60
+# and (0, 0, m) with m ≤ 100, at bound 60 (int64 keys) or 10^10 (object keys)
+STORES = {(weight, bound): shuffled_store(weight, bound)[0]
+          for weight in (2, 3) for bound in (60, 10 ** 10)}
+
+
+@pytest.mark.parametrize("bound", [60, 10 ** 10], ids=["int64-keys", "object-keys"])
+@pytest.mark.parametrize("weight", [2, 3])
+@given(forms=st.lists(semidefinite_forms(), min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_coefficients_match_the_scalar_read(weight, bound, forms):
+    # non-canonical, singular and ambiguous forms; the ones within the bounds
+    # are read as one column, each one past them must raise on its own
+    f = STORES[weight, bound]
+    inside, want = [], []
+    for t in forms:
+        try:
+            want.append(binforms_reference.coefficient(f, t))
+            inside.append(t)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                f.coefficients([t[0]], [t[1]], [t[2]])
+    a, b, c = np.array(inside, dtype=np.int64).reshape(-1, 3).T
+    got = f.coefficients(a, b, c)
+    assert [Fraction(n, f.denominator) for n in got.tolist()] == want
+    assert [f.coefficient(t) for t in inside] == want
 
 
 @given(st.lists(st.integers(-2, 2), min_size=16, max_size=16), st.integers(1, 6))

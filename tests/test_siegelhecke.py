@@ -165,12 +165,13 @@ def test_hecke_bad_prime_and_bound():
 def test_odd_weight_ambiguous_support_maps_to_zero():
     # force stored entries onto ambiguous forms: from_columns refuses them in odd
     # weight, so a weight-2 store goes under a weight-3 expansion of the same
-    # bounds; lookups and T(p) must treat them as 0
+    # bounds; coefficient reads and T(p) must treat them as 0
     even = expansion(2, 17, 400, {(1, 1, 6): Fraction(32), (2, 0, 5): Fraction(-7)})
     f = FourierExpansionSiegel2(3, 17, 400)
     for name in ("_a", "_b", "_c", "_key", "_num", "_den"):
         setattr(f, name, getattr(even, name))
-    assert f.lookup([1, 2], [1, 0], [6, 5]).tolist() == [32, -7]
+    assert even.coefficients([1, 2], [1, 0], [6, 5]).tolist() == [32, -7]
+    assert f.coefficients([1, 2, 1], [1, 0, -1], [6, 5, 6]).tolist() == [0, 0, 0]
     assert f.coefficient((1, 1, 6)) == 0
     assert f.coefficient((2, 0, 5)) == 0
     assert hecke_Tp(f, 2).is_zero()
@@ -179,7 +180,8 @@ def test_odd_weight_ambiguous_support_maps_to_zero():
 @pytest.mark.parametrize("name", ["weight", "level", "bound", "singular_bound"])
 def test_expansion_parameters_are_read_only(name):
     # the stored keys and the bound and odd-weight checks hold for the values
-    # from_columns was given; a new bound would make lookup miss stored entries
+    # from_columns was given; a new bound would make coefficient reads miss
+    # stored entries
     f = expansion(2, 17, 400, {(1, 1, 6): Fraction(32), (0, 0, 3): Fraction(1)},
                   singular_bound=5)
     with pytest.raises(AttributeError):
@@ -200,6 +202,21 @@ def test_eigenvalue_extract_edge_cases(lift_950):
                        singular_bound=lift_950.singular_bound)
     with pytest.raises(ValueError):
         eigenvalue_extract(lift_950, broken)
+
+
+def test_expansions_of_another_weight_or_level_are_not_compared():
+    # the same entries under weights 2 and 3, and under levels 17 and 34
+    entries = {(2, 1, 3): 4, (3, 1, 4): 2}
+    f = expansion(3, 17, 50, entries)
+    for other in (expansion(2, 17, 50, entries), expansion(3, 34, 50, entries)):
+        with pytest.raises(UsageError, match="not comparable"):
+            f.agrees_with(other)
+        with pytest.raises(UsageError, match="not comparable"):
+            other.agrees_with(f)
+        with pytest.raises(UsageError, match="not comparable"):
+            eigenvalue_extract(f, other.scale(2))
+    assert f.agrees_with(expansion(3, 17, 50, entries))
+    assert eigenvalue_extract(f, f.scale(2)) == 2
 
 
 def test_standard_factor_trivial_pair():
@@ -351,17 +368,14 @@ def test_grouped_coset_weights(p, k):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_hecke_looks_up_p_plus_3_transplants_per_form(p, lift_950, monkeypatch):
-    calls = []  # one entry per form looked up, single or in a column
-    coefficient = FourierExpansionSiegel2.coefficient
-    lookup = FourierExpansionSiegel2.lookup
-    monkeypatch.setattr(FourierExpansionSiegel2, "coefficient",
-                        lambda self, t: calls.append(t) or coefficient(self, t))
-    monkeypatch.setattr(FourierExpansionSiegel2, "lookup",
-                        lambda self, a, b, c: calls.extend(a) or lookup(self, a, b, c))
+    calls = []  # one entry per form read; `coefficient` reads through `coefficients`
+    coefficients = FourierExpansionSiegel2.coefficients
+    monkeypatch.setattr(FourierExpansionSiegel2, "coefficients",
+                        lambda self, a, b, c: calls.extend(a) or coefficients(self, a, b, c))
     hecke_Tp(lift_950, p)
     # with (0, 0, 0); at p = 5 the per-coset sum made 4,150 lookups
     forms = len(reduced_forms_up_to(lift_950.bound // (p * p))) + 1
-    assert len(calls) <= (p + 3) * forms
+    assert 0 < len(calls) <= (p + 3) * forms
 
 
 def test_hecke_rejects_a_coset_with_a_nontrivial_character(lift_950, monkeypatch):

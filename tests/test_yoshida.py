@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import enum_reference
-from helpers import expansion, hamilton_algebra, monomial_values, narrowest_signed
+from helpers import (expansion, hamilton_algebra, monomial_values, narrowest_signed,
+                     shuffled_store)
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore, yoshida
 from quatlift.binforms import apply_unimodular, form_table, is_ambiguous, reduced_forms_up_to
@@ -68,7 +69,7 @@ def test_golden_lift_cuspidal(golden_130):
 
 def test_golden_lift_ambiguous_vanish(golden_130):
     for t in reduced_forms_up_to(100):
-        if is_ambiguous(t):
+        if is_ambiguous(*t):
             assert golden_130.coefficient(t) == 0
 
 
@@ -393,23 +394,6 @@ def test_from_columns_rejects_forms_beyond_the_bounds():
         FourierExpansionSiegel2(2, 17, -1)
 
 
-def shuffled_store(weight, bound, seed=0):
-    """Every form with disc ≤ 60 and (0, 0, m) with m ≤ 100, canonical order, with
-    values in sixths, zeros among them (every ambiguous form in odd weight), and
-    the expansion `from_columns` builds from the columns in a shuffled order.
-    The singular range reaches past the least definite `form_keys` (81 at bound 60)."""
-    rng = random.Random(seed)
-    forms = [(0, 0, m) for m in range(101)] + list(zip(*(x.tolist() for x in form_table(60))))
-    values = [Fraction(0) if weight % 2 and is_ambiguous(t) else Fraction(rng.randint(-3, 3), 6)
-              for t in forms]
-    perm = rng.sample(range(len(forms)), len(forms))
-    a, b, c = np.array([forms[i] for i in perm], dtype=np.int64).T
-    f = FourierExpansionSiegel2.from_columns(weight, 17, bound, a, b, c,
-                                             [int(6 * values[i]) for i in perm], 6,
-                                             singular_bound=100)
-    return f, forms, values
-
-
 @pytest.mark.parametrize("bound", [60, 10 ** 10], ids=["int64-keys", "object-keys"])
 @pytest.mark.parametrize("weight", [2, 3])
 def test_from_columns_sorts_shuffled_columns_and_drops_zeros(weight, bound):
@@ -427,11 +411,43 @@ def test_from_columns_sorts_shuffled_columns_and_drops_zeros(weight, bound):
 @pytest.mark.parametrize("bound", [60, 10 ** 10], ids=["int64-keys", "object-keys"])
 @pytest.mark.parametrize("weight", [2, 3])
 def test_lookup_reads_every_form_within_the_bounds(weight, bound):
-    # stored numerators where an entry is, 0 at every absent form, singular or definite
+    # `coefficients` at the canonical forms: the stored numerators where an entry
+    # is, 0 at every absent form, singular or definite
     f, forms, values = shuffled_store(weight, bound)
     a, b, c = np.array(forms, dtype=np.int64).T
-    assert f.lookup(a, b, c).tolist() == [int(v * f.denominator) for v in values]
+    assert f.coefficients(a, b, c).tolist() == [int(v * f.denominator) for v in values]
     assert 0 in values
+
+
+@pytest.mark.parametrize("weight", [2, 3])
+def test_coefficients_read_a_non_canonical_form_at_its_reduction(weight):
+    # at bound 39 the key of the non-canonical (3, −3, 4) is the key of (2, 1, 5);
+    # (3, −3, 4) reduces to the ambiguous (3, 3, 4) instead
+    entries = {(2, 1, 5): 7} if weight % 2 else {(2, 1, 5): 7, (3, 3, 4): 5}
+    f = expansion(weight, 17, 39, entries)
+    assert f.coefficients([3, 2, 3], [-3, 1, 3], [4, 5, 4]).tolist() == (
+        [0, 7, 0] if weight % 2 else [5, 7, 5])
+    assert f.coefficient((3, -3, 4)) == f.coefficient((3, 3, 4))
+    # an odd weight picks up det(U) = −1 at (2, −1, 5)
+    assert f.coefficient((2, -1, 5)) == (-7 if weight % 2 else 7)
+
+
+def test_coefficients_raise_past_either_bound():
+    f = expansion(3, 17, 50, {(2, 1, 3): 32}, singular_bound=4)
+    assert f.coefficients([0, 4, 2], [0, 0, -1], [4, 0, 3]).tolist() == [0, 0, -32]
+    # disc 251 > 50, singular 5 > 4, and the same two past 2^63
+    for t in [(7, 1, 9), (5, 0, 0), (1, 0, 10 ** 20), (10 ** 20, 0, 0)]:
+        with pytest.raises(TruncationError):
+            f.coefficients(*([x] for x in t))
+        with pytest.raises(TruncationError):
+            f.coefficient(t)
+    # one form past a bound fails the whole column
+    with pytest.raises(TruncationError):
+        f.coefficients([2, 7], [1, 1], [3, 9])
+    # within bounds past 2^63 the forms beyond int64 read 0, the stored ones their values
+    huge = expansion(2, 17, 10 ** 42, {(2, 1, 3): 32, (0, 0, 5): 1}, singular_bound=10 ** 21)
+    assert huge.coefficients([2, 1, 0, 0], [-1, 0, 0, 0],
+                             [3, 10 ** 20, 10 ** 21, 5]).tolist() == [32, 0, 0, 1]
 
 
 @pytest.fixture(scope="module")
