@@ -22,11 +22,6 @@ import numpy as np
 BinaryForm = tuple[int, int, int]
 
 
-def disc(t: BinaryForm) -> int:
-    a, b, c = t
-    return 4 * a * c - b * b
-
-
 def is_reduced(a, b, c):
     """0 ≤ b ≤ a ≤ c, row by row on columns (or on one form's entries): the
     canonical representatives, singular ones (0, 0, m) among them."""
@@ -116,18 +111,3 @@ def form_keys(a, b, c, bound: int):
     if (bound + 1) * r * r >= 1 << 63:
         a, b, c = (np.asarray(x, dtype=object) for x in (a, b, c))
     return ((4 * a * c - b * b) * r + a) * r + b
-
-
-def reduced_forms_up_to(bound: int) -> list[BinaryForm]:
-    """All canonical positive definite reduced forms with disc ≤ bound, sorted by (disc, a, b)."""
-    return list(zip(*(x.tolist() for x in form_table(bound))))
-
-
-def apply_unimodular(t: BinaryForm, u) -> BinaryForm:
-    """T[U] = Uᵗ·T·U for an integer 2×2 matrix U, in [a, b, c] coordinates."""
-    a, b, c = t
-    (p, q), (r, s) = u
-    a2 = a * p * p + b * p * r + c * r * r
-    b2 = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
-    c2 = a * q * q + b * q * s + c * s * s
-    return (a2, b2, c2)

@@ -4,31 +4,40 @@ A rational matrix is one `Matrix`: an integer array N and one positive
 denominator d, standing for N/d.  It is kept in lowest terms (the gcd of d and
 every entry of N is 1), and N is int64 when every entry is below 2⁶² in absolute
 value, otherwise an object array of Python ints.  So two equal matrices have
-equal (N, d) and the same dtype, and equality is a comparison of arrays.
+equal (N, d) and the same dtype, and equality is a comparison of arrays.  A
+Matrix also carries max|N|, which the int64 guard of every operation reads.
+Only products, sums, scalar multiples and arrays built elsewhere are scanned
+for it (and for the gcd); a transpose, a negation, `identity`, `zeros` and the
+results of the elimination kernels already know their entries.
 
-Every kernel works on the integers alone and keeps int64 only while a bound on
-the integers it forms stays below 2⁶²; past that it runs the same code on
-object arrays.  A product is one numpy call with denominator d_A·d_B.  `rref`
-(and with it `solve_many`, `nullspace`, `inverse` and `rank`) is fraction-free
-Gauss–Jordan elimination that divides each changed row by its content, `det`
-is Bareiss elimination (Bareiss, Math. Comp. 22, 1968), and `charpoly` is
-division-free Faddeev–LeVerrier over ℤ on N, whose exact divisions are by k.
+Products and `charpoly` stay on numpy, where one call does the whole matrix:
+each keeps int64 only while a bound on the integers it forms stays below 2⁶²,
+and past that runs the same code on object arrays.  A product is one numpy
+call with denominator d_A·d_B, and `charpoly` is division-free
+Faddeev–LeVerrier over ℤ on N, whose exact divisions are by k.
+
+The elimination kernels run on rows of Python ints, which are exact at any
+size, so they need no guard: every matrix they see is a few dozen rows at most,
+where numpy's per-call overhead costs more than the arithmetic.  `rref` (and
+with it `solve_many`, `nullspace`, `inverse` and `rank`) is fraction-free
+Gauss–Jordan elimination that divides each changed row by its content, and
+`det` is Bareiss elimination (Bareiss, Math. Comp. 22, 1968).
 
 Fractions appear only at the edge: `Matrix.tolist`, iteration and indexing
 give rows of Fractions, and `det`, `charpoly` and `vec_mat` return Fractions.
-Nothing here is sized for more than a few dozen rows, and nothing touches
-floating point.
+Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-# the int64 guard: every integer a kernel forms stays below this, or the
-# kernel runs on object arrays of Python ints
+# the int64 guard: every integer a numpy kernel forms stays below this, or the
+# kernel runs on object arrays of Python ints; it also picks a Matrix's dtype
 INT64_SAFE = 2 ** 62
 
 
@@ -36,12 +45,16 @@ def _absmax(x: np.ndarray) -> int:
     return int(np.abs(x).max()) if x.size else 0
 
 
-def _array(rows: list[list[int]], ncols: int) -> np.ndarray:
-    """A 2-D integer array of Python int rows: int64 if every entry fits, else object."""
-    try:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
-    except OverflowError:
-        return np.array(rows, dtype=object).reshape(len(rows), ncols)
+def _from_rows(rows: list[list[int]], ncols: int, den: int = 1) -> "Matrix":
+    """The Matrix rows/den of Python-int rows and a positive den, with one pass in Python."""
+    entries = list(chain.from_iterable(rows))
+    g = math.gcd(den, *entries) if den > 1 else 1
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+        den //= g
+    amax = max(map(abs, entries), default=0) // g
+    num = np.array(rows, dtype=np.int64 if amax < INT64_SAFE else object)
+    return Matrix._known(num.reshape(len(rows), ncols), den, amax)
 
 
 def _mul(x: np.ndarray, y: np.ndarray, xmax: int, ymax: int) -> np.ndarray:
@@ -96,13 +109,20 @@ class Matrix:
         self.den = den
         self._rows = None
 
+    @classmethod
+    def _known(cls, num: np.ndarray, den: int, amax: int) -> "Matrix":
+        """num/den, already in lowest terms with the canonical dtype and max|num| = amax."""
+        m = cls.__new__(cls)
+        m.num, m.den, m.max, m._rows = num, den, amax, None
+        return m
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.num.shape
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.num.T, self.den)
+        return Matrix._known(self.num.T, self.den, self.max)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return Matrix(_mul(self.num, other.num, self.max, other.max), self.den * other.den)
@@ -113,7 +133,7 @@ class Matrix:
                       + _scaled(other.num, den // other.den, other.max), den)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(-self.num, self.den)
+        return Matrix._known(-self.num, self.den, self.max)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
@@ -167,15 +187,15 @@ def frac_mat(rows) -> Matrix:
     rows = [[_rational(x) for x in row] for row in rows]
     den = math.lcm(*(x.denominator for row in rows for x in row))
     ints = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-    return Matrix(_array(ints, len(rows[0]) if rows else 0), den)
+    return _from_rows(ints, len(rows[0]) if rows else 0, den)
 
 
 def identity(n: int) -> Matrix:
-    return Matrix(np.eye(n, dtype=np.int64))
+    return Matrix._known(np.eye(n, dtype=np.int64), 1, min(n, 1))
 
 
 def zeros(n: int, m: int) -> Matrix:
-    return Matrix(np.zeros((n, m), dtype=np.int64))
+    return Matrix._known(np.zeros((n, m), dtype=np.int64), 1, 0)
 
 
 def _common(mats) -> tuple[list[np.ndarray], int]:
@@ -214,70 +234,73 @@ def transpose(a) -> Matrix:
 
 
 def det(a) -> Fraction:
-    """Determinant by Bareiss elimination on N; det(N/d) = det(N)/dⁿ.
+    """Determinant by Bareiss elimination on the rows of N; det(N/d) = det(N)/dⁿ.
 
-    Every integer Bareiss forms is a minor of N or a product of two, so the
-    Hadamard bound H of N picks the dtype: int64 when 2H² is below the guard.
+    Step k replaces each row i below the pivot row by
+    (p·row_i − m_ik·row_k)/p_prev, an exact division, with p the pivot.
     """
     a = frac_mat(a)
     n = len(a)
-    m = a.num.copy()
-    hadamard = math.prod(math.isqrt(sum(x * x for x in row)) + 1 for row in m.tolist())
-    if m.dtype != object and 2 * hadamard * hadamard >= INT64_SAFE:
-        m = m.astype(object)
+    m = a.num.tolist()
     sign, prev = 1, 1
     for k in range(n):
-        nz = np.flatnonzero(m[k:, k])
-        if not nz.size:
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
             return Fraction(0)
-        if nz[0]:
-            m[[k, k + nz[0]]] = m[[k + nz[0], k]]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        p = m[k, k]
-        m[k + 1:, k + 1:] = (p * m[k + 1:, k + 1:] - np.outer(m[k + 1:, k], m[k, k + 1:])) // prev
+        row = m[k]
+        p = row[k]
+        for i in range(k + 1, n):
+            q = m[i][k]
+            m[i] = [(p * x - q * y) // prev for x, y in zip(m[i], row)]
         prev = p
-    return Fraction(sign * int(prev), a.den ** n)
+    return Fraction(sign * prev, a.den ** n)
 
 
 def rref(a) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (matrix, pivot columns).
 
-    Fraction-free Gauss–Jordan on N (the RREF of N/d is that of N): each
-    elimination replaces row i by p·row_i − N_ic·row_r, with p the pivot, and
-    divides it by its content.  The entries formed are at most 2·max|N|², which
-    picks the dtype at each step.  At the end row k is its pivot times the k-th
-    reduced row, so one denominator, the lcm of the pivots, holds them all.
+    Fraction-free Gauss–Jordan on the rows of N (the RREF of N/d is that of
+    N): each elimination replaces row i by p·row_i − N_ic·row_r, with p the
+    pivot, and divides it by its content.  At the end row k is a primitive
+    multiple of the k-th reduced row, so one denominator, the lcm of the
+    pivots, holds them all, in lowest terms.
     """
-    m = frac_mat(a).num.copy()
-    rows, cols = m.shape
+    num = frac_mat(a).num
+    nrows, ncols = num.shape
+    m = num.tolist()
     pivots: list[int] = []
-    for c in range(cols):
+    for c in range(ncols):
         r = len(pivots)
-        if r == rows:
+        if r == nrows:
             break
-        nz = np.flatnonzero(m[r:, c])
-        if not nz.size:
+        for piv in range(r, nrows):
+            if m[piv][c]:
+                break
+        else:
             continue
-        if nz[0]:
-            m[[r, r + nz[0]]] = m[[r + nz[0], r]]
-        m[r] //= np.gcd.reduce(m[r])
-        others = np.flatnonzero(m[:, c])
-        others = others[others != r]
-        if others.size:
-            if m.dtype != object and 2 * _absmax(m) ** 2 >= INT64_SAFE:
-                m = m.astype(object)
-            block = m[r, c] * m[others] - np.outer(m[others, c], m[r])
-            content = np.gcd.reduce(block, axis=1)
-            content[content == 0] = 1
-            m[others] = block // content[:, None]
+        m[r], m[piv] = m[piv], m[r]
+        row = m[r]
+        g = math.gcd(*row)
+        if g > 1:
+            row = m[r] = [x // g for x in row]
+        p = row[c]
+        for i, mi in enumerate(m):
+            q = mi[c]
+            if q and i != r:
+                new = [p * x - q * y for x, y in zip(mi, row)]
+                g = math.gcd(*new)
+                m[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
-    r = len(pivots)
-    leads = [int(x) for x in m[np.arange(r), pivots]]
+    leads = [m[k][c] for k, c in enumerate(pivots)]
     den = math.lcm(*leads)
-    scale = np.array([den // x for x in leads] + [0] * (rows - r), dtype=object)
-    if m.dtype != object and _absmax(m) * den < INT64_SAFE:
-        scale = scale.astype(np.int64)
-    return Matrix(m * scale[:, None], den), pivots
+    for k, lead in enumerate(leads):
+        s = den // lead
+        if s != 1:
+            m[k] = [x * s for x in m[k]]
+    return _from_rows(m, ncols, den), pivots
 
 
 def rank(a) -> int:
@@ -288,11 +311,15 @@ def nullspace(a) -> Matrix:
     """Deterministic basis of the right kernel, one row per free column (set to 1)."""
     red, pivots = rref(a)
     cols = red.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    num = np.zeros((len(free), cols), dtype=red.num.dtype)
-    num[np.arange(len(free)), free] = red.den
-    num[:, pivots] = -red.num[:len(pivots), free].T
-    return Matrix(num, red.den)
+    rows = red.num.tolist()
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = red.den
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    return _from_rows(basis, cols, red.den)
 
 
 def solve(a, b) -> list[Fraction] | None:
@@ -307,25 +334,33 @@ def solve_many(a, rhs) -> Matrix | None:
     None if any b is inconsistent.
     """
     a = frac_mat(a)
-    n, m = a.shape
+    m = a.shape[1]
     rhs = frac_mat(rhs)
     if not len(rhs):
         return zeros(0, m)
-    red, pivots = rref(hstack([a, rhs.T]))
+    den = math.lcm(a.den, rhs.den)
+    sa, sb = den // a.den, den // rhs.den
+    aug = [[x * sa for x in row] + [x * sb for x in col]
+           for row, col in zip(a.num.tolist(), rhs.num.T.tolist(), strict=True)]
+    red, pivots = rref(_from_rows(aug, m + len(rhs)))
     if pivots and pivots[-1] >= m:
         return None
-    num = np.zeros((m, len(rhs)), dtype=red.num.dtype)
-    num[pivots] = red.num[:len(pivots), m:]
-    return Matrix(num.T, red.den)
+    rows = red.num.tolist()
+    sol = [[0] * m for _ in range(len(rhs))]
+    for row, c in zip(rows, pivots):
+        for x, b in zip(row[m:], sol):
+            b[c] = x
+    return _from_rows(sol, m, red.den)
 
 
 def inverse(a) -> Matrix:
     a = frac_mat(a)
     n = len(a)
-    red, pivots = rref(hstack([a, identity(n)]))
+    aug = [row + [0] * i + [a.den] + [0] * (n - 1 - i) for i, row in enumerate(a.num.tolist())]
+    red, pivots = rref(_from_rows(aug, a.shape[1] + n))
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return Matrix(red.num[:, n:], red.den)
+    return _from_rows([row[n:] for row in red.num.tolist()], n, red.den)
 
 
 def charpoly(a) -> list[Fraction]:
@@ -420,4 +455,4 @@ def right_inverse(b) -> Matrix:
 def hnf_rational(rows) -> Matrix:
     """HNF basis of the lattice spanned by rational rows."""
     m = frac_mat(rows)
-    return Matrix(_array(hnf(m.num.tolist()), m.shape[1]), m.den)
+    return _from_rows(hnf(m.num.tolist()), m.shape[1], m.den)

@@ -545,8 +545,11 @@ def short_vectors(g: Matrix, m) -> list[tuple[int, ...]]:
     if m == 0:
         return [(0,) * len(g)]
     half = short_vectors_upto(g, m).get(m)
-    if half is None:
-        return []
+    return [] if half is None else _with_negatives(half)
+
+
+def _with_negatives(half: np.ndarray) -> list[tuple[int, ...]]:
+    """A half shell H and its negatives, as sorted tuples of Python ints."""
     half = half.tolist()
     return sorted(map(tuple, half + [[-x for x in v] for v in half]))
 
@@ -849,15 +852,15 @@ def p_neighbors(ideal: Lattice, p: int) -> list[Lattice]:
 
 
 def reduce_right_ideal(ideal: Lattice, order: Lattice) -> Lattice:
-    """Replace an ideal by a small equivalent one (left-divide by a minimal vector)."""
-    n0 = ideal.norm_scale
-    k = 1
-    while True:
-        vs = short_vectors(ideal.gram, k * n0)
-        if vs:
-            b = ideal.element_from(vs[0])
-            break
-        k += 1
+    """Replace an ideal by a small equivalent one (left-divide by a minimal vector).
+
+    The minimal vector is the first, in `short_vectors` order, of the least
+    nonempty shell; the least Gram-diagonal norm, which a basis vector reaches,
+    bounds the one enumeration.
+    """
+    g = ideal.gram
+    shells = short_vectors_upto(g, Fraction(min(g.num.diagonal().tolist()), 2 * g.den))
+    b = ideal.element_from(_with_negatives(next(iter(shells.values())))[0])
     rows = ideal.basis @ ideal.algebra.left_mul_matrix_coords(b.inverse().coords)
     red = Lattice.from_generators(ideal.algebra, rows, "ideal")
     # rescale so coordinates relative to the order are integral and primitive

@@ -519,9 +519,10 @@ def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
              space: FormSpace | None = None) -> QExpansion:
     """Degree-1 lift a(m) = Σ_ij (1/e_ie_j)·⟨⟨φ₁(y_i), Σ_{q(x)=m} τ̃(x)φ₂(y_j)⟩⟩.
 
-    x runs over cross(i, j) and τ̃(x) is its integral τ-matrix, so each norm m
-    is one Brandt-kernel call, `tau_matrix_sum`, on the half shell H_m, doubled
-    since τ̃(−x) = τ̃(x); x = 0 adds a(0) at ν = 0.
+    x runs over cross(j, i), the index order of `brandt_matrix`'s block (i, j),
+    and τ̃(x) is its integral τ-matrix, so each norm m is one Brandt-kernel call,
+    `tau_matrix_sum`, on the half shell H_m, doubled since τ̃(−x) = τ̃(x); x = 0
+    adds a(0) at ν = 0.  In that order T_p·Y₁(φ, ψ) = Y₁(T̃_pφ, ψ).
     """
     if phi1.nu != phi2.nu:
         raise UsageError("degree-1 lift requires equal harmonic degrees")
@@ -536,7 +537,7 @@ def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
         for j, v in enumerate(phi2.values):
             if not any(v):
                 continue
-            cross = cs.cross_lattice(i, j)
+            cross = cs.cross_lattice(j, i)
             scale = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j]) / cross.norm_scale ** nu
             shells = short_vectors_upto(cross.normalized_gram(), bound)
             for m, vecs in shells.items():

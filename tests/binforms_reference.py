@@ -1,16 +1,38 @@
-"""The one-form reduction loop that `binforms.reduce_forms` replaced, and the
-coefficient read built on it.
+"""The one-form reduction loop that `binforms.reduce_forms` replaced, the
+coefficient read built on it, and the scalar form helpers the tests use.
 
 Kept as oracles: `reduce_form` is the scalar sign-tracked reduction of one
 positive semidefinite form, step by step in Python ints, and `coefficient`
 reads an expansion through it, its `entries` map and the sign, with no column
 code and no ambiguity rule of its own (an odd-weight store holds no entry at
-an ambiguous form).
+an ambiguous form).  `disc`, `reduced_forms_up_to` and `apply_unimodular` are
+one form (or one list of forms) at a time.
 """
 
 from fractions import Fraction
 
+from quatlift.binforms import form_table
 from quatlift.yoshida import TruncationError
+
+
+def disc(t) -> int:
+    a, b, c = t
+    return 4 * a * c - b * b
+
+
+def reduced_forms_up_to(bound: int) -> list[tuple[int, int, int]]:
+    """All canonical positive definite reduced forms with disc ≤ bound, sorted by (disc, a, b)."""
+    return list(zip(*(x.tolist() for x in form_table(bound))))
+
+
+def apply_unimodular(t, u) -> tuple[int, int, int]:
+    """T[U] = Uᵗ·T·U for an integer 2×2 matrix U, in [a, b, c] coordinates."""
+    a, b, c = t
+    (p, q), (r, s) = u
+    a2 = a * p * p + b * p * r + c * r * r
+    b2 = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
+    c2 = a * q * q + b * q * s + c * s * s
+    return (a2, b2, c2)
 
 
 def reduce_form(t):

@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from binforms_reference import reduced_forms_up_to
 from quatlift import fixture as fx
-from quatlift.binforms import is_ambiguous, reduced_forms_up_to
+from quatlift.binforms import is_ambiguous
 from quatlift.brandt import atkin_lehner, brandt_matrix, constant_form, inner_product
 from quatlift.siegelhecke import (LocalFactor, PoleError, SatakePair,
                                   eigenvalue_extract, hecke_Tp, lambda_N,

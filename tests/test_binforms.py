@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import binforms_reference
-from quatlift.binforms import (apply_unimodular, disc, form_table, is_ambiguous, is_reduced,
-                               reduce_form, reduced_forms_up_to)
+from binforms_reference import apply_unimodular, disc, reduced_forms_up_to
+from quatlift.binforms import form_table, is_ambiguous, is_reduced, reduce_form
 
 
 def test_already_reduced():

@@ -519,3 +519,26 @@ def test_each_distinct_charpoly_is_factored_once(class_set_17, monkeypatch):
     assert [c.charpolys for c in eigenforms(cs, 2, [2, 3, 5], space)] == [
         c.charpolys for c in comps]
     assert len(calls) == 2 * len(set(calls))
+
+
+def test_eichler_iteration_makes_123_enumerations(monkeypatch):
+    # the eichler benchmark's iteration at seed 1 on fresh orders: class sets
+    # from the neighbours at 2 (level 17) and 3 (level 34), Brandt matrices at
+    # ν ≤ 2 for five good primes and eigenforms at the first three.  Each
+    # reduced neighbour costs one enumeration; growing shells one multiple of
+    # the norm scale at a time made 136.
+    orders = [quatcore.Lattice(o.algebra, o.basis, "order") for o in (fx.order_r1(),
+                                                                     level34_order())]
+    calls = []
+    enumerate_upto = quatcore.short_vectors_upto
+    monkeypatch.setattr(quatcore, "short_vectors_upto",
+                        lambda g, m: calls.append(m) or enumerate_upto(g, m))
+    for order, p_seed, primes in ((orders[0], 2, (2, 3, 5, 7, 11)),
+                                  (orders[1], 3, (3, 5, 7, 11, 13))):
+        cs = class_set(order, p_seed)
+        for nu in (0, 1, 2):
+            space = FormSpace(cs, nu)
+            for p in primes:
+                brandt_matrix(cs, nu, p, space)
+            eigenforms(cs, nu, list(primes[:3]), space)
+    assert len(calls) == 123

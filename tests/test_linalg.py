@@ -1,11 +1,12 @@
 """The integer kernels of linalg against the Fraction references of linalg_reference."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linalg_reference as ref
@@ -27,11 +28,11 @@ def matrices(draw, rows=None, cols=None, max_dim=5):
 
 
 def canonical(m: linalg.Matrix) -> linalg.Matrix:
-    """m itself, after checking lowest terms and the dtype its magnitude calls for."""
+    """m itself, after checking lowest terms, its max and the dtype its magnitude calls for."""
     entries = m.num.ravel().tolist()
     assert math.gcd(m.den, *entries) == 1
-    big = max(map(abs, entries), default=0) >= linalg.INT64_SAFE
-    assert m.num.dtype == (object if big else np.int64)
+    assert m.max == max(map(abs, entries), default=0)
+    assert m.num.dtype == (object if m.max >= linalg.INT64_SAFE else np.int64)
     return m
 
 
@@ -127,6 +128,103 @@ def test_entries_of_1e20_take_the_object_path_and_come_back():
     assert canonical(a @ linalg.inverse(a)) == linalg.identity(2)
     assert linalg.identity(2).num.dtype == np.int64
     assert a == linalg.frac_mat([[BIG, 1], [Fraction(1, 3), BIG]])
+
+
+# the shapes the pipeline hands the elimination kernels: empty systems,
+# scalars, the augmented [A | I] of a 4×4 inverse, and the largest, 20×40
+PIPELINE_SHAPES = [(0, 1), (0, 3), (1, 1), (4, 8), (12, 24), (20, 40)]
+
+
+def random_rows(rng, n, m, big):
+    """n rows of m signed Fractions, each of 2⁶² to 2⁶⁴ in size with probability big."""
+    return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) if rng.random() >= big
+             else Fraction(rng.choice((-1, 1)) * rng.randint(2 ** 62, 2 ** 64)) for _ in range(m)]
+            for _ in range(n)]
+
+
+@st.composite
+def pipeline_matrices(draw, shapes=PIPELINE_SHAPES):
+    """Rational rows of a pipeline shape with signed entries, often a zero row or
+    column or a repeated row, and sometimes entries of 2⁶² to 2⁶⁴."""
+    n, m = draw(st.sampled_from(shapes))
+    rng = draw(st.randoms(use_true_random=False))
+    rows = random_rows(rng, n, m, draw(st.sampled_from([0, 0, 0.2])))
+    if n and draw(st.booleans()):
+        rows[rng.randrange(n)] = [Fraction(0)] * m
+    if n and draw(st.booleans()):
+        c = rng.randrange(m)
+        for row in rows:
+            row[c] = Fraction(0)
+    if n > 1 and draw(st.booleans()):
+        rows[rng.randrange(n)] = [3 * x for x in rows[0]]
+    return n, m, rows
+
+
+NEGATIVE_PIVOTS = (2, 4, [[Fraction(x) for x in row] for row in ((-3, 1, 0, 5), (6, -2, -7, 0))])
+# the largest inputs, always run: small entries, and some past 2⁶²
+LARGEST = [(20, 40, random_rows(random.Random(big), 20, 40, big)) for big in (0, 0.2)]
+
+
+@given(pipeline_matrices())
+@example(NEGATIVE_PIVOTS)
+@example(LARGEST[0])
+@example(LARGEST[1])
+@settings(max_examples=25, deadline=None)
+def test_rref_rank_and_nullspace_on_pipeline_shapes(case):
+    n, m, rows = case
+    a = as_matrix(rows, m)
+    red, pivots = linalg.rref(a)
+    want, want_pivots = ref.rref(rows)
+    assert pivots == want_pivots and linalg.rank(a) == len(want_pivots)
+    assert canonical(red) == as_matrix(want, m) if n else red == a
+    assert canonical(linalg.nullspace(a)) == as_matrix(ref.nullspace(rows, m), m)
+
+
+@given(pipeline_matrices([(1, 1), (4, 4), (12, 12), (20, 20)]))
+@example((2, 2, [[Fraction(-3), Fraction(1)], [Fraction(6), Fraction(-5)]]))
+@example((20, 20, [row[:20] for row in LARGEST[1][2]]))
+@settings(max_examples=20, deadline=None)
+def test_det_and_inverse_on_pipeline_shapes(case):
+    _, _, rows = case
+    want = ref.det(rows)
+    assert linalg.det(rows) == want
+    if want:
+        assert canonical(linalg.inverse(rows)) == linalg.frac_mat(ref.inverse(rows))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            linalg.inverse(rows)
+
+
+@given(pipeline_matrices([(1, 1), (4, 8), (12, 24), (20, 40)]), st.integers(1, 4),
+       st.randoms(use_true_random=False))
+@settings(max_examples=20, deadline=None)
+def test_solve_many_on_pipeline_shapes(case, k, rng):
+    # one right-hand side in the column span, when there is one, the rest random
+    n, m, rows = case
+    x = [Fraction(rng.randint(-5, 5)) for _ in range(m)]
+    rhs = [[sum(r * v for r, v in zip(row, x)) for row in rows]]
+    rhs += [[Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(k - 1)]
+    got = linalg.solve_many(rows, rhs)
+    want = ref.solve_many(rows, rhs)
+    if want is None:
+        assert got is None
+    else:
+        assert canonical(got) == as_matrix(want, m)
+        assert canonical(linalg.solve_many(rows, rhs[:1])) == as_matrix(want[:1], m)
+
+
+@given(pipeline_matrices())
+@settings(max_examples=15, deadline=None)
+def test_transpose_and_negation_keep_max_den_and_dtype(case):
+    n, m, rows = case
+    a = canonical(as_matrix(rows, m))
+    cols = [[row[j] for row in rows] for j in range(m)]
+    for b, want in ((a.T, cols), (-a, [[-x for x in row] for row in rows])):
+        assert (canonical(b).max, b.den, b.num.dtype) == (a.max, a.den, a.num.dtype)
+        assert b.tolist() == want
+    for e in (linalg.identity(0), linalg.identity(3), linalg.zeros(0, 2), linalg.zeros(2, 3)):
+        canonical(e)
 
 
 @st.composite

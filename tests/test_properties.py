@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import binforms_reference
+from binforms_reference import apply_unimodular, disc
 from helpers import shuffled_store
 from quatlift import fixture as fx
 from quatlift import linalg
-from quatlift.binforms import apply_unimodular, disc, is_ambiguous, reduce_form, reduce_forms
+from quatlift.binforms import is_ambiguous, reduce_form, reduce_forms
 from quatlift.quatcore import (Lattice, QuatElement, ideal_equivalent,
                                p_neighbors, reduce_right_ideal, short_vectors)
 from quatlift.yoshida import TruncationError

@@ -693,6 +693,35 @@ def test_class_set_builds_each_order_when_asked(monkeypatch):
     assert len(calls) == 1 + (cs.h - 1) + cs.h == 8
 
 
+def _reduce_by_growing_shells(ideal, order):
+    """reduce_right_ideal with one `short_vectors` call per multiple k·n₀ of the
+    norm scale until a shell is nonempty: the reference for its one enumeration."""
+    k = 1
+    while not (vs := short_vectors(ideal.gram, k * ideal.norm_scale)):
+        k += 1
+    b = ideal.element_from(vs[0])
+    rows = ideal.basis @ ideal.algebra.left_mul_matrix_coords(b.inverse().coords)
+    red = Lattice.from_generators(ideal.algebra, rows, "ideal")
+    coords = red.basis @ order._basis_inv
+    return red.scale(Fraction(coords.den, math.gcd(*coords.num.ravel().tolist())))
+
+
+@pytest.mark.parametrize("level,p", [(17, 2), (17, 3), (17, 5), (34, 3), (34, 5)])
+def test_reduce_right_ideal_enumerates_once(level, p, monkeypatch):
+    order = fx.order_r1() if level == 17 else level34_order()
+    seed = Lattice(order.algebra, order.basis, "ideal")
+    neighbours = p_neighbors(seed, p)
+    neighbours += [nb for first in neighbours[:2] for nb in p_neighbors(first, p)]
+    want = [_reduce_by_growing_shells(nb, order) for nb in neighbours]
+    calls = []
+    enumerate_upto = quatcore.short_vectors_upto
+    monkeypatch.setattr(quatcore, "short_vectors_upto",
+                        lambda g, m: calls.append(m) or enumerate_upto(g, m))
+    got = [quatcore.reduce_right_ideal(nb, order) for nb in neighbours]
+    assert len(calls) == len(neighbours)
+    assert [lat.basis for lat in got] == [lat.basis for lat in want]
+
+
 def _class_reps_testing_every_neighbour(order, p_seed):
     """The breadth-first search of class_set that tests every reduced neighbour
     against the known classes: the reference for skipping lattices already met."""

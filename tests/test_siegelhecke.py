@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from binforms_reference import disc, reduced_forms_up_to
 from quatlift import fixture as fx
 from quatlift import siegelhecke
-from quatlift.binforms import disc, reduced_forms_up_to
 from quatlift.brandt import FormSpace, constant_form
 from quatlift.serialize import dumps_canonical, expansion_from_obj, expansion_to_obj
 from quatlift.siegelhecke import (HeckeCosetRep, LocalFactor, PoleError, SatakePair,

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import enum_reference
+from binforms_reference import apply_unimodular, reduced_forms_up_to
 from helpers import (expansion, hamilton_algebra, monomial_values, narrowest_signed,
                      shuffled_store)
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore, yoshida
-from quatlift.binforms import apply_unimodular, form_table, is_ambiguous, reduced_forms_up_to
-from quatlift.brandt import AutomorphicForm, FormSpace, constant_form
+from quatlift.binforms import form_table, is_ambiguous
+from quatlift.brandt import AutomorphicForm, FormSpace, brandt_matrix, constant_form
 from quatlift.harmonic import (HarmSpace, default_frame, lift_matrix_deg2, lift_poly_deg1,
                                lift_poly_deg2, monomials_of_degree)
 from quatlift.polys import Poly
@@ -511,7 +512,6 @@ def test_lift_scale_relates_polynomial_constants():
 
 
 def test_yoshida1_matches_independent_brandt_eigenvalue(class_set_17, space0):
-    from quatlift.brandt import brandt_matrix
     phi2 = fx.phi2()
     y = yoshida1(class_set_17, phi2, phi2, 20, space0)
     for p in (2, 3, 5):
@@ -536,6 +536,27 @@ def test_yoshida1_nu1_eichler(class_set_17, space1):
     assert a[12] == a[4] * a[3]
 
 
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+def test_yoshida1_commutes_with_the_brandt_operators(class_set_17, nu):
+    # Eichler's relation on every pair of basis forms: T_p·Y₁(φ_a, φ_b) =
+    # Σ_c M[a][c]·Y₁(φ_c, φ_b), M the Brandt matrix in matrix_of's row
+    # convention and T_p a(m) = a(pm) + p^{2ν+1}·a(m/p) in weight 2ν + 2
+    cs, bound = class_set_17, 60
+    space = FormSpace(cs, nu)
+    forms = space.basis_forms()
+    lift = [[yoshida1(cs, f, g, bound, space) for g in forms] for f in forms]
+    for p in (2, 3, 5):
+        m = space.matrix_of(brandt_matrix(cs, nu, p, space))
+        for a, row in enumerate(lift):
+            for b, y in enumerate(row):
+                for n in range(bound // p + 1):
+                    got = y.coefficient(p * n)
+                    if n % p == 0:
+                        got += p ** (2 * nu + 1) * y.coefficient(n // p)
+                    want = sum(m[a][c] * lift[c][b].coefficient(n) for c in range(len(forms)))
+                    assert got == want, (p, a, b, n)
+
+
 def yoshida1_per_vector(cs, phi1, phi2, bound, space):
     """The degree-1 lift summed vector by vector: Σ_ij scale·Σ_x P_ij(x), P_ij from
     `lift_poly_deg1`, plus P_ij(0) in a(0) at ν = 0."""
@@ -545,7 +566,7 @@ def yoshida1_per_vector(cs, phi1, phi2, bound, space):
         for j in range(cs.h):
             if not (any(phi1.values[i]) and any(phi2.values[j])):
                 continue
-            cross = cs.cross_lattice(i, j)
+            cross = cs.cross_lattice(j, i)
             lift = lift_poly_deg1(space.space, phi1.values[i], phi2.values[j], cross)
             scale = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j]) / cross.norm_scale ** nu
             gram = cross.normalized_gram()
