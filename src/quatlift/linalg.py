@@ -233,13 +233,20 @@ def transpose(a) -> Matrix:
     return frac_mat(a).T
 
 
+def _square(a) -> Matrix:
+    a = frac_mat(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"a {a.shape[0]}×{a.shape[1]} matrix is not square")
+    return a
+
+
 def det(a) -> Fraction:
     """Determinant by Bareiss elimination on the rows of N; det(N/d) = det(N)/dⁿ.
 
     Step k replaces each row i below the pivot row by
     (p·row_i − m_ik·row_k)/p_prev, an exact division, with p the pivot.
     """
-    a = frac_mat(a)
+    a = _square(a)
     n = len(a)
     m = a.num.tolist()
     sign, prev = 1, 1
@@ -354,10 +361,10 @@ def solve_many(a, rhs) -> Matrix | None:
 
 
 def inverse(a) -> Matrix:
-    a = frac_mat(a)
+    a = _square(a)
     n = len(a)
     aug = [row + [0] * i + [a.den] + [0] * (n - 1 - i) for i, row in enumerate(a.num.tolist())]
-    red, pivots = rref(_from_rows(aug, a.shape[1] + n))
+    red, pivots = rref(_from_rows(aug, 2 * n))
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     return _from_rows([row[n:] for row in red.num.tolist()], n, red.den)

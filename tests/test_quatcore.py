@@ -693,17 +693,13 @@ def test_class_set_builds_each_order_when_asked(monkeypatch):
     assert len(calls) == 1 + (cs.h - 1) + cs.h == 8
 
 
-def _reduce_by_growing_shells(ideal, order):
-    """reduce_right_ideal with one `short_vectors` call per multiple k·n₀ of the
-    norm scale until a shell is nonempty: the reference for its one enumeration."""
+def _minimal_vector_by_growing_shells(ideal):
+    """The vector reduce_right_ideal divides by, found with one `short_vectors`
+    call per multiple k·n₀ of the norm scale until a shell is nonempty."""
     k = 1
     while not (vs := short_vectors(ideal.gram, k * ideal.norm_scale)):
         k += 1
-    b = ideal.element_from(vs[0])
-    rows = ideal.basis @ ideal.algebra.left_mul_matrix_coords(b.inverse().coords)
-    red = Lattice.from_generators(ideal.algebra, rows, "ideal")
-    coords = red.basis @ order._basis_inv
-    return red.scale(Fraction(coords.den, math.gcd(*coords.num.ravel().tolist())))
+    return vs[0]
 
 
 @pytest.mark.parametrize("level,p", [(17, 2), (17, 3), (17, 5), (34, 3), (34, 5)])
@@ -712,14 +708,17 @@ def test_reduce_right_ideal_enumerates_once(level, p, monkeypatch):
     seed = Lattice(order.algebra, order.basis, "ideal")
     neighbours = p_neighbors(seed, p)
     neighbours += [nb for first in neighbours[:2] for nb in p_neighbors(first, p)]
-    want = [_reduce_by_growing_shells(nb, order) for nb in neighbours]
-    calls = []
-    enumerate_upto = quatcore.short_vectors_upto
+    want = [_minimal_vector_by_growing_shells(nb) for nb in neighbours]
+    calls, divisors = [], []
+    enumerate_upto, element_from = quatcore.short_vectors_upto, Lattice.element_from
     monkeypatch.setattr(quatcore, "short_vectors_upto",
                         lambda g, m: calls.append(m) or enumerate_upto(g, m))
-    got = [quatcore.reduce_right_ideal(nb, order) for nb in neighbours]
+    monkeypatch.setattr(Lattice, "element_from",
+                        lambda lat, v: divisors.append(tuple(v)) or element_from(lat, v))
+    for nb in neighbours:
+        quatcore.reduce_right_ideal(nb, order)
     assert len(calls) == len(neighbours)
-    assert [lat.basis for lat in got] == [lat.basis for lat in want]
+    assert divisors == want
 
 
 def _class_reps_testing_every_neighbour(order, p_seed):
