@@ -855,11 +855,13 @@ def reduce_right_ideal(ideal: Lattice, order: Lattice) -> Lattice:
     """Replace an ideal by a small equivalent one (left-divide by a minimal vector).
 
     The minimal vector is the first, in `short_vectors` order, of the least
-    nonempty shell; the least Gram-diagonal norm, which a basis vector reaches,
-    bounds the one enumeration.
+    nonempty shell.  The one enumeration runs to the least diagonal norm of the
+    size-reduced Gram matrix (the enumeration's own, cached), which a vector
+    of the reduced basis reaches.
     """
     g = ideal.gram
-    shells = short_vectors_upto(g, Fraction(min(g.num.diagonal().tolist()), 2 * g.den))
+    gint = _reduced_gram(tuple(g.num.ravel().tolist()), len(g))[0]
+    shells = short_vectors_upto(g, Fraction(min(row[i] for i, row in enumerate(gint)), 2 * g.den))
     b = ideal.element_from(_with_negatives(next(iter(shells.values())))[0])
     rows = ideal.basis @ ideal.algebra.left_mul_matrix_coords(b.inverse().coords)
     red = Lattice.from_generators(ideal.algebra, rows, "ideal")
