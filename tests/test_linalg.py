@@ -179,12 +179,12 @@ LARGEST = [(20, 40, random_rows(random.Random(big), 20, 40, big)) for big in (0,
 @example(LARGEST[1])
 @settings(max_examples=25, deadline=None)
 def test_rref_rank_and_nullspace_on_pipeline_shapes(case):
-    n, m, rows = case
+    _, m, rows = case
     a = as_matrix(rows, m)
     red, pivots = linalg.rref(a)
     want, want_pivots = ref.rref(rows)
     assert pivots == want_pivots and linalg.rank(a) == len(want_pivots)
-    assert canonical(red) == as_matrix(want, m) if n else red == a
+    assert canonical(red) == as_matrix(want, m)
     assert canonical(linalg.nullspace(a)) == as_matrix(ref.nullspace(rows, m), m)
 
 
