@@ -6,9 +6,10 @@ every entry of N is 1), and N is int64 when every entry is below 2⁶² in absol
 value, otherwise an object array of Python ints.  So two equal matrices have
 equal (N, d) and the same dtype, and equality is a comparison of arrays.  A
 Matrix also carries max|N|, which the int64 guard of every operation reads.
-Only products, sums, scalar multiples and arrays built elsewhere are scanned
-for it (and for the gcd); a transpose, a negation, `identity`, `zeros` and the
-results of the elimination kernels already know their entries.
+Only products, sums, multiples by a non-integer and arrays built elsewhere are
+scanned for it (and for the gcd); a transpose, a negation, a multiple by an
+integer, `identity`, `zeros` and the results of the elimination kernels
+already know their entries.
 
 Products and `charpoly` stay on numpy, where one call does the whole matrix:
 each keeps int64 only while a bound on the integers it forms stays below 2⁶²,
@@ -39,6 +40,10 @@ import numpy as np
 # the int64 guard: every integer a numpy kernel forms stays below this, or the
 # kernel runs on object arrays of Python ints; it also picks a Matrix's dtype
 INT64_SAFE = 2 ** 62
+# the float64 guard of the theta pair sums: every integer below this is a
+# float64, and so is every sum and product of them that stays below it, in
+# any order
+FLOAT64_EXACT = 2 ** 53
 
 
 def _absmax(x: np.ndarray) -> int:
@@ -140,7 +145,14 @@ class Matrix:
 
     def __mul__(self, c) -> "Matrix":
         c = _rational(c)
-        return Matrix(_scaled(self.num, c.numerator, self.max), self.den * c.denominator)
+        if c.denominator > 1:
+            return Matrix(_scaled(self.num, c.numerator, self.max), self.den * c.denominator)
+        # an integer: with g = gcd(c, den), (c/g)·num over den/g is in lowest terms
+        g = math.gcd(c.numerator, self.den)
+        s = c.numerator // g
+        amax = abs(s) * self.max
+        num = _scaled(self.num, s, self.max) if amax else np.zeros(self.shape, dtype=np.int64)
+        return Matrix._known(num, self.den // g, amax)
 
     __rmul__ = __mul__
 

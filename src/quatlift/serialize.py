@@ -7,9 +7,10 @@ newline) so that parse-then-print is idempotent and byte-stable across runs.
 The canonical text is exactly that of json.dumps(obj, sort_keys=True,
 separators=(",", ": "), indent=1) plus a newline, but `dumps_canonical` writes
 it itself: indent would select json's pure-Python encoder.  It recurses over
-dicts (keys sorted) and lists, joins a flat row of scalars once, and spells
-strings with json's C string encoder, ints with int.__repr__ and every other
-scalar with json.dumps.
+dicts (keys sorted) and lists, joins a flat row of scalars once, lays out a
+table (rows of one length, one plain scalar type a column) with one template
+after spelling each column once, and spells strings with json's C string
+encoder, ints with int.__repr__ and every other scalar with json.dumps.
 """
 
 from __future__ import annotations
@@ -83,9 +84,29 @@ def _text(obj, newline: str) -> str:
         if _PLAIN.issuperset(map(type, obj)):  # a flat row of scalars: one join
             items = [_SCALARS[type(x)](x) for x in obj]
         else:
-            items = [_text(x, inner) for x in obj]
+            items = _table(obj, inner) or [_text(x, inner) for x in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return _SCALARS.get(type(obj), json.dumps)(obj)
+
+
+def _table(rows, newline: str) -> list[str] | None:
+    """The texts of `rows` if they are a table: lists or tuples of one nonzero
+    length whose columns each hold one plain scalar type.  Each column is spelled
+    in one pass and each row laid out by one template.  None for anything else."""
+    if not {list, tuple}.issuperset(map(type, rows)):
+        return None
+    widths = set(map(len, rows))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    columns = []
+    for column in zip(*rows):
+        types = set(map(type, column))
+        if len(types) != 1 or not _PLAIN.issuperset(types):
+            return None
+        columns.append(map(_SCALARS[types.pop()], column))
+    inner = newline + " "
+    template = "[" + inner + ("," + inner).join(["{}"] * len(columns)) + newline + "]"
+    return list(map(template.format, *columns))
 
 
 def algebra_to_obj(alg: QuaternionAlgebra, basis_names=None) -> dict:

@@ -32,8 +32,8 @@ grows with the slice), chunked by rows of H_a and scattered into one
 accumulator of one bin block per norm, then folded as above; the
 singular entries (0, 0, m) are the row a = 0, whose only vector is zero.  The
 kernel stays exact: a bound on max|M|²·Σ|C|·|H_a|·max|H_c|, times the 4 of the
-fold, picks int64 when it stays below 2⁶², otherwise object arrays of Python
-ints running the same code.
+fold, picks float64 (integers below 2⁵³, exact in any order) when it stays
+below 2⁵³, int64 below 2⁶², otherwise object arrays of Python ints.
 `theta_lift` takes its forms from `binforms.form_table` and writes every
 piece's factor over one common denominator: each row's sums are one array in
 table positions, added into one object array of Python-int totals.  It holds
@@ -59,7 +59,7 @@ from . import linalg
 from .binforms import form_keys, form_table, is_ambiguous, is_reduced, reduce_forms
 from .brandt import AutomorphicForm, FormSpace, _require_space
 from .harmonic import _monomial_rows, lift_matrix_deg2, tau_matrix_sum
-from .linalg import INT64_SAFE
+from .linalg import FLOAT64_EXACT, INT64_SAFE
 from .polys import Poly
 from .quatcore import ClassSet, Lattice, UsageError, short_vectors, short_vectors_upto
 
@@ -336,9 +336,20 @@ class ThetaEngine:
         read in blocks of `_BLOCK` rows, each cast to the working dtype once, and
         H_a in chunks of rows; each chunk is scattered into one (c, b) accumulator
         S⁺ with a bin block per norm of the range, and the full sums are
-        S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).  Exact: a bound on
-        max|M|²·Σ|mat|·|H_a|·max|H_c| (c over the range), times the 4 of the fold,
-        picks int64 when it stays below 2⁶², otherwise object arrays of Python ints.
+        S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).
+
+        Exact in three tiers, picked by peak, a bound on
+        max|M|²·Σ|mat|·|H_a|·max|H_c| (c over the range) that bounds every weight
+        and every bin sum.  While 4·peak (the fold) and every partial sum of B stay
+        below `FLOAT64_EXACT` = 2⁵³, the row runs in float64: every integer it forms
+        is then a float64 and every sum and product of them is exact in any order.
+        Its two products are `np.einsum` on contiguous blocks, not BLAS `@` (numpy
+        has no fast int64 product, and BLAS starts threads of its own), the
+        monomials and M(H_a)ᵗ·mat are formed in int64 before the cast, and each
+        chunk is binned by `np.bincount`.  Past that, int64 while 4·peak stays
+        below 2⁶², otherwise object arrays of Python ints, both binned by
+        `np.add.at`.  At ν = 0 the weight is the constant mat₀₀, so every tier
+        counts pairs in int64 and multiplies by mat₀₀ once.
         """
         cs = np.asarray(cs, dtype=np.int64)
         bs = np.asarray(bs, dtype=np.int64)
@@ -364,35 +375,78 @@ class ThetaEngine:
         # |b| > bmax, which no form asked for reads
         bmax = int(np.abs(bl).max())
         width = 2 * bmax + 3
-        peak = (max(self.coord_max, 1) ** (2 * nu) * sum(map(abs, mat.ravel().tolist()))
-                * len(ha) * int(np.diff(start[c0:c1 + 2]).max()))
-        dtype = np.int64 if 4 * peak < INT64_SAFE else object
-        mat = mat.astype(dtype, copy=False)
         # B(x₁, x₂) = x₁·G·x₂ᵗ and M(x₁)ᵗ·mat, formed once per row of H_a
         ha = ha.astype(np.int64)
         hg = ha @ self.gram
-        hm = _monomial_rows(ha, nu, dtype) @ mat
-        acc = np.zeros((c1 - c0 + 1) * width, dtype=dtype)
+        coord_max = max(self.coord_max, 1)
+        peak = (coord_max ** (2 * nu) * sum(map(abs, mat.ravel().tolist()))
+                * len(ha) * int(np.diff(start[c0:c1 + 2]).max()))
+        # float64 while every partial sum of B, of a weight and of a bin stays
+        # below 2⁵³, so that each is exact in any order
+        floats = (4 * coord_max * int(np.abs(hg).max()) < FLOAT64_EXACT
+                  and 4 * peak < FLOAT64_EXACT)
+        dtype = np.float64 if floats else np.int64 if 4 * peak < INT64_SAFE else object
+        if nu:
+            # the monomials and their product with mat exact, then cast
+            hm = _monomial_rows(ha, nu, object if dtype is object else np.int64)
+            hm = (hm @ mat.astype(hm.dtype, copy=False)).astype(dtype, copy=False)
+        acc = np.zeros((c1 - c0 + 1) * width, dtype=dtype if nu else np.int64)
+        if floats:
+            hg = hg.astype(np.float64)
+            # every block's (4, n) rows, its chunks' B and then weights, and their
+            # bin indices: three buffers for the whole row
+            n = min(_BLOCK, hi - lo)
+            size = min(max(_CHUNK, n), len(ha) * n)
+            vbuf, fbuf, ibuf = np.empty(4 * n), np.empty(size), np.empty(size, dtype=np.intp)
         for r0 in range(lo, hi, _BLOCK):
             r1 = min(r0 + _BLOCK, hi)
-            vb = self.shells[r0:r1].astype(np.int64)
-            mc = _monomial_rows(vb, nu, dtype).T
+            n = r1 - r0
+            blk = self.shells[r0:r1]
+            if floats:
+                # contiguous blocks for einsum's own loops (BLAS would bring its threads)
+                vt = vbuf[:4 * n].reshape(4, n)
+                np.copyto(vt, blk.T)
+            else:
+                vt = blk.astype(np.int64).T
+            if nu > 1:
+                mt = _monomial_rows(blk.astype(np.int64), nu, np.int64 if floats else dtype).T
+                mt = np.ascontiguousarray(mt, dtype=np.float64) if floats else mt
+            else:
+                mt = vt  # M(x) = x
             # the bin block of every row: the norms m0…m1 that the block meets
             m0 = int(np.searchsorted(start, r0, "right")) - 1
             m1 = int(np.searchsorted(start, r1 - 1, "right")) - 1
             sizes = np.diff(np.clip(start[m0:m1 + 2], r0, r1))
-            base = np.repeat(np.arange(m0 - c0, m1 - c0 + 1) * width + bmax + 1, sizes)
-            step = max(1, _CHUNK // (r1 - r0))
+            base = np.repeat(np.arange(m1 - m0 + 1) * width + bmax + 1, sizes)
+            bins = acc[(m0 - c0) * width:(m1 - c0 + 1) * width]
+            step = max(1, _CHUNK // n)
             for r in range(0, len(ha), step):
-                idx = hg[r:r + step] @ vb.T
+                rows = slice(r, r + step)
+                if floats:
+                    k = min(step, len(ha) - r)
+                    f, idx = fbuf[:k * n].reshape(k, n), ibuf[:k * n].reshape(k, n)
+                    np.copyto(idx, np.einsum("ij,jk->ik", hg[rows], vt, out=f), casting="unsafe")
+                else:
+                    idx = hg[rows] @ vt
                 np.clip(idx, -bmax - 1, bmax + 1, out=idx)
                 idx += base
-                np.add.at(acc, idx.ravel(), (hm[r:r + step] @ mc).ravel())
+                if not nu:
+                    bins += np.bincount(idx.ravel(), minlength=len(bins))
+                elif floats:
+                    np.einsum("ij,jk->ik", hm[rows], mt, out=f)  # the weights, over B
+                    bins += np.bincount(idx.ravel(), weights=f.ravel(), minlength=len(bins))
+                else:
+                    np.add.at(bins, idx.ravel(), (hm[rows] @ mt).ravel())
         # (x₁, x₂) ↦ (−x₁, −x₂) keeps b and the weight; negating one of them
-        # negates b and multiplies the weight by (−1)^ν
+        # negates b and multiplies the weight by (−1)^ν.  Read at the forms
+        # asked for only, so no temporary of the accumulator's size
         acc = acc.reshape(c1 - c0 + 1, width)
-        full = 2 * (acc + (-1) ** nu * acc[:, ::-1])
-        out[live] = full[cl - c0, bl + bmax + 1]
+        sums = 2 * (acc[cl - c0, bmax + 1 + bl] + (-1) ** nu * acc[cl - c0, bmax + 1 - bl])
+        if nu:
+            out[live] = sums.astype(np.int64) if floats else sums
+        else:
+            # pair counts, times the constant weight
+            out[live] = sums.astype(object) * int(mat[0, 0])
         return out
 
     def pair_sums_bilinear(self, a: int, c: int, mat: np.ndarray, nu: int) -> dict[int, int]:

@@ -235,6 +235,24 @@ def test_transpose_and_negation_keep_max_den_and_dtype(case):
         canonical(e)
 
 
+@given(matrices(), st.sampled_from([1, -1, 0, 2, -6, 12, 35, 2 ** 40, -2 ** 45, 3 * 2 ** 61,
+                                    np.int64(-10)]))
+@example([[Fraction(1, 6), Fraction(5, 4)]], 2 ** 61)   # 2⁶⁰·5/2 crosses the guard
+@example([[Fraction(3, 2 ** 61)]], 2 ** 61)             # a whole entry 3
+@example([[Fraction(BIG, 7)], [Fraction(-1, 3)]], 0)   # object entries to the zero matrix
+@example([[Fraction(0)]], 2 ** 70)
+@settings(max_examples=120, deadline=None)
+def test_integer_multiple_equals_the_scanned_matrix(rows, c):
+    # (c/g)·num over den/g, g = gcd(c, den), against the constructor's gcd and max scans
+    a = as_matrix(rows, len(rows[0]) if rows else 0)
+    want = linalg.Matrix(a.num.astype(object) * int(c), a.den)
+    for got in (a * c, int(c) * a):
+        assert canonical(got) == want
+        assert (got.max, got.num.dtype) == (want.max, want.num.dtype)
+    if c == 0:
+        assert (a * c).den == 1 and (a * c).max == 0
+
+
 @st.composite
 def positive_definite_grams(draw):
     """G = B·Bᵗ/d for a random nonsingular integer B and a denominator d."""

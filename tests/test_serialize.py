@@ -184,12 +184,19 @@ def test_dumps_canonical_matches_json_dumps(doc):
 @pytest.mark.parametrize("doc", [
     {}, [], (), {"a": [], "b": {}, "c": [[], {}]}, [[1, 2], [3, [4]], 5], [[[]]],
     {True: 1, False: 2}, {None: [None]}, {1.5: 3, -2: "x"}, {2 ** 70: 1, -1: 2},
-    "\\\"\x01é", 7, -2 ** 64, 0.1, -0.0, float("nan"), float("-inf"), True, None])
+    "\\\"\x01é", 7, -2 ** 64, 0.1, -0.0, float("nan"), float("-inf"), True, None,
+    # tables (rows of one length, one plain type a column) and near misses
+    [[1, "a", None, 1.5, "\x00é"], [-2 ** 70, "b", None, float("nan"), ""]],
+    [(1, 2), [3, 4]], [[1], [2]],
+    [[1, "a"], ["b", 2]], [[1, 2], [1.5, 3]],  # a column that mixes types
+    [[True, 1], [False, 2]], [[1, True], [2, 3]],  # bool is not int
+    [[1, 2], [3]], [[]], [[], []], [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]])
 def test_dumps_canonical_edge_documents(doc):
     assert ser.dumps_canonical(doc) == json_oracle(doc)
 
 
-@pytest.mark.parametrize("doc", [{(1, 2): 3}, [object()], {"a": {1, 2}}, Fraction(1, 2)])
+@pytest.mark.parametrize("doc", [{(1, 2): 3}, [object()], {"a": {1, 2}}, Fraction(1, 2),
+                                 [[object(), 1], [object(), 2]]])
 def test_dumps_canonical_refuses_what_json_refuses(doc):
     with pytest.raises(TypeError):
         json_oracle(doc)

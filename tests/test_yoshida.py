@@ -245,27 +245,96 @@ def brute_pair_sum(lattice, a, b, c, mat, nu):
     return total
 
 
+def row_peak(engine, a, cs, mat, nu):
+    """The bound `row_sums` picks its tier by: max|x|^(2ν)·Σ|mat|·|H_a|·max|H_c|, c over
+    the row's range of positive c; 0 for a row with no pair of nonzero vectors."""
+    cs = [c for c in cs if c > 0] if a else []
+    if not cs:
+        return 0
+    hc = max(len(engine.half_shell(c)) for c in range(min(cs), max(cs) + 1))
+    return (max(engine.coord_max, 1) ** (2 * nu) * int(np.abs(np.array(mat)).sum())
+            * len(engine.half_shell(a)) * hc)
+
+
+def tier_scale(tier, peak):
+    """A factor s for which s·mat puts a row of this peak in the tier: 4·s·peak below
+    2⁵³ (float64), in [2⁵³, 2⁶²) (int64), or every nonzero sum past 2⁶⁴ (object)."""
+    if tier == "float64":
+        assert 4 * peak < 2 ** 53
+        return 1
+    if tier == "int64":
+        s = -(-2 ** 53 // max(4 * peak, 1)) | 1
+        assert 2 ** 53 <= 4 * s * peak < 2 ** 62 or not peak
+        return s
+    return -(2 ** 64 + 1)
+
+
+ROW_CASES = [(0, [(0, [0]), (3, [0, 1]), (7, [0])]),                  # singular groups
+             (2, [(2, [-2, -1, 0, 1, 2]), (5, [-3, 0, 2]), (7, [1])]),  # a = c among them
+             (3, [(0, [0]), (3, list(range(-6, 7)))]),
+             (2, [(1, [0, 1]), (3, [-1, 0, 2])]),                      # empty shell H₁ first
+             (3, [(7, [-2, 3]), (1, [0]), (4, [1, -1])]),               # and inside the range
+             (1, [(2, [0]), (5, [1])])]                                 # H_a itself empty
+
+
+@pytest.fixture
+def einsum_calls(monkeypatch):
+    """The number of np.einsum calls made so far: only the float64 tier makes them."""
+    calls = [0]
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    return calls
+
+
 @pytest.mark.parametrize("nu", [0, 1, 2])
-def test_row_sums_match_full_shell_pairs(nu):
+def test_row_sums_match_full_shell_pairs(nu, einsum_calls):
     # the half-shell kernel against every pair of the full, sorted shells; I₁₂ has
-    # no vector of norm 1, so the c-ranges 1…3 and 1…7 cross an empty shell
+    # no vector of norm 1, so the c-ranges 1…3 and 1…7 cross an empty shell.  mat
+    # is scaled per row into each tier: the sums are linear in mat, so s·mat gives
+    # s times the unscaled sums, and every tier must give them exactly
     lattice = fx.ideal_i12()
     engine = ThetaEngine(lattice, 7)
     monos = monomials_of_degree(4, nu)
     rng = random.Random(nu)
     mat = [[rng.randint(-5, 5) for _ in monos] for _ in monos]
-    rows = [(0, [(0, [0]), (3, [0, 1]), (7, [0])]),                  # singular groups
-            (2, [(2, [-2, -1, 0, 1, 2]), (5, [-3, 0, 2]), (7, [1])]),  # a = c among them
-            (3, [(0, [0]), (3, list(range(-6, 7)))]),
-            (2, [(1, [0, 1]), (3, [-1, 0, 2])]),                      # empty shell H₁ first
-            (3, [(7, [-2, 3]), (1, [0]), (4, [1, -1])]),               # and inside the range
-            (1, [(2, [0]), (5, [1])])]                                 # H_a itself empty
-    for a, cbs in rows:
+    if not nu:
+        mat = [[-3]]  # a pair count times mat₀₀, not the count itself
+    for a, cbs in ROW_CASES:
         cs, bs = zip(*((c, b) for c, bs in cbs for b in bs))
-        got = engine.row_sums(a, cs, bs, np.array(mat, dtype=np.int64), nu).tolist()
         want = [brute_pair_sum(lattice, a, b, c, mat, nu) for c, bs in cbs for b in bs]
-        assert got == want
         assert any(want) == (a != 1 and bool(a or not nu))  # M(0) = 0 for ν ≥ 1; H₁ = ∅
+        peak = row_peak(engine, a, cs, mat, nu)
+        for tier in ("float64", "int64", "object"):
+            s = tier_scale(tier, peak)
+            before = einsum_calls[0]
+            got = engine.row_sums(a, cs, bs, np.array(mat, dtype=object) * s, nu).tolist()
+            assert got == [s * w for w in want], (a, tier)
+            assert all(type(x) is int for x in got)
+            assert (einsum_calls[0] > before) == (tier == "float64" and peak > 0), (a, tier)
+
+
+def test_row_sums_past_2_53_leave_the_float64_tier():
+    # odd sums past 2⁵³ that float64 cannot hold: with the tier's guard taken out
+    # the float64 sums round, so this fails
+    lattice = fx.ideal_i12()
+    engine = ThetaEngine(lattice, 7)
+    rng = random.Random(1)
+    mat = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
+    s = 2 ** 53 + 1
+    sums = []
+    for a, cbs in ROW_CASES[1:3]:
+        cs, bs = zip(*((c, b) for c, bs in cbs for b in bs))
+        want = [s * brute_pair_sum(lattice, a, b, c, mat, 1) for c, bs in cbs for b in bs]
+        got = engine.row_sums(a, cs, bs, np.array(mat, dtype=np.int64) * s, 1)
+        assert got.tolist() == want
+        sums += want
+    # S = 2·(S⁺(b) − S⁺(−b)): an odd difference of bin sums past 2⁵³
+    assert any(abs(w) > 2 ** 54 and w % 4 == 2 for w in sums)
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
@@ -599,6 +668,18 @@ def test_golden_lift_serializes_like_fixture_lift():
     for bound in range(61):
         golden = dumps_canonical(expansion_to_obj(fx.golden_lift(bound)))
         assert golden == dumps_canonical(expansion_to_obj(fx.fixture_lift(bound))), bound
+
+
+@pytest.mark.parametrize("bound", [2600, 8000])
+def test_golden_lift_float64_tier_equals_the_int64_tier(monkeypatch, einsum_calls, bound):
+    # the published lift's rows all fit the float64 tier; forced into int64 they
+    # must give the same text byte for byte
+    fast = dumps_canonical(expansion_to_obj(fx.golden_lift(bound)))
+    assert einsum_calls[0]
+    monkeypatch.setattr(yoshida, "FLOAT64_EXACT", 0)
+    calls = einsum_calls[0]
+    assert dumps_canonical(expansion_to_obj(fx.golden_lift(bound))) == fast
+    assert einsum_calls[0] == calls
 
 
 @pytest.fixture
