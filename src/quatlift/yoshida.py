@@ -412,7 +412,7 @@ class ThetaEngine:
                 mt = _monomial_rows(blk.astype(np.int64), nu, np.int64 if floats else dtype).T
                 mt = np.ascontiguousarray(mt, dtype=np.float64) if floats else mt
             else:
-                mt = vt  # M(x) = x
+                mt = vt  # M(x) = x at ν = 1, and unread at ν = 0
             # the bin block of every row: the norms m0…m1 that the block meets
             m0 = int(np.searchsorted(start, r0, "right")) - 1
             m1 = int(np.searchsorted(start, r1 - 1, "right")) - 1
