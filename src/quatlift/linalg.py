@@ -93,6 +93,9 @@ class Matrix:
     """The rational matrix num/den, in lowest terms with a canonical dtype (see the module)."""
 
     __slots__ = ("num", "den", "max", "_rows")
+    # numpy operators defer to Matrix's own, so np.int64(c) * m reaches __rmul__
+    # instead of reading m as a sequence of Fraction rows
+    __array_ufunc__ = None
 
     def __init__(self, num: np.ndarray, den: int = 1):
         if num.dtype != object and num.dtype != np.int64:

@@ -37,7 +37,10 @@ below 2⁵³, int64 below 2⁶², otherwise object arrays of Python ints.
 `theta_lift` takes its forms from `binforms.form_table` and writes every
 piece's factor over one common denominator: each row's sums are one array in
 table positions, added into one object array of Python-int totals.  It holds
-one engine at a time, so its memory peak is one lattice's enumeration.
+one engine at a time, so its memory peak is one lattice's enumeration, and
+that runs only to the reach of the rows a ≥ 2, about half of row 1's: row 1
+is summed per x₁ ∈ H₁ on a `ThetaEngine.slab`, the few vectors x₂ that its
+forms read, through the same kernel.
 `theta2_coefficient` is the pure-Python reference for one coefficient, on the
 full shells of `quatcore.short_vectors`.
 
@@ -283,8 +286,10 @@ class ThetaEngine:
     offsets `start` taken from the kernel's integer norms.  `shells` has the
     kernel's dtype: the narrowest signed integer dtype that holds the kernel's
     bound on every coordinate (int8 for R₁ up to norm 3,660 and I₁₂ up to
-    6,670, so for `golden_lift` up to bound 14,600), or object past int64;
-    `row_sums` casts what it reads, a block at a time.
+    6,670, so for `golden_lift`'s engines up to bound 29,000), or object past
+    int64; `row_sums` casts what it reads, a block at a time.  The first
+    vectors of a row a are H_a, except in an engine made by `slab`, whose
+    `head` is (a, {x₁}) and whose shells are only the x₂ that row a reads.
     """
 
     def __init__(self, lattice: Lattice, max_norm: int):
@@ -307,12 +312,53 @@ class ThetaEngine:
         self.start = shells.starts[np.searchsorted(norms, np.arange(max_norm + 2))]
         self.shells = shells.vecs
         self.coord_max = max(int(self.shells.max(initial=0)), -int(self.shells.min(initial=0)))
+        self.head = None
+
+    @classmethod
+    def slab(cls, engine: "ThetaEngine", x1: np.ndarray, bound: int) -> "ThetaEngine":
+        """The engine of one x₁ ∈ H_a: its row a is {x₁}, and its shells hold every
+        x₂ that a form (a, b, c) with disc ≤ bound reads, of norms c ≤ (bound + a²)/(4a).
+
+        Such an x₂ has b = wᵗx₂ with w = G·x₁, |b| ≤ a and 4a·q(x₂) − b² ≤ bound,
+        so it lies in the ellipsoid x₂ᵗ(2a·G + (t − 1)·wwᵗ)x₂ ≤ bound + t·a², whose
+        left side is 4a·q(x₂) − b² + t·b²; t = bound//(3a²) + 1 keeps it close to
+        that slab.  One exact `short_vectors_upto` on this integer Gram gives one
+        x₂ of each pair ±x₂, sorted here by q(x₂) with an offset per norm.  The
+        engine's own `__init__` is not run.
+        """
+        x = np.array(x1, dtype=object)
+        gram = engine.gram.astype(object)
+        w = gram @ x
+        a = int(w @ x) // 2
+        t = bound // (3 * a * a) + 1
+        # on Python ints: the Gram grows like bound·|w|²
+        ellipsoid = linalg.Matrix(2 * a * gram + (t - 1) * np.outer(w, w))
+        vecs = short_vectors_upto(ellipsoid, Fraction(bound + t * a * a, 2)).vecs
+        v = vecs.astype(np.int64)
+        norms = ((v @ engine.gram) * v).sum(axis=1) // 2
+        order = np.argsort(norms, kind="stable")
+        out = cls.__new__(cls)
+        out.lattice, out.gram = engine.lattice, engine.gram
+        out.max_norm = (bound + a * a) // (4 * a)
+        out.start = np.searchsorted(norms[order], np.arange(out.max_norm + 2))
+        out.shells = vecs[order[:out.start[-1]]]
+        out.head = (a, np.array([x1]))  # a copy: a view would keep engine.shells
+        out.coord_max = max(int(np.abs(x).max()), int(np.abs(v).max(initial=0)))
+        return out
 
     def half_shell(self, m: int) -> np.ndarray:
         """One vector of each pair ±x of norm m > 0, a slice of `shells`."""
         if m > self.max_norm:
             raise TruncationError("enumeration bound exceeded")
         return self.shells[self.start[m]:self.start[m + 1]] if m > 0 else self.shells[:0]
+
+    def _row_vectors(self, a: int) -> np.ndarray:
+        """The first vectors x₁ of row a's pairs: H_a, or a slab engine's {x₁}."""
+        if self.head is None:
+            return self.half_shell(a)
+        if a != self.head[0]:
+            raise ValueError(f"a slab engine holds the row a = {self.head[0]} only")
+        return self.head[1]
 
     def vecs(self, m: int) -> np.ndarray:
         """The vectors of norm m; m = 0 gives the single zero row."""
@@ -364,7 +410,7 @@ class ThetaEngine:
             return out
         cl, bl = cs[live], bs[live]
         c0, c1 = int(cl.min()), int(cl.max())
-        ha = self.half_shell(a)
+        ha = self._row_vectors(a)
         if c1 > self.max_norm:
             raise TruncationError("enumeration bound exceeded")
         start = self.start
@@ -493,8 +539,12 @@ def theta_lift(terms, nu: int, level: int, bound: int,
     C is a rational matrix on degree-ν monomials in `monomials_of_degree(4, ν)`
     order, as `harmonic.lift_matrix_deg2` returns it; a list of rational rows
     works too.  The forms are `form_table(bound)` and the singular forms
-    (0, 0, m) with m ≤ singular_bound; each engine enumerates L to the largest
-    c among them (the singular ones only at ν = 0, since M(0) = 0 otherwise).
+    (0, 0, m) with m ≤ singular_bound.  Each engine enumerates L to
+    `_engine_norm`: the largest c of the rows a ≥ 2, (bound + 4)//8, and at
+    ν = 0 the singular range (M(0) = 0 otherwise).  Row a = 1 reads c up to
+    (bound + 1)//4; when that reaches past the engine, it is summed per
+    x₁ ∈ H₁ on `ThetaEngine.slab`, 12,256 rows at bound 2600 where R₁'s norms
+    326…650 hold 184,191, and a lattice without norm-1 vectors builds none.
     Every piece's factor scale/den is written n/D over one common denominator
     D, and each row a of the table adds n times its `row_sums` array into one
     object array of Python-int totals.  The engines are built one at a time:
@@ -504,7 +554,7 @@ def theta_lift(terms, nu: int, level: int, bound: int,
         singular_bound = _default_singular_bound(bound)
     ta, tb, tc = form_table(bound)
     ms = np.arange(singular_bound + 1)
-    max_norm = max(int(tc.max(initial=0)), 0 if nu else singular_bound)
+    max_norm = _engine_norm(ta, tc, nu, singular_bound)
     pieces = []
     for lattice, weight, scale in terms:
         mat, den = linalg.integer_form(weight)
@@ -522,13 +572,29 @@ def theta_lift(terms, nu: int, level: int, bound: int,
         if not nu:
             singular += n * engine.row_sums(0, ms, np.zeros_like(ms), mat, nu)
         for a, pos in rows:
-            totals[pos] += n * engine.row_sums(a, tc[pos], tb[pos], mat, nu)
+            cs, bs = tc[pos], tb[pos]
+            if cs.max() <= max_norm:
+                sums = engine.row_sums(a, cs, bs, mat, nu)
+            else:
+                # row 1 reaches past the engine: one slab engine per x₁ ∈ H₁.  Each
+                # x₁ is a view of the shells, and goes with the generator's frame
+                sums = sum((ThetaEngine.slab(engine, x1, bound).row_sums(a, cs, bs, mat, nu)
+                            for x1 in engine.half_shell(a)), np.zeros(len(cs), dtype=object))
+            totals[pos] += n * sums
         del engine
     zero = np.zeros(len(ms), dtype=np.int64)
     return FourierExpansionSiegel2.from_columns(
         nu + 2, level, bound, np.concatenate((zero, ta)), np.concatenate((zero, tb)),
         np.concatenate((ms, tc)), np.concatenate((singular, totals)), common,
         singular_bound=singular_bound)
+
+
+def _engine_norm(ta: np.ndarray, tc: np.ndarray, nu: int, singular_bound: int) -> int:
+    """The norm every engine of `theta_lift` enumerates to: the largest c of the
+    rows a ≥ 2 and the largest a of the forms (ta, tc), and at ν = 0 the singular
+    range, which by default, (bound + 1)//3, is past row 1's (bound + 1)//4."""
+    return max(int(tc[ta > 1].max(initial=0)), int(ta.max(initial=0)),
+               0 if nu else singular_bound)
 
 
 def _default_singular_bound(bound: int) -> int:

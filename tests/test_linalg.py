@@ -246,7 +246,10 @@ def test_integer_multiple_equals_the_scanned_matrix(rows, c):
     # (c/g)·num over den/g, g = gcd(c, den), against the constructor's gcd and max scans
     a = as_matrix(rows, len(rows[0]) if rows else 0)
     want = linalg.Matrix(a.num.astype(object) * int(c), a.den)
-    for got in (a * c, int(c) * a):
+    products = [a * c, int(c) * a]
+    if abs(c) < 2 ** 63:  # numpy integer scalars on both sides
+        products += [a * np.int64(c), np.int64(c) * a]
+    for got in products:
         assert canonical(got) == want
         assert (got.max, got.num.dtype) == (want.max, want.num.dtype)
     if c == 0:

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import random
 import tracemalloc
@@ -10,8 +11,8 @@ import pytest
 
 import enum_reference
 from binforms_reference import apply_unimodular, reduced_forms_up_to
-from helpers import (expansion, hamilton_algebra, monomial_values, narrowest_signed,
-                     shuffled_store)
+from helpers import (expansion, hamilton_algebra, level34_order, monomial_values,
+                     narrowest_signed, shuffled_store)
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore, yoshida
 from quatlift.binforms import form_table, is_ambiguous
@@ -19,7 +20,8 @@ from quatlift.brandt import AutomorphicForm, FormSpace, brandt_matrix, constant_
 from quatlift.harmonic import (HarmSpace, default_frame, lift_matrix_deg2, lift_poly_deg1,
                                lift_poly_deg2, monomials_of_degree)
 from quatlift.polys import Poly
-from quatlift.quatcore import Lattice, UsageError, short_vectors, short_vectors_upto
+from quatlift.quatcore import (Lattice, UsageError, class_set, short_vectors,
+                               short_vectors_upto)
 from quatlift.serialize import dumps_canonical, expansion_to_obj
 from quatlift.yoshida import (FourierExpansionSiegel2, ThetaEngine, TruncationError,
                               is_cuspidal_up_to_bound, phi_operator,
@@ -684,38 +686,138 @@ def test_golden_lift_float64_tier_equals_the_int64_tier(monkeypatch, einsum_call
 
 @pytest.fixture
 def enumeration_norms(monkeypatch):
-    """The max_norm of every enumeration a ThetaEngine asks for; the shells come back empty."""
+    """The max_norm of every enumeration the theta engines ask for, in order."""
     asked = []
 
     def record(g, max_norm):
         asked.append(max_norm)
-        return short_vectors_upto(g, 0)
+        return short_vectors_upto(g, max_norm)
 
     monkeypatch.setattr(yoshida, "short_vectors_upto", record)
     return asked
 
 
 def test_golden_lift_enumerates_the_largest_c_it_reads(enumeration_norms):
-    # reduced forms with disc ≤ 2600 have c ≤ 2601//4; the singular range stays 867
+    # the rows a ≥ 2 of disc ≤ 2600 have c ≤ 2604//8; row 1 (c ≤ 2601//4) is one
+    # slab of R₁'s norm-1 vector, to (2600 + t)/2 with t = 2600//3 + 1, and I₁₂
+    # has no norm-1 vector; the singular range stays 867
     lift = fx.golden_lift(2600)
-    assert enumeration_norms == [650, 650]
+    assert enumeration_norms == [325, Fraction(3467, 2), 325]
     assert (lift.bound, lift.singular_bound) == (2600, 867)
 
 
-@pytest.mark.parametrize("nu,singular_bound,want", [(1, None, 150), (0, None, 200),
-                                                    (0, 300, 300)])
+@pytest.mark.parametrize("nu,singular_bound,reach", [(1, None, 150), (0, None, 200),
+                                                     (0, 300, 300)])
 def test_yoshida2_enumerates_the_largest_norm_it_reads(class_set_17, space0, space1,
                                                        enumeration_norms, nu,
-                                                       singular_bound, want):
-    # at ν = 1 the singular groups are skipped; at ν = 0 they are read
+                                                       singular_bound, reach):
+    # at ν = 0 the singular range, past row 1's c ≤ 150, is every engine's reach.
+    # At ν = 1 the singular groups are skipped: the engines stop at the rows a ≥ 2
+    # (c ≤ 604//8), and row 1 reaches c = 150 through one slab, to (600 + 201)/2,
+    # per norm-1 vector; φ₁ is nonzero on the first class only, whose two cross
+    # lattices hold one such vector and none
     if nu:
         phi, space = fx.phi1(), space1
+        want = [reach // 2, Fraction(801, 2), reach // 2]
     else:
         phi, space = constant_form(class_set_17), space0
+        want = [reach] * 4
     lift = yoshida2(class_set_17, phi, fx.phi2(), 600, space1=space,
                     singular_bound=singular_bound)
-    assert enumeration_norms and set(enumeration_norms) == {want}
+    assert enumeration_norms == want
     assert lift.singular_bound == (singular_bound or 200)
+
+
+@pytest.mark.parametrize("bound", [60, 700, 703, 2600])
+def test_slab_holds_every_vector_row_1_reads(bound):
+    # the x₂ with |b| ≤ 1 and 4c − b² ≤ bound, as sets of ±x, from R₁'s slab and
+    # from the full shells to (bound + 1)//4; each of the slab's is one of ±x₂,
+    # and its half shells are the rows of their norm.  At 703 the forms (1, ±1, 176)
+    # lie on the ellipsoid's boundary
+    full = ThetaEngine(fx.order_r1(), (bound + 1) // 4)
+    (x1,) = full.half_shell(1)
+    slab = ThetaEngine.slab(full, x1, bound)
+    assert slab.max_norm == full.max_norm
+
+    def read(engine):
+        v = engine.shells.astype(np.int64)
+        b = v @ (engine.gram @ x1)
+        q = ((v @ engine.gram) * v).sum(axis=1) // 2
+        v = v[(np.abs(b) <= 1) & (4 * q - b * b <= bound)]
+        return {tuple(x) for x in np.concatenate((v, -v)).tolist()}, len(v)
+
+    (got, n), (want, _) = read(slab), read(full)
+    assert got == want and len(got) == 2 * n
+    for m in range(slab.max_norm + 1):
+        h = slab.half_shell(m).astype(np.int64)
+        assert (((h @ slab.gram) * h).sum(axis=1) == 2 * m).all(), m
+    assert slab.start[-1] == len(slab.shells)
+    with pytest.raises(ValueError, match="row a = 1 only"):
+        slab.row_sums(2, [2], [0], np.ones((1, 1), dtype=np.int64), 0)
+
+
+@pytest.fixture
+def slab_lattices(monkeypatch):
+    """The lattice of every slab engine built, in order."""
+    built = []
+    slab = ThetaEngine.slab.__func__
+
+    def recording(cls, engine, x1, bound):
+        built.append(engine.lattice)
+        return slab(cls, engine, x1, bound)
+
+    monkeypatch.setattr(ThetaEngine, "slab", classmethod(recording))
+    return built
+
+
+def full_slice(ta, tc, nu, singular_bound):
+    """Engines to the largest c of every row, so that row 1 runs on the full shells."""
+    return max(int(tc.max(initial=0)), int(ta.max(initial=0)), 0 if nu else singular_bound)
+
+
+def lift_texts(monkeypatch, slab_lattices, lift):
+    """lift()'s canonical JSON with row 1 on slabs, and with it on the full slice."""
+    texts = [dumps_canonical(expansion_to_obj(lift()))]
+    slabs = len(slab_lattices)
+    with monkeypatch.context() as m:
+        m.setattr(yoshida, "_engine_norm", full_slice)
+        texts.append(dumps_canonical(expansion_to_obj(lift())))
+    assert len(slab_lattices) == slabs
+    return texts, slabs
+
+
+@pytest.mark.parametrize("bound", [2600, 8000])
+def test_golden_lift_slab_rows_equal_the_full_slice(monkeypatch, slab_lattices, bound):
+    # the one slab is R₁'s: I₁₂ has no vector of norm 1
+    (slabbed, full), slabs = lift_texts(monkeypatch, slab_lattices, lambda: fx.golden_lift(bound))
+    assert slabbed == full and slabs == 1
+    assert slab_lattices[0].basis == fx.order_r1().basis
+
+
+def test_small_bounds_equal_the_full_slice(monkeypatch, slab_lattices):
+    # below 12, row 1 is the only row, and the engine still holds H₁ for the slab
+    for bound in range(12):
+        before = len(slab_lattices)
+        (slabbed, full), slabs = lift_texts(monkeypatch, slab_lattices,
+                                            lambda: fx.golden_lift(bound))
+        assert slabbed == full, bound
+        # row 1 reaches c = 2 at bound 7, past the engine's H₁
+        assert slabs - before == (bound >= 7), bound
+
+
+@pytest.mark.parametrize("level,nu,bound", [(17, 1, 700), (17, 2, 700), (17, 3, 700),
+                                            (34, 1, 600)])
+def test_yoshida2_slab_rows_equal_the_full_slice(monkeypatch, slab_lattices, class_set_17,
+                                                 level, nu, bound):
+    # at level 34 the constant second factor would lift to 0, so a random one
+    cs = class_set_17 if level == 17 else class_set(level34_order(), 3)
+    space = FormSpace(cs, nu)
+    phi = fx.phi1() if level == 17 and nu == 1 else random_form(space, nu)
+    second = fx.phi2() if level == 17 else random_form(FormSpace(cs, 0), 2)
+    (slabbed, full), slabs = lift_texts(monkeypatch, slab_lattices,
+                                        lambda: yoshida2(cs, phi, second, bound, space1=space))
+    assert slabbed == full and slabs
+    assert len(json.loads(full)["entries"]) > 300
 
 
 def test_golden_lift_releases_its_engines(monkeypatch):
@@ -733,18 +835,19 @@ def test_golden_lift_releases_its_engines(monkeypatch):
 
 
 def test_theta_lift_drops_each_engine_before_building_the_next(monkeypatch):
-    # no gc.collect: the engine is freed by its last reference going away
+    # no gc.collect: the engine and its shells are freed by their last reference
+    # going away, also when a slab's x₁, a view of the shells, was read
     built, alive = [], []
     init = ThetaEngine.__init__
 
     def recording_init(self, *args):
         alive.append([ref() is not None for ref in built])
         init(self, *args)
-        built.append(weakref.ref(self))
+        built.extend((weakref.ref(self), weakref.ref(self.shells)))
 
     monkeypatch.setattr(ThetaEngine, "__init__", recording_init)
     fx.golden_lift(300)
-    assert alive == [[], [False]]
+    assert alive == [[], [False, False]]
 
 
 def traced_peak(fn):
@@ -767,10 +870,11 @@ def test_engine_memory_peak_per_vector():
 
 
 def test_golden_lift_memory_peak():
-    # one engine at a time, narrow rows and row sums on blocks of the H_c slice
+    # one engine at a time, to the rows a ≥ 2 only, narrow rows and row sums on
+    # blocks of the H_c slice
     lift, peak = traced_peak(lambda: fx.golden_lift(2600))
     assert len(lift.columns()[0]) == 4159
-    assert peak <= 10 * 2 ** 20
+    assert peak <= 5 * 2 ** 20
 
 
 def test_golden_lift_runs_in_one_process():
