@@ -98,16 +98,19 @@ class FormSpace:
         Row block j, column block i is CB_j·B_ij·R_i, with CB_i the invariant
         basis of class i and R_i its right inverse.  Raises ValueError unless
         every CB_j·B_ij lies in the row span of CB_i, that is, unless the
-        operator maps invariant forms to invariant forms.
+        operator maps invariant forms to invariant forms.  A zero B_ij gives a
+        zero block with nothing to check: an Atkin–Lehner or pullback operator
+        has one nonzero block per row.
         """
         grid = []
         for j, cb_j in enumerate(self.class_bases):
             row = []
             for i, (cb_i, r_i) in enumerate(zip(self.class_bases, self._right_inverses)):
-                if not (cb_i and cb_j):
+                block = op.blocks[i][j]
+                if not (cb_i and cb_j and block.num.any()):
                     row.append(linalg.zeros(len(cb_j), len(cb_i)))
                     continue
-                image = cb_j @ op.blocks[i][j]
+                image = cb_j @ block
                 coords = image @ r_i
                 if coords @ cb_i != image:
                     raise ValueError("form is not invariant under the unit groups")
@@ -200,7 +203,12 @@ def inner_product(phi: AutomorphicForm, psi: AutomorphicForm, cs: ClassSet,
 
 
 def _route(moved: list[Lattice], targets: list[Lattice]):
-    """Per lattice: (index j of the first equivalent target, every γ with lattice = γ·target_j)."""
+    """Per lattice: (index j of the first equivalent target, every γ with lattice = γ·target_j).
+
+    Each lattice tries every target in turn: the map need not be a bijection
+    (a superorder can have fewer classes).  `_involution_route` is the
+    Atkin–Lehner case.
+    """
     routing = []
     for lat in moved:
         for j, target in enumerate(targets):
@@ -238,19 +246,47 @@ def _transport_blocks(routing, source: FormSpace) -> list[list[linalg.Matrix]]:
     return blocks
 
 
+def _involution_route(ideals: list[Lattice], tsp: Lattice, q: int):
+    """`_route` of the I_i·P onto the I_j, P the two-sided ideal of norm q.
+
+    I ↦ I·P is an involution of the classes, and the classes are pairwise
+    inequivalent, so a class already routed is the target of its partner
+    alone: class i tries only the classes not yet routed.  Since P² = q·O,
+    I_i·P = γ·I_j gives I_j·P = (q·γ⁻¹)·I_i, so the partner's route and its
+    transporters follow without a search, and without building I_j·P.
+    """
+    routing = [None] * len(ideals)
+    for i, ideal in enumerate(ideals):
+        if routing[i] is not None:
+            continue
+        moved = ideal.product(tsp)
+        for j in [j for j, route in enumerate(routing) if route is None]:
+            gammas = list(transporters(moved, ideals[j]))
+            if gammas:
+                routing[i] = (j, gammas)
+                if j != i:
+                    routing[j] = (i, [gamma.inverse() * q for gamma in gammas])
+                break
+        else:
+            raise ValueError("translated ideal matches no class")
+    return routing
+
+
 def atkin_lehner(cs: ClassSet, nu: int, q: int, space: FormSpace | None = None) -> BrandtMatrix:
     """w̃_q: right translation by the norm-q normalizer, via the two-sided ideal.
 
     (w̃_q φ)(y_i) = τ(γ)·φ(y_j)/n(γ)^ν where I_i·P_q = γ·I_j; applying it twice
-    is the identity.  The blocks, and the check that they do not depend on
-    the choice of γ, are computed once per (class set, q, ν).
+    is the identity.  The routing searches one class of each swapped pair and
+    derives the other (`_involution_route`).  The blocks, and the check that
+    they do not depend on the choice of γ, which runs over every transporter
+    of every route, derived ones included, are computed once per
+    (class set, q, ν).
     """
     if cs.order.level % q != 0:
         raise UsageError(f"{q} does not divide the level {cs.order.level}")
     _require_space(cs, nu, space)
     if q not in cs.al_routes:
-        tsp = two_sided_ideal(cs.order, q)
-        cs.al_routes[q] = _route([ideal.product(tsp) for ideal in cs.ideals], cs.ideals)
+        cs.al_routes[q] = _involution_route(cs.ideals, two_sided_ideal(cs.order, q), q)
     if (q, nu) not in cs.al_blocks:
         space = space or FormSpace(cs, nu)
         cs.al_blocks[q, nu] = BrandtMatrix(q, nu, _transport_blocks(cs.al_routes[q], space))
@@ -380,6 +416,29 @@ def _split_by_operator(subspaces: list[linalg.Matrix], op: linalg.Matrix,
     return out
 
 
+def _split_by_involution(subspaces: list[linalg.Matrix],
+                         op: linalg.Matrix) -> list[linalg.Matrix]:
+    """Each subspace split into ker(S − I) and ker(S + I), S the restriction of op to it.
+
+    A line is kept whole once one image shows it is an eigenline.  Raises
+    ValueError unless S·S = I exactly; then the two kernels add up to the
+    subspace, and no characteristic polynomial is needed.
+    """
+    out = []
+    for basis in subspaces:
+        if len(basis) == 1:
+            _eigenvalue(op, basis)
+            out.append(basis)
+            continue
+        s = _restrict(op, basis)
+        eye = linalg.identity(len(basis))
+        if s @ s != eye:
+            raise ValueError("operator does not act as ±1 on a subspace: its square is not 1")
+        kernels = [linalg.nullspace((s - eye).T), linalg.nullspace((s + eye).T)]
+        out += [kernel @ basis for kernel in kernels if kernel]
+    return out
+
+
 def _involution_sign(op: linalg.Matrix, basis: linalg.Matrix) -> int:
     """±1 when basis·op = ±basis, that is, op is ±1 on the row span; ValueError otherwise."""
     img = basis @ op
@@ -395,9 +454,11 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
 
     Rational 1-dimensional common eigenspaces come back as eigenforms with
     eigenvalue maps; irrational ones as irreducible blocks with factored
-    characteristic polynomials.  Exact throughout: an eigenvalue is read off
-    one image and checked against it, and each distinct characteristic
-    polynomial is factored once per call.
+    characteristic polynomials.  The involutions w_q split first, each into
+    its ±1 eigenspaces (`_split_by_involution`), then each T(p) by the factors
+    of its characteristic polynomial (`_split_by_operator`).  Exact
+    throughout: an eigenvalue is read off one image and checked against it,
+    and each distinct characteristic polynomial is factored once per call.
     """
     for p in primes:
         _require_good_prime(cs, p)
@@ -411,7 +472,7 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     factor = _charpoly_factorer()
     subspaces = [linalg.identity(space.dim)]
     for q in level_primes:
-        subspaces = _split_by_operator(subspaces, inv_ops[q], factor)
+        subspaces = _split_by_involution(subspaces, inv_ops[q])
     for p in sorted(primes):
         subspaces = _split_by_operator(subspaces, brandt_ops[p], factor)
     components = []

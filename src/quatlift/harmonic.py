@@ -103,8 +103,13 @@ class TraceZeroFrame:
         return linalg.Matrix(coords.num[:, :3], coords.den)
 
 
+@cache
 def default_frame(algebra: QuaternionAlgebra) -> TraceZeroFrame:
-    """Frame spanned by the trace-zero parts of the algebra basis (first 3 independent)."""
+    """Frame spanned by the trace-zero parts of the algebra basis (first 3 independent).
+
+    One frame per algebra, shared by every caller, so that its product tables
+    are built once; nothing may mutate it.
+    """
     one = algebra.unit()
     cands = []
     for i in range(4):

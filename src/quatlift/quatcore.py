@@ -1084,8 +1084,24 @@ def two_sided_ideal(order: Lattice, p: int) -> Lattice:
 
 
 def is_ramified(order: Lattice, p: int) -> bool:
-    """True when the algebra is ramified at p: no order contains O with index p."""
-    return not superorders(order, p)
+    """True when the algebra is ramified at p: no order contains O with index p.
+
+    Decided by the test `superorders` applies before it builds each order:
+    ramified exactly when v ↦ nrd(v)/p has no zero mod p on J/pO.
+    """
+    return next(_superorder_points(order, p), None) is None
+
+
+def _superorder_points(order: Lattice, p: int):
+    """Yield each point v of J/pO with nrd(v)/p ≡ 0 mod p, sorted by `_point_rank`.
+
+    v is in O's coordinates, and J is the two-sided ideal of norm p.
+    """
+    ideal = two_sided_ideal(order, p)
+    rows = _rref_mod_p(_integral(ideal.basis @ order._basis_inv), p)
+    for v in sorted(_plane_points(rows, p), key=_point_rank):
+        if order.element_from(v).norm() / p % p == 0:
+            yield v
 
 
 def superorders(order: Lattice, p: int) -> list[Lattice]:
@@ -1096,13 +1112,10 @@ def superorders(order: Lattice, p: int) -> list[Lattice]:
     and nrd(a·e₁₂ + c·p·e₂₁)/p = −ac: two zeros.  At a ramified p there are none.
     The orders come sorted by `_point_rank` of v in O's coordinates.
     """
-    ideal = two_sided_ideal(order, p)
-    rows = _rref_mod_p(_integral(ideal.basis @ order._basis_inv), p)
     out = []
-    for v in sorted(_plane_points(rows, p), key=_point_rank):
-        if order.element_from(v).norm() / p % p == 0:
-            gens = linalg.vstack([[(order.element_from(v) / p).coords], order.basis])
-            sup = Lattice.from_generators(order.algebra, gens, "order")
-            sup.require_order()
-            out.append(sup)
+    for v in _superorder_points(order, p):
+        gens = linalg.vstack([[(order.element_from(v) / p).coords], order.basis])
+        sup = Lattice.from_generators(order.algebra, gens, "order")
+        sup.require_order()
+        out.append(sup)
     return out

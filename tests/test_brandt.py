@@ -167,6 +167,79 @@ def test_transport_outside_the_unit_coset_is_rejected(class_set_17, monkeypatch)
         atkin_lehner(cs, 1, 17, FormSpace(cs, 1))
 
 
+def _al_class_sets(class_set_17, cs34):
+    """The level-17 class set and the level-34 ones from the seeds 3 and 5, fresh."""
+    sets = [class_set_17, cs34, class_set(level34_order(), 5)]
+    return [ClassSet(cs.order, cs.ideals) for cs in sets]
+
+
+def _level_primes(cs):
+    return sorted(set(quatcore._prime_factors(cs.order.level)))
+
+
+def test_partner_route_is_q_times_the_inverse(class_set_17, cs34):
+    # P² = q·O: from I_i·P = γ·I_j follows I_j·P = (q·γ⁻¹)·I_i, γ for γ
+    routed = 0
+    for cs in _al_class_sets(class_set_17, cs34):
+        for q in _level_primes(cs):
+            tsp = quatcore.two_sided_ideal(cs.order, q)
+            moved = [ideal.product(tsp) for ideal in cs.ideals]
+            for i, (j, gammas) in enumerate(brandt._route(moved, cs.ideals)):
+                assert {g.inverse() * q for g in gammas} == set(
+                    quatcore.transporters(moved[j], cs.ideals[i]))
+                routed += 1
+    assert routed == 18
+
+
+def test_involution_route_matches_the_full_search(class_set_17, cs34, monkeypatch):
+    calls = []
+    found = brandt.transporters
+    monkeypatch.setattr(brandt, "transporters",
+                        lambda lat, target: calls.append(1) or found(lat, target))
+    for cs in _al_class_sets(class_set_17, cs34):
+        for q in _level_primes(cs):
+            atkin_lehner(cs, 0, q)
+            searched = len(calls)
+            tsp = quatcore.two_sided_ideal(cs.order, q)
+            full = brandt._route([ideal.product(tsp) for ideal in cs.ideals], cs.ideals)
+            # the full search tries claimed targets, and routes the partners too
+            assert searched < len(calls) - searched
+            calls.clear()
+            assert [(j, set(gammas)) for j, gammas in cs.al_routes[q]] == [
+                (j, set(gammas)) for j, gammas in full]
+
+
+def test_involution_split_matches_the_charpoly_split(cs34):
+    factor = brandt._charpoly_factorer()
+    for nu in range(4):
+        space = FormSpace(cs34, nu)
+        subspaces = [linalg.identity(space.dim)]
+        for q in (2, 17):
+            op = space.matrix_of(atkin_lehner(cs34, nu, q, space))
+            split = brandt._split_by_involution(subspaces, op)
+            assert split == brandt._split_by_operator(subspaces, op, factor)
+            subspaces = split
+        assert sum(map(len, subspaces)) == space.dim
+
+
+def test_involution_split_is_the_two_eigenspaces():
+    op = linalg.frac_mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]])  # swaps x and y, negates z
+    plus, minus = brandt._split_by_involution([linalg.identity(3)], op)
+    assert plus == linalg.frac_mat([[1, 1, 0]])
+    assert minus == linalg.frac_mat([[-1, 1, 0], [0, 0, 1]])
+    line = linalg.frac_mat([[0, 0, 2]])
+    assert brandt._split_by_involution([line], op) == [line]
+    with pytest.raises(ValueError, match="does not preserve"):
+        brandt._split_by_involution([linalg.frac_mat([[1, 0, 0]])], op)
+    # (x, y) ↦ (y, 4x) preserves the plane, but its square is 4, not 1
+    with pytest.raises(ValueError, match="as ±1"):
+        brandt._split_by_involution([linalg.identity(2)], linalg.frac_mat([[0, 1], [4, 0]]))
+
+
+def test_form_spaces_share_one_frame(class_set_17):
+    assert FormSpace(class_set_17, 0).frame is FormSpace(class_set_17, 2).frame
+
+
 def test_ramanujan_bound(class_set_17, space0, space1):
     for nu, phi in ((0, fx.phi2()), (1, fx.phi1())):
         space = space0 if nu == 0 else space1
@@ -521,12 +594,15 @@ def test_each_distinct_charpoly_is_factored_once(class_set_17, monkeypatch):
     assert len(calls) == 2 * len(set(calls))
 
 
-def test_eichler_iteration_makes_123_enumerations(monkeypatch):
+def test_eichler_iteration_makes_112_enumerations(monkeypatch):
     # the eichler benchmark's iteration at seed 1 on fresh orders: class sets
     # from the neighbours at 2 (level 17) and 3 (level 34), Brandt matrices at
     # ν ≤ 2 for five good primes and eigenforms at the first three.  Each
     # reduced neighbour costs one enumeration; growing shells one multiple of
-    # the norm scale at a time made 136, of the same 1,548 vectors.
+    # the norm scale at a time made 136.  Routing w_q by a search for every
+    # class against every target made 123, of 1,548 vectors; now a class
+    # skips the targets already claimed, and a swapped class takes its route
+    # from its partner's, so the routing makes 12 searches, not 23.
     orders = [quatcore.Lattice(o.algebra, o.basis, "order") for o in (fx.order_r1(),
                                                                      level34_order())]
     calls = []
@@ -546,4 +622,4 @@ def test_eichler_iteration_makes_123_enumerations(monkeypatch):
             for p in primes:
                 brandt_matrix(cs, nu, p, space)
             eigenforms(cs, nu, list(primes[:3]), space)
-    assert (len(calls), sum(calls)) == (123, 1548)
+    assert (len(calls), sum(calls)) == (112, 1545)

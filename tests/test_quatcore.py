@@ -659,6 +659,19 @@ def test_superorders_match_projective_walk(name, p):
     assert is_ramified(order, p) == ramified
 
 
+def test_is_ramified_builds_no_superorder(monkeypatch):
+    # the zero test that superorders applies before it builds each order
+    cases = [("r1", 17), ("o34", 2), ("o34", 17)]
+    want = [not superorders(_local_case(name)[1], p) for name, p in cases]
+    assert want == [True, False, True]
+
+    def refuse(order, p):
+        raise AssertionError("is_ramified built the superorders")
+
+    monkeypatch.setattr(quatcore, "superorders", refuse)
+    assert [is_ramified(_local_case(name)[1], p) for name, p in cases] == want
+
+
 def test_superorders_rejects_primes_off_the_level():
     for name, p in (("r1", 5), ("r1", 4), ("o34", 3)):
         _, order = _local_case(name)
