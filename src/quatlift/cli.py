@@ -17,8 +17,8 @@ from . import fixture as fx
 from . import serialize as ser
 from .brandt import FormSpace, brandt_matrix, eigenforms
 from .quatcore import class_set
-from .siegelhecke import (PoleError, SatakePair, eigenvalue_extract, hecke_Tp,
-                          lambda_N, rankin_selberg_local, standard_L_local)
+from .siegelhecke import (PoleError, eigenvalue_extract, hecke_Tp, lambda_N,
+                          rankin_selberg_local, standard_L_local)
 from .verify import run_all
 
 
@@ -199,33 +199,24 @@ def hecke_cmd(path, p, out_path):
 @click.option("--s", "s_value", type=float, default=None, help="evaluate at s")
 def lfactor_cmd(kind, p, af, ag, k1, k2, n, level, s_value):
     """Local Euler factors: standard, tensor-product, or the bad-prime factor."""
-    if kind == "bad":
-        if s_value is None:
-            raise click.UsageError("--kind bad requires --s")
-        try:
-            val = lambda_N(level, n, s_value)
-            click.echo(f"Lambda_{level}(s={s_value}, n={n}) = {val!r}")
-        except PoleError as exc:
-            click.echo(f"pole: {exc}")
-            sys.exit(2)
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from None
-        return
+    if kind == "bad" and s_value is None:
+        raise click.UsageError("--kind bad requires --s")
     try:
+        if kind == "bad":
+            click.echo(f"Lambda_{level}(s={s_value}, n={n}) = {lambda_N(level, n, s_value)!r}")
+            return
         if kind == "standard":
-            fac = standard_L_local(SatakePair(p, k1, Fraction(af)),
-                                   SatakePair(p, k2, Fraction(ag)), n, p)
+            fac = standard_L_local(Fraction(af), Fraction(ag), k1, k2, n, p)
         else:
             fac = rankin_selberg_local(Fraction(af), Fraction(ag), k1, k2, p)
+        click.echo(f"inverse local factor at p={p}: {fac}")
+        if s_value is not None:
+            click.echo(f"value at s={s_value}: {fac.value(s_value)!r}")
+    except PoleError as exc:
+        click.echo(f"pole: {exc}")
+        sys.exit(2)
     except (ValueError, ZeroDivisionError) as exc:
         raise click.ClickException(str(exc)) from None
-    click.echo(f"inverse local factor at p={p}: {fac}")
-    if s_value is not None:
-        try:
-            click.echo(f"value at s={s_value}: {fac.value(s_value)!r}")
-        except PoleError as exc:
-            click.echo(f"pole: {exc}")
-            sys.exit(2)
 
 
 @main.command("roundtrip")
@@ -260,13 +251,11 @@ def roundtrip_cmd(in_path, schema, algebra_path, out_path):
 
 
 @main.command("verify-example")
-@click.option("--bound", default=130, show_default=True, type=click.IntRange(min=0),
-              help="discriminant bound for the published-coefficient checks")
 @click.option("--hecke-bound", default=2600, show_default=True, type=click.IntRange(min=0),
               help="input discriminant bound for the Hecke eigenvalue checks")
-def verify_example_cmd(bound, hecke_bound):
+def verify_example_cmd(hecke_bound):
     """Run the full bundled-example pipeline and print a pass/fail table."""
-    report = run_all(lift_bound=bound, hecke_bound=hecke_bound,
+    report = run_all(hecke_bound=hecke_bound,
                      progress=lambda msg: click.echo(f"... {msg}", err=True))
     for line in report.lines():
         click.echo(line)

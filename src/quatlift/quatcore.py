@@ -81,9 +81,6 @@ class QuaternionAlgebra:
         self.bilinear = self._bilinear_matrix()
         self._norm_form = (self.bilinear.num.tolist(), 2 * self.bilinear.den)
 
-    def element(self, coords) -> "QuatElement":
-        return QuatElement(self, coords)
-
     def basis_element(self, i: int) -> "QuatElement":
         return QuatElement(self, [Fraction(int(j == i)) for j in range(4)])
 
@@ -227,15 +224,6 @@ class QuatElement:
 
     def __repr__(self):
         return f"QuatElement{self.coords}"
-
-
-def conj_trace_norm(x: QuatElement) -> tuple[QuatElement, Fraction, Fraction]:
-    """Return (x̄, tr x, n x), verifying x·x̄ = n(x)·1."""
-    xb = x.conj()
-    t = x.trace()
-    n = x.norm()
-    assert x * xb == x.algebra.unit() * n
-    return xb, t, n
 
 
 def is_positive_definite(g) -> bool:

@@ -166,25 +166,30 @@ class LocalFactor:
         return sum(float(a) * x ** i for i, a in enumerate(self.coeffs))
 
     def value(self, s: float) -> float:
-        """Value of the Euler factor 1/poly(p^{-s})."""
-        inv = self.evaluate_inverse_at(self.p ** (-s))
+        """Value of the Euler factor 1/poly(p^{-s}).
+
+        ValueError unless s is finite and every term at X = p^{-s} fits a float.
+        """
+        _require_finite(s)
+        try:
+            inv = self.evaluate_inverse_at(self.p ** (-s))
+        except OverflowError:
+            inv = math.inf
+        if not math.isfinite(inv):
+            raise ValueError(f"cannot evaluate at s={s}: the factor at p={self.p} "
+                             "overflows a float")
         if inv == 0:
             raise PoleError(f"local factor at p={self.p} has a pole at s={s}")
         return 1.0 / inv
 
     def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
+        parts = ["1"]
+        for i, c in enumerate(self.coeffs[1:], 1):
+            if c:
                 mono = "X" if i == 1 else f"X^{i}"
-                cs = str(abs(c))
-                term = mono if abs(c) == 1 else f"{cs}*{mono}"
+                term = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
                 parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts) if parts else "0"
+        return " ".join(parts)
 
     def __eq__(self, other):
         return (isinstance(other, LocalFactor) and self.p == other.p
@@ -195,70 +200,55 @@ class PoleError(ArithmeticError):
     """Evaluation requested at a pole of an Euler factor."""
 
 
-@dataclass(frozen=True)
-class SatakePair:
-    """Unramified Satake datum {β, β⁻¹} of a weight-k eigenform, kept radical-free.
-
-    β + β⁻¹ = λ / p^{(k-1)/2}; only symmetric combinations are ever needed and
-    those are rational: the square of the sum, and cross products with another
-    pair of compatible weight parity.
-    """
-    p: int
-    weight: int
-    eigenvalue: Fraction
-
-    @property
-    def sum_squared(self) -> Fraction:
-        return Fraction(self.eigenvalue) ** 2 / Fraction(self.p) ** (self.weight - 1)
-
-    def cross_sum(self, other: "SatakePair") -> Fraction:
-        """(β+β⁻¹)(β̃+β̃⁻¹); rational when the weights have equal parity."""
-        if self.p != other.p:
-            raise UsageError(f"Satake data at different primes {self.p} and {other.p}")
-        e = self.weight + other.weight - 2
-        if e % 2:
-            raise ValueError("cross sum is irrational for mixed weight parity")
-        return (Fraction(self.eigenvalue) * Fraction(other.eigenvalue)
-                / Fraction(self.p) ** (e // 2))
-
-    @classmethod
-    def trivial(cls, p: int) -> "SatakePair":
-        """β = 1 (sum 2): weight-1 datum with eigenvalue 2."""
-        return cls(p, 1, Fraction(2))
+def _require_finite(s: float) -> None:
+    if not math.isfinite(s):
+        raise ValueError(f"cannot evaluate at s={s}: s must be a finite number")
 
 
-def standard_L_local(b1: SatakePair, b2: SatakePair, n: int, p: int) -> LocalFactor:
+def _power(p: int, e: float, s: float) -> float:
+    """p^e as a float, for an exponent e formed from s; ValueError unless it fits a float."""
+    try:
+        out = float(p) ** e
+    except OverflowError:
+        out = math.inf
+    if math.isinf(out):
+        raise ValueError(f"cannot evaluate at s={s}: {p}^{e:g} overflows a float")
+    return out
+
+
+def standard_L_local(af, ag, k1: int, k2: int, n: int, p: int) -> LocalFactor:
     """Degree-(2n+1) inverse factor of the standard L-function of the degree-n lift.
 
+    af and ag are the T(p) eigenvalues of eigenforms of weights k1 and k2, with
+    unramified Satake data {β, β⁻¹} and {β̃, β̃⁻¹}.  The factor is
     (1-X)·Π(1-β^{±1}β̃^{±1}X)·Π_{j=1}^{n-2}(1-p^jX)(1-p^{-j}X), expanded through
-    the elementary symmetric functions e₁ = e₃ = s·s̃, e₂ = s²+s̃²-2, e₄ = 1.
+    the elementary symmetric functions e₁ = e₃ = af·ag/p^{(k1+k2-2)/2},
+    e₂ = af²/p^{k1-1} + ag²/p^{k2-1} − 2 and e₄ = 1, rational when k1 ≡ k2 mod 2.
     """
     _require_prime(p)
-    if b1.p != p or b2.p != p:
-        raise UsageError(f"Satake data at {b1.p} and {b2.p} for a factor at {p}")
     if n < 2:
         raise ValueError("the degree-n standard factor needs n ≥ 2")
-    e1 = b1.cross_sum(b2)
-    e2 = b1.sum_squared + b2.sum_squared - 2
+    w = k1 + k2 - 2
+    if w % 2:
+        raise ValueError("cross sum is irrational for mixed weight parity")
+    af, ag, q = Fraction(af), Fraction(ag), Fraction(p)
+    e1 = af * ag / q ** (w // 2)
+    e2 = af ** 2 / q ** (k1 - 1) + ag ** 2 / q ** (k2 - 1) - 2
     quartic = LocalFactor(p, [1, -e1, e2, -e1, 1])
     out = LocalFactor(p, [1, -1]) * quartic
     for j in range(1, n - 1):
-        out = out * LocalFactor(p, [1, -Fraction(p) ** j])
-        out = out * LocalFactor(p, [1, -Fraction(1, p ** j)])
+        out = out * LocalFactor(p, [1, -q ** j])
+        out = out * LocalFactor(p, [1, -1 / q ** j])
     return out
 
 
 def rankin_selberg_local(af, ag, k1: int, k2: int, p: int) -> LocalFactor:
     """Degree-4 inverse factor of the tensor-product L-function, integer coefficients."""
     _require_prime(p)
-    af, ag = Fraction(af), Fraction(ag)
+    af, ag, q = Fraction(af), Fraction(ag), Fraction(p)
     w = k1 + k2 - 2
-    e1 = af * ag
-    e2 = Fraction(p) ** (k2 - 1) * af ** 2 + Fraction(p) ** (k1 - 1) * ag ** 2 \
-        - 2 * Fraction(p) ** w
-    e3 = af * ag * Fraction(p) ** w
-    e4 = Fraction(p) ** (2 * w)
-    return LocalFactor(p, [1, -e1, e2, -e3, e4])
+    e2 = q ** (k2 - 1) * af ** 2 + q ** (k1 - 1) * ag ** 2 - 2 * q ** w
+    return LocalFactor(p, [1, -af * ag, e2, -af * ag * q ** w, q ** (2 * w)])
 
 
 def hecke_prime_power_coeffs(ap, k: int, p: int, count: int) -> list[Fraction]:
@@ -269,28 +259,19 @@ def hecke_prime_power_coeffs(ap, k: int, p: int, count: int) -> list[Fraction]:
     return out[:count]
 
 
-def rankin_selberg_matches_dirichlet(af, ag, k1: int, k2: int, p: int,
-                                     order: int = 7) -> bool:
-    """(Σ_j a₁(p^j)a₂(p^j)X^j)·RS(X) ≡ 1 − p^{k1+k2-2}X² through X^{order-1}."""
-    rs = rankin_selberg_local(af, ag, k1, k2, p)
-    a1 = hecke_prime_power_coeffs(af, k1, p, order)
-    a2 = hecke_prime_power_coeffs(ag, k2, p, order)
-    series = [x * y for x, y in zip(a1, a2)]
-    prod = [Fraction(0)] * order
-    for i, c in enumerate(series):
-        for j, d in enumerate(rs.coeffs):
-            if i + j < order:
-                prod[i + j] += c * d
-    expected = [Fraction(0)] * order
-    expected[0] = Fraction(1)
-    if order > 2:
-        expected[2] = -(Fraction(p) ** (k1 + k2 - 2))
-    return prod == expected
+def rankin_selberg_matches_dirichlet(af, ag, k1: int, k2: int, p: int) -> bool:
+    """(Σ_j a₁(p^j)a₂(p^j)X^j)·RS(X) ≡ 1 − p^{k1+k2-2}X² through X^6."""
+    a1 = hecke_prime_power_coeffs(af, k1, p, 7)
+    a2 = hecke_prime_power_coeffs(ag, k2, p, 7)
+    series = LocalFactor(p, [x * y for x, y in zip(a1, a2)])
+    prod = series * rankin_selberg_local(af, ag, k1, k2, p)
+    return prod.coeffs[:7] == [1, 0, -(Fraction(p) ** (k1 + k2 - 2)), 0, 0, 0, 0]
 
 
 def lambda_N(level: int, n: int, s: float, nonessential: dict | None = None) -> float:
     """Bad-prime factor Λ_N(s) = Π_{p|N} Π_{j=1}^n (1 − p^{−s−2+j})⁻¹, N ≥ 1 square-free, n ≥ 1.
 
+    ValueError unless s is finite and every power of p formed fits a float.
     For a prime where only one form is essential, pass
     nonessential[p] = (epsilon, alpha_sum) to use the replacement factor
     (1 + ε·α·p^{(−2s−1)/2})⁻¹ (1 + ε·α⁻¹·p^{(−2s−1)/2})⁻¹ Π_{j=3}^n (…)⁻¹.
@@ -302,13 +283,14 @@ def lambda_N(level: int, n: int, s: float, nonessential: dict | None = None) -> 
     primes = _prime_factors(level)
     if len(set(primes)) != len(primes):
         raise UsageError(f"the level {level} is not square-free")
+    _require_finite(s)
     nonessential = nonessential or {}
     value = 1.0
     for p in primes:
         if p in nonessential:
             eps, alpha_sum = nonessential[p]
-            q = float(p) ** ((-2.0 * s - 1.0) / 2.0)
-            factor = 1.0 + eps * alpha_sum * q + q * q
+            q = _power(p, (-2.0 * s - 1.0) / 2.0, s)
+            factor = 1.0 + eps * alpha_sum * q + _power(p, -2.0 * s - 1.0, s)
             if factor == 0:
                 raise PoleError(f"pole of the non-essential factor at p={p}, s={s}")
             value /= factor
@@ -316,7 +298,7 @@ def lambda_N(level: int, n: int, s: float, nonessential: dict | None = None) -> 
         else:
             jrange = range(1, n + 1)
         for j in jrange:
-            factor = 1.0 - float(p) ** (-s - 2 + j)
+            factor = 1.0 - _power(p, -s - 2 + j, s)
             if factor == 0:
                 raise PoleError(f"pole at the j={j} factor of p={p} (s={s})")
             value /= factor

@@ -19,9 +19,9 @@ from .brandt import atkin_lehner, brandt_matrix, constant_form, inner_product
 from .harmonic import (HarmSpace, default_frame, integral_tau_matrix, laplacian_matrix,
                        lift_matrix_deg2, lift_poly_deg1, monomials_of_degree)
 from .quatcore import QuatElement
-from .siegelhecke import (LocalFactor, PoleError, SatakePair, eigenvalue_extract,
-                          hecke_Tp, lambda_N, rankin_selberg_local,
-                          rankin_selberg_matches_dirichlet, standard_L_local)
+from .siegelhecke import (LocalFactor, PoleError, eigenvalue_extract, hecke_Tp, lambda_N,
+                          rankin_selberg_local, rankin_selberg_matches_dirichlet,
+                          standard_L_local)
 from .yoshida import is_cuspidal_up_to_bound, theta1_counts, yoshida1
 
 
@@ -74,7 +74,8 @@ def check_fixture_arithmetic(report: Report) -> None:
                  f"mass={cs.mass}")
 
 
-def check_eichler_side(report: Report) -> None:
+def check_eichler_side(report: Report) -> dict:
+    """Record the Eichler-side checks; returns the Brandt eigenvalues {ν: {p: λ}}."""
     crit = "eichler side"
     cs = fx.fixture_class_set()
     sp0, sp1 = fx.fixture_space(0), fx.fixture_space(1)
@@ -107,7 +108,7 @@ def check_eichler_side(report: Report) -> None:
     report.check(crit, "equal involution eigenvalues under w17 (both +1)",
                  w2.values == phi2.values and w1.values == phi1.values)
     report.check(crit, "w17 is an involution", w17.apply(w1).values == phi1.values)
-    report.eichler_eigenvalues = eig
+    return eig
 
 
 def check_lift_golden(report: Report, lift) -> None:
@@ -125,7 +126,7 @@ def check_lift_golden(report: Report, lift) -> None:
                  theory.agrees_with(lift))
 
 
-def check_hecke_golden(report: Report, lift) -> None:
+def check_hecke_golden(report: Report, lift, eig: dict) -> None:
     crit = "hecke golden test"
     for p, expect in sorted(fx.HECKE_EIGENVALUES.items()):
         name = f"T({p}) eigenvalue = {expect}"
@@ -145,25 +146,16 @@ def check_hecke_golden(report: Report, lift) -> None:
         report.check(crit, name, False, str(exc))
     else:
         report.check(crit, name, t23.agrees_with(t32))
-    eig = getattr(report, "eichler_eigenvalues", None)
-    if eig:
-        rel = all(fx.HECKE_EIGENVALUES[p] == eig[1][p] + p * eig[0][p]
-                  for p in (2, 3, 5))
-        report.check(crit, "lift eigenvalue = a_p(phi1) + p·a_p(phi2)", rel)
+    rel = all(fx.HECKE_EIGENVALUES[p] == eig[1][p] + p * eig[0][p] for p in (2, 3, 5))
+    report.check(crit, "lift eigenvalue = a_p(phi1) + p·a_p(phi2)", rel)
 
 
-def check_l_function_layer(report: Report) -> None:
+def check_l_function_layer(report: Report, eig: dict) -> None:
     crit = "L-function layer"
-    eig = getattr(report, "eichler_eigenvalues", None)
-    if not eig:
-        report.check(crit, "Brandt eigenvalues available", False)
-        return
     ok_fact = ok_dir = ok_nonvanish = True
     for p in (2, 3, 5):
         af, ag = eig[1][p], eig[0][p]
-        b1 = SatakePair(p, 4, af)
-        b2 = SatakePair(p, 2, ag)
-        std = standard_L_local(b1, b2, 2, p)
+        std = standard_L_local(af, ag, 4, 2, 2, p)
         rs = rankin_selberg_local(af, ag, 4, 2, p)
         shifted = rs.scale_variable(Fraction(1, p ** 2))
         ok_fact = ok_fact and std == LocalFactor(p, [1, -1]) * shifted
@@ -255,30 +247,30 @@ def _is_zero(m: linalg.Matrix) -> bool:
     return not m.num.any()
 
 
-def check_determinism(report: Report, bound: int = 60) -> None:
+def check_determinism(report: Report) -> None:
     crit = "determinism"
     from .serialize import dumps_canonical, expansion_to_obj
-    one = dumps_canonical(expansion_to_obj(fx.golden_lift(bound)))
-    again = dumps_canonical(expansion_to_obj(fx.golden_lift(bound)))
+    one = dumps_canonical(expansion_to_obj(fx.golden_lift(60)))
+    again = dumps_canonical(expansion_to_obj(fx.golden_lift(60)))
     report.check(crit, "lift output byte-identical across runs", one == again)
 
 
-def run_all(lift_bound: int = 130, hecke_bound: int = 2600, progress=None) -> Report:
+def run_all(hecke_bound: int = 2600, progress=None) -> Report:
     report = Report()
-    steps = [
-        ("fixture arithmetic", lambda: check_fixture_arithmetic(report)),
-        ("eichler side", lambda: check_eichler_side(report)),
-        ("lift golden test", lambda: check_lift_golden(
-            report, fx.golden_lift(max(lift_bound, 130)))),
-        ("hecke golden test", lambda: check_hecke_golden(
-            report, fx.golden_lift(hecke_bound))),
-        ("L-function layer", lambda: check_l_function_layer(report)),
-        ("property suites", lambda: check_property_suites(report)),
-        ("determinism", lambda: check_determinism(report)),
-    ]
-    for name, step in steps:
+
+    def step(name, run):
         t0 = time.time()
-        step()
+        out = run()
         if progress:
             progress(f"{name} done in {time.time() - t0:.1f}s")
+        return out
+
+    step("fixture arithmetic", lambda: check_fixture_arithmetic(report))
+    eig = step("eichler side", lambda: check_eichler_side(report))
+    step("lift golden test", lambda: check_lift_golden(report, fx.golden_lift(130)))
+    step("hecke golden test",
+         lambda: check_hecke_golden(report, fx.golden_lift(hecke_bound), eig))
+    step("L-function layer", lambda: check_l_function_layer(report, eig))
+    step("property suites", lambda: check_property_suites(report))
+    step("determinism", lambda: check_determinism(report))
     return report

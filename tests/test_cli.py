@@ -149,6 +149,35 @@ def test_lfactor_bad_prime_pole(fixture_files):
     assert "pole" in res.output
 
 
+@pytest.mark.parametrize("args, lines", [
+    ("--kind standard --prime 2 --af -3 --ag -1 --s 1.0",
+     ["inverse local factor at p=2: 1 - 7/4*X + 3/8*X^2 - 3/8*X^3 + 7/4*X^4 - X^5",
+      "value at s=1.0: 4.0"]),
+    ("--kind standard --prime 2 --af -3 --ag -1 --degree 3",
+     ["inverse local factor at p=2: 1 - 17/4*X + 23/4*X^2 - 49/16*X^3 + 49/16*X^4"
+      " - 23/4*X^5 + 17/4*X^6 - X^7"]),
+    ("--kind rankin --prime 3 --af -8 --ag 0 --s 2.0",
+     ["inverse local factor at p=3: 1 + 30*X^2 + 6561*X^4", "value at s=2.0: 0.421875"]),
+])
+def test_lfactor_prints_the_pinned_text(args, lines):
+    res = CliRunner().invoke(main, ["lfactor", *args.split()])
+    assert res.exit_code == 0
+    assert res.stdout.splitlines() == lines
+
+
+@pytest.mark.parametrize("kind", ["standard --prime 2", "bad --level 17 --degree 2"])
+@pytest.mark.parametrize("s, message", [("-2000", "overflows a float"),
+                                        ("nan", "s must be a finite number"),
+                                        ("-inf", "s must be a finite number")])
+def test_lfactor_refuses_an_s_it_cannot_evaluate(kind, s, message):
+    res = CliRunner().invoke(main, ["lfactor", "--kind", *kind.split(), "--s", s])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a clean exit, no traceback
+    assert res.stderr.startswith(f"Error: cannot evaluate at s={float(s)}: ")
+    assert message in res.stderr
+    assert "value at" not in res.stdout and "Lambda" not in res.stdout
+
+
 def test_hecke_command_refuses_insufficient_bound(fixture_files, tmp_path):
     runner = CliRunner()
     lift = tmp_path / "tiny.json"
@@ -292,11 +321,11 @@ def test_lift_command_rejects_out_of_range(tmp_path, args):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("args", [["--bound", "-1"]])
-def test_verify_example_rejects_out_of_range(args):
-    res = CliRunner().invoke(main, ["verify-example"] + args)
+def test_verify_example_bound_option_is_gone():
+    # the published-coefficient checks read the lift to discriminant 130 at any bound
+    res = CliRunner().invoke(main, ["verify-example", "--bound", "-1"])
     assert res.exit_code == 2
-    assert "is not in the range" in res.stderr
+    assert "no such option" in res.stderr.lower() and "--bound" in res.stderr
     assert "checks passed" not in res.output
 
 

@@ -15,7 +15,7 @@ from quatlift import fixture as fx
 from quatlift import linalg, quatcore
 from helpers import hamilton_algebra, hurwitz_order, level34_order, narrowest_signed
 from quatlift.quatcore import (ClassSet, Lattice, QuaternionAlgebra, UsageError,
-                               check_mass, class_set, conj_trace_norm, eichler_mass,
+                               check_mass, class_set, eichler_mass,
                                ideal_equivalent, is_ramified, p_neighbors, short_vectors,
                                short_vectors_upto, superorders, transporters,
                                two_sided_ideal)
@@ -53,16 +53,11 @@ def test_mismatched_algebras_rejected(algebra):
         algebra.basis_element(1) * other.basis_element(2)
 
 
-def test_conj_trace_norm(algebra):
-    one = algebra.unit()
-    xb, t, n = conj_trace_norm(one)
-    assert (xb, t, n) == (one, 2, 1)
-    f3 = algebra.basis_element(3)
-    xb, t, n = conj_trace_norm(f3)
-    assert xb == -f3 and t == 0 and n == 5
-    f2 = algebra.basis_element(2)
-    xb, t, n = conj_trace_norm(f2)
-    assert xb == one - f2 and t == 1 and n == 3
+def test_conjugate_trace_and_norm(algebra):
+    one, f2, f3 = algebra.unit(), algebra.basis_element(2), algebra.basis_element(3)
+    for x, xb, t, n in ((one, one, 2, 1), (f3, -f3, 0, 5), (f2, one - f2, 1, 3)):
+        assert (x.conj(), x.trace(), x.norm()) == (xb, t, n)
+        assert x * xb == one * n
 
 
 def test_gram_matrices_match_published():

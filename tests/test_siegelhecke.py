@@ -10,7 +10,7 @@ from quatlift import fixture as fx
 from quatlift import siegelhecke
 from quatlift.brandt import FormSpace, constant_form
 from quatlift.serialize import dumps_canonical, expansion_from_obj, expansion_to_obj
-from quatlift.siegelhecke import (HeckeCosetRep, LocalFactor, PoleError, SatakePair,
+from quatlift.siegelhecke import (HeckeCosetRep, LocalFactor, PoleError,
                                   eigenvalue_extract, hecke_Tp, hecke_cosets,
                                   lambda_N, rankin_selberg_local,
                                   rankin_selberg_matches_dirichlet,
@@ -220,27 +220,24 @@ def test_expansions_of_another_weight_or_level_are_not_compared():
 
 
 def test_standard_factor_trivial_pair():
-    f = standard_L_local(SatakePair.trivial(7), SatakePair.trivial(7), 2, 7)
+    # β = β̃ = 1: weight 1 and eigenvalue 2
+    f = standard_L_local(2, 2, 1, 1, 2, 7)
     assert f.coeffs == [1, -5, 10, -10, 5, -1]  # (1 - X)^5
 
 
-def test_standard_factor_refuses_satake_data_at_another_prime():
-    # both pairs at 3: a factor labelled p = 2 would be built from p = 3 data
-    with pytest.raises(UsageError):
-        standard_L_local(SatakePair(3, 4, Fraction(-8)), SatakePair(3, 2, Fraction(0)), 2, 2)
-
-
-def test_cross_sum_across_primes_is_refused():
-    # the two Satake data must sit at one prime; at 2 and 3 the sum means nothing
-    with pytest.raises(UsageError):
-        SatakePair(2, 4, Fraction(-3)).cross_sum(SatakePair(3, 2, Fraction(-1)))
+@pytest.mark.parametrize("args, error, message", [
+    ((-3, -1, 4, 2, 2, 4), UsageError, "4 is not a prime"),
+    ((-3, -1, 4, 2, 1, 2), ValueError, "needs n ≥ 2"),
+    ((-3, -1, 4, 3, 2, 2), ValueError, "cross sum is irrational for mixed weight parity"),
+])
+def test_standard_factor_refusals(args, error, message):
+    with pytest.raises(error, match=message):
+        standard_L_local(*args)
 
 
 def test_standard_factor_degree_n3():
-    b1 = SatakePair(2, 4, Fraction(-3))
-    b2 = SatakePair(2, 2, Fraction(-1))
-    f2 = standard_L_local(b1, b2, 2, 2)
-    f3 = standard_L_local(b1, b2, 3, 2)
+    f2 = standard_L_local(-3, -1, 4, 2, 2, 2)
+    f3 = standard_L_local(-3, -1, 4, 2, 3, 2)
     extra = LocalFactor(2, [1, -2]) * LocalFactor(2, [1, Fraction(-1, 2)])
     assert f3 == f2 * extra
     assert f3.degree == 7
@@ -248,8 +245,7 @@ def test_standard_factor_degree_n3():
 
 def test_standard_equals_zeta_times_shifted_tensor():
     for p, af, ag in ((2, -3, -1), (3, -8, 0), (5, 6, -2)):
-        std = standard_L_local(SatakePair(p, 4, Fraction(af)),
-                               SatakePair(p, 2, Fraction(ag)), 2, p)
+        std = standard_L_local(af, ag, 4, 2, 2, p)
         rs = rankin_selberg_local(af, ag, 4, 2, p)
         shifted = rs.scale_variable(Fraction(1, p ** 2))
         assert std == LocalFactor(p, [1, -1]) * shifted
@@ -269,8 +265,7 @@ def test_rankin_selberg_dirichlet_recursion():
 
 def test_nonvanishing_at_fixture_primes():
     for p, af, ag in ((2, -3, -1), (3, -8, 0), (5, 6, -2)):
-        std = standard_L_local(SatakePair(p, 4, Fraction(af)),
-                               SatakePair(p, 2, Fraction(ag)), 2, p)
+        std = standard_L_local(af, ag, 4, 2, 2, p)
         val = std.evaluate_inverse_at(float(p) ** -1.0)
         assert abs(val) > 1e-9
 
@@ -281,6 +276,8 @@ def test_lambda_values():
     assert abs(v - 1.0 / ((1 - 17.0 ** -2) * (1 - 17.0 ** -1))) < 1e-12
     with pytest.raises(PoleError):
         lambda_N(17, 3, 1.0)
+    with pytest.raises(ValueError, match="s must be a finite number"):
+        lambda_N(1, 3, float("nan"))  # the empty product, too, needs a number s
     for level in (0, -34, 12):
         with pytest.raises(UsageError):
             lambda_N(level, 3, 1.0)
