@@ -6,7 +6,7 @@ from .quatcore import (ClassSet, Lattice, QuatElement, QuaternionAlgebra,
 from .harmonic import (HarmSpace, TraceZeroFrame, default_frame, lift_matrix_deg2,
                        lift_poly_deg1, lift_poly_deg2)
 from .brandt import (AutomorphicForm, BrandtMatrix, FormSpace, atkin_lehner,
-                     brandt_matrix, eigenforms, essential_part, inner_product)
+                     brandt_matrix, brandt_series, eigenforms, essential_part, inner_product)
 from .binforms import reduce_form
 from .yoshida import (FourierExpansionSiegel2, QExpansion, phi_operator,
                       theta2_coefficient, yoshida1, yoshida2)

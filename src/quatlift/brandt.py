@@ -2,7 +2,8 @@
 
 Forms assign to each ideal class a vector in the degree-ν harmonic space,
 invariant under the unit group of the class's left order.  Brandt matrices
-with harmonic weights, the weighted inner product, Atkin-Lehner involutions,
+with harmonic weights, at one good prime or as the series B(m) for every m,
+from one block rule; the weighted inner product, Atkin-Lehner involutions,
 essential parts and exact simultaneous eigenform decomposition.
 """
 
@@ -19,7 +20,8 @@ from . import linalg
 from .harmonic import HarmSpace, default_frame, integral_tau_matrix, tau_matrix_sum
 from .polyfactor import factor_rational
 from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, _is_prime, _prime_factors,
-                       class_set, superorders, transporters, two_sided_ideal)
+                       class_set, short_vectors_upto, superorders, transporters,
+                       two_sided_ideal)
 
 
 @dataclass
@@ -159,36 +161,52 @@ def _require_space(cs: ClassSet, nu: int, space: FormSpace | None,
         raise UsageError(f"the space and forms must be of degree {nu} on this class set")
 
 
-def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None) -> BrandtMatrix:
-    """B^{(ν)}(p): block (i,j) = (1/e_j)·Σ_{x, q(x)=p} of P ↦ P(x̄·z·x)/n₀^ν.
+def _brandt_blocks(cs: ClassSet, nu: int, space: FormSpace | None, norms, shells) -> None:
+    """B^{(ν)}(m) at each m of `norms`, into `cs.brandt_blocks` at (m, ν): the one block rule.
 
-    The sum runs over the lattice with left order R_i and right order R_j
-    (cross_lattice(j, i)); that is the unique index convention under which the
-    operator preserves unit-group invariance, with (T̃φ)(y_i) = Σ_j B_ij·φ(y_j).
-    Only the blocks with i ≤ j are summed: T̃ is self-adjoint for the inner
-    product weighted by 1/e_i, so B_ji = (e_j/e_i)·P·B_ijᵗ·P⁻¹ with P the
-    pairing on U_ν (Pizer, J. Algebra 64, 1980).  The blocks are computed once
-    per (class set, p, ν).
+    Block (i, j) is (1/e_j)·Σ_{x, q(x)=m} of P ↦ P(x̄·z·x)/n₀^ν over cross_lattice(j, i),
+    left order R_i and right order R_j: the convention under which (T̃φ)(y_i) =
+    Σ_j B_ij·φ(y_j) keeps unit-group invariance.  `shells(j, i)` maps a norm to its
+    half bucket of that lattice, doubled since τ(−x) = τ(x).  Only the blocks with
+    i ≤ j are summed: T̃ is self-adjoint for the inner product weighted by 1/e_i, so
+    B_ji = (e_j/e_i)·P·B_ijᵗ·P⁻¹, P the pairing on U_ν (Pizer, J. Algebra 64, 1980).
     """
+    harm = space.space if space else HarmSpace(nu, default_frame(cs.order.algebra))
+    pairing = harm.pairing_matrix
+    unpairing = linalg.inverse(pairing)
+    e, empty = cs.unit_counts, np.zeros((0, 4), dtype=np.int64)
+    blocks = {m: [[None] * cs.h for _ in range(cs.h)] for m in norms}
+    for i in range(cs.h):
+        for j in range(i, cs.h):
+            cross, buckets = cs.cross_lattice(j, i), shells(j, i)
+            scale = Fraction(2, e[j]) / cross.norm_scale ** nu
+            for m, b in blocks.items():
+                b[i][j] = tau_matrix_sum(cross, buckets.get(m, empty), harm) * scale
+                if j > i:
+                    b[j][i] = pairing @ b[i][j].T @ unpairing * Fraction(e[j], e[i])
+    cs.brandt_blocks.update({(m, nu): BrandtMatrix(m, nu, b) for m, b in blocks.items()})
+
+
+def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None) -> BrandtMatrix:
+    """B^{(ν)}(p) at a good prime p, on the norm-p buckets `cs.cross_vectors`; cached."""
     _require_good_prime(cs, p)
     _require_space(cs, nu, space)
     if (p, nu) not in cs.brandt_blocks:
-        space = space or FormSpace(cs, nu)
-        pairing = space.space.pairing_matrix
-        unpairing = linalg.inverse(pairing)
-        e = cs.unit_counts
-        blocks = [[None] * cs.h for _ in range(cs.h)]
-        for i in range(cs.h):
-            for j in range(i, cs.h):
-                cross = cs.cross_lattice(j, i)
-                # the half bucket, doubled: τ(−x) = τ(x)
-                scale = Fraction(2, e[j]) / cross.norm_scale ** nu
-                vecs = cs.cross_vectors(j, i, p)
-                blocks[i][j] = tau_matrix_sum(cross, vecs, space.space) * scale
-                if j > i:
-                    blocks[j][i] = pairing @ blocks[i][j].T @ unpairing * Fraction(e[j], e[i])
-        cs.brandt_blocks[p, nu] = BrandtMatrix(p, nu, blocks)
+        _brandt_blocks(cs, nu, space, [p], lambda a, b: {p: cs.cross_vectors(a, b, p)})
     return cs.brandt_blocks[p, nu]
+
+
+def brandt_series(cs: ClassSet, nu: int, bound: int) -> list[BrandtMatrix]:
+    """[B^{(ν)}(1), …, B^{(ν)}(bound)] from one enumeration of each summed cross lattice.
+
+    Each B(m), at the level's primes too, is cached under (m, ν) with the
+    `brandt_matrix` blocks; `verify.brandt_series_failures` checks the relations.
+    """
+    norms = [m for m in range(1, bound + 1) if (m, nu) not in cs.brandt_blocks]
+    if norms:
+        _brandt_blocks(cs, nu, None, norms, lambda a, b: short_vectors_upto(
+            cs.cross_lattice(a, b).normalized_gram(), bound))
+    return [cs.brandt_blocks[m, nu] for m in range(1, bound + 1)]
 
 
 def inner_product(phi: AutomorphicForm, psi: AutomorphicForm, cs: ClassSet,

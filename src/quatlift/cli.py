@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 
 import click
 
@@ -188,10 +187,10 @@ def hecke_cmd(path, p, out_path):
 @click.option("--kind", type=click.Choice(["standard", "rankin", "bad"]),
               default="standard", show_default=True)
 @click.option("--prime", "p", type=int, default=2, show_default=True)
-@click.option("--af", type=str, default="-3", show_default=True,
-              help="Hecke eigenvalue of the first form")
-@click.option("--ag", type=str, default="-1", show_default=True,
-              help="Hecke eigenvalue of the second form")
+@click.option("--af", type=ser.parse_rational, metavar="RATIONAL",
+              default="-3", show_default=True, help="Hecke eigenvalue of the first form")
+@click.option("--ag", type=ser.parse_rational, metavar="RATIONAL",
+              default="-1", show_default=True, help="Hecke eigenvalue of the second form")
 @click.option("--k1", type=int, default=4, show_default=True)
 @click.option("--k2", type=int, default=2, show_default=True)
 @click.option("--degree", "n", type=int, default=2, show_default=True)
@@ -206,9 +205,9 @@ def lfactor_cmd(kind, p, af, ag, k1, k2, n, level, s_value):
             click.echo(f"Lambda_{level}(s={s_value}, n={n}) = {lambda_N(level, n, s_value)!r}")
             return
         if kind == "standard":
-            fac = standard_L_local(Fraction(af), Fraction(ag), k1, k2, n, p)
+            fac = standard_L_local(af, ag, k1, k2, n, p)
         else:
-            fac = rankin_selberg_local(Fraction(af), Fraction(ag), k1, k2, p)
+            fac = rankin_selberg_local(af, ag, k1, k2, p)
         click.echo(f"inverse local factor at p={p}: {fac}")
         if s_value is not None:
             click.echo(f"value at s={s_value}: {fac.value(s_value)!r}")

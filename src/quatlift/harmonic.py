@@ -364,8 +364,8 @@ def lift_poly_deg2(space: HarmSpace, coords, lattice: Lattice) -> Poly:
 def lift_poly_deg1(space: HarmSpace, u, v, lattice: Lattice) -> Poly:
     """P(x) = ⟨⟨u·B, z ↦ (v·B)(x̄·z·x)⟩⟩ in lattice coordinates; degree 2ν, adapted-harmonic.
 
-    u and v are coordinate rows of `space`; a `Poly` reference for tests, which
-    `yoshida1` computes as Brandt-kernel sums instead.
+    u and v are coordinate rows of `space`; a `Poly` reference for tests: Σ_x P(x)
+    over a cross lattice's shell is the Brandt-series entry `yoshida1` contracts.
     """
     frame = space.frame
     # variables 0-3: lattice coordinates of x; 4-6: frame coordinates t of z

@@ -32,8 +32,8 @@ of the leaf records that runs before the rows are built.  They come as a
 `HalfShells`: one array of rows in the narrowest signed dtype that holds the
 kernel's coordinate bound, with integer norms and offsets.  Every weight summed
 over a shell is even in v (a τ-matrix is quadratic in v, a theta weight of
-bidegree (ν, ν) is even over the pair), so theta engines, Brandt blocks and the
-degree-1 lifts sum over half shells and double.  `short_vectors` is the one
+bidegree (ν, ν) is even over the pair), so theta engines and Brandt blocks
+sum over half shells and double.  `short_vectors` is the one
 full-shell list: H_m ∪ −H_m sorted lexicographically.  Callers that feed
 coordinates into Fractions convert rows with `.tolist()`, because a Fraction
 built from a numpy integer keeps a numpy numerator.
@@ -861,10 +861,10 @@ def reduce_right_ideal(ideal: Lattice, order: Lattice) -> Lattice:
 class ClassSet:
     """Right ideal classes of an order, with unit counts and cross lattices.
 
-    Cross lattices, their norm-p vectors, the Brandt blocks at each (p, ν),
-    the Atkin–Lehner routing at each q, the Atkin–Lehner blocks at each (q, ν),
-    and each superorder's class set with the routing into it are computed once
-    per class set and then read.
+    Cross lattices, their norm-p vectors, the Brandt blocks at each (m, ν), the
+    series stacked for `yoshida1`, the Atkin–Lehner routing at each q, the
+    Atkin–Lehner blocks at each (q, ν), and each superorder's class set with
+    the routing into it are computed once per class set and then read.
     """
 
     def __init__(self, order: Lattice, ideals: list[Lattice]):
@@ -877,8 +877,10 @@ class ClassSet:
         # filled by brandt.atkin_lehner: the routing at q, and the blocks at (q, ν)
         self.al_routes: dict[int, list] = {}
         self.al_blocks: dict[tuple[int, int], object] = {}
-        # filled by brandt.brandt_matrix: the blocks at (p, ν)
+        # filled by brandt.brandt_matrix and brandt.brandt_series: the blocks at (m, ν)
         self.brandt_blocks: dict[tuple[int, int], object] = {}
+        # filled by yoshida.yoshida1: at (ν, bound), the series as one matrix, a row per m
+        self.series_rows: dict[tuple[int, int], object] = {}
         # filled by brandt.essential_part: per superorder, its class set and the routing
         self.superorder_routes: dict[Lattice, tuple["ClassSet", list]] = {}
 

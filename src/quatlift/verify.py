@@ -15,14 +15,15 @@ from fractions import Fraction
 from . import fixture as fx
 from . import linalg
 from .binforms import form_table, is_ambiguous
-from .brandt import atkin_lehner, brandt_matrix, constant_form, inner_product
+from .brandt import (FormSpace, atkin_lehner, brandt_matrix, brandt_series, constant_form,
+                     inner_product)
 from .harmonic import (HarmSpace, default_frame, integral_tau_matrix, laplacian_matrix,
                        lift_matrix_deg2, lift_poly_deg1, monomials_of_degree)
-from .quatcore import QuatElement
+from .quatcore import ClassSet, QuatElement, _is_prime, _prime_factors, is_ramified
 from .siegelhecke import (LocalFactor, PoleError, eigenvalue_extract, hecke_Tp, lambda_N,
                           rankin_selberg_local, rankin_selberg_matches_dirichlet,
                           standard_L_local)
-from .yoshida import is_cuspidal_up_to_bound, theta1_counts, yoshida1
+from .yoshida import is_cuspidal_up_to_bound, yoshida1
 
 
 @dataclass
@@ -88,18 +89,12 @@ def check_eichler_side(report: Report) -> dict:
         report.check(crit, f"B(0)({p}) row sums = {p + 1}",
                      all(s == p + 1 for s in sums), f"sums={[str(s) for s in sums]}")
     eig = {}
-    for nu, phi in ((0, phi2), (1, phi1)):
-        space = sp0 if nu == 0 else sp1
-        vals = {}
-        ok_eigen = True
-        for p in (2, 3, 5):
-            img = brandt_matrix(cs, nu, p, space).apply(phi)
-            lead_i, lead_j = next((i, j) for i, v in enumerate(phi.values)
-                                  for j, x in enumerate(v) if x)
-            lam = img.values[lead_i][lead_j] / phi.values[lead_i][lead_j]
-            ok_eigen = ok_eigen and img.values == phi.scale(lam).values
-            vals[p] = lam
-        eig[nu] = vals
+    for nu, (phi, space) in enumerate(((phi2, sp0), (phi1, sp1))):
+        # λ(p) = ⟨φ, T̃(p)φ⟩/⟨φ, φ⟩, read off the degree-1 lift, then checked
+        y = yoshida1(cs, phi, phi, 5, space)
+        eig[nu] = vals = {p: y.coefficient(p) / y.coefficient(1) for p in (2, 3, 5)}
+        ok_eigen = all(brandt_matrix(cs, nu, p, space).apply(phi).values == phi.scale(lam).values
+                       for p, lam in vals.items())
         report.check(crit, f"phi{2 - nu} simultaneous Brandt eigenform",
                      ok_eigen, f"eigenvalues={ {p: str(v) for p, v in vals.items()} }")
     w17 = atkin_lehner(cs, 1, 17, sp1)
@@ -108,7 +103,28 @@ def check_eichler_side(report: Report) -> dict:
     report.check(crit, "equal involution eigenvalues under w17 (both +1)",
                  w2.values == phi2.values and w1.values == phi1.values)
     report.check(crit, "w17 is an involution", w17.apply(w1).values == phi1.values)
+    failures = [f for nu in range(3) for f in brandt_series_failures(cs, nu, 40)]
+    report.check(crit, "Brandt series: B(1) = 1, B(m)B(p) = B(mp) + p^(2ν+1)B(m/p), "
+                 "B(17) = 17^ν·w17 (ν ≤ 2, m ≤ 40)", not failures, "; ".join(failures[:3]))
     return eig
+
+
+def brandt_series_failures(cs: ClassSet, nu: int, bound: int) -> list[str]:
+    """The relations of the Brandt series B(m), m ≤ bound, that fail on the degree-ν forms."""
+    space, level = FormSpace(cs, nu), cs.order.level
+    # b[m] is B(m) on the forms' coordinates; b[0] = 0 stands for B(m/p) when p ∤ m
+    b = [linalg.zeros(space.dim, space.dim)] + [space.matrix_of(op)
+                                                for op in brandt_series(cs, nu, bound)]
+    failures = [] if b[1] == linalg.identity(space.dim) else ["B(1)"]
+    for p in (p for p in range(2, bound + 1) if _is_prime(p) and level % p):
+        failures += [f"B({m})·B({p})" for m in range(1, bound // p + 1) if b[m] @ b[p]
+                     != b[m * p] + b[0 if m % p else m // p] * p ** (2 * nu + 1)]
+    # B(q) = q^ν·w_q where the algebra ramifies; at a prime of the Eichler level
+    # B(q) is not ±q^ν·w_q
+    failures += [f"B({q}) = {q}^ν·w_{q}" for q in sorted(set(_prime_factors(level)))
+                 if q <= bound and is_ramified(cs.order, q)
+                 and b[q] != space.matrix_of(atkin_lehner(cs, nu, q, space)) * q ** nu]
+    return [f"ν={nu}: {f}" for f in failures]
 
 
 def check_lift_golden(report: Report, lift) -> None:
@@ -229,10 +245,10 @@ def check_property_suites(report: Report) -> None:
     report.check(crit, "degree-1 lift polynomial is adapted-harmonic",
                  _is_zero(laplacian_matrix(g4inv, 2, 4) @ d1_row.T))
 
-    th1 = theta1_counts(fx.order_r1(), 20)
-    th2 = theta1_counts(fx.order_r2(), 20)
-    witness = next((m for m in range(1, 21)
-                    if th1.coefficient(m) != th2.coefficient(m)), None)
+    # θ_{R_i}(m) = e_i·B₀(m)_ii, the ν = 0 diagonal of the Brandt series
+    theta = [[e * b.blocks[i][i][0][0] for b in brandt_series(cs, 0, 20)]
+             for i, e in enumerate(cs.unit_counts)]
+    witness = next((m for m in range(1, 21) if theta[0][m - 1] != theta[1][m - 1]), None)
     report.check(crit, "theta series of R1 and R2 differ at some m ≤ 20",
                  witness is not None, f"witness m={witness}")
     sp0 = fx.fixture_space(0)

@@ -44,15 +44,13 @@ forms read, through the same kernel.
 `theta2_coefficient` is the pure-Python reference for one coefficient, on the
 full shells of `quatcore.short_vectors`.
 
-The degree-1 lift `yoshida1` sums on the Brandt τ-kernel: a(m) pairs φ₁(y_i)
-with φ₂(y_j)·Σ_{q(x)=m} τ̃(x), one `harmonic.tau_matrix_sum` per norm, so its
-coefficients are Brandt-matrix entries.
+The degree-1 lift `yoshida1` is a matrix coefficient of the Brandt series,
+a(m) = ⟨φ₁, T̃(m)·φ₂⟩: one product with `brandt.brandt_series`, no sums of its own.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -60,8 +58,9 @@ import numpy as np
 
 from . import linalg
 from .binforms import form_keys, form_table, is_ambiguous, is_reduced, reduce_forms
-from .brandt import AutomorphicForm, FormSpace, _require_space
-from .harmonic import _monomial_rows, lift_matrix_deg2, tau_matrix_sum
+from .brandt import (AutomorphicForm, FormSpace, _require_space, brandt_series,
+                     constant_form, inner_product)
+from .harmonic import _monomial_rows, lift_matrix_deg2
 from .linalg import FLOAT64_EXACT, INT64_SAFE
 from .polys import Poly
 from .quatcore import ClassSet, Lattice, UsageError, short_vectors, short_vectors_upto
@@ -637,45 +636,33 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
 
 def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: int,
              space: FormSpace | None = None) -> QExpansion:
-    """Degree-1 lift a(m) = Σ_ij (1/e_ie_j)·⟨⟨φ₁(y_i), Σ_{q(x)=m} τ̃(x)φ₂(y_j)⟩⟩.
+    """Degree-1 lift a(m) = ⟨φ₁, T̃(m)·φ₂⟩, a matrix coefficient of `brandt_series`.
 
-    x runs over cross(j, i), the index order of `brandt_matrix`'s block (i, j),
-    and τ̃(x) is its integral τ-matrix, so each norm m is one Brandt-kernel call,
-    `tau_matrix_sum`, on the half shell H_m, doubled since τ̃(−x) = τ̃(x); x = 0
-    adds a(0) at ν = 0.  In that order T_p·Y₁(φ, ψ) = Y₁(T̃_pφ, ψ).
+    With w_i = φ₁(y_i)·P/e_i, a(m) = Σ_ij φ₂(y_j)·B_ij(m)·w_iᵗ for every m ≥ 1 is one
+    product: the series, a row per m (cached in `cs.series_rows`), by the rows
+    w_i ⊗ φ₂(y_j).  At ν = 0, x = 0 adds a(0) = ⟨φ₁, 1⟩·⟨1, φ₂⟩.  In this order
+    T_p·Y₁(φ, ψ) = Y₁(T̃_pφ, ψ) (Eichler, LNM 320, 1973).
     """
     if phi1.nu != phi2.nu:
         raise UsageError("degree-1 lift requires equal harmonic degrees")
     nu = phi1.nu
     _require_space(cs, nu, space, phi1, phi2)
     space = space or FormSpace(cs, nu)
-    harm = space.space
-    coeffs: dict[int, Fraction] = defaultdict(Fraction)
-    for i, u in enumerate(phi1.values):
-        if not any(u):
-            continue
-        for j, v in enumerate(phi2.values):
-            if not any(v):
-                continue
-            cross = cs.cross_lattice(j, i)
-            scale = Fraction(1, cs.unit_counts[i] * cs.unit_counts[j]) / cross.norm_scale ** nu
-            shells = short_vectors_upto(cross.normalized_gram(), bound)
-            for m, vecs in shells.items():
-                s = harm.pair_coords(u, linalg.vec_mat(v, tau_matrix_sum(cross, vecs, harm)))
-                if s:
-                    coeffs[int(m)] += 2 * scale * s
-            if nu == 0:
-                coeffs[0] += scale * harm.pair_coords(u, v)
+    coeffs = {}
+    if bound >= 1:
+        if (nu, bound) not in cs.series_rows:
+            # row m: the entries of every B_ij(m)ᵗ, in the order (i, j, column, row)
+            rows = linalg.vstack([block.T for b in brandt_series(cs, nu, bound)
+                                  for row in b.blocks for block in row])
+            cs.series_rows[nu, bound] = linalg.Matrix(rows.num.reshape(bound, -1), rows.den)
+        w = linalg.frac_mat([[x / e for x in u] for u, e in zip(phi1.values, cs.unit_counts)])
+        pairs = linalg.outer_rows(w @ space.space.pairing_matrix, linalg.frac_mat(phi2.values))
+        a = cs.series_rows[nu, bound] @ linalg.Matrix(pairs.num.reshape(-1, 1), pairs.den)
+        coeffs = dict(enumerate(a.T[0], start=1))
+    if nu == 0:
+        one = constant_form(cs)
+        coeffs[0] = inner_product(phi1, one, cs, space) * inner_product(one, phi2, cs, space)
     return QExpansion(2 + 2 * nu, cs.order.level, bound, coeffs)
-
-
-def theta1_counts(lattice: Lattice, bound: int) -> QExpansion:
-    """Degree-1 theta series of a lattice with trivial weight: a(m) = #{x : q(x) = m}."""
-    shells = short_vectors_upto(lattice.normalized_gram(), bound)
-    coeffs = {0: Fraction(1)}
-    for m, vecs in shells.items():
-        coeffs[int(m)] = Fraction(2 * len(vecs))
-    return QExpansion(2, 0, bound, coeffs)
 
 
 def phi_operator(f: FourierExpansionSiegel2) -> QExpansion:

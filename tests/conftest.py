@@ -1,6 +1,8 @@
 import pytest
+from helpers import level34_order
 
 from quatlift import fixture as fx
+from quatlift.quatcore import class_set
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +28,8 @@ def space1():
 @pytest.fixture(scope="session")
 def golden_130():
     return fx.golden_lift(130)
+
+
+@pytest.fixture(scope="session")
+def cs34():
+    return class_set(level34_order(), 3)

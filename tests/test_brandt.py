@@ -1,13 +1,14 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quatlift import brandt
 from quatlift import fixture as fx
-from quatlift import linalg, quatcore
+from quatlift import linalg, quatcore, verify
 from quatlift.brandt import (AutomorphicForm, FormSpace, atkin_lehner, brandt_matrix,
-                             constant_form, eigenforms, essential_part,
+                             brandt_series, constant_form, eigenforms, essential_part,
                              inner_product, orthogonal_complement)
 from quatlift.harmonic import integral_tau_matrix, tau_matrix_sum
 from quatlift.quatcore import (ClassSet, UsageError, class_set, is_ramified,
@@ -305,11 +306,6 @@ def test_essential_part_fixture_branches(class_set_17, space0):
     assert comp[0].values == phi2.scale(ratio).values
 
 
-@pytest.fixture(scope="module")
-def cs34():
-    return class_set(level34_order(), 3)
-
-
 def test_level34_class_set(cs34):
     assert cs34.h == 4
     assert cs34.mass == 2
@@ -376,6 +372,86 @@ def test_brandt_blocks_equal_their_tau_sums(case):
         for p in primes:
             assert brandt_matrix(cs, nu, p, space).blocks == \
                 _brandt_blocks_summed(cs, nu, p, space), (nu, p)
+
+
+def _series_summed(cs, nu, bound):
+    """B^{(ν)}(m) for m ≤ bound with every block by its own τ-sum over its own
+    enumeration: the reference for the blocks below the diagonal, which
+    brandt_series derives from those above it at every m."""
+    harm = FormSpace(cs, nu).space
+    series = [[[None] * cs.h for _ in range(cs.h)] for _ in range(bound)]
+    for i, j in itertools.product(range(cs.h), repeat=2):
+        cross = cs.cross_lattice(j, i)
+        scale = Fraction(2, cs.unit_counts[j]) / cross.norm_scale ** nu
+        shells = short_vectors_upto(cross.normalized_gram(), bound)
+        for m in range(1, bound + 1):
+            vecs = shells.get(m, np.zeros((0, 4), dtype=np.int64))
+            series[m - 1][i][j] = tau_matrix_sum(cross, vecs, harm) * scale
+    return series
+
+
+SERIES_LEVELS = {17: BRANDT_CASES["level 17"][0], 34: BRANDT_CASES["level 34"][0]}
+
+
+def _fresh(level):
+    """The level's class set, fresh, so that no Brandt block is cached yet."""
+    cs = SERIES_LEVELS[level]()
+    return ClassSet(cs.order, cs.ideals)
+
+
+@pytest.mark.parametrize("level", sorted(SERIES_LEVELS))
+def test_brandt_series_blocks_equal_their_tau_sums(level):
+    cs, bound = _fresh(level), 60
+    for nu in range(4):
+        series = brandt_series(cs, nu, bound)
+        assert [b.blocks for b in series] == _series_summed(cs, nu, bound), nu
+        assert [b.p for b in series] == list(range(1, bound + 1))
+        # brandt_matrix, on its own norm-p buckets, is the series at p
+        single = _fresh(level)
+        for p in (2, 3, 5, 7, 11, 13):
+            if level % p:
+                assert brandt_matrix(single, nu, p).blocks == series[p - 1].blocks, (nu, p)
+
+
+@pytest.mark.parametrize("level", sorted(SERIES_LEVELS))
+def test_brandt_series_certificate(level):
+    # B(1) = 1, B(m)·B(p) = B(mp) + p^(2ν+1)·B(m/p) for p ∤ N, B(17) = 17^ν·w₁₇;
+    # at level 34 nothing is asserted at 2, where B(2) is not ±2^ν·w₂
+    cs = _fresh(level)
+    for nu in range(4):
+        assert verify.brandt_series_failures(cs, nu, 60) == [], nu
+
+
+@pytest.mark.parametrize("level", sorted(SERIES_LEVELS))
+def test_brandt_series_certificate_rejects_sums_over_the_other_cross_lattice(level):
+    # τ-sums over cross(i, j) in place of cross(j, i): the ν = 0 counts agree
+    # (x ↦ x̄ swaps the two lattices); at ν ≥ 1 some B(m) leaves the invariant
+    # forms (level 17) or breaks the Hecke relations (level 34)
+    cs = _fresh(level)
+    cross = cs.cross_lattice
+    cs.cross_lattice = lambda i, j: cross(j, i)
+    assert verify.brandt_series_failures(cs, 0, 30) == []
+    for nu in (1, 2):
+        try:
+            assert verify.brandt_series_failures(cs, nu, 30), nu
+        except ValueError as exc:
+            assert "not invariant" in str(exc)
+
+
+@pytest.mark.parametrize("level", sorted(SERIES_LEVELS))
+def test_brandt_series_certificate_rejects_a_negated_involution_block(level, monkeypatch):
+    def negated(cs, nu, q, space=None):
+        w = atkin_lehner(cs, nu, q, space)
+        blocks = [list(row) for row in w.blocks]
+        i, j = next((i, j) for i, row in enumerate(blocks) for j, b in enumerate(row)
+                    if b.num.any())
+        blocks[i][j] = -blocks[i][j]
+        return brandt.BrandtMatrix(q, nu, blocks)
+
+    monkeypatch.setattr(verify, "atkin_lehner", negated)
+    cs = _fresh(level)
+    for nu in (0, 1):
+        assert verify.brandt_series_failures(cs, nu, 20) == [f"ν={nu}: B(17) = 17^ν·w_17"]
 
 
 def test_level34_essential_part(cs34):
@@ -505,6 +581,12 @@ def test_brandt_blocks_are_built_once_per_prime_and_degree(class_set_17, monkeyp
     assert second.blocks == first.blocks
     fresh = ClassSet(class_set_17.order, class_set_17.ideals)
     assert brandt_matrix(fresh, 1, 2, FormSpace(fresh, 1)).blocks == first.blocks
+    # the series shares the cache, keyed (m, ν): it sums only B(1) and B(3) here,
+    # and a second call sums nothing
+    before = len(calls)
+    series = brandt_series(cs, 1, 3)
+    assert series[1] is first and len(calls) == before + 2 * sums
+    assert brandt_series(cs, 1, 3) == series and len(calls) == before + 2 * sums
 
 
 def test_eigenforms_rejects_an_involution_that_is_not_one(class_set_17, monkeypatch):

@@ -158,11 +158,23 @@ def test_lfactor_bad_prime_pole(fixture_files):
       " - 23/4*X^5 + 17/4*X^6 - X^7"]),
     ("--kind rankin --prime 3 --af -8 --ag 0 --s 2.0",
      ["inverse local factor at p=3: 1 + 30*X^2 + 6561*X^4", "value at s=2.0: 0.421875"]),
+    ("--kind rankin --prime 3 --af 5/2 --ag -1/3",
+     ["inverse local factor at p=3: 1 + 5/6*X - 561/4*X^2 + 135/2*X^3 + 6561*X^4"]),
 ])
 def test_lfactor_prints_the_pinned_text(args, lines):
     res = CliRunner().invoke(main, ["lfactor", *args.split()])
     assert res.exit_code == 0
     assert res.stdout.splitlines() == lines
+
+
+@pytest.mark.parametrize("option", ["--af", "--ag"])
+@pytest.mark.parametrize("value", ["1/0", "x", "1/2/3", ""])
+def test_lfactor_refuses_an_eigenvalue_that_is_not_rational(option, value):
+    # a usage error naming the option, read as the JSON formats read a rational
+    res = CliRunner().invoke(main, ["lfactor", "--kind", "standard", option, value])
+    assert res.exit_code == 2
+    assert f"Invalid value for '{option}': bad rational {value!r}" in res.stderr
+    assert "inverse local factor" not in res.stdout
 
 
 @pytest.mark.parametrize("kind", ["standard --prime 2", "bad --level 17 --degree 2"])
@@ -354,4 +366,4 @@ def test_verify_example_reports_unreadable_eigenvalues_as_failures(hecke_bound, 
     assert isinstance(res.exception, SystemExit)
     for line in failing:
         assert f"[FAIL] hecke golden test: {line}" in res.output
-    assert f"{44 - len(failing)}/44 checks passed" in res.output
+    assert f"{45 - len(failing)}/45 checks passed" in res.output

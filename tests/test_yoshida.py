@@ -16,7 +16,8 @@ from helpers import (expansion, hamilton_algebra, level34_order, monomial_values
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore, yoshida
 from quatlift.binforms import form_table, is_ambiguous
-from quatlift.brandt import AutomorphicForm, FormSpace, brandt_matrix, constant_form
+from quatlift.brandt import (AutomorphicForm, FormSpace, brandt_matrix, brandt_series,
+                             constant_form)
 from quatlift.harmonic import (HarmSpace, default_frame, lift_matrix_deg2, lift_poly_deg1,
                                lift_poly_deg2, monomials_of_degree)
 from quatlift.polys import Poly
@@ -25,8 +26,7 @@ from quatlift.quatcore import (Lattice, UsageError, class_set, short_vectors,
 from quatlift.serialize import dumps_canonical, expansion_to_obj
 from quatlift.yoshida import (FourierExpansionSiegel2, ThetaEngine, TruncationError,
                               is_cuspidal_up_to_bound, phi_operator,
-                              theta1_counts, theta2_coefficient, yoshida1,
-                              yoshida2)
+                              theta2_coefficient, yoshida1, yoshida2)
 
 
 def matrix_poly(m):
@@ -423,20 +423,25 @@ def test_yoshida1_degree_mismatch(class_set_17, space0):
         yoshida1(class_set_17, fx.phi1(), fx.phi2(), 10, space0)
 
 
-def test_theta1_linear_independence_witness():
-    t1 = theta1_counts(fx.order_r1(), 20)
-    t2 = theta1_counts(fx.order_r2(), 20)
-    assert any(t1.coefficient(m) != t2.coefficient(m) for m in range(1, 21))
+def _left_order_thetas(cs, bound):
+    """θ_{R_i}(m) = e_i·B₀(m)_ii for 1 ≤ m ≤ bound, one list per class: the ν = 0
+    diagonal of the Brandt series."""
+    return [[e * b.blocks[i][i][0][0] for b in brandt_series(cs, 0, bound)]
+            for i, e in enumerate(cs.unit_counts)]
 
 
-def test_theta1_counts_every_vector():
-    # a(m) = #{x : q(x) = m} from the half shells, against the full lists
-    for lattice, units in ((fx.order_r1(), 2), (fx.order_r2(), 6)):
+def test_theta1_linear_independence_witness(class_set_17):
+    t1, t2 = _left_order_thetas(class_set_17, 20)
+    assert t1 != t2
+
+
+def test_theta1_counts_every_vector(class_set_17):
+    # θ_{R_i}(m) = #{x ∈ R_i : q(x) = m} from the series, against the full lists
+    thetas = _left_order_thetas(class_set_17, 20)
+    for theta, lattice, units in zip(thetas, (fx.order_r1(), fx.order_r2()), (2, 6)):
         g = lattice.normalized_gram()
-        t = theta1_counts(lattice, 20)
-        assert [t.coefficient(m) for m in range(21)] == [len(short_vectors(g, m))
-                                                         for m in range(21)]
-        assert t.coefficient(1) == units
+        assert theta == [len(short_vectors(g, m)) for m in range(1, 21)]
+        assert theta[0] == units
 
 
 def test_expansion_container_rules():
@@ -607,16 +612,19 @@ def test_yoshida1_nu1_eichler(class_set_17, space1):
     assert a[12] == a[4] * a[3]
 
 
-@pytest.mark.parametrize("nu", [0, 1, 2, 3])
-def test_yoshida1_commutes_with_the_brandt_operators(class_set_17, nu):
+# level 17 at ν ≤ 3 (ids 0–3) and level 34 at ν ≤ 2
+@pytest.mark.parametrize("level,nu,primes", [(17, nu, (2, 3, 5)) for nu in range(4)]
+                         + [(34, nu, (3, 5)) for nu in range(3)],
+                         ids=["0", "1", "2", "3", "34-0", "34-1", "34-2"])
+def test_yoshida1_commutes_with_the_brandt_operators(class_set_17, cs34, level, nu, primes):
     # Eichler's relation on every pair of basis forms: T_p·Y₁(φ_a, φ_b) =
     # Σ_c M[a][c]·Y₁(φ_c, φ_b), M the Brandt matrix in matrix_of's row
     # convention and T_p a(m) = a(pm) + p^{2ν+1}·a(m/p) in weight 2ν + 2
-    cs, bound = class_set_17, 60
+    cs, bound = {17: class_set_17, 34: cs34}[level], 60
     space = FormSpace(cs, nu)
     forms = space.basis_forms()
     lift = [[yoshida1(cs, f, g, bound, space) for g in forms] for f in forms]
-    for p in (2, 3, 5):
+    for p in primes:
         m = space.matrix_of(brandt_matrix(cs, nu, p, space))
         for a, row in enumerate(lift):
             for b, y in enumerate(row):
