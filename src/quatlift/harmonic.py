@@ -13,7 +13,8 @@ once from `QuaternionAlgebra.products`: `conj_table` (ȳ·g_l·y as quadratic
 forms in y) for the τ-matrices and the degree-1 weight `lift_poly_deg1`, and
 `pim_table` (pim(x̄₁·x₂) as bilinear forms) for the degree-2 weight, which
 `lift_matrix_deg2` returns as the matrix C of m_ν(x₁)ᵗ·C·m_ν(x₂) that the
-theta kernel reads.
+theta kernel reads.  The kernels over many rows, `_tau_sum` and
+`lift_matrix_deg2`, keep int64 guards; every `linalg.Matrix` holds Python ints.
 """
 
 from __future__ import annotations
@@ -176,10 +177,10 @@ class HarmSpace:
     def tau_factors(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(B, R', d): the basis B and a right inverse R = R'/d of it, R = Bᵗ(BBᵗ)⁻¹.
 
-        B and R' are object arrays of Python ints.
+        B and R' are object arrays of Python ints, as every `Matrix` numerator is.
         """
         r = linalg.right_inverse(self.basis)
-        return self.basis.num.astype(object), r.num.astype(object), r.den
+        return self.basis.num, r.num, r.den
 
     @cached_property
     def monomial_pairing(self) -> linalg.Matrix:
@@ -190,7 +191,7 @@ class HarmSpace:
         into ∂^γ by row α of S_ν(G⁻¹), and ∂^γ·x^β at 0 is γ!·δ_γβ.
         """
         g = self.frame.gram_inv
-        s = _sym_power(g.num.astype(object)[None], self.nu)[0]
+        s = _sym_power(g.num[None], self.nu)[0]
         factorials = [math.prod(map(math.factorial, gamma)) for gamma in self.monomials]
         return linalg.Matrix(s * np.array(factorials, dtype=object), g.den ** self.nu)
 
@@ -297,8 +298,10 @@ def _tau_sum(vecs, basis: list[list[int]], den: int, space: HarmSpace) -> linalg
     S_ν(A) is `_sym_power`, so B·S_ν(C(y)ᵗ)·R is the τ-matrix of y; it is
     linear in S, so the rows are summed before the exact rational product.
     With a = v·basis the integer C(a) = m₂(a)·T equals den_T·den²·C(y), and
-    S_ν is homogeneous of degree ν.  int64 when a bound on every integer formed
-    stays below 2⁶², object arrays of Python ints otherwise.
+    S_ν is homogeneous of degree ν.  a and C run in int64 while a bound on them
+    from the bucket's largest entry stays below 2⁶², and S_ν while
+    len(vecs)·(3·max|C|)^ν, from the computed C, does; each runs on object
+    arrays of Python ints otherwise.
     """
     nu = space.nu
     bq, rq, den_r = space.tau_factors
@@ -307,11 +310,11 @@ def _tau_sum(vecs, basis: list[list[int]], den: int, space: HarmSpace) -> linalg
     vecs = np.asarray(vecs)
     table, den_t = space.frame.conj_table
     amax = int(np.abs(vecs).max()) * _abs_column_sum(basis)
-    cmax = amax * amax * _abs_column_sum(table)
-    peak = max(amax, cmax, len(vecs) * (3 * cmax) ** nu)
-    dtype = np.int64 if peak < INT64_SAFE else object
+    dtype = np.int64 if amax * amax * _abs_column_sum(table) < INT64_SAFE else object
     a = vecs.astype(dtype) @ np.array(basis, dtype=dtype)
     c = (_monomial_rows(a, 2, dtype) @ np.array(table, dtype=dtype)).reshape(-1, 3, 3)
+    if c.dtype != object and len(vecs) * (3 * int(np.abs(c).max())) ** nu >= INT64_SAFE:
+        c = c.astype(object)
     s = _sym_power(c.transpose(0, 2, 1), nu)
     total = bq @ s.sum(axis=0).astype(object) @ rq
     return linalg.Matrix(total, den_r * (den_t * den * den) ** nu)
@@ -332,8 +335,7 @@ def lift_matrix_deg2(space: HarmSpace, coords, lattice: Lattice) -> linalg.Matri
     nu = space.nu
     vq, vden = linalg.integer_form(linalg.frac_mat([coords]) @ space.basis)
     table, basis = space.frame.pim_table, lattice.basis
-    b = basis.num.astype(object)
-    a = b @ table.num.astype(object).reshape(4, 4, 3).transpose(2, 0, 1) @ b.T
+    a = basis.num @ table.num.reshape(4, 4, 3).transpose(2, 0, 1) @ basis.num.T
     # Σ|coefficients| of a product of polynomials is at most the product of theirs
     peak = sum(map(abs, vq[0])) * (16 * int(np.abs(a).max())) ** nu
     dtype = np.int64 if peak < INT64_SAFE else object

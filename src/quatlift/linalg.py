@@ -1,28 +1,20 @@
 """Exact rational linear algebra on small dense matrices.
 
-A rational matrix is one `Matrix`: an integer array N and one positive
-denominator d, standing for N/d.  It is kept in lowest terms (the gcd of d and
-every entry of N is 1), and N is int64 when every entry is below 2⁶² in absolute
-value, otherwise an object array of Python ints.  So two equal matrices have
-equal (N, d) and the same dtype, and equality is a comparison of arrays.  A
-Matrix also carries max|N|, which the int64 guard of every operation reads.
-Only products, sums, multiples by a non-integer and arrays built elsewhere are
-scanned for it (and for the gcd); a transpose, a negation, a multiple by an
-integer, `identity`, `zeros` and the results of the elimination kernels
-already know their entries.
+A rational matrix is one `Matrix`: an object array N of Python ints and one
+positive denominator d, standing for N/d, in lowest terms (the gcd of d and
+every entry of N is 1), so equal matrices have equal (N, d) and equality is a
+comparison of arrays.  Python ints are exact at any size, so no operation has an
+overflow guard.  A product is one numpy call N_A @ N_B over d_A·d_B; the gcd
+runs only when d > 1, and a transpose, a negation, a multiple by an integer, a
+stack, `identity`, `zeros` and the elimination kernels' results skip it.
+`charpoly` is division-free Faddeev–LeVerrier over ℤ on N, whose exact
+divisions are by k.
 
-Products and `charpoly` stay on numpy, where one call does the whole matrix:
-each keeps int64 only while a bound on the integers it forms stays below 2⁶²,
-and past that runs the same code on object arrays.  A product is one numpy
-call with denominator d_A·d_B, and `charpoly` is division-free
-Faddeev–LeVerrier over ℤ on N, whose exact divisions are by k.
-
-The elimination kernels run on rows of Python ints, which are exact at any
-size, so they need no guard: every matrix they see is a few dozen rows at most,
-where numpy's per-call overhead costs more than the arithmetic.  `rref` (and
-with it `solve_many`, `nullspace`, `inverse` and `rank`) is fraction-free
-Gauss–Jordan elimination that divides each changed row by its content, and
-`det` is Bareiss elimination (Bareiss, Math. Comp. 22, 1968).
+The elimination kernels run on rows of Python ints (every matrix they see is a
+few dozen rows at most, where numpy's per-call overhead costs more than the
+arithmetic): `rref` (and with it `solve_many`, `nullspace`, `inverse` and
+`rank`) is fraction-free Gauss–Jordan elimination that divides each changed row
+by its content, and `det` is Bareiss elimination (Bareiss, Math. Comp. 22, 1968).
 
 Fractions appear only at the edge: `Matrix.tolist`, iteration and indexing
 give rows of Fractions, and `det`, `charpoly` and `vec_mat` return Fractions.
@@ -37,8 +29,9 @@ from itertools import chain
 
 import numpy as np
 
-# the int64 guard: every integer a numpy kernel forms stays below this, or the
-# kernel runs on object arrays of Python ints; it also picks a Matrix's dtype
+# the int64 guard of the large-array kernels elsewhere (enumeration, τ-sums,
+# lift weights, theta rows): every integer a kernel forms stays below this, or
+# the kernel runs on object arrays of Python ints
 INT64_SAFE = 2 ** 62
 # the float64 guard of the theta pair sums: every integer below this is a
 # float64, and so is every sum and product of them that stays below it, in
@@ -46,39 +39,13 @@ INT64_SAFE = 2 ** 62
 FLOAT64_EXACT = 2 ** 53
 
 
-def _absmax(x: np.ndarray) -> int:
-    return int(np.abs(x).max()) if x.size else 0
-
-
 def _from_rows(rows: list[list[int]], ncols: int, den: int = 1) -> "Matrix":
     """The Matrix rows/den of Python-int rows and a positive den, with one pass in Python."""
-    entries = list(chain.from_iterable(rows))
-    g = math.gcd(den, *entries) if den > 1 else 1
+    g = math.gcd(den, *chain.from_iterable(rows)) if den > 1 else 1
     if g > 1:
         rows = [[x // g for x in row] for row in rows]
         den //= g
-    amax = max(map(abs, entries), default=0) // g
-    num = np.array(rows, dtype=np.int64 if amax < INT64_SAFE else object)
-    return Matrix._known(num.reshape(len(rows), ncols), den, amax)
-
-
-def _mul(x: np.ndarray, y: np.ndarray, xmax: int, ymax: int) -> np.ndarray:
-    """x @ y on integer arrays with max|x| = xmax, max|y| = ymax.
-
-    int64 when k·xmax·ymax stays below the guard, object arrays otherwise.
-    """
-    if x.dtype == object or y.dtype == object or x.shape[1] * xmax * ymax >= INT64_SAFE:
-        return x.astype(object) @ y.astype(object)
-    return x @ y
-
-
-def _scaled(x: np.ndarray, s: int, xmax: int) -> np.ndarray:
-    """x·s for a Python int s and max|x| = xmax, on object arrays past the guard."""
-    if s == 1:
-        return x
-    if x.dtype != object and xmax * abs(s) >= INT64_SAFE:
-        x = x.astype(object)
-    return x * s
+    return Matrix._known(np.array(rows, dtype=object).reshape(len(rows), ncols), den)
 
 
 def _rational(x) -> Fraction:
@@ -90,38 +57,34 @@ def _rational(x) -> Fraction:
 
 
 class Matrix:
-    """The rational matrix num/den, in lowest terms with a canonical dtype (see the module)."""
+    """The rational matrix num/den: Python ints over one denominator, in lowest terms."""
 
-    __slots__ = ("num", "den", "max", "_rows")
+    __slots__ = ("num", "den", "_rows")
     # numpy operators defer to Matrix's own, so np.int64(c) * m reaches __rmul__
     # instead of reading m as a sequence of Fraction rows
     __array_ufunc__ = None
 
     def __init__(self, num: np.ndarray, den: int = 1):
-        if num.dtype != object and num.dtype != np.int64:
-            num = num.astype(np.int64)
+        if num.dtype != object:
+            num = num.astype(np.int64, copy=False).astype(object)
         den = int(den)
         if den <= 0:
             if den == 0:
                 raise ZeroDivisionError("matrix denominator is 0")
             num, den = -num, -den
         if den > 1:
-            g = math.gcd(int(np.gcd.reduce(num, axis=None)) if num.size else 0, den)
+            g = math.gcd(den, *num.flat)
             if g > 1:
                 num, den = num // g, den // g
-        self.max = _absmax(num)  # read by the int64 guard of every operation
-        big = self.max >= INT64_SAFE
-        if big != (num.dtype == object):
-            num = num.astype(object if big else np.int64)
         self.num = num
         self.den = den
         self._rows = None
 
     @classmethod
-    def _known(cls, num: np.ndarray, den: int, amax: int) -> "Matrix":
-        """num/den, already in lowest terms with the canonical dtype and max|num| = amax."""
+    def _known(cls, num: np.ndarray, den: int) -> "Matrix":
+        """num/den, already an object array of Python ints in lowest terms."""
         m = cls.__new__(cls)
-        m.num, m.den, m.max, m._rows = num, den, amax, None
+        m.num, m.den, m._rows = num, den, None
         return m
 
     @property
@@ -130,18 +93,17 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix._known(self.num.T, self.den, self.max)
+        return Matrix._known(self.num.T, self.den)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        return Matrix(_mul(self.num, other.num, self.max, other.max), self.den * other.den)
+        return Matrix(self.num @ other.num, self.den * other.den)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         den = math.lcm(self.den, other.den)
-        return Matrix(_scaled(self.num, den // self.den, self.max)
-                      + _scaled(other.num, den // other.den, other.max), den)
+        return Matrix(self.num * (den // self.den) + other.num * (den // other.den), den)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._known(-self.num, self.den, self.max)
+        return Matrix._known(-self.num, self.den)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
@@ -149,13 +111,11 @@ class Matrix:
     def __mul__(self, c) -> "Matrix":
         c = _rational(c)
         if c.denominator > 1:
-            return Matrix(_scaled(self.num, c.numerator, self.max), self.den * c.denominator)
+            return Matrix(self.num * c.numerator, self.den * c.denominator)
         # an integer: with g = gcd(c, den), (c/g)·num over den/g is in lowest terms
+        # (c = 0 gives g = den, so the zero matrix over 1)
         g = math.gcd(c.numerator, self.den)
-        s = c.numerator // g
-        amax = abs(s) * self.max
-        num = _scaled(self.num, s, self.max) if amax else np.zeros(self.shape, dtype=np.int64)
-        return Matrix._known(num, self.den // g, amax)
+        return Matrix._known(self.num * (c.numerator // g), self.den // g)
 
     __rmul__ = __mul__
 
@@ -206,37 +166,33 @@ def frac_mat(rows) -> Matrix:
 
 
 def identity(n: int) -> Matrix:
-    return Matrix._known(np.eye(n, dtype=np.int64), 1, min(n, 1))
+    return Matrix._known(np.eye(n, dtype=object), 1)
 
 
 def zeros(n: int, m: int) -> Matrix:
-    return Matrix._known(np.zeros((n, m), dtype=np.int64), 1, 0)
+    return Matrix._known(np.zeros((n, m), dtype=object), 1)
 
 
-def _common(mats) -> tuple[list[np.ndarray], int]:
-    """The integer arrays of matrices over their least common denominator, and it."""
+def _stack(mats, stack) -> Matrix:
+    """The matrices over their least common denominator d, joined by `stack`: in lowest
+    terms, as for p | d the one whose denominator holds d's p-part keeps an entry prime to p."""
     mats = [frac_mat(m) for m in mats]
     den = math.lcm(*(m.den for m in mats))
-    return [_scaled(m.num, den // m.den, m.max) for m in mats], den
+    return Matrix._known(stack([m.num * (den // m.den) for m in mats]), den)
 
 
 def hstack(mats) -> Matrix:
-    nums, den = _common(mats)
-    return Matrix(np.hstack(nums), den)
+    return _stack(mats, np.hstack)
 
 
 def vstack(mats) -> Matrix:
-    nums, den = _common(mats)
-    return Matrix(np.vstack(nums), den)
+    return _stack(mats, np.vstack)
 
 
 def outer_rows(a: Matrix, b: Matrix) -> Matrix:
     """Row m·s + t is a_s ⊗ b_t, for the n rows a_s of a and the m rows b_t of b."""
-    x, y = a.num, b.num
-    if x.dtype == object or y.dtype == object or a.max * b.max >= INT64_SAFE:
-        x, y = x.astype(object), y.astype(object)
-    prod = x[:, None, :, None] * y[None, :, None, :]
-    return Matrix(prod.reshape(len(x) * len(y), -1), a.den * b.den)
+    prod = a.num[:, None, :, None] * b.num[None, :, None, :]
+    return Matrix(prod.reshape(len(a) * len(b), -1), a.den * b.den)
 
 
 def vec_mat(v, a) -> list[Fraction]:
@@ -395,13 +351,11 @@ def charpoly(a) -> list[Fraction]:
     a = frac_mat(a)
     n = len(a)
     coeffs = [1]
-    m = np.eye(n, dtype=np.int64)
+    m = np.eye(n, dtype=object)
     for k in range(1, n + 1):
-        am = _mul(a.num, m, a.max, _absmax(m))
+        am = a.num @ m
         c = -(sum(am.diagonal().tolist()) // k)
         coeffs.append(c)
-        if am.dtype != object and _absmax(am) + abs(c) >= INT64_SAFE:
-            am = am.astype(object)
         am[np.diag_indices(n)] += c
         m = am
     return [Fraction(c, a.den ** k) for k, c in enumerate(coeffs)]

@@ -44,7 +44,9 @@ def parse_rational(s) -> Fraction:
         raise SchemaError(f"expected a rational string, got {s!r}")
     try:
         return Fraction(s.replace("−", "-"))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise SchemaError(f"bad rational {s!r}: zero denominator; write p/q with q > 0") from None
+    except ValueError as exc:
         raise SchemaError(f"bad rational {s!r}: {exc}") from None
 
 

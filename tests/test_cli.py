@@ -96,6 +96,21 @@ def test_eigenforms_stdout_is_pinned_at_nu_3_to_5(fixture_files):
     assert eigenforms_stdout(fixture_files, ("3", "4", "5")) == pinned.read_text(encoding="utf-8")
 
 
+def test_brandt_stdout_is_pinned(fixture_files):
+    # the rational blocks of B(3) at nu = 0 to 3; diffed in the runtime-only CI job too
+    pinned = Path(__file__).with_name("data") / "brandt_n17_p3.txt"
+    runner = CliRunner()
+    out = ""
+    for nu in ("0", "1", "2", "3"):
+        res = runner.invoke(main, ["brandt",
+                                   "--algebra", str(fixture_files / "ramified17.json"),
+                                   "--order", str(fixture_files / "maximal.json"),
+                                   "--nu", nu, "--prime", "3"])
+        assert res.exit_code == 0, res.output
+        out += res.output
+    assert out == pinned.read_text(encoding="utf-8")
+
+
 def test_brandt_command(fixture_files, tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["brandt",
@@ -174,6 +189,9 @@ def test_lfactor_refuses_an_eigenvalue_that_is_not_rational(option, value):
     res = CliRunner().invoke(main, ["lfactor", "--kind", "standard", option, value])
     assert res.exit_code == 2
     assert f"Invalid value for '{option}': bad rational {value!r}" in res.stderr
+    if value == "1/0":
+        assert "bad rational '1/0': zero denominator; write p/q with q > 0" in res.stderr
+        assert "Fraction(1, 0)" not in res.stderr
     assert "inverse local factor" not in res.stdout
 
 

@@ -13,7 +13,7 @@ import linalg_reference as ref
 from quatlift import linalg
 from quatlift.quatcore import _gauss_reduce_gram
 
-BIG = 10 ** 20  # entries this large force the object-array path
+BIG = 10 ** 20  # entries this large wrap in int64
 
 
 @st.composite
@@ -27,12 +27,15 @@ def matrices(draw, rows=None, cols=None, max_dim=5):
     return [[draw(entry) * scale for _ in range(m)] for _ in range(n)]
 
 
+def python_ints(m: linalg.Matrix) -> bool:
+    """Whether m's numerator is an object array of Python ints (not numpy ints, not bools)."""
+    return m.num.dtype == object and all(type(x) is int for x in m.num.flat)
+
+
 def canonical(m: linalg.Matrix) -> linalg.Matrix:
-    """m itself, after checking lowest terms, its max and the dtype its magnitude calls for."""
-    entries = m.num.ravel().tolist()
-    assert math.gcd(m.den, *entries) == 1
-    assert m.max == max(map(abs, entries), default=0)
-    assert m.num.dtype == (object if m.max >= linalg.INT64_SAFE else np.int64)
+    """m itself, after checking lowest terms, a positive denominator and Python-int entries."""
+    assert m.den > 0 and math.gcd(m.den, *m.num.flat) == 1
+    assert python_ints(m)
     return m
 
 
@@ -113,9 +116,8 @@ def test_results_past_int64_are_exact_object_arrays():
     for a, b in cases:
         a, b = [[Fraction(v) for v in row] for row in a], [[Fraction(v) for v in row] for row in b]
         got = canonical(linalg.frac_mat(a) @ linalg.frac_mat(b))
-        assert got.num.dtype == object
         assert got == linalg.frac_mat(ref.mat_mul(a, b))
-    # over a common denominator, or times a scalar, an int64 numerator wraps too
+    # over a common denominator, or times a scalar, an int64 numerator would wrap too
     big = linalg.frac_mat([[2 ** 61, 1]])
     tiny = linalg.frac_mat([[Fraction(1, 5), Fraction(1, 7)]])
     assert canonical(big + tiny).tolist() == [[2 ** 61 + Fraction(1, 5), Fraction(8, 7)]]
@@ -130,12 +132,42 @@ def test_results_past_int64_are_exact_object_arrays():
         linalg.frac_mat(ref.rref(m + [[Fraction(1), Fraction(2), Fraction(3)]])[0])
 
 
-def test_entries_of_1e20_take_the_object_path_and_come_back():
-    a = linalg.frac_mat([[BIG, 1], [Fraction(1, 3), BIG]])
-    assert canonical(a).num.dtype == object
+def test_entries_of_1e20_come_back_exact():
+    a = canonical(linalg.frac_mat([[BIG, 1], [Fraction(1, 3), BIG]]))
     assert canonical(a @ linalg.inverse(a)) == linalg.identity(2)
-    assert linalg.identity(2).num.dtype == np.int64
     assert a == linalg.frac_mat([[BIG, 1], [Fraction(1, 3), BIG]])
+
+
+def test_every_operation_returns_python_int_numerators():
+    # one exact type: small or past 2⁶², from any constructor, the entries are Python ints
+    small = linalg.frac_mat([[Fraction(1, 2), 3], [np.int64(-4), Fraction(5, 6)]])
+    big = linalg.frac_mat([[BIG, Fraction(1, 3)], [-2 ** 70, 7]])
+    results = {
+        "Matrix(int64)": linalg.Matrix(np.array([[2, 4], [6, 8]], dtype=np.int64), 4),
+        "Matrix(int8)": linalg.Matrix(np.array([[1, -2]], dtype=np.int8)),
+        "Matrix(object)": linalg.Matrix(np.array([[BIG, 2]], dtype=object), -3),
+        "frac_mat": small, "frac_mat big": big,
+        "frac_mat(ndarray)": linalg.frac_mat(np.arange(6, dtype=np.int64).reshape(2, 3)),
+        "identity": linalg.identity(3), "zeros": linalg.zeros(2, 3),
+        "identity(0)": linalg.identity(0), "zeros(0, 2)": linalg.zeros(0, 2),
+        "_from_rows": linalg._from_rows([[2, 4], [6, 8]], 2, 6),
+        "product": small @ big, "empty product": linalg.zeros(2, 0) @ linalg.zeros(0, 3),
+        "sum": small + big, "difference": small - big,
+        "integer multiple": small * 6, "numpy integer multiple": np.int64(-3) * big,
+        "zero multiple": big * 0, "fractional multiple": big * Fraction(3, 7),
+        "transpose": big.T, "negation": -small,
+        "hstack": linalg.hstack([small, big]), "vstack": linalg.vstack([small, big]),
+        "outer_rows": linalg.outer_rows(small, big),
+        "nullspace": linalg.nullspace([[1, 2, 3], [2, 4, 7]]),
+        "rref": linalg.rref(big)[0], "inverse": linalg.inverse(big),
+        "solve_many": linalg.solve_many(small, [[1, 2]]),
+        "primitive_rows": linalg.primitive_rows(linalg.frac_mat([[0, -4, 6]])),
+        "right_inverse": linalg.right_inverse([[1, 2, 3]]),
+        "hnf_rational": linalg.hnf_rational([[Fraction(1, 2), 1], [3, 5]]),
+    }
+    for name, m in results.items():
+        assert python_ints(m), name
+        canonical(m)
 
 
 # the shapes the pipeline hands the elimination kernels: empty systems,
@@ -224,12 +256,12 @@ def test_solve_many_on_pipeline_shapes(case, k, rng):
 
 @given(pipeline_matrices())
 @settings(max_examples=15, deadline=None)
-def test_transpose_and_negation_keep_max_den_and_dtype(case):
+def test_transpose_and_negation_keep_den(case):
     n, m, rows = case
     a = canonical(as_matrix(rows, m))
     cols = [[row[j] for row in rows] for j in range(m)]
     for b, want in ((a.T, cols), (-a, [[-x for x in row] for row in rows])):
-        assert (canonical(b).max, b.den, b.num.dtype) == (a.max, a.den, a.num.dtype)
+        assert canonical(b).den == a.den
         assert b.tolist() == want
     for e in (linalg.identity(0), linalg.identity(3), linalg.zeros(0, 2), linalg.zeros(2, 3)):
         canonical(e)
@@ -237,13 +269,13 @@ def test_transpose_and_negation_keep_max_den_and_dtype(case):
 
 @given(matrices(), st.sampled_from([1, -1, 0, 2, -6, 12, 35, 2 ** 40, -2 ** 45, 3 * 2 ** 61,
                                     np.int64(-10)]))
-@example([[Fraction(1, 6), Fraction(5, 4)]], 2 ** 61)   # 2⁶⁰·5/2 crosses the guard
+@example([[Fraction(1, 6), Fraction(5, 4)]], 2 ** 61)   # 2⁶⁰·5/2 would wrap in int64
 @example([[Fraction(3, 2 ** 61)]], 2 ** 61)             # a whole entry 3
 @example([[Fraction(BIG, 7)], [Fraction(-1, 3)]], 0)   # object entries to the zero matrix
 @example([[Fraction(0)]], 2 ** 70)
 @settings(max_examples=120, deadline=None)
 def test_integer_multiple_equals_the_scanned_matrix(rows, c):
-    # (c/g)·num over den/g, g = gcd(c, den), against the constructor's gcd and max scans
+    # (c/g)·num over den/g, g = gcd(c, den), against the constructor's gcd scan
     a = as_matrix(rows, len(rows[0]) if rows else 0)
     want = linalg.Matrix(a.num.astype(object) * int(c), a.den)
     products = [a * c, int(c) * a]
@@ -251,9 +283,8 @@ def test_integer_multiple_equals_the_scanned_matrix(rows, c):
         products += [a * np.int64(c), np.int64(c) * a]
     for got in products:
         assert canonical(got) == want
-        assert (got.max, got.num.dtype) == (want.max, want.num.dtype)
     if c == 0:
-        assert (a * c).den == 1 and (a * c).max == 0
+        assert (a * c).den == 1 and not (a * c).num.any()
 
 
 @st.composite

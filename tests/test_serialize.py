@@ -17,8 +17,10 @@ def test_rational_strings():
     assert ser.rational_to_str(Fraction(3, 4)) == "3/4"
     assert ser.parse_rational("-96/1") == -96
     assert ser.parse_rational("7") == 7
-    with pytest.raises(ser.SchemaError):
+    with pytest.raises(ser.SchemaError, match=r"^bad rational '1/0': zero denominator; write p/q"):
         ser.parse_rational("1/0")
+    with pytest.raises(ser.SchemaError, match="zero denominator"):
+        ser.parse_rational("-3/0")
     with pytest.raises(ser.SchemaError):
         ser.parse_rational("abc")
 
