@@ -271,13 +271,13 @@ def test_transpose_and_negation_keep_den(case):
                                     np.int64(-10)]))
 @example([[Fraction(1, 6), Fraction(5, 4)]], 2 ** 61)   # 2⁶⁰·5/2 would wrap in int64
 @example([[Fraction(3, 2 ** 61)]], 2 ** 61)             # a whole entry 3
-@example([[Fraction(BIG, 7)], [Fraction(-1, 3)]], 0)   # object entries to the zero matrix
+@example([[Fraction(BIG, 7)], [Fraction(-1, 3)]], 0)   # entries past 2⁶² to the zero matrix
 @example([[Fraction(0)]], 2 ** 70)
 @settings(max_examples=120, deadline=None)
 def test_integer_multiple_equals_the_scanned_matrix(rows, c):
     # (c/g)·num over den/g, g = gcd(c, den), against the constructor's gcd scan
     a = as_matrix(rows, len(rows[0]) if rows else 0)
-    want = linalg.Matrix(a.num.astype(object) * int(c), a.den)
+    want = linalg.Matrix(a.num * int(c), a.den)
     products = [a * c, int(c) * a]
     if abs(c) < 2 ** 63:  # numpy integer scalars on both sides
         products += [a * np.int64(c), np.int64(c) * a]
