@@ -278,6 +278,9 @@ def _involution_route(ideals: list[Lattice], tsp: Lattice, q: int):
         if routing[i] is not None:
             continue
         moved = ideal.product(tsp)
+        # P is two-sided for I_i's right order O, so O is I_i·P's right order too:
+        # `transporters` reads it instead of building it from I_i·P
+        moved.right_order = ideal.right_order
         for j in [j for j, route in enumerate(routing) if route is None]:
             gammas = list(transporters(moved, ideals[j]))
             if gammas:

@@ -11,12 +11,20 @@ Lattice bases, Gram matrices and the multiplication table are `linalg.Matrix`
 table, as (a ⊗ b)·table, so a lattice product or a multiplication matrix is one
 integer product.  Element coordinates are Fractions.
 
-Short vectors come from one numpy kernel, `short_vectors_upto`, which stays
-exact without any Fraction inside the loop.  The size-reduced Gram matrix is
-scaled to integers by its common denominator and factored fraction-free
-(leading minors Δ_i), so each coordinate's Fincke–Pohst range is an integer
-inequality x² ≤ Δ_i·rem that isqrt decides exactly; the ranges therefore hold
-every solution.  The prefixes (v_{i+1}, …, v_{n−1}) are carried as one
+Short vectors come from `short_vectors_upto`, which stays exact without any
+Fraction inside the loop.  The size-reduced Gram matrix is scaled to integers
+by its common denominator and factored fraction-free (leading minors Δ_i), so
+each coordinate's Fincke–Pohst range is an integer inequality x² ≤ Δ_i·rem
+that isqrt decides exactly; the ranges therefore hold every solution.
+
+It has two strategies, picked by size before it enumerates: the ellipsoid
+vᵗGv ≤ bound is expected to hold about V_n·bound^(n/2)/√Δ_n lattice points.
+Below `_SMALL_ENUMERATION` of them a depth-first recursion on Python ints
+walks the same ranges (`_small_half_shells`), since numpy's fixed cost per
+call would outweigh the few vectors; above it the numpy kernel runs.  Both
+give the same rows in the same order and dtypes.
+
+In the numpy kernel the prefixes (v_{i+1}, …, v_{n−1}) are carried as one
 contiguous array per coordinate.  The leaf coordinate v₀, where nearly all the
 vectors are, is expanded in cache-sized chunks of prefixes (`_LEAF_BUDGET`
 leaves): per prefix, vᵗGv = g₀₀·v₀² + l·v₀ + q and v·U = w + v₀·U₀, so a leaf
@@ -56,15 +64,6 @@ from .linalg import INT64_SAFE, Matrix
 
 class UsageError(ValueError):
     """Raised when an operation's preconditions are violated."""
-
-
-def frac_gcd(values) -> Fraction:
-    num, den = 0, 1
-    for v in values:
-        v = Fraction(v)
-        num = math.gcd(num, abs(v.numerator))
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    return Fraction(num, den)
 
 
 class QuaternionAlgebra:
@@ -357,6 +356,22 @@ def _isqrt(x: np.ndarray, below_2_52: bool = False) -> np.ndarray:
 # arrays, about 60 bytes a leaf (1 MB in all), stay in the CPU's L2 cache.
 _LEAF_BUDGET = 1 << 14
 
+# An ellipsoid expected to hold fewer lattice points than this is enumerated
+# depth first on Python ints (`_small_half_shells`), at 1–2 µs a vector; the
+# numpy kernel pays about 0.13 ms a call in fixed numpy calls (0.2 ms within
+# the eichler pipeline in a fresh process) whatever the size.  Measured on a
+# 2-vCPU Xeon, the two take equal time at 100–150 expected points.
+_SMALL_ENUMERATION = 100
+
+
+def _expected_points(minors: list[int], bound: int) -> float:
+    """V_n·bound^(n/2)/√Δ_n: the volume of the ellipsoid vᵗGv ≤ bound, about the
+    number of lattice points in it (V_n the volume of the unit n-ball)."""
+    n = len(minors) - 1
+    # in logarithms: bound and Δ_n can be past float range
+    return math.exp(n / 2 * (math.log(math.pi) + math.log(bound)) - math.lgamma(n / 2 + 1)
+                    - math.log(minors[n]) / 2)
+
 
 _SIGNED = tuple((np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.int64))
 
@@ -407,10 +422,13 @@ def short_vectors_upto(g: Matrix, max_norm) -> HalfShells:
     buckets are consecutive row slices, in increasing norm, of that array.  Its
     entries are the narrowest signed integer dtype that holds the kernel's own
     bound on every coordinate (from the bounds on the reduced coordinates and U,
-    never from the rows), or object (Python ints) when the enumeration runs on
-    Python ints.
+    never from the rows), or object (Python ints) when an intermediate integer
+    could pass int64.
 
-    The leaf coordinate v₀ is expanded in chunks of at most `_LEAF_BUDGET`
+    An ellipsoid expected to hold fewer than `_SMALL_ENUMERATION` lattice
+    points goes to `_small_half_shells`, which returns the same rows, norms and
+    offsets in the same dtypes; the rest go to the numpy kernel below.  There
+    the leaf coordinate v₀ is expanded in chunks of at most `_LEAF_BUDGET`
     leaves.  Each kept leaf is recorded as its norm (the narrowest unsigned
     dtype that holds the bound), its prefix (int32) and its v₀ (the narrowest
     dtype that holds the kernel's bound on it).  The records are put in their
@@ -435,6 +453,10 @@ def short_vectors_upto(g: Matrix, max_norm) -> HalfShells:
     dtype = object if magnitude >= INT64_SAFE else np.int64
     # the rows in the narrowest dtype that holds every coordinate of v·U
     out_dtype = _narrow_dtype(coord) if dtype is np.int64 else dtype
+    if _expected_points(minors, bound) < _SMALL_ENUMERATION:
+        # the kernel's rows, norms and offsets, with its dtypes
+        norm_dtype = np.min_scalar_type(bound) if dtype is np.int64 else dtype
+        return _small_half_shells(gint, u, minors, m, bound, out_dtype, norm_dtype, den)
     # Breadth-first over the coordinates v_{n-1}, …, v_0.  With c_i = Σ_{j>i} L_ji·v_j,
     # each prefix (v_{i+1}, …) carries the integers C_i = Δ_{i+1}·c_i and
     # rem = Δ_{i+1}·(bound − Σ_{j>i} d_j·(v_j + c_j)²); the Fincke–Pohst range of
@@ -519,6 +541,55 @@ def short_vectors_upto(g: Matrix, max_norm) -> HalfShells:
     starts = np.flatnonzero(norms[1:] != norms[:-1]) + 1
     starts = np.concatenate(([0], starts, [pos])) if pos else np.zeros(1, dtype=np.intp)
     return HalfShells(vecs, norms.take(starts[:-1]), starts, den)
+
+
+def _small_half_shells(gint, u, minors, m, bound: int, out_dtype, norm_dtype,
+                       den: int) -> HalfShells:
+    """`short_vectors_upto`'s half shells by a depth-first recursion on Python ints.
+
+    The same ranges, rem update, zero-prefix rule and integer test as the
+    numpy kernel.  Each range runs in ascending order, so the leaves come in
+    the kernel's order, and one stable sort by norm gives the kernel's rows.
+    """
+    n = len(gint)
+    v = [0] * n
+    leaves = []  # (vᵗGv, v·U) of every kept leaf
+
+    def descend(i: int, rem: int, zero: bool, w: list[int]) -> None:
+        # w = Σ_{j>i} v_j·U_j, the prefix's part of v·U
+        step = minors[i + 1]
+        center = sum(m[j][i] * v[j] for j in range(i + 1, n))
+        room = minors[i] * rem
+        root = math.isqrt(room)
+        lo = 0 if zero else -((root + center) // step)
+        hi = (root - center) // step
+        if i:
+            for vi in range(lo, hi + 1):
+                v[i] = vi
+                x = step * vi + center
+                descend(i - 1, (room - x * x) // step, zero and not vi,
+                        [a + vi * b for a, b in zip(w, u[i])])
+            return
+        # past v₀ the rem update gives bound − vᵗGv: every rem is an integer
+        # (Δ_{i+1} clears the denominators of the form left on v_{i+1}, …), so
+        # the division is exact, as the kernel's ranges need too
+        for v0 in range(lo, hi + 1):
+            x = step * v0 + center
+            norm = bound - (room - x * x) // step
+            if 0 < norm <= bound:
+                leaves.append((norm, [a + v0 * b for a, b in zip(w, u[0])]))
+
+    descend(n - 1, minors[n] * bound, True, [0] * n)
+    leaves.sort(key=lambda leaf: leaf[0])
+    if not leaves:
+        return HalfShells(np.empty((0, n), dtype=out_dtype), np.empty(0, dtype=norm_dtype),
+                          np.zeros(1, dtype=np.intp), den)
+    norms = [norm for norm, _ in leaves]
+    starts = [k for k in range(len(norms)) if not k or norms[k] != norms[k - 1]]
+    # one array built from the rows, so that every bucket is a slice of it
+    vecs = np.array([row for _, row in leaves], dtype=out_dtype)
+    return HalfShells(vecs, np.array([norms[k] for k in starts], dtype=norm_dtype),
+                      np.array(starts + [len(norms)], dtype=np.intp), den)
 
 
 def short_vectors(g: Matrix, m) -> list[tuple[int, ...]]:
@@ -637,15 +708,21 @@ class Lattice:
                                        "lattice")
 
     @cached_property
+    def _two_sided_ideals(self) -> dict[int, "Lattice"]:
+        """`two_sided_ideal`'s result for this order at each prime it was asked for."""
+        return {}
+
+    @cached_property
     def norm_scale(self) -> Fraction:
         """Reduced norm n₀: the positive generator of the ideal generated by n(x), x in L.
 
-        Generated by the norms n(b_i) = G_ii/2 of the basis and the G_ij, i < j.
+        Generated by the norms n(b_i) = G_ii/2 of the basis and the G_ij, i < j:
+        with G = N/d that is gcd(N_ii, 2·N_ij)/(2·d).
         """
-        g = self.gram
-        vals = [g[i][i] / 2 for i in range(4)]
-        vals += [g[i][j] for i in range(4) for j in range(i + 1, 4)]
-        return frac_gcd(vals)
+        num = self.gram.num.tolist()
+        return Fraction(math.gcd(*(num[i][i] for i in range(4)),
+                                 *(2 * num[i][j] for i in range(4) for j in range(i + 1, 4))),
+                        2 * self.gram.den)
 
     def normalized_gram(self) -> Matrix:
         """Gram of the rescaled quadratic module (L, n/n₀); integral for ideals."""
@@ -1057,7 +1134,11 @@ def two_sided_ideal(order: Lattice, p: int) -> Lattice:
     elementary divisors (1, 1, p, p) at p, and its kernel mod p is J/pO
     (O ∩ p·O^♯ is the Jacobson radical at p; Voight, Quaternion Algebras,
     ch. 23).  J is that kernel plus p·O; anything else raises ValueError.
+    Computed once per (order, p): the order keeps J for the mass formula, the
+    Atkin–Lehner routing and the superorders alike.
     """
+    if p in order._two_sided_ideals:
+        return order._two_sided_ideals[p]
     order.require_order()
     if not _is_prime(p) or order.level % p != 0:
         raise UsageError(f"{p} does not divide the level {order.level}")
@@ -1070,6 +1151,7 @@ def two_sided_ideal(order: Lattice, p: int) -> Lattice:
     ideal = _lift_mod_p(order, kernel, p)
     if ideal.norm_scale != p or ideal.product(ideal) != order.scale(p):
         raise ValueError(f"the trace-form kernel mod {p} is not a two-sided ideal of norm {p}")
+    order._two_sided_ideals[p] = ideal
     return ideal
 
 

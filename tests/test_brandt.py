@@ -705,3 +705,50 @@ def test_eichler_iteration_makes_112_enumerations(monkeypatch):
                 brandt_matrix(cs, nu, p, space)
             eigenforms(cs, nu, list(primes[:3]), space)
     assert (len(calls), sum(calls)) == (112, 1545)
+
+
+def _eichler_iteration():
+    """The eichler benchmark's iteration at seed 1 on fresh orders, as above."""
+    orders = [quatcore.Lattice(o.algebra, o.basis, "order") for o in (fx.order_r1(),
+                                                                     level34_order())]
+    for order, p_seed, primes in ((orders[0], 2, (2, 3, 5, 7, 11)),
+                                  (orders[1], 3, (3, 5, 7, 11, 13))):
+        cs = class_set(order, p_seed)
+        for nu in (0, 1, 2):
+            space = FormSpace(cs, nu)
+            for p in primes:
+                brandt_matrix(cs, nu, p, space)
+            eigenforms(cs, nu, list(primes[:3]), space)
+
+
+def test_eichler_iteration_takes_the_python_path_for_tiny_enumerations(monkeypatch):
+    # 109 of the 112 enumerations expect fewer lattice points than the crossover
+    # (98 at most; the other three expect 140) and run on Python ints
+    calls, small_calls = [], []
+    enumerate_upto, small = quatcore.short_vectors_upto, quatcore._small_half_shells
+    monkeypatch.setattr(quatcore, "short_vectors_upto",
+                        lambda g, m: calls.append(1) or enumerate_upto(g, m))
+    monkeypatch.setattr(quatcore, "_small_half_shells",
+                        lambda *args: small_calls.append(1) or small(*args))
+    _eichler_iteration()
+    assert (len(small_calls), len(calls)) == (109, 112)
+
+
+def test_eichler_iteration_builds_each_two_sided_ideal_once(monkeypatch):
+    # the mass formula (through is_ramified) and the Atkin–Lehner routing both
+    # ask for J at each level prime: p = 17 at level 17, p = 2 and 17 at level 34
+    asked, built = [], []
+    two_sided, kernel = quatcore.two_sided_ideal, quatcore._kernel_mod_p
+
+    def counted(order, p):
+        asked.append(p)
+        return two_sided(order, p)
+
+    monkeypatch.setattr(quatcore, "two_sided_ideal", counted)
+    monkeypatch.setattr(brandt, "two_sided_ideal", counted)
+    # the trace-form kernel mod p is the first step of every build
+    monkeypatch.setattr(quatcore, "_kernel_mod_p",
+                        lambda rows, p: built.append(p) or kernel(rows, p))
+    _eichler_iteration()
+    assert sorted(built) == [2, 17, 17]
+    assert len(asked) == 6

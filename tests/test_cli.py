@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from helpers import level34_order
 from quatlift.cli import main
+from quatlift.serialize import lattice_to_obj
 
 
 @pytest.fixture(scope="module")
@@ -71,14 +73,15 @@ def test_eigenforms_command(fixture_files, tmp_path):
     assert (("2", "3"), ("3", "4")) in eigs
 
 
-def eigenforms_stdout(fixture_files, nus):
+def eigenforms_stdout(fixture_files, nus, order=None, primes="2,3,5", seed=None):
     runner = CliRunner()
     out = ""
     for nu in nus:
         res = runner.invoke(main, ["eigenforms",
                                    "--algebra", str(fixture_files / "ramified17.json"),
-                                   "--order", str(fixture_files / "maximal.json"),
-                                   "--nu", nu, "--primes", "2,3,5"])
+                                   "--order", str(order or fixture_files / "maximal.json"),
+                                   "--nu", nu, "--primes", primes]
+                            + (["--seed", seed] if seed else []))
         assert res.exit_code == 0, res.output
         out += res.output
     return out
@@ -94,6 +97,19 @@ def test_eigenforms_stdout_is_pinned_at_nu_3_to_5(fixture_files):
     # irreducible blocks of degree 3 to 8; diffed in the runtime-only CI job too
     pinned = Path(__file__).with_name("data") / "eigenforms_n17_nu345.txt"
     assert eigenforms_stdout(fixture_files, ("3", "4", "5")) == pinned.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("seed", ["3", "5"])
+def test_eigenforms_stdout_is_pinned_at_level_34(fixture_files, seed):
+    # the Eichler side at a non-maximal order: the level-34 order of
+    # tests/data/order_n34.json; the text is basis-free, so the neighbour seeds
+    # 3 and 5 print the same; diffed in the runtime-only CI job too
+    data = Path(__file__).with_name("data")
+    order = json.loads((data / "order_n34.json").read_text(encoding="utf-8"))
+    assert order == lattice_to_obj(level34_order(), "ramified-17")
+    out = eigenforms_stdout(fixture_files, ("0", "1", "2"), order=data / "order_n34.json",
+                            primes="3,5,7", seed=seed)
+    assert out == (data / "eigenforms_n34.txt").read_text(encoding="utf-8")
 
 
 def test_brandt_stdout_is_pinned(fixture_files):

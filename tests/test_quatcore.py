@@ -168,6 +168,35 @@ def assert_same_buckets(want, got):
         assert vs.dtype == got[m].dtype and np.array_equal(vs, got[m])
 
 
+def forced(crossover):
+    """`short_vectors_upto`'s size rule with its crossover patched: at 0 every
+    enumeration runs the numpy kernel, at infinity the Python-int recursion."""
+    return mock.patch.object(quatcore, "_SMALL_ENUMERATION", crossover)
+
+
+def assert_identical_half_shells(want, got):
+    """The same rows in the same order and dtype, the same norms, offsets and den."""
+    assert want.vecs.dtype == got.vecs.dtype and want.vecs.shape == got.vecs.shape
+    if want.vecs.dtype == object:
+        assert want.vecs.tolist() == got.vecs.tolist()
+    else:
+        assert want.vecs.tobytes() == got.vecs.tobytes()
+    assert want.norms.dtype == got.norms.dtype and want.norms.tolist() == got.norms.tolist()
+    assert want.starts.dtype == got.starts.dtype and want.starts.tolist() == got.starts.tolist()
+    assert want.den == got.den
+
+
+def both_strategies(check, *args):
+    """check(*args) with each enumeration strategy forced, returning half shells;
+    the two must be identical.  Returns the numpy kernel's."""
+    with forced(0):
+        kernel = check(*args)
+    with forced(math.inf):
+        recursion = check(*args)
+    assert_identical_half_shells(kernel, recursion)
+    return kernel
+
+
 @pytest.mark.parametrize("huge", [False, True])
 def test_short_vectors_upto_same_buckets_on_a_cache_hit(huge):
     # the level-34 order on int64, and the huge Gram matrix on Python ints
@@ -208,7 +237,8 @@ def test_reduced_gram_cache_entries_are_immutable():
 @given(**GRAM_STRATEGIES)
 @settings(max_examples=60, deadline=None)
 def test_short_vectors_upto_matches_brute_force(a, diag, off, den, max_norm):
-    check_against_brute_force(a, diag, off, den, max_norm)
+    # each strategy against the oracle, and the two identical
+    both_strategies(check_against_brute_force, a, diag, off, den, max_norm)
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7])
@@ -216,11 +246,12 @@ def test_short_vectors_upto_matches_brute_force(a, diag, off, den, max_norm):
 @settings(max_examples=25, deadline=None)
 def test_short_vectors_upto_chunk_boundaries(budget, a, diag, off, den, max_norm):
     # leaf chunks of 1, 3 and 7 leaves (a prefix whose range is longer is a chunk
-    # of its own) split the work only: the same rows come out in the same order
-    whole = check_against_brute_force(a, diag, off, den, max_norm)
-    with mock.patch.object(quatcore, "_LEAF_BUDGET", budget):
+    # of its own) split the numpy kernel's work only: the same rows come out in
+    # the same order as from either strategy whole
+    whole = both_strategies(check_against_brute_force, a, diag, off, den, max_norm)
+    with forced(0), mock.patch.object(quatcore, "_LEAF_BUDGET", budget):
         chunked = check_against_brute_force(a, diag, off, den, max_norm)
-    assert_same_buckets(whole, chunked)
+    assert_identical_half_shells(whole, chunked)
 
 
 def huge_gram(scale):
@@ -238,30 +269,41 @@ def check_huge_entries():
 
 
 def test_short_vectors_upto_huge_entries_use_python_ints():
-    check_huge_entries()
+    both_strategies(check_huge_entries)
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7])
 def test_short_vectors_upto_huge_entries_chunked(monkeypatch, budget):
-    whole = check_huge_entries()
+    whole = both_strategies(check_huge_entries)
     monkeypatch.setattr(quatcore, "_LEAF_BUDGET", budget)
-    assert_same_buckets(whole, check_huge_entries())
+    with forced(0):
+        assert_identical_half_shells(whole, check_huge_entries())
 
 
 @pytest.mark.parametrize("budget", [1, 3, 7, quatcore._LEAF_BUDGET])
 @pytest.mark.parametrize("huge", [False, True])
 def test_short_vectors_upto_below_the_minimum_is_empty(monkeypatch, budget, huge):
     # the bound is positive but no nonzero vector reaches it: R₁ on int64, and
-    # the huge Gram matrix on Python ints
+    # the huge Gram matrix on Python ints; each strategy builds its own empty
+    # result, with the same dtypes
     monkeypatch.setattr(quatcore, "_LEAF_BUDGET", budget)
     if huge:
         scale = 10 ** 20
-        assert short_vectors_upto(huge_gram(scale), scale // 2) == {}
-        assert short_vectors_upto(huge_gram(scale), scale)
+        assert both_strategies(short_vectors_upto, huge_gram(scale), scale // 2) == {}
+        assert both_strategies(short_vectors_upto, huge_gram(scale), scale)
     else:
         r1 = fx.order_r1().gram
-        assert short_vectors_upto(r1, Fraction(1, 2)) == {}
-        assert short_vectors_upto(r1, Fraction(99, 100)) == {}
+        assert both_strategies(short_vectors_upto, r1, Fraction(1, 2)) == {}
+        assert both_strategies(short_vectors_upto, r1, Fraction(99, 100)) == {}
+
+
+@pytest.mark.parametrize("max_norm", [-1, 0])
+@pytest.mark.parametrize("huge", [False, True])
+def test_short_vectors_upto_at_bound_zero_is_empty(max_norm, huge):
+    # bound <= 0 returns before either strategy runs
+    g = huge_gram(10 ** 20) if huge else fx.order_r1().gram
+    half = both_strategies(short_vectors_upto, g, max_norm)
+    assert half == {} and half.vecs.shape == (0, 4)
 
 
 @pytest.mark.parametrize("g", [[[2]], [[Fraction(1, 3)]], [[2, 1], [1, 2]],
@@ -273,7 +315,7 @@ def test_short_vectors_upto_small_dimensions(monkeypatch, g, budget):
     # n = 1, 2, 3: no prefix level, one, and two; with and without size reduction
     monkeypatch.setattr(quatcore, "_LEAF_BUDGET", budget)
     for max_norm in (Fraction(1, 2), 3, Fraction(17, 3)):
-        check_enumeration(g, max_norm)
+        both_strategies(check_enumeration, g, max_norm)
 
 
 def test_isqrt_is_exact_around_squares():
@@ -337,7 +379,7 @@ def test_short_vectors_upto_int64_past_2_52():
     vmax, terms = quatcore._vmax(minors, m, 2 * 120)
     magnitude = quatcore._magnitude(gint, vmax, terms, quatcore._coordinate_bound(u, vmax))
     assert 2 ** 52 <= magnitude < linalg.INT64_SAFE
-    half = check_enumeration(g, 120)
+    half = both_strategies(check_enumeration, g, 120)
     assert half and half.vecs.dtype != object
 
 

@@ -680,6 +680,20 @@ def test_golden_lift_serializes_like_fixture_lift():
         assert golden == dumps_canonical(expansion_to_obj(fx.fixture_lift(bound))), bound
 
 
+def test_golden_lift_engines_take_the_numpy_kernel(monkeypatch):
+    # the published run's three enumerations (R₁'s and I₁₂'s engines to norm 325
+    # and R₁'s row-1 slab) expect thousands of lattice points each: far above
+    # the crossover of the Python-int recursion
+    calls, small_calls = [], []
+    enumerate_upto, small = quatcore.short_vectors_upto, quatcore._small_half_shells
+    monkeypatch.setattr(yoshida, "short_vectors_upto",
+                        lambda g, m: calls.append(1) or enumerate_upto(g, m))
+    monkeypatch.setattr(quatcore, "_small_half_shells",
+                        lambda *args: small_calls.append(1) or small(*args))
+    fx.golden_lift(2600)
+    assert (len(small_calls), len(calls)) == (0, 3)
+
+
 @pytest.mark.parametrize("bound", [2600, 8000])
 def test_golden_lift_float64_tier_equals_the_int64_tier(monkeypatch, einsum_calls, bound):
     # the published lift's rows all fit the float64 tier; forced into int64 they
