@@ -291,7 +291,7 @@ def _int_ldl(g: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     return minors, m
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=128)
 def _reduced_gram(g: tuple[int, ...], n: int):
     """(G', U, Δ, M) of `_gauss_reduce_gram` and `_int_ldl` for the n×n integer Gram
     matrix with flat row-major entries g, as tuples.
@@ -299,7 +299,8 @@ def _reduced_gram(g: tuple[int, ...], n: int):
     Cached per Gram matrix: a pipeline that enumerates the same lattices many
     times (class sets, Brandt matrices) reduces each Gram once.  The entries
     are tuples, so a caller cannot change what a later call reads, and the
-    key is one flat tuple, the smallest hashable form of the matrix.
+    key is one flat tuple, the smallest hashable form of the matrix.  An
+    eichler iteration at levels 17 and 34 meets about 60 distinct ones.
     """
     gint, u = _gauss_reduce_gram([list(g[i:i + n]) for i in range(0, n * n, n)])
     minors, m = _int_ldl(gint)
@@ -1014,8 +1015,10 @@ def class_set(order: Lattice, p_seed: int) -> ClassSet:
         raise UsageError("p_seed must be prime")
     if order.level % p_seed == 0:
         raise UsageError("order is not maximal at p_seed (p_seed divides the level)")
-    # the order itself is the principal class: its basis is a checked lattice basis
+    # the order itself is the principal class: its basis is a checked lattice basis,
+    # and the order is both its left and its right order
     reps: list[Lattice] = [Lattice._of_full_rank(order.algebra, order.basis, "ideal")]
+    reps[0].left_order = reps[0].right_order = order
     # every lattice met so far lies in the class of a rep; a reduced neighbour
     # equal to one of them (same HNF) is in a known class without a test
     met = {reps[0]}
@@ -1028,6 +1031,10 @@ def class_set(order: Lattice, p_seed: int) -> ClassSet:
                 if cand in met:
                     continue
                 met.add(cand)
+                # a neighbour at p_seed ∤ N of a right ideal of the order, left-divided
+                # and scaled: a right ideal of the order again, which
+                # `ideal_equivalent` reads instead of building it
+                cand.right_order = order
                 if not any(ideal_equivalent(cand, known) for known in reps):
                     reps.append(cand)
                     fresh.append(cand)
