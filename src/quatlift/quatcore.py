@@ -1015,10 +1015,11 @@ def class_set(order: Lattice, p_seed: int) -> ClassSet:
         raise UsageError("p_seed must be prime")
     if order.level % p_seed == 0:
         raise UsageError("order is not maximal at p_seed (p_seed divides the level)")
-    # the order itself is the principal class: its basis is a checked lattice basis,
-    # and the order is both its left and its right order
+    # the order itself is the principal class: its basis is a checked lattice basis.
+    # Its right order, built once, is its left order too, and the right order of
+    # every class (the built basis depends on the lattice alone)
     reps: list[Lattice] = [Lattice._of_full_rank(order.algebra, order.basis, "ideal")]
-    reps[0].left_order = reps[0].right_order = order
+    right = reps[0].left_order = reps[0].right_order
     # every lattice met so far lies in the class of a rep; a reduced neighbour
     # equal to one of them (same HNF) is in a known class without a test
     met = {reps[0]}
@@ -1032,9 +1033,9 @@ def class_set(order: Lattice, p_seed: int) -> ClassSet:
                     continue
                 met.add(cand)
                 # a neighbour at p_seed ∤ N of a right ideal of the order, left-divided
-                # and scaled: a right ideal of the order again, which
+                # and scaled: a right ideal of the order again, whose right order
                 # `ideal_equivalent` reads instead of building it
-                cand.right_order = order
+                cand.right_order = right
                 if not any(ideal_equivalent(cand, known) for known in reps):
                     reps.append(cand)
                     fresh.append(cand)

@@ -736,14 +736,15 @@ def test_class_set_builds_each_order_when_asked(monkeypatch):
     monkeypatch.setattr(quatcore, "_integral_preimage_lattice",
                         lambda blocks: calls.append(1) or preimage(blocks))
     cs = class_set(level34_order(), 5)
-    # a left order per class but the principal one, whose orders are the order
-    # itself, as is every reduced neighbour's right order; building those right
-    # orders made 8, a right order per neighbour 29, and both orders of every
-    # lattice 50
+    # the seed ideal's right order, which is its left order and every reduced
+    # neighbour's right order too, and a left order per other class; a right
+    # order per reduced neighbour not met before made 8, a right order per
+    # neighbour 29, and both orders of every lattice 50
     assert cs.h == 4
-    assert len(calls) == cs.h - 1 == 3
-    assert all(ideal.right_order is cs.order for ideal in cs.ideals)
-    assert cs.left_orders[0] is cs.order
+    assert len(calls) == 1 + (cs.h - 1) == 4
+    right = cs.ideals[0].right_order
+    assert right == cs.order and cs.left_orders[0] is right
+    assert all(ideal.right_order is right for ideal in cs.ideals)
 
 
 def _minimal_vector_by_growing_shells(ideal):
