@@ -1,10 +1,10 @@
 """Automorphic forms on quaternion ideal classes and their Hecke theory.
 
-Forms assign to each ideal class a vector in the degree-ν harmonic space,
-invariant under the unit group of the class's left order.  Brandt matrices
-with harmonic weights, at one good prime or as the series B(m) for every m,
-from one block rule; the weighted inner product, Atkin-Lehner involutions,
-essential parts and exact simultaneous eigenform decomposition.
+Forms assign to each ideal class a vector in the degree-ν harmonic space, invariant
+under the unit group of the class's left order: one `FormSpace` per (class set, ν).
+Brandt matrices with harmonic weights, at one good prime or as the series B(m), from
+one block rule on the cross lattices' cached half shells; the weighted inner product,
+Atkin-Lehner involutions, essential parts and exact simultaneous eigenform decomposition.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from . import linalg
 from .harmonic import HarmSpace, default_frame, integral_tau_matrix, tau_matrix_sum
 from .polyfactor import factor_rational
 from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, _is_prime, _prime_factors,
-                       class_set, short_vectors_upto, superorders, transporters,
-                       two_sided_ideal)
+                       class_set, superorders, transporters, two_sided_ideal)
 
 
 @dataclass
@@ -55,17 +54,20 @@ def constant_form(cs: ClassSet) -> AutomorphicForm:
 
 
 class FormSpace:
-    """The space of degree-ν forms on a class set, with unit-invariance built in."""
+    """The unit-invariant degree-ν forms on a class set; one per (cs, ν), in `cs.form_spaces`."""
 
-    def __init__(self, cs: ClassSet, nu: int):
-        self.cs = cs
-        self.nu = nu
-        self.frame = default_frame(cs.order.algebra)
-        self.space = HarmSpace(nu, self.frame)
-        self.class_bases = [self._invariant_basis(order) for order in cs.left_orders]
-        self.dim = sum(len(b) for b in self.class_bases)
-        self._right_inverses = [linalg.right_inverse(cb) if cb else None
-                                for cb in self.class_bases]
+    def __new__(cls, cs: ClassSet, nu: int) -> "FormSpace":
+        if nu not in cs.form_spaces:
+            self = super().__new__(cls)
+            self.cs, self.nu = cs, nu
+            self.frame = default_frame(cs.order.algebra)
+            self.space = HarmSpace(nu, self.frame)
+            self.class_bases = [self._invariant_basis(order) for order in cs.left_orders]
+            self.dim = sum(len(b) for b in self.class_bases)
+            self._right_inverses = [linalg.right_inverse(cb) if cb else None
+                                    for cb in self.class_bases]
+            cs.form_spaces[nu] = self
+        return cs.form_spaces[nu]
 
     def _invariant_basis(self, order: Lattice) -> linalg.Matrix:
         eye = linalg.identity(self.space.dim)
@@ -153,32 +155,38 @@ def _require_good_prime(cs: ClassSet, p: int) -> None:
         raise UsageError(f"{p} divides the level {cs.order.level}")
 
 
+def _require_level_prime(cs: ClassSet, q: int) -> None:
+    if not _is_prime(q) or cs.order.level % q:
+        raise UsageError(f"{q} is not a prime dividing the level {cs.order.level}")
+
+
 def _require_space(cs: ClassSet, nu: int, space: FormSpace | None,
                    *forms: AutomorphicForm) -> None:
-    """Refuse a space or form of another class set or degree ν, before anything is cached."""
+    """Refuse a space or form of another class set or degree ν, before anything is cached.
+    A space that passes is FormSpace(cs, ν), the one the code reads."""
     if (space is not None and (space.cs is not cs or space.nu != nu)
             or any(phi.h != cs.h or phi.nu != nu for phi in forms)):
         raise UsageError(f"the space and forms must be of degree {nu} on this class set")
 
 
-def _brandt_blocks(cs: ClassSet, nu: int, space: FormSpace | None, norms, shells) -> None:
+def _brandt_blocks(cs: ClassSet, nu: int, norms) -> None:
     """B^{(ν)}(m) at each m of `norms`, into `cs.brandt_blocks` at (m, ν): the one block rule.
 
     Block (i, j) is (1/e_j)·Σ_{x, q(x)=m} of P ↦ P(x̄·z·x)/n₀^ν over cross_lattice(j, i),
     left order R_i and right order R_j: the convention under which (T̃φ)(y_i) =
-    Σ_j B_ij·φ(y_j) keeps unit-group invariance.  `shells(j, i)` maps a norm to its
-    half bucket of that lattice, doubled since τ(−x) = τ(x).  Only the blocks with
+    Σ_j B_ij·φ(y_j) keeps unit-group invariance.  x runs over the lattice's half
+    shell H_m (`cs.cross_shells`), doubled since τ(−x) = τ(x).  Only the blocks with
     i ≤ j are summed: T̃ is self-adjoint for the inner product weighted by 1/e_i, so
     B_ji = (e_j/e_i)·P·B_ijᵗ·P⁻¹, P the pairing on U_ν (Pizer, J. Algebra 64, 1980).
     """
-    harm = space.space if space else HarmSpace(nu, default_frame(cs.order.algebra))
+    harm = FormSpace(cs, nu).space
     pairing = harm.pairing_matrix
     unpairing = linalg.inverse(pairing)
     e, empty = cs.unit_counts, np.zeros((0, 4), dtype=np.int64)
     blocks = {m: [[None] * cs.h for _ in range(cs.h)] for m in norms}
     for i in range(cs.h):
         for j in range(i, cs.h):
-            cross, buckets = cs.cross_lattice(j, i), shells(j, i)
+            cross, buckets = cs.cross_lattice(j, i), cs.cross_shells(j, i, max(norms))
             scale = Fraction(2, e[j]) / cross.norm_scale ** nu
             for m, b in blocks.items():
                 b[i][j] = tau_matrix_sum(cross, buckets.get(m, empty), harm) * scale
@@ -188,11 +196,11 @@ def _brandt_blocks(cs: ClassSet, nu: int, space: FormSpace | None, norms, shells
 
 
 def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None) -> BrandtMatrix:
-    """B^{(ν)}(p) at a good prime p, on the norm-p buckets `cs.cross_vectors`; cached."""
+    """B^{(ν)}(p) at a good prime p, on the cross lattices' cached half shells; cached."""
     _require_good_prime(cs, p)
     _require_space(cs, nu, space)
     if (p, nu) not in cs.brandt_blocks:
-        _brandt_blocks(cs, nu, space, [p], lambda a, b: {p: cs.cross_vectors(a, b, p)})
+        _brandt_blocks(cs, nu, [p])
     return cs.brandt_blocks[p, nu]
 
 
@@ -200,20 +208,19 @@ def brandt_series(cs: ClassSet, nu: int, bound: int) -> list[BrandtMatrix]:
     """[B^{(ν)}(1), …, B^{(ν)}(bound)] from one enumeration of each summed cross lattice.
 
     Each B(m), at the level's primes too, is cached under (m, ν) with the
-    `brandt_matrix` blocks; `verify.brandt_series_failures` checks the relations.
+    `brandt_matrix` blocks, and every ν reads the same shells;
+    `verify.brandt_series_failures` checks the relations.
     """
     norms = [m for m in range(1, bound + 1) if (m, nu) not in cs.brandt_blocks]
     if norms:
-        _brandt_blocks(cs, nu, None, norms, lambda a, b: short_vectors_upto(
-            cs.cross_lattice(a, b).normalized_gram(), bound))
+        _brandt_blocks(cs, nu, norms)
     return [cs.brandt_blocks[m, nu] for m in range(1, bound + 1)]
 
 
-def inner_product(phi: AutomorphicForm, psi: AutomorphicForm, cs: ClassSet,
-                  space: FormSpace | None = None) -> Fraction:
+def inner_product(phi: AutomorphicForm, psi: AutomorphicForm, cs: ClassSet) -> Fraction:
     """⟨φ, ψ⟩ = Σ_i ⟨⟨φ(y_i), ψ(y_i)⟩⟩ / e_i."""
-    _require_space(cs, phi.nu, space, phi, psi)
-    space = space or FormSpace(cs, phi.nu)
+    _require_space(cs, phi.nu, None, phi, psi)
+    space = FormSpace(cs, phi.nu)
     total = Fraction(0)
     for i in range(cs.h):
         total += space.space.pair_coords(phi.values[i], psi.values[i]) / cs.unit_counts[i]
@@ -293,7 +300,7 @@ def _involution_route(ideals: list[Lattice], tsp: Lattice, q: int):
     return routing
 
 
-def atkin_lehner(cs: ClassSet, nu: int, q: int, space: FormSpace | None = None) -> BrandtMatrix:
+def atkin_lehner(cs: ClassSet, nu: int, q: int) -> BrandtMatrix:
     """w̃_q: right translation by the norm-q normalizer, via the two-sided ideal.
 
     (w̃_q φ)(y_i) = τ(γ)·φ(y_j)/n(γ)^ν where I_i·P_q = γ·I_j; applying it twice
@@ -303,41 +310,36 @@ def atkin_lehner(cs: ClassSet, nu: int, q: int, space: FormSpace | None = None) 
     of every route, derived ones included, are computed once per
     (class set, q, ν).
     """
-    if cs.order.level % q != 0:
-        raise UsageError(f"{q} does not divide the level {cs.order.level}")
-    _require_space(cs, nu, space)
+    _require_level_prime(cs, q)
     if q not in cs.al_routes:
         cs.al_routes[q] = _involution_route(cs.ideals, two_sided_ideal(cs.order, q), q)
     if (q, nu) not in cs.al_blocks:
-        space = space or FormSpace(cs, nu)
-        cs.al_blocks[q, nu] = BrandtMatrix(q, nu, _transport_blocks(cs.al_routes[q], space))
+        cs.al_blocks[q, nu] = BrandtMatrix(q, nu, _transport_blocks(cs.al_routes[q],
+                                                                    FormSpace(cs, nu)))
     return cs.al_blocks[q, nu]
 
 
 def orthogonal_complement(forms: list[AutomorphicForm], within: list[AutomorphicForm],
-                          cs: ClassSet, space: FormSpace | None = None) -> list[AutomorphicForm]:
+                          cs: ClassSet) -> list[AutomorphicForm]:
     """Basis of {ψ ∈ span(within) : ⟨ψ, φ⟩ = 0 for all φ in forms}."""
     if not forms or not within:
         return list(within)
-    space = space or FormSpace(cs, within[0].nu)
-    rows = [[inner_product(psi, phi, cs, space) for phi in forms] for psi in within]
+    rows = [[inner_product(psi, phi, cs) for phi in forms] for psi in within]
     return [functools.reduce(AutomorphicForm.add, (psi.scale(c) for c, psi in zip(v, within)))
             for v in linalg.nullspace(linalg.transpose(rows))]
 
 
-def essential_part(forms: list[AutomorphicForm], cs: ClassSet, p: int,
-                   space: FormSpace | None = None) -> list[AutomorphicForm]:
+def essential_part(forms: list[AutomorphicForm], cs: ClassSet, p: int) -> list[AutomorphicForm]:
     """Forms orthogonal to every pullback from an order strictly larger at p.
 
     At a ramified p the local order is maximal: there is no superorder, and the
-    input space is returned unchanged.  Each superorder's class set and the
-    routing of the classes of cs into it are computed once per class set; the
-    pulled-back forms are computed per call.
+    input space is returned unchanged.  Each superorder's class set, with its
+    form spaces, and the routing of the classes of cs into it are computed once
+    per class set; the pulled-back forms are computed per call.
     """
+    _require_level_prime(cs, p)
     if not forms:
         return []
-    if cs.order.level % p != 0:
-        raise UsageError(f"{p} does not divide the level {cs.order.level}")
     nu = forms[0].nu
     pullbacks = []
     for sup in superorders(cs.order, p):
@@ -347,7 +349,7 @@ def essential_part(forms: list[AutomorphicForm], cs: ClassSet, p: int,
         sup_space = FormSpace(sup_cs, nu)
         pullback = BrandtMatrix(p, nu, _transport_blocks(routing, sup_space))
         pullbacks += [pullback.apply(phi) for phi in sup_space.basis_forms()]
-    return orthogonal_complement(pullbacks, forms, cs, space)
+    return orthogonal_complement(pullbacks, forms, cs)
 
 
 def _superorder_route(cs: ClassSet, sup: Lattice):
@@ -484,12 +486,12 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     for p in primes:
         _require_good_prime(cs, p)
     _require_space(cs, nu, space)
-    space = space or FormSpace(cs, nu)
+    space = FormSpace(cs, nu)
     if space.dim == 0:
         return []
     level_primes = sorted(set(_prime_factors(cs.order.level)))
-    inv_ops = {q: space.matrix_of(atkin_lehner(cs, nu, q, space)) for q in level_primes}
-    brandt_ops = {p: space.matrix_of(brandt_matrix(cs, nu, p, space)) for p in primes}
+    inv_ops = {q: space.matrix_of(atkin_lehner(cs, nu, q)) for q in level_primes}
+    brandt_ops = {p: space.matrix_of(brandt_matrix(cs, nu, p)) for p in primes}
     factor = _charpoly_factorer()
     subspaces = [linalg.identity(space.dim)]
     for q in level_primes:

@@ -14,7 +14,7 @@ import click
 
 from . import fixture as fx
 from . import serialize as ser
-from .brandt import FormSpace, brandt_matrix, eigenforms
+from .brandt import brandt_matrix, eigenforms
 from .quatcore import class_set
 from .siegelhecke import (PoleError, eigenvalue_extract, hecke_Tp, lambda_N,
                           rankin_selberg_local, standard_L_local)
@@ -79,7 +79,7 @@ def brandt_cmd(algebra_path, order_path, nu, p, seed, out_path):
     _, order = _load_order(algebra_path, order_path)
     with _library_errors():
         cs = class_set(order, seed)
-        bm = brandt_matrix(cs, nu, p, FormSpace(cs, nu))
+        bm = brandt_matrix(cs, nu, p)
     obj = {
         "prime": p,
         "nu": nu,
@@ -120,7 +120,7 @@ def eigenforms_cmd(algebra_path, order_path, nu, primes, seed, out_path):
     _, order = _load_order(algebra_path, order_path)
     with _library_errors():
         cs = class_set(order, seed)
-        comps = eigenforms(cs, nu, primes, FormSpace(cs, nu))
+        comps = eigenforms(cs, nu, primes)
     payload = []
     for comp in comps:
         entry = {

@@ -149,7 +149,6 @@ def fixture_class_set() -> ClassSet:
     return cs
 
 
-@lru_cache(maxsize=None)
 def fixture_space(nu: int) -> FormSpace:
     return FormSpace(fixture_class_set(), nu)
 
@@ -183,6 +182,5 @@ def golden_lift(bound: int, singular_bound: int | None = None,
 def fixture_lift(bound: int, singular_bound: int | None = None) -> FourierExpansionSiegel2:
     """The same expansion assembled through the eigenform pipeline, scaled to match."""
     cs = fixture_class_set()
-    lifted = yoshida2(cs, phi1(), phi2(), bound, space1=fixture_space(1),
-                      singular_bound=singular_bound)
+    lifted = yoshida2(cs, phi1(), phi2(), bound, singular_bound=singular_bound)
     return lifted.scale(LIFT_SCALE)

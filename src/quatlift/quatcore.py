@@ -939,10 +939,10 @@ def reduce_right_ideal(ideal: Lattice, order: Lattice) -> Lattice:
 class ClassSet:
     """Right ideal classes of an order, with unit counts and cross lattices.
 
-    Cross lattices, their norm-p vectors, the Brandt blocks at each (m, ν), the
-    series stacked for `yoshida1`, the Atkin–Lehner routing at each q, the
-    Atkin–Lehner blocks at each (q, ν), and each superorder's class set with
-    the routing into it are computed once per class set and then read.
+    Cross lattices and their half shells, the form space at each ν, the Brandt
+    blocks at each (m, ν), the series stacked for `yoshida1`, the Atkin–Lehner
+    routing at each q and blocks at each (q, ν), and each superorder's class set
+    with the routing into it are computed once per class set and then read.
     """
 
     def __init__(self, order: Lattice, ideals: list[Lattice]):
@@ -951,7 +951,9 @@ class ClassSet:
         self.left_orders = [i.left_order for i in ideals]
         self.unit_counts = [o.unit_count() for o in self.left_orders]
         self._cross: dict[tuple[int, int], Lattice] = {}
-        self._cross_vectors: dict[tuple[int, int, int], np.ndarray] = {}
+        self._shells: dict[tuple[int, int], tuple[int, HalfShells]] = {}
+        # filled by brandt.FormSpace: the space of degree-ν forms at ν
+        self.form_spaces: dict[int, object] = {}
         # filled by brandt.atkin_lehner: the routing at q, and the blocks at (q, ν)
         self.al_routes: dict[int, list] = {}
         self.al_blocks: dict[tuple[int, int], object] = {}
@@ -979,18 +981,15 @@ class ClassSet:
             self._cross[key] = lat
         return self._cross[key]
 
-    def cross_vectors(self, i: int, j: int, p: int) -> np.ndarray:
-        """Read-only k×4 half bucket of the cross_lattice(i, j) vectors of normalized
-        norm p: one of each ±x."""
-        key = (i, j, p)
-        if key not in self._cross_vectors:
-            gram = self.cross_lattice(i, j).normalized_gram()
-            vecs = short_vectors_upto(gram, p).get(p)
-            # a copy: the bucket is a view of every vector up to norm p
-            vecs = np.zeros((0, 4), dtype=np.int64) if vecs is None else vecs.copy()
-            vecs.flags.writeable = False
-            self._cross_vectors[key] = vecs
-        return self._cross_vectors[key]
+    def cross_shells(self, i: int, j: int, max_norm: int) -> HalfShells:
+        """cross_lattice(i, j)'s half shells to at least max_norm, with read-only rows:
+        one enumeration, rerun only to a larger norm than any asked for before."""
+        key = (i, j)
+        if key not in self._shells or self._shells[key][0] < max_norm:
+            shells = short_vectors_upto(self.cross_lattice(i, j).normalized_gram(), max_norm)
+            shells.vecs.flags.writeable = False
+            self._shells[key] = (max_norm, shells)
+        return self._shells[key][1]
 
 
 # each class has p+1 neighbours, each reduced, and each one not met before tested

@@ -79,26 +79,25 @@ def check_eichler_side(report: Report) -> dict:
     """Record the Eichler-side checks; returns the Brandt eigenvalues {ν: {p: λ}}."""
     crit = "eichler side"
     cs = fx.fixture_class_set()
-    sp0, sp1 = fx.fixture_space(0), fx.fixture_space(1)
     phi2, phi1 = fx.phi2(), fx.phi1()
     one = constant_form(cs)
-    report.check(crit, "<phi2, 1> = 0", inner_product(phi2, one, cs, sp0) == 0)
-    report.check(crit, "<phi2, phi2> = 2", inner_product(phi2, phi2, cs, sp0) == 2)
+    report.check(crit, "<phi2, 1> = 0", inner_product(phi2, one, cs) == 0)
+    report.check(crit, "<phi2, phi2> = 2", inner_product(phi2, phi2, cs) == 2)
     for p in (2, 3, 5):
-        sums = brandt_matrix(cs, 0, p, sp0).row_sums()
+        sums = brandt_matrix(cs, 0, p).row_sums()
         report.check(crit, f"B(0)({p}) row sums = {p + 1}",
                      all(s == p + 1 for s in sums), f"sums={[str(s) for s in sums]}")
     eig = {}
-    for nu, (phi, space) in enumerate(((phi2, sp0), (phi1, sp1))):
+    for nu, phi in enumerate((phi2, phi1)):
         # λ(p) = ⟨φ, T̃(p)φ⟩/⟨φ, φ⟩, read off the degree-1 lift, then checked
-        y = yoshida1(cs, phi, phi, 5, space)
+        y = yoshida1(cs, phi, phi, 5)
         eig[nu] = vals = {p: y.coefficient(p) / y.coefficient(1) for p in (2, 3, 5)}
-        ok_eigen = all(brandt_matrix(cs, nu, p, space).apply(phi).values == phi.scale(lam).values
+        ok_eigen = all(brandt_matrix(cs, nu, p).apply(phi).values == phi.scale(lam).values
                        for p, lam in vals.items())
         report.check(crit, f"phi{2 - nu} simultaneous Brandt eigenform",
                      ok_eigen, f"eigenvalues={ {p: str(v) for p, v in vals.items()} }")
-    w17 = atkin_lehner(cs, 1, 17, sp1)
-    w2 = atkin_lehner(cs, 0, 17, sp0).apply(phi2)
+    w17 = atkin_lehner(cs, 1, 17)
+    w2 = atkin_lehner(cs, 0, 17).apply(phi2)
     w1 = w17.apply(phi1)
     report.check(crit, "equal involution eigenvalues under w17 (both +1)",
                  w2.values == phi2.values and w1.values == phi1.values)
@@ -123,7 +122,7 @@ def brandt_series_failures(cs: ClassSet, nu: int, bound: int) -> list[str]:
     # B(q) is not ±q^ν·w_q
     failures += [f"B({q}) = {q}^ν·w_{q}" for q in sorted(set(_prime_factors(level)))
                  if q <= bound and is_ramified(cs.order, q)
-                 and b[q] != space.matrix_of(atkin_lehner(cs, nu, q, space)) * q ** nu]
+                 and b[q] != space.matrix_of(atkin_lehner(cs, nu, q)) * q ** nu]
     return [f"ν={nu}: {f}" for f in failures]
 
 
@@ -251,10 +250,9 @@ def check_property_suites(report: Report) -> None:
     witness = next((m for m in range(1, 21) if theta[0][m - 1] != theta[1][m - 1]), None)
     report.check(crit, "theta series of R1 and R2 differ at some m ≤ 20",
                  witness is not None, f"witness m={witness}")
-    sp0 = fx.fixture_space(0)
-    y0 = yoshida1(cs, constant_form(cs), fx.phi2(), 20, sp0)
+    y0 = yoshida1(cs, constant_form(cs), fx.phi2(), 20)
     report.check(crit, "degree-1 lift of distinct eigenforms vanishes", y0.is_zero())
-    y1 = yoshida1(cs, fx.phi2(), fx.phi2(), 20, sp0)
+    y1 = yoshida1(cs, fx.phi2(), fx.phi2(), 20)
     report.check(crit, "degree-1 lift realizes the Hecke eigenvalue at p=2",
                  y1.coefficient(2) / y1.coefficient(1) == Fraction(-1))
 

@@ -252,6 +252,8 @@ class QExpansion:
     """Finite q-expansion m ↦ a(m) with weight and level metadata."""
 
     def __init__(self, weight: int, level: int, bound: int, coeffs=None):
+        if bound < 0:
+            raise ValueError(f"negative bound {bound}")
         self.weight = weight
         self.level = level
         self.bound = bound
@@ -259,6 +261,8 @@ class QExpansion:
         for m, v in (coeffs or {}).items():
             v = Fraction(v)
             if v:
+                if not 0 <= m <= bound:
+                    raise ValueError(f"coefficient {m} outside 0…{bound}")
                 self.coeffs[int(m)] = v
 
     def coefficient(self, m: int) -> Fraction:
@@ -295,12 +299,9 @@ class ThetaEngine:
         if max_norm < 0:
             raise ValueError(f"negative enumeration bound {max_norm}")
         g = lattice.normalized_gram()
-        for row in g:
-            for x in row:
-                if Fraction(x).denominator != 1:
-                    raise ValueError("normalized Gram matrix is not integral")
+        assert g.den == 1  # 2N/g with g = gcd(N_ii, 2·N_ij) is always integral
         self.lattice = lattice
-        self.gram = np.array([[int(x) for x in row] for row in g], dtype=np.int64)
+        self.gram = g.num.astype(np.int64)
         self.max_norm = max_norm
         # one of each pair ±x per norm; the weights of bidegree (ν, ν) change by
         # (−1)^ν under x ↦ −x, so the half shells carry every pair sum.  The
@@ -615,7 +616,7 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     nu1 = phi1.nu
     _require_space(cs, nu1, space1, phi1)
     _require_space(cs, 0, None, phi2)
-    space1 = space1 or FormSpace(cs, nu1)
+    harm = FormSpace(cs, nu1).space
     terms = []
     for i in range(cs.h):
         if not any(phi1.values[i]):
@@ -625,7 +626,7 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
             if not wj:
                 continue
             cross = cs.cross_lattice(i, j)
-            weight = lift_matrix_deg2(space1.space, phi1.values[i], cross)
+            weight = lift_matrix_deg2(harm, phi1.values[i], cross)
             if not weight.num.any():
                 continue
             scale = wj / (Fraction(cs.unit_counts[i] * cs.unit_counts[j])
@@ -634,8 +635,8 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     return theta_lift(terms, nu1, cs.order.level, bound, singular_bound)
 
 
-def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: int,
-             space: FormSpace | None = None) -> QExpansion:
+def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm,
+             bound: int) -> QExpansion:
     """Degree-1 lift a(m) = ⟨φ₁, T̃(m)·φ₂⟩, a matrix coefficient of `brandt_series`.
 
     With w_i = φ₁(y_i)·P/e_i, a(m) = Σ_ij φ₂(y_j)·B_ij(m)·w_iᵗ for every m ≥ 1 is one
@@ -645,9 +646,11 @@ def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     """
     if phi1.nu != phi2.nu:
         raise UsageError("degree-1 lift requires equal harmonic degrees")
+    if bound < 0:
+        raise ValueError(f"negative bound {bound}")
     nu = phi1.nu
-    _require_space(cs, nu, space, phi1, phi2)
-    space = space or FormSpace(cs, nu)
+    _require_space(cs, nu, None, phi1, phi2)
+    space = FormSpace(cs, nu)
     coeffs = {}
     if bound >= 1:
         if (nu, bound) not in cs.series_rows:
@@ -661,7 +664,7 @@ def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
         coeffs = dict(enumerate(a.T[0], start=1))
     if nu == 0:
         one = constant_form(cs)
-        coeffs[0] = inner_product(phi1, one, cs, space) * inner_product(one, phi2, cs, space)
+        coeffs[0] = inner_product(phi1, one, cs) * inner_product(one, phi2, cs)
     return QExpansion(2 + 2 * nu, cs.order.level, bound, coeffs)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from quatlift.brandt import (AutomorphicForm, FormSpace, atkin_lehner, brandt_ma
 from quatlift.harmonic import integral_tau_matrix, tau_matrix_sum
 from quatlift.quatcore import (ClassSet, UsageError, class_set, is_ramified,
                                short_vectors, short_vectors_upto, superorders)
+from quatlift.yoshida import yoshida1
 from helpers import level34_order
 
 
@@ -95,18 +97,18 @@ def test_tau_matrix_sum_large_entries_use_python_ints(class_set_17):
     assert big == _per_vector_sum(cross.scale(k), vecs, u)
 
 
-def test_inner_products(class_set_17, space0):
+def test_inner_products(class_set_17):
     phi2 = fx.phi2()
     one = constant_form(class_set_17)
-    assert inner_product(phi2, one, class_set_17, space0) == 0
-    assert inner_product(phi2, phi2, class_set_17, space0) == 2
-    assert inner_product(one, one, class_set_17, space0) == Fraction(2, 3)
+    assert inner_product(phi2, one, class_set_17) == 0
+    assert inner_product(phi2, phi2, class_set_17) == 2
+    assert inner_product(one, one, class_set_17) == Fraction(2, 3)
 
 
-def test_inner_product_shape_mismatch(class_set_17, space0):
+def test_inner_product_shape_mismatch(class_set_17):
     phi2 = fx.phi2()
     with pytest.raises(UsageError):
-        inner_product(phi2, fx.phi1(), class_set_17, space0)
+        inner_product(phi2, fx.phi1(), class_set_17)
 
 
 def test_self_adjointness(class_set_17, space1):
@@ -115,8 +117,8 @@ def test_self_adjointness(class_set_17, space1):
         bm = brandt_matrix(class_set_17, 1, p, space1)
         for phi in basis:
             for psi in basis:
-                assert inner_product(bm.apply(phi), psi, class_set_17, space1) == \
-                    inner_product(phi, bm.apply(psi), class_set_17, space1)
+                assert inner_product(bm.apply(phi), psi, class_set_17) == \
+                    inner_product(phi, bm.apply(psi), class_set_17)
 
 
 def test_brandt_matrices_commute(class_set_17, space1):
@@ -127,18 +129,18 @@ def test_brandt_matrices_commute(class_set_17, space1):
 
 
 def test_brandt_commutes_with_involution(class_set_17, space1):
-    al = space1.matrix_of(atkin_lehner(class_set_17, 1, 17, space1))
+    al = space1.matrix_of(atkin_lehner(class_set_17, 1, 17))
     assert al @ al == linalg.identity(space1.dim)
     for p in (2, 3):
         bp = space1.matrix_of(brandt_matrix(class_set_17, 1, p, space1))
         assert al @ bp == bp @ al
 
 
-def test_atkin_lehner_involution(class_set_17, space0, space1):
-    w0 = atkin_lehner(class_set_17, 0, 17, space0)
+def test_atkin_lehner_involution(class_set_17):
+    w0 = atkin_lehner(class_set_17, 0, 17)
     phi2 = fx.phi2()
     assert w0.apply(phi2).values == phi2.values  # eigenvalue +1
-    w1 = atkin_lehner(class_set_17, 1, 17, space1)
+    w1 = atkin_lehner(class_set_17, 1, 17)
     phi1 = fx.phi1()
     assert w1.apply(phi1).values == phi1.values
     assert w1.apply(w1.apply(phi1)).values == phi1.values
@@ -147,9 +149,18 @@ def test_atkin_lehner_involution(class_set_17, space0, space1):
     assert atkin_lehner(class_set_17, 1, 17) is w1  # built once per (class set, q, ν)
 
 
-def test_atkin_lehner_bad_prime(class_set_17, space0):
+def test_atkin_lehner_bad_prime(class_set_17):
     with pytest.raises(UsageError):
-        atkin_lehner(class_set_17, 0, 5, space0)
+        atkin_lehner(class_set_17, 0, 5)
+
+
+@pytest.mark.parametrize("q", [0, 1, 4])
+def test_a_q_that_is_not_a_prime_of_the_level_is_refused(class_set_17, cs34, q):
+    for cs in (class_set_17, cs34):
+        with pytest.raises(UsageError, match="not a prime dividing the level"):
+            atkin_lehner(cs, 0, q)
+        with pytest.raises(UsageError, match="not a prime dividing the level"):
+            essential_part([constant_form(cs)], cs, q)
 
 
 def test_transport_outside_the_unit_coset_is_rejected(class_set_17, monkeypatch):
@@ -165,7 +176,7 @@ def test_transport_outside_the_unit_coset_is_rejected(class_set_17, monkeypatch)
 
     monkeypatch.setattr(brandt, "transporters", with_stray)
     with pytest.raises(ValueError, match="transport depends on the realizing element"):
-        atkin_lehner(cs, 1, 17, FormSpace(cs, 1))
+        atkin_lehner(cs, 1, 17)
 
 
 def _al_class_sets(class_set_17, cs34):
@@ -216,7 +227,7 @@ def test_involution_split_matches_the_charpoly_split(cs34):
         space = FormSpace(cs34, nu)
         subspaces = [linalg.identity(space.dim)]
         for q in (2, 17):
-            op = space.matrix_of(atkin_lehner(cs34, nu, q, space))
+            op = space.matrix_of(atkin_lehner(cs34, nu, q))
             split = brandt._split_by_involution(subspaces, op)
             assert split == brandt._split_by_operator(subspaces, op, factor)
             subspaces = split
@@ -239,6 +250,22 @@ def test_involution_split_is_the_two_eigenspaces():
 
 def test_form_spaces_share_one_frame(class_set_17):
     assert FormSpace(class_set_17, 0).frame is FormSpace(class_set_17, 2).frame
+
+
+def test_one_form_space_per_class_set_and_degree(class_set_17):
+    cs = ClassSet(class_set_17.order, class_set_17.ideals)
+    space = FormSpace(cs, 1)
+    assert FormSpace(cs, 1) is space and cs.form_spaces == {1: space}
+    assert FormSpace(cs, 2) is not space
+    other = FormSpace(ClassSet(cs.order, cs.ideals), 1)
+    assert other is not space and other.class_bases == space.class_bases
+
+
+@pytest.mark.parametrize("function", [inner_product, orthogonal_complement, essential_part,
+                                      atkin_lehner, yoshida1, brandt._brandt_blocks])
+def test_space_argument_is_gone(function):
+    # the space is FormSpace(cs, ν), worked out from the class set and the degree
+    assert not any("space" in name for name in inspect.signature(function).parameters)
 
 
 def test_ramanujan_bound(class_set_17, space0, space1):
@@ -294,12 +321,11 @@ def test_eigenforms_reject_level_prime(class_set_17, space0):
 
 def test_essential_part_fixture_branches(class_set_17, space0):
     basis = space0.basis_forms()
-    full = essential_part(basis, class_set_17, 17, space0)
+    full = essential_part(basis, class_set_17, 17)
     assert len(full) == len(basis)
-    assert essential_part([], class_set_17, 17, space0) == []
+    assert essential_part([], class_set_17, 17) == []
     # complement of the constants is spanned by phi2
-    comp = orthogonal_complement([constant_form(class_set_17)], basis,
-                                 class_set_17, space0)
+    comp = orthogonal_complement([constant_form(class_set_17)], basis, class_set_17)
     assert len(comp) == 1
     phi2 = fx.phi2()
     ratio = comp[0].values[0][0] / phi2.values[0][0]
@@ -329,26 +355,29 @@ def test_level34_brandt_enumerates_each_cross_lattice_once(cs34, monkeypatch):
     monkeypatch.setattr(quatcore, "short_vectors_upto",
                         lambda g, m: calls.append(m) or enumerate_upto(g, m))
     got = [brandt_matrix(cs, nu, p, spaces[nu]).blocks for nu in range(3)]
-    # one bucket per cross lattice (j, i) with i ≤ j, shared by every ν: the blocks
+    # one enumeration per cross lattice (j, i) with i ≤ j, shared by every ν: the blocks
     # below the diagonal come from those above by adjointness, so h² became h(h+1)/2
     assert calls == [p] * (cs.h * (cs.h + 1) // 2)
-    bucket = cs.cross_vectors(0, 1, p)
-    assert not bucket.flags.writeable
+    assert not cs.cross_shells(1, 0, p).vecs.flags.writeable
+    assert len(calls) == cs.h * (cs.h + 1) // 2
     for nu in range(3):
         fresh = ClassSet(cs34.order, cs34.ideals)
         assert got[nu] == brandt_matrix(fresh, nu, p, FormSpace(fresh, nu)).blocks
 
 
 def _brandt_blocks_summed(cs, nu, p, space):
-    """Every block of B^{(ν)}(p) by its own τ-sum: the reference for the blocks
-    below the diagonal, which brandt_matrix derives from those above it."""
+    """Every block of B^{(ν)}(p) by its own τ-sum over its own enumeration: the
+    reference for the blocks below the diagonal, which brandt_matrix derives
+    from those above it."""
     blocks = []
     for i in range(cs.h):
         row = []
         for j in range(cs.h):
             cross = cs.cross_lattice(j, i)
             scale = Fraction(2, cs.unit_counts[j]) / cross.norm_scale ** nu
-            row.append(tau_matrix_sum(cross, cs.cross_vectors(j, i, p), space.space) * scale)
+            vecs = short_vectors_upto(cross.normalized_gram(), p).get(
+                p, np.zeros((0, 4), dtype=np.int64))
+            row.append(tau_matrix_sum(cross, vecs, space.space) * scale)
         blocks.append(row)
     return blocks
 
@@ -372,6 +401,24 @@ def test_brandt_blocks_equal_their_tau_sums(case):
         for p in primes:
             assert brandt_matrix(cs, nu, p, space).blocks == \
                 _brandt_blocks_summed(cs, nu, p, space), (nu, p)
+
+
+@pytest.mark.parametrize("level", [17, 34])
+def test_brandt_series_enumerates_each_cross_lattice_once_for_every_degree(level,
+                                                                          monkeypatch):
+    cs = _fresh(level)
+    calls = []
+    enumerate_upto = quatcore.short_vectors_upto
+    monkeypatch.setattr(quatcore, "short_vectors_upto",
+                        lambda g, m: calls.append(m) or enumerate_upto(g, m))
+    for nu in range(4):
+        brandt_series(cs, nu, 20)
+    # the half shells of each summed cross lattice (j, i), i ≤ j, serve every ν
+    assert calls == [20] * (cs.h * (cs.h + 1) // 2)
+    # new blocks at a new degree, on the shells already enumerated past 7
+    assert (7, 4) not in cs.brandt_blocks
+    brandt_matrix(cs, 4, 7)
+    assert len(calls) == cs.h * (cs.h + 1) // 2
 
 
 def _series_summed(cs, nu, bound):
@@ -440,8 +487,8 @@ def test_brandt_series_certificate_rejects_sums_over_the_other_cross_lattice(lev
 
 @pytest.mark.parametrize("level", sorted(SERIES_LEVELS))
 def test_brandt_series_certificate_rejects_a_negated_involution_block(level, monkeypatch):
-    def negated(cs, nu, q, space=None):
-        w = atkin_lehner(cs, nu, q, space)
+    def negated(cs, nu, q):
+        w = atkin_lehner(cs, nu, q)
         blocks = [list(row) for row in w.blocks]
         i, j = next((i, j) for i, row in enumerate(blocks) for j, b in enumerate(row)
                     if b.num.any())
@@ -457,17 +504,17 @@ def test_brandt_series_certificate_rejects_a_negated_involution_block(level, mon
 def test_level34_essential_part(cs34):
     space = FormSpace(cs34, 0)
     basis = space.basis_forms()
-    ess = essential_part(basis, cs34, 2, space)
+    ess = essential_part(basis, cs34, 2)
     assert len(ess) == 1  # one weight-2 newform of level 34
     form = ess[0]
-    w2 = atkin_lehner(cs34, 0, 2, space)
+    w2 = atkin_lehner(cs34, 0, 2)
     assert w2.apply(w2.apply(form)).values == form.values
     b3 = brandt_matrix(cs34, 0, 3, space).apply(form)
     lead = next(i for i, (x,) in enumerate(form.values) if x)
     lam = b3.values[lead][0] / form.values[lead][0]
     assert b3.values == form.scale(lam).values
     assert lam == -2  # Hecke eigenvalue at 3 of the level-34 newform
-    ess17 = essential_part(basis, cs34, 17, space)
+    ess17 = essential_part(basis, cs34, 17)
     assert len(ess17) == len(basis)
 
 
@@ -475,18 +522,25 @@ def test_essential_part_pullbacks_are_built_once(cs34, monkeypatch):
     cs = ClassSet(cs34.order, cs34.ideals)
     space = FormSpace(cs, 0)
     basis = space.basis_forms()
-    calls = []
+    calls, built = [], []
 
     def counted(order, p_seed):
         calls.append(p_seed)
         return class_set(order, p_seed)
 
+    invariant_basis = FormSpace._invariant_basis
     monkeypatch.setattr(brandt, "class_set", counted)
-    first = essential_part(basis, cs, 2, space)
+    monkeypatch.setattr(FormSpace, "_invariant_basis",
+                        lambda self, order: built.append(self.cs) or invariant_basis(self, order))
+    first = essential_part(basis, cs, 2)
     assert len(calls) == len(superorders(cs.order, 2)) == 2
-    second = essential_part(basis, cs, 2, space)
+    # one basis per class of each superorder: its space, built for the first call
+    sups = [sup_cs for sup_cs, _ in cs.superorder_routes.values()]
+    assert len(built) == sum(sup_cs.h for sup_cs in sups)
+    second = essential_part(basis, cs, 2)
+    assert len(built) == sum(sup_cs.h for sup_cs in sups)  # and kept for the second
     space1 = FormSpace(cs, 1)
-    assert len(essential_part(space1.basis_forms(), cs, 2, space1)) == 4
+    assert len(essential_part(space1.basis_forms(), cs, 2)) == 4
     assert len(calls) == 2  # the superorders' class sets are searched once, for every ν
     assert [f.values for f in second] == [f.values for f in first]
 
@@ -510,7 +564,7 @@ def test_block_matrix_equals_per_form_solve(level, nu, class_set_17, cs34):
                   34: (cs34, (3, 5, 7, 11, 13))}[level]
     space = FormSpace(cs, nu)
     ops = [brandt_matrix(cs, nu, p, space) for p in primes]
-    ops += [atkin_lehner(cs, nu, q, space) for q in quatcore._prime_factors(level)]
+    ops += [atkin_lehner(cs, nu, q) for q in quatcore._prime_factors(level)]
     for op in ops:
         assert space.matrix_of(op) == _per_form_matrix(space, op)
 
@@ -535,11 +589,7 @@ def test_a_space_or_form_of_another_class_set_or_degree_is_refused(class_set_17)
         with pytest.raises(UsageError):
             brandt_matrix(cs, 1, 2, space)
         with pytest.raises(UsageError):
-            atkin_lehner(cs, 1, 17, space)
-        with pytest.raises(UsageError):
             eigenforms(cs, 1, [2], space)
-    with pytest.raises(UsageError):
-        inner_product(fx.phi1(), fx.phi1(), cs, FormSpace(cs, 0))
     with pytest.raises(UsageError):
         inner_product(three, three, cs)
     assert not (cs.brandt_blocks or cs.al_blocks or cs.al_routes)
@@ -595,8 +645,8 @@ def test_eigenforms_rejects_an_involution_that_is_not_one(class_set_17, monkeypa
     space = FormSpace(cs, 0)
     al = brandt.atkin_lehner
 
-    def doubled(cs, nu, q, space=None):
-        w = al(cs, nu, q, space)
+    def doubled(cs, nu, q):
+        w = al(cs, nu, q)
         return brandt.BrandtMatrix(q, nu, [[b * 2 for b in row] for row in w.blocks])
 
     monkeypatch.setattr(brandt, "atkin_lehner", doubled)
@@ -643,7 +693,7 @@ def test_component_line_that_is_not_an_eigenvector_is_rejected(class_set_17, mon
     # the involution check; T(2) is not diagonal, so its check must fail
     cs = ClassSet(class_set_17.order, class_set_17.ideals)
     space = FormSpace(cs, 0)
-    assert space.matrix_of(atkin_lehner(cs, 0, 17, space)) == linalg.identity(space.dim)
+    assert space.matrix_of(atkin_lehner(cs, 0, 17)) == linalg.identity(space.dim)
     monkeypatch.setattr(brandt, "_split_by_operator",
                         lambda subspaces, op, factor: [v for b in subspaces for v in _lines(b)])
     with pytest.raises(ValueError, match="does not preserve"):

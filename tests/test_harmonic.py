@@ -385,17 +385,17 @@ def test_no_poly_is_built_on_the_runtime_path(monkeypatch):
     def refuse(self, *args, **kwargs):
         raise AssertionError("a Poly was built")
 
-    fx.fixture_space.cache_clear()  # phi1 and fixture_lift build their spaces anew
+    fx.fixture_class_set().form_spaces.clear()  # phi1 and fixture_lift build their spaces anew
     monkeypatch.setattr(polys.Poly, "__init__", refuse)
     for order, q, primes in ((fx.order_r1(), 17, [2, 3]), (level34_order(), 2, [3, 5])):
         cs = class_set(order, 3)
         spaces = [FormSpace(cs, nu) for nu in range(4)]
         for nu in (0, 1):
             brandt_matrix(cs, nu, primes[0], spaces[nu])
-            atkin_lehner(cs, nu, q, spaces[nu])
+            atkin_lehner(cs, nu, q)
             eigenforms(cs, nu, primes, spaces[nu])
             forms = spaces[nu].basis_forms()
-            inner_product(forms[0], forms[-1], cs, spaces[nu])
+            inner_product(forms[0], forms[-1], cs)
     cs = fx.fixture_class_set()
     phi1, phi2, one = fx.phi1(), fx.phi2(), constant_form(cs)
     yoshida1(cs, phi2, phi2, 20)

@@ -24,8 +24,8 @@ from quatlift.polys import Poly
 from quatlift.quatcore import (Lattice, UsageError, class_set, short_vectors,
                                short_vectors_upto)
 from quatlift.serialize import dumps_canonical, expansion_to_obj
-from quatlift.yoshida import (FourierExpansionSiegel2, ThetaEngine, TruncationError,
-                              is_cuspidal_up_to_bound, phi_operator,
+from quatlift.yoshida import (FourierExpansionSiegel2, QExpansion, ThetaEngine,
+                              TruncationError, is_cuspidal_up_to_bound, phi_operator,
                               theta2_coefficient, yoshida1, yoshida2)
 
 
@@ -399,28 +399,44 @@ def test_engine_half_shells_are_slices_of_the_kernel_array(monkeypatch):
     assert end == len(engine.shells)
 
 
-def test_yoshida1_eichler(class_set_17, space0):
+def test_yoshida1_eichler(class_set_17):
     phi2 = fx.phi2()
-    y = yoshida1(class_set_17, phi2, phi2, 20, space0)
+    y = yoshida1(class_set_17, phi2, phi2, 20)
     assert y.coefficient(1) == 2  # = <phi2, phi2>
     assert y.coefficient(2) / y.coefficient(1) == -1  # Brandt eigenvalue at 2
     assert y.coefficient(5) / y.coefficient(1) == -2
 
 
-def test_yoshida1_distinct_eigenforms_vanish(class_set_17, space0):
-    y = yoshida1(class_set_17, constant_form(class_set_17), fx.phi2(), 20, space0)
+def test_yoshida1_distinct_eigenforms_vanish(class_set_17):
+    y = yoshida1(class_set_17, constant_form(class_set_17), fx.phi2(), 20)
     assert y.is_zero()
 
 
-def test_yoshida1_eisenstein_positive(class_set_17, space0):
+def test_yoshida1_eisenstein_positive(class_set_17):
     one = constant_form(class_set_17)
-    y = yoshida1(class_set_17, one, one, 20, space0)
+    y = yoshida1(class_set_17, one, one, 20)
     assert all(y.coefficient(m) > 0 for m in range(1, 21))
 
 
-def test_yoshida1_degree_mismatch(class_set_17, space0):
+def test_yoshida1_degree_mismatch(class_set_17):
     with pytest.raises(UsageError):
-        yoshida1(class_set_17, fx.phi1(), fx.phi2(), 10, space0)
+        yoshida1(class_set_17, fx.phi1(), fx.phi2(), 10)
+
+
+def test_yoshida1_refuses_a_negative_bound(class_set_17):
+    one = constant_form(class_set_17)
+    with pytest.raises(ValueError, match="negative bound"):
+        yoshida1(class_set_17, one, one, -1)
+    assert yoshida1(class_set_17, one, one, 0).coefficient(0) == Fraction(4, 9)
+
+
+def test_q_expansion_refuses_a_negative_bound_and_entries_past_it():
+    with pytest.raises(ValueError, match="negative bound"):
+        QExpansion(2, 17, -4, {0: 1})
+    for m in (-1, 5):
+        with pytest.raises(ValueError, match="outside"):
+            QExpansion(2, 17, 4, {m: 1})
+    assert QExpansion(2, 17, 4, {4: 1, 5: 0}).coeffs == {4: 1}
 
 
 def _left_order_thetas(cs, bound):
@@ -567,9 +583,8 @@ def test_lifts_refuse_a_space_or_form_of_another_shape(class_set_17, space0, spa
                  (fx.phi1(), fx.phi2(), 30, space0)):
         with pytest.raises(UsageError):
             yoshida2(cs, *args)
-    for args in ((three, three, 10), (one, fx.phi2(), 10, space1)):
-        with pytest.raises(UsageError):
-            yoshida1(cs, *args)
+    with pytest.raises(UsageError):
+        yoshida1(cs, three, three, 10)
 
 
 def test_phi_operator_zero_expansion():
@@ -589,7 +604,7 @@ def test_lift_scale_relates_polynomial_constants():
 
 def test_yoshida1_matches_independent_brandt_eigenvalue(class_set_17, space0):
     phi2 = fx.phi2()
-    y = yoshida1(class_set_17, phi2, phi2, 20, space0)
+    y = yoshida1(class_set_17, phi2, phi2, 20)
     for p in (2, 3, 5):
         img = brandt_matrix(class_set_17, 0, p, space0).apply(phi2)
         lam = img.values[0][0] / phi2.values[0][0]
@@ -597,10 +612,10 @@ def test_yoshida1_matches_independent_brandt_eigenvalue(class_set_17, space0):
         assert y.coefficient(p) / y.coefficient(1) == lam
 
 
-def test_yoshida1_nu1_eichler(class_set_17, space1):
+def test_yoshida1_nu1_eichler(class_set_17):
     # weight-4 side of the correspondence: ratios are the nu=1 Brandt eigenvalues,
     # and composite coefficients satisfy the Hecke recursions
-    y = yoshida1(class_set_17, fx.phi1(), fx.phi1(), 12, space1)
+    y = yoshida1(class_set_17, fx.phi1(), fx.phi1(), 12)
     a1 = y.coefficient(1)
     assert a1 != 0
     a = {m: y.coefficient(m) / a1 for m in range(1, 13)}
@@ -623,7 +638,7 @@ def test_yoshida1_commutes_with_the_brandt_operators(class_set_17, cs34, level, 
     cs, bound = {17: class_set_17, 34: cs34}[level], 60
     space = FormSpace(cs, nu)
     forms = space.basis_forms()
-    lift = [[yoshida1(cs, f, g, bound, space) for g in forms] for f in forms]
+    lift = [[yoshida1(cs, f, g, bound) for g in forms] for f in forms]
     for p in primes:
         m = space.matrix_of(brandt_matrix(cs, nu, p, space))
         for a, row in enumerate(lift):
@@ -668,7 +683,7 @@ def test_yoshida1_matches_the_per_vector_sum(class_set_17, first, second, bound)
     phi1, phi2 = forms[first], forms[second]
     space = [fx.fixture_space(0), fx.fixture_space(1), space2][phi1.nu]
     want = yoshida1_per_vector(cs, phi1, phi2, bound, space)
-    assert yoshida1(cs, phi1, phi2, bound, space).coeffs == want
+    assert yoshida1(cs, phi1, phi2, bound).coeffs == want
     assert want or (first, second) == ("one", "phi2")  # distinct eigenforms lift to 0
 
 
