@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .harmonic import HarmSpace, default_frame, integral_tau_matrix, tau_matrix_sum
+from .harmonic import HarmSpace, default_frame, tau_group, tau_matrix_stack
 from .polyfactor import factor_rational
-from .quatcore import (ClassSet, Lattice, QuatElement, UsageError, _is_prime, _prime_factors,
+from .quatcore import (ClassSet, Lattice, UsageError, _is_prime, _prime_factors,
                        class_set, superorders, transporters, two_sided_ideal)
 
 
@@ -75,8 +75,8 @@ class FormSpace:
         # M_u is quadratic in u, so one unit of each pair ±u will do: `units` is
         # sorted and closed under negation, so its second half is its first negated
         units = order.units
-        return linalg.nullspace(linalg.vstack([integral_tau_matrix(u, self.space).T - eye
-                                               for u in units[:len(units) // 2]]))
+        taus = tau_matrix_stack([tau_group(u) for u in units[:len(units) // 2]], self.space)
+        return linalg.nullspace(linalg.vstack([m.T - eye for m in taus]))
 
     def basis_forms(self) -> list[AutomorphicForm]:
         out = []
@@ -88,13 +88,15 @@ class FormSpace:
                 out.append(AutomorphicForm(self.nu, values))
         return out
 
-    def unflat(self, vec) -> AutomorphicForm:
-        values = []
-        pos = 0
+    def unflat(self, rows: linalg.Matrix) -> list[AutomorphicForm]:
+        """The forms with the flat coordinate rows of `rows`: one product per class block."""
+        per_class, pos = [], 0
         for cb in self.class_bases:
-            values.append(tuple(linalg.vec_mat(vec[pos:pos + len(cb)], cb)))
+            block = linalg.Matrix(rows.num[:, pos:pos + len(cb)], rows.den)
+            per_class.append((block @ cb).tolist())
             pos += len(cb)
-        return AutomorphicForm(self.nu, values)
+        return [AutomorphicForm(self.nu, [values[r] for values in per_class])
+                for r in range(len(rows))]
 
     def matrix_of(self, op: "BrandtMatrix") -> linalg.Matrix:
         """Matrix (row convention) of a block operator on the flat coordinates.
@@ -176,22 +178,29 @@ def _brandt_blocks(cs: ClassSet, nu: int, norms) -> None:
     left order R_i and right order R_j: the convention under which (T̃φ)(y_i) =
     Σ_j B_ij·φ(y_j) keeps unit-group invariance.  x runs over the lattice's half
     shell H_m (`cs.cross_shells`), doubled since τ(−x) = τ(x).  Only the blocks with
-    i ≤ j are summed: T̃ is self-adjoint for the inner product weighted by 1/e_i, so
+    i ≤ j are summed, all of them, at every norm, in one `tau_matrix_stack` call:
+    T̃ is self-adjoint for the inner product weighted by 1/e_i, so
     B_ji = (e_j/e_i)·P·B_ijᵗ·P⁻¹, P the pairing on U_ν (Pizer, J. Algebra 64, 1980).
     """
     harm = FormSpace(cs, nu).space
     pairing = harm.pairing_matrix
     unpairing = linalg.inverse(pairing)
     e, empty = cs.unit_counts, np.zeros((0, 4), dtype=np.int64)
-    blocks = {m: [[None] * cs.h for _ in range(cs.h)] for m in norms}
+    groups, cells = [], []
     for i in range(cs.h):
         for j in range(i, cs.h):
             cross, buckets = cs.cross_lattice(j, i), cs.cross_shells(j, i, max(norms))
+            basis, den = linalg.integer_form(cross.basis)
             scale = Fraction(2, e[j]) / cross.norm_scale ** nu
-            for m, b in blocks.items():
-                b[i][j] = tau_matrix_sum(cross, buckets.get(m, empty), harm) * scale
-                if j > i:
-                    b[j][i] = pairing @ b[i][j].T @ unpairing * Fraction(e[j], e[i])
+            for m in norms:
+                groups.append((buckets.get(m, empty), basis, den))
+                cells.append((m, i, j, scale))
+    blocks = {m: [[None] * cs.h for _ in range(cs.h)] for m in norms}
+    for (m, i, j, scale), tau in zip(cells, tau_matrix_stack(groups, harm)):
+        b = blocks[m]
+        b[i][j] = tau * scale
+        if j > i:
+            b[j][i] = pairing @ b[i][j].T @ unpairing * Fraction(e[j], e[i])
     cs.brandt_blocks.update({(m, nu): BrandtMatrix(m, nu, b) for m, b in blocks.items()})
 
 
@@ -250,20 +259,19 @@ def _transport_blocks(routing, source: FormSpace) -> list[list[linalg.Matrix]]:
     """Blocks of ψ(y_i) = τ(γ_i)·φ(y_j)/n(γ_i)^ν over a routing, φ a form of `source`.
 
     γ_i is the first transporter of class i; each other one must give the same
-    block on class j's invariant basis, else ValueError.
+    block on class j's invariant basis, else ValueError.  The τ-matrices of every
+    transporter of every route come from one `tau_matrix_stack` call.
     """
     nu, d = source.nu, source.space.dim
-
-    def tau(gamma: QuatElement) -> linalg.Matrix:
-        return integral_tau_matrix(gamma, source.space) * (1 / gamma.norm() ** nu)
-
+    taus = iter(tau_matrix_stack([tau_group(g) for _, route in routing for g in route],
+                                 source.space))
     blocks = []
-    for j, gammas in routing:
-        block = tau(gammas[0])
+    for j, route in routing:
+        block, *others = [next(taus) * (1 / g.norm() ** nu) for g in route]
         cb = source.class_bases[j]
         if cb:
             want = cb @ block
-            if any(cb @ tau(g) != want for g in gammas[1:]):
+            if any(cb @ other != want for other in others):
                 raise ValueError("transport depends on the realizing element")
         row = [linalg.zeros(d, d) for _ in source.class_bases]
         row[j] = block
@@ -412,31 +420,41 @@ def _charpoly_factorer():
 
 
 def _split_by_operator(subspaces: list[linalg.Matrix], op: linalg.Matrix,
-                       factor) -> list[linalg.Matrix]:
+                       factor) -> list[tuple[linalg.Matrix, tuple]]:
     """Each subspace split into the kernels of f(op), f over its charpoly's factors.
 
-    A line is kept whole once one image shows it is an eigenline, and a
-    subspace whose charpoly is one irreducible factor to the first power is
-    kept whole too (f(op) is 0 on it by Cayley–Hamilton).  Raises ValueError
-    when the kernels do not add up to the subspace: op is not semisimple on it,
-    and ker f(op) misses part of the generalized eigenspace ker f(op)^k.
+    Returns (part, f) pairs: each part with the monic irreducible f, as
+    coefficients highest degree first, whose kernel ker f(op) it lies in.  A
+    line is kept whole once one image shows it is an eigenline of eigenvalue λ
+    (f = x − λ), and a subspace whose charpoly is one irreducible factor f to
+    the first power is kept whole too (f(op) is 0 on it by Cayley–Hamilton).
+    Raises ValueError when the kernels do not add up to the subspace: op is
+    not semisimple on it, and ker f(op) misses part of the generalized
+    eigenspace ker f(op)^k.
     """
     out = []
     for basis in subspaces:
         if len(basis) == 1:
-            _eigenvalue(op, basis)
-            out.append(basis)
+            out.append((basis, (Fraction(1), -_eigenvalue(op, basis))))
             continue
         s = _restrict(op, basis)
         factors = factor(s)
         if len(factors) == 1 and factors[0][1] == 1:
-            out.append(basis)
+            out.append((basis, factors[0][0]))
             continue
-        kernels = [linalg.nullspace(_poly_of_matrix(fac, s).T) for fac, _ in factors]
-        if sum(map(len, kernels)) != len(basis):
+        kernels = [(linalg.nullspace(_poly_of_matrix(f, s).T), f) for f, _ in factors]
+        if sum(len(kernel) for kernel, _ in kernels) != len(basis):
             raise ValueError("operator is not semisimple on the subspace")
-        out += [kernel @ basis for kernel in kernels if kernel]
+        out += [(kernel @ basis, f) for kernel, f in kernels if kernel]
     return out
+
+
+def _charpoly_power(f: tuple, dim: int) -> list[tuple[tuple, int]]:
+    """[(f, dim/deg f)]: the factored charpoly of an operator on a dim-dimensional
+    invariant subspace inside ker f(op), f irreducible; ValueError unless deg f | dim."""
+    if dim % (len(f) - 1):
+        raise ValueError(f"a degree-{len(f) - 1} factor cannot fill a {dim}-dimensional component")
+    return [(f, dim // (len(f) - 1))]
 
 
 def _split_by_involution(subspaces: list[linalg.Matrix],
@@ -479,7 +497,11 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     eigenvalue maps; irrational ones as irreducible blocks with factored
     characteristic polynomials.  The involutions w_q split first, each into
     its ±1 eigenspaces (`_split_by_involution`), then each T(p) by the factors
-    of its characteristic polynomial (`_split_by_operator`).  Exact
+    of its characteristic polynomial (`_split_by_operator`), which records for
+    every part the irreducible f_p whose kernel ker f_p(T(p)) it lies in.  A
+    component of dimension > 1 is T(p)-invariant (the operators commute) and
+    lies in that kernel, so its characteristic polynomial is f_p^(dim/deg f_p),
+    read off the split with no restriction or factoring after it.  Exact
     throughout: an eigenvalue is read off one image and checked against it,
     and each distinct characteristic polynomial is factored once per call.
     """
@@ -496,19 +518,21 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     subspaces = [linalg.identity(space.dim)]
     for q in level_primes:
         subspaces = _split_by_involution(subspaces, inv_ops[q])
+    split = [(basis, {}) for basis in subspaces]
     for p in sorted(primes):
-        subspaces = _split_by_operator(subspaces, brandt_ops[p], factor)
+        split = [(part, {**found, p: f}) for basis, found in split
+                 for part, f in _split_by_operator([basis], brandt_ops[p], factor)]
     components = []
-    for basis in subspaces:
+    for basis, found in split:
         basis = linalg.primitive_rows(basis)
-        comp = EigenComponent(forms=[space.unflat(v) for v in basis])
+        comp = EigenComponent(forms=space.unflat(basis))
         for q, op in inv_ops.items():
             comp.involutions[q] = _involution_sign(op, basis)
         for p, op in brandt_ops.items():
             if len(basis) == 1:
                 comp.hecke[p] = _eigenvalue(op, basis)
             else:
-                comp.charpolys[p] = factor(_restrict(op, basis))
+                comp.charpolys[p] = _charpoly_power(found[p], len(basis))
         components.append(comp)
     components.sort(key=_component_key)
     return components

@@ -13,8 +13,12 @@ once from `QuaternionAlgebra.products`: `conj_table` (ȳ·g_l·y as quadratic
 forms in y) for the τ-matrices and the degree-1 weight `lift_poly_deg1`, and
 `pim_table` (pim(x̄₁·x₂) as bilinear forms) for the degree-2 weight, which
 `lift_matrix_deg2` returns as the matrix C of m_ν(x₁)ᵗ·C·m_ν(x₂) that the
-theta kernel reads.  The kernels over many rows, `_tau_sum` and
-`lift_matrix_deg2`, keep int64 guards; every `linalg.Matrix` holds Python ints.
+theta kernel reads.  Every τ-matrix comes from `tau_matrix_stack`, which
+takes a list of row groups (enumeration buckets of a lattice, or single
+elements as `tau_group`s) and returns one sum per group from one numpy pass;
+`integral_tau_matrix` and `tau_matrix_sum` are its one-group calls.  The
+kernels over many rows, `tau_matrix_stack` and `lift_matrix_deg2`, keep int64
+guards; every `linalg.Matrix` holds Python ints.
 """
 
 from __future__ import annotations
@@ -212,22 +216,31 @@ def _conjugation_entries(frame: TraceZeroFrame, y: list) -> list:
             for c in range(9)]
 
 
-def integral_tau_matrix(y: QuatElement, space: HarmSpace) -> linalg.Matrix:
-    """Matrix of P ↦ P(ȳ·z·y) on the U_ν basis (row convention: coords' = coords·M)."""
+_IDENTITY = [[int(i == j) for j in range(4)] for i in range(4)]
+
+
+def tau_group(y: QuatElement) -> tuple[np.ndarray, list[list[int]], int]:
+    """y as a one-row group of `tau_matrix_stack`: the group's sum is y's τ-matrix."""
     row, den = linalg.integer_form([y.coords])
-    return _tau_sum(np.array(row, dtype=object), _IDENTITY, den, space)
+    return np.array(row, dtype=object), _IDENTITY, den
+
+
+def integral_tau_matrix(y: QuatElement, space: HarmSpace) -> linalg.Matrix:
+    """Matrix of P ↦ P(ȳ·z·y) on the U_ν basis (row convention: coords' = coords·M).
+
+    The one-group call of `tau_matrix_stack`; callers with several elements
+    stack their `tau_group`s in one call instead.
+    """
+    return tau_matrix_stack([tau_group(y)], space)[0]
 
 
 def tau_matrix_sum(lattice: Lattice, vecs, space: HarmSpace) -> linalg.Matrix:
     """Σ of integral_tau_matrix(x, space) over x = the rows of `vecs` in lattice coordinates.
 
     `vecs` is a k×4 enumeration bucket (any signed integer dtype, or object);
-    exact for any k ≥ 0.
+    exact for any k ≥ 0.  The one-group call of `tau_matrix_stack`.
     """
-    return _tau_sum(vecs, *linalg.integer_form(lattice.basis), space)
-
-
-_IDENTITY = [[int(i == j) for j in range(4)] for i in range(4)]
+    return tau_matrix_stack([(vecs, *linalg.integer_form(lattice.basis))], space)[0]
 
 
 @cache
@@ -292,32 +305,47 @@ def _abs_column_sum(rows) -> int:
     return int(np.abs(np.array(rows, dtype=object)).sum(axis=0).max())
 
 
-def _tau_sum(vecs, basis: list[list[int]], den: int, space: HarmSpace) -> linalg.Matrix:
-    """Σ over rows v of B·S_ν(C(y)ᵗ)·R for y = v·basis/den (integer basis rows).
+def tau_matrix_stack(groups, space: HarmSpace) -> list[linalg.Matrix]:
+    """One τ-matrix sum per group (vecs, basis, den): Σ over the rows v of vecs of
+    the τ-matrix of y = v·basis/den, for a k×4 integer block vecs (k ≥ 0, any
+    signed integer dtype or object), integer basis rows and a positive den.
 
-    S_ν(A) is `_sym_power`, so B·S_ν(C(y)ᵗ)·R is the τ-matrix of y; it is
-    linear in S, so the rows are summed before the exact rational product.
-    With a = v·basis the integer C(a) = m₂(a)·T equals den_T·den²·C(y), and
-    S_ν is homogeneous of degree ν.  a and C run in int64 while a bound on them
-    from the bucket's largest entry stays below 2⁶², and S_ν while
-    len(vecs)·(3·max|C|)^ν, from the computed C, does; each runs on object
-    arrays of Python ints otherwise.
+    The τ-matrix of y is B·S_ν(C(y)ᵗ)·R with S_ν(A) from `_sym_power`; it is
+    linear in S, so each group's rows are summed before the exact product.
+    With a = v·basis the integer C(a) = m₂(a)·T equals den_T·den²·C(y), and S_ν
+    is homogeneous of degree ν.  One numpy pass serves the whole stack: a per
+    row against its group's basis, then one C, one S_ν and one segmented sum
+    over the concatenated rows, and one stacked product B·S·R.  a and C run in
+    int64 while amax²·Σ|T|, amax the largest max|v|·(column sum of |basis|) of
+    any group, stays below 2⁶², and S_ν while the longest group's length times
+    (3·max|C|)^ν, from the computed C, does; each runs on object arrays of
+    Python ints otherwise, for the whole stack.  An empty group gives the zero
+    matrix.
     """
-    nu = space.nu
+    nu, dim = space.nu, space.dim
+    full = [(np.asarray(v), b, d) for v, b, d in groups if len(v)]
+    if not full:
+        return [linalg.zeros(dim, dim) for _ in groups]
     bq, rq, den_r = space.tau_factors
-    if not len(vecs):
-        return linalg.zeros(space.dim, space.dim)
-    vecs = np.asarray(vecs)
     table, den_t = space.frame.conj_table
-    amax = int(np.abs(vecs).max()) * _abs_column_sum(basis)
+    sizes = [len(v) for v, _, _ in full]
+    starts = np.cumsum([0] + sizes[:-1])
+    vecs = np.concatenate([v for v, _, _ in full])
+    if vecs.dtype != object:
+        vecs = vecs.astype(np.int64)
+    bases = np.array([b for _, b, _ in full], dtype=object)
+    group_max = np.maximum.reduceat(np.abs(vecs).max(axis=1).astype(object), starts)
+    amax = int((group_max * np.abs(bases).sum(axis=1).max(axis=1)).max())
     dtype = np.int64 if amax * amax * _abs_column_sum(table) < INT64_SAFE else object
-    a = vecs.astype(dtype) @ np.array(basis, dtype=dtype)
+    rows = np.repeat(bases.astype(dtype), sizes, axis=0)
+    a = (vecs.astype(dtype)[:, :, None] * rows).sum(axis=1)
     c = (_monomial_rows(a, 2, dtype) @ np.array(table, dtype=dtype)).reshape(-1, 3, 3)
-    if c.dtype != object and len(vecs) * (3 * int(np.abs(c).max())) ** nu >= INT64_SAFE:
+    if c.dtype != object and max(sizes) * (3 * int(np.abs(c).max())) ** nu >= INT64_SAFE:
         c = c.astype(object)
-    s = _sym_power(c.transpose(0, 2, 1), nu)
-    total = bq @ s.sum(axis=0).astype(object) @ rq
-    return linalg.Matrix(total, den_r * (den_t * den * den) ** nu)
+    s = np.add.reduceat(_sym_power(c.transpose(0, 2, 1), nu), starts, axis=0)
+    totals = iter(bq @ s.astype(object) @ rq)
+    return [linalg.Matrix(next(totals), den_r * (den_t * den * den) ** nu) if len(v)
+            else linalg.zeros(dim, dim) for v, _, den in groups]
 
 
 def lift_matrix_deg2(space: HarmSpace, coords, lattice: Lattice) -> linalg.Matrix:

@@ -17,8 +17,8 @@ from . import linalg
 from .binforms import form_table, is_ambiguous
 from .brandt import (FormSpace, atkin_lehner, brandt_matrix, brandt_series, constant_form,
                      inner_product)
-from .harmonic import (HarmSpace, default_frame, integral_tau_matrix, laplacian_matrix,
-                       lift_matrix_deg2, lift_poly_deg1, monomials_of_degree)
+from .harmonic import (HarmSpace, default_frame, laplacian_matrix, lift_matrix_deg2,
+                       lift_poly_deg1, monomials_of_degree, tau_group, tau_matrix_stack)
 from .quatcore import ClassSet, QuatElement, _is_prime, _prime_factors, is_ramified
 from .siegelhecke import (LocalFactor, PoleError, eigenvalue_extract, hecke_Tp, lambda_N,
                           rankin_selberg_local, rankin_selberg_matches_dirichlet,
@@ -224,7 +224,7 @@ def check_property_suites(report: Report) -> None:
     space1 = HarmSpace(1, frame)
     pairing = space1.pairing_matrix
     ok_inv = all(m @ pairing @ m.T == pairing
-                 for m in (integral_tau_matrix(u, space1) for u in r2.units))
+                 for m in tau_matrix_stack([tau_group(u) for u in r2.units], space1))
     report.check(crit, "pairing invariant under the 6 units of R2", ok_inv)
 
     cs = fx.fixture_class_set()

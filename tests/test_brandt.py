@@ -7,11 +7,12 @@ import pytest
 
 from quatlift import brandt
 from quatlift import fixture as fx
-from quatlift import linalg, quatcore, verify
+from quatlift import harmonic, linalg, quatcore, verify
 from quatlift.brandt import (AutomorphicForm, FormSpace, atkin_lehner, brandt_matrix,
                              brandt_series, constant_form, eigenforms, essential_part,
                              inner_product, orthogonal_complement)
-from quatlift.harmonic import integral_tau_matrix, tau_matrix_sum
+from quatlift.harmonic import integral_tau_matrix, tau_group, tau_matrix_stack, tau_matrix_sum
+from quatlift.polyfactor import factor_rational
 from quatlift.quatcore import (ClassSet, UsageError, class_set, is_ramified,
                                short_vectors, short_vectors_upto, superorders)
 from quatlift.yoshida import yoshida1
@@ -95,6 +96,47 @@ def test_tau_matrix_sum_large_entries_use_python_ints(class_set_17):
     assert big == tau_matrix_sum(cross, vecs, u) * k ** (2 * nu)
     assert max(abs(x) for row in big for x in row) > 2 ** 63
     assert big == _per_vector_sum(cross.scale(k), vecs, u)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+def test_tau_matrix_stack_equals_its_one_group_calls(class_set_17, cs34, nu):
+    # one stack: half-shell buckets of cross lattices of both levels
+    # (denominators 1 and 2), empty groups, units with fractional coordinates
+    # (denominators 2 and 4) and one lattice scaled by 2^20, which at ν ≥ 2
+    # pushes the whole stack past 2^63 and onto Python ints
+    k = 2 ** 20
+    space = FormSpace(class_set_17, nu).space
+    lattices = [class_set_17.cross_lattice(0, 0), class_set_17.cross_lattice(1, 0),
+                cs34.cross_lattice(0, 0), cs34.cross_lattice(2, 1)]
+    assert {linalg.integer_form(lat.basis)[1] for lat in lattices} == {1, 2}
+    empty = np.zeros((0, 4), dtype=np.int64)
+    buckets = [(lat, short_vectors_upto(lat.normalized_gram(), 6)[m])
+               for lat in lattices for m in (4, 6)]
+    scaled = class_set_17.cross_lattice(0, 1)
+    scaled_vecs = short_vectors_upto(scaled.normalized_gram(), 6)[6]
+    buckets.insert(2, (scaled.scale(k), scaled_vecs))
+    buckets.insert(5, (lattices[0], empty))
+    units = [u for order in (fx.order_r2(), class_set_17.left_orders[1]) for u in order.units
+             if any(x.denominator > 1 for x in u.coords)]
+    assert {tau_group(u)[2] for u in units} == {2, 4}
+    groups = [(vecs, *linalg.integer_form(lat.basis)) for lat, vecs in buckets]
+    groups += [tau_group(u) for u in units] + [(empty, *linalg.integer_form(lattices[2].basis))]
+    stacked = tau_matrix_stack(groups, space)
+    assert len(stacked) == len(groups)
+    for (lat, vecs), got in zip(buckets, stacked):
+        assert got == tau_matrix_sum(lat, vecs, space)
+        assert got == _per_vector_sum(lat, vecs, space)
+        assert (got == linalg.zeros(space.dim, space.dim)) == (len(vecs) == 0)
+    for u, got in zip(units, stacked[len(buckets):]):
+        assert got == integral_tau_matrix(u, space)
+    assert stacked[-1] == linalg.zeros(space.dim, space.dim)
+    big = stacked[2]
+    assert big == tau_matrix_sum(scaled, scaled_vecs, space) * k ** (2 * nu)
+    if nu >= 2:
+        assert max(abs(x) for row in big for x in row) > 2 ** 63
+    assert tau_matrix_stack([], space) == []
+    assert tau_matrix_stack([(empty, *linalg.integer_form(scaled.basis))] * 2, space) == [
+        linalg.zeros(space.dim, space.dim)] * 2
 
 
 def test_inner_products(class_set_17):
@@ -229,7 +271,10 @@ def test_involution_split_matches_the_charpoly_split(cs34):
         for q in (2, 17):
             op = space.matrix_of(atkin_lehner(cs34, nu, q))
             split = brandt._split_by_involution(subspaces, op)
-            assert split == brandt._split_by_operator(subspaces, op, factor)
+            pairs = brandt._split_by_operator(subspaces, op, factor)
+            assert split == [part for part, _ in pairs]
+            # each part lies in ker(w − 1) or ker(w + 1)
+            assert {f for _, f in pairs} <= {(1, -1), (1, 1)}
             subspaces = split
         assert sum(map(len, subspaces)) == space.dim
 
@@ -616,15 +661,22 @@ def test_form_spaces_enumerate_each_left_orders_units_once(class_set_17, monkeyp
 def test_brandt_blocks_are_built_once_per_prime_and_degree(class_set_17, monkeypatch):
     cs = ClassSet(class_set_17.order, class_set_17.ideals)
     space = FormSpace(cs, 1)
-    calls = []
-    tau_sum = brandt.tau_matrix_sum
-    monkeypatch.setattr(brandt, "tau_matrix_sum",
-                        lambda *args: calls.append(args) or tau_sum(*args))
+    calls, kernel_calls = [], []
+    stack = brandt.tau_matrix_stack
+
+    def counted(groups, harm):
+        # the Brandt blocks are the groups of lattice buckets; the units' and
+        # transporters' τ-matrices come as one-row groups over the identity
+        kernel_calls.append(len(groups))
+        calls.extend(g for g in groups if g[1] is not harmonic._IDENTITY)
+        return stack(groups, harm)
+
+    monkeypatch.setattr(brandt, "tau_matrix_stack", counted)
     first = brandt_matrix(cs, 1, 2, space)
     # a τ-sum per block on or above the diagonal; the others are derived by
-    # adjointness, so h² sums became h(h+1)/2
+    # adjointness, so h² sums became h(h+1)/2, all handed to one kernel call
     sums = cs.h * (cs.h + 1) // 2
-    assert len(calls) == sums == 3
+    assert len(calls) == sums == 3 and kernel_calls == [sums]
     second = brandt_matrix(cs, 1, 2, space)
     eigenforms(cs, 1, [2], space)
     assert len(calls) == sums  # neither the second call nor eigenforms rebuilds T(2)
@@ -632,11 +684,13 @@ def test_brandt_blocks_are_built_once_per_prime_and_degree(class_set_17, monkeyp
     fresh = ClassSet(class_set_17.order, class_set_17.ideals)
     assert brandt_matrix(fresh, 1, 2, FormSpace(fresh, 1)).blocks == first.blocks
     # the series shares the cache, keyed (m, ν): it sums only B(1) and B(3) here,
-    # and a second call sums nothing
-    before = len(calls)
+    # in one kernel call, and a second call sums nothing
+    before, before_kernel = len(calls), len(kernel_calls)
     series = brandt_series(cs, 1, 3)
     assert series[1] is first and len(calls) == before + 2 * sums
+    assert kernel_calls[before_kernel:] == [2 * sums]
     assert brandt_series(cs, 1, 3) == series and len(calls) == before + 2 * sums
+    assert len(kernel_calls) == before_kernel + 1
 
 
 def test_eigenforms_rejects_an_involution_that_is_not_one(class_set_17, monkeypatch):
@@ -662,7 +716,8 @@ def test_split_checks_a_line_by_its_image():
     op = linalg.frac_mat([[1, 1], [0, 1]])  # row convention: (x, y) ↦ (x, x + y)
     line = linalg.frac_mat([[0, Fraction(-2, 3)]])
     assert brandt._eigenvalue(op, line) == 1
-    assert brandt._split_by_operator([line], op, brandt._charpoly_factorer()) == [line]
+    # the line's factor is x − λ, read off its image
+    assert brandt._split_by_operator([line], op, brandt._charpoly_factorer()) == [(line, (1, -1))]
     with pytest.raises(ValueError, match="does not preserve"):
         brandt._split_by_operator([linalg.frac_mat([[1, 0]])], op, brandt._charpoly_factorer())
 
@@ -672,7 +727,7 @@ def test_split_is_the_kernel_of_each_factor():
     # x² − 2 is irreducible, so the plane is one block, kept as it is
     plane = linalg.frac_mat([[1, 0, 0], [0, 1, 0]])
     op = linalg.frac_mat([[0, 1, 0], [2, 0, 0], [0, 0, 5]])
-    assert brandt._split_by_operator([plane], op, factor) == [plane]
+    assert brandt._split_by_operator([plane], op, factor) == [(plane, (1, 0, -2))]
     # a Jordan block: charpoly (x − 1)², and the kernel of op − 1 is only a line,
     # so the split would lose a dimension
     jordan = linalg.frac_mat([[1, 1], [0, 1]])
@@ -695,7 +750,8 @@ def test_component_line_that_is_not_an_eigenvector_is_rejected(class_set_17, mon
     space = FormSpace(cs, 0)
     assert space.matrix_of(atkin_lehner(cs, 0, 17)) == linalg.identity(space.dim)
     monkeypatch.setattr(brandt, "_split_by_operator",
-                        lambda subspaces, op, factor: [v for b in subspaces for v in _lines(b)])
+                        lambda subspaces, op, factor: [(v, (1, 0)) for b in subspaces
+                                                       for v in _lines(b)])
     with pytest.raises(ValueError, match="does not preserve"):
         eigenforms(cs, 0, [2], space)
 
@@ -724,6 +780,66 @@ def test_each_distinct_charpoly_is_factored_once(class_set_17, monkeypatch):
     assert [c.charpolys for c in eigenforms(cs, 2, [2, 3, 5], space)] == [
         c.charpolys for c in comps]
     assert len(calls) == 2 * len(set(calls))
+
+
+def _flat_basis(space, comp):
+    """The flat coordinate rows of a component's forms: class i's value times R_i."""
+    return linalg.frac_mat([
+        [x for value, cb, r in zip(phi.values, space.class_bases, space._right_inverses) if cb
+         for x in linalg.vec_mat(value, r)] for phi in comp.forms])
+
+
+@pytest.mark.parametrize("level,nu", [(level, nu) for level in (17, 34) for nu in range(4)])
+def test_component_charpolys_equal_the_restricted_charpoly(level, nu, class_set_17, cs34):
+    # the split's factor to the power dim/deg, against the charpoly of T(p)
+    # restricted to the component and factored, as eigenforms once computed it
+    cs, primes = (class_set_17, [2, 3, 5]) if level == 17 else (cs34, [3, 5, 7])
+    space = FormSpace(cs, nu)
+    comps = eigenforms(cs, nu, primes)
+    assert sum(c.dim for c in comps) == space.dim
+    blocks = [c for c in comps if c.dim > 1]
+    for comp in blocks:
+        basis = _flat_basis(space, comp)
+        assert len(basis) == comp.dim == linalg.rank(basis)
+        for p in primes:
+            op = space.matrix_of(brandt_matrix(cs, nu, p))
+            assert comp.charpolys[p] == factor_rational(
+                linalg.charpoly(brandt._restrict(op, basis)))
+    assert blocks or nu == 0
+
+
+def _diagonal_blocks(*blocks):
+    """The block-diagonal matrix of the given square integer blocks."""
+    n = sum(map(len, blocks))
+    rows, pos = [], 0
+    for b in blocks:
+        rows += [[0] * pos + row + [0] * (n - pos - len(b)) for row in b]
+        pos += len(b)
+    return linalg.frac_mat(rows)
+
+
+def test_component_charpoly_keeps_its_multiplicity(class_set_17, monkeypatch):
+    # T(2) = diag(A, A) with charpoly(A) = x² − 2 on the 4-dimensional ν = 1
+    # space, and w₁₇ = 1: one component, x² − 2 to the power 2
+    a = [[0, 1], [2, 0]]
+    t = _diagonal_blocks(a, a)
+    monkeypatch.setattr(FormSpace, "matrix_of",
+                        lambda self, op: linalg.identity(4) if op.p == 17 else t)
+    comp, = eigenforms(class_set_17, 1, [2])
+    assert comp.dim == 4 and comp.involutions == {17: 1}
+    assert comp.charpolys == {2: [((1, 0, -2), 2)]}
+    assert comp.charpolys[2] == factor_rational(linalg.charpoly(t))
+    # T(3) = diag(1, 1, 1, 2, 2, 2) does not commute with T(2) = diag(A, A, A)
+    # on the 6-dimensional ν = 2 space: it splits ker(T(2)² − 2) into two
+    # 3-dimensional parts, which x² − 2 cannot fill
+    t2, t3 = _diagonal_blocks(a, a, a), _diagonal_blocks(*[[[1]]] * 3, *[[[2]]] * 3)
+    monkeypatch.setattr(FormSpace, "matrix_of", lambda self, op: (
+        linalg.identity(6) if op.p == 17 else t2 if op.p == 2 else t3))
+    with pytest.raises(ValueError, match="cannot fill"):
+        eigenforms(class_set_17, 2, [2, 3])
+    with pytest.raises(ValueError, match="cannot fill"):
+        brandt._charpoly_power((1, 0, -2), 3)
+    assert brandt._charpoly_power((1, 0, -2), 4) == [((1, 0, -2), 2)]
 
 
 def test_eichler_iteration_makes_112_enumerations(monkeypatch):

@@ -112,6 +112,17 @@ def test_eigenforms_stdout_is_pinned_at_level_34(fixture_files, seed):
     assert out == (data / "eigenforms_n34.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("seed", ["3", "5"])
+def test_eigenforms_stdout_is_pinned_at_level_34_nu_3(fixture_files, seed):
+    # the largest pinned components of the level-34 order (dimensions up to 6,
+    # with cubic and sextic factors) and the largest τ-matrix stacks; both
+    # neighbour seeds print the same; diffed in the runtime-only CI job too
+    data = Path(__file__).with_name("data")
+    out = eigenforms_stdout(fixture_files, ("3",), order=data / "order_n34.json",
+                            primes="3,5,7", seed=seed)
+    assert out == (data / "eigenforms_n34_nu3.txt").read_text(encoding="utf-8")
+
+
 def test_brandt_stdout_is_pinned(fixture_files):
     # the rational blocks of B(3) at nu = 0 to 3; diffed in the runtime-only CI job too
     pinned = Path(__file__).with_name("data") / "brandt_n17_p3.txt"

@@ -210,7 +210,7 @@ def test_tau_preserves_harmonicity(algebra):
 
 
 def test_abs_column_sum_matches_the_loop(algebra):
-    # the bound behind _tau_sum's int64/object choice, against the Python loop it
+    # the bound behind tau_matrix_stack's int64/object choice, against the Python loop it
     # replaced, on the τ-table and on entries past int64
     table, _ = default_frame(algebra).conj_table
     for rows in (table, [[3, -2 ** 70, 0], [-5, 1, 2 ** 63]]):
