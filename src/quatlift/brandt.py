@@ -5,12 +5,12 @@ under the unit group of the class's left order: one `FormSpace` per (class set, 
 Brandt matrices with harmonic weights, at one good prime or as the series B(m), from
 one block rule on the cross lattices' cached half shells; the weighted inner product,
 Atkin-Lehner involutions, essential parts and exact simultaneous eigenform decomposition.
+The involutions are routed, split and read by the code of the other operators.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,8 +19,8 @@ import numpy as np
 from . import linalg
 from .harmonic import HarmSpace, default_frame, tau_group, tau_matrix_stack
 from .polyfactor import factor_rational
-from .quatcore import (ClassSet, Lattice, UsageError, _is_prime, _prime_factors,
-                       class_set, superorders, transporters, two_sided_ideal)
+from .quatcore import (ClassSet, Lattice, UsageError, _is_prime, _prime_factors, class_set,
+                       least_good_prime, superorders, transporters, two_sided_ideal)
 
 
 @dataclass
@@ -79,14 +79,7 @@ class FormSpace:
         return linalg.nullspace(linalg.vstack([m.T - eye for m in taus]))
 
     def basis_forms(self) -> list[AutomorphicForm]:
-        out = []
-        d = self.space.dim
-        for i, cb in enumerate(self.class_bases):
-            for vec in cb:
-                values = [tuple([Fraction(0)] * d) for _ in range(self.cs.h)]
-                values[i] = tuple(vec)
-                out.append(AutomorphicForm(self.nu, values))
-        return out
+        return self.unflat(linalg.identity(self.dim))
 
     def unflat(self, rows: linalg.Matrix) -> list[AutomorphicForm]:
         """The forms with the flat coordinate rows of `rows`: one product per class block."""
@@ -220,6 +213,8 @@ def brandt_series(cs: ClassSet, nu: int, bound: int) -> list[BrandtMatrix]:
     `brandt_matrix` blocks, and every ν reads the same shells;
     `verify.brandt_series_failures` checks the relations.
     """
+    if bound < 0:
+        raise ValueError(f"negative bound {bound}")
     norms = [m for m in range(1, bound + 1) if (m, nu) not in cs.brandt_blocks]
     if norms:
         _brandt_blocks(cs, nu, norms)
@@ -236,23 +231,14 @@ def inner_product(phi: AutomorphicForm, psi: AutomorphicForm, cs: ClassSet) -> F
     return total
 
 
-def _route(moved: list[Lattice], targets: list[Lattice]):
-    """Per lattice: (index j of the first equivalent target, every γ with lattice = γ·target_j).
-
-    Each lattice tries every target in turn: the map need not be a bijection
-    (a superorder can have fewer classes).  `_involution_route` is the
-    Atkin–Lehner case.
-    """
-    routing = []
-    for lat in moved:
-        for j, target in enumerate(targets):
-            gammas = list(transporters(lat, target))
-            if gammas:
-                routing.append((j, gammas))
-                break
-        else:
-            raise ValueError("translated ideal matches no class")
-    return routing
+def _route(lat: Lattice, targets):
+    """(j, every γ with lat = γ·target) for the first pair (j, target) of `targets`
+    that lat is equivalent to; ValueError when it is equivalent to none."""
+    for j, target in targets:
+        gammas = list(transporters(lat, target))
+        if gammas:
+            return j, gammas
+    raise ValueError("translated ideal matches no class")
 
 
 def _transport_blocks(routing, source: FormSpace) -> list[list[linalg.Matrix]]:
@@ -280,7 +266,7 @@ def _transport_blocks(routing, source: FormSpace) -> list[list[linalg.Matrix]]:
 
 
 def _involution_route(ideals: list[Lattice], tsp: Lattice, q: int):
-    """`_route` of the I_i·P onto the I_j, P the two-sided ideal of norm q.
+    """Per class i: `_route` of I_i·P onto the I_j, P the two-sided ideal of norm q.
 
     I ↦ I·P is an involution of the classes, and the classes are pairwise
     inequivalent, so a class already routed is the target of its partner
@@ -296,15 +282,10 @@ def _involution_route(ideals: list[Lattice], tsp: Lattice, q: int):
         # P is two-sided for I_i's right order O, so O is I_i·P's right order too:
         # `transporters` reads it instead of building it from I_i·P
         moved.right_order = ideal.right_order
-        for j in [j for j, route in enumerate(routing) if route is None]:
-            gammas = list(transporters(moved, ideals[j]))
-            if gammas:
-                routing[i] = (j, gammas)
-                if j != i:
-                    routing[j] = (i, [gamma.inverse() * q for gamma in gammas])
-                break
-        else:
-            raise ValueError("translated ideal matches no class")
+        unrouted = [(k, ideals[k]) for k, route in enumerate(routing) if route is None]
+        j, gammas = routing[i] = _route(moved, unrouted)
+        if j != i:
+            routing[j] = (i, [gamma.inverse() * q for gamma in gammas])
     return routing
 
 
@@ -362,9 +343,9 @@ def essential_part(forms: list[AutomorphicForm], cs: ClassSet, p: int) -> list[A
 
 def _superorder_route(cs: ClassSet, sup: Lattice):
     """sup's class set, and each class of cs sent to its class there with the transporters."""
-    seed = next(s for s in itertools.count(2) if _is_prime(s) and sup.level % s)
-    sup_cs = class_set(sup, seed)
-    return sup_cs, _route([ideal.product(sup) for ideal in cs.ideals], sup_cs.ideals)
+    sup_cs = class_set(sup, least_good_prime(sup.level))
+    targets = list(enumerate(sup_cs.ideals))
+    return sup_cs, [_route(ideal.product(sup), targets) for ideal in cs.ideals]
 
 
 @dataclass
@@ -380,37 +361,43 @@ class EigenComponent:
 
 
 def _poly_of_matrix(coeffs, m: linalg.Matrix) -> linalg.Matrix:
-    """f(M) by Horner's rule, for the coefficients of f, highest degree first."""
+    """f(M) by Horner's rule, for the coefficients of f, highest degree first; deg f ≥ 1."""
     eye = linalg.identity(len(m))
-    acc = linalg.zeros(*m.shape)
-    for c in coeffs:
+    acc = m * coeffs[0] + eye * coeffs[1]
+    for c in coeffs[2:]:
         acc = acc @ m + eye * c
     return acc
 
 
 def _restrict(op: linalg.Matrix, basis: linalg.Matrix) -> linalg.Matrix:
-    """Matrix of a row-convention operator on the row span of `basis`.
-
-    Raises ValueError unless the operator maps the span into itself.
-    """
+    """Matrix of a row-convention operator on the row span of `basis`; ValueError
+    unless the operator maps the span into itself."""
     s = linalg.solve_many(basis.T, basis @ op)
     if s is None:
         raise ValueError("operator does not preserve the subspace")
     return s
 
 
-def _eigenvalue(op: linalg.Matrix, vec: linalg.Matrix) -> Fraction:
-    """λ with vec·op = λ·vec, for a nonzero 1-row vec, read off one image.
+def _eigenvalue(op: linalg.Matrix, basis: linalg.Matrix) -> Fraction:
+    """λ with basis·op = λ·basis, for a basis of nonzero rows, read off the first row's image.
 
-    Raises ValueError unless vec·op equals λ·vec exactly: the operator does
-    not preserve the line.
+    Raises ValueError unless basis·op equals λ·basis exactly: the operator does
+    not preserve the span, or is not the one scalar λ on it.
     """
-    img = vec @ op
-    j = int(np.flatnonzero(vec.num[0])[0])
-    lam = Fraction(int(img.num[0, j]) * vec.den, int(vec.num[0, j]) * img.den)
-    if img != vec * lam:
-        raise ValueError("operator does not preserve the subspace")
+    img = basis @ op
+    j = int(np.flatnonzero(basis.num[0])[0])
+    lam = Fraction(int(img.num[0, j]) * basis.den, int(basis.num[0, j]) * img.den)
+    if img != basis * lam:
+        raise ValueError("operator does not preserve the subspace, or is not one scalar on it")
     return lam
+
+
+def _involution_factors(s: linalg.Matrix) -> list[tuple[tuple, int]]:
+    """[(x − 1, 1), (x + 1, 1)] for a restriction s with s·s = I, with no charpoly;
+    ValueError otherwise.  Then s is diagonalizable and the two kernels fill its space."""
+    if s @ s != linalg.identity(len(s)):
+        raise ValueError("operator does not act as ±1 on a subspace: its square is not 1")
+    return [((1, -1), 1), ((1, 1), 1)]
 
 
 def _charpoly_factorer():
@@ -421,10 +408,12 @@ def _charpoly_factorer():
 
 def _split_by_operator(subspaces: list[linalg.Matrix], op: linalg.Matrix,
                        factor) -> list[tuple[linalg.Matrix, tuple]]:
-    """Each subspace split into the kernels of f(op), f over its charpoly's factors.
+    """Each subspace split into the kernels of f(op), f over `factor(s)`, s its restriction.
 
-    Returns (part, f) pairs: each part with the monic irreducible f, as
-    coefficients highest degree first, whose kernel ker f(op) it lies in.  A
+    `factor(s)` is [(f, multiplicity)]: the charpoly's factors (`_charpoly_factorer`),
+    or x ∓ 1 for an involution (`_involution_factors`).  Returns (part, f)
+    pairs: each part with the monic irreducible f, as coefficients highest
+    degree first, whose kernel ker f(op) it lies in.  A
     line is kept whole once one image shows it is an eigenline of eigenvalue λ
     (f = x − λ), and a subspace whose charpoly is one irreducible factor f to
     the first power is kept whole too (f(op) is 0 on it by Cayley–Hamilton).
@@ -457,53 +446,21 @@ def _charpoly_power(f: tuple, dim: int) -> list[tuple[tuple, int]]:
     return [(f, dim // (len(f) - 1))]
 
 
-def _split_by_involution(subspaces: list[linalg.Matrix],
-                         op: linalg.Matrix) -> list[linalg.Matrix]:
-    """Each subspace split into ker(S − I) and ker(S + I), S the restriction of op to it.
-
-    A line is kept whole once one image shows it is an eigenline.  Raises
-    ValueError unless S·S = I exactly; then the two kernels add up to the
-    subspace, and no characteristic polynomial is needed.
-    """
-    out = []
-    for basis in subspaces:
-        if len(basis) == 1:
-            _eigenvalue(op, basis)
-            out.append(basis)
-            continue
-        s = _restrict(op, basis)
-        eye = linalg.identity(len(basis))
-        if s @ s != eye:
-            raise ValueError("operator does not act as ±1 on a subspace: its square is not 1")
-        kernels = [linalg.nullspace((s - eye).T), linalg.nullspace((s + eye).T)]
-        out += [kernel @ basis for kernel in kernels if kernel]
-    return out
-
-
-def _involution_sign(op: linalg.Matrix, basis: linalg.Matrix) -> int:
-    """±1 when basis·op = ±basis, that is, op is ±1 on the row span; ValueError otherwise."""
-    img = basis @ op
-    for sign in (1, -1):
-        if img == basis * sign:
-            return sign
-    raise ValueError("operator does not act as ±1 on an eigenspace of the involutions")
-
-
 def eigenforms(cs: ClassSet, nu: int, primes: list[int],
                space: FormSpace | None = None) -> list[EigenComponent]:
     """Common eigen-decomposition of the Brandt matrices and involutions.
 
     Rational 1-dimensional common eigenspaces come back as eigenforms with
     eigenvalue maps; irrational ones as irreducible blocks with factored
-    characteristic polynomials.  The involutions w_q split first, each into
-    its ±1 eigenspaces (`_split_by_involution`), then each T(p) by the factors
-    of its characteristic polynomial (`_split_by_operator`), which records for
+    characteristic polynomials.  One `_split_by_operator` loop splits by each
+    w_q into ker(w_q ∓ 1) (`_involution_factors`: w_q² = 1, no charpoly), then
+    by each T(p) into the kernels of its charpoly's factors, and records for
     every part the irreducible f_p whose kernel ker f_p(T(p)) it lies in.  A
     component of dimension > 1 is T(p)-invariant (the operators commute) and
     lies in that kernel, so its characteristic polynomial is f_p^(dim/deg f_p),
     read off the split with no restriction or factoring after it.  Exact
-    throughout: an eigenvalue is read off one image and checked against it,
-    and each distinct characteristic polynomial is factored once per call.
+    throughout: an eigenvalue or a sign ±1 is read off one image and checked
+    on the whole basis, and each distinct charpoly is factored once per call.
     """
     for p in primes:
         _require_good_prime(cs, p)
@@ -514,20 +471,22 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     level_primes = sorted(set(_prime_factors(cs.order.level)))
     inv_ops = {q: space.matrix_of(atkin_lehner(cs, nu, q)) for q in level_primes}
     brandt_ops = {p: space.matrix_of(brandt_matrix(cs, nu, p)) for p in primes}
-    factor = _charpoly_factorer()
-    subspaces = [linalg.identity(space.dim)]
-    for q in level_primes:
-        subspaces = _split_by_involution(subspaces, inv_ops[q])
-    split = [(basis, {}) for basis in subspaces]
-    for p in sorted(primes):
-        split = [(part, {**found, p: f}) for basis, found in split
-                 for part, f in _split_by_operator([basis], brandt_ops[p], factor)]
+    by_charpoly = _charpoly_factorer()
+    steps = [(q, op, _involution_factors) for q, op in inv_ops.items()]
+    steps += [(p, brandt_ops[p], by_charpoly) for p in sorted(primes)]
+    split = [(linalg.identity(space.dim), {})]
+    for key, op, factor in steps:
+        split = [(part, {**found, key: f}) for basis, found in split
+                 for part, f in _split_by_operator([basis], op, factor)]
     components = []
     for basis, found in split:
         basis = linalg.primitive_rows(basis)
         comp = EigenComponent(forms=space.unflat(basis))
         for q, op in inv_ops.items():
-            comp.involutions[q] = _involution_sign(op, basis)
+            sign = _eigenvalue(op, basis)
+            if sign not in (1, -1):
+                raise ValueError("operator does not act as ±1 on an eigenspace of the involutions")
+            comp.involutions[q] = int(sign)
         for p, op in brandt_ops.items():
             if len(basis) == 1:
                 comp.hecke[p] = _eigenvalue(op, basis)

@@ -15,7 +15,7 @@ import click
 from . import fixture as fx
 from . import serialize as ser
 from .brandt import brandt_matrix, eigenforms
-from .quatcore import class_set
+from .quatcore import class_set, least_good_prime
 from .siegelhecke import (PoleError, eigenvalue_extract, hecke_Tp, lambda_N,
                           rankin_selberg_local, standard_L_local)
 from .verify import run_all
@@ -36,23 +36,28 @@ def _library_errors():
         raise click.ClickException(str(exc)) from None
 
 
-def _load_order(algebra_path: str, order_path: str):
+_seed_option = click.option("--seed", type=int, help="prime used for the neighbour search",
+                            show_default="the least prime not dividing the level")
+
+
+def _class_set(algebra_path: str, order_path: str, seed: int | None):
+    """The class set of the order file, by the neighbour search at `seed`, or at the
+    least prime not dividing the order's level when seed is None."""
     with _library_errors():
         alg = ser.algebra_from_obj(ser.load_json(algebra_path))
-        lat = ser.lattice_from_obj(ser.load_json(order_path), alg)
-    return alg, lat
+        order = ser.lattice_from_obj(ser.load_json(order_path), alg)
+        order.require_order()  # before the default seed reads its level
+        return class_set(order, least_good_prime(order.level) if seed is None else seed)
 
 
 @main.command("classset")
 @click.option("--algebra", "algebra_path", required=True, type=click.Path(exists=True))
 @click.option("--order", "order_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", default=2, show_default=True, help="prime used for the neighbour search")
+@_seed_option
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def classset_cmd(algebra_path, order_path, seed, out_path):
     """Right ideal classes of an order: representatives, unit counts, mass."""
-    _, order = _load_order(algebra_path, order_path)
-    with _library_errors():
-        cs = class_set(order, seed)
+    cs = _class_set(algebra_path, order_path, seed)
     click.echo(f"classes: {cs.h}")
     click.echo(f"unit counts: {list(cs.unit_counts)}")
     click.echo(f"mass: {ser.rational_to_str(cs.mass)}")
@@ -72,13 +77,12 @@ def classset_cmd(algebra_path, order_path, seed, out_path):
 @click.option("--order", "order_path", required=True, type=click.Path(exists=True))
 @click.option("--nu", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--prime", "p", required=True, type=int)
-@click.option("--seed", default=2, show_default=True)
+@_seed_option
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def brandt_cmd(algebra_path, order_path, nu, p, seed, out_path):
     """Brandt matrix with harmonic weights at a good prime."""
-    _, order = _load_order(algebra_path, order_path)
+    cs = _class_set(algebra_path, order_path, seed)
     with _library_errors():
-        cs = class_set(order, seed)
         bm = brandt_matrix(cs, nu, p)
     obj = {
         "prime": p,
@@ -113,13 +117,12 @@ def _integer_list(ctx, param, value: str) -> list[int]:
 @click.option("--nu", default=0, show_default=True, type=click.IntRange(min=0))
 @click.option("--primes", default="2,3,5", show_default=True, callback=_integer_list,
               help="comma-separated primes of the Hecke operators")
-@click.option("--seed", default=2, show_default=True)
+@_seed_option
 @click.option("--out", "out_path", type=click.Path(), default=None)
 def eigenforms_cmd(algebra_path, order_path, nu, primes, seed, out_path):
     """Simultaneous eigenforms of the Brandt matrices and involutions."""
-    _, order = _load_order(algebra_path, order_path)
+    cs = _class_set(algebra_path, order_path, seed)
     with _library_errors():
-        cs = class_set(order, seed)
         comps = eigenforms(cs, nu, primes)
     payload = []
     for comp in comps:

@@ -1098,6 +1098,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def least_good_prime(level: int) -> int:
+    """The least prime not dividing the level: the default neighbour-search prime."""
+    return next(p for p in itertools.count(2) if _is_prime(p) and level % p)
+
+
 def _prime_factors(n: int) -> list[int]:
     """The prime factors of n ≥ 1 with multiplicity, ascending.
 

@@ -38,7 +38,7 @@ def rational_to_str(x) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, int):
+    if type(s) is int:  # not a bool: JSON true and false are not 1 and 0
         return Fraction(s)
     if not isinstance(s, str):
         raise SchemaError(f"expected a rational string, got {s!r}")
@@ -122,19 +122,28 @@ def algebra_to_obj(alg: QuaternionAlgebra, basis_names=None) -> dict:
     }
 
 
+def _has_shape(x, shape: tuple[int, ...]) -> bool:
+    """Whether x is nested lists (or tuples) of the lengths in `shape`, outermost first."""
+    return not shape or (isinstance(x, (list, tuple)) and len(x) == shape[0]
+                         and all(_has_shape(y, shape[1:]) for y in x))
+
+
 def algebra_from_obj(obj: dict) -> QuaternionAlgebra:
     try:
         sc = obj["structure_constants"]
         unit = obj["unit"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"algebra document missing field: {exc}") from None
-    if len(sc) != 4 or any(len(row) != 4 or any(len(v) != 4 for v in row) for row in sc):
-        raise SchemaError("structure_constants must be a 4×4 array of 4-vectors")
+    if not (_has_shape(sc, (4, 4, 4)) and _has_shape(unit, (4,))):
+        raise SchemaError("structure_constants must be a 4×4 array of 4-vectors, unit a 4-vector")
     alg = QuaternionAlgebra(
         [[[parse_rational(x) for x in vec] for vec in row] for row in sc],
         [parse_rational(x) for x in unit],
         name=str(obj.get("name", "D")))
-    alg.validate()
+    try:
+        alg.validate()
+    except ValueError as exc:
+        raise SchemaError(f"not a definite quaternion algebra: {exc}") from None
     return alg
 
 
@@ -158,7 +167,7 @@ def lattice_from_obj(obj: dict, algebra: QuaternionAlgebra) -> Lattice:
         raise SchemaError(f"lattice document missing field: {exc}") from None
     if kind not in ("order", "ideal"):
         raise SchemaError(f"kind must be 'order' or 'ideal', got {kind!r}")
-    if len(basis) != 4 or any(len(row) != 4 for row in basis):
+    if not _has_shape(basis, (4, 4)):
         raise SchemaError("basis must be a 4×4 array")
     try:
         lat = Lattice(algebra, [[parse_rational(x) for x in row] for row in basis], kind)
@@ -244,9 +253,13 @@ def form_to_obj(phi: AutomorphicForm) -> dict:
 
 
 def form_from_obj(obj: dict) -> AutomorphicForm:
+    """Parse a form document: `values` has `classes` rows of 2ν + 1 rationals each."""
     try:
-        values = [[parse_rational(x) for x in v] for v in obj["values"]]
-        return AutomorphicForm(int(obj["nu"]), [tuple(v) for v in values])
+        nu, classes = _integer(obj["nu"], "nu"), _integer(obj["classes"], "classes")
+        if nu < 0 or not _has_shape(obj["values"], (classes, 2 * nu + 1)):
+            raise SchemaError(f"values must be {classes} rows (classes) of "
+                              f"2·nu + 1 = {2 * nu + 1} coordinates, nu ≥ 0")
+        return AutomorphicForm(nu, [tuple(map(parse_rational, v)) for v in obj["values"]])
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad form document: {exc}") from None
 

@@ -15,18 +15,23 @@ from quatlift.quatcore import Lattice, QuaternionAlgebra, _rref_mod_p
 from quatlift.yoshida import FourierExpansionSiegel2
 
 
+def quaternion_table(a, b):
+    """Structure constants of the algebra (a, b) over Q on the basis (1, i, j, k):
+    i² = a, j² = b and k = ij = −ji.  Definite when a, b < 0."""
+    one, i, j, k = [[int(t == s) for t in range(4)] for s in range(4)]
+
+    def times(c, v):
+        return [c * x for x in v]
+
+    return [[one, i, j, k],
+            [i, times(a, one), k, times(a, j)],
+            [j, times(-1, k), times(b, one), times(-b, i)],
+            [k, times(-a, j), times(b, i), times(-a * b, one)]]
+
+
 def hamilton_algebra():
-    """The rational Hamilton quaternions on the basis (1, i, j, k)."""
-    c = [[[0] * 4 for _ in range(4)] for _ in range(4)]
-    table = {
-        (0, 0): (1, 0, 0, 0), (0, 1): (0, 1, 0, 0), (0, 2): (0, 0, 1, 0), (0, 3): (0, 0, 0, 1),
-        (1, 0): (0, 1, 0, 0), (1, 1): (-1, 0, 0, 0), (1, 2): (0, 0, 0, 1), (1, 3): (0, 0, -1, 0),
-        (2, 0): (0, 0, 1, 0), (2, 1): (0, 0, 0, -1), (2, 2): (-1, 0, 0, 0), (2, 3): (0, 1, 0, 0),
-        (3, 0): (0, 0, 0, 1), (3, 1): (0, 0, 1, 0), (3, 2): (0, -1, 0, 0), (3, 3): (-1, 0, 0, 0),
-    }
-    for (i, j), v in table.items():
-        c[i][j] = list(v)
-    alg = QuaternionAlgebra(c, [1, 0, 0, 0], name="hamilton")
+    """The rational Hamilton quaternions (−1, −1) on the basis (1, i, j, k)."""
+    alg = QuaternionAlgebra(quaternion_table(-1, -1), [1, 0, 0, 0], name="hamilton")
     alg.validate()
     return alg
 

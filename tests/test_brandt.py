@@ -238,7 +238,8 @@ def test_partner_route_is_q_times_the_inverse(class_set_17, cs34):
         for q in _level_primes(cs):
             tsp = quatcore.two_sided_ideal(cs.order, q)
             moved = [ideal.product(tsp) for ideal in cs.ideals]
-            for i, (j, gammas) in enumerate(brandt._route(moved, cs.ideals)):
+            targets = list(enumerate(cs.ideals))
+            for i, (j, gammas) in enumerate(brandt._route(lat, targets) for lat in moved):
                 assert {g.inverse() * q for g in gammas} == set(
                     quatcore.transporters(moved[j], cs.ideals[i]))
                 routed += 1
@@ -255,7 +256,8 @@ def test_involution_route_matches_the_full_search(class_set_17, cs34, monkeypatc
             atkin_lehner(cs, 0, q)
             searched = len(calls)
             tsp = quatcore.two_sided_ideal(cs.order, q)
-            full = brandt._route([ideal.product(tsp) for ideal in cs.ideals], cs.ideals)
+            full = [brandt._route(ideal.product(tsp), list(enumerate(cs.ideals)))
+                    for ideal in cs.ideals]
             # the full search tries claimed targets, and routes the partners too
             assert searched < len(calls) - searched
             calls.clear()
@@ -270,27 +272,31 @@ def test_involution_split_matches_the_charpoly_split(cs34):
         subspaces = [linalg.identity(space.dim)]
         for q in (2, 17):
             op = space.matrix_of(atkin_lehner(cs34, nu, q))
-            split = brandt._split_by_involution(subspaces, op)
+            split = brandt._split_by_operator(subspaces, op, brandt._involution_factors)
             pairs = brandt._split_by_operator(subspaces, op, factor)
-            assert split == [part for part, _ in pairs]
+            assert split == pairs
             # each part lies in ker(w − 1) or ker(w + 1)
             assert {f for _, f in pairs} <= {(1, -1), (1, 1)}
-            subspaces = split
+            subspaces = [part for part, _ in split]
         assert sum(map(len, subspaces)) == space.dim
 
 
 def test_involution_split_is_the_two_eigenspaces():
+    def split(subspaces, op):
+        return brandt._split_by_operator(subspaces, op, brandt._involution_factors)
+
     op = linalg.frac_mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]])  # swaps x and y, negates z
-    plus, minus = brandt._split_by_involution([linalg.identity(3)], op)
-    assert plus == linalg.frac_mat([[1, 1, 0]])
-    assert minus == linalg.frac_mat([[-1, 1, 0], [0, 0, 1]])
+    # ker(w − 1) first, then ker(w + 1)
+    (plus, f_plus), (minus, f_minus) = split([linalg.identity(3)], op)
+    assert plus == linalg.frac_mat([[1, 1, 0]]) and f_plus == (1, -1)
+    assert minus == linalg.frac_mat([[-1, 1, 0], [0, 0, 1]]) and f_minus == (1, 1)
     line = linalg.frac_mat([[0, 0, 2]])
-    assert brandt._split_by_involution([line], op) == [line]
+    assert split([line], op) == [(line, (1, 1))]
     with pytest.raises(ValueError, match="does not preserve"):
-        brandt._split_by_involution([linalg.frac_mat([[1, 0, 0]])], op)
+        split([linalg.frac_mat([[1, 0, 0]])], op)
     # (x, y) ↦ (y, 4x) preserves the plane, but its square is 4, not 1
     with pytest.raises(ValueError, match="as ±1"):
-        brandt._split_by_involution([linalg.identity(2)], linalg.frac_mat([[0, 1], [4, 0]]))
+        split([linalg.identity(2)], linalg.frac_mat([[0, 1], [4, 0]]))
 
 
 def test_form_spaces_share_one_frame(class_set_17):
@@ -505,6 +511,14 @@ def test_brandt_series_blocks_equal_their_tau_sums(level):
                 assert brandt_matrix(single, nu, p).blocks == series[p - 1].blocks, (nu, p)
 
 
+def test_brandt_series_refuses_a_negative_bound(class_set_17):
+    cs = ClassSet(class_set_17.order, class_set_17.ideals)
+    for bound in (-1, -3):
+        with pytest.raises(ValueError, match=f"negative bound {bound}"):
+            brandt_series(cs, 0, bound)
+    assert brandt_series(cs, 0, 0) == [] and not cs.brandt_blocks
+
+
 @pytest.mark.parametrize("level", sorted(SERIES_LEVELS))
 def test_brandt_series_certificate(level):
     # B(1) = 1, B(m)·B(p) = B(mp) + p^(2ν+1)·B(m/p) for p ∤ N, B(17) = 17^ν·w₁₇;
@@ -706,6 +720,13 @@ def test_eigenforms_rejects_an_involution_that_is_not_one(class_set_17, monkeypa
     monkeypatch.setattr(brandt, "atkin_lehner", doubled)
     with pytest.raises(ValueError, match="as ±1"):
         eigenforms(cs, 0, [2], space)
+    # split into the coordinate lines, on which w_17 = 1: the sign read off
+    # each line is 2, and eigenforms refuses it
+    monkeypatch.setattr(brandt, "_split_by_operator",
+                        lambda subspaces, op, factor: [(v, (1, 0)) for b in subspaces
+                                                       for v in _lines(b)])
+    with pytest.raises(ValueError, match="as ±1 on an eigenspace"):
+        eigenforms(cs, 0, [2], space)
 
 
 def _lines(basis):
@@ -758,13 +779,15 @@ def test_component_line_that_is_not_an_eigenvector_is_rejected(class_set_17, mon
 
 def test_involution_sign_is_read_off_the_image():
     op = linalg.frac_mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    assert brandt._involution_sign(op, linalg.frac_mat([[1, 0, 3], [0, 0, 2]])) == 1
-    assert brandt._involution_sign(op, linalg.frac_mat([[0, Fraction(1, 2), 0]])) == -1
-    # on a component where it is +1 on one line and −1 on another it must raise
-    with pytest.raises(ValueError, match="as ±1"):
-        brandt._involution_sign(op, linalg.frac_mat([[1, 0, 0], [0, 1, 0]]))
-    with pytest.raises(ValueError, match="as ±1"):
-        brandt._involution_sign(op, linalg.frac_mat([[1, 1, 0]]))
+    assert brandt._eigenvalue(op, linalg.frac_mat([[1, 0, 3], [0, 0, 2]])) == 1
+    assert brandt._eigenvalue(op, linalg.frac_mat([[0, Fraction(1, 2), 0]])) == -1
+    # on a component where it is +1 on one line and −1 on another it must raise,
+    # whichever line comes first
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0]]):
+        with pytest.raises(ValueError, match="not one scalar"):
+            brandt._eigenvalue(op, linalg.frac_mat(rows))
+    with pytest.raises(ValueError, match="does not preserve"):
+        brandt._eigenvalue(op, linalg.frac_mat([[1, 1, 0]]))
 
 
 def test_each_distinct_charpoly_is_factored_once(class_set_17, monkeypatch):

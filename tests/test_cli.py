@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from helpers import level34_order
+from helpers import level34_order, quaternion_table
 from quatlift.cli import main
 from quatlift.serialize import lattice_to_obj
 
@@ -99,11 +99,12 @@ def test_eigenforms_stdout_is_pinned_at_nu_3_to_5(fixture_files):
     assert eigenforms_stdout(fixture_files, ("3", "4", "5")) == pinned.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("seed", ["3", "5"])
+@pytest.mark.parametrize("seed", ["3", "5", None])
 def test_eigenforms_stdout_is_pinned_at_level_34(fixture_files, seed):
     # the Eichler side at a non-maximal order: the level-34 order of
     # tests/data/order_n34.json; the text is basis-free, so the neighbour seeds
-    # 3 and 5 print the same; diffed in the runtime-only CI job too
+    # 3 and 5 print the same, as does the default seed (3, the least prime not
+    # dividing 34); diffed in the runtime-only CI job too
     data = Path(__file__).with_name("data")
     order = json.loads((data / "order_n34.json").read_text(encoding="utf-8"))
     assert order == lattice_to_obj(level34_order(), "ramified-17")
@@ -112,7 +113,7 @@ def test_eigenforms_stdout_is_pinned_at_level_34(fixture_files, seed):
     assert out == (data / "eigenforms_n34.txt").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("seed", ["3", "5"])
+@pytest.mark.parametrize("seed", ["3", "5", None])
 def test_eigenforms_stdout_is_pinned_at_level_34_nu_3(fixture_files, seed):
     # the largest pinned components of the level-34 order (dimensions up to 6,
     # with cubic and sextic factors) and the largest τ-matrix stacks; both
@@ -121,6 +122,16 @@ def test_eigenforms_stdout_is_pinned_at_level_34_nu_3(fixture_files, seed):
     out = eigenforms_stdout(fixture_files, ("3",), order=data / "order_n34.json",
                             primes="3,5,7", seed=seed)
     assert out == (data / "eigenforms_n34_nu3.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", [["classset"], ["brandt", "--prime", "5"]])
+def test_order_commands_default_to_a_seed_not_dividing_the_level(fixture_files, command):
+    # the least prime not dividing 34 is 3: the default search runs at level 34
+    order = Path(__file__).with_name("data") / "order_n34.json"
+    args = command + ["--algebra", str(fixture_files / "ramified17.json"), "--order", str(order)]
+    default, seeded = (CliRunner().invoke(main, args + extra) for extra in ([], ["--seed", "3"]))
+    assert default.exit_code == 0, default.output
+    assert default.output == seeded.output
 
 
 def test_brandt_stdout_is_pinned(fixture_files):
@@ -296,6 +307,28 @@ def test_lfactor_bad_rejects_level(level, message):
     assert "Lambda" not in res.output
 
 
+@pytest.mark.parametrize("table", [quaternion_table(1, 1), [[[0] * 4] * 4] * 4],
+                         ids=["indefinite", "all-zero"])
+@pytest.mark.parametrize("schema", ["algebra", "lattice"])
+def test_roundtrip_reports_an_algebra_that_fails_validation(fixture_files, tmp_path, table,
+                                                            schema):
+    bad = tmp_path / "bad_algebra.json"
+    bad.write_text(json.dumps({"structure_constants": table, "unit": [1, 0, 0, 0]}))
+    args = (["--in", str(bad)] if schema == "algebra"
+            else ["--in", str(fixture_files / "maximal.json"), "--algebra", str(bad)])
+    res = CliRunner().invoke(main, ["roundtrip", "--schema", schema] + args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a clean exit, no traceback
+    assert res.stderr.startswith(f"{bad}: not a definite quaternion algebra: ")
+    assert "Traceback" not in res.stderr and res.stdout == ""
+    # the commands that read an order report it as a library error
+    for command in (["classset"], ["brandt", "--prime", "3"], ["eigenforms"]):
+        res = CliRunner().invoke(main, command + ["--algebra", str(bad),
+                                                  "--order", str(fixture_files / "maximal.json")])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("Error: not a definite quaternion algebra: ")
+
+
 def test_roundtrip_malformed_json(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
@@ -326,6 +359,20 @@ def test_order_commands_report_library_errors(fixture_files, command, args, mess
     assert isinstance(res.exception, SystemExit)  # a clean exit, no traceback
     assert f"Error: {message}" in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]])
+def test_order_commands_refuse_a_lattice_that_is_not_an_order(fixture_files, tmp_path, seed):
+    # ½·R1 has a non-integral Gram determinant, so its level, which the default
+    # seed is read from, is undefined: it is refused as an order first
+    half = {"algebra_ref": "ramified-17", "kind": "ideal",
+            "basis": [["1/2" if i == j else "0" for j in range(4)] for i in range(4)]}
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(half))
+    res = CliRunner().invoke(main, ["classset", "--algebra", str(fixture_files / "ramified17.json"),
+                                    "--order", str(path)] + seed)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.stderr.startswith("Error: lattice is not an order: not closed under multiplication")
 
 
 def test_import_and_help_do_not_load_sympy():

@@ -819,3 +819,11 @@ def test_prime_helpers_are_exact_and_bounded():
     assert _prime_factors(4 * (2 ** 61 - 1)) == [2, 2, 2 ** 61 - 1]
     with pytest.raises(UsageError, match=f"trial-division bound {TRIAL_DIVISION_BOUND}"):
         _prime_factors(1000003 * 1000033)
+
+
+def test_least_good_prime_is_the_least_prime_not_dividing_the_level():
+    from quatlift.quatcore import least_good_prime
+    assert [least_good_prime(n) for n in (1, 2, 17, 34, 6, 30, 2 * 3 * 5 * 7 * 11)] == \
+        [2, 3, 2, 3, 5, 7, 13]
+    # a class set of the level-34 order is searched at it
+    assert quatcore.class_set(level34_order(), least_good_prime(34)).h == 4

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from quatlift import fixture as fx
 from quatlift import serialize as ser
 from quatlift.yoshida import FourierExpansionSiegel2
-from helpers import expansion
+from helpers import expansion, hamilton_algebra, quaternion_table
 
 
 def test_rational_strings():
@@ -133,6 +133,80 @@ def test_form_roundtrip():
     obj = ser.form_to_obj(fx.phi1())
     again = ser.roundtrip_obj(obj, "form")
     assert obj == again
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("nu", 2.7, "nu must be an integer"),
+    ("nu", True, "nu must be an integer"),
+    ("nu", "1", "nu must be an integer"),
+    ("nu", -1, "nu ≥ 0"),
+    ("values", [["0", "0", "1"], ["0", "0"]], "2 rows .classes. of 2·nu . 1 = 3 coordinates"),
+    ("values", [["0", "0", "1"], ["0", "0", "0", "0", "0"]], "2 rows .classes. of 2·nu . 1 = 3"),
+    ("values", [["0", "0", "1"], "001"], "2 rows .classes. of 2·nu . 1 = 3"),
+    ("classes", 3, "values must be 3 rows"),
+    ("classes", "2", "classes must be an integer"),
+    ("classes", None, "classes must be an integer"),
+], ids=["float-nu", "boolean-nu", "string-nu", "negative-nu", "short-row", "long-row",
+        "string-row", "classes-mismatch", "string-classes", "null-classes"])
+def test_form_loader_rejects_invalid_documents(field, value, match):
+    doc = ser.form_to_obj(fx.phi1())  # ν = 1 on 2 classes
+    doc[field] = value
+    with pytest.raises(ser.SchemaError, match=match):
+        ser.form_from_obj(doc)
+    del doc[field]
+    with pytest.raises(ser.SchemaError, match="bad form document"):
+        ser.form_from_obj(doc)
+
+
+def test_a_boolean_is_not_a_rational_anywhere():
+    # JSON true and false are Python's True and False, and bool is an int subclass
+    for value in (True, False):
+        with pytest.raises(ser.SchemaError, match=f"got {value}"):
+            ser.parse_rational(value)
+    # each boolean sits where the value 1 would be read: it must not pass as 1
+    with pytest.raises(ser.SchemaError, match="got True"):
+        ser.expansion_from_obj(_expansion_doc(entries=[[0, 0, 1, "1/2"], [0, 0, 2, True]]))
+    form = ser.form_to_obj(fx.phi1())
+    form["values"][0][2] = True
+    with pytest.raises(ser.SchemaError, match="got True"):
+        ser.form_from_obj(form)
+    algebra = ser.algebra_to_obj(fx.fixture_algebra())
+    algebra["structure_constants"][0][0][0] = True
+    with pytest.raises(ser.SchemaError, match="got True"):
+        ser.algebra_from_obj(algebra)
+    lattice = ser.lattice_to_obj(fx.order_r1())
+    lattice["basis"][0][0] = True
+    with pytest.raises(ser.SchemaError, match="got True"):
+        ser.lattice_from_obj(lattice, fx.fixture_algebra())
+
+
+@pytest.mark.parametrize("field, value", [("structure_constants", 5), ("unit", 7),
+                                          ("unit", [1, 0, 0]), ("structure_constants", "abcd")])
+def test_algebra_loader_refuses_a_document_of_the_wrong_shape(field, value):
+    doc = ser.algebra_to_obj(fx.fixture_algebra())
+    doc[field] = value
+    with pytest.raises(ser.SchemaError, match="4×4 array of 4-vectors, unit a 4-vector"):
+        ser.algebra_from_obj(doc)
+
+
+@pytest.mark.parametrize("basis", [5, "abcd", [[1, 0, 0, 0]] * 3, [[1, 0, 0, 0]] * 3 + ["1000"]])
+def test_lattice_loader_refuses_a_basis_of_the_wrong_shape(basis):
+    doc = ser.lattice_to_obj(fx.order_r1())
+    doc["basis"] = basis
+    with pytest.raises(ser.SchemaError, match="basis must be a 4×4 array"):
+        ser.lattice_from_obj(doc, fx.fixture_algebra())
+
+
+def test_algebra_loader_refuses_an_algebra_that_fails_validation():
+    # (−1, −1) is the definite Hamilton quaternions; (1, 1) is the indefinite M₂(Q)
+    def doc(table):
+        return {"structure_constants": table, "unit": [1, 0, 0, 0]}
+
+    assert ser.algebra_from_obj(doc(quaternion_table(-1, -1))).c == hamilton_algebra().c
+    with pytest.raises(ser.SchemaError, match="not positive definite"):
+        ser.algebra_from_obj(doc(quaternion_table(1, 1)))
+    with pytest.raises(ser.SchemaError, match="unit law fails"):
+        ser.algebra_from_obj(doc([[[0] * 4] * 4] * 4))
 
 
 def test_eigenvalue_map():
