@@ -4,7 +4,7 @@ from .quatcore import (ClassSet, Lattice, QuatElement, QuaternionAlgebra,
                        UsageError, class_set, ideal_equivalent, short_vectors,
                        two_sided_ideal)
 from .harmonic import (HarmSpace, TraceZeroFrame, default_frame, lift_matrix_deg2,
-                       lift_poly_deg1, lift_poly_deg2)
+                       lift_poly_deg2)
 from .brandt import (AutomorphicForm, BrandtMatrix, FormSpace, atkin_lehner,
                      brandt_matrix, brandt_series, eigenforms, essential_part, inner_product)
 from .binforms import reduce_form

@@ -29,7 +29,12 @@ class AutomorphicForm:
     values: list[tuple[Fraction, ...]]  # one U_ν coordinate vector per class
 
     def __post_init__(self):
+        if self.nu < 0:
+            raise UsageError(f"harmonic degree must be at least 0, not {self.nu}")
         self.values = [tuple(Fraction(x) for x in v) for v in self.values]
+        if any(len(v) != 2 * self.nu + 1 for v in self.values):
+            raise UsageError(f"a degree-{self.nu} form has 2ν + 1 = {2 * self.nu + 1} "
+                             f"coordinates at each class")
 
     @property
     def h(self) -> int:
@@ -498,8 +503,10 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
 
 
 def _component_key(comp: EigenComponent):
-    """Dimension, then the exact eigenvalues or characteristic-polynomial factors by prime."""
+    """Dimension, then the exact eigenvalues or characteristic-polynomial factors by
+    prime, then the Atkin–Lehner signs by prime, +1 before −1."""
+    signs = [-s for _, s in sorted(comp.involutions.items())]
     if comp.hecke:
-        return (comp.dim, sorted(comp.hecke.items()))
+        return (comp.dim, sorted(comp.hecke.items()), signs)
     return (comp.dim, sorted((p, [c for fac, _ in cp for c in fac])
-                             for p, cp in comp.charpolys.items()))
+                             for p, cp in comp.charpolys.items()), signs)

@@ -5,27 +5,26 @@ The degree-ν space U_ν is the kernel of the Laplacian adapted to the rational
 Gram matrix of a trace-zero frame (never an orthonormal real frame, so all
 arithmetic stays exact), as an integer basis matrix.  Also provides the
 conjugation action as τ-matrices, the Fischer pairing with adapted gradient as
-a Gram matrix, and the lift weights of the theta series.  `Poly` appears only in
-the references `lift_poly_deg1` and `lift_poly_deg2`.
+a Gram matrix, and the degree-2 lift weight of the theta series.  `Poly`
+appears only in the reference `lift_poly_deg2`.
 
 Every quaternion product here is read off one of two per-frame tables built
 once from `QuaternionAlgebra.products`: `conj_table` (ȳ·g_l·y as quadratic
-forms in y) for the τ-matrices and the degree-1 weight `lift_poly_deg1`, and
+forms in y) for the τ-matrices, which also give the degree-1 weight, and
 `pim_table` (pim(x̄₁·x₂) as bilinear forms) for the degree-2 weight, which
 `lift_matrix_deg2` returns as the matrix C of m_ν(x₁)ᵗ·C·m_ν(x₂) that the
 theta kernel reads.  Every τ-matrix comes from `tau_matrix_stack`, which
 takes a list of row groups (enumeration buckets of a lattice, or single
 elements as `tau_group`s) and returns one sum per group from one numpy pass;
-`integral_tau_matrix` and `tau_matrix_sum` are its one-group calls.  The
-kernels over many rows, `tau_matrix_stack` and `lift_matrix_deg2`, keep int64
-guards; every `linalg.Matrix` holds Python ints.
+`integral_tau_matrix` is its one-element call.  The kernels over many rows,
+`tau_matrix_stack` and `lift_matrix_deg2`, keep int64 guards; every
+`linalg.Matrix` holds Python ints.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -66,12 +65,6 @@ class TraceZeroFrame:
         self.gram_inv = linalg.inverse(self.gram)
         # coords(x) · _solve = (t₁, t₂, t₃, s) with x = Σ tᵢgᵢ + s·1
         self._solve = linalg.inverse(linalg.vstack([self._rows, [algebra.one]]))
-
-    def coords_of(self, x: QuatElement) -> list[Fraction]:
-        t = linalg.vec_mat(list(x.coords), self._solve)
-        if t[3] != 0:
-            raise ValueError("element is not trace-zero")
-        return t[:3]
 
     @cached_property
     def conj_table(self) -> tuple[list[list[int]], int]:
@@ -208,14 +201,6 @@ class HarmSpace:
         return (linalg.frac_mat([u]) @ self.pairing_matrix @ linalg.frac_mat([v]).T)[0][0]
 
 
-def _conjugation_entries(frame: TraceZeroFrame, y: list) -> list:
-    """C(y) flattened row-major, for algebra coordinates y (Fractions or `Poly`s)."""
-    table, den = frame.conj_table
-    mono = [y[a] * y[b] for a, b in _QUAD_PAIRS]
-    return [sum((m * Fraction(t[c], den) for m, t in zip(mono, table) if t[c]), mono[0] * 0)
-            for c in range(9)]
-
-
 _IDENTITY = [[int(i == j) for j in range(4)] for i in range(4)]
 
 
@@ -228,19 +213,10 @@ def tau_group(y: QuatElement) -> tuple[np.ndarray, list[list[int]], int]:
 def integral_tau_matrix(y: QuatElement, space: HarmSpace) -> linalg.Matrix:
     """Matrix of P ↦ P(ȳ·z·y) on the U_ν basis (row convention: coords' = coords·M).
 
-    The one-group call of `tau_matrix_stack`; callers with several elements
+    The one-element call of `tau_matrix_stack`; callers with several elements
     stack their `tau_group`s in one call instead.
     """
     return tau_matrix_stack([tau_group(y)], space)[0]
-
-
-def tau_matrix_sum(lattice: Lattice, vecs, space: HarmSpace) -> linalg.Matrix:
-    """Σ of integral_tau_matrix(x, space) over x = the rows of `vecs` in lattice coordinates.
-
-    `vecs` is a k×4 enumeration bucket (any signed integer dtype, or object);
-    exact for any k ≥ 0.  The one-group call of `tau_matrix_stack`.
-    """
-    return tau_matrix_stack([(vecs, *linalg.integer_form(lattice.basis))], space)[0]
 
 
 @cache
@@ -390,27 +366,3 @@ def lift_poly_deg2(space: HarmSpace, coords, lattice: Lattice) -> Poly:
     c = lift_matrix_deg2(space, coords, lattice)
     return Poly(8, {e1 + e2: x for e1, row in zip(monos, c) for e2, x in zip(monos, row)})
 
-
-def lift_poly_deg1(space: HarmSpace, u, v, lattice: Lattice) -> Poly:
-    """P(x) = ⟨⟨u·B, z ↦ (v·B)(x̄·z·x)⟩⟩ in lattice coordinates; degree 2ν, adapted-harmonic.
-
-    u and v are coordinate rows of `space`; a `Poly` reference for tests: Σ_x P(x)
-    over a cross lattice's shell is the Brandt-series entry `yoshida1` contracts.
-    """
-    frame = space.frame
-    # variables 0-3: lattice coordinates of x; 4-6: frame coordinates t of z
-    x = [sum((Poly.variable(7, k) * row[col] for k, row in enumerate(lattice.basis) if row[col]),
-             Poly.zero(7)) for col in range(4)]
-    conj = _conjugation_entries(frame, x)
-    t = [Poly.variable(7, 4 + l) for l in range(3)]
-    w = (linalg.frac_mat([v]) @ space.basis)[0]
-    # z ↦ x̄·z·x is t ↦ t·C(x)
-    image = Poly(3, dict(zip(space.monomials, w))).subs_polys(
-        [t[0] * conj[k] + t[1] * conj[3 + k] + t[2] * conj[6 + k] for k in range(3)])
-    # pair over z: the coefficient of z^β weighs in with (u·B·F)_β
-    weights = dict(zip(space.monomials, (linalg.frac_mat([u]) @ space.basis
-                                         @ space.monomial_pairing)[0]))
-    total: dict[tuple[int, ...], Fraction] = defaultdict(Fraction)
-    for e, c in image.coeffs.items():
-        total[e[:4]] += c * weights[e[4:]]
-    return Poly(4, total)

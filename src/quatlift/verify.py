@@ -18,7 +18,7 @@ from .binforms import form_table, is_ambiguous
 from .brandt import (FormSpace, atkin_lehner, brandt_matrix, brandt_series, constant_form,
                      inner_product)
 from .harmonic import (HarmSpace, default_frame, laplacian_matrix, lift_matrix_deg2,
-                       lift_poly_deg1, monomials_of_degree, tau_group, tau_matrix_stack)
+                       tau_group, tau_matrix_stack)
 from .quatcore import ClassSet, QuatElement, _is_prime, _prime_factors, is_ramified
 from .siegelhecke import (LocalFactor, PoleError, eigenvalue_extract, hecke_Tp, lambda_N,
                           rankin_selberg_local, rankin_selberg_matches_dirichlet,
@@ -239,10 +239,10 @@ def check_property_suites(report: Report) -> None:
                         and _is_zero(lap4 @ c.T))
     report.check(crit, "degree-2 lift polynomial is pluriharmonic", ok_pluri)
     v3 = fx.phi1().values[0]  # the polynomial z₃
-    d1 = lift_poly_deg1(space1, v3, v3, r1)
-    d1_row = linalg.frac_mat([d1.coefficient_vector(monomials_of_degree(4, 2))])
+    # R₁'s basis is the identity, so the weight's algebra coordinates are its lattice ones
+    d1_row = degree1_weight_row(space1, v3, v3)
     report.check(crit, "degree-1 lift polynomial is adapted-harmonic",
-                 _is_zero(laplacian_matrix(g4inv, 2, 4) @ d1_row.T))
+                 not _is_zero(d1_row) and _is_zero(laplacian_matrix(g4inv, 2, 4) @ d1_row.T))
 
     # θ_{R_i}(m) = e_i·B₀(m)_ii, the ν = 0 diagonal of the Brandt series
     theta = [[e * b.blocks[i][i][0][0] for b in brandt_series(cs, 0, 20)]
@@ -255,6 +255,21 @@ def check_property_suites(report: Report) -> None:
     y1 = yoshida1(cs, fx.phi2(), fx.phi2(), 20)
     report.check(crit, "degree-1 lift realizes the Hecke eigenvalue at p=2",
                  y1.coefficient(2) / y1.coefficient(1) == Fraction(-1))
+
+
+def degree1_weight_row(space1: HarmSpace, u, v) -> linalg.Matrix:
+    """P(x) = ⟨⟨u·B, z ↦ (v·B)(x̄·z·x)⟩⟩ at ν = 1, the weight `yoshida1` sums, as
+    its coefficient row over `monomials_of_degree(4, 2)` in x's algebra coordinates.
+
+    With z = Σ t_l·g_l, (v·B)(x̄·z·x) = Σ_lk t_l·(v·B)_k·C_lk(x) for the
+    conjugation matrix C(x) = m₂(x)·T/den of `conj_table` (flattened row-major),
+    and the pairing weighs t_l with (u·B·F)_l, F the `monomial_pairing`: the row
+    is outer(u·B·F, v·B)·Tᵗ/den.
+    """
+    table, den = space1.frame.conj_table
+    outer = linalg.outer_rows(linalg.frac_mat([u]) @ space1.basis @ space1.monomial_pairing,
+                              linalg.frac_mat([v]) @ space1.basis)
+    return outer @ linalg.frac_mat(table).T * Fraction(1, den)
 
 
 def _is_zero(m: linalg.Matrix) -> bool:

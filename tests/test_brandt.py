@@ -11,12 +11,13 @@ from quatlift import harmonic, linalg, quatcore, verify
 from quatlift.brandt import (AutomorphicForm, FormSpace, atkin_lehner, brandt_matrix,
                              brandt_series, constant_form, eigenforms, essential_part,
                              inner_product, orthogonal_complement)
-from quatlift.harmonic import integral_tau_matrix, tau_group, tau_matrix_stack, tau_matrix_sum
+from quatlift.harmonic import integral_tau_matrix, tau_group, tau_matrix_stack
 from quatlift.polyfactor import factor_rational
 from quatlift.quatcore import (ClassSet, UsageError, class_set, is_ramified,
                                short_vectors, short_vectors_upto, superorders)
 from quatlift.yoshida import yoshida1
 from helpers import level34_order
+from poly_reference import tau_matrix_sum
 
 
 def test_row_sums(class_set_17, space0):
@@ -37,6 +38,19 @@ def test_adding_forms_of_different_shape_is_refused():
         scalar.add(brandt.AutomorphicForm(1, [(1, 0, 0)]))
     with pytest.raises(UsageError):
         scalar.add(brandt.AutomorphicForm(0, [(1,)]))
+
+
+@pytest.mark.parametrize("nu,values", [(1, [(1, 0), (0, 1)]), (0, [(1,), (1, 2)]),
+                                       (2, [(0,) * 3, (0,) * 3]), (-1, [])])
+def test_a_form_needs_2nu_plus_1_coordinates_per_class(nu, values):
+    with pytest.raises(UsageError, match="2ν \\+ 1|at least 0"):
+        AutomorphicForm(nu, values)
+
+
+def test_a_misshapen_form_is_refused_before_it_reaches_a_lift(class_set_17):
+    # refused with a usage error at construction, not by numpy's matmul inside the lift
+    with pytest.raises(UsageError, match="2ν \\+ 1 = 3"):
+        yoshida1(class_set_17, AutomorphicForm(1, [(1, 0), (0, 1)]), fx.phi1(), 10)
 
 
 def test_constant_form_eigenvalue(class_set_17, space0):

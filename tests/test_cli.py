@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from helpers import level34_order, quaternion_table
+from quatlift import brandt
 from quatlift.cli import main
 from quatlift.serialize import lattice_to_obj
 
@@ -122,6 +123,20 @@ def test_eigenforms_stdout_is_pinned_at_level_34_nu_3(fixture_files, seed):
     out = eigenforms_stdout(fixture_files, ("3",), order=data / "order_n34.json",
                             primes="3,5,7", seed=seed)
     assert out == (data / "eigenforms_n34_nu3.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("nus,pinned", [(("0", "1", "2"), "eigenforms_n34.txt"),
+                                        (("3",), "eigenforms_n34_nu3.txt")])
+def test_level_34_eigenforms_print_in_the_same_order_from_a_swapped_split(
+        fixture_files, monkeypatch, nus, pinned):
+    # components with the same Hecke data sort by their Atkin-Lehner signs, +1
+    # first, not in the order the split makes them: with ker(w + 1) split off
+    # before ker(w - 1) the text does not move
+    factors = brandt._involution_factors
+    monkeypatch.setattr(brandt, "_involution_factors", lambda s: factors(s)[::-1])
+    data = Path(__file__).with_name("data")
+    out = eigenforms_stdout(fixture_files, nus, order=data / "order_n34.json", primes="3,5,7")
+    assert out == (data / pinned).read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("command", [["classset"], ["brandt", "--prime", "5"]])
@@ -423,6 +438,16 @@ def test_lift_command_rejects_out_of_range(tmp_path, args):
     assert res.exit_code == 2
     assert "is not in the range" in res.stderr
     assert not out.exists()
+
+
+def test_verify_example_stdout_is_pinned():
+    # the 45 check lines, names and details, and the summary; the progress lines
+    # go to stderr; diffed in the runtime-only CI job too
+    res = CliRunner().invoke(main, ["verify-example"])
+    assert res.exit_code == 0, res.output
+    pinned = Path(__file__).with_name("data") / "verify_example.txt"
+    assert res.stdout == pinned.read_text(encoding="utf-8")
+    assert res.stderr.startswith("... fixture arithmetic done in ")
 
 
 def test_verify_example_bound_option_is_gone():

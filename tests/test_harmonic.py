@@ -7,24 +7,23 @@ from pathlib import Path
 import pytest
 
 from quatlift import fixture as fx
-from quatlift import linalg, polys
+from quatlift import linalg, polys, verify
 from quatlift.brandt import (FormSpace, atkin_lehner, brandt_matrix, constant_form,
                              eigenforms, inner_product)
-from quatlift.harmonic import (HarmSpace, _abs_column_sum, _conjugation_entries, _sym_power,
-                               default_frame, integral_tau_matrix, laplacian_matrix,
-                               lift_matrix_deg2, lift_poly_deg1, lift_poly_deg2,
-                               monomials_of_degree)
-from quatlift.polys import Poly
+from quatlift.harmonic import (HarmSpace, _abs_column_sum, _sym_power, default_frame,
+                               integral_tau_matrix, laplacian_matrix, lift_matrix_deg2,
+                               lift_poly_deg2, monomials_of_degree)
 from quatlift.quatcore import QuatElement, UsageError, class_set, short_vectors
 from quatlift.yoshida import yoshida1, yoshida2
 from helpers import hamilton_algebra, level34_order, monomial_values
+from poly_reference import Poly, conjugation_entries, coords_of, lift_poly_deg1
 
 PINNED = Path(__file__).parent / "data" / "harmonic_fixture_frame.json"
 
 
 def conjugation_matrix(y, frame):
     """3×3 rows of Fractions, frame-coords(ȳ·g_l·y) in row l (so z ↦ ȳzy is t ↦ t·C)."""
-    flat = _conjugation_entries(frame, y.coords)
+    flat = conjugation_entries(frame, y.coords)
     return [flat[3 * l:3 * l + 3] for l in range(3)]
 
 
@@ -143,7 +142,7 @@ def _assert_tau_pointwise(y, sp, coords, rng):
         t = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(3)]
         z = frame.elements[0] * t[0] + frame.elements[1] * t[1] + frame.elements[2] * t[2]
         assert poly_value(image, t, sp.nu) == \
-            poly_value(poly, frame.coords_of(y.conj() * z * y), sp.nu)
+            poly_value(poly, coords_of(frame, y.conj() * z * y), sp.nu)
 
 
 def test_tau_identity_and_representation(algebra):
@@ -178,7 +177,7 @@ def test_conjugation_matrix_matches_products(algebra):
     rng = random.Random(13)
     for _ in range(10):
         y = _random_element(algebra, rng)
-        want = [frame.coords_of(y.conj() * g * y) for g in frame.elements]
+        want = [coords_of(frame, y.conj() * g * y) for g in frame.elements]
         assert conjugation_matrix(y, frame) == want
 
 
@@ -323,7 +322,7 @@ def test_lift_matrix_deg2_matches_quaternion_products(algebra, class_set_17, nu)
                 u = lattice.element_from(x1).conj() * lattice.element_from(x2)
                 m1, m2 = monomial_values(x1, nu), monomial_values(x2, nu)
                 value = sum(a * cab * b for a, row in zip(m1, c) for cab, b in zip(row, m2))
-                assert value == poly_value(v, frame.coords_of(u - one * (u.trace() / 2)), nu)
+                assert value == poly_value(v, coords_of(frame, u - one * (u.trace() / 2)), nu)
 
 
 @pytest.mark.parametrize("nu", [0, 1, 2])
@@ -379,9 +378,27 @@ def test_lift_poly_deg1_adapted_harmonic(algebra):
             assert row.num.any() and not (lap @ row.T).num.any()
 
 
+def test_degree1_weight_row_is_the_poly_reference(algebra):
+    # verify-example's matrix identity outer(u·B·F, v·B)·Tᵗ/den against the weight
+    # built by substitution, on R₁ (identity basis) for all 9 basis pairs at ν = 1;
+    # every row is harmonic for R₁'s Laplacian and none for R₂'s
+    sp, r1 = HarmSpace(1, default_frame(algebra)), fx.order_r1()
+    assert r1.basis == linalg.identity(4)
+    lap1, lap2 = (laplacian_matrix(linalg.inverse(order.gram), 2, 4)
+                  for order in (r1, fx.order_r2()))
+    for u in linalg.identity(sp.dim):
+        for v in linalg.identity(sp.dim):
+            row = verify.degree1_weight_row(sp, u, v)
+            p = lift_poly_deg1(sp, u, v, r1)
+            assert row.tolist()[0] == p.coefficient_vector(monomials_of_degree(4, 2))
+            assert row.num.any() and not (lap1 @ row.T).num.any()
+            assert (lap2 @ row.T).num.any()
+
+
 def test_no_poly_is_built_on_the_runtime_path(monkeypatch):
-    # Poly stays behind the references lift_poly_deg1, lift_poly_deg2 and
-    # theta2_coefficient; the pipeline runs on coefficient rows and matrices
+    # Poly stays behind the references lift_poly_deg2 and theta2_coefficient;
+    # the pipeline and verify-example's property suite run on coefficient rows
+    # and matrices
     def refuse(self, *args, **kwargs):
         raise AssertionError("a Poly was built")
 
@@ -406,6 +423,9 @@ def test_no_poly_is_built_on_the_runtime_path(monkeypatch):
     yoshida2(cs, phi, phi2, 20)
     fx.fixture_lift(300)
     fx.golden_lift(300)
+    report = verify.Report()
+    verify.check_property_suites(report)
+    assert report.results and report.ok, report.lines()
     # the patch is live: a reference function still builds one
     with pytest.raises(AssertionError, match="a Poly was built"):
         lift_poly_deg2(*_alpha3(fx.fixture_algebra()), fx.order_r1())

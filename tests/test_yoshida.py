@@ -13,14 +13,14 @@ import enum_reference
 from binforms_reference import apply_unimodular, reduced_forms_up_to
 from helpers import (expansion, hamilton_algebra, level34_order, monomial_values,
                      narrowest_signed, shuffled_store)
+from poly_reference import Poly, lift_poly_deg1
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore, yoshida
 from quatlift.binforms import form_table, is_ambiguous
 from quatlift.brandt import (AutomorphicForm, FormSpace, brandt_matrix, brandt_series,
                              constant_form)
-from quatlift.harmonic import (HarmSpace, default_frame, lift_matrix_deg2, lift_poly_deg1,
-                               lift_poly_deg2, monomials_of_degree)
-from quatlift.polys import Poly
+from quatlift.harmonic import (HarmSpace, default_frame, lift_matrix_deg2, lift_poly_deg2,
+                               monomials_of_degree)
 from quatlift.quatcore import (Lattice, UsageError, class_set, short_vectors,
                                short_vectors_upto)
 from quatlift.serialize import dumps_canonical, expansion_to_obj
