@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .brandt import AutomorphicForm
-from .quatcore import Lattice, QuaternionAlgebra
+from .quatcore import Lattice, QuaternionAlgebra, UsageError
 from .yoshida import FourierExpansionSiegel2
 
 
@@ -253,13 +253,18 @@ def form_to_obj(phi: AutomorphicForm) -> dict:
 
 
 def form_from_obj(obj: dict) -> AutomorphicForm:
-    """Parse a form document: `values` has `classes` rows of 2ν + 1 rationals each."""
+    """Parse a form document: `values` is `classes` lists of rationals.  The form's
+    own rule, ν ≥ 0 and 2ν + 1 coordinates per class, is `AutomorphicForm`'s, whose
+    `UsageError` is reported as a `SchemaError` with the same message."""
     try:
         nu, classes = _integer(obj["nu"], "nu"), _integer(obj["classes"], "classes")
-        if nu < 0 or not _has_shape(obj["values"], (classes, 2 * nu + 1)):
-            raise SchemaError(f"values must be {classes} rows (classes) of "
-                              f"2·nu + 1 = {2 * nu + 1} coordinates, nu ≥ 0")
-        return AutomorphicForm(nu, [tuple(map(parse_rational, v)) for v in obj["values"]])
+        values = obj["values"]
+        if not (_has_shape(values, (classes,))
+                and all(isinstance(v, (list, tuple)) for v in values)):
+            raise SchemaError(f"values must be {classes} rows (classes), each a list")
+        return AutomorphicForm(nu, [tuple(map(parse_rational, v)) for v in values])
+    except UsageError as exc:
+        raise SchemaError(str(exc)) from None
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad form document: {exc}") from None
 

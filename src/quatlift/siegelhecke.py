@@ -10,12 +10,13 @@ Surveys 29, 1974), with the global normalization p^{2k-3} that makes the a(pS)
 term have coefficient 1; for the bundled example this reproduces the published
 eigenvalues with no further constant.
 
-`hecke_Tp` runs each block D as one pass over the output forms
-(`binforms.form_table` and (0, 0, 0)): S[Dᵗ] for every S at once, the rows
-divisible by p, and their input coefficients read as one column through
-`FourierExpansionSiegel2.coefficients`, which reduces them, checks the bounds
-and applies the odd-weight sign.  `eigenvalue_extract` compares the two
-expansions' definite entries up to the smaller bound as columns.
+`hecke_Tp` runs every block D in one pass over the output forms
+(`binforms.form_table` and (0, 0, 0)): S[Dᵗ] for every D and every S at once,
+the transplants divisible by p, all their input coefficients read as one
+column through `FourierExpansionSiegel2.coefficients`, which reduces them,
+checks the bounds and applies the odd-weight sign, and one scatter-add of
+the weighted column into the output forms.  `eigenvalue_extract` compares
+the two expansions' definite entries up to the smaller bound as columns.
 """
 
 from __future__ import annotations
@@ -71,9 +72,10 @@ def _grouped_cosets(p: int, k: int) -> dict:
 
     A coset contributes e(tr(S·Dᵗ·B)/p)·a(D·S·Dᵗ/p); AssertionError unless that
     character is trivial for every half-integral S, i.e. unless M = DᵗB has
-    M₁₁ ≡ M₂₂ ≡ 0 mod p and M₁₂ + M₂₁ ≡ 0 mod 2p.
+    M₁₁ ≡ M₂₂ ≡ 0 mod p and M₁₂ + M₂₁ ≡ 0 mod 2p.  The cosets are counted per D
+    in integers, and each D's weight is one Fraction.
     """
-    weights: dict = {}
+    counts: dict = {}
     for rep in hecke_cosets(p):
         (d11, d12), (d21, d22) = rep.d
         (b11, b12), (b21, b22) = rep.b
@@ -81,9 +83,9 @@ def _grouped_cosets(p: int, k: int) -> dict:
         m21, m22 = d12 * b11 + d22 * b21, d12 * b12 + d22 * b22
         if m11 % p or m22 % p or (m12 + m21) % (2 * p):
             raise AssertionError(f"coset {rep} has a nontrivial character")
-        w = Fraction(p) ** (2 * k - 3) / (d11 * d22 - d12 * d21) ** k
-        weights[rep.d] = weights.get(rep.d, Fraction(0)) + w
-    return weights
+        counts[rep.d] = counts.get(rep.d, 0) + 1
+    return {d: Fraction(p) ** (2 * k - 3) * n / (d[0][0] * d[1][1] - d[0][1] * d[1][0]) ** k
+            for d, n in counts.items()}
 
 
 def hecke_Tp(f: FourierExpansionSiegel2, p: int) -> FourierExpansionSiegel2:
@@ -103,14 +105,18 @@ def hecke_Tp(f: FourierExpansionSiegel2, p: int) -> FourierExpansionSiegel2:
     common = math.lcm(*(w.denominator for w in weights.values()))
     # the output forms, and (0, 0, 0), its own transplant under every D
     sa, sb, sc = (np.append(x, 0) for x in form_table(out_bound))
+    # S[Dᵗ] = D·S·Dᵗ for every block D (a row each) and every S (a column each)
+    d11, d12, d21, d22 = np.array([sum(d, ()) for d in weights], dtype=np.int64).T[:, :, None]
+    ta = sa * (d11 * d11) + sb * (d11 * d12) + sc * (d12 * d12)
+    tb = sa * (2 * d11 * d21) + sb * (d11 * d22 + d12 * d21) + sc * (2 * d12 * d22)
+    tc = sa * (d21 * d21) + sb * (d21 * d22) + sc * (d22 * d22)
+    # 1/p of it where that stays half-integral: one read of every transplant
+    hit = (ta % p == 0) & (tb % p == 0) & (tc % p == 0)
+    block, form = np.nonzero(hit)
+    scale = np.array([int(w * common) for w in weights.values()], dtype=object)
+    terms = scale[block] * f.coefficients(ta[hit] // p, tb[hit] // p, tc[hit] // p)
     total = np.zeros(len(sa), dtype=object)
-    for ((d11, d12), (d21, d22)), w in weights.items():
-        # S[Dᵗ] = D·S·Dᵗ, then 1/p of it where that stays half-integral
-        ta = sa * (d11 * d11) + sb * (d11 * d12) + sc * (d12 * d12)
-        tb = sa * (2 * d11 * d21) + sb * (d11 * d22 + d12 * d21) + sc * (2 * d12 * d22)
-        tc = sa * (d21 * d21) + sb * (d21 * d22) + sc * (d22 * d22)
-        hit = np.flatnonzero((ta % p == 0) & (tb % p == 0) & (tc % p == 0))
-        total[hit] += int(w * common) * f.coefficients(ta[hit] // p, tb[hit] // p, tc[hit] // p)
+    np.add.at(total, form, terms)
     return FourierExpansionSiegel2.from_columns(k, f.level, out_bound, sa, sb, sc, total,
                                                 f.denominator * common, singular_bound=0)
 

@@ -25,22 +25,28 @@ kept as the enumeration kernel's own norm-sorted array with an offset per
 norm, so that H_m and any run of consecutive norms are slices of it.
 Since P(−x₁, x₂) = P(x₁, −x₂) = (−1)^ν·P(x₁, x₂) and B(−x₁, x₂) = −B(x₁, x₂),
 the sum over full-shell pairs is S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)), S⁺ the sum
-over H_a × H_c.  One numpy kernel, `ThetaEngine.row_sums`, does a whole row a
-of forms: M(H_a)·C·M(H_c)ᵗ against one slice, the half shells of every norm
-from the row's least c to its largest, read in blocks of rows (so no temporary
-grows with the slice), chunked by rows of H_a and scattered into one
-accumulator of one bin block per norm, then folded as above; the
-singular entries (0, 0, m) are the row a = 0, whose only vector is zero.  The
-kernel stays exact: a bound on max|M|²·Σ|C|·|H_a|·max|H_c|, times the 4 of the
-fold, picks float64 (integers below 2⁵³, exact in any order) when it stays
-below 2⁵³, int64 below 2⁶², otherwise object arrays of Python ints.
+over H_a × H_c.  One numpy kernel, `ThetaEngine.table_sums`, does a whole table
+of forms in one call: what does not depend on the row a (the forms sorted into
+rows, H_a·G and M(H_a)ᵗ·C for every first vector, the tier bounds, the work
+buffers and each form's accumulator position) once, then each row as
+M(H_a)·C·M(H_c)ᵗ against one slice, the half shells of every norm from the
+row's least c to its largest, read in blocks of rows (so no temporary grows
+with the slice), chunked by rows of H_a and scattered into one accumulator of
+one bin block per norm, then folded as above.  The forms with a zero vector,
+the singular entries (0, 0, m) among them, are pair counts read off the shell
+sizes.  `row_sums` is its one-row call.  The kernel stays exact: a bound on
+max|M|²·Σ|C|·|H_a|·max|H_c|, times the 4 of the fold, picks per row float64
+(integers below 2⁵³, exact in any order) when it stays below 2⁵³, int64 below
+2⁶², otherwise object arrays of Python ints.
 `theta_lift` takes its forms from `binforms.form_table` and writes every
-piece's factor over one common denominator: each row's sums are one array in
-table positions, added into one object array of Python-int totals.  It holds
-one engine at a time, so its memory peak is one lattice's enumeration, and
-that runs only to the reach of the rows a ≥ 2, about half of row 1's: row 1
-is summed per x₁ ∈ H₁ on a `ThetaEngine.slab`, the few vectors x₂ that its
-forms read, through the same kernel.
+piece's factor over one common denominator: each engine's sums are one array
+in table positions, added once into one object array of Python-int totals.  It
+holds one engine at a time, so its memory peak is one lattice's enumeration,
+and that runs only to the reach of the rows a ≥ 2, about half of row 1's: row
+1 is summed per x₁ ∈ H₁ on a `ThetaEngine.slab`, the few vectors x₂ that its
+forms read, through the same kernel.  At ν = 0, `yoshida2` folds each piece
+(j, i) into (i, j): the weight is constant and cross(j, i) is isometric to
+cross(i, j), so one lattice per unordered pair {i, j} carries both scales.
 `theta2_coefficient` is the pure-Python reference for one coefficient, on the
 full shells of `quatcore.short_vectors`.
 
@@ -51,6 +57,7 @@ a(m) = ⟨φ₁, T̃(m)·φ₂⟩: one product with `brandt.brandt_series`, no s
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -274,9 +281,10 @@ class QExpansion:
         return not self.coeffs
 
 
-# entries of H_a × (a block of H_c) per chunk of `ThetaEngine.row_sums`
-_CHUNK = 1 << 18
-# rows of the H_c slice per block of `ThetaEngine.row_sums`
+# entries of H_a × (a block of H_c) per chunk of `ThetaEngine.table_sums`: its
+# float64 buffers stay within 512 KiB each, as fast as 2 MiB on golden_lift
+_CHUNK = 1 << 16
+# rows of the H_c slice per block of `ThetaEngine.table_sums`
 _BLOCK = 1 << 14
 
 
@@ -290,7 +298,7 @@ class ThetaEngine:
     kernel's dtype: the narrowest signed integer dtype that holds the kernel's
     bound on every coordinate (int8 for R₁ up to norm 3,660 and I₁₂ up to
     6,670, so for `golden_lift`'s engines up to bound 29,000), or object past
-    int64; `row_sums` casts what it reads, a block at a time.  The first
+    int64; `table_sums` casts what it reads, a block at a time.  The first
     vectors of a row a are H_a, except in an engine made by `slab`, whose
     `head` is (a, {x₁}) and whose shells are only the x₂ that row a reads.
     """
@@ -352,14 +360,6 @@ class ThetaEngine:
             raise TruncationError("enumeration bound exceeded")
         return self.shells[self.start[m]:self.start[m + 1]] if m > 0 else self.shells[:0]
 
-    def _row_vectors(self, a: int) -> np.ndarray:
-        """The first vectors x₁ of row a's pairs: H_a, or a slab engine's {x₁}."""
-        if self.head is None:
-            return self.half_shell(a)
-        if a != self.head[0]:
-            raise ValueError(f"a slab engine holds the row a = {self.head[0]} only")
-        return self.head[1]
-
     def vecs(self, m: int) -> np.ndarray:
         """The vectors of norm m; m = 0 gives the single zero row."""
         if m == 0:
@@ -367,24 +367,31 @@ class ThetaEngine:
         h = self.half_shell(m)
         return np.concatenate((h, -h))
 
-    def _count(self, m: int) -> int:
-        return 1 if m == 0 else 2 * len(self.half_shell(m))
-
     def row_sums(self, a: int, cs, bs, mat: np.ndarray, nu: int) -> np.ndarray:
         """The pair sums of the forms (a, bs[i], cs[i]) of one row a, as an object
+        array of Python ints in the order given: the one-row `table_sums`."""
+        cs = np.asarray(cs, dtype=np.int64)
+        return self.table_sums(np.full(len(cs), a, dtype=np.int64), bs, cs, mat, nu)
+
+    def table_sums(self, ta, tb, tc, mat: np.ndarray, nu: int) -> np.ndarray:
+        """The pair sums of the forms (ta[i], tb[i], tc[i]), of any rows a, as an object
         array of Python ints in the order given.
 
         Each is Σ over x₁, x₂ with q(x₁) = a, q(x₂) = c, B(x₁, x₂) = b of
         M(x₁)ᵗ·mat·M(x₂), M(x) the degree-ν monomials of x.  Pairs with a zero
-        vector have b = 0 and weight mat₀₀ at ν = 0, 0 otherwise.  The rest is one
-        numpy pass over H_a × `shells[start[c_min]:start[c_max + 1]]`, the half
-        shells of every norm from the row's least c to its largest.  The slice is
-        read in blocks of `_BLOCK` rows, each cast to the working dtype once, and
-        H_a in chunks of rows; each chunk is scattered into one (c, b) accumulator
-        S⁺ with a bin block per norm of the range, and the full sums are
-        S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).
+        vector have b = 0 and weight mat₀₀ at ν = 0, 0 otherwise; their counts are
+        read off the shell sizes.  The rest is one pass per row a over
+        H_a × `shells[start[c_min]:start[c_max + 1]]`, the half shells of every norm
+        from the row's least c to its largest.  What does not depend on the row is
+        done once for the table: the forms sorted by (a, c), B(x₁, ·) = x₁·G and
+        M(x₁)ᵗ·mat for the first vectors of every row, the tier bounds, the work
+        buffers and the accumulator positions of every form.  A row reads its slice
+        in blocks of `_BLOCK` rows, each cast to the working dtype once, and H_a in
+        chunks of rows; each chunk's B is clamped, offset by the bin base of its
+        norm and scattered into one (c, b) accumulator S⁺ with a bin block per norm
+        of the range, and the full sums are S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).
 
-        Exact in three tiers, picked by peak, a bound on
+        Exact in three tiers, picked per row by peak, a bound on
         max|M|²·Σ|mat|·|H_a|·max|H_c| (c over the range) that bounds every weight
         and every bin sum.  While 4·peak (the fold) and every partial sum of B stay
         below `FLOAT64_EXACT` = 2⁵³, the row runs in float64: every integer it forms
@@ -395,62 +402,139 @@ class ThetaEngine:
         chunk is binned by `np.bincount`.  Past that, int64 while 4·peak stays
         below 2⁶², otherwise object arrays of Python ints, both binned by
         `np.add.at`.  At ν = 0 the weight is the constant mat₀₀, so every tier
-        counts pairs in int64 and multiplies by mat₀₀ once.
+        counts pairs in int64 and multiplies by mat₀₀ once.  ValueError on a
+        negative norm, TruncationError on a norm past `max_norm`.
         """
-        cs = np.asarray(cs, dtype=np.int64)
-        bs = np.asarray(bs, dtype=np.int64)
-        out = np.zeros(len(cs), dtype=object)
-        live = cs > 0 if a else np.zeros(len(cs), dtype=bool)  # the forms with a, c > 0
-        if nu == 0 and not live.all():
-            cu, at = np.unique(cs[~live], return_inverse=True)
-            counts = np.array([int(mat[0, 0]) * self._count(a) * self._count(c)
-                               for c in cu.tolist()], dtype=object)
-            out[~live] = np.where(bs[~live] == 0, counts[at], 0)
-        if not live.any():
+        ta, tb, tc = (np.asarray(x, dtype=np.int64) for x in (ta, tb, tc))
+        if len(ta) and min(ta.min(), tc.min()) < 0:
+            raise ValueError("negative norms")
+        start, sizes = self.start, np.diff(self.start)
+        out = np.zeros(len(ta), dtype=object)
+        m00 = 1 if nu else int(mat[0, 0])
+        live = (ta > 0) & (tc > 0)
+        if not nu and not live.all():
+            # a zero vector: b = 0 and the weight mat₀₀; the zero row counts once
+            zero = np.flatnonzero(~live)
+            a, c = ta[zero], tc[zero]
+            if max(a.max(), c.max()) > self.max_norm:
+                raise TruncationError("enumeration bound exceeded")
+            counts = np.where(a > 0, 2 * sizes[a], 1) * np.where(c > 0, 2 * sizes[c], 1)
+            counts[tb[zero] != 0] = 0
+            out[zero] = _times(counts, m00)
+        pos = np.flatnonzero(live)
+        if not len(pos):
             return out
-        cl, bl = cs[live], bs[live]
-        c0, c1 = int(cl.min()), int(cl.max())
-        ha = self._row_vectors(a)
-        if c1 > self.max_norm:
-            raise TruncationError("enumeration bound exceeded")
-        start = self.start
-        lo, hi = int(start[c0]), int(start[c1 + 1])
-        if not len(ha) or lo == hi:
-            return out
+        # the live forms by (a, c), and the first and last form of each row
+        pos = pos[np.lexsort((tc[pos], ta[pos]))]
+        fa, fb, fc = ta[pos], tb[pos], tc[pos]
+        firsts = np.flatnonzero(np.diff(fa, prepend=-1))
+        ends = np.append(firsts[1:], len(pos))
+        rows, c0s, c1s = fa[firsts], fc[firsts], fc[ends - 1]
+        bmaxs = np.maximum.reduceat(np.abs(fb), firsts)
+        # the first vectors of every row: H_a, consecutive slices of the shells, or a
+        # slab engine's {x₁}
+        if self.head is None:
+            if max(rows[-1], c1s.max()) > self.max_norm:
+                raise TruncationError("enumeration bound exceeded")
+            f0 = start[rows[0]]
+            first = self.shells[f0:start[rows[-1] + 1]]
+            h0s, h1s = start[rows] - f0, start[rows + 1] - f0
+        else:
+            if rows.tolist() != [self.head[0]]:
+                raise ValueError(f"a slab engine holds the row a = {self.head[0]} only")
+            if c1s.max() > self.max_norm:
+                raise TruncationError("enumeration bound exceeded")
+            first, h0s, h1s = self.head[1], np.array([0]), np.array([1])
         # bins b = −bmax − 1, …, bmax + 1 per c; the two outer ones take every
-        # |b| > bmax, which no form asked for reads
-        bmax = int(np.abs(bl).max())
-        width = 2 * bmax + 3
-        # B(x₁, x₂) = x₁·G·x₂ᵗ and M(x₁)ᵗ·mat, formed once per row of H_a
-        ha = ha.astype(np.int64)
-        hg = ha @ self.gram
+        # |b| > bmax, which no form asked for reads.  Each form's S⁺(b) and S⁺(−b)
+        # positions in its row's accumulator
+        span = ends - firsts
+        plus = fc - np.repeat(c0s, span)
+        plus *= np.repeat(2 * bmaxs + 3, span)
+        plus += np.repeat(bmaxs + 1, span)
+        minus = plus - fb
+        plus += fb
+        del fa, fb, fc
+        # B(x₁, x₂) = x₁·G·x₂ᵗ and M(x₁)ᵗ·mat, formed once for every first vector
+        first = first.astype(np.int64)
+        hg = first @ self.gram
+        gmax = np.abs(hg).max(axis=1, initial=0)
         coord_max = max(self.coord_max, 1)
-        peak = (coord_max ** (2 * nu) * sum(map(abs, mat.ravel().tolist()))
-                * len(ha) * int(np.diff(start[c0:c1 + 2]).max()))
-        # float64 while every partial sum of B, of a weight and of a bin stays
-        # below 2⁵³, so that each is exact in any order
-        floats = (4 * coord_max * int(np.abs(hg).max()) < FLOAT64_EXACT
-                  and 4 * peak < FLOAT64_EXACT)
-        dtype = np.float64 if floats else np.int64 if 4 * peak < INT64_SAFE else object
+        matsum = sum(map(abs, mat.ravel().tolist()))
+        hm = None
         if nu:
-            # the monomials and their product with mat exact, then cast
-            hm = _monomial_rows(ha, nu, object if dtype is object else np.int64)
-            hm = (hm @ mat.astype(hm.dtype, copy=False)).astype(dtype, copy=False)
+            # exact in int64 unless every row is in the object tier
+            wide = 4 * coord_max ** nu * matsum >= INT64_SAFE
+            hm = _monomial_rows(first, nu, object if wide else np.int64)
+            hm = hm @ mat.astype(hm.dtype, copy=False)
+        # every block's (4, n) rows, its chunks' B and then weights, and their bin
+        # indices: three float64-tier buffers for the table, each as large as its
+        # largest row needs, made when a row first needs them
+        blocks = np.minimum(start[c1s + 1] - start[c0s], _BLOCK)
+        n = int(blocks.max())
+        size = int(np.minimum(np.maximum(_CHUNK, blocks), (h1s - h0s) * blocks).max())
+        floats64 = None
+        startl = start.tolist()
+        fold = np.subtract if nu % 2 else np.add
+        sums = np.zeros(len(pos), dtype=np.int64)
+        big = []  # (rows, sums) of the object tier
+        for k, (h0, h1, c0, c1, bmax) in enumerate(zip(h0s.tolist(), h1s.tolist(), c0s.tolist(),
+                                                        c1s.tolist(), bmaxs.tolist())):
+            if h0 == h1 or startl[c0] == startl[c1 + 1]:
+                continue
+            peak = (coord_max ** (2 * nu) * matsum * (h1 - h0)
+                    * int(sizes[c0:c1 + 1].max()))
+            # float64 while every partial sum of B, of a weight and of a bin stays
+            # below 2⁵³, so that each is exact in any order
+            if (4 * coord_max * int(gmax[h0:h1].max()) < FLOAT64_EXACT
+                    and 4 * peak < FLOAT64_EXACT):
+                if floats64 is None:
+                    floats64 = (hg.astype(np.float64), hm.astype(np.float64) if nu else None,
+                                (np.empty(4 * n), np.empty(size), np.empty(size, dtype=np.intp)))
+                g, w, bufs = floats64
+                acc = self._bin_row(g[h0:h1], w[h0:h1] if nu else None, c0, c1, bmax, nu,
+                                    np.float64, bufs, startl, sizes)
+            else:
+                dtype = np.int64 if 4 * peak < INT64_SAFE else object
+                acc = self._bin_row(hg[h0:h1], hm[h0:h1].astype(dtype, copy=False) if nu else None,
+                                    c0, c1, bmax, nu, dtype, None, startl, sizes)
+            # (x₁, x₂) ↦ (−x₁, −x₂) keeps b and the weight; negating one of them
+            # negates b and multiplies the weight by (−1)^ν.  Read at the forms
+            # asked for only, so no temporary of the accumulator's size
+            rs = slice(firsts[k], ends[k])
+            if acc.dtype == object:
+                big.append((rs, fold(acc[plus[rs]], acc[minus[rs]])))
+            else:
+                fold(acc[plus[rs]], acc[minus[rs]], out=sums[rs], casting="unsafe")
+        # S = 2·(S⁺(b) ± S⁺(−b)), times mat₀₀ at ν = 0: the int64 and float64 tiers'
+        # sums go straight into Python ints, then the object tier's
+        out[pos] = _times(sums, 2 * m00)
+        for rs, s in big:
+            out[pos[rs]] = 2 * s
+        return out
+
+    def _bin_row(self, g, w, c0: int, c1: int, bmax: int, nu: int, dtype, bufs,
+                 startl: list, sizes: np.ndarray) -> np.ndarray:
+        """The accumulator S⁺ of one row: for each norm c0…c1 a bin block over
+        b = −bmax − 1 … bmax + 1, holding the sums over x₁ ∈ H_a and x₂ ∈ H_c of
+        M(x₁)ᵗ·mat·M(x₂), given g = H_a·G and w = M(H_a)ᵗ·mat in the row's dtype.
+
+        The slice of H_c is read in blocks of `_BLOCK` rows and H_a in chunks of
+        rows.  In float64, `bufs` holds the block's contiguous (4, n) rows and each
+        chunk's products and bin indices; the other tiers form theirs.  `startl`
+        and `sizes` are `start` as a list and the shell sizes.
+        """
+        width = 2 * bmax + 3
         acc = np.zeros((c1 - c0 + 1) * width, dtype=dtype if nu else np.int64)
-        if floats:
-            hg = hg.astype(np.float64)
-            # every block's (4, n) rows, its chunks' B and then weights, and their
-            # bin indices: three buffers for the whole row
-            n = min(_BLOCK, hi - lo)
-            size = min(max(_CHUNK, n), len(ha) * n)
-            vbuf, fbuf, ibuf = np.empty(4 * n), np.empty(size), np.empty(size, dtype=np.intp)
-        for r0 in range(lo, hi, _BLOCK):
-            r1 = min(r0 + _BLOCK, hi)
+        nb = np.arange(bmax + 1, (c1 - c0 + 1) * width, width)  # bin base per norm
+        floats = dtype is np.float64
+        for r0 in range(startl[c0], startl[c1 + 1], _BLOCK):
+            r1 = min(r0 + _BLOCK, startl[c1 + 1])
             n = r1 - r0
             blk = self.shells[r0:r1]
             if floats:
                 # contiguous blocks for einsum's own loops (BLAS would bring its threads)
-                vt = vbuf[:4 * n].reshape(4, n)
+                vt = bufs[0][:4 * n].reshape(4, n)
                 np.copyto(vt, blk.T)
             else:
                 vt = blk.astype(np.int64).T
@@ -459,41 +543,37 @@ class ThetaEngine:
                 mt = np.ascontiguousarray(mt, dtype=np.float64) if floats else mt
             else:
                 mt = vt  # M(x) = x at ν = 1, and unread at ν = 0
-            # the bin block of every row: the norms m0…m1 that the block meets
-            m0 = int(np.searchsorted(start, r0, "right")) - 1
-            m1 = int(np.searchsorted(start, r1 - 1, "right")) - 1
-            sizes = np.diff(np.clip(start[m0:m1 + 2], r0, r1))
-            base = np.repeat(np.arange(m1 - m0 + 1) * width + bmax + 1, sizes)
+            # the norms m0…m1 that the block meets, and its rows of each: the shell
+            # sizes, less what lies outside the block of the first and the last
+            m0 = bisect_right(startl, r0) - 1
+            m1 = bisect_right(startl, r1 - 1) - 1
+            counts = sizes[m0:m1 + 1]
+            if startl[m0] < r0 or startl[m1 + 1] > r1:
+                counts = counts.copy()
+                counts[0] -= r0 - startl[m0]
+                counts[-1] -= startl[m1 + 1] - r1
+            base = np.repeat(nb[:m1 - m0 + 1], counts)
             bins = acc[(m0 - c0) * width:(m1 - c0 + 1) * width]
             step = max(1, _CHUNK // n)
-            for r in range(0, len(ha), step):
-                rows = slice(r, r + step)
+            for r in range(0, len(g), step):
+                part = slice(r, r + step)
                 if floats:
-                    k = min(step, len(ha) - r)
-                    f, idx = fbuf[:k * n].reshape(k, n), ibuf[:k * n].reshape(k, n)
-                    np.copyto(idx, np.einsum("ij,jk->ik", hg[rows], vt, out=f), casting="unsafe")
+                    m = min(step, len(g) - r)
+                    f, idx = bufs[1][:m * n].reshape(m, n), bufs[2][:m * n].reshape(m, n)
+                    np.copyto(idx, np.einsum("ij,jk->ik", g[part], vt, out=f), casting="unsafe")
                 else:
-                    idx = hg[rows] @ vt
-                np.clip(idx, -bmax - 1, bmax + 1, out=idx)
+                    idx = g[part] @ vt
+                np.minimum(idx, bmax + 1, out=idx)
+                np.maximum(idx, -bmax - 1, out=idx)
                 idx += base
                 if not nu:
                     bins += np.bincount(idx.ravel(), minlength=len(bins))
                 elif floats:
-                    np.einsum("ij,jk->ik", hm[rows], mt, out=f)  # the weights, over B
+                    np.einsum("ij,jk->ik", w[part], mt, out=f)  # the weights, over B
                     bins += np.bincount(idx.ravel(), weights=f.ravel(), minlength=len(bins))
                 else:
-                    np.add.at(bins, idx.ravel(), (hm[rows] @ mt).ravel())
-        # (x₁, x₂) ↦ (−x₁, −x₂) keeps b and the weight; negating one of them
-        # negates b and multiplies the weight by (−1)^ν.  Read at the forms
-        # asked for only, so no temporary of the accumulator's size
-        acc = acc.reshape(c1 - c0 + 1, width)
-        sums = 2 * (acc[cl - c0, bmax + 1 + bl] + (-1) ** nu * acc[cl - c0, bmax + 1 - bl])
-        if nu:
-            out[live] = sums.astype(np.int64) if floats else sums
-        else:
-            # pair counts, times the constant weight
-            out[live] = sums.astype(object) * int(mat[0, 0])
-        return out
+                    np.add.at(bins, idx.ravel(), (w[part] @ mt).ravel())
+        return acc
 
     def pair_sums_bilinear(self, a: int, c: int, mat: np.ndarray, nu: int) -> dict[int, int]:
         """For all b: Σ over pairs (x₁, x₂) with q = (a, b, c) of M(x₁)ᵗ·mat·M(x₂).
@@ -508,6 +588,13 @@ class ThetaEngine:
     def pair_counts(self, a: int, c: int) -> dict[int, int]:
         """For all b: the number of pairs with q = (a, b, c)."""
         return self.pair_sums_bilinear(a, c, np.ones((1, 1), dtype=np.int64), 0)
+
+
+def _times(x: np.ndarray, k: int) -> np.ndarray:
+    """The int64 array x times k: in int64 when no product can pass 2⁶², else as Python ints."""
+    if abs(k) * max(int(np.abs(x).max(initial=0)), 1) < INT64_SAFE:
+        return x * k
+    return x.astype(object) * k
 
 
 def theta2_coefficient(lattice: Lattice, lift_poly: Poly, t) -> Fraction:
@@ -546,47 +633,47 @@ def theta_lift(terms, nu: int, level: int, bound: int,
     x₁ ∈ H₁ on `ThetaEngine.slab`, 12,256 rows at bound 2600 where R₁'s norms
     326…650 hold 184,191, and a lattice without norm-1 vectors builds none.
     Every piece's factor scale/den is written n/D over one common denominator
-    D, and each row a of the table adds n times its `row_sums` array into one
-    object array of Python-int totals.  The engines are built one at a time:
-    each runs all its rows and is dropped before the next one enumerates.
+    D.  Each engine runs the table in one `ThetaEngine.table_sums` call (but
+    for a row 1 on slabs), whose array is added n times into one object array
+    of Python-int totals.  The engines are built one at a time: each runs the
+    table and is dropped before the next one enumerates.
     """
     if singular_bound is None:
         singular_bound = _default_singular_bound(bound)
     ta, tb, tc = form_table(bound)
-    ms = np.arange(singular_bound + 1)
     max_norm = _engine_norm(ta, tc, nu, singular_bound)
+    # one table: the singular forms (0, 0, m), the definite ones, and row 1 last
+    # when its largest c reaches past the engines
+    far = (ta == 1) & (tc[ta == 1].max(initial=0) > max_norm)
+    nfar = int(far.sum())
+    ms = np.arange(singular_bound + 1)
+    zero = np.zeros(len(ms), dtype=np.int64)
+    order = np.argsort(far, kind="stable")
+    ta, tb, tc = (np.concatenate((s, x[order])) for s, x in ((zero, ta), (zero, tb), (ms, tc)))
+    del order
+    near, far = slice(len(ta) - nfar), slice(len(ta) - nfar, None)
     pieces = []
     for lattice, weight, scale in terms:
         mat, den = linalg.integer_form(weight)
         pieces.append((lattice, np.array(mat, dtype=np.int64), Fraction(scale) / den))
     common = math.lcm(*(f.denominator for _, _, f in pieces))
-    by_a = np.argsort(ta, kind="stable")
-    rows, starts = np.unique(ta[by_a], return_index=True)
-    rows = list(zip(rows.tolist(), np.split(by_a, starts[1:])))
     totals = np.zeros(len(ta), dtype=object)
-    singular = np.zeros(len(ms), dtype=object)
     for lattice, mat, f in pieces:
-        # one engine at a time: it runs all its rows and is dropped before the next
+        # one engine at a time: it runs the whole table and is dropped before the next
         engine = ThetaEngine(lattice, max_norm)
         n = int(f * common)
-        if not nu:
-            singular += n * engine.row_sums(0, ms, np.zeros_like(ms), mat, nu)
-        for a, pos in rows:
-            cs, bs = tc[pos], tb[pos]
-            if cs.max() <= max_norm:
-                sums = engine.row_sums(a, cs, bs, mat, nu)
-            else:
-                # row 1 reaches past the engine: one slab engine per x₁ ∈ H₁.  Each
-                # x₁ is a view of the shells, and goes with the generator's frame
-                sums = sum((ThetaEngine.slab(engine, x1, bound).row_sums(a, cs, bs, mat, nu)
-                            for x1 in engine.half_shell(a)), np.zeros(len(cs), dtype=object))
-            totals[pos] += n * sums
+        sums = engine.table_sums(ta[near], tb[near], tc[near], mat, nu)
+        totals[near] += np.multiply(sums, n, out=sums)
+        if nfar:
+            # row 1 on one slab engine per x₁ ∈ H₁.  Each x₁ is a view of the
+            # shells, and goes with the generator's frame
+            cs, bs = tc[far], tb[far]
+            totals[far] += n * sum(
+                (ThetaEngine.slab(engine, x1, bound).row_sums(1, cs, bs, mat, nu)
+                 for x1 in engine.half_shell(1)), np.zeros(nfar, dtype=object))
         del engine
-    zero = np.zeros(len(ms), dtype=np.int64)
-    return FourierExpansionSiegel2.from_columns(
-        nu + 2, level, bound, np.concatenate((zero, ta)), np.concatenate((zero, tb)),
-        np.concatenate((ms, tc)), np.concatenate((singular, totals)), common,
-        singular_bound=singular_bound)
+    return FourierExpansionSiegel2.from_columns(nu + 2, level, bound, ta, tb, tc, totals, common,
+                                                singular_bound=singular_bound)
 
 
 def _engine_norm(ta: np.ndarray, tc: np.ndarray, nu: int, singular_bound: int) -> int:
@@ -609,13 +696,16 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
              singular_bound: int | None = None) -> FourierExpansionSiegel2:
     """Degree-2 lift: coefficient(T) = Σ_ij φ₂(y_j)·(1/e_ie_j)·θ(cross(i,j), P_{φ₁(y_i)})(T).
 
-    φ₂ must have ν = 0 (scalar second factor); the result has weight ν₁ + 2.
+    φ₂ must have ν = 0 (scalar second factor); the result has weight ν₁ + 2.  At
+    ν₁ = 0 the pieces (i, j) and (j, i) are one lattice (`_scalar_terms`).
     """
     if phi2.nu != 0:
         raise UsageError("only a scalar second factor is supported (ν₂ = 0)")
     nu1 = phi1.nu
     _require_space(cs, nu1, space1, phi1)
     _require_space(cs, 0, None, phi2)
+    if not nu1:
+        return theta_lift(_scalar_terms(cs, phi1, phi2), 0, cs.order.level, bound, singular_bound)
     harm = FormSpace(cs, nu1).space
     terms = []
     for i in range(cs.h):
@@ -633,6 +723,25 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
                           * cross.norm_scale ** nu1)
             terms.append((cross, weight, scale))
     return theta_lift(terms, nu1, cs.order.level, bound, singular_bound)
+
+
+def _scalar_terms(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm) -> list:
+    """`yoshida2`'s terms at ν = 0: one per unordered pair {i, j}, on cross(i, j), i ≤ j.
+
+    The weight of piece (i, j) is the constant φ₁(y_i) (the degree-0 harmonic basis
+    is 1), so the piece is a pair count.  cross(j, i) is the conjugate of
+    cross(i, j) up to the norm scale, which `normalized_gram` removes, and
+    conjugation is an isometry of the norm form: both count the same pairs.  So
+    piece (j, i) folds into piece (i, j) with the scale
+    (φ₁(y_i)·φ₂(y_j) + φ₁(y_j)·φ₂(y_i))/(e_i·e_j).
+    """
+    scales: dict[tuple[int, int], Fraction] = {}
+    for i in range(cs.h):
+        for j in range(cs.h):
+            s = phi1.values[i][0] * phi2.values[j][0] / (cs.unit_counts[i] * cs.unit_counts[j])
+            key = (min(i, j), max(i, j))
+            scales[key] = scales.get(key, 0) + s
+    return [(cs.cross_lattice(i, j), [[1]], s) for (i, j), s in scales.items() if s]
 
 
 def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm,

@@ -139,10 +139,11 @@ def test_form_roundtrip():
     ("nu", 2.7, "nu must be an integer"),
     ("nu", True, "nu must be an integer"),
     ("nu", "1", "nu must be an integer"),
-    ("nu", -1, "nu ≥ 0"),
-    ("values", [["0", "0", "1"], ["0", "0"]], "2 rows .classes. of 2·nu . 1 = 3 coordinates"),
-    ("values", [["0", "0", "1"], ["0", "0", "0", "0", "0"]], "2 rows .classes. of 2·nu . 1 = 3"),
-    ("values", [["0", "0", "1"], "001"], "2 rows .classes. of 2·nu . 1 = 3"),
+    # the form's own rule is AutomorphicForm's, and so is the message
+    ("nu", -1, "harmonic degree must be at least 0, not -1"),
+    ("values", [["0", "0", "1"], ["0", "0"]], "a degree-1 form has 2ν . 1 = 3 coordinates"),
+    ("values", [["0", "0", "1"], ["0", "0", "0", "0", "0"]], "a degree-1 form has 2ν . 1 = 3"),
+    ("values", [["0", "0", "1"], "001"], "2 rows .classes., each a list"),
     ("classes", 3, "values must be 3 rows"),
     ("classes", "2", "classes must be an integer"),
     ("classes", None, "classes must be an integer"),

@@ -18,6 +18,7 @@ from quatlift.siegelhecke import (HeckeCosetRep, LocalFactor, PoleError,
 from quatlift.quatcore import UsageError
 from quatlift.yoshida import (FourierExpansionSiegel2, TruncationError,
                               is_cuspidal_up_to_bound, yoshida2)
+from hecke_reference import hecke_Tp_per_block
 from helpers import expansion
 
 
@@ -352,6 +353,19 @@ def test_hecke_image_agrees_with_its_json_round_trip(eisenstein_600):
     assert image.singular_bound == again.singular_bound == 0
     assert again.agrees_with(image) and image.agrees_with(again)
     assert again.entries == image.entries and again.coefficient((0, 0, 0)) != 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_hecke_equals_the_per_block_reference(p, k, eisenstein_600, lift_950, lift_nu2_200):
+    # every block's transplants in one read and one scatter-add, against one read
+    # and one add per block: the same text, byte for byte
+    f = {2: eisenstein_600, 3: lift_950, 4: lift_nu2_200}[k]
+    assert f.weight == k
+    got, want = hecke_Tp(f, p), hecke_Tp_per_block(f, p)
+    assert dumps_canonical(expansion_to_obj(got)) == dumps_canonical(expansion_to_obj(want))
+    # the weight-3 lift has λ(7) = 0
+    assert want.is_zero() == ((k, p) == (3, 7))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -1,10 +1,12 @@
 import gc
+import hashlib
 import json
 import math
 import random
 import tracemalloc
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,10 +25,10 @@ from quatlift.harmonic import (HarmSpace, default_frame, lift_matrix_deg2, lift_
                                monomials_of_degree)
 from quatlift.quatcore import (Lattice, UsageError, class_set, short_vectors,
                                short_vectors_upto)
-from quatlift.serialize import dumps_canonical, expansion_to_obj
+from quatlift.serialize import dumps_canonical, expansion_to_obj, lattice_from_obj, load_json
 from quatlift.yoshida import (FourierExpansionSiegel2, QExpansion, ThetaEngine,
                               TruncationError, is_cuspidal_up_to_bound, phi_operator,
-                              theta2_coefficient, yoshida1, yoshida2)
+                              theta2_coefficient, theta_lift, yoshida1, yoshida2)
 
 
 def matrix_poly(m):
@@ -374,6 +376,116 @@ def test_row_sums_beyond_the_engine_bound(max_norm):
         engine.row_sums(0, [max_norm + 1], [0], one, 0)
     with pytest.raises(ValueError, match="negative"):
         ThetaEngine(fx.order_r1(), -1 - max_norm)
+
+
+def full_shell_sums(lattice, forms, mat, nu):
+    """The pair sum of every form (a, b, c) over the full, sorted shells: one exact
+    product per (a, c), M(X)·mat·M(Y)ᵗ on object arrays, grouped by B = X·G·Yᵗ."""
+    g = lattice.normalized_gram()
+    gram = np.array(g.num.tolist(), dtype=object)
+    mat = np.array(mat, dtype=object)
+    by_ac = {}
+    for a, c in {(a, c) for a, _, c in forms}:
+        x, y = (np.array(short_vectors(g, m), dtype=object).reshape(-1, 4) for m in (a, c))
+        mx, my = (np.array([monomial_values(v, nu) for v in z.tolist()], dtype=object)
+                  .reshape(len(z), len(mat)) for z in (x, y))
+        b, w = x @ gram @ y.T, mx @ mat @ my.T
+        by_ac[a, c] = {k: sum(w[b == k].tolist()) for k in set(b.ravel().tolist())}
+    return [by_ac[a, c].get(b, 0) for a, b, c in forms]
+
+
+def table_scale(tier, peaks):
+    """A factor s for which s·mat puts every row of these peaks in the tier (rows of
+    peak 0 have no pair of nonzero vectors and run in none)."""
+    peaks = [p for p in peaks if p]
+    if tier == "float64":
+        assert 4 * max(peaks) < 2 ** 53
+        return 1
+    if tier == "int64":
+        s = -(-2 ** 53 // (4 * min(peaks))) | 1
+        assert 4 * s * max(peaks) < 2 ** 62
+        return s
+    return -(2 ** 64 + 1)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+def test_table_sums_match_full_shell_pairs(nu, einsum_calls):
+    # every form of ROW_CASES in one table, shuffled: rows of several a at once,
+    # the singular forms and c = 0 among them, against the full shells in each tier
+    lattice = fx.ideal_i12()
+    engine = ThetaEngine(lattice, 7)
+    rng = random.Random(10 + nu)
+    monos = monomials_of_degree(4, nu)
+    mat = [[rng.randint(-5, 5) for _ in monos] for _ in monos] if nu else [[-3]]
+    forms = [(a, b, c) for a, cbs in ROW_CASES for c, bs in cbs for b in bs]
+    rng.shuffle(forms)
+    ta, tb, tc = (np.array(x) for x in zip(*forms))
+    want = full_shell_sums(lattice, forms, mat, nu)
+    assert sum(map(bool, want)) >= 9  # of 39
+    peaks = [row_peak(engine, a, tc[ta == a].tolist(), mat, nu) for a in set(ta.tolist())]
+    for tier in ("float64", "int64", "object"):
+        s = table_scale(tier, peaks)
+        before = einsum_calls[0]
+        got = engine.table_sums(ta, tb, tc, np.array(mat, dtype=object) * s, nu).tolist()
+        assert got == [s * w for w in want], tier
+        assert all(type(x) is int for x in got)
+        assert (einsum_calls[0] > before) == (tier == "float64"), tier
+
+
+@pytest.mark.parametrize("block,chunk", [(1, 1), (3, 5), (7, 1 << 18), (1 << 14, 4)])
+def test_table_sums_equal_the_rows_one_at_a_time(monkeypatch, block, chunk):
+    # blocks and chunks of any size split the work only, and one table pass over
+    # rows a = 2, 3, 5 (shuffled) equals the one-row calls at the default sizes
+    engine = ThetaEngine(fx.ideal_i12(), 12)
+    rng = random.Random(block + chunk)
+    rows = [(a, [c for c in range(1, 13) for _ in range(2 * a + 1)],
+             [b for _ in range(1, 13) for b in range(-a, a + 1)]) for a in (2, 3, 5)]
+    ta = np.array([a for a, cs, _ in rows for _ in cs])
+    tc = np.concatenate([cs for _, cs, _ in rows])
+    tb = np.concatenate([bs for _, _, bs in rows])
+    order = np.array(rng.sample(range(len(ta)), len(ta)))
+    for nu in (0, 1, 2, 3):
+        monos = monomials_of_degree(4, nu)
+        mat = np.array([[rng.choice([-3, -1, 2, 5]) for _ in monos] for _ in monos],
+                       dtype=np.int64)
+        want = np.concatenate([engine.row_sums(a, cs, bs, mat, nu) for a, cs, bs in rows])
+        with monkeypatch.context() as m:
+            m.setattr(yoshida, "_BLOCK", block)
+            m.setattr(yoshida, "_CHUNK", chunk)
+            got = engine.table_sums(ta[order], tb[order], tc[order], mat, nu)
+        assert got.tolist() == want[order].tolist() and any(want), nu
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+def test_slab_table_sums_equal_the_full_row(nu):
+    # R₁'s row 1 to bound 60 on its one slab engine, through table_sums, against
+    # the full engine to (60 + 1)//4; a table with another row is refused
+    full = ThetaEngine(fx.order_r1(), 15)
+    (x1,) = full.half_shell(1)
+    slab = ThetaEngine.slab(full, x1, 60)
+    forms = [(1, b, c) for c in range(1, 16) for b in (-1, 0, 1) if 4 * c - b * b <= 60]
+    ta, tb, tc = (np.array(x) for x in zip(*forms))
+    monos = monomials_of_degree(4, nu)
+    rng = random.Random(nu)
+    mat = np.array([[rng.randint(-4, 4) for _ in monos] for _ in monos], dtype=np.int64)
+    want = full.table_sums(ta, tb, tc, mat, nu).tolist()
+    assert slab.table_sums(ta, tb, tc, mat, nu).tolist() == want and any(want)
+    with pytest.raises(ValueError, match="row a = 1 only"):
+        slab.table_sums(np.append(ta, 2), np.append(tb, 0), np.append(tc, 2), mat, nu)
+
+
+def test_table_sums_beyond_the_engine_bound():
+    # the zero-vector counts of a whole table are read off the shell sizes, past
+    # which they raise as the rows do; at ν ≥ 1 the forms with a zero vector read 0
+    engine = ThetaEngine(fx.order_r1(), 3)
+    one = np.ones((1, 1), dtype=np.int64)
+    for a, c in ((0, 4), (0, 5), (4, 0), (5, 0), (2, 4)):
+        with pytest.raises(TruncationError):
+            engine.table_sums([2, a], [0, 0], [2, c], one, 0)
+    got = engine.table_sums([2, 0, 0], [0, 0, 0], [2, 5, 0], np.eye(4, dtype=np.int64), 1)
+    assert got.tolist() == [engine.row_sums(2, [2], [0], np.eye(4, dtype=np.int64), 1)[0], 0, 0]
+    with pytest.raises(ValueError, match="negative"):
+        engine.table_sums([2, -1], [0, 0], [2, 2], one, 0)
 
 
 def test_engine_half_shells_are_slices_of_the_kernel_array(monkeypatch):
@@ -748,7 +860,8 @@ def test_golden_lift_enumerates_the_largest_c_it_reads(enumeration_norms):
 def test_yoshida2_enumerates_the_largest_norm_it_reads(class_set_17, space0, space1,
                                                        enumeration_norms, nu,
                                                        singular_bound, reach):
-    # at ν = 0 the singular range, past row 1's c ≤ 150, is every engine's reach.
+    # at ν = 0 the singular range, past row 1's c ≤ 150, is every engine's reach,
+    # and cross(1, 0) folds into cross(0, 1): 3 engines for the 4 pieces.
     # At ν = 1 the singular groups are skipped: the engines stop at the rows a ≥ 2
     # (c ≤ 604//8), and row 1 reaches c = 150 through one slab, to (600 + 201)/2,
     # per norm-1 vector; φ₁ is nonzero on the first class only, whose two cross
@@ -758,7 +871,7 @@ def test_yoshida2_enumerates_the_largest_norm_it_reads(class_set_17, space0, spa
         want = [reach // 2, Fraction(801, 2), reach // 2]
     else:
         phi, space = constant_form(class_set_17), space0
-        want = [reach] * 4
+        want = [reach] * 3
     lift = yoshida2(class_set_17, phi, fx.phi2(), 600, space1=space,
                     singular_bound=singular_bound)
     assert enumeration_norms == want
@@ -855,6 +968,71 @@ def test_yoshida2_slab_rows_equal_the_full_slice(monkeypatch, slab_lattices, cla
                                         lambda: yoshida2(cs, phi, second, bound, space1=space))
     assert slabbed == full and slabs
     assert len(json.loads(full)["entries"]) > 300
+
+
+def engines_built(monkeypatch):
+    """The lattice of every ThetaEngine built from here on, in order."""
+    built = []
+    init = ThetaEngine.__init__
+
+    def recording_init(self, lattice, max_norm):
+        built.append(lattice)
+        init(self, lattice, max_norm)
+
+    monkeypatch.setattr(ThetaEngine, "__init__", recording_init)
+    return built
+
+
+@pytest.mark.parametrize("level", [17, 34])
+def test_scalar_yoshida2_folds_each_conjugate_pair_of_pieces(monkeypatch, class_set_17, cs34,
+                                                              level):
+    # at ν = 0 piece (j, i) folds into piece (i, j): the lift equals theta_lift over
+    # all h² pieces, each with its own lift_matrix_deg2 weight, for φ₁ ≠ ψ, and
+    # builds one engine per unordered pair {i, j} whose folded scale is nonzero
+    cs = {17: class_set_17, 34: cs34}[level]
+    space = FormSpace(cs, 0)
+    phi, psi = random_form(space, 1), random_form(space, 2)
+    assert phi.values != psi.values
+    terms = []
+    for i in range(cs.h):
+        for j in range(cs.h):
+            cross = cs.cross_lattice(i, j)
+            terms.append((cross, lift_matrix_deg2(space.space, phi.values[i], cross),
+                          psi.values[j][0] / (cs.unit_counts[i] * cs.unit_counts[j])))
+    want = dumps_canonical(expansion_to_obj(theta_lift(terms, 0, level, 300)))
+    built = engines_built(monkeypatch)
+    got = dumps_canonical(expansion_to_obj(yoshida2(cs, phi, psi, 300)))
+    assert got == want and len(json.loads(got)["entries"]) > 100
+    u, v = ([x for (x,) in f.values] for f in (phi, psi))
+    pairs = [(i, j) for i in range(cs.h) for j in range(i, cs.h)
+             if u[i] * v[j] + (u[j] * v[i] if i != j else 0)]
+    assert len(built) == len(pairs) < len(terms)
+
+
+def test_level34_lifts_match_the_pinned_digests():
+    # yoshida2 at ν = 0, 1, 2 on the level-34 class set, pinned before the table
+    # pass and the ν = 0 fold; CI's runtime-only job checks the same file
+    data = Path(__file__).parent / "data"
+    pins = json.loads((data / "yoshida2_n34.json").read_text(encoding="utf-8"))
+    order = lattice_from_obj(load_json(str(data.parent.parent / pins["order"])),
+                             fx.fixture_algebra())
+    cs = class_set(order, pins["seed"])
+    assert (order.level, cs.h) == (34, 4)
+
+    def combination(space, coeffs):
+        forms = space.basis_forms()
+        assert len(forms) == len(coeffs)
+        phi = forms[0].scale(coeffs[0])
+        for form, k in zip(forms[1:], coeffs[1:]):
+            phi = phi.add(form.scale(k))
+        return phi
+
+    for pin in pins["lifts"]:
+        space = FormSpace(cs, pin["nu"])
+        lift = yoshida2(cs, combination(space, pin["phi1"]),
+                        combination(FormSpace(cs, 0), pin["phi2"]), pins["bound"], space1=space)
+        text = dumps_canonical(expansion_to_obj(lift))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin["sha256"], pin["nu"]
 
 
 def test_golden_lift_releases_its_engines(monkeypatch):
