@@ -32,19 +32,20 @@ buffers and each form's accumulator position) once, then each row as
 M(H_a)·C·M(H_c)ᵗ against one slice, the half shells of every norm from the
 row's least c to its largest, read in blocks of rows (so no temporary grows
 with the slice), chunked by rows of H_a and scattered into one accumulator of
-one bin block per norm, then folded as above.  The forms with a zero vector,
-the singular entries (0, 0, m) among them, are pair counts read off the shell
-sizes.  `row_sums` is its one-row call.  The kernel stays exact: a bound on
-max|M|²·Σ|C|·|H_a|·max|H_c|, times the 4 of the fold, picks per row float64
-(integers below 2⁵³, exact in any order) when it stays below 2⁵³, int64 below
-2⁶², otherwise object arrays of Python ints.
+one bin block per norm, then folded as above.  It sums definite forms only
+(a, c ≥ 1).  The kernel stays exact: a bound on max|M|²·Σ|C|·|H_a|·max|H_c|,
+times the 4 of the fold, picks per row float64 (integers below 2⁵³, exact in
+any order) when it stays below 2⁵³, int64 below 2⁶², otherwise object arrays.
 `theta_lift` takes its forms from `binforms.form_table` and writes every
 piece's factor over one common denominator: each engine's sums are one array
-in table positions, added once into one object array of Python-int totals.  It
-holds one engine at a time, so its memory peak is one lattice's enumeration,
-and that runs only to the reach of the rows a ≥ 2, about half of row 1's: row
-1 is summed per x₁ ∈ H₁ on a `ThetaEngine.slab`, the few vectors x₂ that its
-forms read, through the same kernel.  At ν = 0, `yoshida2` folds each piece
+in table positions, added once into one object array of Python-int totals.
+The singular entries a(0, 0, m), the lift's Φ-image, count single vectors: at
+ν = 0 each engine adds mat₀₀ times its theta series, read off the shell sizes
+(M(0) = 0 at ν ≥ 1).  It holds one engine at a time, so its memory peak is
+one lattice's enumeration, and that runs only to the reach of the rows a ≥ 2
+(at ν = 0 also the singular range), about half of row 1's: row 1 is summed
+per x₁ ∈ H₁ on a `ThetaEngine.slab`, the few vectors x₂ that its forms read,
+through the same kernel.  At ν = 0, `yoshida2` folds each piece
 (j, i) into (i, j): the weight is constant and cross(j, i) is isometric to
 cross(i, j), so one lattice per unordered pair {i, j} carries both scales.
 `theta2_coefficient` is the pure-Python reference for one coefficient, on the
@@ -120,8 +121,10 @@ class FourierExpansionSiegel2:
                      singular_bound: int | None = None) -> "FourierExpansionSiegel2":
         """The expansion with entry num[i]/den at each form (a[i], b[i], c[i]), any order,
         zeros dropped.  Checked in bulk: every form canonical-reduced, within its bound
-        and given once, and in odd weight nonzero only where no det −1 substitution fixes it."""
+        and given once, in odd weight nonzero only where no det −1 substitution fixes it; den ≥ 1."""
         out = cls(weight, level, bound, singular_bound)
+        if den < 1:
+            raise ValueError(f"denominator {den} is not positive")
         a, b, c = (np.asarray(x, dtype=np.int64) for x in (a, b, c))
         num = np.array(num, dtype=object).reshape(-1)
 
@@ -367,20 +370,14 @@ class ThetaEngine:
         h = self.half_shell(m)
         return np.concatenate((h, -h))
 
-    def row_sums(self, a: int, cs, bs, mat: np.ndarray, nu: int) -> np.ndarray:
-        """The pair sums of the forms (a, bs[i], cs[i]) of one row a, as an object
-        array of Python ints in the order given: the one-row `table_sums`."""
-        cs = np.asarray(cs, dtype=np.int64)
-        return self.table_sums(np.full(len(cs), a, dtype=np.int64), bs, cs, mat, nu)
-
     def table_sums(self, ta, tb, tc, mat: np.ndarray, nu: int) -> np.ndarray:
-        """The pair sums of the forms (ta[i], tb[i], tc[i]), of any rows a, as an object
-        array of Python ints in the order given.
+        """The pair sums of the definite forms (ta[i], tb[i], tc[i]), of any rows a,
+        as an object array of Python ints in the order given.
 
         Each is Σ over x₁, x₂ with q(x₁) = a, q(x₂) = c, B(x₁, x₂) = b of
-        M(x₁)ᵗ·mat·M(x₂), M(x) the degree-ν monomials of x.  Pairs with a zero
-        vector have b = 0 and weight mat₀₀ at ν = 0, 0 otherwise; their counts are
-        read off the shell sizes.  The rest is one pass per row a over
+        M(x₁)ᵗ·mat·M(x₂), M(x) the degree-ν monomials of x.  ValueError unless a, c ≥ 1:
+        pairs with a zero vector are singular entries, which `theta_lift` writes.
+        The sums are one pass per row a over
         H_a × `shells[start[c_min]:start[c_max + 1]]`, the half shells of every norm
         from the row's least c to its largest.  What does not depend on the row is
         done once for the table: the forms sorted by (a, c), B(x₁, ·) = x₁·G and
@@ -402,30 +399,20 @@ class ThetaEngine:
         chunk is binned by `np.bincount`.  Past that, int64 while 4·peak stays
         below 2⁶², otherwise object arrays of Python ints, both binned by
         `np.add.at`.  At ν = 0 the weight is the constant mat₀₀, so every tier
-        counts pairs in int64 and multiplies by mat₀₀ once.  ValueError on a
-        negative norm, TruncationError on a norm past `max_norm`.
+        counts pairs in int64 and multiplies by mat₀₀ once.  TruncationError on a
+        norm past `max_norm`.
         """
         ta, tb, tc = (np.asarray(x, dtype=np.int64) for x in (ta, tb, tc))
-        if len(ta) and min(ta.min(), tc.min()) < 0:
-            raise ValueError("negative norms")
-        start, sizes = self.start, np.diff(self.start)
         out = np.zeros(len(ta), dtype=object)
-        m00 = 1 if nu else int(mat[0, 0])
-        live = (ta > 0) & (tc > 0)
-        if not nu and not live.all():
-            # a zero vector: b = 0 and the weight mat₀₀; the zero row counts once
-            zero = np.flatnonzero(~live)
-            a, c = ta[zero], tc[zero]
-            if max(a.max(), c.max()) > self.max_norm:
-                raise TruncationError("enumeration bound exceeded")
-            counts = np.where(a > 0, 2 * sizes[a], 1) * np.where(c > 0, 2 * sizes[c], 1)
-            counts[tb[zero] != 0] = 0
-            out[zero] = _times(counts, m00)
-        pos = np.flatnonzero(live)
-        if not len(pos):
+        if not len(ta):
             return out
-        # the live forms by (a, c), and the first and last form of each row
-        pos = pos[np.lexsort((tc[pos], ta[pos]))]
+        if min(ta.min(), tc.min()) < 1:
+            raise ValueError("the theta kernel sums pairs of nonzero vectors: "
+                             "every form needs a ≥ 1 and c ≥ 1")
+        start, sizes = self.start, np.diff(self.start)
+        m00 = 1 if nu else int(mat[0, 0])
+        # the forms by (a, c), and the first and last form of each row
+        pos = np.lexsort((tc, ta))
         fa, fb, fc = ta[pos], tb[pos], tc[pos]
         firsts = np.flatnonzero(np.diff(fa, prepend=-1))
         ends = np.append(firsts[1:], len(pos))
@@ -579,10 +566,11 @@ class ThetaEngine:
         """For all b: Σ over pairs (x₁, x₂) with q = (a, b, c) of M(x₁)ᵗ·mat·M(x₂).
 
         M(x) holds x's degree-ν monomials, so ν = 1 is the bilinear form xᵗ·mat·y.
+        One `table_sums` call, so a, c ≥ 1.
         """
         bmax = math.isqrt(4 * a * c)  # |B(x₁, x₂)|² ≤ 4·q(x₁)·q(x₂)
         bs = np.arange(-bmax, bmax + 1)
-        sums = self.row_sums(a, np.full(len(bs), c), bs, mat, nu)
+        sums = self.table_sums(np.full(len(bs), a), bs, np.full(len(bs), c), mat, nu)
         return {b: s for b, s in zip(bs.tolist(), sums.tolist()) if s}
 
     def pair_counts(self, a: int, c: int) -> dict[int, int]:
@@ -625,33 +613,37 @@ def theta_lift(terms, nu: int, level: int, bound: int,
 
     C is a rational matrix on degree-ν monomials in `monomials_of_degree(4, ν)`
     order, as `harmonic.lift_matrix_deg2` returns it; a list of rational rows
-    works too.  The forms are `form_table(bound)` and the singular forms
-    (0, 0, m) with m ≤ singular_bound.  Each engine enumerates L to
+    works too.  Each engine runs the definite forms `form_table(bound)` in one
+    `ThetaEngine.table_sums` call (but for a row 1 on slabs), and at ν = 0 adds
+    C₀₀·r_L(m) at the singular forms (0, 0, m), m ≤ singular_bound: r_L(0) = 1,
+    r_L(m) = 2·|H_m| (0 at ν ≥ 1, where M(0) = 0).  Each engine enumerates L to
     `_engine_norm`: the largest c of the rows a ≥ 2, (bound + 4)//8, and at
-    ν = 0 the singular range (M(0) = 0 otherwise).  Row a = 1 reads c up to
-    (bound + 1)//4; when that reaches past the engine, it is summed per
-    x₁ ∈ H₁ on `ThetaEngine.slab`, 12,256 rows at bound 2600 where R₁'s norms
-    326…650 hold 184,191, and a lattice without norm-1 vectors builds none.
-    Every piece's factor scale/den is written n/D over one common denominator
-    D.  Each engine runs the table in one `ThetaEngine.table_sums` call (but
-    for a row 1 on slabs), whose array is added n times into one object array
-    of Python-int totals.  The engines are built one at a time: each runs the
-    table and is dropped before the next one enumerates.
+    ν = 0 the singular range.  Row a = 1 reads c up to (bound + 1)//4; when
+    that reaches past the engine, it is summed per x₁ ∈ H₁ on
+    `ThetaEngine.slab`, 12,256 rows at bound 2600 where R₁'s norms 326…650
+    hold 184,191, and a lattice without norm-1 vectors builds none.  Every
+    piece's factor scale/den is written n/D over one common denominator D, and
+    each engine's sums are added n times into one object array of Python-int
+    totals.  The engines are built one at a time: each runs the table and is
+    dropped before the next one enumerates.  ValueError on a negative bound or
+    singular bound, before any engine is built.
     """
     if singular_bound is None:
         singular_bound = _default_singular_bound(bound)
+    FourierExpansionSiegel2(nu + 2, level, bound, singular_bound)  # the header's checks
     ta, tb, tc = form_table(bound)
     max_norm = _engine_norm(ta, tc, nu, singular_bound)
-    # one table: the singular forms (0, 0, m), the definite ones, and row 1 last
-    # when its largest c reaches past the engines
+    # one table: at ν = 0 the singular forms (0, 0, m) (M(0) = 0 otherwise), the
+    # definite ones, and row 1 last when its largest c reaches past the engines
     far = (ta == 1) & (tc[ta == 1].max(initial=0) > max_norm)
     nfar = int(far.sum())
-    ms = np.arange(singular_bound + 1)
-    zero = np.zeros(len(ms), dtype=np.int64)
+    ns = 0 if nu else singular_bound + 1
+    zero = np.zeros(ns, dtype=np.int64)
     order = np.argsort(far, kind="stable")
-    ta, tb, tc = (np.concatenate((s, x[order])) for s, x in ((zero, ta), (zero, tb), (ms, tc)))
+    ta, tb, tc = (np.concatenate((s, x[order]))
+                  for s, x in ((zero, ta), (zero, tb), (np.arange(ns), tc)))
     del order
-    near, far = slice(len(ta) - nfar), slice(len(ta) - nfar, None)
+    near, far = slice(ns, len(ta) - nfar), slice(len(ta) - nfar, None)
     pieces = []
     for lattice, weight, scale in terms:
         mat, den = linalg.integer_form(weight)
@@ -667,10 +659,15 @@ def theta_lift(terms, nu: int, level: int, bound: int,
         if nfar:
             # row 1 on one slab engine per x₁ ∈ H₁.  Each x₁ is a view of the
             # shells, and goes with the generator's frame
-            cs, bs = tc[far], tb[far]
-            totals[far] += n * sum(
-                (ThetaEngine.slab(engine, x1, bound).row_sums(1, cs, bs, mat, nu)
-                 for x1 in engine.half_shell(1)), np.zeros(nfar, dtype=object))
+            args = ta[far], tb[far], tc[far], mat, nu
+            totals[far] += n * sum((ThetaEngine.slab(engine, x1, bound).table_sums(*args)
+                                    for x1 in engine.half_shell(1)), np.zeros(nfar, dtype=object))
+        if ns:
+            # (0, 0, m): the lattice's theta series times the weight mat₀₀, the
+            # zero vector once and then 2·|H_m| vectors
+            counts = 2 * np.diff(engine.start[:ns + 1])
+            counts[0] = 1
+            totals[:ns] += _times(counts, n * int(mat[0, 0]))
         del engine
     return FourierExpansionSiegel2.from_columns(nu + 2, level, bound, ta, tb, tc, totals, common,
                                                 singular_bound=singular_bound)

@@ -101,3 +101,9 @@ def shuffled_store(weight, bound, seed=0):
                                              [int(6 * values[i]) for i in perm], 6,
                                              singular_bound=100)
     return f, forms, values
+
+
+def row_sums(engine, a, cs, bs, mat, nu):
+    """The pair sums of the forms (a, bs[i], cs[i]) of one row a: a one-row
+    `ThetaEngine.table_sums`."""
+    return engine.table_sums(np.full(len(cs), a), bs, cs, mat, nu)

@@ -14,7 +14,7 @@ import pytest
 import enum_reference
 from binforms_reference import apply_unimodular, reduced_forms_up_to
 from helpers import (expansion, hamilton_algebra, level34_order, monomial_values,
-                     narrowest_signed, shuffled_store)
+                     narrowest_signed, row_sums, shuffled_store)
 from poly_reference import Poly, lift_poly_deg1
 from quatlift import fixture as fx
 from quatlift import linalg, quatcore, yoshida
@@ -250,11 +250,8 @@ def brute_pair_sum(lattice, a, b, c, mat, nu):
 
 
 def row_peak(engine, a, cs, mat, nu):
-    """The bound `row_sums` picks its tier by: max|x|^(2ν)·Σ|mat|·|H_a|·max|H_c|, c over
-    the row's range of positive c; 0 for a row with no pair of nonzero vectors."""
-    cs = [c for c in cs if c > 0] if a else []
-    if not cs:
-        return 0
+    """The bound `table_sums` picks a row's tier by: max|x|^(2ν)·Σ|mat|·|H_a|·max|H_c|,
+    c over the row's range; 0 for a row with H_a empty."""
     hc = max(len(engine.half_shell(c)) for c in range(min(cs), max(cs) + 1))
     return (max(engine.coord_max, 1) ** (2 * nu) * int(np.abs(np.array(mat)).sum())
             * len(engine.half_shell(a)) * hc)
@@ -273,9 +270,8 @@ def tier_scale(tier, peak):
     return -(2 ** 64 + 1)
 
 
-ROW_CASES = [(0, [(0, [0]), (3, [0, 1]), (7, [0])]),                  # singular groups
-             (2, [(2, [-2, -1, 0, 1, 2]), (5, [-3, 0, 2]), (7, [1])]),  # a = c among them
-             (3, [(0, [0]), (3, list(range(-6, 7)))]),
+ROW_CASES = [(2, [(2, [-2, -1, 0, 1, 2]), (5, [-3, 0, 2]), (7, [1])]),  # a = c among them
+             (3, [(3, list(range(-6, 7)))]),
              (2, [(1, [0, 1]), (3, [-1, 0, 2])]),                      # empty shell H₁ first
              (3, [(7, [-2, 3]), (1, [0]), (4, [1, -1])]),               # and inside the range
              (1, [(2, [0]), (5, [1])])]                                 # H_a itself empty
@@ -311,12 +307,12 @@ def test_row_sums_match_full_shell_pairs(nu, einsum_calls):
     for a, cbs in ROW_CASES:
         cs, bs = zip(*((c, b) for c, bs in cbs for b in bs))
         want = [brute_pair_sum(lattice, a, b, c, mat, nu) for c, bs in cbs for b in bs]
-        assert any(want) == (a != 1 and bool(a or not nu))  # M(0) = 0 for ν ≥ 1; H₁ = ∅
+        assert any(want) == (a != 1)  # H₁ = ∅
         peak = row_peak(engine, a, cs, mat, nu)
         for tier in ("float64", "int64", "object"):
             s = tier_scale(tier, peak)
             before = einsum_calls[0]
-            got = engine.row_sums(a, cs, bs, np.array(mat, dtype=object) * s, nu).tolist()
+            got = row_sums(engine, a, cs, bs, np.array(mat, dtype=object) * s, nu).tolist()
             assert got == [s * w for w in want], (a, tier)
             assert all(type(x) is int for x in got)
             assert (einsum_calls[0] > before) == (tier == "float64" and peak > 0), (a, tier)
@@ -331,10 +327,10 @@ def test_row_sums_past_2_53_leave_the_float64_tier():
     mat = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
     s = 2 ** 53 + 1
     sums = []
-    for a, cbs in ROW_CASES[1:3]:
+    for a, cbs in ROW_CASES[:2]:
         cs, bs = zip(*((c, b) for c, bs in cbs for b in bs))
         want = [s * brute_pair_sum(lattice, a, b, c, mat, 1) for c, bs in cbs for b in bs]
-        got = engine.row_sums(a, cs, bs, np.array(mat, dtype=np.int64) * s, 1)
+        got = row_sums(engine, a, cs, bs, np.array(mat, dtype=np.int64) * s, 1)
         assert got.tolist() == want
         sums += want
     # S = 2·(S⁺(b) − S⁺(−b)): an odd difference of bin sums past 2⁵³
@@ -354,9 +350,9 @@ def test_row_sums_do_not_depend_on_the_block_size(monkeypatch, block):
         mat = np.array([[rng.choice([-3, -1, 2, 5]) for _ in monos] for _ in monos],
                        dtype=np.int64)
         monkeypatch.setattr(yoshida, "_BLOCK", 1 << 14)
-        want = [engine.row_sums(a, cs, bs, mat, nu).tolist() for a, cs, bs in rows]
+        want = [row_sums(engine, a, cs, bs, mat, nu).tolist() for a, cs, bs in rows]
         monkeypatch.setattr(yoshida, "_BLOCK", block)
-        got = [engine.row_sums(a, cs, bs, mat, nu).tolist() for a, cs, bs in rows]
+        got = [row_sums(engine, a, cs, bs, mat, nu).tolist() for a, cs, bs in rows]
         assert got == want and any(map(any, want)), nu
 
 
@@ -366,14 +362,11 @@ def test_row_sums_beyond_the_engine_bound(max_norm):
     one = np.ones((1, 1), dtype=np.int64)
     for a, c in ((max_norm + 1, 1), (1, max_norm + 1), (max_norm + 1, max_norm + 1)):
         with pytest.raises(TruncationError):
-            engine.row_sums(a, [c], [0], one, 0)
+            row_sums(engine, a, [c], [0], one, 0)
         with pytest.raises(TruncationError):
-            engine.row_sums(a, [c], [0], one, 1)
+            row_sums(engine, a, [c], [0], one, 1)
     with pytest.raises(TruncationError):
         engine.half_shell(max_norm + 1)
-    # the row a = 0 reads H_c only at ν = 0, where the singular entries need it
-    with pytest.raises(TruncationError):
-        engine.row_sums(0, [max_norm + 1], [0], one, 0)
     with pytest.raises(ValueError, match="negative"):
         ThetaEngine(fx.order_r1(), -1 - max_norm)
 
@@ -411,7 +404,7 @@ def table_scale(tier, peaks):
 @pytest.mark.parametrize("nu", [0, 1, 2, 3])
 def test_table_sums_match_full_shell_pairs(nu, einsum_calls):
     # every form of ROW_CASES in one table, shuffled: rows of several a at once,
-    # the singular forms and c = 0 among them, against the full shells in each tier
+    # H₁ = ∅ among them, against the full shells in each tier
     lattice = fx.ideal_i12()
     engine = ThetaEngine(lattice, 7)
     rng = random.Random(10 + nu)
@@ -421,7 +414,7 @@ def test_table_sums_match_full_shell_pairs(nu, einsum_calls):
     rng.shuffle(forms)
     ta, tb, tc = (np.array(x) for x in zip(*forms))
     want = full_shell_sums(lattice, forms, mat, nu)
-    assert sum(map(bool, want)) >= 9  # of 39
+    assert sum(map(bool, want)) >= 9  # of 34
     peaks = [row_peak(engine, a, tc[ta == a].tolist(), mat, nu) for a in set(ta.tolist())]
     for tier in ("float64", "int64", "object"):
         s = table_scale(tier, peaks)
@@ -448,7 +441,7 @@ def test_table_sums_equal_the_rows_one_at_a_time(monkeypatch, block, chunk):
         monos = monomials_of_degree(4, nu)
         mat = np.array([[rng.choice([-3, -1, 2, 5]) for _ in monos] for _ in monos],
                        dtype=np.int64)
-        want = np.concatenate([engine.row_sums(a, cs, bs, mat, nu) for a, cs, bs in rows])
+        want = np.concatenate([row_sums(engine, a, cs, bs, mat, nu) for a, cs, bs in rows])
         with monkeypatch.context() as m:
             m.setattr(yoshida, "_BLOCK", block)
             m.setattr(yoshida, "_CHUNK", chunk)
@@ -475,17 +468,27 @@ def test_slab_table_sums_equal_the_full_row(nu):
 
 
 def test_table_sums_beyond_the_engine_bound():
-    # the zero-vector counts of a whole table are read off the shell sizes, past
-    # which they raise as the rows do; at ν ≥ 1 the forms with a zero vector read 0
+    # one form past the engine, by its a, its c or both, fails the whole table
     engine = ThetaEngine(fx.order_r1(), 3)
     one = np.ones((1, 1), dtype=np.int64)
-    for a, c in ((0, 4), (0, 5), (4, 0), (5, 0), (2, 4)):
+    for a, c in ((4, 1), (2, 4), (5, 5)):
         with pytest.raises(TruncationError):
             engine.table_sums([2, a], [0, 0], [2, c], one, 0)
-    got = engine.table_sums([2, 0, 0], [0, 0, 0], [2, 5, 0], np.eye(4, dtype=np.int64), 1)
-    assert got.tolist() == [engine.row_sums(2, [2], [0], np.eye(4, dtype=np.int64), 1)[0], 0, 0]
-    with pytest.raises(ValueError, match="negative"):
-        engine.table_sums([2, -1], [0, 0], [2, 2], one, 0)
+    assert engine.table_sums([], [], [], one, 0).tolist() == []
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_table_sums_refuse_a_form_with_a_zero_vector(nu):
+    # a or c = 0 is a singular entry, which theta_lift writes itself, and a
+    # negative norm is no form; both are refused before the bound check (c = 9)
+    engine = ThetaEngine(fx.order_r1(), 3)
+    mat = np.eye(4 ** nu, dtype=np.int64)
+    for a, c in ((0, 2), (2, 0), (0, 0), (-1, 2), (2, -1), (0, 9)):
+        with pytest.raises(ValueError, match="a ≥ 1 and c ≥ 1"):
+            engine.table_sums([2, a], [0, 0], [2, c], mat, nu)
+    for a, c in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="a ≥ 1 and c ≥ 1"):
+            engine.pair_sums_bilinear(a, c, mat, nu)
 
 
 def test_engine_half_shells_are_slices_of_the_kernel_array(monkeypatch):
@@ -599,6 +602,14 @@ def test_from_columns_rejects_forms_beyond_the_bounds():
         FourierExpansionSiegel2(2, 17, -1)
 
 
+@pytest.mark.parametrize("den", [0, -2])
+def test_from_columns_refuses_a_denominator_below_one(den):
+    # −2 would store "3/−2", which the expansion reader refuses; 0 would divide by 0
+    with pytest.raises(ValueError, match=f"denominator {den} is not positive"):
+        FourierExpansionSiegel2.from_columns(2, 17, 50, [2], [1], [3], [3], den)
+    assert expansion(2, 17, 50, {(2, 1, 3): Fraction(3, 2)}).denominator == 2
+
+
 @pytest.mark.parametrize("bound", [60, 10 ** 10], ids=["int64-keys", "object-keys"])
 @pytest.mark.parametrize("weight", [2, 3])
 def test_from_columns_sorts_shuffled_columns_and_drops_zeros(weight, bound):
@@ -685,6 +696,67 @@ def test_agrees_with_the_same_lift_at_a_smaller_singular_bound(class_set_17, spa
                                                     new, den, singular_bound=full.singular_bound)
     assert small.agrees_with(changed_at(5))  # beyond the common singular range
     assert not small.agrees_with(changed_at(4))
+
+
+@pytest.mark.parametrize("singular_bound,slabs", [(None, 0), (40, 0), (4, 4)])
+def test_scalar_singular_column_counts_single_vectors(class_set_17, slab_lattices,
+                                                      singular_bound, slabs):
+    # at ν = 0, a(0, 0, m) = Σ_ij φ(y_i)·ψ(y_j)/(e_i·e_j)·r(cross(i, j), m) over
+    # all h² pieces, r the number of vectors of norm m in the full shells and 1 at
+    # m = 0.  At bound 60 row 1 reads c ≤ 15: the singular bounds 20 (the default)
+    # and 40 take the engines past it, 4 leaves them at the rows a ≥ 2 (c ≤ 8)
+    # and row 1 on slabs, one per x₁ ∈ H₁ of cross(0, 0) (1) and cross(1, 1) (3)
+    cs = class_set_17
+    space = FormSpace(cs, 0)
+    phi, psi = random_form(space, 1), random_form(space, 2)
+    lift = yoshida2(cs, phi, psi, 60, singular_bound=singular_bound)
+    assert len(slab_lattices) == slabs
+    sb = lift.singular_bound
+    assert sb == (singular_bound or 20)
+
+    def theta_series(lattice):
+        g = lattice.normalized_gram()
+        return [len(short_vectors(g, m)) if m else 1 for m in range(sb + 1)]
+
+    want = [Fraction(0)] * (sb + 1)
+    for i in range(cs.h):
+        for j in range(cs.h):
+            s = phi.values[i][0] * psi.values[j][0] / (cs.unit_counts[i] * cs.unit_counts[j])
+            want = [w + s * r for w, r in zip(want, theta_series(cs.cross_lattice(i, j)))]
+    assert [lift.coefficient((0, 0, m)) for m in range(sb + 1)] == want and all(want)
+    # theta_lift itself: the weight C₀₀ = −3/2 and the scale 1/3 times one series
+    lattice = cs.cross_lattice(0, 1)
+    f = theta_lift([(lattice, [[Fraction(-3, 2)]], Fraction(1, 3))], 0, 17, 60, sb)
+    assert phi_operator(f).coeffs == {m: Fraction(-r, 2)
+                                      for m, r in enumerate(theta_series(lattice)) if r}
+
+
+@pytest.mark.parametrize("level", [17, 34])
+def test_phi_of_the_degree_2_lift_is_the_degree_1_lift(class_set_17, cs34, level):
+    # Φ(Y₂(φ, ψ)) = Y₁(φ, ψ) on every pair of ν = 0 basis forms, 4 at level 17 and
+    # 16 at level 34 (cs34 is the order of tests/data/order_n34.json, seed 3): the
+    # singular column from the engines' shell sizes against the Brandt series,
+    # which shares no code with it (at ν ≥ 1 the degree-2 lift is cuspidal)
+    cs = {17: class_set_17, 34: cs34}[level]
+    forms = FormSpace(cs, 0).basis_forms()
+    assert len(forms) == cs.h
+    for a, phi in enumerate(forms):
+        for b, psi in enumerate(forms):
+            got = phi_operator(yoshida2(cs, phi, psi, 120))
+            want = yoshida1(cs, phi, psi, 40)
+            assert got.bound == 40 and (got.weight, got.level) == (want.weight, want.level)
+            assert got.coeffs == want.coeffs and got.coeffs, (a, b)
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+@pytest.mark.parametrize("bound,singular_bound", [(-1, None), (-1, 5), (60, -1), (60, -3)])
+def test_theta_lift_refuses_a_negative_bound_before_any_engine(monkeypatch, nu, bound,
+                                                               singular_bound):
+    built = engines_built(monkeypatch)
+    terms = [(fx.order_r1(), fx.P1_MATRIX if nu else [[1]], 1)]
+    with pytest.raises(ValueError, match="negative bound"):
+        theta_lift(terms, nu, 17, bound, singular_bound)
+    assert built == []
 
 
 def test_lifts_refuse_a_space_or_form_of_another_shape(class_set_17, space0, space1):
@@ -903,7 +975,7 @@ def test_slab_holds_every_vector_row_1_reads(bound):
         assert (((h @ slab.gram) * h).sum(axis=1) == 2 * m).all(), m
     assert slab.start[-1] == len(slab.shells)
     with pytest.raises(ValueError, match="row a = 1 only"):
-        slab.row_sums(2, [2], [0], np.ones((1, 1), dtype=np.int64), 0)
+        row_sums(slab, 2, [2], [0], np.ones((1, 1), dtype=np.int64), 0)
 
 
 @pytest.fixture
