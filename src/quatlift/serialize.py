@@ -8,9 +8,10 @@ The canonical text is exactly that of json.dumps(obj, sort_keys=True,
 separators=(",", ": "), indent=1) plus a newline, but `dumps_canonical` writes
 it itself: indent would select json's pure-Python encoder.  It recurses over
 dicts (keys sorted) and lists, joins a flat row of scalars once, lays out a
-table (rows of one length, one plain scalar type a column) with one template
-after spelling each column once, and spells strings with json's C string
-encoder, ints with int.__repr__ and every other scalar with json.dumps.
+table (rows of one length, one plain scalar type a column) with one `%`
+template, its int columns as %d and the others spelled once a column, and
+spells strings with json's C string encoder, ints with int.__repr__ (or %d,
+the same digits) and every other scalar with json.dumps.
 """
 
 from __future__ import annotations
@@ -93,22 +94,25 @@ def _text(obj, newline: str) -> str:
 
 def _table(rows, newline: str) -> list[str] | None:
     """The texts of `rows` if they are a table: lists or tuples of one nonzero
-    length whose columns each hold one plain scalar type.  Each column is spelled
-    in one pass and each row laid out by one template.  None for anything else."""
+    length whose columns each hold one plain scalar type.  Each row is laid out
+    by one `%` template: int columns as %d (int.__repr__'s digits), the others
+    spelled in one pass per column and put in as %s.  None for anything else."""
     if not {list, tuple}.issuperset(map(type, rows)):
         return None
     widths = set(map(len, rows))
     if len(widths) != 1 or 0 in widths:
         return None
-    columns = []
+    columns, fields = [], []
     for column in zip(*rows):
         types = set(map(type, column))
         if len(types) != 1 or not _PLAIN.issuperset(types):
             return None
-        columns.append(map(_SCALARS[types.pop()], column))
+        kind = types.pop()
+        columns.append(column if kind is int else map(_SCALARS[kind], column))
+        fields.append("%d" if kind is int else "%s")
     inner = newline + " "
-    template = "[" + inner + ("," + inner).join(["{}"] * len(columns)) + newline + "]"
-    return list(map(template.format, *columns))
+    template = "[" + inner + ("," + inner).join(fields) + newline + "]"
+    return [template % row for row in zip(*columns)]
 
 
 def algebra_to_obj(alg: QuaternionAlgebra, basis_names=None) -> dict:

@@ -32,21 +32,22 @@ buffers and each form's accumulator position) once, then each row as
 M(H_a)·C·M(H_c)ᵗ against one slice, the half shells of every norm from the
 row's least c to its largest, read in blocks of rows (so no temporary grows
 with the slice), chunked by rows of H_a and scattered into one accumulator of
-one bin block per norm, then folded as above.  It sums definite forms only
-(a, c ≥ 1).  The kernel stays exact: a bound on max|M|²·Σ|C|·|H_a|·max|H_c|,
-times the 4 of the fold, picks per row float64 (integers below 2⁵³, exact in
-any order) when it stays below 2⁵³, int64 below 2⁶², otherwise object arrays.
-`theta_lift` takes its forms from `binforms.form_table` and writes every
-piece's factor over one common denominator: each engine's sums are one array
-in table positions, added once into one object array of Python-int totals.
-The singular entries a(0, 0, m), the lift's Φ-image, count single vectors: at
-ν = 0 each engine adds mat₀₀ times its theta series, read off the shell sizes
-(M(0) = 0 at ν ≥ 1).  It holds one engine at a time, so its memory peak is
-one lattice's enumeration, and that runs only to the reach of the rows a ≥ 2
-(at ν = 0 also the singular range), about half of row 1's: row 1 is summed
-per x₁ ∈ H₁ on a `ThetaEngine.slab`, the few vectors x₂ that its forms read,
-through the same kernel.  At ν = 0, `yoshida2` folds each piece
-(j, i) into (i, j): the weight is constant and cross(j, i) is isometric to
+one bin block per norm, wide enough for every pair by Cauchy–Schwarz, then
+folded as above.  It sums definite forms only (a, c ≥ 1).  The kernel stays
+exact: a bound on max|M|²·Σ|C|·|H_a|·max|H_c|, times the 4 of the fold, picks
+per row float64 (integers below 2⁵³, exact in any order, so on BLAS) when it
+stays below 2⁵³, int64 below 2⁶², otherwise object arrays.  `theta_lift` takes
+its forms from `binforms.form_table` and writes every piece's factor over one
+common denominator: each engine's sums are one array in table positions, added
+once into the totals, int64 while every total stays below 2⁶² and Python ints
+past that.  The singular entries a(0, 0, m), the lift's Φ-image, count single
+vectors: at ν = 0 each engine adds mat₀₀ times its theta series, read off the
+shell sizes (M(0) = 0 at ν ≥ 1).  It holds one engine at a time, so its memory
+peak is one lattice's enumeration, and that runs only to the reach of the rows
+a ≥ 2 (at ν = 0 also the singular range), about half of row 1's: row 1 is
+summed per x₁ ∈ H₁ on a `ThetaEngine.slab`, the few vectors x₂ that its forms
+read, through the same kernel.  At ν = 0, `yoshida2` folds each piece (j, i)
+into (i, j): the weight is constant and cross(j, i) is isometric to
 cross(i, j), so one lattice per unordered pair {i, j} carries both scales.
 `theta2_coefficient` is the pure-Python reference for one coefficient, on the
 full shells of `quatcore.short_vectors`.
@@ -71,7 +72,8 @@ from .brandt import (AutomorphicForm, FormSpace, _require_space, brandt_series,
 from .harmonic import _monomial_rows, lift_matrix_deg2
 from .linalg import FLOAT64_EXACT, INT64_SAFE
 from .polys import Poly
-from .quatcore import ClassSet, Lattice, UsageError, short_vectors, short_vectors_upto
+from .quatcore import (ClassSet, Lattice, UsageError, _narrow_dtype, short_vectors,
+                       short_vectors_upto)
 
 
 class TruncationError(ValueError):
@@ -303,7 +305,10 @@ class ThetaEngine:
     6,670, so for `golden_lift`'s engines up to bound 29,000), or object past
     int64; `table_sums` casts what it reads, a block at a time.  The first
     vectors of a row a are H_a, except in an engine made by `slab`, whose
-    `head` is (a, {x₁}) and whose shells are only the x₂ that row a reads.
+    `head` is (a, {x₁}) and whose shells are only the x₂ that row a reads, in
+    the narrowest dtype that holds their own largest coordinate, `coord_max`
+    (the kernel's bound grows with the slab's Gram: int16 rows at bound 29,000,
+    object from 30,000 on, where the coordinates stay below 128).
     """
 
     def __init__(self, lattice: Lattice, max_norm: int):
@@ -352,9 +357,11 @@ class ThetaEngine:
         out.lattice, out.gram = engine.lattice, engine.gram
         out.max_norm = (bound + a * a) // (4 * a)
         out.start = np.searchsorted(norms[order], np.arange(out.max_norm + 2))
-        out.shells = vecs[order[:out.start[-1]]]
         out.head = (a, np.array([x1]))  # a copy: a view would keep engine.shells
         out.coord_max = max(int(np.abs(x).max()), int(np.abs(v).max(initial=0)))
+        # the rows in the narrowest dtype of their own coordinates: the kernel's
+        # bound on this Gram is far wider (object from bound 30,000 on)
+        out.shells = v[order[:out.start[-1]]].astype(_narrow_dtype(out.coord_max))
         return out
 
     def half_shell(self, m: int) -> np.ndarray:
@@ -372,7 +379,8 @@ class ThetaEngine:
 
     def table_sums(self, ta, tb, tc, mat: np.ndarray, nu: int) -> np.ndarray:
         """The pair sums of the definite forms (ta[i], tb[i], tc[i]), of any rows a,
-        as an object array of Python ints in the order given.
+        in the order given: an int64 array when every sum is below 2⁶², else an
+        object array of Python ints.
 
         Each is Σ over x₁, x₂ with q(x₁) = a, q(x₂) = c, B(x₁, x₂) = b of
         M(x₁)ᵗ·mat·M(x₂), M(x) the degree-ν monomials of x.  ValueError unless a, c ≥ 1:
@@ -384,28 +392,30 @@ class ThetaEngine:
         M(x₁)ᵗ·mat for the first vectors of every row, the tier bounds, the work
         buffers and the accumulator positions of every form.  A row reads its slice
         in blocks of `_BLOCK` rows, each cast to the working dtype once, and H_a in
-        chunks of rows; each chunk's B is clamped, offset by the bin base of its
-        norm and scattered into one (c, b) accumulator S⁺ with a bin block per norm
-        of the range, and the full sums are S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).
+        chunks of rows.  Its accumulator S⁺ holds a bin block per norm c₀…c₁ of
+        the range, over b = −h … h with h = isqrt(4·a·c₁) (or the largest |b| asked
+        for, if larger): every pair has b² ≤ 4ac ≤ 4ac₁ (Cauchy–Schwarz), so its
+        bin is (c − c₀)·(2h + 1) + h + b, and no pair falls outside its norm's
+        block.  The full sums are S(b) = 2·(S⁺(b) + (−1)^ν·S⁺(−b)).
 
         Exact in three tiers, picked per row by peak, a bound on
         max|M|²·Σ|mat|·|H_a|·max|H_c| (c over the range) that bounds every weight
-        and every bin sum.  While 4·peak (the fold) and every partial sum of B stay
-        below `FLOAT64_EXACT` = 2⁵³, the row runs in float64: every integer it forms
-        is then a float64 and every sum and product of them is exact in any order.
-        Its two products are `np.einsum` on contiguous blocks, not BLAS `@` (numpy
-        has no fast int64 product, and BLAS starts threads of its own), the
-        monomials and M(H_a)ᵗ·mat are formed in int64 before the cast, and each
-        chunk is binned by `np.bincount`.  Past that, int64 while 4·peak stays
-        below 2⁶², otherwise object arrays of Python ints, both binned by
-        `np.add.at`.  At ν = 0 the weight is the constant mat₀₀, so every tier
-        counts pairs in int64 and multiplies by mat₀₀ once.  TruncationError on a
-        norm past `max_norm`.
+        and every bin sum.  While 4·peak (the fold) and every partial sum of a bin
+        index stay below `FLOAT64_EXACT` = 2⁵³, the row runs in float64: every
+        integer it forms is then a float64, and every sum and product of them is
+        exact in any order, so BLAS gives the same result on any number of threads.
+        Each chunk is two `np.matmul` products and one `np.bincount`: [H_a·G | 1]
+        by the block's rows [x₂ᵗ; bin base], which gives each pair's bin index
+        directly, and M(H_a)ᵗ·mat by the block's monomials, the weights (the
+        monomials and M(H_a)ᵗ·mat are formed in int64 before the cast).  Past
+        that, int64 while 4·peak stays below 2⁶², otherwise object arrays of
+        Python ints, both binned by `np.add.at`.  At ν = 0 the weight is the
+        constant mat₀₀, so every tier counts pairs in int64 and multiplies by
+        mat₀₀ once.  TruncationError on a norm past `max_norm`.
         """
         ta, tb, tc = (np.asarray(x, dtype=np.int64) for x in (ta, tb, tc))
-        out = np.zeros(len(ta), dtype=object)
         if not len(ta):
-            return out
+            return np.zeros(0, dtype=np.int64)
         if min(ta.min(), tc.min()) < 1:
             raise ValueError("the theta kernel sums pairs of nonzero vectors: "
                              "every form needs a ≥ 1 and c ≥ 1")
@@ -417,7 +427,6 @@ class ThetaEngine:
         firsts = np.flatnonzero(np.diff(fa, prepend=-1))
         ends = np.append(firsts[1:], len(pos))
         rows, c0s, c1s = fa[firsts], fc[firsts], fc[ends - 1]
-        bmaxs = np.maximum.reduceat(np.abs(fb), firsts)
         # the first vectors of every row: H_a, consecutive slices of the shells, or a
         # slab engine's {x₁}
         if self.head is None:
@@ -432,13 +441,14 @@ class ThetaEngine:
             if c1s.max() > self.max_norm:
                 raise TruncationError("enumeration bound exceeded")
             first, h0s, h1s = self.head[1], np.array([0]), np.array([1])
-        # bins b = −bmax − 1, …, bmax + 1 per c; the two outer ones take every
-        # |b| > bmax, which no form asked for reads.  Each form's S⁺(b) and S⁺(−b)
-        # positions in its row's accumulator
+        # bins b = −h … h per c, with h past every |b| of a pair and of a form;
+        # each form's S⁺(b) and S⁺(−b) positions in its row's accumulator
+        halves = np.maximum(np.maximum.reduceat(np.abs(fb), firsts),
+                            [math.isqrt(4 * a * c) for a, c in zip(rows.tolist(), c1s.tolist())])
         span = ends - firsts
         plus = fc - np.repeat(c0s, span)
-        plus *= np.repeat(2 * bmaxs + 3, span)
-        plus += np.repeat(bmaxs + 1, span)
+        plus *= np.repeat(2 * halves + 1, span)
+        plus += np.repeat(halves, span)
         minus = plus - fb
         plus += fb
         del fa, fb, fc
@@ -454,9 +464,9 @@ class ThetaEngine:
             wide = 4 * coord_max ** nu * matsum >= INT64_SAFE
             hm = _monomial_rows(first, nu, object if wide else np.int64)
             hm = hm @ mat.astype(hm.dtype, copy=False)
-        # every block's (4, n) rows, its chunks' B and then weights, and their bin
-        # indices: three float64-tier buffers for the table, each as large as its
-        # largest row needs, made when a row first needs them
+        # every block's (5, n) rows, its chunks' bin indices and then weights, and
+        # the indices as intp: three float64-tier buffers for the table, each as
+        # large as its largest row needs, made when a row first needs them
         blocks = np.minimum(start[c1s + 1] - start[c0s], _BLOCK)
         n = int(blocks.max())
         size = int(np.minimum(np.maximum(_CHUNK, blocks), (h1s - h0s) * blocks).max())
@@ -465,26 +475,29 @@ class ThetaEngine:
         fold = np.subtract if nu % 2 else np.add
         sums = np.zeros(len(pos), dtype=np.int64)
         big = []  # (rows, sums) of the object tier
-        for k, (h0, h1, c0, c1, bmax) in enumerate(zip(h0s.tolist(), h1s.tolist(), c0s.tolist(),
-                                                        c1s.tolist(), bmaxs.tolist())):
+        for k, (h0, h1, c0, c1, half) in enumerate(zip(h0s.tolist(), h1s.tolist(), c0s.tolist(),
+                                                        c1s.tolist(), halves.tolist())):
             if h0 == h1 or startl[c0] == startl[c1 + 1]:
                 continue
             peak = (coord_max ** (2 * nu) * matsum * (h1 - h0)
                     * int(sizes[c0:c1 + 1].max()))
-            # float64 while every partial sum of B, of a weight and of a bin stays
-            # below 2⁵³, so that each is exact in any order
-            if (4 * coord_max * int(gmax[h0:h1].max()) < FLOAT64_EXACT
-                    and 4 * peak < FLOAT64_EXACT):
+            # float64 while every partial sum of a bin index (B, then the base below
+            # (c₁ − c₀ + 1)·(2h + 1)), of a weight and of a bin stays below 2⁵³, so
+            # that each is exact in any order
+            if (4 * coord_max * int(gmax[h0:h1].max()) + (c1 - c0 + 1) * (2 * half + 1)
+                    < FLOAT64_EXACT and 4 * peak < FLOAT64_EXACT):
                 if floats64 is None:
-                    floats64 = (hg.astype(np.float64), hm.astype(np.float64) if nu else None,
-                                (np.empty(4 * n), np.empty(size), np.empty(size, dtype=np.intp)))
+                    g5 = np.ones((len(hg), 5))
+                    g5[:, :4] = hg
+                    floats64 = (g5, hm.astype(np.float64) if nu else None,
+                                (np.empty(5 * n), np.empty(size), np.empty(size, dtype=np.intp)))
                 g, w, bufs = floats64
-                acc = self._bin_row(g[h0:h1], w[h0:h1] if nu else None, c0, c1, bmax, nu,
+                acc = self._bin_row(g[h0:h1], w[h0:h1] if nu else None, c0, c1, half, nu,
                                     np.float64, bufs, startl, sizes)
             else:
                 dtype = np.int64 if 4 * peak < INT64_SAFE else object
                 acc = self._bin_row(hg[h0:h1], hm[h0:h1].astype(dtype, copy=False) if nu else None,
-                                    c0, c1, bmax, nu, dtype, None, startl, sizes)
+                                    c0, c1, half, nu, dtype, None, startl, sizes)
             # (x₁, x₂) ↦ (−x₁, −x₂) keeps b and the weight; negating one of them
             # negates b and multiplies the weight by (−1)^ν.  Read at the forms
             # asked for only, so no temporary of the accumulator's size
@@ -494,42 +507,36 @@ class ThetaEngine:
             else:
                 fold(acc[plus[rs]], acc[minus[rs]], out=sums[rs], casting="unsafe")
         # S = 2·(S⁺(b) ± S⁺(−b)), times mat₀₀ at ν = 0: the int64 and float64 tiers'
-        # sums go straight into Python ints, then the object tier's
-        out[pos] = _times(sums, 2 * m00)
+        # sums, then the object tier's
+        sums = _times(sums, 2 * m00)
+        out = np.empty(len(ta), dtype=object if big else sums.dtype)
+        out[pos] = sums
         for rs, s in big:
             out[pos[rs]] = 2 * s
         return out
 
-    def _bin_row(self, g, w, c0: int, c1: int, bmax: int, nu: int, dtype, bufs,
+    def _bin_row(self, g, w, c0: int, c1: int, half: int, nu: int, dtype, bufs,
                  startl: list, sizes: np.ndarray) -> np.ndarray:
         """The accumulator S⁺ of one row: for each norm c0…c1 a bin block over
-        b = −bmax − 1 … bmax + 1, holding the sums over x₁ ∈ H_a and x₂ ∈ H_c of
-        M(x₁)ᵗ·mat·M(x₂), given g = H_a·G and w = M(H_a)ᵗ·mat in the row's dtype.
+        b = −half … half, holding the sums over x₁ ∈ H_a and x₂ ∈ H_c of
+        M(x₁)ᵗ·mat·M(x₂), given w = M(H_a)ᵗ·mat in the row's dtype and g = H_a·G,
+        in float64 with a fifth column of ones.
 
         The slice of H_c is read in blocks of `_BLOCK` rows and H_a in chunks of
-        rows.  In float64, `bufs` holds the block's contiguous (4, n) rows and each
-        chunk's products and bin indices; the other tiers form theirs.  `startl`
-        and `sizes` are `start` as a list and the shell sizes.
+        rows.  Each x₂ of a block has a bin base, (c − m0)·(2·half + 1) + half
+        with m0 the block's least norm, so a pair's bin is B(x₁, x₂) + base.  In
+        float64, `bufs` holds the block's contiguous (5, n) rows x₂ᵗ and bases,
+        and each chunk's products and bin indices; the other tiers form theirs
+        and add the base.  `startl` and `sizes` are `start` as a list and the
+        shell sizes.
         """
-        width = 2 * bmax + 3
+        width = 2 * half + 1
         acc = np.zeros((c1 - c0 + 1) * width, dtype=dtype if nu else np.int64)
-        nb = np.arange(bmax + 1, (c1 - c0 + 1) * width, width)  # bin base per norm
         floats = dtype is np.float64
         for r0 in range(startl[c0], startl[c1 + 1], _BLOCK):
             r1 = min(r0 + _BLOCK, startl[c1 + 1])
             n = r1 - r0
             blk = self.shells[r0:r1]
-            if floats:
-                # contiguous blocks for einsum's own loops (BLAS would bring its threads)
-                vt = bufs[0][:4 * n].reshape(4, n)
-                np.copyto(vt, blk.T)
-            else:
-                vt = blk.astype(np.int64).T
-            if nu > 1:
-                mt = _monomial_rows(blk.astype(np.int64), nu, np.int64 if floats else dtype).T
-                mt = np.ascontiguousarray(mt, dtype=np.float64) if floats else mt
-            else:
-                mt = vt  # M(x) = x at ν = 1, and unread at ν = 0
             # the norms m0…m1 that the block meets, and its rows of each: the shell
             # sizes, less what lies outside the block of the first and the last
             m0 = bisect_right(startl, r0) - 1
@@ -539,7 +546,19 @@ class ThetaEngine:
                 counts = counts.copy()
                 counts[0] -= r0 - startl[m0]
                 counts[-1] -= startl[m1 + 1] - r1
-            base = np.repeat(nb[:m1 - m0 + 1], counts)
+            base = np.repeat(np.arange(half, (m1 - m0 + 1) * width, width), counts)
+            if floats:
+                vt = bufs[0][:5 * n].reshape(5, n)
+                np.copyto(vt[:4], blk.T)
+                vt[4] = base
+                xt = vt[:4]
+            else:
+                xt = blk.astype(np.int64).T
+            if nu > 1:
+                mt = _monomial_rows(blk.astype(np.int64), nu, np.int64 if floats else dtype).T
+                mt = np.ascontiguousarray(mt, dtype=np.float64) if floats else mt
+            else:
+                mt = xt  # M(x) = x at ν = 1, and unread at ν = 0
             bins = acc[(m0 - c0) * width:(m1 - c0 + 1) * width]
             step = max(1, _CHUNK // n)
             for r in range(0, len(g), step):
@@ -547,16 +566,14 @@ class ThetaEngine:
                 if floats:
                     m = min(step, len(g) - r)
                     f, idx = bufs[1][:m * n].reshape(m, n), bufs[2][:m * n].reshape(m, n)
-                    np.copyto(idx, np.einsum("ij,jk->ik", g[part], vt, out=f), casting="unsafe")
+                    np.copyto(idx, np.matmul(g[part], vt, out=f), casting="unsafe")
                 else:
-                    idx = g[part] @ vt
-                np.minimum(idx, bmax + 1, out=idx)
-                np.maximum(idx, -bmax - 1, out=idx)
-                idx += base
+                    idx = g[part] @ xt
+                    idx += base
                 if not nu:
                     bins += np.bincount(idx.ravel(), minlength=len(bins))
                 elif floats:
-                    np.einsum("ij,jk->ik", w[part], mt, out=f)  # the weights, over B
+                    np.matmul(w[part], mt, out=f)  # the weights, over the indices
                     bins += np.bincount(idx.ravel(), weights=f.ravel(), minlength=len(bins))
                 else:
                     np.add.at(bins, idx.ravel(), (w[part] @ mt).ravel())
@@ -578,9 +595,27 @@ class ThetaEngine:
         return self.pair_sums_bilinear(a, c, np.ones((1, 1), dtype=np.int64), 0)
 
 
+def _add_times(totals: np.ndarray, at: slice, x: np.ndarray, k: int) -> np.ndarray:
+    """totals with k·x added at `at`: int64 totals while an int64 x keeps every
+    total below 2⁶², else Python ints, with an int64 x converted a slice of
+    `_CHUNK` at a time, so that no more than one slice of it is Python ints."""
+    if totals.dtype != object and x.dtype != object:
+        peak = abs(k) * int(np.abs(x).max(initial=0)) + int(np.abs(totals[at]).max(initial=0))
+        if peak < INT64_SAFE:
+            totals[at] += x * k
+            return totals
+    if totals.dtype != object:
+        totals = totals.astype(object)
+    part = totals[at]
+    for i in range(0, len(x), _CHUNK):
+        part[i:i + _CHUNK] += _times(x[i:i + _CHUNK], k)
+    return totals
+
+
 def _times(x: np.ndarray, k: int) -> np.ndarray:
-    """The int64 array x times k: in int64 when no product can pass 2⁶², else as Python ints."""
-    if abs(k) * max(int(np.abs(x).max(initial=0)), 1) < INT64_SAFE:
+    """The int64 array x times k: in int64 when no product can pass 2⁶², else as
+    Python ints; an object array x times k."""
+    if x.dtype != object and abs(k) * max(int(np.abs(x).max(initial=0)), 1) < INT64_SAFE:
         return x * k
     return x.astype(object) * k
 
@@ -623,10 +658,11 @@ def theta_lift(terms, nu: int, level: int, bound: int,
     `ThetaEngine.slab`, 12,256 rows at bound 2600 where R₁'s norms 326…650
     hold 184,191, and a lattice without norm-1 vectors builds none.  Every
     piece's factor scale/den is written n/D over one common denominator D, and
-    each engine's sums are added n times into one object array of Python-int
-    totals.  The engines are built one at a time: each runs the table and is
-    dropped before the next one enumerates.  ValueError on a negative bound or
-    singular bound, before any engine is built.
+    each engine's sums are added n times into the totals, int64 while every
+    total stays below 2⁶² (`_add_times`).  The engines are built one at a
+    time: each runs the table and is dropped before the next one enumerates.
+    ValueError on a negative bound or singular bound, before any engine is
+    built.
     """
     if singular_bound is None:
         singular_bound = _default_singular_bound(bound)
@@ -649,25 +685,26 @@ def theta_lift(terms, nu: int, level: int, bound: int,
         mat, den = linalg.integer_form(weight)
         pieces.append((lattice, np.array(mat, dtype=np.int64), Fraction(scale) / den))
     common = math.lcm(*(f.denominator for _, _, f in pieces))
-    totals = np.zeros(len(ta), dtype=object)
+    totals = np.zeros(len(ta), dtype=np.int64)
     for lattice, mat, f in pieces:
         # one engine at a time: it runs the whole table and is dropped before the next
         engine = ThetaEngine(lattice, max_norm)
         n = int(f * common)
-        sums = engine.table_sums(ta[near], tb[near], tc[near], mat, nu)
-        totals[near] += np.multiply(sums, n, out=sums)
+        totals = _add_times(totals, near,
+                            engine.table_sums(ta[near], tb[near], tc[near], mat, nu), n)
         if nfar:
-            # row 1 on one slab engine per x₁ ∈ H₁.  Each x₁ is a view of the
-            # shells, and goes with the generator's frame
+            # row 1 on one slab engine per x₁ ∈ H₁, read from a copy of H₁: an x₁
+            # left after the loop would keep the engine's shells
             args = ta[far], tb[far], tc[far], mat, nu
-            totals[far] += n * sum((ThetaEngine.slab(engine, x1, bound).table_sums(*args)
-                                    for x1 in engine.half_shell(1)), np.zeros(nfar, dtype=object))
+            for x1 in engine.half_shell(1).copy():
+                totals = _add_times(totals, far,
+                                    ThetaEngine.slab(engine, x1, bound).table_sums(*args), n)
         if ns:
             # (0, 0, m): the lattice's theta series times the weight mat₀₀, the
             # zero vector once and then 2·|H_m| vectors
             counts = 2 * np.diff(engine.start[:ns + 1])
             counts[0] = 1
-            totals[:ns] += _times(counts, n * int(mat[0, 0]))
+            totals = _add_times(totals, slice(ns), counts, n * int(mat[0, 0]))
         del engine
     return FourierExpansionSiegel2.from_columns(nu + 2, level, bound, ta, tb, tc, totals, common,
                                                 singular_bound=singular_bound)

@@ -278,21 +278,22 @@ ROW_CASES = [(2, [(2, [-2, -1, 0, 1, 2]), (5, [-3, 0, 2]), (7, [1])]),  # a = c 
 
 
 @pytest.fixture
-def einsum_calls(monkeypatch):
-    """The number of np.einsum calls made so far: only the float64 tier makes them."""
+def matmul_calls(monkeypatch):
+    """The number of np.matmul calls made so far: only the float64 tier makes them
+    (the other tiers' products are `@`)."""
     calls = [0]
-    einsum = np.einsum
+    matmul = np.matmul
 
     def counting(*args, **kwargs):
         calls[0] += 1
-        return einsum(*args, **kwargs)
+        return matmul(*args, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", counting)
+    monkeypatch.setattr(np, "matmul", counting)
     return calls
 
 
 @pytest.mark.parametrize("nu", [0, 1, 2])
-def test_row_sums_match_full_shell_pairs(nu, einsum_calls):
+def test_row_sums_match_full_shell_pairs(nu, matmul_calls):
     # the half-shell kernel against every pair of the full, sorted shells; I₁₂ has
     # no vector of norm 1, so the c-ranges 1…3 and 1…7 cross an empty shell.  mat
     # is scaled per row into each tier: the sums are linear in mat, so s·mat gives
@@ -311,11 +312,11 @@ def test_row_sums_match_full_shell_pairs(nu, einsum_calls):
         peak = row_peak(engine, a, cs, mat, nu)
         for tier in ("float64", "int64", "object"):
             s = tier_scale(tier, peak)
-            before = einsum_calls[0]
+            before = matmul_calls[0]
             got = row_sums(engine, a, cs, bs, np.array(mat, dtype=object) * s, nu).tolist()
             assert got == [s * w for w in want], (a, tier)
             assert all(type(x) is int for x in got)
-            assert (einsum_calls[0] > before) == (tier == "float64" and peak > 0), (a, tier)
+            assert (matmul_calls[0] > before) == (tier == "float64" and peak > 0), (a, tier)
 
 
 def test_row_sums_past_2_53_leave_the_float64_tier():
@@ -402,7 +403,7 @@ def table_scale(tier, peaks):
 
 
 @pytest.mark.parametrize("nu", [0, 1, 2, 3])
-def test_table_sums_match_full_shell_pairs(nu, einsum_calls):
+def test_table_sums_match_full_shell_pairs(nu, matmul_calls):
     # every form of ROW_CASES in one table, shuffled: rows of several a at once,
     # H₁ = ∅ among them, against the full shells in each tier
     lattice = fx.ideal_i12()
@@ -418,11 +419,52 @@ def test_table_sums_match_full_shell_pairs(nu, einsum_calls):
     peaks = [row_peak(engine, a, tc[ta == a].tolist(), mat, nu) for a in set(ta.tolist())]
     for tier in ("float64", "int64", "object"):
         s = table_scale(tier, peaks)
-        before = einsum_calls[0]
+        before = matmul_calls[0]
         got = engine.table_sums(ta, tb, tc, np.array(mat, dtype=object) * s, nu).tolist()
         assert got == [s * w for w in want], tier
         assert all(type(x) is int for x in got)
-        assert (einsum_calls[0] > before) == (tier == "float64"), tier
+        assert (matmul_calls[0] > before) == (tier == "float64"), tier
+
+
+@pytest.mark.parametrize("nu", [1, 2])
+def test_table_sums_fill_the_widest_bin(nu, matmul_calls):
+    # row a = 2 of I₁₂ to c₁ = 8 = 4a: x₂ = ±2·x₁ ∈ H₈ gives b = ±4a, b² = 4ac,
+    # the outermost bins h = isqrt(4·a·c₁) = 8 of norm 8's block, next to norm
+    # 7's; by Cauchy–Schwarz those are the only pairs there
+    lattice = fx.ideal_i12()
+    engine = ThetaEngine(lattice, 8)
+    rng = random.Random(20 + nu)
+    monos = monomials_of_degree(4, nu)
+    mat = [[rng.randint(-5, 5) for _ in monos] for _ in monos]
+    forms = [(2, b, c) for c in (2, 7, 8) for b in range(-8, 9) if b * b <= 8 * c]
+    ta, tb, tc = (np.array(x) for x in zip(*forms))
+    want = full_shell_sums(lattice, forms, mat, nu)
+
+    def weight(x, y):
+        mx, my = monomial_values(x, nu), monomial_values(y, nu)
+        return sum(u * m * v for u, row in zip(mx, mat) for m, v in zip(row, my))
+
+    parallel = 2 * sum(weight(x, [2 * v for v in x])
+                       for x in engine.half_shell(2).astype(np.int64).tolist())
+    assert want[forms.index((2, 8, 8))] == parallel != 0
+    assert want[forms.index((2, -8, 8))] == (-1) ** nu * parallel
+    assert engine.table_sums(ta, tb, tc, np.array(mat, dtype=np.int64), nu).tolist() == want
+    assert matmul_calls[0]
+
+
+def test_slab_rows_at_bound_30000_are_narrow_integers():
+    # from bound 30,000 on, the slab's Gram puts its enumeration on Python ints:
+    # its rows come back as objects, which the float64 tier cannot read.  They
+    # hold coordinates up to 84 only, so they are stored as int8
+    full = ThetaEngine(fx.order_r1(), 20)
+    (x1,) = full.half_shell(1)
+    slab = ThetaEngine.slab(full, x1, 30000)
+    forms = [(1, b, c) for c in range(1, 21) for b in (-1, 0, 1)]
+    ta, tb, tc = (np.array(x) for x in zip(*forms))
+    mat = np.array([[2, -1, 0, 3], [1, 0, -2, 1], [0, 4, 1, -1], [-3, 1, 2, 0]], dtype=np.int64)
+    want = full.table_sums(ta, tb, tc, mat, 1).tolist()
+    assert slab.table_sums(ta, tb, tc, mat, 1).tolist() == want and any(want)
+    assert (slab.shells.dtype, slab.coord_max, len(slab.shells)) == (np.int8, 84, 480097)
 
 
 @pytest.mark.parametrize("block,chunk", [(1, 1), (3, 5), (7, 1 << 18), (1 << 14, 4)])
@@ -749,6 +791,21 @@ def test_phi_of_the_degree_2_lift_is_the_degree_1_lift(class_set_17, cs34, level
 
 
 @pytest.mark.parametrize("nu", [0, 1])
+def test_theta_lift_totals_past_2_62_stay_exact(monkeypatch, nu):
+    # scales 2⁶¹ + 1 and −2⁶¹ on one lattice: the first engine's totals pass 2⁶²
+    # and go over to Python ints, 7 at a time, and the second one takes them back
+    # to one copy of the lift, singular column included at ν = 0
+    weight = fx.P1_MATRIX if nu else [[1]]
+    want = theta_lift([(fx.order_r1(), weight, 1)], nu, 17, 300)
+    monkeypatch.setattr(yoshida, "_CHUNK", 7)
+    got = theta_lift([(fx.order_r1(), weight, 2 ** 61 + 1), (fx.order_r1(), weight, -2 ** 61)],
+                     nu, 17, 300)
+    text = dumps_canonical(expansion_to_obj(got))
+    assert text == dumps_canonical(expansion_to_obj(want)) and not want.is_zero()
+    assert max(map(abs, want.columns()[3].tolist())) * 2 ** 61 >= 2 ** 62
+
+
+@pytest.mark.parametrize("nu", [0, 1])
 @pytest.mark.parametrize("bound,singular_bound", [(-1, None), (-1, 5), (60, -1), (60, -3)])
 def test_theta_lift_refuses_a_negative_bound_before_any_engine(monkeypatch, nu, bound,
                                                                singular_bound):
@@ -894,15 +951,15 @@ def test_golden_lift_engines_take_the_numpy_kernel(monkeypatch):
 
 
 @pytest.mark.parametrize("bound", [2600, 8000])
-def test_golden_lift_float64_tier_equals_the_int64_tier(monkeypatch, einsum_calls, bound):
+def test_golden_lift_float64_tier_equals_the_int64_tier(monkeypatch, matmul_calls, bound):
     # the published lift's rows all fit the float64 tier; forced into int64 they
     # must give the same text byte for byte
     fast = dumps_canonical(expansion_to_obj(fx.golden_lift(bound)))
-    assert einsum_calls[0]
+    assert matmul_calls[0]
     monkeypatch.setattr(yoshida, "FLOAT64_EXACT", 0)
-    calls = einsum_calls[0]
+    calls = matmul_calls[0]
     assert dumps_canonical(expansion_to_obj(fx.golden_lift(bound))) == fast
-    assert einsum_calls[0] == calls
+    assert matmul_calls[0] == calls
 
 
 @pytest.fixture
