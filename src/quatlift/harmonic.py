@@ -18,12 +18,13 @@ takes a list of row groups (enumeration buckets of a lattice, or single
 elements as `tau_group`s) and returns one sum per group from one numpy pass;
 `integral_tau_matrix` is its one-element call.  The kernels over many rows,
 `tau_matrix_stack` and `lift_matrix_deg2`, keep int64 guards; every
-`linalg.Matrix` holds Python ints.
+`linalg.Matrix` holds Python ints.  Every symmetric power (S_ν, the lift weight's
+Kronecker folds, monomial rows) reads one monomial table, `_steps`, and `_fold`
+adds each product straight into its monomial's entry by index.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import cache, cached_property
@@ -47,9 +48,31 @@ def monomials_of_degree(nvars: int, deg: int) -> list[tuple[int, ...]]:
     return out
 
 
-# the variables (a, b) of each degree-2 monomial y_a·y_b, in `monomials_of_degree(4, 2)` order
-_QUAD_PAIRS = [tuple(i for i, k in enumerate(e) for _ in range(k))
-               for e in monomials_of_degree(4, 2)]
+@cache
+def _steps(nvars: int, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(mult, parent, first) from the degree-e to the degree-(e+1) monomials in
+    `monomials_of_degree(nvars, ·)` order, the one table every monomial index here
+    comes from: mult[s, j] is the index of s·x_j, and monomial m of degree e + 1
+    is parent[m]·x_first[m], x_first[m] its first variable."""
+    low, high = monomials_of_degree(nvars, e), monomials_of_degree(nvars, e + 1)
+    index = {m: k for k, m in enumerate(high)}
+    mult = np.array([[index[m[:j] + (m[j] + 1,) + m[j + 1:]] for j in range(nvars)]
+                     for m in low])
+    first = np.array([next(j for j, k in enumerate(m) if k) for m in high])
+    parent = np.empty_like(first)
+    s, j = np.nonzero(first[mult] == np.arange(nvars))
+    parent[mult[s, j]] = s
+    return mult, parent, first
+
+
+def _fold(prod: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """Σ of prod[s, j, ...] (degree-e monomial s times x_j) into degree-(e+1) row
+    mult[s, j].  For a fixed j, s ↦ s·x_j is one-to-one, so one fancy-index add
+    per variable, of whole rows, is exact, on int64 and on Python ints alike."""
+    out = np.zeros((int(mult.max()) + 1,) + prod.shape[2:], dtype=prod.dtype)
+    for j in range(mult.shape[1]):
+        out[mult[:, j]] += prod[:, j]
+    return out
 
 
 class TraceZeroFrame:
@@ -80,7 +103,9 @@ class TraceZeroFrame:
         coords = sandwich @ self._solve
         t = coords.num.reshape(4, 3, 4, 4)
         rows = []
-        for a, b in _QUAD_PAIRS:
+        # y_a·y_b, a ≤ b, is degree-2 monomial m with a = first[m] and b = parent[m]
+        _, parent, first = _steps(4, 1)
+        for a, b in zip(first.tolist(), parent.tolist()):
             # the coefficient of y_a·y_b in ȳ·g·y (the polarization when a ≠ b)
             x = t[a, :, b] + t[b, :, a] if a != b else t[a, :, a]
             if x[:, 3].any():
@@ -133,16 +158,14 @@ def laplacian_matrix(gram_inv, nu: int, nvars: int) -> linalg.Matrix:
     g = linalg.frac_mat(gram_inv)
     high = monomials_of_degree(nvars, nu)
     low = monomials_of_degree(nvars, nu - 2) if nu >= 2 else []
-    index = {m: k for k, m in enumerate(low)}
     num = np.zeros((len(low), len(high)), dtype=object)
-    for col, alpha in enumerate(high):
-        for i, j in itertools.product(range(nvars), repeat=2):
-            k = alpha[i] * (alpha[j] - (i == j))
-            if k and g.num[i, j]:
-                target = list(alpha)
-                target[i] -= 1
-                target[j] -= 1
-                num[index[tuple(target)], col] += int(g.num[i, j]) * k
+    if low:
+        # column α = row·x_i·x_j, for every row and every ordered (i, j)
+        once, twice = _steps(nvars, nu - 2)[0], _steps(nvars, nu - 1)[0]
+        for (row, i), mid in np.ndenumerate(once):
+            for j, col in enumerate(twice[mid].tolist()):
+                alpha = high[col]
+                num[row, col] += int(g.num[i, j]) * alpha[i] * (alpha[j] - (i == j))
     return linalg.Matrix(num, g.den)
 
 
@@ -219,61 +242,31 @@ def integral_tau_matrix(y: QuatElement, space: HarmSpace) -> linalg.Matrix:
     return tau_matrix_stack([tau_group(y)], space)[0]
 
 
-@cache
-def _exponents(nu: int) -> np.ndarray:
-    return np.array(monomials_of_degree(4, nu), dtype=np.int64)
-
-
 def _monomial_rows(v: np.ndarray, nu: int, dtype) -> np.ndarray:
-    """M(v): the degree-ν monomials of each row, in `monomials_of_degree(4, ν)` order."""
-    if nu == 1 and v.dtype == dtype:
-        return v  # the bucket itself; M(v) = v
-    return (v.astype(dtype, copy=False)[:, None, :] ** _exponents(nu)).prod(axis=2)
-
-
-@cache
-def _scatter(nvars: int, e: int) -> np.ndarray:
-    """0/1 matrix adding the product of degree-e monomial s and x_j, at row nvars·s + j,
-    into its degree-(e+1) column (monomials in `monomials_of_degree(nvars, ·)` order)."""
-    low, high = monomials_of_degree(nvars, e), monomials_of_degree(nvars, e + 1)
-    index = {m: k for k, m in enumerate(high)}
-    scatter = np.zeros((nvars * len(low), len(high)), dtype=np.int64)
-    for s, m in enumerate(low):
-        for j in range(nvars):
-            scatter[nvars * s + j, index[tuple(k + (t == j) for t, k in enumerate(m))]] = 1
-    return scatter
-
-
-@cache
-def _sym_steps(nu: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Per degree e < ν: (parent, first, scatter) that build S_{e+1}(A) from S_e(A).
-
-    Row α of S_{e+1}(A) is the coefficient vector of (Ax)^α = (Ax)^(α − e_i)·(Ax)_i,
-    i = first[α] the first variable of α and α − e_i = monomial parent[α] of
-    degree e, both in 3 variables; `scatter` is `_scatter(3, e)`.
-    """
-    steps = []
-    for e in range(nu):
-        low, high = monomials_of_degree(3, e), monomials_of_degree(3, e + 1)
-        first = [next(i for i, k in enumerate(m) if k) for m in high]
-        parent = [low.index(tuple(k - (j == i) for j, k in enumerate(m)))
-                  for m, i in zip(high, first)]
-        steps.append((np.array(parent), np.array(first), _scatter(3, e)))
-    return tuple(steps)
+    """M(v): the degree-ν monomials of each row, in `monomials_of_degree(4, ν)` order,
+    built as M_{e+1} = M_e[:, parent]·v[:, first] from the `_steps` table."""
+    v = v.astype(dtype, copy=False)
+    m = v if nu else np.ones((len(v), 1), dtype=dtype)  # at ν = 1 the bucket itself; M(v) = v
+    for e in range(1, nu):
+        _, parent, first = _steps(v.shape[1], e)
+        m = m[:, parent] * v[:, first]
+    return m
 
 
 def _sym_power(a: np.ndarray, nu: int) -> np.ndarray:
     """S_ν(A) for every 3×3 matrix A of the stack a (k×3×3), in a's dtype.
 
     Row α of S_ν(A) is the coefficient vector of (Ax)^α, (Ax)_i = Σ_j A_ij·x_j,
-    over the degree-ν monomials: the matrix of z ↦ Az on them, built by the
-    `_sym_steps` recursion.
+    over the degree-ν monomials: the matrix of z ↦ Az on them.  Row α of
+    S_{e+1}(A) is that of (Ax)^(α − e_i)·(Ax)_i, i = first[α] and α − e_i =
+    parent[α] from `_steps(3, e)`, folded onto degree e + 1 by `_fold`, on the
+    transposes s[β, α, k] = S(A_k)[α, β] so that the fold adds whole rows.
     """
-    s = np.ones((len(a), 1, 1), dtype=a.dtype)
-    for parent, first, scatter in _sym_steps(nu):
-        prod = s[:, parent, :, None] * a[:, first, None, :]
-        s = prod.reshape(len(a), len(parent), -1) @ scatter.astype(a.dtype)
-    return s
+    s = at = a.transpose(2, 1, 0)  # S₁(A) = A
+    for e in range(1, nu):
+        mult, parent, first = _steps(3, e)
+        s = _fold(s[:, None, parent, :] * at[None, :, first, :], mult)
+    return s.transpose(2, 1, 0) if nu else np.ones((len(a), 1, 1), dtype=a.dtype)
 
 
 def _abs_column_sum(rows) -> int:
@@ -295,7 +288,8 @@ def tau_matrix_stack(groups, space: HarmSpace) -> list[linalg.Matrix]:
     int64 while amax²·Σ|T|, amax the largest max|v|·(column sum of |basis|) of
     any group, stays below 2⁶², and S_ν while the longest group's length times
     (3·max|C|)^ν, from the computed C, does; each runs on object arrays of
-    Python ints otherwise, for the whole stack.  An empty group gives the zero
+    Python ints otherwise, for the whole stack.  At ν = 0, S₀ = 1 reads no C,
+    and each group's sum is its row count.  An empty group gives the zero
     matrix.
     """
     nu, dim = space.nu, space.dim
@@ -305,20 +299,23 @@ def tau_matrix_stack(groups, space: HarmSpace) -> list[linalg.Matrix]:
     bq, rq, den_r = space.tau_factors
     table, den_t = space.frame.conj_table
     sizes = [len(v) for v, _, _ in full]
-    starts = np.cumsum([0] + sizes[:-1])
-    vecs = np.concatenate([v for v, _, _ in full])
-    if vecs.dtype != object:
-        vecs = vecs.astype(np.int64)
-    bases = np.array([b for _, b, _ in full], dtype=object)
-    group_max = np.maximum.reduceat(np.abs(vecs).max(axis=1).astype(object), starts)
-    amax = int((group_max * np.abs(bases).sum(axis=1).max(axis=1)).max())
-    dtype = np.int64 if amax * amax * _abs_column_sum(table) < INT64_SAFE else object
-    rows = np.repeat(bases.astype(dtype), sizes, axis=0)
-    a = (vecs.astype(dtype)[:, :, None] * rows).sum(axis=1)
-    c = (_monomial_rows(a, 2, dtype) @ np.array(table, dtype=dtype)).reshape(-1, 3, 3)
-    if c.dtype != object and max(sizes) * (3 * int(np.abs(c).max())) ** nu >= INT64_SAFE:
-        c = c.astype(object)
-    s = np.add.reduceat(_sym_power(c.transpose(0, 2, 1), nu), starts, axis=0)
+    if nu == 0:
+        s = np.array(sizes, dtype=object)[:, None, None]  # S₀ = 1: each group's row count
+    else:
+        starts = np.cumsum([0] + sizes[:-1])
+        vecs = np.concatenate([v for v, _, _ in full])
+        if vecs.dtype != object:
+            vecs = vecs.astype(np.int64)
+        bases = np.array([b for _, b, _ in full], dtype=object)
+        group_max = np.maximum.reduceat(np.abs(vecs).max(axis=1).astype(object), starts)
+        amax = int((group_max * np.abs(bases).sum(axis=1).max(axis=1)).max())
+        dtype = np.int64 if amax * amax * _abs_column_sum(table) < INT64_SAFE else object
+        rows = np.repeat(bases.astype(dtype), sizes, axis=0)
+        a = (vecs.astype(dtype)[:, :, None] * rows).sum(axis=1)
+        c = (_monomial_rows(a, 2, dtype) @ np.array(table, dtype=dtype)).reshape(-1, 3, 3)
+        if c.dtype != object and max(sizes) * (3 * int(np.abs(c).max())) ** nu >= INT64_SAFE:
+            c = c.astype(object)
+        s = np.add.reduceat(_sym_power(c.transpose(0, 2, 1), nu), starts, axis=0)
     totals = iter(bq @ s.astype(object) @ rq)
     return [linalg.Matrix(next(totals), den_r * (den_t * den * den) ** nu) if len(v)
             else linalg.zeros(dim, dim) for v, _, den in groups]
@@ -332,9 +329,10 @@ def lift_matrix_deg2(space: HarmSpace, coords, lattice: Lattice) -> linalg.Matri
     `monomials_of_degree(4, ν)` order; ν = 0 gives [[v]].  Frame coordinate l of
     pim(x̄₁·x₂) is x₁·A_l·x₂ᵗ with A_l = L·T_l·Lᵗ (L the lattice basis, T from
     `pim_table`), so C = Σ_γ v_γ·A_{l₁} ⊗ … ⊗ A_{l_ν}, folded after each Kronecker
-    step onto monomials of the next degree (the `_sym_steps` recursion on γ), so
-    no 4^ν × 4^ν array is formed.  Integer arrays over one denominator: int64
-    while a bound on every integer formed stays below 2⁶², Python ints past it.
+    step onto monomials of the next degree (the `_steps` recursion on γ; each
+    side of the product added by index, `_fold`), so no 4^ν × 4^ν array is formed.
+    Integer arrays over one denominator: int64 while a bound on every integer
+    formed stays below 2⁶², Python ints past it.
     """
     nu = space.nu
     vq, vden = linalg.integer_form(linalg.frac_mat([coords]) @ space.basis)
@@ -343,15 +341,15 @@ def lift_matrix_deg2(space: HarmSpace, coords, lattice: Lattice) -> linalg.Matri
     # Σ|coefficients| of a product of polynomials is at most the product of theirs
     peak = sum(map(abs, vq[0])) * (16 * int(np.abs(a).max())) ** nu
     dtype = np.int64 if peak < INT64_SAFE else object
-    a = a.astype(dtype)
-    q = np.ones((1, 1, 1), dtype=dtype)
-    for e, (parent, first, _) in enumerate(_sym_steps(nu)):
-        # row 4α + i, column 4β + j: the coefficient of x₁^α·x₂^β times A_l[i, j]
-        size = 4 * q.shape[1]
-        kron = q[parent][:, :, None, :, None] * a[first][:, None, :, None, :]
-        fold = _scatter(4, e).astype(dtype)
-        q = fold.T @ kron.reshape(len(parent), size, size) @ fold
-    c = (np.array(vq[0], dtype=dtype)[:, None, None] * q).sum(axis=0)
+    a = a.astype(dtype).transpose(1, 2, 0)  # a[i, j, l] = A_l[i, j]
+    q = a if nu else np.ones((1, 1, 1), dtype=dtype)  # the A_l themselves at ν = 1
+    for e in range(1, nu):
+        (_, parent, first), (mult, _, _) = _steps(3, e), _steps(4, e)
+        # entry [α, i, β, j, γ]: the coefficient of x₁^α·x₂^β times A_l[i, j]
+        kron = q[:, None, :, None, parent] * a[None, :, None, :, first]
+        # fold x₁'s (α, i), then x₂'s (β, j), onto the monomials of degree e + 1
+        q = _fold(_fold(kron, mult).transpose(1, 2, 0, 3), mult).transpose(1, 0, 2)
+    c = (q * np.array(vq[0], dtype=dtype)).sum(axis=2)
     return linalg.Matrix(c, vden * (basis.den ** 2 * table.den) ** nu)
 
 

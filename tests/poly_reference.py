@@ -8,13 +8,21 @@ the conjugation matrix into a `Poly`, against which the τ-matrix kernel and
 `yoshida1` are checked; `conjugation_entries` and `coords_of` read a product
 of quaternions in frame coordinates one element at a time; `tau_matrix_sum`
 is the one-group call of `harmonic.tau_matrix_stack` on an enumeration bucket.
+`monomial_rows_by_powers`, `sym_power_by_scatter` and `lift_matrix_deg2_by_scatter`
+build the monomial rows, S_ν(A) and the degree-2 lift weight the way `harmonic`
+once did, by powers and a product and by dense 0/1 fold matrices (`scatter`,
+`sym_steps`), against which its fold by index is checked.
 """
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import cache
+
+import numpy as np
 
 from quatlift import linalg, polys
-from quatlift.harmonic import _QUAD_PAIRS, tau_matrix_stack
+from quatlift.harmonic import _steps, monomials_of_degree, tau_matrix_stack
+from quatlift.linalg import INT64_SAFE
 
 
 class Poly(polys.Poly):
@@ -126,7 +134,9 @@ def coords_of(frame, x) -> list[Fraction]:
 def conjugation_entries(frame, y: list) -> list:
     """C(y) flattened row-major, for algebra coordinates y (Fractions or `Poly`s)."""
     table, den = frame.conj_table
-    mono = [y[a] * y[b] for a, b in _QUAD_PAIRS]
+    # y_a·y_b is degree-2 monomial m with a = first[m] and b = parent[m]
+    _, parent, first = _steps(4, 1)
+    mono = [y[a] * y[b] for a, b in zip(first.tolist(), parent.tolist())]
     return [sum((m * Fraction(t[c], den) for m, t in zip(mono, table) if t[c]), mono[0] * 0)
             for c in range(9)]
 
@@ -162,3 +172,76 @@ def lift_poly_deg1(space, u, v, lattice) -> Poly:
     for e, c in image.coeffs.items():
         total[e[:4]] += c * weights[e[4:]]
     return Poly(4, total)
+
+
+def monomial_rows_by_powers(v: np.ndarray, nu: int, dtype) -> np.ndarray:
+    """M(v): the degree-ν monomials of each row as powers and a product, in
+    `monomials_of_degree(v.shape[1], ν)` order."""
+    exponents = np.array(monomials_of_degree(v.shape[1], nu), dtype=np.int64)
+    return (v.astype(dtype)[:, None, :] ** exponents).prod(axis=2)
+
+
+@cache
+def scatter(nvars: int, e: int) -> np.ndarray:
+    """0/1 matrix adding the product of degree-e monomial s and x_j, at row nvars·s + j,
+    into its degree-(e+1) column (monomials in `monomials_of_degree(nvars, ·)` order)."""
+    low, high = monomials_of_degree(nvars, e), monomials_of_degree(nvars, e + 1)
+    index = {m: k for k, m in enumerate(high)}
+    out = np.zeros((nvars * len(low), len(high)), dtype=np.int64)
+    for s, m in enumerate(low):
+        for j in range(nvars):
+            out[nvars * s + j, index[tuple(k + (t == j) for t, k in enumerate(m))]] = 1
+    return out
+
+
+@cache
+def sym_steps(nu: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Per degree e < ν: (parent, first, scatter) that build S_{e+1}(A) from S_e(A).
+
+    Row α of S_{e+1}(A) is the coefficient vector of (Ax)^α = (Ax)^(α − e_i)·(Ax)_i,
+    i = first[α] the first variable of α and α − e_i = monomial parent[α] of
+    degree e, both in 3 variables; `scatter` is `scatter(3, e)`.
+    """
+    steps = []
+    for e in range(nu):
+        low, high = monomials_of_degree(3, e), monomials_of_degree(3, e + 1)
+        first = [next(i for i, k in enumerate(m) if k) for m in high]
+        parent = [low.index(tuple(k - (j == i) for j, k in enumerate(m)))
+                  for m, i in zip(high, first)]
+        steps.append((np.array(parent), np.array(first), scatter(3, e)))
+    return tuple(steps)
+
+
+def sym_power_by_scatter(a: np.ndarray, nu: int) -> np.ndarray:
+    """S_ν(A) for every 3×3 matrix A of the stack a (k×3×3), in a's dtype, each
+    step's product folded by the dense `scatter` matrix."""
+    s = np.ones((len(a), 1, 1), dtype=a.dtype)
+    for parent, first, fold in sym_steps(nu):
+        prod = s[:, parent, :, None] * a[:, first, None, :]
+        s = prod.reshape(len(a), len(parent), -1) @ fold.astype(a.dtype)
+    return s
+
+
+def lift_matrix_deg2_by_scatter(space, coords_rows, lattice) -> list[linalg.Matrix]:
+    """`harmonic.lift_matrix_deg2` for each coordinate row of `coords_rows`, each
+    Kronecker step folded by the dense `scatter(4, e)` matrices.
+
+    The recursion over γ does not depend on the row, so it runs once, in int64
+    while the bound of `lift_matrix_deg2` holds for every row.
+    """
+    nu = space.nu
+    rows = [linalg.integer_form(linalg.frac_mat([c]) @ space.basis) for c in coords_rows]
+    table, basis = space.frame.pim_table, lattice.basis
+    a = basis.num @ table.num.reshape(4, 4, 3).transpose(2, 0, 1) @ basis.num.T
+    peak = max(sum(map(abs, vq[0])) for vq, _ in rows) * (16 * int(np.abs(a).max())) ** nu
+    dtype = np.int64 if peak < INT64_SAFE else object
+    a = a.astype(dtype)
+    q = np.ones((1, 1, 1), dtype=dtype)
+    for e, (parent, first, _) in enumerate(sym_steps(nu)):
+        # row 4α + i, column 4β + j: the coefficient of x₁^α·x₂^β times A_l[i, j]
+        size = 4 * q.shape[1]
+        kron = q[parent][:, :, None, :, None] * a[first][:, None, :, None, :]
+        fold = scatter(4, e).astype(dtype)
+        q = fold.T @ kron.reshape(len(parent), size, size) @ fold
+    return [linalg.Matrix((np.array(vq[0], dtype=dtype)[:, None, None] * q).sum(axis=0),
+                          vden * (basis.den ** 2 * table.den) ** nu) for vq, vden in rows]

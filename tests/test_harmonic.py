@@ -1,22 +1,26 @@
+import itertools
 import json
 import random
 import types
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quatlift import fixture as fx
 from quatlift import linalg, polys, verify
 from quatlift.brandt import (FormSpace, atkin_lehner, brandt_matrix, constant_form,
                              eigenforms, inner_product)
-from quatlift.harmonic import (HarmSpace, _abs_column_sum, _sym_power, default_frame,
-                               integral_tau_matrix, laplacian_matrix, lift_matrix_deg2,
-                               lift_poly_deg2, monomials_of_degree)
+from quatlift.harmonic import (HarmSpace, _abs_column_sum, _monomial_rows, _steps, _sym_power,
+                               default_frame, integral_tau_matrix, laplacian_matrix,
+                               lift_matrix_deg2, lift_poly_deg2, monomials_of_degree,
+                               tau_matrix_stack)
 from quatlift.quatcore import QuatElement, UsageError, class_set, short_vectors
 from quatlift.yoshida import yoshida1, yoshida2
 from helpers import hamilton_algebra, level34_order, monomial_values
-from poly_reference import Poly, conjugation_entries, coords_of, lift_poly_deg1
+from poly_reference import (Poly, conjugation_entries, coords_of, lift_matrix_deg2_by_scatter,
+                            lift_poly_deg1, monomial_rows_by_powers, sym_power_by_scatter)
 
 PINNED = Path(__file__).parent / "data" / "harmonic_fixture_frame.json"
 
@@ -323,6 +327,56 @@ def test_lift_matrix_deg2_matches_quaternion_products(algebra, class_set_17, nu)
                 m1, m2 = monomial_values(x1, nu), monomial_values(x2, nu)
                 value = sum(a * cab * b for a, row in zip(m1, c) for cab, b in zip(row, m2))
                 assert value == poly_value(v, coords_of(frame, u - one * (u.trace() / 2)), nu)
+
+
+def test_steps_table_multiplies_monomials():
+    # mult[s, j] is s·x_j, and every monomial of degree e + 1 is parent·x_first
+    for nvars, e in itertools.product((3, 4), range(5)):
+        mult, parent, first = _steps(nvars, e)
+        low, high = monomials_of_degree(nvars, e), monomials_of_degree(nvars, e + 1)
+        for s, j in itertools.product(range(len(low)), range(nvars)):
+            assert high[mult[s, j]] == tuple(k + (t == j) for t, k in enumerate(low[s]))
+        for m, (p, f) in enumerate(zip(parent, first)):
+            assert not any(high[m][:f]) and mult[p, f] == m
+
+
+def test_lift_matrix_deg2_matches_the_scatter_fold(algebra, class_set_17):
+    # the fold by index against the dense 0/1 fold matrices it replaced, on every basis
+    # row of U_ν, ν ≤ 6 (int64 and object tiers), on R₁, I₁₂ and a cross lattice with
+    # a non-integral basis
+    frame = default_frame(algebra)
+    for nu in range(7):
+        sp = HarmSpace(nu, frame)
+        rows = linalg.identity(sp.dim).tolist()
+        for lattice in _lift_lattices(class_set_17):
+            want = lift_matrix_deg2_by_scatter(sp, rows, lattice)
+            assert [lift_matrix_deg2(sp, coords, lattice) for coords in rows] == want, nu
+
+
+def test_sym_power_and_monomial_rows_match_the_references():
+    # S_ν on int64 stacks (ν ≤ 5) and object stacks (ν = 6, 7, past int64), against
+    # the scatter fold; the monomial rows against powers and a product
+    rng = np.random.default_rng(23)
+    for nu in range(8):
+        a = rng.integers(-40, 41, size=(6, 3, 3))
+        a = a if nu <= 5 else a.astype(object) * 2 ** 20
+        got = _sym_power(a, nu)
+        assert got.dtype == a.dtype and np.array_equal(got, sym_power_by_scatter(a, nu)), nu
+    for nu in range(7):
+        v = rng.integers(-30, 31, size=(9, 4))
+        for dtype in (np.int64, object):
+            got, want = _monomial_rows(v, nu, dtype), monomial_rows_by_powers(v, nu, dtype)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (nu, dtype)
+
+
+def test_tau_matrix_stack_at_degree_zero_is_a_row_count(algebra, monkeypatch):
+    # S₀ = 1: each group's sum is its row count, with no C formed
+    sp = HarmSpace(0, default_frame(algebra))
+    basis = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    groups = [(np.ones((5, 4), dtype=np.int8), basis, 2), (np.zeros((0, 4)), basis, 1),
+              (np.array([[2 ** 70, 1, 0, 0]], dtype=object), basis, 3)]
+    monkeypatch.setattr("quatlift.harmonic._monomial_rows", None)
+    assert tau_matrix_stack(groups, sp) == [linalg.frac_mat([[k]]) for k in (5, 0, 1)]
 
 
 @pytest.mark.parametrize("nu", [0, 1, 2])

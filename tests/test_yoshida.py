@@ -1164,6 +1164,16 @@ def test_level34_lifts_match_the_pinned_digests():
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == pin["sha256"], pin["nu"]
 
 
+def test_nu6_lift_matches_the_pinned_digest():
+    # a weight-8 lift at level 17, past the int64 tier of lift_matrix_deg2, pinned when
+    # the lift weight was folded by dense 0/1 matrices; CI's runtime-only job pins ν = 7
+    cs = fx.fixture_class_set()
+    lift = yoshida2(cs, FormSpace(cs, 6).basis_forms()[0], fx.phi2(), 300)
+    text = dumps_canonical(expansion_to_obj(lift))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        "0376d3ca8e80d96f2844c31a2dd94e0794fbeeeb1192730fb7fd9b4e5f989b2b"
+
+
 def test_golden_lift_releases_its_engines(monkeypatch):
     built = []
     init = ThetaEngine.__init__
