@@ -67,20 +67,26 @@ class FormSpace:
             self.cs, self.nu = cs, nu
             self.frame = default_frame(cs.order.algebra)
             self.space = HarmSpace(nu, self.frame)
-            self.class_bases = [self._invariant_basis(order) for order in cs.left_orders]
+            # M_u is quadratic in u, so one unit of each pair ±u will do: `units` is
+            # sorted and closed under negation, so its second half is its first negated
+            halves = [order.units[:len(order.units) // 2] for order in cs.left_orders]
+            taus = iter(tau_matrix_stack([tau_group(u) for half in halves for u in half],
+                                         self.space))
+            self.class_bases = [self._invariant_basis([next(taus) for _ in half])
+                                for half in halves]
             self.dim = sum(len(b) for b in self.class_bases)
-            self._right_inverses = [linalg.right_inverse(cb) if cb else None
-                                    for cb in self.class_bases]
+            inverses = {}
+            for cb in self.class_bases:
+                if cb and cb not in inverses:
+                    inverses[cb] = linalg.right_inverse(cb)
+            self._right_inverses = [inverses.get(cb) for cb in self.class_bases]
             cs.form_spaces[nu] = self
         return cs.form_spaces[nu]
 
-    def _invariant_basis(self, order: Lattice) -> linalg.Matrix:
+    def _invariant_basis(self, taus: list[linalg.Matrix]) -> linalg.Matrix:
+        """The coordinate rows v with v·M_u = v for the τ-matrices M_u of a class's units."""
         eye = linalg.identity(self.space.dim)
-        # invariance v·M_u = v as a right-kernel condition: (M_uᵗ - I)·vᵗ = 0.
-        # M_u is quadratic in u, so one unit of each pair ±u will do: `units` is
-        # sorted and closed under negation, so its second half is its first negated
-        units = order.units
-        taus = tau_matrix_stack([tau_group(u) for u in units[:len(units) // 2]], self.space)
+        # invariance v·M_u = v as a right-kernel condition: (M_uᵗ - I)·vᵗ = 0
         return linalg.nullspace(linalg.vstack([m.T - eye for m in taus]))
 
     def basis_forms(self) -> list[AutomorphicForm]:
@@ -181,8 +187,7 @@ def _brandt_blocks(cs: ClassSet, nu: int, norms) -> None:
     B_ji = (e_j/e_i)·P·B_ijᵗ·P⁻¹, P the pairing on U_ν (Pizer, J. Algebra 64, 1980).
     """
     harm = FormSpace(cs, nu).space
-    pairing = harm.pairing_matrix
-    unpairing = linalg.inverse(pairing)
+    pairing, unpairing = harm.pairing_matrix, harm.pairing_inverse
     e, empty = cs.unit_counts, np.zeros((0, 4), dtype=np.int64)
     groups, cells = [], []
     for i in range(cs.h):

@@ -219,6 +219,10 @@ class HarmSpace:
     def pairing_matrix(self) -> linalg.Matrix:
         return self.basis @ self.monomial_pairing @ self.basis.T
 
+    @cached_property
+    def pairing_inverse(self) -> linalg.Matrix:
+        return linalg.inverse(self.pairing_matrix)
+
     def pair_coords(self, u, v) -> Fraction:
         """⟨⟨u·B, v·B⟩⟩ for coordinate rows u and v."""
         return (linalg.frac_mat([u]) @ self.pairing_matrix @ linalg.frac_mat([v]).T)[0][0]

@@ -374,6 +374,22 @@ def _expected_points(minors: list[int], bound: int) -> float:
                     - math.log(minors[n]) / 2)
 
 
+def _small_norm(g: Matrix) -> Fraction:
+    """The largest norm whose ellipsoid vᵗGv ≤ 2·norm `_expected_points` puts below
+    `_SMALL_ENUMERATION`: `short_vectors_upto` takes the Python-int path to any norm
+    up to it, at about the fixed cost of one call whatever the norm."""
+    g = linalg.frac_mat(g)
+    n = len(g)
+    minors = _reduced_gram(tuple(g.num.ravel().tolist()), n)[2]
+    # the count grows like bound^(n/2): a float estimate, then exact steps on the test itself
+    bound = int((_SMALL_ENUMERATION / _expected_points(minors, 1)) ** (2 / n))
+    while bound > 0 and _expected_points(minors, bound) >= _SMALL_ENUMERATION:
+        bound -= 1
+    while _expected_points(minors, bound + 1) < _SMALL_ENUMERATION:
+        bound += 1
+    return Fraction(bound, 2 * g.den)
+
+
 _SIGNED = tuple((np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32, np.int64))
 
 
@@ -636,8 +652,11 @@ class Lattice:
         basis = linalg.hnf_rational(rows)
         if len(basis) != 4:
             raise ValueError("generators do not span a full lattice")
-        # the nonzero rows of a Hermite normal form are independent
-        return cls._of_full_rank(algebra, basis, kind)
+        # the nonzero rows of a Hermite normal form are independent, and they are
+        # the canonical basis that equality and hashing compare
+        lattice = cls._of_full_rank(algebra, basis, kind)
+        lattice.hnf_basis = basis
+        return lattice
 
     @classmethod
     def standard(cls, algebra, kind: str = "order") -> "Lattice":
@@ -648,8 +667,8 @@ class Lattice:
         return linalg.hnf_rational(self.basis)
 
     def __eq__(self, other):
-        return (isinstance(other, Lattice) and self.algebra is other.algebra
-                and self.hnf_basis == other.hnf_basis)
+        return self is other or (isinstance(other, Lattice) and self.algebra is other.algebra
+                                 and self.hnf_basis == other.hnf_basis)
 
     def __hash__(self):
         return hash(self.hnf_basis)
@@ -698,9 +717,19 @@ class Lattice:
     def scale(self, c) -> "Lattice":
         if not c:
             raise ValueError("cannot scale a lattice by 0")
-        return Lattice._of_full_rank(self.algebra, self.basis * c, self.kind)
+        out = Lattice._of_full_rank(self.algebra, self.basis * c, self.kind)
+        # echelon form, positive pivots and entries reduced below their pivot all
+        # survive a positive factor: c·H is the Hermite basis of c·L
+        if c > 0 and "hnf_basis" in self.__dict__:
+            out.hnf_basis = self.hnf_basis * c
+        return out
 
     def conjugate(self) -> "Lattice":
+        """The conjugate lattice {x̄ : x ∈ L}, built once per lattice."""
+        return self._conjugate
+
+    @cached_property
+    def _conjugate(self) -> "Lattice":
         return Lattice.from_generators(self.algebra, self.basis @ self.algebra.conj_matrix,
                                        self.kind)
 
@@ -951,7 +980,7 @@ class ClassSet:
         self.left_orders = [i.left_order for i in ideals]
         self.unit_counts = [o.unit_count() for o in self.left_orders]
         self._cross: dict[tuple[int, int], Lattice] = {}
-        self._shells: dict[tuple[int, int], tuple[int, HalfShells]] = {}
+        self._shells: dict[tuple[int, int], tuple[Fraction, HalfShells]] = {}
         # filled by brandt.FormSpace: the space of degree-ν forms at ν
         self.form_spaces: dict[int, object] = {}
         # filled by brandt.atkin_lehner: the routing at q, and the blocks at (q, ν)
@@ -982,19 +1011,27 @@ class ClassSet:
         return self._cross[key]
 
     def cross_shells(self, i: int, j: int, max_norm: int) -> HalfShells:
-        """cross_lattice(i, j)'s half shells to at least max_norm, with read-only rows:
-        one enumeration, rerun only to a larger norm than any asked for before."""
+        """cross_lattice(i, j)'s half shells to at least max_norm, with read-only
+        rows, norms and offsets: one enumeration, rerun only past its norm.
+
+        It runs to max_norm or to `_small_norm` of the lattice, the larger: a
+        norm that small costs about as much as any smaller one, so the Brandt
+        matrices asked for one small prime after another read one enumeration.
+        """
         key = (i, j)
         if key not in self._shells or self._shells[key][0] < max_norm:
-            shells = short_vectors_upto(self.cross_lattice(i, j).normalized_gram(), max_norm)
-            shells.vecs.flags.writeable = False
-            self._shells[key] = (max_norm, shells)
+            g = self.cross_lattice(i, j).normalized_gram()
+            norm = max(max_norm, _small_norm(g))
+            shells = short_vectors_upto(g, norm)
+            for arr in (shells.vecs, shells.norms, shells.starts):
+                arr.flags.writeable = False
+            self._shells[key] = (norm, shells)
         return self._shells[key][1]
 
 
 # each class has p+1 neighbours, each reduced, and each one not met before tested
-# for equivalence with the known classes: class_set takes about 0.15 s at level 34,
-# p = 23 on a 2-vCPU Xeon (0.09 s at p = 13), growing about linearly in p
+# for equivalence with the known classes: class_set takes about 0.05 s at level 34,
+# p = 23 on a 2-vCPU Xeon (0.03 s at p = 13), growing about linearly in p
 MAX_P_SEED = 23
 
 
@@ -1183,8 +1220,13 @@ def _superorder_points(order: Lattice, p: int):
     """
     ideal = two_sided_ideal(order, p)
     rows = _rref_mod_p(_integral(ideal.basis @ order._basis_inv), p)
-    for v in sorted(_plane_points(rows, p), key=_point_rank):
-        if order.element_from(v).norm() / p % p == 0:
+    points = sorted(_plane_points(rows, p), key=_point_rank)
+    # nrd(v) = v·G·vᵗ/2 on O's Gram G = N/d, so nrd(v)/p ≡ 0 mod p exactly
+    # when 2·d·p² divides v·N·vᵗ: one integer product for every point
+    g = order.gram
+    pts = np.array(points, dtype=object)
+    for v, norm in zip(points, ((pts @ g.num) * pts).sum(axis=1).tolist()):
+        if norm % (2 * g.den * p * p) == 0:
             yield v
 
 

@@ -421,13 +421,64 @@ def test_level34_brandt_enumerates_each_cross_lattice_once(cs34, monkeypatch):
                         lambda g, m: calls.append(m) or enumerate_upto(g, m))
     got = [brandt_matrix(cs, nu, p, spaces[nu]).blocks for nu in range(3)]
     # one enumeration per cross lattice (j, i) with i ≤ j, shared by every ν: the blocks
-    # below the diagonal come from those above by adjointness, so h² became h(h+1)/2
-    assert calls == [p] * (cs.h * (cs.h + 1) // 2)
+    # below the diagonal come from those above by adjointness, so h² became h(h+1)/2.
+    # Each runs to its `_small_norm`, 13 for every level-34 cross lattice, not to p
+    assert calls == [13] * (cs.h * (cs.h + 1) // 2)
     assert not cs.cross_shells(1, 0, p).vecs.flags.writeable
     assert len(calls) == cs.h * (cs.h + 1) // 2
     for nu in range(3):
         fresh = ClassSet(cs34.order, cs34.ideals)
         assert got[nu] == brandt_matrix(fresh, nu, p, FormSpace(fresh, nu)).blocks
+
+
+def test_cross_shells_are_read_only(cs34):
+    # the cached half shells serve every later Brandt matrix: a caller that
+    # reversed the norms in place would change the blocks they give
+    shells = cs34.cross_shells(0, 0, 5)
+    for arr in (shells.vecs, shells.norms, shells.starts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] = arr[::-1].copy()
+
+
+PRIME_BY_PRIME = {17: ((2, 3, 5, 7, 11), 2), 34: ((3, 5, 7, 11, 13), 1)}
+
+
+@pytest.mark.parametrize("level", sorted(PRIME_BY_PRIME))
+def test_brandt_matrices_asked_prime_by_prime_read_the_floored_shells(level, monkeypatch):
+    # in the order the eichler benchmark asks: ν ≤ 2, the good primes ascending.  Each cross
+    # lattice is enumerated to its `_small_norm` (9 at level 17, 13 at level 34) or
+    # to p, the larger, on the first miss: level 34 reads one enumeration per summed
+    # cross lattice for every prime, level 17 a second one for p = 11
+    primes, per_lattice = PRIME_BY_PRIME[level]
+    cs = _fresh(level)
+    want = {}
+    for p in primes:
+        fresh = ClassSet(cs.order, cs.ideals)
+        for nu in range(3):
+            want[p, nu] = brandt_matrix(fresh, nu, p, FormSpace(fresh, nu)).blocks
+    calls, small = [], []
+    enumerate_upto, small_half_shells = quatcore.short_vectors_upto, quatcore._small_half_shells
+
+    def counted(g, m):
+        small.append(False)
+        out = enumerate_upto(g, m)
+        calls.append((m, quatcore._small_norm(g), small.pop()))
+        return out
+
+    def counted_small(*args):
+        small[-1] = True
+        return small_half_shells(*args)
+
+    monkeypatch.setattr(quatcore, "short_vectors_upto", counted)
+    monkeypatch.setattr(quatcore, "_small_half_shells", counted_small)
+    for nu in range(3):
+        space = FormSpace(cs, nu)
+        for p in primes:
+            assert brandt_matrix(cs, nu, p, space).blocks == want[p, nu], (p, nu)
+    assert len(calls) == per_lattice * cs.h * (cs.h + 1) // 2
+    floored = [python_path for m, floor, python_path in calls if m == floor]
+    assert len(floored) == cs.h * (cs.h + 1) // 2 and all(floored)
+    assert sorted({m for m, _, _ in calls}) == ([9, 11] if level == 17 else [13])
 
 
 def _brandt_blocks_summed(cs, nu, p, space):
@@ -879,7 +930,7 @@ def test_component_charpoly_keeps_its_multiplicity(class_set_17, monkeypatch):
     assert brandt._charpoly_power((1, 0, -2), 4) == [((1, 0, -2), 2)]
 
 
-def test_eichler_iteration_makes_112_enumerations(monkeypatch):
+def test_eichler_iteration_makes_63_enumerations(monkeypatch):
     # the eichler benchmark's iteration at seed 1 on fresh orders: class sets
     # from the neighbours at 2 (level 17) and 3 (level 34), Brandt matrices at
     # ν ≤ 2 for five good primes and eigenforms at the first three.  Each
@@ -887,7 +938,10 @@ def test_eichler_iteration_makes_112_enumerations(monkeypatch):
     # the norm scale at a time made 136.  Routing w_q by a search for every
     # class against every target made 123, of 1,548 vectors; now a class
     # skips the targets already claimed, and a swapped class takes its route
-    # from its partner's, so the routing makes 12 searches, not 23.
+    # from its partner's, so the routing makes 12 searches, not 23.  The
+    # cross shells enumerated once per new prime made 112, of 1,545 vectors;
+    # run to each lattice's `_small_norm` on the first miss, they are
+    # enumerated once at level 34 and twice at level 17.
     orders = [quatcore.Lattice(o.algebra, o.basis, "order") for o in (fx.order_r1(),
                                                                      level34_order())]
     calls = []
@@ -907,7 +961,7 @@ def test_eichler_iteration_makes_112_enumerations(monkeypatch):
             for p in primes:
                 brandt_matrix(cs, nu, p, space)
             eigenforms(cs, nu, list(primes[:3]), space)
-    assert (len(calls), sum(calls)) == (112, 1545)
+    assert (len(calls), sum(calls)) == (63, 946)
 
 
 def _eichler_iteration():
@@ -925,8 +979,8 @@ def _eichler_iteration():
 
 
 def test_eichler_iteration_takes_the_python_path_for_tiny_enumerations(monkeypatch):
-    # 109 of the 112 enumerations expect fewer lattice points than the crossover
-    # (98 at most; the other three expect 140) and run on Python ints
+    # 60 of the 63 enumerations expect fewer lattice points than the crossover
+    # and run on Python ints; the other three are level 17's cross shells to 11
     calls, small_calls = [], []
     enumerate_upto, small = quatcore.short_vectors_upto, quatcore._small_half_shells
     monkeypatch.setattr(quatcore, "short_vectors_upto",
@@ -934,7 +988,7 @@ def test_eichler_iteration_takes_the_python_path_for_tiny_enumerations(monkeypat
     monkeypatch.setattr(quatcore, "_small_half_shells",
                         lambda *args: small_calls.append(1) or small(*args))
     _eichler_iteration()
-    assert (len(small_calls), len(calls)) == (109, 112)
+    assert (len(small_calls), len(calls)) == (60, 63)
 
 
 def test_eichler_iteration_builds_each_two_sided_ideal_once(monkeypatch):

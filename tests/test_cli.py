@@ -164,6 +164,23 @@ def test_brandt_stdout_is_pinned(fixture_files):
     assert out == pinned.read_text(encoding="utf-8")
 
 
+def test_level34_brandt_stdout_is_pinned(fixture_files):
+    # B(3) and B(5) at nu = 0 to 2 at level 34, from the default seed; diffed in
+    # the runtime-only CI job too
+    data = Path(__file__).with_name("data")
+    runner = CliRunner()
+    out = ""
+    for nu in ("0", "1", "2"):
+        for p in ("3", "5"):
+            res = runner.invoke(main, ["brandt",
+                                       "--algebra", str(fixture_files / "ramified17.json"),
+                                       "--order", str(data / "order_n34.json"),
+                                       "--nu", nu, "--prime", p])
+            assert res.exit_code == 0, res.output
+            out += res.output
+    assert out == (data / "brandt_n34.txt").read_text(encoding="utf-8")
+
+
 def test_brandt_command(fixture_files, tmp_path):
     runner = CliRunner()
     res = runner.invoke(main, ["brandt",

@@ -256,3 +256,15 @@ def test_hnf_is_canonical():
             assert linalg.hnf(other) == want
             twin = Lattice.from_generators(alg, other)
             assert twin == lat and hash(twin) == hash(lat)
+        # from_generators keeps its basis, already the Hermite one, as hnf_basis, and a
+        # positive multiple keeps c·H; a negative one has negative pivots and recomputes
+        den = rng.randint(1, 6)
+        lat = Lattice.from_generators(alg, [[Fraction(x, den) for x in row] for row in rows])
+        assert lat.hnf_basis is lat.basis and lat.hnf_basis == linalg.hnf_rational(lat.basis)
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        up, down = lat.scale(c), lat.scale(-c)
+        assert up.hnf_basis == up.basis == linalg.hnf_rational(up.basis)
+        assert "hnf_basis" not in down.__dict__
+        assert down.hnf_basis == linalg.hnf_rational(down.basis) == up.basis != down.basis
+        assert down == up
+        assert lat.conjugate() is lat.conjugate() and lat.conjugate().conjugate() == lat
