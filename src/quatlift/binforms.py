@@ -38,9 +38,9 @@ def reduce_form(t) -> tuple[BinaryForm, int]:
     """Canonical reduced representative and the sign det(U) of the reducing word:
     one row of `reduce_forms`.
 
-    Accepts any positive semidefinite [a, b, c]; raises on indefinite input.
+    Accepts any positive semidefinite [a, b, c] of integers; raises on other input.
     """
-    a, b, c, sign = reduce_forms(*([int(x)] for x in t))
+    a, b, c, sign = reduce_forms(*([x] for x in t))
     return (int(a[0]), int(b[0]), int(c[0])), int(sign[0])
 
 
@@ -54,10 +54,19 @@ def reduce_forms(a, b, c):
     reduction of a form ends in the same form whatever the order of its steps,
     so running the steps of all rows at once changes no row's result.  The
     canonical forms satisfy `is_reduced`; a rank-one form ends as (0, 0, m).
-    int64 while every |entry| < 2³⁰, which keeps a·k² + b·k + c below 2⁶²;
-    otherwise object arrays of Python ints run the same code.
+    ValueError unless every column is integer: an int or uint dtype, or object
+    with Python-int entries.  int64 while every |entry| < 2³⁰, which keeps
+    a·k² + b·k + c below 2⁶²; otherwise object arrays of Python ints run the same code.
     """
     cols = [np.asarray(x) for x in (a, b, c)]
+    # the rows of each column that are not integers: none in an int or uint dtype, the
+    # entries other than Python ints in an object one, every row in any other dtype
+    rows = [np.flatnonzero([type(v) is not int for v in x]) if x.dtype == object
+            else np.arange(0 if x.dtype.kind in "iu" else len(x)) for x in cols]
+    if any(map(len, rows)):
+        i = min(int(r[0]) for r in rows if len(r))
+        raise ValueError(f"form {tuple(x.tolist()[i] for x in cols)} has an entry that is "
+                         f"not an integer")
     big = max((int(np.abs(x).max()) for x in cols if x.size), default=0) >= 1 << 30
     a, b, c = (x.astype(object if big else np.int64) for x in cols)
     bad = (4 * a * c - b * b < 0) | (a < 0) | (c < 0)

@@ -19,8 +19,9 @@ import numpy as np
 from . import linalg
 from .harmonic import HarmSpace, default_frame, tau_group, tau_matrix_stack
 from .polyfactor import factor_rational
-from .quatcore import (ClassSet, Lattice, UsageError, _is_prime, _prime_factors, class_set,
-                       least_good_prime, superorders, transporters, two_sided_ideal)
+from .quatcore import (ClassSet, Lattice, UsageError, _prime_factors, class_set, least_good_prime,
+                       require_good_prime, require_int, require_level_prime, superorders,
+                       transporters, two_sided_ideal)
 
 
 @dataclass
@@ -29,8 +30,7 @@ class AutomorphicForm:
     values: list[tuple[Fraction, ...]]  # one U_ν coordinate vector per class
 
     def __post_init__(self):
-        if self.nu < 0:
-            raise UsageError(f"harmonic degree must be at least 0, not {self.nu}")
+        self.nu = require_int(self.nu, "harmonic degree")
         self.values = [tuple(Fraction(x) for x in v) for v in self.values]
         if any(len(v) != 2 * self.nu + 1 for v in self.values):
             raise UsageError(f"a degree-{self.nu} form has 2ν + 1 = {2 * self.nu + 1} "
@@ -62,11 +62,11 @@ class FormSpace:
     """The unit-invariant degree-ν forms on a class set; one per (cs, ν), in `cs.form_spaces`."""
 
     def __new__(cls, cs: ClassSet, nu: int) -> "FormSpace":
+        nu = require_int(nu, "harmonic degree")
         if nu not in cs.form_spaces:
             self = super().__new__(cls)
             self.cs, self.nu = cs, nu
-            self.frame = default_frame(cs.order.algebra)
-            self.space = HarmSpace(nu, self.frame)
+            self.space = HarmSpace(nu, default_frame(cs.order.algebra))
             # M_u is quadratic in u, so one unit of each pair ±u will do: `units` is
             # sorted and closed under negation, so its second half is its first negated
             halves = [order.units[:len(order.units) // 2] for order in cs.left_orders]
@@ -154,18 +154,6 @@ class BrandtMatrix:
                 for i in range(len(self.blocks))]
 
 
-def _require_good_prime(cs: ClassSet, p: int) -> None:
-    if not _is_prime(p):
-        raise UsageError(f"{p} is not a prime")
-    if cs.order.level % p == 0:
-        raise UsageError(f"{p} divides the level {cs.order.level}")
-
-
-def _require_level_prime(cs: ClassSet, q: int) -> None:
-    if not _is_prime(q) or cs.order.level % q:
-        raise UsageError(f"{q} is not a prime dividing the level {cs.order.level}")
-
-
 def _require_space(cs: ClassSet, nu: int, space: FormSpace | None,
                    *forms: AutomorphicForm) -> None:
     """Refuse a space or form of another class set or degree ν, before anything is cached.
@@ -209,7 +197,7 @@ def _brandt_blocks(cs: ClassSet, nu: int, norms) -> None:
 
 def brandt_matrix(cs: ClassSet, nu: int, p: int, space: FormSpace | None = None) -> BrandtMatrix:
     """B^{(ν)}(p) at a good prime p, on the cross lattices' cached half shells; cached."""
-    _require_good_prime(cs, p)
+    p, nu = require_good_prime(p, cs.order.level), require_int(nu, "harmonic degree")
     _require_space(cs, nu, space)
     if (p, nu) not in cs.brandt_blocks:
         _brandt_blocks(cs, nu, [p])
@@ -223,8 +211,7 @@ def brandt_series(cs: ClassSet, nu: int, bound: int) -> list[BrandtMatrix]:
     `brandt_matrix` blocks, and every ν reads the same shells;
     `verify.brandt_series_failures` checks the relations.
     """
-    if bound < 0:
-        raise ValueError(f"negative bound {bound}")
+    nu, bound = require_int(nu, "harmonic degree"), require_int(bound, "bound")
     norms = [m for m in range(1, bound + 1) if (m, nu) not in cs.brandt_blocks]
     if norms:
         _brandt_blocks(cs, nu, norms)
@@ -309,7 +296,7 @@ def atkin_lehner(cs: ClassSet, nu: int, q: int) -> BrandtMatrix:
     of every route, derived ones included, are computed once per
     (class set, q, ν).
     """
-    _require_level_prime(cs, q)
+    q, nu = require_level_prime(q, cs.order.level), require_int(nu, "harmonic degree")
     if q not in cs.al_routes:
         cs.al_routes[q] = _involution_route(cs.ideals, two_sided_ideal(cs.order, q), q)
     if (q, nu) not in cs.al_blocks:
@@ -336,7 +323,7 @@ def essential_part(forms: list[AutomorphicForm], cs: ClassSet, p: int) -> list[A
     form spaces, and the routing of the classes of cs into it are computed once
     per class set; the pulled-back forms are computed per call.
     """
-    _require_level_prime(cs, p)
+    p = require_level_prime(p, cs.order.level)
     if not forms:
         return []
     nu = forms[0].nu
@@ -472,8 +459,8 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
     throughout: an eigenvalue or a sign ±1 is read off one image and checked
     on the whole basis, and each distinct charpoly is factored once per call.
     """
-    for p in primes:
-        _require_good_prime(cs, p)
+    primes = [require_good_prime(p, cs.order.level) for p in primes]
+    nu = require_int(nu, "harmonic degree")
     _require_space(cs, nu, space)
     space = FormSpace(cs, nu)
     if space.dim == 0:

@@ -34,7 +34,7 @@ import numpy as np
 from . import linalg
 from .linalg import INT64_SAFE
 from .polys import Poly
-from .quatcore import Lattice, QuatElement, QuaternionAlgebra, UsageError
+from .quatcore import Lattice, QuatElement, QuaternionAlgebra, require_int
 
 
 def monomials_of_degree(nvars: int, deg: int) -> list[tuple[int, ...]]:
@@ -76,7 +76,8 @@ def _fold(prod: np.ndarray, mult: np.ndarray) -> np.ndarray:
 
 
 class TraceZeroFrame:
-    """A rational basis g₁, g₂, g₃ of the trace-zero subspace with its Gram matrix."""
+    """A rational basis g₁, g₂, g₃ of the trace-zero subspace with its Gram matrix,
+    and its harmonic spaces, one per ν, in `spaces`."""
 
     def __init__(self, algebra: QuaternionAlgebra, elements: list[QuatElement]):
         if len(elements) != 3 or any(e.trace() != 0 for e in elements):
@@ -88,6 +89,7 @@ class TraceZeroFrame:
         self.gram_inv = linalg.inverse(self.gram)
         # coords(x) · _solve = (t₁, t₂, t₃, s) with x = Σ tᵢgᵢ + s·1
         self._solve = linalg.inverse(linalg.vstack([self._rows, [algebra.one]]))
+        self.spaces: dict[int, HarmSpace] = {}
 
     @cached_property
     def conj_table(self) -> tuple[list[list[int]], int]:
@@ -131,7 +133,8 @@ def default_frame(algebra: QuaternionAlgebra) -> TraceZeroFrame:
     """Frame spanned by the trace-zero parts of the algebra basis (first 3 independent).
 
     One frame per algebra, shared by every caller, so that its product tables
-    are built once; nothing may mutate it.
+    and harmonic spaces are built once; nothing may mutate it but `HarmSpace`,
+    which adds each space to `spaces`.
     """
     one = algebra.unit()
     cands = []
@@ -176,18 +179,22 @@ class HarmSpace:
     monomials in the 3 frame coordinates.  `basis` is the integer matrix B of
     the basis polynomials: the kernel of `laplacian_matrix`, each row primitive
     with its last nonzero entry (the lex-smallest monomial) positive.  A form
-    value is a coordinate row u, the polynomial u·B.
+    value is a coordinate row u, the polynomial u·B.  One per (frame, ν), built on
+    first use and kept in `frame.spaces`.
     """
 
-    def __init__(self, nu: int, frame: TraceZeroFrame):
-        if nu < 0:
-            raise UsageError(f"harmonic degree must be at least 0, not {nu}")
-        self.nu = nu
-        self.frame = frame
-        self.monomials = monomials_of_degree(3, nu)
-        kernel = linalg.nullspace(laplacian_matrix(frame.gram_inv, nu, 3))
-        flipped = linalg.primitive_rows(linalg.Matrix(kernel.num[:, ::-1]))
-        self.basis = linalg.Matrix(flipped.num[:, ::-1])
+    def __new__(cls, nu: int, frame: TraceZeroFrame) -> "HarmSpace":
+        nu = require_int(nu, "harmonic degree")
+        if nu not in frame.spaces:
+            self = super().__new__(cls)
+            self.nu = nu
+            self.frame = frame
+            self.monomials = monomials_of_degree(3, nu)
+            kernel = linalg.nullspace(laplacian_matrix(frame.gram_inv, nu, 3))
+            flipped = linalg.primitive_rows(linalg.Matrix(kernel.num[:, ::-1]))
+            self.basis = linalg.Matrix(flipped.num[:, ::-1])
+            frame.spaces[nu] = self
+        return frame.spaces[nu]
 
     @property
     def dim(self) -> int:

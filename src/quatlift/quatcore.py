@@ -928,8 +928,7 @@ def p_neighbors(ideal: Lattice, p: int) -> list[Lattice]:
     J. Algebra 64, 1980).  ValueError unless the p+1 lattices are distinct of norm p·n(I).
     """
     left, right = ideal.left_order, ideal.right_order
-    if not _is_prime(p) or right.level % p == 0:
-        raise UsageError(f"p must be a prime not dividing the level {right.level}, got {p}")
+    p = require_good_prime(p, right.level)
     alg = ideal.algebra
     plane = _span_mod_p(_isotropic_point(ideal, p),
                         _action_mats(ideal, left, p, alg.left_mul_matrix_coords), p)
@@ -1044,13 +1043,10 @@ def class_set(order: Lattice, p_seed: int) -> ClassSet:
     anything else raises UsageError before the search starts.
     """
     order.require_order()
+    p_seed = require_good_prime(p_seed, order.level)
     if p_seed > MAX_P_SEED:
         raise UsageError(f"p_seed {p_seed} is above the neighbour-search bound {MAX_P_SEED} "
                          f"(the search reduces and tests p_seed + 1 neighbours per class)")
-    if not _is_prime(p_seed):
-        raise UsageError("p_seed must be prime")
-    if order.level % p_seed == 0:
-        raise UsageError("order is not maximal at p_seed (p_seed divides the level)")
     # the order itself is the principal class: its basis is a checked lattice basis.
     # Its right order, built once, is its left order too, and the right order of
     # every class (the built basis depends on the lattice alone)
@@ -1135,6 +1131,44 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _integer(x) -> int | None:
+    """x as a Python int if it is an int or a numpy integer (a bool is neither), else None."""
+    return int(x) if isinstance(x, (int, np.integer)) and not isinstance(x, bool) else None
+
+
+def require_int(x, what: str, least: int = 0) -> int:
+    """x as a Python int; UsageError unless it is an integer (not a bool) ≥ `least`, 0 or 1."""
+    if (n := _integer(x)) is None:
+        raise UsageError(f"the {what} must be an integer, not {x!r}")
+    if n < least:
+        raise UsageError(f"the {what} must be positive, not {n}" if least
+                         else f"negative {what} {n}")
+    return n
+
+
+def require_prime(p) -> int:
+    """p as a Python int; UsageError unless it is a prime integer."""
+    if (n := _integer(p)) is None or not _is_prime(n):
+        raise UsageError(f"{p if n is None else n!r} is not a prime")
+    return n
+
+
+def require_good_prime(p, level: int) -> int:
+    """p as a Python int; UsageError unless it is a prime not dividing the level."""
+    p = require_prime(p)
+    if level % p == 0:
+        raise UsageError(f"{p} divides the level {level}")
+    return p
+
+
+def require_level_prime(q, level: int) -> int:
+    """q as a Python int; UsageError unless it is a prime dividing the level."""
+    q = require_prime(q)
+    if level % q:
+        raise UsageError(f"{q} does not divide the level {level}")
+    return q
+
+
 def least_good_prime(level: int) -> int:
     """The least prime not dividing the level: the default neighbour-search prime."""
     return next(p for p in itertools.count(2) if _is_prime(p) and level % p)
@@ -1186,11 +1220,10 @@ def two_sided_ideal(order: Lattice, p: int) -> Lattice:
     Computed once per (order, p): the order keeps J for the mass formula, the
     Atkin–Lehner routing and the superorders alike.
     """
+    p = require_level_prime(p, order.level)
     if p in order._two_sided_ideals:
         return order._two_sided_ideals[p]
     order.require_order()
-    if not _is_prime(p) or order.level % p != 0:
-        raise UsageError(f"{p} does not divide the level {order.level}")
     # reduced echelon rows mod p: the generators, and so the basis that
     # `from_generators` returns, depend on J alone
     kernel = _rref_mod_p(_kernel_mod_p(_int_mat_mod(order.gram, p), p), p)
@@ -1238,6 +1271,7 @@ def superorders(order: Lattice, p: int) -> list[Lattice]:
     and nrd(a·e₁₂ + c·p·e₂₁)/p = −ac: two zeros.  At a ramified p there are none.
     The orders come sorted by `_point_rank` of v in O's coordinates.
     """
+    p = require_level_prime(p, order.level)
     out = []
     for v in _superorder_points(order, p):
         gens = linalg.vstack([[(order.element_from(v) / p).coords], order.basis])

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .binforms import form_table
-from .quatcore import UsageError, _is_prime, _prime_factors
+from .quatcore import UsageError, _prime_factors, require_good_prime, require_int, require_prime
 from .yoshida import FourierExpansionSiegel2, TruncationError, _require_comparable
 
 
@@ -62,11 +62,6 @@ def hecke_cosets(p: int) -> list[HeckeCosetRep]:
     return reps
 
 
-def _require_prime(p) -> None:
-    if not _is_prime(p):
-        raise UsageError(f"{p} is not a prime")
-
-
 def _grouped_cosets(p: int, k: int) -> dict:
     """Each distinct block D of hecke_cosets(p) with weight p^{2k-3}·det(D)^{-k}·#cosets.
 
@@ -93,9 +88,7 @@ def hecke_Tp(f: FourierExpansionSiegel2, p: int) -> FourierExpansionSiegel2:
 
     The output keeps (0, 0, 0), where every transplant is 0, and no other singular form.
     """
-    _require_prime(p)
-    if f.level % p == 0:
-        raise ValueError(f"{p} divides the level {f.level}")
+    p = require_good_prime(p, f.level)
     out_bound = f.bound // (p * p)
     if out_bound < 1:
         raise TruncationError(
@@ -231,7 +224,7 @@ def standard_L_local(af, ag, k1: int, k2: int, n: int, p: int) -> LocalFactor:
     the elementary symmetric functions e₁ = e₃ = af·ag/p^{(k1+k2-2)/2},
     e₂ = af²/p^{k1-1} + ag²/p^{k2-1} − 2 and e₄ = 1, rational when k1 ≡ k2 mod 2.
     """
-    _require_prime(p)
+    p = require_prime(p)
     if n < 2:
         raise ValueError("the degree-n standard factor needs n ≥ 2")
     w = k1 + k2 - 2
@@ -250,7 +243,7 @@ def standard_L_local(af, ag, k1: int, k2: int, n: int, p: int) -> LocalFactor:
 
 def rankin_selberg_local(af, ag, k1: int, k2: int, p: int) -> LocalFactor:
     """Degree-4 inverse factor of the tensor-product L-function, integer coefficients."""
-    _require_prime(p)
+    p = require_prime(p)
     af, ag, q = Fraction(af), Fraction(ag), Fraction(p)
     w = k1 + k2 - 2
     e2 = q ** (k2 - 1) * af ** 2 + q ** (k1 - 1) * ag ** 2 - 2 * q ** w
@@ -282,10 +275,7 @@ def lambda_N(level: int, n: int, s: float, nonessential: dict | None = None) -> 
     nonessential[p] = (epsilon, alpha_sum) to use the replacement factor
     (1 + ε·α·p^{(−2s−1)/2})⁻¹ (1 + ε·α⁻¹·p^{(−2s−1)/2})⁻¹ Π_{j=3}^n (…)⁻¹.
     """
-    if level < 1:
-        raise UsageError(f"the level must be positive, not {level}")
-    if n < 1:
-        raise UsageError(f"the degree n must be positive, not {n}")
+    level, n = require_int(level, "level", 1), require_int(n, "degree n", 1)
     primes = _prime_factors(level)
     if len(set(primes)) != len(primes):
         raise UsageError(f"the level {level} is not square-free")

@@ -72,8 +72,8 @@ from .brandt import (AutomorphicForm, FormSpace, _require_space, brandt_series,
 from .harmonic import _monomial_rows, lift_matrix_deg2
 from .linalg import FLOAT64_EXACT, INT64_SAFE
 from .polys import Poly
-from .quatcore import (ClassSet, Lattice, UsageError, _narrow_dtype, short_vectors,
-                       short_vectors_upto)
+from .quatcore import (ClassSet, Lattice, UsageError, _narrow_dtype, require_int,
+                       short_vectors, short_vectors_upto)
 
 
 class TruncationError(ValueError):
@@ -90,11 +90,10 @@ class FourierExpansionSiegel2:
     """
 
     def __init__(self, weight: int, level: int, bound: int, singular_bound: int | None = None):
-        singular_bound = bound if singular_bound is None else singular_bound
-        if bound < 0 or singular_bound < 0:
-            raise ValueError(f"negative bound: bound {bound}, singular bound {singular_bound}")
-        self._weight, self._level = weight, level
-        self._bound, self._singular_bound = bound, singular_bound
+        self._weight, self._level = require_int(weight, "weight"), require_int(level, "level", 1)
+        self._bound = require_int(bound, "bound")
+        self._singular_bound = require_int(bound if singular_bound is None else singular_bound,
+                                           "singular bound")
         self._a = self._b = self._c = self._key = np.zeros(0, dtype=np.int64)
         self._num, self._den = np.zeros(0, dtype=object), 1
 
@@ -264,11 +263,9 @@ class QExpansion:
     """Finite q-expansion m ↦ a(m) with weight and level metadata."""
 
     def __init__(self, weight: int, level: int, bound: int, coeffs=None):
-        if bound < 0:
-            raise ValueError(f"negative bound {bound}")
-        self.weight = weight
-        self.level = level
-        self.bound = bound
+        self.weight = require_int(weight, "weight")
+        self.level = require_int(level, "level", 1)
+        self.bound = require_int(bound, "bound")
         self.coeffs: dict[int, Fraction] = {}
         for m, v in (coeffs or {}).items():
             v = Fraction(v)
@@ -312,8 +309,7 @@ class ThetaEngine:
     """
 
     def __init__(self, lattice: Lattice, max_norm: int):
-        if max_norm < 0:
-            raise ValueError(f"negative enumeration bound {max_norm}")
+        max_norm = require_int(max_norm, "enumeration bound")
         g = lattice.normalized_gram()
         assert g.den == 1  # 2N/g with g = gcd(N_ii, 2·N_ij) is always integral
         self.lattice = lattice
@@ -661,9 +657,10 @@ def theta_lift(terms, nu: int, level: int, bound: int,
     each engine's sums are added n times into the totals, int64 while every
     total stays below 2⁶² (`_add_times`).  The engines are built one at a
     time: each runs the table and is dropped before the next one enumerates.
-    ValueError on a negative bound or singular bound, before any engine is
-    built.
+    UsageError on a degree, bound or singular bound that is not a nonnegative
+    integer, before any engine is built.
     """
+    nu, bound = require_int(nu, "harmonic degree"), require_int(bound, "bound")
     if singular_bound is None:
         singular_bound = _default_singular_bound(bound)
     FourierExpansionSiegel2(nu + 2, level, bound, singular_bound)  # the header's checks
@@ -733,6 +730,7 @@ def yoshida2(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm, bound: 
     φ₂ must have ν = 0 (scalar second factor); the result has weight ν₁ + 2.  At
     ν₁ = 0 the pieces (i, j) and (j, i) are one lattice (`_scalar_terms`).
     """
+    bound = require_int(bound, "bound")
     if phi2.nu != 0:
         raise UsageError("only a scalar second factor is supported (ν₂ = 0)")
     nu1 = phi1.nu
@@ -787,10 +785,9 @@ def yoshida1(cs: ClassSet, phi1: AutomorphicForm, phi2: AutomorphicForm,
     w_i ⊗ φ₂(y_j).  At ν = 0, x = 0 adds a(0) = ⟨φ₁, 1⟩·⟨1, φ₂⟩.  In this order
     T_p·Y₁(φ, ψ) = Y₁(T̃_pφ, ψ) (Eichler, LNM 320, 1973).
     """
+    bound = require_int(bound, "bound")
     if phi1.nu != phi2.nu:
         raise UsageError("degree-1 lift requires equal harmonic degrees")
-    if bound < 0:
-        raise ValueError(f"negative bound {bound}")
     nu = phi1.nu
     _require_space(cs, nu, None, phi1, phi2)
     space = FormSpace(cs, nu)

@@ -1,11 +1,12 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 import binforms_reference
 from binforms_reference import apply_unimodular, disc, reduced_forms_up_to
-from quatlift.binforms import form_table, is_ambiguous, is_reduced, reduce_form
+from quatlift.binforms import form_table, is_ambiguous, is_reduced, reduce_form, reduce_forms
 
 
 def test_already_reduced():
@@ -34,6 +35,24 @@ def test_indefinite_rejected():
         reduce_form((1, 3, 1))
     with pytest.raises(ValueError):
         reduce_form((-1, 0, 1))
+
+
+@pytest.mark.parametrize("t", [(2.7, 1, 3), (2.0, 1, 3), (2, "1", 3), (2, 1, True)])
+def test_a_form_with_an_entry_that_is_not_an_integer_is_refused(t):
+    # reduce_form truncated (2.7, 1, 3) to (2, 1, 3)
+    with pytest.raises(ValueError, match=re.escape(f"form {t} has an entry that is not")):
+        reduce_form(t)
+
+
+def test_reduce_forms_names_the_first_form_that_is_not_integers():
+    with pytest.raises(ValueError, match=re.escape("form (5, '2', 2) has an entry")):
+        reduce_forms([1, 5], np.array([0, "2"], dtype=object), [1, 2])
+    with pytest.raises(ValueError, match=re.escape("form (1, 0, 1.0) has an entry")):
+        reduce_forms([1, 5], [0, 2], [1.0, 2.0])
+    # integer dtypes and Python ints in object columns (the big-int path) reduce
+    big = np.array([1, 3 << 40], dtype=object)
+    assert [x.tolist() for x in reduce_forms(np.array([1, 2], dtype=np.uint8), [0, 1], big)] == [
+        [1, 2], [0, 1], [1, 3 << 40], [1, 1]]
 
 
 def test_boundary_forms_reduce_without_sign():

@@ -43,7 +43,7 @@ def test_adding_forms_of_different_shape_is_refused():
 @pytest.mark.parametrize("nu,values", [(1, [(1, 0), (0, 1)]), (0, [(1,), (1, 2)]),
                                        (2, [(0,) * 3, (0,) * 3]), (-1, [])])
 def test_a_form_needs_2nu_plus_1_coordinates_per_class(nu, values):
-    with pytest.raises(UsageError, match="2ν \\+ 1|at least 0"):
+    with pytest.raises(UsageError, match="2ν \\+ 1|negative harmonic degree -1"):
         AutomorphicForm(nu, values)
 
 
@@ -213,9 +213,9 @@ def test_atkin_lehner_bad_prime(class_set_17):
 @pytest.mark.parametrize("q", [0, 1, 4])
 def test_a_q_that_is_not_a_prime_of_the_level_is_refused(class_set_17, cs34, q):
     for cs in (class_set_17, cs34):
-        with pytest.raises(UsageError, match="not a prime dividing the level"):
+        with pytest.raises(UsageError, match=f"{q} is not a prime"):
             atkin_lehner(cs, 0, q)
-        with pytest.raises(UsageError, match="not a prime dividing the level"):
+        with pytest.raises(UsageError, match=f"{q} is not a prime"):
             essential_part([constant_form(cs)], cs, q)
 
 
@@ -314,7 +314,7 @@ def test_involution_split_is_the_two_eigenspaces():
 
 
 def test_form_spaces_share_one_frame(class_set_17):
-    assert FormSpace(class_set_17, 0).frame is FormSpace(class_set_17, 2).frame
+    assert FormSpace(class_set_17, 0).space.frame is FormSpace(class_set_17, 2).space.frame
 
 
 def test_one_form_space_per_class_set_and_degree(class_set_17):

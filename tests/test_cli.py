@@ -313,6 +313,23 @@ def test_hecke_command_rejects_non_prime(lift400, prime):
     assert f"Error: {prime} is not a prime" in res.output
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("weight", -3, "negative weight -3"),
+    ("level", 0, "the level must be positive, not 0"),
+])
+def test_hecke_command_refuses_a_bad_expansion_header(lift400, tmp_path, field, value, message):
+    # a weight of -3 ended in a traceback inside T(p), and level 0 had every prime divide it
+    doc = json.loads(lift400.read_text())
+    doc[field] = value
+    bad = tmp_path / "bad_header.json"
+    bad.write_text(json.dumps(doc))
+    res = CliRunner().invoke(main, ["hecke", "--expansion", str(bad), "--prime", "2"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # a clean exit, no traceback
+    assert res.stderr == f"Error: bad expansion document: {message}\n"
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("kind", ["standard", "rankin"])
 def test_lfactor_command_rejects_non_prime(kind):
     res = CliRunner().invoke(main, ["lfactor", "--kind", kind, "--prime", "6"])
@@ -372,7 +389,7 @@ def test_roundtrip_malformed_json(tmp_path):
 
 
 @pytest.mark.parametrize("command, args, message", [
-    ("classset", ["--seed", "4"], "p_seed must be prime"),
+    ("classset", ["--seed", "4"], "4 is not a prime"),
     ("brandt", ["--nu", "0", "--prime", "17"], "17 divides the level"),
     ("eigenforms", ["--primes", "2,17"], "17 divides the level"),
     ("brandt", ["--prime", "0"], "0 is not a prime"),

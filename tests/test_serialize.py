@@ -77,7 +77,7 @@ def _expansion_doc(**fields):
     (_expansion_doc(entries=[[1, 1, 1, "5"], [1, 1, 1, "6"]]), "appears twice"),
     (_expansion_doc(entries=[[0, 0, 2, "5"], [0, 0, 2, "5"]]), "appears twice"),
     (_expansion_doc(bound=-1, singular_bound=0), "negative bound"),
-    (_expansion_doc(singular_bound=-1), "negative bound"),
+    (_expansion_doc(singular_bound=-1), "negative singular bound -1"),
 ], ids=["disc-beyond-bound", "singular-beyond-bound", "float-coordinate", "float-weight",
         "duplicate", "duplicate-singular", "negative-bound", "negative-singular-bound"])
 def test_expansion_loader_rejects_invalid_documents(doc, match):
@@ -140,7 +140,7 @@ def test_form_roundtrip():
     ("nu", True, "nu must be an integer"),
     ("nu", "1", "nu must be an integer"),
     # the form's own rule is AutomorphicForm's, and so is the message
-    ("nu", -1, "harmonic degree must be at least 0, not -1"),
+    ("nu", -1, "negative harmonic degree -1"),
     ("values", [["0", "0", "1"], ["0", "0"]], "a degree-1 form has 2ν . 1 = 3 coordinates"),
     ("values", [["0", "0", "1"], ["0", "0", "0", "0", "0"]], "a degree-1 form has 2ν . 1 = 3"),
     ("values", [["0", "0", "1"], "001"], "2 rows .classes., each a list"),

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -596,6 +597,26 @@ def test_q_expansion_refuses_a_negative_bound_and_entries_past_it():
     assert QExpansion(2, 17, 4, {4: 1, 5: 0}).coeffs == {4: 1}
 
 
+@pytest.mark.parametrize("weight, level, text", [(-3, 17, "negative weight -3"),
+                                                  (3, 0, "the level must be positive, not 0"),
+                                                  (3, -17, "the level must be positive, not -17")])
+def test_expansion_headers_refuse_a_negative_weight_and_a_level_below_one(weight, level, text):
+    # a negative weight made det(D)^k a float in T(p); level 0 made every prime divide it
+    with pytest.raises(UsageError, match=f"^{text}$"):
+        FourierExpansionSiegel2(weight, level, 10)
+    with pytest.raises(UsageError, match=f"^{text}$"):
+        QExpansion(weight, level, 10)
+    assert FourierExpansionSiegel2(0, 1, 10).is_zero() and QExpansion(0, 1, 10).is_zero()
+
+
+@pytest.mark.parametrize("t", [(2.7, 1, 3), ("2", 1, 3), (2.0, 1, 3)])
+def test_coefficient_refuses_a_form_that_is_not_integers(golden_130, t):
+    # 2.7 was truncated to the coefficient at (2, 1, 3); "2" failed inside numpy
+    assert golden_130.coefficient((2, 1, 3)) == 32
+    with pytest.raises(ValueError, match=re.escape(f"form {t} has an entry that is not")):
+        golden_130.coefficient(t)
+
+
 def _left_order_thetas(cs, bound):
     """θ_{R_i}(m) = e_i·B₀(m)_ii for 1 ≤ m ≤ bound, one list per class: the ν = 0
     diagonal of the Brandt series."""
@@ -811,7 +832,7 @@ def test_theta_lift_refuses_a_negative_bound_before_any_engine(monkeypatch, nu, 
                                                                singular_bound):
     built = engines_built(monkeypatch)
     terms = [(fx.order_r1(), fx.P1_MATRIX if nu else [[1]], 1)]
-    with pytest.raises(ValueError, match="negative bound"):
+    with pytest.raises(ValueError, match="negative (singular )?bound"):
         theta_lift(terms, nu, 17, bound, singular_bound)
     assert built == []
 
