@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .harmonic import HarmSpace, default_frame, tau_group, tau_matrix_stack
-from .polyfactor import factor_rational
+from .polyfactor import _primitive, _squarefree, factor_rational
 from .quatcore import (ClassSet, Lattice, UsageError, _prime_factors, class_set, least_good_prime,
                        require_good_prime, require_int, require_level_prime, superorders,
                        transporters, two_sided_ideal)
@@ -31,7 +31,9 @@ class AutomorphicForm:
 
     def __post_init__(self):
         self.nu = require_int(self.nu, "harmonic degree")
-        self.values = [tuple(Fraction(x) for x in v) for v in self.values]
+        # the Fractions of `FormSpace.unflat` are kept as they are, not built again
+        self.values = [tuple(x if type(x) is Fraction else Fraction(x) for x in v)
+                       for v in self.values]
         if any(len(v) != 2 * self.nu + 1 for v in self.values):
             raise UsageError(f"a degree-{self.nu} form has 2ν + 1 = {2 * self.nu + 1} "
                              f"coordinates at each class")
@@ -75,6 +77,10 @@ class FormSpace:
             self.class_bases = [self._invariant_basis([next(taus) for _ in half])
                                 for half in halves]
             self.dim = sum(len(b) for b in self.class_bases)
+            # the classes whose invariant basis is all of U_ν (units ±1 alone, or ν = 0):
+            # `matrix_of` and `unflat` pass their blocks through with no product
+            eye = linalg.identity(self.space.dim)
+            self._whole = [cb == eye for cb in self.class_bases]
             inverses = {}
             for cb in self.class_bases:
                 if cb and cb not in inverses:
@@ -95,9 +101,9 @@ class FormSpace:
     def unflat(self, rows: linalg.Matrix) -> list[AutomorphicForm]:
         """The forms with the flat coordinate rows of `rows`: one product per class block."""
         per_class, pos = [], 0
-        for cb in self.class_bases:
+        for cb, whole in zip(self.class_bases, self._whole):
             block = linalg.Matrix(rows.num[:, pos:pos + len(cb)], rows.den)
-            per_class.append((block @ cb).tolist())
+            per_class.append((block if whole else block @ cb).tolist())
             pos += len(cb)
         return [AutomorphicForm(self.nu, [values[r] for values in per_class])
                 for r in range(len(rows))]
@@ -110,7 +116,8 @@ class FormSpace:
         every CB_j·B_ij lies in the row span of CB_i, that is, unless the
         operator maps invariant forms to invariant forms.  A zero B_ij gives a
         zero block with nothing to check: an Atkin–Lehner or pullback operator
-        has one nonzero block per row.
+        has one nonzero block per row.  Between two classes whose invariant
+        bases are all of U_ν, CB_j·B_ij·R_i is B_ij itself, with nothing to check.
         """
         grid = []
         for j, cb_j in enumerate(self.class_bases):
@@ -119,6 +126,9 @@ class FormSpace:
                 block = op.blocks[i][j]
                 if not (cb_i and cb_j and block.num.any()):
                     row.append(linalg.zeros(len(cb_j), len(cb_i)))
+                    continue
+                if self._whole[i] and self._whole[j]:
+                    row.append(block)
                     continue
                 image = cb_j @ block
                 coords = image @ r_i
@@ -366,27 +376,18 @@ def _poly_of_matrix(coeffs, m: linalg.Matrix) -> linalg.Matrix:
     return acc
 
 
-def _restrict(op: linalg.Matrix, basis: linalg.Matrix) -> linalg.Matrix:
-    """Matrix of a row-convention operator on the row span of `basis`; ValueError
-    unless the operator maps the span into itself."""
-    s = linalg.solve_many(basis.T, basis @ op)
-    if s is None:
+def _restrict_rows(r: linalg.Matrix, kernel: linalg.Matrix, free: list[int]) -> linalg.Matrix:
+    """The restriction r′ of a row-convention r to the row span of K = `kernel`: r′·K = K·r.
+
+    K is the identity on its `free` columns (`linalg.nullspace_free`), so r′ is
+    K·r on those columns.  Raises ValueError unless r′·K = K·r exactly, that is,
+    unless r maps the span into itself.
+    """
+    image = kernel @ r
+    s = linalg.Matrix(image.num[:, free], image.den)
+    if s @ kernel != image:
         raise ValueError("operator does not preserve the subspace")
     return s
-
-
-def _eigenvalue(op: linalg.Matrix, basis: linalg.Matrix) -> Fraction:
-    """λ with basis·op = λ·basis, for a basis of nonzero rows, read off the first row's image.
-
-    Raises ValueError unless basis·op equals λ·basis exactly: the operator does
-    not preserve the span, or is not the one scalar λ on it.
-    """
-    img = basis @ op
-    j = int(np.flatnonzero(basis.num[0])[0])
-    lam = Fraction(int(img.num[0, j]) * basis.den, int(basis.num[0, j]) * img.den)
-    if img != basis * lam:
-        raise ValueError("operator does not preserve the subspace, or is not one scalar on it")
-    return lam
 
 
 def _involution_factors(s: linalg.Matrix) -> list[tuple[tuple, int]]:
@@ -403,36 +404,84 @@ def _charpoly_factorer():
     return lambda s: list(factored(tuple(linalg.charpoly(s))))
 
 
-def _split_by_operator(subspaces: list[linalg.Matrix], op: linalg.Matrix,
-                       factor) -> list[tuple[linalg.Matrix, tuple]]:
-    """Each subspace split into the kernels of f(op), f over `factor(s)`, s its restriction.
+def _simple_factor(s: linalg.Matrix, t: linalg.Matrix) -> tuple:
+    """The irreducible g with charpoly(s) = g^(d/deg g), s a restriction to a simple part
+    defined by the restriction t; Yun's square-free split, no factoring.
+
+    The part is a 1-dimensional K-space, K = ℚ[t] a field, so an s that commutes
+    with t is K-linear: multiplication by an element of K, whose charpoly is a
+    power of its irreducible minimal polynomial.  Raises ValueError unless
+    s·t = t·s and the charpoly has one square-free part.
+    """
+    if s @ t != t @ s:
+        raise ValueError("operator does not commute with the one that makes the part simple")
+    parts = _squarefree(_primitive(linalg.charpoly(s)[::-1]))
+    if len(parts) != 1:
+        raise ValueError("the charpoly on a simple part is not a power of one polynomial")
+    g = parts[0][0]
+    return tuple(Fraction(x, g[-1]) for x in reversed(g))
+
+
+@dataclass
+class _Part:
+    """A part of the eigenform split, in its own coordinates.
+
+    `basis` holds its rows in flat coordinates, None for the whole space;
+    `ops` the restrictions of the operators it has not been split by, and
+    `found` the monic irreducible f, for each operator it has, with the part
+    inside ker f(op); both keyed by prime.  A part is simple when its dimension
+    is deg f of the factor that split it off or kept it whole: it is then a
+    1-dimensional K-space, K = ℚ[x]/f, and `simple` is that operator's
+    restriction t.
+    """
+    basis: linalg.Matrix | None
+    ops: dict[int, linalg.Matrix]
+    found: dict[int, tuple] = field(default_factory=dict)
+    simple: linalg.Matrix | None = None
+
+    def kept(self, key: int, f: tuple, simple: linalg.Matrix | None = None) -> "_Part":
+        """This part, whole, found inside ker f of the operator `key`."""
+        ops = {k: r for k, r in self.ops.items() if k != key}
+        return _Part(self.basis, ops, {**self.found, key: f},
+                     self.simple if simple is None else simple)
+
+    def sub(self, kernel: linalg.Matrix, free: list[int], key: int, f: tuple) -> "_Part":
+        """The rows `kernel` of this part, the identity on its `free` columns, inside ker f
+        of the operator `key`: every other restriction carried down by `_restrict_rows`."""
+        ops = {k: _restrict_rows(r, kernel, free) for k, r in self.ops.items() if k != key}
+        simple = None
+        if len(f) - 1 == len(kernel) > 1:
+            simple = _restrict_rows(self.ops[key], kernel, free)
+        basis = kernel if self.basis is None else kernel @ self.basis
+        return _Part(basis, ops, {**self.found, key: f}, simple)
+
+
+def _split(part: _Part, key: int, factor) -> list[_Part]:
+    """`part` split by the operator `key` into the kernels of f(s), s its restriction there.
 
     `factor(s)` is [(f, multiplicity)]: the charpoly's factors (`_charpoly_factorer`),
-    or x ∓ 1 for an involution (`_involution_factors`).  Returns (part, f)
-    pairs: each part with the monic irreducible f, as coefficients highest
-    degree first, whose kernel ker f(op) it lies in.  A
-    line is kept whole once one image shows it is an eigenline of eigenvalue λ
-    (f = x − λ), and a subspace whose charpoly is one irreducible factor f to
-    the first power is kept whole too (f(op) is 0 on it by Cayley–Hamilton).
-    Raises ValueError when the kernels do not add up to the subspace: op is
-    not semisimple on it, and ker f(op) misses part of the generalized
-    eigenspace ker f(op)^k.
+    or x ∓ 1 for an involution (`_involution_factors`).  The parts come back in
+    the order of the factors, each with the f it lies in the kernel of.  A line
+    reads f = x − λ off its 1×1 restriction, and a simple part takes f from
+    `_simple_factor`; neither is factored.  A part whose charpoly is one
+    irreducible factor f is kept whole (f(s) = 0 by Cayley–Hamilton) and is
+    simple from then on.  Raises ValueError when the kernels do not add up to
+    the part: s is not semisimple on it, and ker f(s) misses part of the
+    generalized eigenspace ker f(s)^k.
     """
-    out = []
-    for basis in subspaces:
-        if len(basis) == 1:
-            out.append((basis, (Fraction(1), -_eigenvalue(op, basis))))
-            continue
-        s = _restrict(op, basis)
-        factors = factor(s)
-        if len(factors) == 1 and factors[0][1] == 1:
-            out.append((basis, factors[0][0]))
-            continue
-        kernels = [(linalg.nullspace(_poly_of_matrix(f, s).T), f) for f, _ in factors]
-        if sum(len(kernel) for kernel, _ in kernels) != len(basis):
-            raise ValueError("operator is not semisimple on the subspace")
-        out += [(kernel @ basis, f) for kernel, f in kernels if kernel]
-    return out
+    s = part.ops[key]
+    if len(s) == 1:
+        return [part.kept(key, (Fraction(1), -Fraction(int(s.num[0, 0]), s.den)))]
+    if part.simple is not None:
+        return [part.kept(key, _simple_factor(s, part.simple))]
+    factors = factor(s)
+    if len(factors) == 1 and len(factors[0][0]) - 1 == len(s):
+        return [part.kept(key, factors[0][0], s)]
+    kernels = [(*linalg.nullspace_free(_poly_of_matrix(f, s).T), f) for f, _ in factors]
+    if sum(len(kernel) for kernel, _, _ in kernels) != len(s):
+        raise ValueError("operator is not semisimple on the subspace")
+    return [part.kept(key, f) if len(kernel) == len(s) else part.sub(kernel, free, key, f)
+            for kernel, free, f in kernels if kernel]
 
 
 def _charpoly_power(f: tuple, dim: int) -> list[tuple[tuple, int]]:
@@ -449,15 +498,17 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
 
     Rational 1-dimensional common eigenspaces come back as eigenforms with
     eigenvalue maps; irrational ones as irreducible blocks with factored
-    characteristic polynomials.  One `_split_by_operator` loop splits by each
-    w_q into ker(w_q ∓ 1) (`_involution_factors`: w_q² = 1, no charpoly), then
-    by each T(p) into the kernels of its charpoly's factors, and records for
-    every part the irreducible f_p whose kernel ker f_p(T(p)) it lies in.  A
-    component of dimension > 1 is T(p)-invariant (the operators commute) and
-    lies in that kernel, so its characteristic polynomial is f_p^(dim/deg f_p),
-    read off the split with no restriction or factoring after it.  Exact
-    throughout: an eigenvalue or a sign ±1 is read off one image and checked
-    on the whole basis, and each distinct charpoly is factored once per call.
+    characteristic polynomials.  Each operator goes to flat coordinates once;
+    one `_split` loop splits by each w_q into ker(w_q ∓ 1) (`_involution_factors`:
+    w_q² = 1, no charpoly), then by each T(p) into the kernels of its charpoly's
+    factors.  Every part carries, in its own coordinates, the restrictions of the
+    operators it has not yet been split by, each checked exactly as it is
+    carried down, and records the irreducible f whose kernel ker f(op) it lies
+    in.  A part of dimension deg f is simple: a later operator is checked to
+    commute there, and its charpoly is a power of one irreducible factor, read
+    by a square-free split with no factoring.  The eigenvalues, the ±1 signs
+    and the characteristic polynomials f_p^(dim/deg f_p) of the components are
+    read off the split; each distinct charpoly is factored once per call.
     """
     primes = [require_good_prime(p, cs.order.level) for p in primes]
     nu = require_int(nu, "harmonic degree")
@@ -467,28 +518,29 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
         return []
     level_primes = sorted(set(_prime_factors(cs.order.level)))
     inv_ops = {q: space.matrix_of(atkin_lehner(cs, nu, q)) for q in level_primes}
-    brandt_ops = {p: space.matrix_of(brandt_matrix(cs, nu, p)) for p in primes}
+    brandt_ops = {p: space.matrix_of(brandt_matrix(cs, nu, p)) for p in dict.fromkeys(primes)}
     by_charpoly = _charpoly_factorer()
-    steps = [(q, op, _involution_factors) for q, op in inv_ops.items()]
-    steps += [(p, brandt_ops[p], by_charpoly) for p in sorted(primes)]
-    split = [(linalg.identity(space.dim), {})]
-    for key, op, factor in steps:
-        split = [(part, {**found, key: f}) for basis, found in split
-                 for part, f in _split_by_operator([basis], op, factor)]
+    steps = [(q, _involution_factors) for q in inv_ops]
+    steps += [(p, by_charpoly) for p in sorted(brandt_ops)]
+    parts = [_Part(None, {**inv_ops, **brandt_ops})]
+    for key, factor in steps:
+        parts = [sub for part in parts for sub in _split(part, key, factor)]
     components = []
-    for basis, found in split:
-        basis = linalg.primitive_rows(basis)
+    for part in parts:
+        basis = linalg.primitive_rows(linalg.identity(space.dim) if part.basis is None
+                                      else part.basis)
         comp = EigenComponent(forms=space.unflat(basis))
-        for q, op in inv_ops.items():
-            sign = _eigenvalue(op, basis)
-            if sign not in (1, -1):
+        for q in inv_ops:
+            f = part.found[q]
+            if len(f) != 2 or -f[1] not in (1, -1):
                 raise ValueError("operator does not act as ±1 on an eigenspace of the involutions")
-            comp.involutions[q] = int(sign)
-        for p, op in brandt_ops.items():
+            comp.involutions[q] = int(-f[1])
+        for p in brandt_ops:
+            power = _charpoly_power(part.found[p], len(basis))
             if len(basis) == 1:
-                comp.hecke[p] = _eigenvalue(op, basis)
+                comp.hecke[p] = -Fraction(power[0][0][1])
             else:
-                comp.charpolys[p] = _charpoly_power(found[p], len(basis))
+                comp.charpolys[p] = power
         components.append(comp)
     components.sort(key=_component_key)
     return components

@@ -287,17 +287,22 @@ def rank(a) -> int:
 
 def nullspace(a) -> Matrix:
     """Deterministic basis of the right kernel, one row per free column (set to 1)."""
+    return nullspace_free(a)[0]
+
+
+def nullspace_free(a) -> tuple[Matrix, list[int]]:
+    """(K, free): the `nullspace` basis K and its free columns, on which K is the identity."""
     red, pivots = rref(a)
     cols = red.shape[1]
     rows = red.num.tolist()
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
+    basis, free = [], [c for c in range(cols) if c not in pivots]
+    for f in free:
         v = [0] * cols
         v[f] = red.den
         for row, c in zip(rows, pivots):
             v[c] = -row[f]
         basis.append(v)
-    return _from_rows(basis, cols, red.den)
+    return _from_rows(basis, cols, red.den), free
 
 
 def solve(a, b) -> list[Fraction] | None:

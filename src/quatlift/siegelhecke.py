@@ -225,7 +225,8 @@ def standard_L_local(af, ag, k1: int, k2: int, n: int, p: int) -> LocalFactor:
     e₂ = af²/p^{k1-1} + ag²/p^{k2-1} − 2 and e₄ = 1, rational when k1 ≡ k2 mod 2.
     """
     p = require_prime(p)
-    if n < 2:
+    k1, k2 = require_int(k1, "weight k1"), require_int(k2, "weight k2")
+    if require_int(n, "degree n") < 2:
         raise ValueError("the degree-n standard factor needs n ≥ 2")
     w = k1 + k2 - 2
     if w % 2:
@@ -244,6 +245,7 @@ def standard_L_local(af, ag, k1: int, k2: int, n: int, p: int) -> LocalFactor:
 def rankin_selberg_local(af, ag, k1: int, k2: int, p: int) -> LocalFactor:
     """Degree-4 inverse factor of the tensor-product L-function, integer coefficients."""
     p = require_prime(p)
+    k1, k2 = require_int(k1, "weight k1"), require_int(k2, "weight k2")
     af, ag, q = Fraction(af), Fraction(ag), Fraction(p)
     w = k1 + k2 - 2
     e2 = q ** (k2 - 1) * af ** 2 + q ** (k1 - 1) * ag ** 2 - 2 * q ** w
@@ -252,6 +254,7 @@ def rankin_selberg_local(af, ag, k1: int, k2: int, p: int) -> LocalFactor:
 
 def hecke_prime_power_coeffs(ap, k: int, p: int, count: int) -> list[Fraction]:
     """a(p^j) for j < count via a(p^{j+1}) = a_p·a(p^j) − p^{k-1}·a(p^{j-1})."""
+    k, count = require_int(k, "weight k"), require_int(count, "count")
     out = [Fraction(1), Fraction(ap)]
     for _ in range(count - 2):
         out.append(Fraction(ap) * out[-1] - Fraction(p) ** (k - 1) * out[-2])
@@ -260,6 +263,7 @@ def hecke_prime_power_coeffs(ap, k: int, p: int, count: int) -> list[Fraction]:
 
 def rankin_selberg_matches_dirichlet(af, ag, k1: int, k2: int, p: int) -> bool:
     """(Σ_j a₁(p^j)a₂(p^j)X^j)·RS(X) ≡ 1 − p^{k1+k2-2}X² through X^6."""
+    k1, k2 = require_int(k1, "weight k1"), require_int(k2, "weight k2")
     a1 = hecke_prime_power_coeffs(af, k1, p, 7)
     a2 = hecke_prime_power_coeffs(ag, k2, p, 7)
     series = LocalFactor(p, [x * y for x, y in zip(a1, a2)])

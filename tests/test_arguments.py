@@ -11,7 +11,9 @@ from quatlift.brandt import (AutomorphicForm, FormSpace, atkin_lehner, brandt_ma
 from quatlift.harmonic import HarmSpace, default_frame
 from quatlift.quatcore import (ClassSet, UsageError, class_set, is_ramified, p_neighbors,
                                superorders, two_sided_ideal)
-from quatlift.siegelhecke import hecke_Tp, lambda_N, rankin_selberg_local, standard_L_local
+from quatlift.siegelhecke import (hecke_prime_power_coeffs, hecke_Tp, lambda_N,
+                                  rankin_selberg_local, rankin_selberg_matches_dirichlet,
+                                  standard_L_local)
 from quatlift.yoshida import (FourierExpansionSiegel2, QExpansion, ThetaEngine, theta_lift,
                               yoshida1, yoshida2)
 
@@ -42,6 +44,18 @@ ENTRY_POINTS = [
     ("bound", "ThetaEngine", lambda cs, x: ThetaEngine(fx.order_r1(), x)),
     ("bound", "lambda_N-level", lambda cs, x: lambda_N(x, 2, 1.0)),
     ("bound", "lambda_N-degree", lambda cs, x: lambda_N(17, x, 1.0)),
+    ("bound", "standard_L_local-degree", lambda cs, x: standard_L_local(-3, -1, 4, 2, x, 2)),
+    ("bound", "hecke_prime_power_coeffs-count",
+     lambda cs, x: hecke_prime_power_coeffs(1, 2, 2, x)),
+    ("weight", "standard_L_local-k1", lambda cs, x: standard_L_local(-3, -1, x, 2, 2, 2)),
+    ("weight", "standard_L_local-k2", lambda cs, x: standard_L_local(-3, -1, 4, x, 2, 2)),
+    ("weight", "rankin_selberg_local-k1", lambda cs, x: rankin_selberg_local(-3, -1, x, 2, 2)),
+    ("weight", "rankin_selberg_local-k2", lambda cs, x: rankin_selberg_local(-3, -1, 4, x, 2)),
+    ("weight", "hecke_prime_power_coeffs", lambda cs, x: hecke_prime_power_coeffs(1, x, 2, 4)),
+    ("weight", "rankin_selberg_matches_dirichlet-k1",
+     lambda cs, x: rankin_selberg_matches_dirichlet(-3, -1, x, 2, 2)),
+    ("weight", "rankin_selberg_matches_dirichlet-k2",
+     lambda cs, x: rankin_selberg_matches_dirichlet(-3, -1, 4, x, 2)),
     ("degree", "AutomorphicForm", lambda cs, x: AutomorphicForm(x, [(1,)] * cs.h)),
     ("degree", "HarmSpace", lambda cs, x: HarmSpace(x, default_frame(cs.order.algebra))),
     ("degree", "FormSpace", lambda cs, x: FormSpace(cs, x)),
@@ -98,3 +112,25 @@ def test_numpy_integers_are_accepted_and_kept_as_int(class_set_17):
     assert [type(v) for v in (f.weight, f.level, f.bound, f.singular_bound)] == [int] * 4
     q = QExpansion(np.int64(2), np.int64(17), np.int64(4))
     assert [type(v) for v in (q.weight, q.level, q.bound)] == [int] * 3
+
+
+def test_the_local_factors_take_integer_weights_and_degrees_only():
+    # a float weight once made float coefficients, and a float degree a TypeError
+    with pytest.raises(UsageError, match="^the weight k1 must be an integer, not 4.5$"):
+        rankin_selberg_local(-3, -1, 4.5, 2.5, 2)
+    with pytest.raises(UsageError, match="^the weight k must be an integer, not 2.5$"):
+        hecke_prime_power_coeffs(1, 2.5, 2, 4)
+    with pytest.raises(UsageError, match="^the degree n must be an integer, not 2.5$"):
+        standard_L_local(-3, -1, 4, 2, 2.5, 2)
+    with pytest.raises(UsageError, match="^negative count -1$"):
+        hecke_prime_power_coeffs(1, 2, 2, -1)
+    # an integer degree below 2 keeps its own refusal
+    for n in (0, 1, np.int64(1)):
+        with pytest.raises(ValueError, match="needs n ≥ 2"):
+            standard_L_local(-3, -1, 4, 2, n, 2)
+    # numpy integers are taken as ints: the same exact coefficients
+    assert rankin_selberg_local(-3, -1, np.int64(4), np.int64(2), 2).coeffs == \
+        rankin_selberg_local(-3, -1, 4, 2, 2).coeffs
+    assert hecke_prime_power_coeffs(1, np.int64(2), 2, np.int64(4)) == \
+        hecke_prime_power_coeffs(1, 2, 2, 4)
+    assert rankin_selberg_matches_dirichlet(-3, -1, np.int64(4), np.int64(2), 2)

@@ -16,6 +16,7 @@ from quatlift.polyfactor import factor_rational
 from quatlift.quatcore import (ClassSet, UsageError, class_set, is_ramified,
                                short_vectors, short_vectors_upto, superorders)
 from quatlift.yoshida import yoshida1
+import split_reference
 from helpers import level34_order
 from poly_reference import tau_matrix_sum
 
@@ -279,38 +280,80 @@ def test_involution_route_matches_the_full_search(class_set_17, cs34, monkeypatc
                 (j, set(gammas)) for j, gammas in full]
 
 
+def _dim(part, space):
+    return space.dim if part.basis is None else len(part.basis)
+
+
 def test_involution_split_matches_the_charpoly_split(cs34):
     factor = brandt._charpoly_factorer()
     for nu in range(4):
         space = FormSpace(cs34, nu)
-        subspaces = [linalg.identity(space.dim)]
+        parts = [brandt._Part(None, {q: space.matrix_of(atkin_lehner(cs34, nu, q))
+                                     for q in (2, 17)})]
         for q in (2, 17):
-            op = space.matrix_of(atkin_lehner(cs34, nu, q))
-            split = brandt._split_by_operator(subspaces, op, brandt._involution_factors)
-            pairs = brandt._split_by_operator(subspaces, op, factor)
+            split = [sub for part in parts for sub in brandt._split(part, q,
+                                                                     brandt._involution_factors)]
+            pairs = [sub for part in parts for sub in brandt._split(part, q, factor)]
             assert split == pairs
             # each part lies in ker(w − 1) or ker(w + 1)
-            assert {f for _, f in pairs} <= {(1, -1), (1, 1)}
-            subspaces = [part for part, _ in split]
-        assert sum(map(len, subspaces)) == space.dim
+            assert {sub.found[q] for sub in pairs} <= {(1, -1), (1, 1)}
+            parts = split
+        assert sum(_dim(part, space) for part in parts) == space.dim
+        assert all(not part.ops and part.simple is None for part in parts)
 
 
 def test_involution_split_is_the_two_eigenspaces():
-    def split(subspaces, op):
-        return brandt._split_by_operator(subspaces, op, brandt._involution_factors)
+    def split(part):
+        return brandt._split(part, 17, brandt._involution_factors)
 
     op = linalg.frac_mat([[0, 1, 0], [1, 0, 0], [0, 0, -1]])  # swaps x and y, negates z
-    # ker(w − 1) first, then ker(w + 1)
-    (plus, f_plus), (minus, f_minus) = split([linalg.identity(3)], op)
-    assert plus == linalg.frac_mat([[1, 1, 0]]) and f_plus == (1, -1)
-    assert minus == linalg.frac_mat([[-1, 1, 0], [0, 0, 1]]) and f_minus == (1, 1)
+    # ker(w − 1) first, then ker(w + 1), each carrying w's other restrictions
+    t = linalg.frac_mat([[2, 0, 0], [0, 2, 0], [0, 0, 5]])
+    plus, minus = split(brandt._Part(None, {17: op, 3: t}))
+    assert plus.basis == linalg.frac_mat([[1, 1, 0]]) and plus.found == {17: (1, -1)}
+    assert minus.basis == linalg.frac_mat([[-1, 1, 0], [0, 0, 1]]) and minus.found == {17: (1, 1)}
+    assert plus.ops == {3: linalg.frac_mat([[2]])}
+    assert minus.ops == {3: linalg.frac_mat([[2, 0], [0, 5]])}
+    # a line reads its sign off its 1×1 restriction
     line = linalg.frac_mat([[0, 0, 2]])
-    assert split([line], op) == [(line, (1, 1))]
+    assert split(brandt._Part(line, {17: linalg.frac_mat([[-1]])})) == [
+        brandt._Part(line, {}, {17: (1, 1)})]
+    # T = diag(1, 2, 2) splits off the line of (1, 0, 0), which w moves to (0, 1, 0):
+    # carrying w's restriction down to it fails
+    t = linalg.frac_mat([[1, 0, 0], [0, 2, 0], [0, 0, 2]])
     with pytest.raises(ValueError, match="does not preserve"):
-        split([linalg.frac_mat([[1, 0, 0]])], op)
+        brandt._split(brandt._Part(None, {3: t, 17: op}), 3, brandt._charpoly_factorer())
     # (x, y) ↦ (y, 4x) preserves the plane, but its square is 4, not 1
     with pytest.raises(ValueError, match="as ±1"):
-        split([linalg.identity(2)], linalg.frac_mat([[0, 1], [4, 0]]))
+        split(brandt._Part(None, {17: linalg.frac_mat([[0, 1], [4, 0]])}))
+
+
+def test_a_simple_part_takes_each_later_factor_without_factoring():
+    calls = []
+    factor = brandt._charpoly_factorer()
+
+    def counted(s):
+        calls.append(s)
+        return factor(s)
+
+    # charpoly x⁴ − 2, irreducible: the whole space is kept and is simple; T² commutes
+    # with T, and its charpoly (x² − 2)² has the one square-free part x² − 2
+    t = linalg.frac_mat([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [2, 0, 0, 0]])
+    whole, = brandt._split(brandt._Part(None, {2: t, 3: t @ t}), 2, counted)
+    assert whole == brandt._Part(None, {3: t @ t}, {2: (1, 0, 0, 0, -2)}, t)
+    done, = brandt._split(whole, 3, counted)
+    assert done.found == {2: (1, 0, 0, 0, -2), 3: (1, 0, -2)} and done.simple == t
+    assert len(calls) == 1
+    # an operator that does not commute with the one that makes the part simple
+    a = linalg.frac_mat([[0, 1], [2, 0]])
+    with pytest.raises(ValueError, match="does not commute"):
+        brandt._split(brandt._Part(None, {3: _diagonal_blocks([[1]], [[2]])}, {}, a), 3, counted)
+    # a commuting one whose charpoly has two square-free parts (x − 1)²·(x − 2):
+    # here the part is not simple, though it is marked so
+    d = _diagonal_blocks([[1]], [[1]], [[2]])
+    with pytest.raises(ValueError, match="power of one"):
+        brandt._split(brandt._Part(None, {3: d}, {}, d), 3, counted)
+    assert len(calls) == 1
 
 
 def test_form_spaces_share_one_frame(class_set_17):
@@ -693,6 +736,57 @@ def test_block_matrix_equals_per_form_solve(level, nu, class_set_17, cs34):
         assert space.matrix_of(op) == _per_form_matrix(space, op)
 
 
+def _matrix_by_products(space, op):
+    """CB_j·B_ij·R_i for every block, with no pass-through: `matrix_of` without its shortcuts."""
+    return linalg.vstack([linalg.hstack([
+        cb_j @ op.blocks[i][j] @ r_i if cb_i and cb_j else linalg.zeros(len(cb_j), len(cb_i))
+        for i, (cb_i, r_i) in enumerate(zip(space.class_bases, space._right_inverses))])
+        for j, cb_j in enumerate(space.class_bases)])
+
+
+def _unflat_by_products(space, rows):
+    """The forms of flat rows, each class block times its invariant basis."""
+    per_class, pos = [], 0
+    for cb in space.class_bases:
+        per_class.append((linalg.Matrix(rows.num[:, pos:pos + len(cb)], rows.den) @ cb).tolist())
+        pos += len(cb)
+    return [AutomorphicForm(space.nu, [values[r] for values in per_class])
+            for r in range(len(rows))]
+
+
+# level 17 mixes classes whose units are ±1 alone with one that has 6 units;
+# every class at level 34 has units ±1 alone
+@pytest.mark.parametrize("level", [17, 34])
+def test_whole_space_classes_pass_through_matrix_of_and_unflat(level, class_set_17, cs34):
+    cs, primes = {17: (class_set_17, (2, 3, 5, 7, 11)), 34: (cs34, (3, 5, 7, 11, 13))}[level]
+    for nu in range(4):
+        space = FormSpace(cs, nu)
+        eye = linalg.identity(space.space.dim)
+        assert space._whole == [cb == eye for cb in space.class_bases]
+        assert all(space._whole) if level == 34 or nu == 0 else (
+            any(space._whole) and not all(space._whole))
+        ops = [brandt_matrix(cs, nu, p) for p in primes]
+        ops += [atkin_lehner(cs, nu, q) for q in sorted(set(quatcore._prime_factors(level)))]
+        for op in ops:
+            assert space.matrix_of(op) == _matrix_by_products(space, op)
+        rows = linalg.vstack([linalg.identity(space.dim),
+                              linalg.frac_mat([[Fraction(k + 1, 3) for k in range(space.dim)]])])
+        assert space.unflat(rows) == _unflat_by_products(space, rows)
+
+
+# other neighbour seeds give other class representatives, so the split sees other integers
+@pytest.mark.parametrize("level,seed,top_nu", [(17, 2, 5), (17, 3, 5), (17, 5, 5),
+                                               (34, 3, 3), (34, 5, 3)])
+def test_eigenforms_match_the_split_by_restriction(level, seed, top_nu):
+    order, primes = (fx.order_r1(), [2, 3, 5]) if level == 17 else (level34_order(), [3, 5, 7])
+    cs = class_set(order, seed)
+    for nu in range(top_nu + 1):
+        got = eigenforms(cs, nu, primes)
+        want = split_reference.eigenforms_by_restriction(cs, nu, primes)
+        assert [(c.forms, c.hecke, c.involutions, c.charpolys) for c in got] == [
+            (c.forms, c.hecke, c.involutions, c.charpolys) for c in want]
+
+
 def test_block_matrix_rejects_a_non_invariant_image(class_set_17, space1):
     d = space1.space.dim
     # class 0 has units ±1 only, so every vector is invariant there, but not
@@ -785,11 +879,9 @@ def test_eigenforms_rejects_an_involution_that_is_not_one(class_set_17, monkeypa
     monkeypatch.setattr(brandt, "atkin_lehner", doubled)
     with pytest.raises(ValueError, match="as ±1"):
         eigenforms(cs, 0, [2], space)
-    # split into the coordinate lines, on which w_17 = 1: the sign read off
-    # each line is 2, and eigenforms refuses it
-    monkeypatch.setattr(brandt, "_split_by_operator",
-                        lambda subspaces, op, factor: [(v, (1, 0)) for b in subspaces
-                                                       for v in _lines(b)])
+    # with x − 2 as its one factor, the split keeps the whole space in
+    # ker(w_17 − 2): the sign read off the split is 2, and eigenforms refuses it
+    monkeypatch.setattr(brandt, "_involution_factors", lambda s: [((1, -2), 1)])
     with pytest.raises(ValueError, match="as ±1 on an eigenspace"):
         eigenforms(cs, 0, [2], space)
 
@@ -800,33 +892,50 @@ def _lines(basis):
 
 def test_split_checks_a_line_by_its_image():
     op = linalg.frac_mat([[1, 1], [0, 1]])  # row convention: (x, y) ↦ (x, x + y)
+    # the line of (0, 1), the identity on its column 1, is carried down by its one image
+    one = brandt._restrict_rows(op, linalg.frac_mat([[0, 1]]), [1])
+    assert one == linalg.frac_mat([[1]])
+    # the line's factor is x − λ, read off its 1×1 restriction
     line = linalg.frac_mat([[0, Fraction(-2, 3)]])
-    assert brandt._eigenvalue(op, line) == 1
-    # the line's factor is x − λ, read off its image
-    assert brandt._split_by_operator([line], op, brandt._charpoly_factorer()) == [(line, (1, -1))]
+    assert brandt._split(brandt._Part(line, {2: one}), 2, brandt._charpoly_factorer()) == [
+        brandt._Part(line, {}, {2: (1, -1)})]
     with pytest.raises(ValueError, match="does not preserve"):
-        brandt._split_by_operator([linalg.frac_mat([[1, 0]])], op, brandt._charpoly_factorer())
+        brandt._restrict_rows(op, linalg.frac_mat([[1, 0]]), [0])
+    # a kernel row with a denominator: (3, 0, 1)·diag(2, 5, 2) = 2·(3, 0, 1)
+    diag = _diagonal_blocks([[2]], [[5]], [[2]])
+    assert brandt._restrict_rows(diag, linalg.frac_mat([[3, 0, 1]]), [2]) == \
+        linalg.frac_mat([[2]])
 
 
 def test_split_is_the_kernel_of_each_factor():
     factor = brandt._charpoly_factorer()
-    # x² − 2 is irreducible, so the plane is one block, kept as it is
+    # x² − 2 is irreducible, so the plane is one block, kept as it is and simple
     plane = linalg.frac_mat([[1, 0, 0], [0, 1, 0]])
     op = linalg.frac_mat([[0, 1, 0], [2, 0, 0], [0, 0, 5]])
-    assert brandt._split_by_operator([plane], op, factor) == [(plane, (1, 0, -2))]
+    s = brandt._restrict_rows(op, plane, [0, 1])
+    assert s == linalg.frac_mat([[0, 1], [2, 0]])
+    assert brandt._split(brandt._Part(plane, {2: s}), 2, factor) == [
+        brandt._Part(plane, {}, {2: (1, 0, -2)}, s)]
+    # the whole space splits into the kernels of x² − 2 and x − 5, each the
+    # identity on its free columns, with no product by the identity basis
+    low, high = brandt._split(brandt._Part(None, {2: op}), 2, factor)
+    assert (low.basis, low.found, low.simple) == (linalg.frac_mat([[0, 0, 1]]), {2: (1, -5)}, None)
+    assert (high.basis, high.found, high.simple) == (plane, {2: (1, 0, -2)}, s)
     # a Jordan block: charpoly (x − 1)², and the kernel of op − 1 is only a line,
     # so the split would lose a dimension
     jordan = linalg.frac_mat([[1, 1], [0, 1]])
     with pytest.raises(ValueError, match="not semisimple"):
-        brandt._split_by_operator([linalg.identity(2)], jordan, factor)
+        brandt._split(brandt._Part(None, {2: jordan}), 2, factor)
 
 
 def test_eigenvalue_with_denominators_and_signs():
+    # the reference split's line reader
     op = linalg.frac_mat([[Fraction(-3, 4), 0, 0], [0, 2, 0], [0, 0, Fraction(-3, 4)]])
-    assert brandt._eigenvalue(op, linalg.frac_mat([[0, Fraction(5, 7), 0]])) == 2
-    assert brandt._eigenvalue(op, linalg.frac_mat([[-1, 0, Fraction(1, 3)]])) == Fraction(-3, 4)
+    assert split_reference._eigenvalue(op, linalg.frac_mat([[0, Fraction(5, 7), 0]])) == 2
+    assert split_reference._eigenvalue(op, linalg.frac_mat([[-1, 0, Fraction(1, 3)]])) == \
+        Fraction(-3, 4)
     with pytest.raises(ValueError, match="does not preserve"):
-        brandt._eigenvalue(op, linalg.frac_mat([[1, 1, 0]]))
+        split_reference._eigenvalue(op, linalg.frac_mat([[1, 1, 0]]))
 
 
 def test_component_line_that_is_not_an_eigenvector_is_rejected(class_set_17, monkeypatch):
@@ -835,24 +944,28 @@ def test_component_line_that_is_not_an_eigenvector_is_rejected(class_set_17, mon
     cs = ClassSet(class_set_17.order, class_set_17.ideals)
     space = FormSpace(cs, 0)
     assert space.matrix_of(atkin_lehner(cs, 0, 17)) == linalg.identity(space.dim)
-    monkeypatch.setattr(brandt, "_split_by_operator",
-                        lambda subspaces, op, factor: [(v, (1, 0)) for b in subspaces
-                                                       for v in _lines(b)])
+    def lines(part, key, factor):
+        eye = linalg.identity(len(part.ops[key]))
+        return [part.sub(row, [i], key, (1, -1)) for i, row in enumerate(_lines(eye))]
+
+    monkeypatch.setattr(brandt, "_split", lines)
     with pytest.raises(ValueError, match="does not preserve"):
         eigenforms(cs, 0, [2], space)
 
 
 def test_involution_sign_is_read_off_the_image():
+    # the reference split reads a component's sign off its basis's first image
+    eigenvalue = split_reference._eigenvalue
     op = linalg.frac_mat([[1, 0, 0], [0, -1, 0], [0, 0, 1]])
-    assert brandt._eigenvalue(op, linalg.frac_mat([[1, 0, 3], [0, 0, 2]])) == 1
-    assert brandt._eigenvalue(op, linalg.frac_mat([[0, Fraction(1, 2), 0]])) == -1
+    assert eigenvalue(op, linalg.frac_mat([[1, 0, 3], [0, 0, 2]])) == 1
+    assert eigenvalue(op, linalg.frac_mat([[0, Fraction(1, 2), 0]])) == -1
     # on a component where it is +1 on one line and −1 on another it must raise,
     # whichever line comes first
     for rows in ([[1, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0]]):
         with pytest.raises(ValueError, match="not one scalar"):
-            brandt._eigenvalue(op, linalg.frac_mat(rows))
+            eigenvalue(op, linalg.frac_mat(rows))
     with pytest.raises(ValueError, match="does not preserve"):
-        brandt._eigenvalue(op, linalg.frac_mat([[1, 1, 0]]))
+        eigenvalue(op, linalg.frac_mat([[1, 1, 0]]))
 
 
 def test_each_distinct_charpoly_is_factored_once(class_set_17, monkeypatch):
@@ -892,7 +1005,7 @@ def test_component_charpolys_equal_the_restricted_charpoly(level, nu, class_set_
         for p in primes:
             op = space.matrix_of(brandt_matrix(cs, nu, p))
             assert comp.charpolys[p] == factor_rational(
-                linalg.charpoly(brandt._restrict(op, basis)))
+                linalg.charpoly(split_reference._restrict(op, basis)))
     assert blocks or nu == 0
 
 
