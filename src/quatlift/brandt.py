@@ -536,9 +536,10 @@ def eigenforms(cs: ClassSet, nu: int, primes: list[int],
                 raise ValueError("operator does not act as ±1 on an eigenspace of the involutions")
             comp.involutions[q] = int(-f[1])
         for p in brandt_ops:
-            power = _charpoly_power(part.found[p], len(basis))
+            f = part.found[p]
+            power = _charpoly_power(f, len(basis))  # deg f | dim: f = x − λ on a line
             if len(basis) == 1:
-                comp.hecke[p] = -Fraction(power[0][0][1])
+                comp.hecke[p] = -Fraction(f[1])
             else:
                 comp.charpolys[p] = power
         components.append(comp)

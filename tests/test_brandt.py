@@ -785,6 +785,10 @@ def test_eigenforms_match_the_split_by_restriction(level, seed, top_nu):
         want = split_reference.eigenforms_by_restriction(cs, nu, primes)
         assert [(c.forms, c.hecke, c.involutions, c.charpolys) for c in got] == [
             (c.forms, c.hecke, c.involutions, c.charpolys) for c in want]
+    # a prime asked for twice splits once: the reference's second split changes nothing
+    again = eigenforms(cs, top_nu, primes + primes[:1])
+    assert [(c.forms, c.hecke, c.charpolys) for c in again] == [
+        (c.forms, c.hecke, c.charpolys) for c in got]
 
 
 def test_block_matrix_rejects_a_non_invariant_image(class_set_17, space1):
