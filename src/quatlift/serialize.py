@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .brandt import AutomorphicForm
-from .quatcore import Lattice, QuaternionAlgebra, UsageError
+from .quatcore import Lattice, QuaternionAlgebra, UsageError, require_int
 from .yoshida import FourierExpansionSiegel2
 
 
@@ -201,12 +201,6 @@ def expansion_to_obj(f: FourierExpansionSiegel2) -> dict:
     }
 
 
-def _integer(x, what: str) -> int:
-    if type(x) is not int:  # JSON integers only: no floats, strings or booleans
-        raise SchemaError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 def _numerators(values) -> tuple[list[int], int]:
     """The values of a column of entries, JSON ints or rational strings, as
     numerators over one positive denominator.  A column of integers converts in
@@ -225,12 +219,14 @@ def expansion_from_obj(obj: dict) -> FourierExpansionSiegel2:
     """Parse an expansion document; every entry must be a canonical reduced form
     within the bounds, given once, with an integer form and a rational value.
 
-    The entries are checked and converted a column at a time: their shape, the
-    three form columns' types, then one int64 array and one column of values."""
+    The header is checked first, by the expansion's own rule (`require_int`),
+    then the entries a column at a time: their shape, the three form columns'
+    types, then one int64 array and one column of values."""
     try:
-        bound = _integer(obj["bound"], "bound")
-        header = (_integer(obj["weight"], "weight"), _integer(obj["level"], "level"), bound)
-        singular_bound = _integer(obj.get("singular_bound", bound), "singular_bound")
+        bound = require_int(obj["bound"], "bound")
+        header = (require_int(obj["weight"], "weight"), require_int(obj["level"], "level", 1),
+                  bound)
+        singular_bound = require_int(obj.get("singular_bound", bound), "singular bound")
         entries = obj["entries"]
         if set(map(type, entries)) - {list} or set(map(len, entries)) - {4}:
             item = next(e for e in entries if not isinstance(e, list) or len(e) != 4)
@@ -258,10 +254,12 @@ def form_to_obj(phi: AutomorphicForm) -> dict:
 
 def form_from_obj(obj: dict) -> AutomorphicForm:
     """Parse a form document: `values` is `classes` lists of rationals.  The form's
-    own rule, ν ≥ 0 and 2ν + 1 coordinates per class, is `AutomorphicForm`'s, whose
-    `UsageError` is reported as a `SchemaError` with the same message."""
+    own rule, ν ≥ 0 and 2ν + 1 coordinates per class, is `AutomorphicForm`'s, and
+    `classes` is checked by the same `require_int`; a `UsageError` is reported as
+    a `SchemaError` with the same message."""
     try:
-        nu, classes = _integer(obj["nu"], "nu"), _integer(obj["classes"], "classes")
+        nu = require_int(obj["nu"], "harmonic degree")
+        classes = require_int(obj["classes"], "classes")
         values = obj["values"]
         if not (_has_shape(values, (classes,))
                 and all(isinstance(v, (list, tuple)) for v in values)):

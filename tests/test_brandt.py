@@ -1047,7 +1047,7 @@ def test_component_charpoly_keeps_its_multiplicity(class_set_17, monkeypatch):
     assert brandt._charpoly_power((1, 0, -2), 4) == [((1, 0, -2), 2)]
 
 
-def test_eichler_iteration_makes_63_enumerations(monkeypatch):
+def test_eichler_iteration_makes_47_enumerations(monkeypatch):
     # the eichler benchmark's iteration at seed 1 on fresh orders: class sets
     # from the neighbours at 2 (level 17) and 3 (level 34), Brandt matrices at
     # ν ≤ 2 for five good primes and eigenforms at the first three.  Each
@@ -1058,7 +1058,9 @@ def test_eichler_iteration_makes_63_enumerations(monkeypatch):
     # from its partner's, so the routing makes 12 searches, not 23.  The
     # cross shells enumerated once per new prime made 112, of 1,545 vectors;
     # run to each lattice's `_small_norm` on the first miss, they are
-    # enumerated once at level 34 and twice at level 17.
+    # enumerated once at level 34 and twice at level 17.  Searching every
+    # round to closure made 63, of 946 vectors; the class set now stops at the
+    # Eichler mass, inside the principal class's neighbours at both levels.
     orders = [quatcore.Lattice(o.algebra, o.basis, "order") for o in (fx.order_r1(),
                                                                      level34_order())]
     calls = []
@@ -1078,7 +1080,7 @@ def test_eichler_iteration_makes_63_enumerations(monkeypatch):
             for p in primes:
                 brandt_matrix(cs, nu, p, space)
             eigenforms(cs, nu, list(primes[:3]), space)
-    assert (len(calls), sum(calls)) == (63, 946)
+    assert (len(calls), sum(calls)) == (47, 930)
 
 
 def _eichler_iteration():
@@ -1096,7 +1098,7 @@ def _eichler_iteration():
 
 
 def test_eichler_iteration_takes_the_python_path_for_tiny_enumerations(monkeypatch):
-    # 60 of the 63 enumerations expect fewer lattice points than the crossover
+    # 44 of the 47 enumerations expect fewer lattice points than the crossover
     # and run on Python ints; the other three are level 17's cross shells to 11
     calls, small_calls = [], []
     enumerate_upto, small = quatcore.short_vectors_upto, quatcore._small_half_shells
@@ -1105,7 +1107,7 @@ def test_eichler_iteration_takes_the_python_path_for_tiny_enumerations(monkeypat
     monkeypatch.setattr(quatcore, "_small_half_shells",
                         lambda *args: small_calls.append(1) or small(*args))
     _eichler_iteration()
-    assert (len(small_calls), len(calls)) == (60, 63)
+    assert (len(small_calls), len(calls)) == (44, 47)
 
 
 def test_eichler_iteration_builds_each_two_sided_ideal_once(monkeypatch):

@@ -802,6 +802,53 @@ def test_class_set_matches_the_search_that_tests_every_neighbour(level, seed):
     assert cs.unit_counts == [len(short_vectors(ideal.left_order.gram, 1)) for ideal in want]
 
 
+def _counting_neighbours(monkeypatch):
+    """Patch p_neighbors to record the prime of each call; return the record."""
+    calls, neighbours = [], quatcore.p_neighbors
+    monkeypatch.setattr(quatcore, "p_neighbors",
+                        lambda ideal, p: calls.append(p) or neighbours(ideal, p))
+    return calls
+
+
+@pytest.mark.parametrize("level,seed", [(17, 2), (17, 3), (17, 5), (34, 3), (34, 5)])
+def test_class_set_stops_at_the_eichler_mass(level, seed, monkeypatch):
+    # the principal class's neighbours reach every class at these seeds, so the
+    # search stops inside the first round: no other class is expanded
+    order = fx.order_r1() if level == 17 else level34_order()
+    calls = _counting_neighbours(monkeypatch)
+    cs = class_set(order, seed)
+    assert calls == [seed]
+    assert cs.mass == eichler_mass(order)
+
+
+@pytest.mark.parametrize("level,seed", [(17, 2), (34, 3), (34, 5)])
+def test_class_set_without_a_mass_formula_searches_to_closure(level, seed, monkeypatch):
+    order = fx.order_r1() if level == 17 else level34_order()
+    want = class_set(order, seed)
+    calls = _counting_neighbours(monkeypatch)
+    monkeypatch.setattr(quatcore, "eichler_mass", lambda order: None)
+    cs = class_set(order, seed)
+    # every class is expanded once, and the last round finds nothing new
+    assert calls == [seed] * cs.h
+    assert [ideal.hnf_basis for ideal in cs.ideals] == [ideal.hnf_basis for ideal in want.ideals]
+    assert cs.unit_counts == want.unit_counts
+
+
+@pytest.mark.parametrize("formula", [Fraction(5, 3), Fraction(7, 12)],
+                         ids=["above-the-mass", "between-two-sums"])
+def test_class_set_refuses_a_mass_it_cannot_reach(formula, monkeypatch):
+    # level 17 has classes with 2 and 6 units: the sums are 1/2 and 2/3.  A
+    # formula above them ends with the search; one between them is passed
+    calls = _counting_neighbours(monkeypatch)
+    asked = []
+    monkeypatch.setattr(quatcore, "eichler_mass", lambda order: asked.append(1) or formula)
+    with pytest.raises(ValueError, match=f"has mass 2/3, but the Eichler mass formula "
+                                         f"gives {formula}"):
+        class_set(fx.order_r1(), 2)
+    assert len(asked) == 1
+    assert len(calls) == (2 if formula > Fraction(2, 3) else 1)
+
+
 def test_prime_helpers_are_exact_and_bounded():
     from quatlift.quatcore import TRIAL_DIVISION_BOUND, _is_prime, _prime_factors
     n = 3000

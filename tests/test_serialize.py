@@ -136,9 +136,9 @@ def test_form_roundtrip():
 
 
 @pytest.mark.parametrize("field, value, match", [
-    ("nu", 2.7, "nu must be an integer"),
-    ("nu", True, "nu must be an integer"),
-    ("nu", "1", "nu must be an integer"),
+    ("nu", 2.7, "harmonic degree must be an integer"),
+    ("nu", True, "harmonic degree must be an integer"),
+    ("nu", "1", "harmonic degree must be an integer"),
     # the form's own rule is AutomorphicForm's, and so is the message
     ("nu", -1, "negative harmonic degree -1"),
     ("values", [["0", "0", "1"], ["0", "0"]], "a degree-1 form has 2ν . 1 = 3 coordinates"),
