@@ -1061,8 +1061,6 @@ def test_eichler_iteration_makes_47_enumerations(monkeypatch):
     # enumerated once at level 34 and twice at level 17.  Searching every
     # round to closure made 63, of 946 vectors; the class set now stops at the
     # Eichler mass, inside the principal class's neighbours at both levels.
-    orders = [quatcore.Lattice(o.algebra, o.basis, "order") for o in (fx.order_r1(),
-                                                                     level34_order())]
     calls = []
     enumerate_upto = quatcore.short_vectors_upto
 
@@ -1072,14 +1070,7 @@ def test_eichler_iteration_makes_47_enumerations(monkeypatch):
         return out
 
     monkeypatch.setattr(quatcore, "short_vectors_upto", counted)
-    for order, p_seed, primes in ((orders[0], 2, (2, 3, 5, 7, 11)),
-                                  (orders[1], 3, (3, 5, 7, 11, 13))):
-        cs = class_set(order, p_seed)
-        for nu in (0, 1, 2):
-            space = FormSpace(cs, nu)
-            for p in primes:
-                brandt_matrix(cs, nu, p, space)
-            eigenforms(cs, nu, list(primes[:3]), space)
+    _eichler_iteration()
     assert (len(calls), sum(calls)) == (47, 930)
 
 
