@@ -11,6 +11,6 @@ from .binforms import reduce_form
 from .yoshida import (FourierExpansionSiegel2, QExpansion, phi_operator,
                       theta2_coefficient, yoshida1, yoshida2)
 from .siegelhecke import (LocalFactor, PoleError, eigenvalue_extract, hecke_Tp,
-                          hecke_cosets, lambda_N, rankin_selberg_local, standard_L_local)
+                          lambda_N, rankin_selberg_local, standard_L_local)
 
 __version__ = "0.1.0"

@@ -1,14 +1,16 @@
 """Hecke operators T(p) on degree-2 scalar Fourier expansions and local L-factors.
 
-T(p) comes from the explicit coset list [[A,B],[0,D]] of the similitude-p
+T(p) sums over the block-triangular cosets [[A,B],[0,D]] of the similitude-p
 double coset.  A coset's term depends only on its block D: the input
 coefficient at T = (1/p)·D·S·Dᵗ when that is half-integral, times the weight
-det(D)^{-k} and a character that must be trivial for every half-integral S.
-Grouped by D the p³ + p² + p + 1 cosets become p + 3 transplants,
-a(pS) + p^{k-2}·Σ_U a(S[U]/p) + p^{2k-3}·a(S/p) (Andrianov, Russian Math.
-Surveys 29, 1974), with the global normalization p^{2k-3} that makes the a(pS)
+det(D)^{-k}; its character is trivial for every half-integral S.  The
+p³ + p² + p + 1 cosets have p + 3 blocks, whose weights are known in closed
+form (Andrianov, Russian Math. Surveys 29, 1974):
+a(pS) + p^{k-2}·Σ_U a(S[U]/p) + p^{2k-3}·a(S/p), U over the p + 1 blocks of
+determinant p, with the global normalization p^{2k-3} that makes the a(pS)
 term have coefficient 1; for the bundled example this reproduces the published
-eigenvalues with no further constant.
+eigenvalues with no further constant.  `_hecke_blocks` returns the blocks and
+weights directly; the coset list is the test oracle (`tests/hecke_reference.py`).
 
 `hecke_Tp` runs every block D in one pass over the output forms
 (`binforms.form_table` and (0, 0, 0)): S[Dᵗ] for every D and every S at once,
@@ -22,7 +24,6 @@ the two expansions' definite entries up to the smaller bound as columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -32,55 +33,17 @@ from .quatcore import UsageError, _prime_factors, require_good_prime, require_in
 from .yoshida import FourierExpansionSiegel2, TruncationError, _require_comparable
 
 
-@dataclass(frozen=True)
-class HeckeCosetRep:
-    """Block-triangular representative [[A, B], [0, D]] of similitude p."""
-    a: tuple[tuple[int, int], tuple[int, int]]
-    b: tuple[tuple[int, int], tuple[int, int]]
-    d: tuple[tuple[int, int], tuple[int, int]]
+def _hecke_blocks(p: int, k: int) -> dict:
+    """The p + 3 blocks D of T(p), each with weight p^{2k-3}·det(D)^{-k}·#cosets.
 
-
-def hecke_cosets(p: int) -> list[HeckeCosetRep]:
-    """The p³ + p² + p + 1 right coset representatives of the T(p) double coset."""
-    reps = []
-    ident = ((1, 0), (0, 1))
-    pid = ((p, 0), (0, p))
-    for b11 in range(p):
-        for b12 in range(p):
-            for b22 in range(p):
-                reps.append(HeckeCosetRep(ident, ((b11, b12), (b12, b22)), pid))
-    reps.append(HeckeCosetRep(pid, ((0, 0), (0, 0)), ident))
-    for j in range(p):
-        a = ((1, j), (0, p))
-        d = ((p, 0), (-j, 1))
-        for m in range(p):
-            reps.append(HeckeCosetRep(a, ((m, 0), (0, 0)), d))
-    a_inf = ((p, 0), (0, 1))
-    d_inf = ((1, 0), (0, p))
-    for r in range(p):
-        reps.append(HeckeCosetRep(a_inf, ((0, 0), (0, r)), d_inf))
-    return reps
-
-
-def _grouped_cosets(p: int, k: int) -> dict:
-    """Each distinct block D of hecke_cosets(p) with weight p^{2k-3}·det(D)^{-k}·#cosets.
-
-    A coset contributes e(tr(S·Dᵗ·B)/p)·a(D·S·Dᵗ/p); AssertionError unless that
-    character is trivial for every half-integral S, i.e. unless M = DᵗB has
-    M₁₁ ≡ M₂₂ ≡ 0 mod p and M₁₂ + M₂₁ ≡ 0 mod 2p.  The cosets are counted per D
-    in integers, and each D's weight is one Fraction.
+    D = p·I (p³ cosets) has weight 1, D = I (one coset) p^{2k-3}, and each of
+    the p + 1 blocks of det p, (p, 0; -j, 1) for j mod p and (1, 0; 0, p)
+    (p cosets each), p^{k-2} (Andrianov, Russian Math. Surveys 29, 1974).
     """
-    counts: dict = {}
-    for rep in hecke_cosets(p):
-        (d11, d12), (d21, d22) = rep.d
-        (b11, b12), (b21, b22) = rep.b
-        m11, m12 = d11 * b11 + d21 * b21, d11 * b12 + d21 * b22
-        m21, m22 = d12 * b11 + d22 * b21, d12 * b12 + d22 * b22
-        if m11 % p or m22 % p or (m12 + m21) % (2 * p):
-            raise AssertionError(f"coset {rep} has a nontrivial character")
-        counts[rep.d] = counts.get(rep.d, 0) + 1
-    return {d: Fraction(p) ** (2 * k - 3) * n / (d[0][0] * d[1][1] - d[0][1] * d[1][0]) ** k
-            for d, n in counts.items()}
+    q = Fraction(p)
+    middle = [((p, 0), (-j, 1)) for j in range(p)] + [((1, 0), (0, p))]
+    return {((p, 0), (0, p)): Fraction(1), ((1, 0), (0, 1)): q ** (2 * k - 3),
+            **dict.fromkeys(middle, q ** (k - 2))}
 
 
 def hecke_Tp(f: FourierExpansionSiegel2, p: int) -> FourierExpansionSiegel2:
@@ -94,7 +57,7 @@ def hecke_Tp(f: FourierExpansionSiegel2, p: int) -> FourierExpansionSiegel2:
         raise TruncationError(
             f"input bound {f.bound} cannot support T({p}); need at least {p * p}")
     k = f.weight
-    weights = _grouped_cosets(p, k)
+    weights = _hecke_blocks(p, k)
     common = math.lcm(*(w.denominator for w in weights.values()))
     # the output forms, and (0, 0, 0), its own transplant under every D
     sa, sb, sc = (np.append(x, 0) for x in form_table(out_bound))
@@ -254,6 +217,7 @@ def rankin_selberg_local(af, ag, k1: int, k2: int, p: int) -> LocalFactor:
 
 def hecke_prime_power_coeffs(ap, k: int, p: int, count: int) -> list[Fraction]:
     """a(p^j) for j < count via a(p^{j+1}) = a_p·a(p^j) − p^{k-1}·a(p^{j-1})."""
+    p = require_prime(p)
     k, count = require_int(k, "weight k"), require_int(count, "count")
     out = [Fraction(1), Fraction(ap)]
     for _ in range(count - 2):
@@ -263,6 +227,7 @@ def hecke_prime_power_coeffs(ap, k: int, p: int, count: int) -> list[Fraction]:
 
 def rankin_selberg_matches_dirichlet(af, ag, k1: int, k2: int, p: int) -> bool:
     """(Σ_j a₁(p^j)a₂(p^j)X^j)·RS(X) ≡ 1 − p^{k1+k2-2}X² through X^6."""
+    p = require_prime(p)
     k1, k2 = require_int(k1, "weight k1"), require_int(k2, "weight k2")
     a1 = hecke_prime_power_coeffs(af, k1, p, 7)
     a2 = hecke_prime_power_coeffs(ag, k2, p, 7)

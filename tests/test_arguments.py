@@ -29,6 +29,9 @@ ENTRY_POINTS = [
     ("good prime", "hecke_Tp", lambda cs, x: hecke_Tp(FourierExpansionSiegel2(2, 17, 40), x)),
     ("prime", "standard_L_local", lambda cs, x: standard_L_local(-3, -1, 4, 2, 2, x)),
     ("prime", "rankin_selberg_local", lambda cs, x: rankin_selberg_local(-3, -1, 4, 2, x)),
+    ("prime", "hecke_prime_power_coeffs-p", lambda cs, x: hecke_prime_power_coeffs(1, 2, x, 4)),
+    ("prime", "rankin_selberg_matches_dirichlet",
+     lambda cs, x: rankin_selberg_matches_dirichlet(-3, -1, 4, 2, x)),
     ("level prime", "atkin_lehner", lambda cs, x: atkin_lehner(cs, 0, x)),
     ("level prime", "essential_part",
      lambda cs, x: essential_part([constant_form(cs)], cs, x)),
@@ -79,6 +82,7 @@ def test_every_entry_point_refuses_a_non_integer_argument(class_set_17, call, x)
 @pytest.mark.parametrize("kind, bad", [
     ("good prime", [0, -3, 1, 4, 17, 2.0, True, "3"]),
     ("level prime", [0, 1, 4, 5, 2.0, True, "3"]),
+    ("prime", [0, -3, 1, 4, 2.5, 2.0, True, "3"]),
 ])
 def test_one_invalid_prime_gives_one_text_from_every_entry_point(class_set_17, kind, bad):
     calls = [call for k, _, call in ENTRY_POINTS if k == kind]

@@ -1,24 +1,24 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from binforms_reference import disc, reduced_forms_up_to
 from quatlift import fixture as fx
-from quatlift import siegelhecke
 from quatlift.brandt import FormSpace, constant_form
 from quatlift.serialize import dumps_canonical, expansion_from_obj, expansion_to_obj
-from quatlift.siegelhecke import (HeckeCosetRep, LocalFactor, PoleError,
-                                  eigenvalue_extract, hecke_Tp, hecke_cosets,
+from quatlift.siegelhecke import (LocalFactor, PoleError, eigenvalue_extract, hecke_Tp,
                                   lambda_N, rankin_selberg_local,
                                   rankin_selberg_matches_dirichlet,
-                                  standard_L_local, _grouped_cosets)
+                                  standard_L_local, _hecke_blocks)
 from quatlift.quatcore import UsageError
 from quatlift.yoshida import (FourierExpansionSiegel2, TruncationError,
                               is_cuspidal_up_to_bound, yoshida2)
-from hecke_reference import hecke_Tp_per_block
+import hecke_reference
+from hecke_reference import HeckeCosetRep, grouped_cosets, hecke_cosets, hecke_Tp_per_block
 from helpers import expansion
 
 
@@ -368,13 +368,22 @@ def test_hecke_equals_the_per_block_reference(p, k, eisenstein_600, lift_950, li
     assert want.is_zero() == ((k, p) == (3, 7))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6, 12])
 def test_grouped_coset_weights(p, k):
-    middle = [((p, 0), (-j, 1)) for j in range(p)] + [((1, 0), (0, p))]
-    expected = {((p, 0), (0, p)): 1, ((1, 0), (0, 1)): Fraction(p) ** (2 * k - 3)}
-    expected.update({d: Fraction(p) ** (k - 2) for d in middle})
-    assert _grouped_cosets(p, k) == expected
+    # the closed form against the blocks and weights counted from the coset list
+    assert _hecke_blocks(p, k) == grouped_cosets(p, k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6, 12])
+def test_hecke_blocks_at_a_prime_past_the_coset_list(k):
+    # the coset list at p = 199 has 7,920,400 entries; the closed form has 202
+    p, q = 199, Fraction(199)
+    weights = _hecke_blocks(p, k)
+    assert len(weights) == 202
+    assert Counter(weights.values()) == Counter([1, q ** (2 * k - 3)] + [q ** (k - 2)] * 200)
+    dets = Counter(d11 * d22 - d12 * d21 for (d11, d12), (d21, d22) in weights)
+    assert dets == {p * p: 1, 1: 1, p: 200}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -389,9 +398,9 @@ def test_hecke_looks_up_p_plus_3_transplants_per_form(p, lift_950, monkeypatch):
     assert 0 < len(calls) <= (p + 3) * forms
 
 
-def test_hecke_rejects_a_coset_with_a_nontrivial_character(lift_950, monkeypatch):
-    cosets = siegelhecke.hecke_cosets
+def test_hecke_rejects_a_coset_with_a_nontrivial_character(monkeypatch):
+    # the oracle's grouping checks every coset; `hecke_Tp` reads closed-form blocks
     bad = HeckeCosetRep(((2, 0), (0, 2)), ((1, 0), (0, 0)), ((1, 0), (0, 1)))
-    monkeypatch.setattr(siegelhecke, "hecke_cosets", lambda p: cosets(p) + [bad])
+    monkeypatch.setattr(hecke_reference, "hecke_cosets", lambda p: hecke_cosets(p) + [bad])
     with pytest.raises(AssertionError, match="nontrivial character"):
-        hecke_Tp(lift_950, 2)
+        grouped_cosets(2, 3)
